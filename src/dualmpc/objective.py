@@ -339,15 +339,10 @@ class ObjectiveEvaluator:
             np.broadcast_to(reg, shape),
         )
 
-    def totals(self, u_nom: Array, feedback: Array) -> Array:
-        """Total objective for batched (u_nom, feedback)."""
-        pred = self.prediction(u_nom)
-        parts = self.parts_from_prediction(pred, feedback)
-        return parts[0] + parts[1] + parts[2] + parts[3]
-
-    def totals_and_prediction(self, u_nom: Array, feedback: Array):
-        """Like :meth:`totals` but also hands back the prediction so callers
-        can reuse it for feedback-gain sweeps at the same controls."""
+    def totals(self, u_nom: Array, feedback: Array) -> tuple[Array, Prediction]:
+        """Total objective for batched (u_nom, feedback), and the prediction
+        at u_nom, so callers can reuse it for feedback-gain sweeps at the
+        same controls."""
         pred = self.prediction(u_nom)
         parts = self.parts_from_prediction(pred, feedback)
         return parts[0] + parts[1] + parts[2] + parts[3], pred

@@ -13,9 +13,16 @@ clipping at every trial point.
 
 Gradient cost note: a perturbation of the nominal controls changes the
 whole prediction, but a perturbation of the feedback gains leaves the
-rollout, the linearization and the filter gains untouched, so the gain part
-of the gradient reuses the cached prediction and only re-runs the
-covariance propagation.  Both parts are evaluated as single batched calls.
+rollout, the linearization and the filter gains untouched, so the gain rows
+of the central-difference stencil reuse the prediction at the stencil's
+centre and only re-run the covariance propagation.  The control rows ride in
+the line search's first batch: its first trial is the full quasi-Newton
+step, which is accepted in most iterations near a solution, so that batch
+also carries the control rows of the stencil around that trial.  When the
+full step is accepted, one prediction pass serves both the line search and
+the next gradient; otherwise the stencil is evaluated at the accepted trial
+in a batch of its own.  Batched rows evaluate independently, so either way
+gives the same numbers.
 """
 
 from __future__ import annotations
@@ -120,62 +127,73 @@ class _Variables:
         return Policy(u_nom=u, feedback=fb)
 
     def unpack_batch(self, thetas: Array) -> tuple[Array, Array]:
+        """Batched controls and gains; without gains, one shared zero gain set."""
         B = thetas.shape[0]
         u = thetas[:, : self.n_u_vars].reshape(B, self.N, self.n_u)
         if self.with_gains:
             fb = thetas[:, self.n_u_vars :].reshape(B, self.N - 1, self.n_u, self.n_x)
         else:
-            fb = np.zeros((B, max(self.N - 1, 0), self.n_u, self.n_x))
+            fb = np.zeros((max(self.N - 1, 0), self.n_u, self.n_x))
         return u, fb
 
     def project(self, theta: Array) -> Array:
         return np.clip(theta, self.lower, self.upper)
 
 
-def _fd_gradient(ev: ObjectiveEvaluator, var: _Variables, theta: Array, step: float,
-                 f0: float, pred_base=None) -> tuple[Array, Array]:
-    """Central-difference gradient plus diagonal curvature, batched.
+def _stencil(theta: Array, step: float) -> tuple[Array, Array]:
+    """Central-difference rows around theta and their steps.
 
-    Control perturbations re-run the full prediction; gain perturbations
-    share the unperturbed prediction (exact, not an approximation: the
-    prediction does not depend on the gains).  ``pred_base`` lets the caller
-    pass a prediction already computed at ``theta``.
-
-    The same evaluations give second differences around ``f0`` for free;
-    the returned per-coordinate curvatures seed the quasi-Newton metric,
-    which matters enormously on instances mixing near-flat control
-    directions with stiff penalty walls.
+    Row 2i is theta + h_i e_i and row 2i+1 is theta - h_i e_i, with
+    h_i = step * (1 + |theta_i|).
     """
-    g = np.empty(var.size)
-    curv = np.empty(var.size)
-    n_u_vars = var.n_u_vars
-    h_u = step * (1.0 + np.abs(theta[:n_u_vars]))
-    pol = var.unpack(theta)
+    h = step * (1.0 + np.abs(theta))
+    rows = np.repeat(theta[None], 2 * theta.size, axis=0)
+    idx = np.arange(theta.size)
+    rows[2 * idx, idx] += h
+    rows[2 * idx + 1, idx] -= h
+    return rows, h
 
-    u_flat = theta[:n_u_vars]
-    trials = np.repeat(u_flat[None], 2 * n_u_vars, axis=0)
-    idx = np.arange(n_u_vars)
-    trials[2 * idx, idx] += h_u
-    trials[2 * idx + 1, idx] -= h_u
-    u_batch = trials.reshape(2 * n_u_vars, var.N, var.n_u)
-    totals = ev.totals(u_batch, pol.feedback)
-    g[:n_u_vars] = (totals[0::2] - totals[1::2]) / (2.0 * h_u)
-    curv[:n_u_vars] = (totals[0::2] - 2.0 * f0 + totals[1::2]) / h_u**2
 
-    if var.n_k_vars:
-        k_flat = theta[n_u_vars:]
-        h_k = step * (1.0 + np.abs(k_flat))
-        trials = np.repeat(k_flat[None], 2 * var.n_k_vars, axis=0)
-        idx = np.arange(var.n_k_vars)
-        trials[2 * idx, idx] += h_k
-        trials[2 * idx + 1, idx] -= h_k
-        fb_batch = trials.reshape(2 * var.n_k_vars, var.N - 1, var.n_u, var.n_x)
-        pred = pred_base if pred_base is not None else ev.prediction(pol.u_nom)
-        parts = ev.parts_from_prediction(pred, fb_batch)
-        totals = parts[0] + parts[1] + parts[2] + parts[3]
-        g[n_u_vars:] = (totals[0::2] - totals[1::2]) / (2.0 * h_k)
-        curv[n_u_vars:] = (totals[0::2] - 2.0 * f0 + totals[1::2]) / h_k**2
-    return g, curv
+def _evaluate(ev: ObjectiveEvaluator, var: _Variables, points: Array, fd_step: float | None = None):
+    """Objective totals at ``points`` from one ``ObjectiveEvaluator.totals`` batch.
+
+    With ``fd_step`` the control rows of the central-difference stencil around
+    points[0] join the batch, and the second return value, called with the
+    total f0 at points[0], returns the gradient and the per-coordinate
+    curvature there.  Its gain rows share the prediction at points[0] (exact,
+    not an approximation: the prediction does not depend on the gains).  The
+    curvatures are second differences around f0 that come for free; they
+    seed the quasi-Newton metric, which matters enormously on instances
+    mixing near-flat control directions with stiff penalty walls.  Without
+    ``fd_step`` the second value is None.
+    """
+    n = points.shape[0]
+    rows = points
+    if fd_step is not None:
+        stencil, h = _stencil(points[0], fd_step)
+        rows = np.concatenate([points, stencil[: 2 * var.n_u_vars]])
+    totals, pred = ev.totals(*var.unpack_batch(rows))
+    if fd_step is None:
+        return totals, None
+
+    def gradient_at(f0: float) -> tuple[Array, Array]:
+        fd = totals[n:]
+        if var.n_k_vars:
+            fb = stencil[2 * var.n_u_vars :, var.n_u_vars :]
+            parts = ev.parts_from_prediction(
+                pred.take(0), fb.reshape(2 * var.n_k_vars, var.N - 1, var.n_u, var.n_x)
+            )
+            fd = np.concatenate([fd, parts[0] + parts[1] + parts[2] + parts[3]])
+        return (fd[0::2] - fd[1::2]) / (2.0 * h), (fd[0::2] - 2.0 * f0 + fd[1::2]) / h**2
+
+    return totals[:n], gradient_at
+
+
+def _fd_gradient(ev: ObjectiveEvaluator, var: _Variables, theta: Array, step: float,
+                 f0: float) -> tuple[Array, Array]:
+    """Central-difference gradient plus diagonal curvature at theta (see _evaluate)."""
+    _, gradient_at = _evaluate(ev, var, theta[None], step)
+    return gradient_at(f0)
 
 
 def _diag_metric(curv: Array, gnorm: float) -> Array:
@@ -198,13 +216,23 @@ _LS_CHUNK = 12
 
 
 def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array,
-                   direction: Array, opts: "SolveOptions", fb_fixed: Array):
+                   direction: Array, opts: "SolveOptions", fd_step: float | None = None):
     """Backtracking Armijo search along the projection arc.
 
     Candidate step sizes form the usual geometric sequence, but they are
     evaluated in batched chunks (one prediction pass per chunk) instead of
-    one objective call per trial — the first (largest) passing step is
+    one objective call per trial; the first (largest) passing step is
     returned, so the result is identical to sequential backtracking.
+
+    With ``fd_step`` the first chunk also carries the control rows of the
+    finite-difference stencil around its first trial, the full step.  If
+    that trial is accepted, its gradient and curvature come back as well
+    (see _evaluate), so the next iteration needs no prediction pass of its
+    own.
+
+    Returns (trial, f_trial, index, gradient): index is the accepted trial's
+    position in the step-size sequence, -1 if none passed (theta and f come
+    back then), and gradient is (g, curv) at the trial or None.
     """
     alphas = opts.backtrack_factor ** np.arange(opts.max_backtracks)
     for start in range(0, alphas.size, _LS_CHUNK):
@@ -213,13 +241,14 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array,
         decreases = (trials - theta) @ g
         if not np.any(decreases < 0.0):
             continue
-        u_b, fb_b = var.unpack_batch(trials)
-        totals, pred = ev.totals_and_prediction(u_b, fb_b if var.with_gains else fb_fixed)
+        totals, gradient_at = _evaluate(ev, var, trials, fd_step if start == 0 else None)
         ok = (decreases < 0.0) & (totals <= f + opts.armijo_c * decreases)
         if np.any(ok):
             idx = int(np.argmax(ok))  # first True = largest passing step
-            return trials[idx], float(totals[idx]), pred.take(idx), True
-    return theta, f, None, False
+            f_trial = float(totals[idx])
+            gradient = gradient_at(f_trial) if gradient_at is not None and idx == 0 else None
+            return trials[idx], f_trial, start + idx, gradient
+    return theta, f, -1, None
 
 
 def _masked_gradient(g: Array, theta: Array, var: _Variables) -> Array:
@@ -293,14 +322,18 @@ def solve(
         theta0 = np.zeros(var.size)
     theta = var.project(theta0)
 
-    pol0 = var.unpack(theta)
-    totals0, pred_at = ev.totals_and_prediction(pol0.u_nom, pol0.feedback)
-    f = float(totals0)
+    totals0, gradient_at = _evaluate(ev, var, theta[None], opts.fd_step)
+    f = float(totals0[0])
+    g, curv = gradient_at(f)
+    del gradient_at  # keep no prediction alive beyond its iteration
     best_theta, best_f = theta.copy(), f
     curvature_skips = 0
     status = "max_iter"
     iterations = 0
-    g, curv = _fd_gradient(ev, var, theta, opts.fd_step, f, pred_base=pred_at)
+    # The stencil rides along with the full step on the first iteration and
+    # after each iteration that accepted its full step; while full steps are
+    # rejected (early nominal iterations) its rows would go unused.
+    full_step = True
     gnorm = max(float(np.linalg.norm(g)), 1e-12)
     H = _diag_metric(curv, gnorm)
     # With no usable curvature the seed is just scaled steepest descent; in that
@@ -322,20 +355,21 @@ def solve(
             d = -H @ g_masked
             d[g_masked == 0.0] = 0.0
 
-        fb0 = var.unpack(theta).feedback
-        accepted = False
+        fd_step = opts.fd_step if full_step else None
         for direction in (d, -g_masked / gnorm):
-            trial, f_trial, pred_trial, accepted = _armijo_search(
-                ev, var, theta, f, g, direction, opts, fb0
-            )
-            if accepted:
+            trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction, opts, fd_step)
+            if index >= 0:
                 break
+            fd_step = None
             H = _diag_metric(curv, gnorm)  # quasi-Newton direction failed
-        if not accepted:
+        if index < 0:
             status = "line_search_failure"
             break
+        full_step = index == 0
 
-        g_new, curv = _fd_gradient(ev, var, trial, opts.fd_step, f_trial, pred_base=pred_trial)
+        if gradient is None:
+            gradient = _fd_gradient(ev, var, trial, opts.fd_step, f_trial)
+        g_new, curv = gradient
         s = trial - theta
         y = g_new - g
         if first_step_pending:

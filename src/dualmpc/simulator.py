@@ -22,7 +22,7 @@ import numpy as np
 from .controllers import RecedingHorizonController
 from .estimation import BeliefState, EstimationError, ekf_predict, ekf_update
 from .model import Array, ControlProblem, ModelError, psd_sqrt
-from .uncertainty import RolloutError, SingularInnovationError
+from .uncertainty import LinearizationError, RolloutError, SingularInnovationError
 
 # Draw slots within a (run, step) key.  The initial-state draw uses step 0.
 SLOT_INIT = 0
@@ -202,7 +202,7 @@ def simulate_run(
             v = noise_stream(config.master_seed, run_index, t, SLOT_MEASUREMENT).standard_normal(model.n_v)
             y = model.g(t + 1, x_next, v)
             belief = ekf_update(model, ekf_predict(model, belief, u, stage=t), y, stage=t + 1)
-        except (EstimationError, RolloutError, SingularInnovationError, ModelError):
+        except (EstimationError, RolloutError, SingularInnovationError, LinearizationError, ModelError):
             diverged = True
             break
 

@@ -37,6 +37,10 @@ class SingularInnovationError(RuntimeError):
     """Innovation covariance not positive definite even with jitter."""
 
 
+class LinearizationError(RuntimeError):
+    """Trajectory linearization failed or produced non-finite Jacobians."""
+
+
 def symmetrize(M: Array) -> Array:
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
@@ -205,6 +209,10 @@ def linearize_trajectory(model: SystemModel, traj: NominalTrajectory) -> StageLi
     Dynamics are linearized at (x_k, u_k, 0), outputs at (x_{k+1}, 0).
     Stage-invariant models are linearized in a single call with the stage
     axis folded into the batch.
+
+    Raises:
+        LinearizationError: a Jacobian provider failed or returned
+            non-finite entries (the stage is named where known).
     """
     N = traj.horizon
     w0 = np.zeros(model.n_w)
@@ -219,7 +227,7 @@ def linearize_trajectory(model: SystemModel, traj: NominalTrajectory) -> StageLi
         out = {}
         for name, (M, r, c) in mats.items():
             if not np.all(np.isfinite(M)):
-                raise RuntimeError(f"linearization produced non-finite {name} entries")
+                raise LinearizationError(f"linearization produced non-finite {name} entries")
             out[name] = np.broadcast_to(M, batch + (N, r, c))
         return StageLinearization(**out)
     A, B, G, C, D = [], [], [], [], []
@@ -228,9 +236,9 @@ def linearize_trajectory(model: SystemModel, traj: NominalTrajectory) -> StageLi
             Ak, Bk, Gk = model.linearize_dynamics(k, traj.states[..., k, :], traj.controls[..., k, :], w0)
             Ck, Dk = model.linearize_output(k + 1, traj.states[..., k + 1, :], v0)
         except Exception as exc:
-            raise RuntimeError(f"linearization failed at stage {k}: {exc}") from exc
+            raise LinearizationError(f"linearization failed at stage {k}: {exc}") from exc
         if not all(np.all(np.isfinite(M)) for M in (Ak, Bk, Gk, Ck, Dk)):
-            raise RuntimeError(f"linearization produced non-finite entries at stage {k}")
+            raise LinearizationError(f"linearization produced non-finite entries at stage {k}")
         A.append(Ak)
         B.append(Bk)
         G.append(Gk)
@@ -285,11 +293,8 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array) -> tuple[Array, Ar
         P_minus = A @ P @ np.swapaxes(A, -1, -2) + G @ np.swapaxes(G, -1, -2)
         P_minus = symmetrize(P_minus)
         S = C @ P_minus @ np.swapaxes(C, -1, -2) + D @ np.swapaxes(D, -1, -2)
-        try:
-            # K = P- C' S^{-1}  <=>  S K' = C P-   (S symmetric).
-            K_T, _ = chol_solve_spd(symmetrize(S), C @ P_minus, context=f"innovation covariance at stage {k + 1}")
-        except SingularInnovationError:
-            raise
+        # K = P- C' S^{-1}  <=>  S K' = C P-   (S symmetric).
+        K_T, _ = chol_solve_spd(symmetrize(S), C @ P_minus, context=f"innovation covariance at stage {k + 1}")
         K = np.swapaxes(K_T, -1, -2)
         P = symmetrize((eye - K @ C) @ P_minus)
         gains.append(K)

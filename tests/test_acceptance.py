@@ -313,7 +313,7 @@ def test_criterion_07_gradient_matches_directional_differences():
 
     def scalar(th):
         pol = var.unpack(th)
-        return float(ev.totals(pol.u_nom, pol.feedback))
+        return float(ev.totals(pol.u_nom, pol.feedback)[0])
 
     g, _ = _fd_gradient(ev, var, theta, 1e-6, scalar(theta))
     t = 1e-6

@@ -281,13 +281,13 @@ def test_evaluator_batches_agree_with_scalar_calls():
     ev = ObjectiveEvaluator(prob, x0, P0)
     u_batch = rng.uniform(-1, 1, size=(5, 6, 2))
     fb = rng.normal(0, 0.1, size=(5, 2, 3))
-    totals = ev.totals(u_batch, fb)
+    totals = ev.totals(u_batch, fb)[0]
     for i in range(5):
-        assert totals[i] == pytest.approx(ev.totals(u_batch[i], fb), rel=1e-12)
+        assert totals[i] == pytest.approx(ev.totals(u_batch[i], fb)[0], rel=1e-12)
     # feedback batch over a fixed prediction equals fresh evaluations
     pred = ev.prediction(u_batch[0])
     fb_batch = rng.normal(0, 0.1, size=(4, 5, 2, 3))
     parts = ev.parts_from_prediction(pred, fb_batch)
     tot = sum(parts)
     for i in range(4):
-        assert tot[i] == pytest.approx(ev.totals(u_batch[0], fb_batch[i]), rel=1e-12)
+        assert tot[i] == pytest.approx(ev.totals(u_batch[0], fb_batch[i])[0], rel=1e-12)

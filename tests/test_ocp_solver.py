@@ -1,6 +1,7 @@
 """Solver behavior against brute-force, Riccati and self-consistency oracles."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from dualmpc import (
     SolveOptions,
     eliminate_beta,
     expected_relu,
+    load_config,
     make_linear_problem,
     make_unicycle_problem,
     nominal_rollout,
     solve,
     total_objective,
 )
-from dualmpc.ocp_solver import _fd_gradient, _Variables
+from dualmpc.ocp_solver import _armijo_search, _fd_gradient, _Variables
 
 from conftest import standard_unicycle_params
 
@@ -115,7 +117,7 @@ def test_zero_uncertainty_unicycle_presses_to_the_constraint_wall():
     vv, ww = np.meshgrid(np.linspace(-2, 2, 81), np.linspace(-2, 2, 21), indexing="ij")
     const = np.stack([vv.ravel(), ww.ravel()], axis=-1)
     u_batch = np.repeat(const[:, None, :], params.horizon, axis=1)
-    totals = ev.totals(u_batch, np.zeros((params.horizon - 1, 2, 3)))
+    totals = ev.totals(u_batch, np.zeros((params.horizon - 1, 2, 3)))[0]
     assert res.objective.total <= totals.min() + 1e-9
 
 
@@ -224,7 +226,7 @@ def test_fd_gradient_matches_secondary_directional_differences():
     ])
     def scalar(th):
         pol = var.unpack(th)
-        return float(ev.totals(pol.u_nom, pol.feedback))
+        return float(ev.totals(pol.u_nom, pol.feedback)[0])
 
     g, _ = _fd_gradient(ev, var, theta, 1e-6, scalar(theta))
 
@@ -234,6 +236,51 @@ def test_fd_gradient_matches_secondary_directional_differences():
         d /= np.linalg.norm(d)
         secondary = (scalar(theta + t * d) - scalar(theta - t * d)) / (2 * t)
         assert g @ d == pytest.approx(secondary, rel=1e-4)
+
+
+@pytest.mark.parametrize("mode", ["nominal", "open_loop", "output_feedback"])
+def test_fused_line_search_gradient_equals_fd_gradient(mode):
+    """At an accepted full step, the gradient built from the stencil rows
+    that rode in the line-search batch is the stand-alone one, bit for bit."""
+    prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
+    x0 = np.array([1.0, 0.5, 2.0])
+    P0 = 1e-4 * np.eye(3)
+    opts = SolveOptions(mode=mode)
+    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K,
+                            include_uncertainty=mode != "nominal")
+    var = _Variables(prob, mode)
+    rng = np.random.default_rng(11)
+    theta = np.concatenate([
+        rng.uniform(-1.0, 1.0, size=var.n_u_vars),
+        rng.normal(0.0, 0.1, size=var.n_k_vars),
+    ])
+    pol = var.unpack(theta)
+    f = float(ev.totals(pol.u_nom, pol.feedback)[0])
+    g, _ = _fd_gradient(ev, var, theta, opts.fd_step, f)
+    direction = -1e-3 * g / np.linalg.norm(g)
+
+    trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction, opts,
+                                                     opts.fd_step)
+    assert index == 0 and gradient is not None
+    g_ref, curv_ref = _fd_gradient(ev, var, trial, opts.fd_step, f_trial)
+    assert np.array_equal(gradient[0], g_ref)
+    assert np.array_equal(gradient[1], curv_ref)
+
+
+def test_open_loop_solve_runs_about_one_prediction_per_iteration(monkeypatch):
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "unicycle.cfg")
+    calls = []
+    prediction = ObjectiveEvaluator.prediction
+
+    def counted(self, u_nom):
+        calls.append(1)
+        return prediction(self, u_nom)
+
+    monkeypatch.setattr(ObjectiveEvaluator, "prediction", counted)
+    res = solve(config.problem, config.sim_config.init_mean, config.sim_config.init_cov,
+                replace(config.solver_options, mode="open_loop"))
+    assert res.iterations > 0
+    assert len(calls) <= 1.3 * res.iterations
 
 
 def test_resolve_from_solution_converges_immediately():

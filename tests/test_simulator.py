@@ -13,6 +13,7 @@ from dualmpc import (
     make_unicycle_problem,
 )
 from dualmpc.controllers import RecedingHorizonController
+from dualmpc.uncertainty import LinearizationError, linearize_trajectory, nominal_rollout
 from dualmpc.simulator import (
     SimConfig,
     noise_stream,
@@ -176,6 +177,42 @@ def test_divergence_is_flagged_and_padded_with_nan():
     assert np.isnan(rec.stage_costs[-1])
     finite_steps = int(np.sum(np.all(np.isfinite(rec.states), axis=1)))
     assert 1 < finite_steps < cfg.steps + 1
+
+
+def _growing_problem_with_bad_jacobian(limit=5.0):
+    """x[1] grows 1.5x per step out of the control's reach; the analytic
+    dynamics Jacobian turns NaN once x[1] exceeds ``limit``."""
+    prob = make_linear_problem(np.diag([0.5, 1.5]), np.eye(2)[:, :1], np.zeros((2, 2)),
+                               np.eye(2), 0.05 * np.eye(2), np.eye(2), 0.1 * np.eye(1),
+                               np.eye(2), horizon=2)
+    good_jac = prob.model.f_jac
+
+    def f_jac(k, x, u, w):
+        A, B, G = good_jac(k, x, u, w)
+        if np.any(np.asarray(x)[..., 1] > limit):
+            A = np.full(A.shape, np.nan)
+        return A, B, G
+
+    return dataclasses.replace(prob, model=dataclasses.replace(prob.model, f_jac=f_jac))
+
+
+def test_bad_linearization_flags_the_run_not_the_batch():
+    prob = _growing_problem_with_bad_jacobian()
+    traj = nominal_rollout(prob.model, np.array([0.0, 4.0]), np.zeros((2, 1)))
+    with pytest.raises(LinearizationError, match="non-finite"):
+        linearize_trajectory(prob.model, traj)
+
+    # The solve at step t linearizes at x_{t+1}, with x[1] = 1.5^(t+1) > 5
+    # first at t = 3.
+    opts = SolveOptions(mode="open_loop", max_iterations=5)
+    cfg = SimConfig(init_mean=[0.0, 1.0], init_cov=np.zeros((2, 2)), steps=6, runs=2)
+    rec = simulate_run(prob, RecedingHorizonController(prob, opts), cfg, 0)
+    assert rec.diverged
+    assert np.isfinite(rec.states[:4]).all()
+    assert np.isnan(rec.states[4:]).all()
+    summary, recs = run_batch(prob, lambda: RecedingHorizonController(prob, opts), cfg)
+    assert summary.diverged_runs == 2
+    assert all(r.diverged for r in recs)
 
 
 # ----------------------------------------------------------------- batch runs
