@@ -30,10 +30,11 @@ from .objective import (
     expected_quadratic,
     expected_relu,
     feedback_regularization,
+    floored_variance,
     penalty_total,
     total_objective,
 )
-from .ocp_solver import MODES, SolveOptions, SolveResult, eliminate_beta, solve
+from .ocp_solver import MODES, SolveOptions, SolveResult, solve
 from .simulator import (
     ClosedLoopRecord,
     MetricsSummary,
@@ -85,11 +86,11 @@ __all__ = [
     "constraint_direction_variance",
     "ekf_predict",
     "ekf_update",
-    "eliminate_beta",
     "expected_quadratic",
     "expected_relu",
     "fd_jacobian",
     "feedback_regularization",
+    "floored_variance",
     "joint_covariance",
     "kalman_recursion",
     "linearize_trajectory",

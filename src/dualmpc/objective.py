@@ -99,14 +99,25 @@ def constraint_direction_variance(grad: Array, cov: Array) -> Array:
     return np.einsum("...i,...ij,...j->...", grad, cov, grad)
 
 
+def floored_variance(direction_variances: Array, eps_sigma: float) -> Array:
+    """Optimal constraint-variance slacks: max(clip(variance, 0), eps_sigma^2).
+
+    The slacks are eliminated analytically: the expected hinge penalty is
+    strictly increasing in the standard deviation, so at the optimum each
+    slack sits at the (nonnegative) direction variance or at the smoothing
+    floor.
+    """
+    H = np.clip(np.asarray(direction_variances, dtype=float), 0.0, None)
+    return np.maximum(H, eps_sigma**2)
+
+
 def penalty_total(h_nom: Array, beta: Array, weights: Array, eps_sigma: float):
     """Sum of weighted expected hinge penalties over the trailing axis.
 
-    ``beta`` is floored at eps_sigma^2 elementwise before taking the square
+    ``beta`` is floored by :func:`floored_variance` before taking the square
     root, so every constraint sees at least the minimum smoothing variance.
     """
-    beta_floored = np.maximum(np.asarray(beta, dtype=float), eps_sigma**2)
-    return np.sum(weights * expected_relu(h_nom, np.sqrt(beta_floored)), axis=-1)
+    return np.sum(weights * expected_relu(h_nom, np.sqrt(floored_variance(beta, eps_sigma))), axis=-1)
 
 
 def feedback_regularization(feedback: Array, eps_K: float):
@@ -173,9 +184,7 @@ class Prediction:
         sl = lambda M: None if M is None else M[index]
         return Prediction(
             traj=NominalTrajectory(
-                states=self.traj.states[index],
-                controls=self.traj.controls[index],
-                outputs=self.traj.outputs[index],
+                states=self.traj.states[index], controls=self.traj.controls[index]
             ),
             nominal_cost=self.nominal_cost[index],
             h_stage=self.h_stage[index],
@@ -296,48 +305,55 @@ class ObjectiveEvaluator:
             (nominal_cost, variance_cost, penalty, regularization), each
             broadcast over the combined batch shape.
         """
+        return self._parts_and_beta(pred, feedback)[0]
+
+    def _parts_and_beta(self, pred: Prediction, feedback: Array):
+        """:meth:`parts_from_prediction` plus the floored direction variances
+        (stage rows padded to the widest stage, then the terminal rows)."""
         problem = self.problem
         cost = problem.cost
         N = pred.traj.horizon
         eps2 = self.eps_sigma**2
         w_term = problem.constraints.terminal_weights
+        n_term = pred.h_term.shape[-1]
+        beta_term = np.full(n_term, eps2)
 
         if not self.include_uncertainty:
             penalty = np.sum(
                 self._stage_weight_pad * expected_relu(pred.h_stage, self.eps_sigma),
                 axis=(-2, -1),
             )
-            if pred.h_term.shape[-1]:
-                penalty = penalty + penalty_total(
-                    pred.h_term, np.full(pred.h_term.shape[-1], eps2), w_term, self.eps_sigma
-                )
+            if n_term:
+                penalty = penalty + penalty_total(pred.h_term, beta_term, w_term, self.eps_sigma)
             zeros = np.zeros(np.shape(pred.nominal_cost))
-            return pred.nominal_cost, zeros, np.broadcast_to(penalty, np.shape(pred.nominal_cost)), zeros
+            parts = pred.nominal_cost, zeros, np.broadcast_to(penalty, np.shape(pred.nominal_cost)), zeros
+            return parts, np.full((N, self._h_max), eps2), beta_term
 
         feedback = np.asarray(feedback, dtype=float)
         joint, P_N = self._stage_joint_covariances(pred, feedback)
         variance = 0.5 * np.einsum("kij,...kji->...", cost.stage_hessians, joint)
         variance = variance + 0.5 * np.einsum("ij,...ji->...", cost.terminal_hessian, P_N)
         H_dir = np.einsum("...khi,...kij,...khj->...kh", pred.h_stage_grads, joint, pred.h_stage_grads)
-        beta = np.maximum(np.clip(H_dir, 0.0, None), eps2)
+        beta = floored_variance(H_dir, self.eps_sigma)
         penalty = np.sum(
             self._stage_weight_pad * expected_relu(pred.h_stage, np.sqrt(beta)), axis=(-2, -1)
         )
-        if pred.h_term.shape[-1]:
+        if n_term:
             H_term = constraint_direction_variance(pred.h_term_grads, P_N[..., None, :, :])
-            beta_term = np.maximum(np.clip(H_term, 0.0, None), eps2)
+            beta_term = floored_variance(H_term, self.eps_sigma)
             penalty = penalty + penalty_total(pred.h_term, beta_term, w_term, self.eps_sigma)
         reg = feedback_regularization(feedback, self.eps_K)
         nominal = pred.nominal_cost
         shape = np.broadcast_shapes(
             np.shape(nominal), np.shape(variance), np.shape(penalty), np.shape(reg)
         )
-        return (
+        parts = (
             np.broadcast_to(nominal, shape),
             np.broadcast_to(variance, shape),
             np.broadcast_to(penalty, shape),
             np.broadcast_to(reg, shape),
         )
+        return parts, beta, beta_term
 
     def totals(self, u_nom: Array, feedback: Array) -> tuple[Array, Prediction]:
         """Total objective for batched (u_nom, feedback), and the prediction
@@ -349,31 +365,19 @@ class ObjectiveEvaluator:
 
     def breakdown(self, policy: Policy) -> ObjectiveBreakdown:
         """Scalar objective decomposition for a single (unbatched) policy."""
-        pred = self.prediction(policy.u_nom)
-        nominal, variance, penalty, reg = self.parts_from_prediction(pred, policy.feedback)
-        return ObjectiveBreakdown.assemble(nominal, variance, penalty, reg)
+        return self.breakdown_and_beta(policy)[0]
 
-    def constraint_variances(self, policy: Policy) -> list:
-        """Floored direction variances per stage (the eliminated slack
-        values), as a list with one entry per stage 0..N-1 plus the
-        terminal entry."""
+    def breakdown_and_beta(self, policy: Policy) -> tuple[ObjectiveBreakdown, list]:
+        """:meth:`breakdown` and the floored direction variances (the
+        eliminated slack values) of a single policy, from one prediction.
+
+        The variances come as a list with one entry per stage 0..N-1 plus
+        the terminal entry.
+        """
         pred = self.prediction(policy.u_nom)
-        N = pred.traj.horizon
-        eps2 = self.eps_sigma**2
+        parts, beta, beta_term = self._parts_and_beta(pred, policy.feedback)
         counts = self.problem.constraints.stage_counts
-        n_term = pred.h_term.shape[-1]
-        if not self.include_uncertainty:
-            return [np.full(c, eps2) for c in counts] + [np.full(n_term, eps2)]
-        joint, P_N = self._stage_joint_covariances(pred, policy.feedback)
-        H_dir = np.einsum("...khi,...kij,...khj->...kh", pred.h_stage_grads, joint, pred.h_stage_grads)
-        beta = np.maximum(np.clip(H_dir, 0.0, None), eps2)
-        out = [beta[..., k, : counts[k]] for k in range(N)]
-        if n_term:
-            H_term = constraint_direction_variance(pred.h_term_grads, P_N[..., None, :, :])
-            out.append(np.maximum(np.clip(H_term, 0.0, None), eps2))
-        else:
-            out.append(np.zeros(0))
-        return out
+        return ObjectiveBreakdown.assemble(*parts), [beta[k, :c] for k, c in enumerate(counts)] + [beta_term]
 
 
 def total_objective(

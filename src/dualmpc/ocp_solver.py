@@ -31,24 +31,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Array, ControlProblem
+from .model import Array, ControlProblem, ModelError
 from .objective import ObjectiveBreakdown, ObjectiveEvaluator
-from .uncertainty import Policy
+from .uncertainty import LinearizationError, Policy, RolloutError, SingularInnovationError
 
 MODES = ("nominal", "open_loop", "output_feedback")
 
 _CURVATURE_SKIP_LIMIT = 3
 _BOUND_EPS = 1e-10
-
-
-def eliminate_beta(direction_variances: Array, eps_sigma: float) -> Array:
-    """Optimal constraint-variance slacks: max(eps_sigma^2, variance).
-
-    Valid because the expected hinge penalty is strictly increasing in the
-    standard deviation, so no slack is ever slack at the optimum.
-    """
-    H = np.clip(np.asarray(direction_variances, dtype=float), 0.0, None)
-    return np.maximum(H, eps_sigma**2)
 
 
 @dataclass(frozen=True)
@@ -213,6 +203,25 @@ def _diag_metric(curv: Array, gnorm: float) -> Array:
 
 
 _LS_CHUNK = 12
+# Failures of one trial point that must not end the line search.
+_TRIAL_ERRORS = (RolloutError, LinearizationError, SingularInnovationError, ModelError)
+
+
+def _evaluate_trials(ev: ObjectiveEvaluator, var: _Variables, trials: Array, fd_step: float | None):
+    """:func:`_evaluate` over line-search trials.  If the batch fails, each
+    trial is re-evaluated on its own without the stencil, and a trial that
+    fails alone scores +inf, so backtracking rejects it."""
+    try:
+        return _evaluate(ev, var, trials, fd_step)
+    except _TRIAL_ERRORS:
+        pass
+    totals = np.full(trials.shape[0], np.inf)
+    for i, trial in enumerate(trials):
+        try:
+            totals[i] = _evaluate(ev, var, trial[None])[0][0]
+        except _TRIAL_ERRORS:
+            pass
+    return totals, None
 
 
 def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array,
@@ -230,6 +239,9 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array,
     (see _evaluate), so the next iteration needs no prediction pass of its
     own.
 
+    A chunk that fails as a whole is re-scored trial by trial, and its
+    failing trials are rejected (see _evaluate_trials).
+
     Returns (trial, f_trial, index, gradient): index is the accepted trial's
     position in the step-size sequence, -1 if none passed (theta and f come
     back then), and gradient is (g, curv) at the trial or None.
@@ -241,7 +253,7 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array,
         decreases = (trials - theta) @ g
         if not np.any(decreases < 0.0):
             continue
-        totals, gradient_at = _evaluate(ev, var, trials, fd_step if start == 0 else None)
+        totals, gradient_at = _evaluate_trials(ev, var, trials, fd_step if start == 0 else None)
         ok = (decreases < 0.0) & (totals <= f + opts.armijo_c * decreases)
         if np.any(ok):
             idx = int(np.argmax(ok))  # first True = largest passing step
@@ -394,8 +406,7 @@ def solve(
     if f <= best_f:
         best_f, best_theta = f, theta
     policy = var.unpack(best_theta)
-    breakdown = ev.breakdown(policy)
-    beta = ev.constraint_variances(policy)
+    breakdown, beta = ev.breakdown_and_beta(policy)
     return SolveResult(
         policy=policy,
         objective=breakdown,

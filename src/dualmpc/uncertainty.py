@@ -82,12 +82,10 @@ def chol_solve_spd(S: Array, rhs: Array, context: str = "linear solve"):
 
 @dataclass(frozen=True)
 class NominalTrajectory:
-    """Noise-free rollout: states (.., N+1, n_x), controls (.., N, n_u),
-    outputs (.., N, n_y) for measurement stages 1..N."""
+    """Noise-free rollout: states (.., N+1, n_x), controls (.., N, n_u)."""
 
     states: Array
     controls: Array
-    outputs: Array
 
     @property
     def horizon(self) -> int:
@@ -185,22 +183,22 @@ def nominal_rollout(model: SystemModel, x0: Array, u_nom: Array) -> NominalTraje
     batch = np.broadcast_shapes(x0.shape[:-1], u_nom.shape[:-2])
     x = np.broadcast_to(x0, batch + x0.shape[-1:]).astype(float)
     w0 = np.zeros(model.n_w)
-    v0 = np.zeros(model.n_v)
-    states = [x]
-    outputs = []
+    states = np.empty(batch + (N + 1,) + x0.shape[-1:])
+    states[..., 0, :] = x
     for k in range(N):
         x = np.asarray(model.f(k, x, u_nom[..., k, :], w0), dtype=float)
         if not np.all(np.isfinite(x)):
             raise RolloutError(f"nominal rollout diverged at stage {k + 1}")
-        states.append(np.broadcast_to(x, batch + x0.shape[-1:]))
-        outputs.append(np.asarray(model.g(k + 1, x, v0), dtype=float))
-    states_arr = np.stack(states, axis=-2)
-    if N:
-        outputs_arr = np.stack([np.broadcast_to(o, batch + (model.n_y,)) for o in outputs], axis=-2)
-    else:
-        outputs_arr = np.zeros(batch + (0, model.n_y))
+        states[..., k + 1, :] = x
     controls = np.broadcast_to(u_nom, batch + u_nom.shape[-2:])
-    return NominalTrajectory(states=states_arr, controls=controls, outputs=outputs_arr)
+    return NominalTrajectory(states=states, controls=controls)
+
+
+def _point_bytes(a: Array) -> Array:
+    """Each vector along the (contiguous) last axis as one raw-bytes scalar,
+    so that equal means bit-identical (0.0 and -0.0 differ, and so may their
+    Jacobians)."""
+    return a.view(f"V{a.itemsize * a.shape[-1]}")[..., 0]
 
 
 def linearize_trajectory(model: SystemModel, traj: NominalTrajectory) -> StageLinearization:
@@ -208,7 +206,10 @@ def linearize_trajectory(model: SystemModel, traj: NominalTrajectory) -> StageLi
 
     Dynamics are linearized at (x_k, u_k, 0), outputs at (x_{k+1}, 0).
     Stage-invariant models are linearized in a single call with the stage
-    axis folded into the batch.
+    axis folded into the batch.  That call skips every (row, stage) whose
+    x_k, u_k and x_{k+1} equal row 0's at the same stage and copies row 0's
+    Jacobians there: the finite-difference rows of a control u_k share all
+    stages before k with the centre they are batched behind.
 
     Raises:
         LinearizationError: a Jacobian provider failed or returned
@@ -219,16 +220,33 @@ def linearize_trajectory(model: SystemModel, traj: NominalTrajectory) -> StageLi
     v0 = np.zeros(model.n_v)
     if model.stage_invariant and N > 0:
         batch = traj.states.shape[:-2]
-        A, B, G = model.linearize_dynamics(0, traj.states[..., :N, :], traj.controls, w0)
-        C, D = model.linearize_output(1, traj.states[..., 1:, :], v0)
+        x = np.ascontiguousarray(traj.states.reshape(-1, N + 1, model.n_x))
+        u = np.ascontiguousarray(traj.controls.reshape(-1, N, model.n_u))
+        x_bytes, u_bytes = _point_bytes(x), _point_bytes(u)
+        moved = x_bytes != x_bytes[0]
+        new = moved[:, :N] | moved[:, 1:] | (u_bytes != u_bytes[0])
+        new[0] = True
+        points = new.ravel().nonzero()[0]  # row * N + stage of each evaluated point
+        count = points.size
+        # Where each (row, stage) takes its Jacobians from: its own point, or
+        # row 0's at that stage, which is evaluated point number `stage`.
+        src = np.arange(new.size) % N
+        src[points] = np.arange(count)
+        at = points + points // N  # row * (N + 1) + stage: the point's x_k
+        states = x.reshape(-1, model.n_x)
+        controls = u.reshape(-1, model.n_u)
+        A, B, G = model.linearize_dynamics(0, states.take(at, axis=0), controls.take(points, axis=0), w0)
+        C, D = model.linearize_output(1, states.take(at + 1, axis=0), v0)
         mats = dict(A=(A, model.n_x, model.n_x), B=(B, model.n_x, model.n_u),
                     G=(G, model.n_x, model.n_w), C=(C, model.n_y, model.n_x),
                     D=(D, model.n_y, model.n_v))
         out = {}
         for name, (M, r, c) in mats.items():
-            if not np.all(np.isfinite(M)):
+            if not np.isfinite(M).all():
                 raise LinearizationError(f"linearization produced non-finite {name} entries")
-            out[name] = np.broadcast_to(M, batch + (N, r, c))
+            if M.shape[:-2] != (count,):  # a constant Jacobian
+                M = np.broadcast_to(M, (count, r, c))
+            out[name] = M.take(src, axis=0).reshape(batch + (N, r, c))
         return StageLinearization(**out)
     A, B, G, C, D = [], [], [], [], []
     for k in range(N):
@@ -281,26 +299,27 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array) -> tuple[Array, Ar
     n_y = lin.C.shape[-2]
     P = symmetrize(np.asarray(P_hat_0, dtype=float))
     batch = np.broadcast_shapes(P.shape[:-2], lin.A.shape[:-3])
-    P = np.broadcast_to(P, batch + (n_x, n_x))
+    # Everything but the running covariance, for all stages at once.
+    A_T = np.swapaxes(lin.A, -1, -2)
+    C_T = np.swapaxes(lin.C, -1, -2)
+    GGt = lin.G @ np.swapaxes(lin.G, -1, -2)
+    DDt = lin.D @ np.swapaxes(lin.D, -1, -2)
     eye = np.eye(n_x)
-    gains = []
-    covs = [P]
+    gains = np.empty(batch + (N, n_x, n_y))
+    covs = np.empty(batch + (N + 1, n_x, n_x))
+    covs[..., 0, :, :] = P
     for k in range(N):
         A = lin.A[..., k, :, :]
-        G = lin.G[..., k, :, :]
         C = lin.C[..., k, :, :]
-        D = lin.D[..., k, :, :]
-        P_minus = A @ P @ np.swapaxes(A, -1, -2) + G @ np.swapaxes(G, -1, -2)
-        P_minus = symmetrize(P_minus)
-        S = C @ P_minus @ np.swapaxes(C, -1, -2) + D @ np.swapaxes(D, -1, -2)
+        P_minus = symmetrize(A @ P @ A_T[..., k, :, :] + GGt[..., k, :, :])
+        S = C @ P_minus @ C_T[..., k, :, :] + DDt[..., k, :, :]
         # K = P- C' S^{-1}  <=>  S K' = C P-   (S symmetric).
         K_T, _ = chol_solve_spd(symmetrize(S), C @ P_minus, context=f"innovation covariance at stage {k + 1}")
         K = np.swapaxes(K_T, -1, -2)
         P = symmetrize((eye - K @ C) @ P_minus)
-        gains.append(K)
-        covs.append(P)
-    gains_arr = np.stack(gains, axis=-3) if gains else np.zeros(batch + (0, n_x, n_y))
-    return gains_arr, np.stack(covs, axis=-3)
+        gains[..., k, :, :] = K
+        covs[..., k + 1, :, :] = P
+    return gains, covs
 
 
 def luenberger_covariance(lin: StageLinearization, gains: Array, P_hat_0: Array) -> Array:
@@ -362,40 +381,34 @@ def propagate_covariance(
     batch = np.broadcast_shapes(
         P0.shape[:-2], lin.A.shape[:-3], gains.shape[:-3], K_all.shape[:-3]
     )
-    sigma = np.zeros(batch + (2 * n_x, 2 * n_x))
+    # Transition and noise blocks of every stage at once; only the sandwich
+    # product with the running covariance stays in the loop.
+    BK = lin.B @ K_all
+    E = gains @ lin.C - np.eye(n_x)  # maps process noise into estimation error
+    lower = -E @ lin.A  # (I - Khat C) A
+    GGt = lin.G @ np.swapaxes(lin.G, -1, -2)
+    EG = E @ lin.G
+    KD = gains @ lin.D
+    trans = np.zeros(np.broadcast_shapes(BK.shape[:-3], lower.shape[:-3], batch) + (N, 2 * n_x, 2 * n_x))
+    trans[..., :n_x, :n_x] = lin.A + BK
+    trans[..., :n_x, n_x:] = BK
+    trans[..., n_x:, n_x:] = lower
+    trans_T = np.swapaxes(trans, -1, -2)
+    noise = np.zeros(np.broadcast_shapes(GGt.shape[:-2], E.shape[:-2]) + (2 * n_x, 2 * n_x))
+    noise[..., :n_x, :n_x] = GGt
+    noise[..., :n_x, n_x:] = GGt @ np.swapaxes(E, -1, -2)
+    noise[..., n_x:, :n_x] = E @ GGt
+    noise[..., n_x:, n_x:] = EG @ np.swapaxes(EG, -1, -2) + KD @ np.swapaxes(KD, -1, -2)
+    out = np.empty(batch + (N + 1, 2 * n_x, 2 * n_x))
+    sigma = out[..., 0, :, :]
     sigma[..., :n_x, :n_x] = P0
     sigma[..., :n_x, n_x:] = -P0
     sigma[..., n_x:, :n_x] = -P0
     sigma[..., n_x:, n_x:] = P0
-    out = [sigma]
-    eye = np.eye(n_x)
     for k in range(N):
-        A = lin.A[..., k, :, :]
-        B = lin.B[..., k, :, :]
-        G = lin.G[..., k, :, :]
-        C = lin.C[..., k, :, :]
-        D = lin.D[..., k, :, :]
-        Khat = gains[..., k, :, :]
-        K = K_all[..., k, :, :]
-        BK = B @ K
-        E = Khat @ C - eye  # maps process noise into estimation error
-        lower = -E @ A  # (I - Khat C) A
-        GGt = G @ np.swapaxes(G, -1, -2)
-        EG = E @ G
-        KD = Khat @ D
-        trans = np.zeros(np.broadcast_shapes(BK.shape[:-2], lower.shape[:-2], batch) + (2 * n_x, 2 * n_x))
-        trans[..., :n_x, :n_x] = A + BK
-        trans[..., :n_x, n_x:] = BK
-        trans[..., n_x:, n_x:] = lower
-        noise = np.zeros(trans.shape[:-2] + (2 * n_x, 2 * n_x))
-        noise[..., :n_x, :n_x] = GGt
-        noise[..., :n_x, n_x:] = GGt @ np.swapaxes(E, -1, -2)
-        noise[..., n_x:, :n_x] = E @ GGt
-        noise[..., n_x:, n_x:] = EG @ np.swapaxes(EG, -1, -2) + KD @ np.swapaxes(KD, -1, -2)
-        sigma = trans @ sigma @ np.swapaxes(trans, -1, -2) + noise
-        sigma = symmetrize(sigma)
-        out.append(np.broadcast_to(sigma, batch + (2 * n_x, 2 * n_x)))
-    return AugmentedCovariance(sigma=np.stack(out, axis=-3), n_x=n_x)
+        sigma = symmetrize(trans[..., k, :, :] @ sigma @ trans_T[..., k, :, :] + noise[..., k, :, :])
+        out[..., k + 1, :, :] = sigma
+    return AugmentedCovariance(sigma=out, n_x=n_x)
 
 
 def joint_covariance(sigma_k: Array, K_k: Array) -> Array:

@@ -43,7 +43,7 @@ def sigma_y_grad(x: Array, eps: float) -> Array:
     """Gradient of :func:`sigma_y` with respect to the state."""
     x = np.asarray(x, dtype=float)
     r_y = x[..., 1]
-    grad = np.zeros_like(x)
+    grad = np.zeros(x.shape)
     grad[..., 1] = 10.0 * r_y / np.sqrt(r_y**2 + eps**2)
     return grad
 
@@ -92,25 +92,28 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
     u_max = params.u_max
     N = params.horizon
 
-    def ode(x, u, w):
+    # ode takes the held noise already shaped, L_w w, so that an RK4 step
+    # shapes it once rather than in each of its 4 * substeps ode calls;
+    # ode_jac's noise block stays d xdot / dw = L_w for the standardized w.
+    def ode(x, u, w_shaped):
         theta = x[..., 2]
         v = u[..., 0]
-        batch = np.broadcast_shapes(theta.shape, v.shape)
-        out = np.empty(batch + (3,))
-        out[..., 0] = v * np.cos(theta)
+        v_cos = v * np.cos(theta)
+        out = np.empty(v_cos.shape + (3,))
+        out[..., 0] = v_cos
         out[..., 1] = v * np.sin(theta)
         out[..., 2] = u[..., 1]
-        return out + w @ L_w.T
+        return out + w_shaped
 
-    def ode_jac(x, u, w):
-        theta = np.asarray(x)[..., 2]
-        v = np.asarray(u)[..., 0]
-        batch = np.broadcast_shapes(theta.shape, v.shape)
+    def ode_jac(x, u, w_shaped):
+        theta = x[..., 2]
+        v = u[..., 0]
         sin, cos = np.sin(theta), np.cos(theta)
-        A = np.zeros(batch + (3, 3))
-        A[..., 0, 2] = -v * sin
+        dx_dtheta = -v * sin
+        A = np.zeros(dx_dtheta.shape + (3, 3))
+        A[..., 0, 2] = dx_dtheta
         A[..., 1, 2] = v * cos
-        B = np.zeros(batch + (3, 2))
+        B = np.zeros(dx_dtheta.shape + (3, 2))
         B[..., 0, 0] = cos
         B[..., 1, 0] = sin
         B[..., 2, 1] = 1.0
@@ -118,24 +121,23 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
         return A, B, L_w
 
     def f(k, x, u, w):
-        return rk4_step(ode, x, u, w, params.dt, params.substeps)
+        return rk4_step(ode, x, u, w @ L_w.T, params.dt, params.substeps)
 
     def f_jac(k, x, u, w):
-        _, A, B, G = rk4_step_with_jacobian(ode, ode_jac, x, u, w, params.dt, params.substeps)
+        _, A, B, G = rk4_step_with_jacobian(ode, ode_jac, x, u, w @ L_w.T, params.dt, params.substeps)
         return A, B, G
 
     def g(k, x, v):
         x = np.asarray(x, dtype=float)
         return x + sigma_y(x, eps)[..., None] * (v @ L_v.T)
 
+    eye = np.eye(3)
+
     def g_jac(k, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        batch = np.broadcast_shapes(x.shape[:-1], v.shape[:-1])
-        noise = np.broadcast_to(v @ L_v.T, batch + (3,))
-        grad = np.broadcast_to(sigma_y_grad(x, eps), batch + (3,))
-        C = np.broadcast_to(np.eye(3), batch + (3, 3)) + noise[..., :, None] * grad[..., None, :]
-        D = sigma_y(x, eps)[..., None, None] * np.broadcast_to(L_v, batch + (3, 3))
+        C = eye + (v @ L_v.T)[..., :, None] * sigma_y_grad(x, eps)[..., None, :]
+        D = sigma_y(x, eps)[..., None, None] * L_v
         return C, D
 
     model = SystemModel(

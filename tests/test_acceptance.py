@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dualmpc import (
     ObjectiveEvaluator,
@@ -369,6 +370,7 @@ def test_criterion_08_output_feedback_dominates_open_loop():
 
 # ---------------------------------------------------------------- criterion 9
 
+@pytest.mark.slow
 def test_criterion_09_closed_loop_orderings_hold():
     """Controller comparison on the shipped unicycle experiment defaults.
 

@@ -291,3 +291,22 @@ def test_evaluator_batches_agree_with_scalar_calls():
     tot = sum(parts)
     for i in range(4):
         assert tot[i] == pytest.approx(ev.totals(u_batch[0], fb_batch[i])[0], rel=1e-12)
+
+
+def test_totals_of_line_search_batch_match_rows_bitwise():
+    """12 line-search trials plus the 40 control rows of the stencil around
+    the first one, as the solver batches them, against per-row calls."""
+    prob = make_unicycle_problem(standard_unicycle_params())
+    rng = np.random.default_rng(24)
+    ev = ObjectiveEvaluator(prob, np.array([1.0, 1.0, np.pi]), 0.01 * np.eye(3))
+    u0 = rng.uniform(-1, 1, size=(10, 2))
+    step = rng.normal(size=(10, 2))
+    trials = np.clip(u0 + 0.5 ** np.arange(12)[:, None, None] * step, -2.0, 2.0)
+    stencil = np.repeat(trials[:1], 40, axis=0).reshape(40, 20)
+    stencil[2 * np.arange(20), np.arange(20)] += 1e-6
+    stencil[2 * np.arange(20) + 1, np.arange(20)] -= 1e-6
+    u = np.concatenate([trials, stencil.reshape(40, 10, 2)])
+    fb = rng.normal(0, 0.1, size=(52, 9, 2, 3))
+    totals = ev.totals(u, fb)[0]
+    rows = np.array([ev.totals(u[i], fb[i])[0] for i in range(52)])
+    assert_allclose(totals, rows, atol=0, rtol=0)

@@ -11,8 +11,8 @@ from dualmpc import (
     ObjectiveEvaluator,
     Policy,
     SolveOptions,
-    eliminate_beta,
     expected_relu,
+    floored_variance,
     load_config,
     make_linear_problem,
     make_unicycle_problem,
@@ -28,10 +28,10 @@ from conftest import standard_unicycle_params
 # ------------------------------------------------------------- slack elimination
 
 def test_eliminate_beta_applies_floor_and_passthrough():
-    assert eliminate_beta(0.0, 1e-3) == pytest.approx(1e-6, abs=0)
-    assert eliminate_beta(4.0, 1e-3) == pytest.approx(4.0, abs=0)
+    assert floored_variance(0.0, 1e-3) == pytest.approx(1e-6, abs=0)
+    assert floored_variance(4.0, 1e-3) == pytest.approx(4.0, abs=0)
     # negative inputs (FD noise on a PSD form) are clamped before flooring
-    out = eliminate_beta(np.array([-1e-9, 0.0, 2.5e-7, 0.3]), 1e-3)
+    out = floored_variance(np.array([-1e-9, 0.0, 2.5e-7, 0.3]), 1e-3)
     np.testing.assert_allclose(out, [1e-6, 1e-6, 1e-6, 0.3], atol=0)
 
 
@@ -281,6 +281,29 @@ def test_open_loop_solve_runs_about_one_prediction_per_iteration(monkeypatch):
                 replace(config.solver_options, mode="open_loop"))
     assert res.iterations > 0
     assert len(calls) <= 1.3 * res.iterations
+
+
+def test_failing_trial_is_rejected_not_fatal():
+    """f turns NaN for controls above 0.5, inside the box |u| <= 2.  The
+    first full step crosses that threshold, so the first line-search batch
+    fails as a whole; its trials are re-scored one by one and the failing
+    ones rejected."""
+    prob = make_linear_problem(
+        A=[[1.0]], B=[[1.0]], G=[[0.1]], C=[[1.0]], D=[[0.1]],
+        Q=[[1.0]], R=[[1e-3]], Q_terminal=[[1.0]], horizon=3,
+        u_lower=[-2.0], u_upper=[2.0],
+    )
+    f = prob.model.f
+
+    def f_nan_above(k, x, u, w):
+        return np.where(np.asarray(u)[..., :1] > 0.5, np.nan, f(k, x, u, w))
+
+    problem = replace(prob, model=replace(prob.model, f=f_nan_above))
+    for mode in ("nominal", "open_loop"):
+        res = solve(problem, np.array([-3.0]), 0.01 * np.eye(1), SolveOptions(mode=mode, max_iterations=3))
+        assert res.iterations > 0
+        assert np.isfinite(res.objective.total)
+        assert np.all(res.policy.u_nom <= 0.5)
 
 
 def test_resolve_from_solution_converges_immediately():

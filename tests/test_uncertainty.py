@@ -1,5 +1,7 @@
 """Rollout, linearization, Kalman recursion, covariance propagation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,7 +18,13 @@ from dualmpc import (
     nominal_rollout,
     propagate_covariance,
 )
-from dualmpc.uncertainty import RolloutError, SingularInnovationError, chol_solve_spd
+from dualmpc.uncertainty import (
+    NominalTrajectory,
+    RolloutError,
+    SingularInnovationError,
+    StageLinearization,
+    chol_solve_spd,
+)
 
 from conftest import standard_unicycle_params, random_spd
 
@@ -46,14 +54,13 @@ def test_rollout_zero_horizon(unicycle_problem):
     m = unicycle_problem.model
     traj = nominal_rollout(m, np.array([1.0, 2.0, 3.0]), np.zeros((0, 2)))
     assert traj.states.shape == (1, 3)
-    assert traj.outputs.shape == (0, 3)
 
 
 def test_rollout_output_is_state_at_zero_noise():
     prob = make_unicycle_problem(standard_unicycle_params(horizon=1))
     traj = nominal_rollout(prob.model, np.zeros(3), np.array([[0.0, 1.0]]))
     assert_allclose(traj.states[1], [0.0, 0.0, 0.3], atol=1e-15)
-    assert_allclose(traj.outputs[0], traj.states[1], atol=0)
+    assert_allclose(prob.model.g(1, traj.states[1], np.zeros(3)), traj.states[1], atol=0)
 
 
 def test_rollout_resimulation_invariant(unicycle_problem):
@@ -89,7 +96,6 @@ def test_rollout_batched_matches_loop(unicycle_problem):
     for i in range(6):
         single = nominal_rollout(m, x0, u_batch[i])
         assert_allclose(batch.states[i], single.states, atol=0)
-        assert_allclose(batch.outputs[i], single.outputs, atol=0)
 
 
 # -------------------------------------------------------------- linearization
@@ -128,6 +134,70 @@ def test_unicycle_output_linearization_on_axis():
     assert_allclose(lin.D[0], 0.01 * np.eye(3), atol=1e-12)  # sigma_y = 1 on the axis
 
 
+def _stencil_controls(rng, N=10, n_u=2):
+    """A centre control sequence followed by its central-difference rows."""
+    centre = rng.uniform(-1, 1, size=(N, n_u))
+    rows = [centre]
+    for k in range(N):
+        for j in range(n_u):
+            for sign in (1.0, -1.0):
+                row = centre.copy()
+                row[k, j] += sign * 1e-6
+                rows.append(row)
+    return np.stack(rows)
+
+
+def _counting_model(model):
+    """The model with f_jac recording how many points each call receives."""
+    seen = []
+
+    def f_jac(k, x, u, w):
+        seen.append(int(np.prod(x.shape[:-1])))
+        return model.f_jac(k, x, u, w)
+
+    return replace(model, f_jac=f_jac), seen
+
+
+def _assert_rows_match(model, traj):
+    """The batched linearization equals per-row calls bit for bit."""
+    lin = linearize_trajectory(model, traj)
+    for i in range(traj.states.shape[0]):
+        row = linearize_trajectory(model, NominalTrajectory(states=traj.states[i], controls=traj.controls[i]))
+        for name in "ABGCD":
+            assert_allclose(getattr(lin, name)[i], getattr(row, name), atol=0, rtol=0)
+
+
+def test_linearization_of_stencil_batch_matches_rows_and_skips_shared_prefix(unicycle_problem):
+    model, seen = _counting_model(unicycle_problem.model)
+    u = _stencil_controls(np.random.default_rng(31))
+    traj = nominal_rollout(model, np.array([1.0, 1.0, np.pi]), u)
+    _assert_rows_match(model, traj)
+    # the rows perturbing u_k share stages 0..k-1 with the centre
+    assert seen[0] == 41 * 10 - 4 * sum(range(10))
+
+
+def test_linearization_row_matching_row_zero_only_late(unicycle_problem):
+    model, seen = _counting_model(unicycle_problem.model)
+    rng = np.random.default_rng(32)
+    traj = nominal_rollout(model, np.array([1.0, 1.0, np.pi]), rng.uniform(-1, 1, size=(3, 10, 2)))
+    states = traj.states.copy()
+    controls = traj.controls.copy()
+    # row 1 differs from row 0 up to stage 6 and equals it from stage 7 on
+    states[1, 7:] = states[0, 7:]
+    controls[1, 7:] = controls[0, 7:]
+    late = NominalTrajectory(states=states, controls=controls)
+    _assert_rows_match(model, late)
+    assert seen[0] == 3 * 10 - 3
+
+
+def test_linearization_batch_without_shared_points_calls_model_once(unicycle_problem):
+    model, seen = _counting_model(unicycle_problem.model)
+    u = np.random.default_rng(33).uniform(-1, 1, size=(5, 10, 2))
+    traj = nominal_rollout(model, np.array([1.0, 1.0, np.pi]), u)
+    _assert_rows_match(model, traj)
+    assert seen[0] == 5 * 10
+
+
 # ----------------------------------------------------------- kalman recursion
 
 def test_kalman_scalar_oracle():
@@ -135,6 +205,20 @@ def test_kalman_scalar_oracle():
     # predict: 1*1*1 + 1 = 2; S = 2 + 1 = 3; K = 2/3; update: (1 - 2/3)*2 = 2/3
     assert gains[0, 0, 0] == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert covs[1, 0, 0] == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+def test_kalman_batch_matches_rows(unicycle_problem):
+    model = unicycle_problem.model
+    u = _stencil_controls(np.random.default_rng(34))
+    traj = nominal_rollout(model, np.array([1.0, 1.0, np.pi]), u)
+    lin = linearize_trajectory(model, traj)
+    P0 = 0.01 * np.eye(3)
+    gains, covs = kalman_recursion(lin, P0)
+    for i in range(u.shape[0]):
+        row = StageLinearization(*(getattr(lin, name)[i] for name in "ABGCD"))
+        row_gains, row_covs = kalman_recursion(row, P0)
+        assert_allclose(gains[i], row_gains, atol=0, rtol=0)
+        assert_allclose(covs[i], row_covs, atol=0, rtol=0)
 
 
 def test_kalman_uninformative_measurement():
