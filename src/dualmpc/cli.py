@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -35,17 +34,10 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .controllers import RecedingHorizonController
-from .objective import expected_relu
+from .objective import ObjectiveEvaluator, expected_relu
 from .ocp_solver import MODES, SolveResult, solve
 from .simulator import run_batch
-from .uncertainty import (
-    kalman_recursion,
-    linearize_trajectory,
-    nominal_rollout,
-    propagate_covariance,
-)
-
-_THREADS_ENV = "DUALMPC_THREADS"
+from .uncertainty import propagate_covariance
 
 
 def _fmt(value: float) -> str:
@@ -73,16 +65,17 @@ def _state_names(config: ExperimentConfig) -> list[str]:
 
 def _stage_table(config: ExperimentConfig, result: SolveResult) -> tuple[list[str], list[list[str]]]:
     """Stage-wise planning quantities: nominal state, covariance diagonals,
-    nominal constraint values and their direction variances."""
+    nominal constraint values and their direction variances.
+
+    The columns come from one prediction of the solved controls with
+    uncertainty, in every mode (a ``nominal`` solve ignores it).
+    """
     problem = config.problem
-    model = problem.model
     cs = problem.constraints
-    traj = nominal_rollout(model, config.sim_config.init_mean, result.policy.u_nom)
-    lin = linearize_trajectory(model, traj)
-    P0 = config.sim_config.init_cov
-    gains, _ = kalman_recursion(lin, P0)
-    aug = propagate_covariance(lin, result.policy, gains, P0)
-    N = model.horizon
+    ev = ObjectiveEvaluator(problem, config.sim_config.init_mean, config.sim_config.init_cov)
+    pred = ev.prediction(result.policy.u_nom)
+    aug = propagate_covariance(pred.lin, result.policy, pred.filter_gains, ev.P_hat_0)
+    N = problem.model.horizon
     n_h_max = max([cs.terminal_count, *cs.stage_counts], default=0)
 
     names = _state_names(config)
@@ -95,11 +88,8 @@ def _stage_table(config: ExperimentConfig, result: SolveResult) -> tuple[list[st
 
     rows = []
     for k in range(N + 1):
-        x = traj.states[k]
-        if k < N:
-            h = cs.stage_values(k, x, traj.controls[k])
-        else:
-            h = cs.terminal_values(x)
+        x = pred.traj.states[k]
+        h = pred.h_stage[k, : cs.stage_counts[k]] if k < N else pred.h_term
         beta = np.asarray(result.beta[k])
         row = [str(k)]
         row += [_fmt(v) for v in x]
@@ -119,13 +109,7 @@ def _solution_payload(mode: str, result: SolveResult) -> dict:
         "status": result.status,
         "iterations": result.iterations,
         "stationarity": result.stationarity,
-        "objective": {
-            "nominal_cost": result.objective.nominal_cost,
-            "variance_cost": result.objective.variance_cost,
-            "penalty": result.objective.penalty,
-            "regularization": result.objective.regularization,
-            "total": result.objective.total,
-        },
+        "objective": result.objective.as_dict(),
         "u_nom": np.asarray(result.policy.u_nom).tolist(),
         "feedback_gains": np.asarray(result.policy.feedback).tolist(),
         "beta": beta,
@@ -169,12 +153,7 @@ def _run_rows(record, steps: int) -> tuple[list[str], list[list[str]]]:
     ]
 
 
-def cmd_simulate(
-    config: ExperimentConfig,
-    controller: str | None,
-    out_dir: Path,
-    threads: int,
-) -> int:
+def cmd_simulate(config: ExperimentConfig, controller: str | None, out_dir: Path) -> int:
     if controller and controller != "all":
         names = (controller,)
     else:
@@ -197,7 +176,6 @@ def cmd_simulate(
             lambda: RecedingHorizonController(config.problem, options),
             config.sim_config,
             controller_name=name,
-            threads=threads,
         )
         summaries[name] = summary.as_dict()
         any_diverged = any_diverged or summary.diverged_runs > 0
@@ -248,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Output-feedback stochastic MPC experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_threads = os.environ.get(_THREADS_ENV, "1")
 
     p_solve = sub.add_parser("solve", help="solve one finite-horizon instance")
     p_solve.add_argument("config", help="experiment config file")
@@ -262,8 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="which controller(s) to simulate")
     p_sim.add_argument("--runs", type=int, default=None, help="override run count")
     p_sim.add_argument("--seed", type=int, default=None, help="override master seed")
-    p_sim.add_argument("--threads", type=int, default=int(default_threads),
-                       help=f"worker threads (default from ${_THREADS_ENV} or 1)")
     p_sim.add_argument("--out", default=None, help="output directory")
 
     p_phi = sub.add_parser("phi-table", help="tabulate the expected positive part")
@@ -296,10 +271,8 @@ def main(argv=None) -> int:
                 except ValueError as exc:
                     raise ConfigError(f"invalid override: {exc}") from exc
                 config = dataclasses.replace(config, sim_config=sim_config)
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
             out_dir = Path(args.out) if args.out else Path(config.output_dir)
-            return cmd_simulate(config, args.controller, out_dir, args.threads)
+            return cmd_simulate(config, args.controller, out_dir)
 
         out_dir = Path(args.out) if args.out else Path(config.output_dir)
         return cmd_solve(config, args.controller, out_dir)

@@ -177,11 +177,9 @@ class Prediction:
     h_term_grads: Array  # (.., n_h_N, n_x)
     lin: StageLinearization | None = None
     filter_gains: Array | None = None
-    filter_covs: Array | None = None
 
     def take(self, index: int) -> "Prediction":
         """Select one element of the leading batch axis."""
-        sl = lambda M: None if M is None else M[index]
         return Prediction(
             traj=NominalTrajectory(
                 states=self.traj.states[index], controls=self.traj.controls[index]
@@ -195,8 +193,7 @@ class Prediction:
                 A=self.lin.A[index], B=self.lin.B[index], G=self.lin.G[index],
                 C=self.lin.C[index], D=self.lin.D[index],
             ),
-            filter_gains=sl(self.filter_gains),
-            filter_covs=sl(self.filter_covs),
+            filter_gains=None if self.filter_gains is None else self.filter_gains[index],
         )
 
 
@@ -272,12 +269,12 @@ class ObjectiveEvaluator:
                 h_term=h_term, h_term_grads=h_term_grads,
             )
         lin = linearize_trajectory(model, traj)
-        filter_gains, filter_covs = kalman_recursion(lin, self.P_hat_0)
+        filter_gains, _ = kalman_recursion(lin, self.P_hat_0)
         return Prediction(
             traj=traj, nominal_cost=nominal_cost,
             h_stage=h_stage, h_stage_grads=h_grads,
             h_term=h_term, h_term_grads=h_term_grads,
-            lin=lin, filter_gains=filter_gains, filter_covs=filter_covs,
+            lin=lin, filter_gains=filter_gains,
         )
 
     def _stage_joint_covariances(self, pred: Prediction, feedback: Array):

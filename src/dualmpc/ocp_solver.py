@@ -314,7 +314,8 @@ def solve(
     feedback gains.  status is 'converged' when the projected-gradient
     infinity norm reaches the tolerance, 'max_iter' when the iteration
     budget runs out, and 'line_search_failure' when no acceptable step
-    exists along either the quasi-Newton or the steepest-descent direction
+    exists along either the quasi-Newton or the steepest-descent direction,
+    or when the gradient stencil around the accepted step fails to evaluate
     (the best iterate found so far is returned in all cases).
     """
     opts = options or SolveOptions()
@@ -380,7 +381,11 @@ def solve(
         full_step = index == 0
 
         if gradient is None:
-            gradient = _fd_gradient(ev, var, trial, opts.fd_step, f_trial)
+            try:
+                gradient = _fd_gradient(ev, var, trial, opts.fd_step, f_trial)
+            except _TRIAL_ERRORS:  # the stencil around the trial crosses a failure boundary
+                status = "line_search_failure"
+                break
         g_new, curv = gradient
         s = trial - theta
         y = g_new - g

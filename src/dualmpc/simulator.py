@@ -13,7 +13,6 @@ to.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -274,21 +273,13 @@ def run_batch(
     controller_factory: Callable[[], RecedingHorizonController],
     config: SimConfig,
     controller_name: str = "",
-    threads: int = 1,
 ) -> tuple[MetricsSummary, list]:
     """Simulate all runs and aggregate.
 
     Each run gets its own controller instance, so warm-start state never
-    crosses runs and results are identical for any thread count.
+    crosses runs, and every noise draw is keyed by (seed, run, step, slot),
+    so run i's record does not depend on the other runs.
     """
     name = controller_name or controller_factory().mode
-
-    def one(run_index: int) -> ClosedLoopRecord:
-        return simulate_run(problem, controller_factory(), config, run_index)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, range(config.runs)))
-    else:
-        records = [one(i) for i in range(config.runs)]
+    records = [simulate_run(problem, controller_factory(), config, i) for i in range(config.runs)]
     return summarize_records(name, config, records), records

@@ -393,7 +393,6 @@ def test_criterion_09_closed_loop_orderings_hold():
             lambda: RecedingHorizonController(cfg.problem, options),
             cfg.sim_config,
             controller_name=name,
-            threads=1,
         )
         summaries[name] = summary
     nom, ol, of = (summaries[n] for n in ("nominal", "open_loop", "output_feedback"))

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, schemas, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualmpc.cli import main
+from dualmpc.cli import _fmt, _stage_table, main
+from dualmpc.config import load_config
+from dualmpc.ocp_solver import solve
+from dualmpc.uncertainty import (
+    kalman_recursion,
+    linearize_trajectory,
+    nominal_rollout,
+    propagate_covariance,
+)
 
 FAST_UNICYCLE = """\
 [model]
@@ -126,6 +135,39 @@ def test_solve_writes_solution_and_stage_table(tmp_path):
     for row in rows:
         for i in range(3):
             assert float(row[f"P_diag_{['r_x','r_y','theta'][i]}"]) >= 0.0
+
+
+@pytest.mark.parametrize("mode", ["nominal", "output_feedback"])
+def test_stage_table_matches_public_pipeline_bitwise(tmp_path, mode):
+    """The stage table reuses ObjectiveEvaluator.prediction; its rows equal,
+    digit for digit, rows built from the four public pipeline functions."""
+    config = load_config(_cfg(tmp_path, FAST_UNICYCLE))
+    options = dataclasses.replace(config.solver_options, mode=mode)
+    x0, P0 = config.sim_config.init_mean, config.sim_config.init_cov
+    result = solve(config.problem, x0, P0, options)
+    _, rows = _stage_table(config, result)
+
+    model, cs = config.problem.model, config.problem.constraints
+    traj = nominal_rollout(model, x0, result.policy.u_nom)
+    lin = linearize_trajectory(model, traj)
+    gains, _ = kalman_recursion(lin, P0)
+    aug = propagate_covariance(lin, result.policy, gains, P0)
+    N = model.horizon
+    n_h_max = max([cs.terminal_count, *cs.stage_counts])
+    expected = []
+    for k in range(N + 1):
+        x = traj.states[k]
+        h = cs.stage_values(k, x, traj.controls[k]) if k < N else cs.terminal_values(x)
+        beta = np.asarray(result.beta[k])
+        expected.append(
+            [str(k)]
+            + [_fmt(v) for v in x]
+            + [_fmt(v) for v in np.diag(aug.P[k])]
+            + [_fmt(v) for v in np.diag(aug.P_hat[k])]
+            + [_fmt(v) for v in h] + [""] * (n_h_max - h.size)
+            + [_fmt(v) for v in beta] + [""] * (n_h_max - beta.size)
+        )
+    assert rows == expected
 
 
 def test_solve_converged_linear_instance_exits_zero(tmp_path):
@@ -277,8 +319,3 @@ def test_config_errors_exit_two(tmp_path):
     assert main(["solve", str(bad)]) == 2
     assert main(["simulate", str(bad)]) == 2
     assert main(["solve", str(tmp_path / "missing.cfg")]) == 2
-
-
-def test_bad_threads_exit_two(tmp_path):
-    cfg = _cfg(tmp_path, FAST_UNICYCLE)
-    assert main(["simulate", cfg, "--threads", "0"]) == 2

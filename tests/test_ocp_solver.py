@@ -283,11 +283,9 @@ def test_open_loop_solve_runs_about_one_prediction_per_iteration(monkeypatch):
     assert len(calls) <= 1.3 * res.iterations
 
 
-def test_failing_trial_is_rejected_not_fatal():
-    """f turns NaN for controls above 0.5, inside the box |u| <= 2.  The
-    first full step crosses that threshold, so the first line-search batch
-    fails as a whole; its trials are re-scored one by one and the failing
-    ones rejected."""
+def _nan_above_half_problem():
+    """Scalar linear problem whose f turns NaN for controls above 0.5, inside
+    the box |u| <= 2; from x0 = -3 the unconstrained optimum lies beyond 0.5."""
     prob = make_linear_problem(
         A=[[1.0]], B=[[1.0]], G=[[0.1]], C=[[1.0]], D=[[0.1]],
         Q=[[1.0]], R=[[1e-3]], Q_terminal=[[1.0]], horizon=3,
@@ -298,10 +296,29 @@ def test_failing_trial_is_rejected_not_fatal():
     def f_nan_above(k, x, u, w):
         return np.where(np.asarray(u)[..., :1] > 0.5, np.nan, f(k, x, u, w))
 
-    problem = replace(prob, model=replace(prob.model, f=f_nan_above))
+    return replace(prob, model=replace(prob.model, f=f_nan_above))
+
+
+def test_failing_trial_is_rejected_not_fatal():
+    """The first full step crosses the NaN threshold, so the first
+    line-search batch fails as a whole; its trials are re-scored one by one
+    and the failing ones rejected."""
+    problem = _nan_above_half_problem()
     for mode in ("nominal", "open_loop"):
         res = solve(problem, np.array([-3.0]), 0.01 * np.eye(1), SolveOptions(mode=mode, max_iterations=3))
         assert res.iterations > 0
+        assert np.isfinite(res.objective.total)
+        assert np.all(res.policy.u_nom <= 0.5)
+
+
+def test_stencil_crossing_failure_boundary_ends_solve_not_fatal():
+    """With a larger budget the iterates creep up to u_0 just below 0.5,
+    until the +h row of the gradient stencil around an accepted trial
+    crosses the threshold: the solve stops there with the best iterate."""
+    problem = _nan_above_half_problem()
+    for mode in ("nominal", "open_loop"):
+        res = solve(problem, np.array([-3.0]), 0.01 * np.eye(1), SolveOptions(mode=mode, max_iterations=20))
+        assert res.status == "line_search_failure"
         assert np.isfinite(res.objective.total)
         assert np.all(res.policy.u_nom <= 0.5)
 

@@ -230,17 +230,6 @@ def test_run_records_do_not_depend_on_batch_size():
         assert np.array_equal(small.stage_costs, large.stage_costs)
 
 
-def test_threaded_batch_matches_serial():
-    prob = _drift_problem(noise=0.1)
-    cfg = SimConfig(init_mean=[1.0, 0.0], init_cov=0.1 * np.eye(2), steps=5, runs=6,
-                    master_seed=4)
-    s1, r1 = run_batch(prob, lambda: _ScriptedController([0.1]), cfg, "c", threads=1)
-    s3, r3 = run_batch(prob, lambda: _ScriptedController([0.1]), cfg, "c", threads=3)
-    assert s1 == s3
-    for a, b in zip(r1, r3):
-        assert np.array_equal(a.states, b.states)
-
-
 def test_single_run_summary_equals_record_statistics():
     prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
     cfg = SimConfig(init_mean=[1.0, 0.8, np.pi], init_cov=1e-2 * np.eye(3), steps=6, runs=1)
