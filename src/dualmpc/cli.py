@@ -54,13 +54,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, allow_nan=True) + "\n")
 
 
-def _state_names(config: ExperimentConfig) -> list[str]:
-    n_x = config.problem.model.n_x
-    if config.model_kind == "unicycle":
-        return ["r_x", "r_y", "theta"]
-    return [f"x_{i}" for i in range(n_x)]
-
-
 # ------------------------------------------------------------------ solve
 
 def _stage_table(config: ExperimentConfig, result: SolveResult) -> tuple[list[str], list[list[str]]]:
@@ -78,7 +71,7 @@ def _stage_table(config: ExperimentConfig, result: SolveResult) -> tuple[list[st
     N = problem.model.horizon
     n_h_max = max([cs.terminal_count, *cs.stage_counts], default=0)
 
-    names = _state_names(config)
+    names = problem.model.state_names
     header = ["stage"]
     header += [f"x_nom_{n}" for n in names]
     header += [f"P_diag_{n}" for n in names]
@@ -160,7 +153,7 @@ def cmd_simulate(config: ExperimentConfig, controller: str | None, out_dir: Path
         names = config.controllers
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    state_names = _state_names(config)
+    state_names = config.problem.model.state_names
     header = ["step"]
     header += state_names
     header += [f"xhat_{n}" for n in state_names]

@@ -38,7 +38,6 @@ class ExperimentConfig:
     """Validated experiment: problem, solver budgets, simulation setup."""
 
     problem: ControlProblem
-    model_kind: str
     solver_options: SolveOptions
     sim_solver_options: SolveOptions
     sim_config: SimConfig
@@ -81,9 +80,6 @@ _SCHEMA = {
         "tolerance": "float",
         "max_iterations": "int",
         "fd_step": "float",
-        "armijo_c": "float",
-        "backtrack_factor": "float",
-        "max_backtracks": "int",
         "eps_sigma": "float",
         "eps_feedback": "float",
     },
@@ -272,12 +268,15 @@ def _build_linear(path: Path, model: _Section) -> ControlProblem:
     qf = model.vector("terminal_cost_diag")
     if q.size != n_x or qf.size != n_x or r.size != B.shape[1]:
         raise ConfigError(f"{path}: cost diagonals do not match the model dimensions")
-    return make_linear_problem(
-        A, B, G, C, D, np.diag(q), np.diag(r), np.diag(qf),
-        horizon=model.integer("horizon_steps"),
-        u_lower=model.vector("u_lower"),
-        u_upper=model.vector("u_upper"),
-    )
+    try:
+        return make_linear_problem(
+            A, B, G, C, D, np.diag(q), np.diag(r), np.diag(qf),
+            horizon=model.integer("horizon_steps"),
+            u_lower=model.vector("u_lower"),
+            u_upper=model.vector("u_upper"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: invalid linear model: {exc}") from exc
 
 
 def _solve_options(path: Path, solver: _Section, mode: str) -> SolveOptions:
@@ -287,9 +286,6 @@ def _solve_options(path: Path, solver: _Section, mode: str) -> SolveOptions:
             tolerance=solver.number("tolerance", 1e-6),
             max_iterations=solver.integer("max_iterations", 500),
             fd_step=solver.number("fd_step", 1e-6),
-            armijo_c=solver.number("armijo_c", 1e-4),
-            backtrack_factor=solver.number("backtrack_factor", 0.5),
-            max_backtracks=solver.integer("max_backtracks", 40),
             eps_sigma=solver.number("eps_sigma", 1e-3),
             eps_K=solver.number("eps_feedback", 1e-4),
         )
@@ -364,7 +360,6 @@ def load_config(path) -> ExperimentConfig:
 
     return ExperimentConfig(
         problem=problem,
-        model_kind=kind,
         solver_options=solver_options,
         sim_solver_options=sim_solver_options,
         sim_config=sim_config,

@@ -50,8 +50,8 @@ def ekf_predict(model: SystemModel, belief: BeliefState, u: Array, stage: int = 
     """
     u = np.asarray(u, dtype=float)
     w0 = np.zeros(model.n_w)
-    mean_next = model.f(stage, belief.mean, u, w0)
-    A, _, G = model.linearize_dynamics(stage, belief.mean, u, w0)
+    mean_next = model.f(belief.mean, u, w0)
+    A, _, G = model.f_jac(belief.mean, u, w0)
     cov_next = A @ belief.cov @ A.T + G @ G.T
     if not (np.all(np.isfinite(mean_next)) and np.all(np.isfinite(cov_next))):
         raise EstimationError(f"EKF prediction diverged at stage {stage}")
@@ -67,11 +67,11 @@ def ekf_update(model: SystemModel, belief: BeliefState, y: Array, stage: int = 0
     """
     y = np.asarray(y, dtype=float)
     v0 = np.zeros(model.n_v)
-    C, D = model.linearize_output(stage, belief.mean, v0)
+    C, D = model.g_jac(belief.mean, v0)
     S = C @ belief.cov @ C.T + D @ D.T
     gain_t, _ = chol_solve_spd(S, C @ belief.cov, context=f"EKF innovation covariance at stage {stage}")
     gain = gain_t.T
-    innovation = y - model.g(stage, belief.mean, v0)
+    innovation = y - model.g(belief.mean, v0)
     mean_next = belief.mean + gain @ innovation
     cov_next = (np.eye(model.n_x) - gain @ C) @ belief.cov
     if not np.all(np.isfinite(mean_next)):

@@ -5,23 +5,29 @@ noise arrays may carry arbitrary leading batch dimensions in front of the
 core vector/matrix axes, and the stage maps are expected to broadcast over
 them.  This keeps finite-difference gradients and Monte-Carlo evaluations
 vectorized.
+
+The model contract: the stage maps and their Jacobians are time-invariant
+(no stage index), and the Jacobians are analytic and required, so a whole
+trajectory linearizes in one call with the stage axis folded into the batch.
+Costs and constraints keep a stage index, because their data is per stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 Array = np.ndarray
 
-# Stage maps: f(k, x, u, w) -> next state, g(k, x, v) -> output.
-DynamicsFn = Callable[[int, Array, Array, Array], Array]
-OutputFn = Callable[[int, Array, Array], Array]
-# Analytic Jacobian providers, evaluated at the given point.
-DynamicsJacFn = Callable[[int, Array, Array, Array], tuple[Array, Array, Array]]
-OutputJacFn = Callable[[int, Array, Array], tuple[Array, Array]]
+# Stage maps: f(x, u, w) -> next state, g(x, v) -> output.
+DynamicsFn = Callable[[Array, Array, Array], Array]
+OutputFn = Callable[[Array, Array], Array]
+# Analytic Jacobian providers, evaluated at the given point; they return
+# float arrays with the point's batch dimensions in front.
+DynamicsJacFn = Callable[[Array, Array, Array], tuple[Array, Array, Array]]
+OutputJacFn = Callable[[Array, Array], tuple[Array, Array]]
 
 
 class ModelError(ValueError):
@@ -186,18 +192,19 @@ class SystemModel:
 
     The process and output noises are standardized: any noise shaping
     (Cholesky factors of physical covariances) lives inside ``f`` and ``g``,
-    so every downstream consumer draws ``w, v ~ N(0, I)``.
+    so every downstream consumer draws ``w, v ~ N(0, I)``.  The maps are the
+    same at every stage.
 
     Attributes:
         n_x, n_u, n_w, n_v, n_y: dimensions.
-        horizon: number of stages N.
-        f: stage map ``f(k, x, u, w)``; with ``w = 0`` it must be
+        horizon: number of stages N (at least 1).
+        f: stage map ``f(x, u, w)``; with ``w = 0`` it must be
             deterministic and repeatable bit-for-bit.
-        g: output map ``g(k, x, v)`` for stages 1..N.
-        f_jac: optional analytic Jacobians ``(A, B, G)`` of ``f``; finite
-            differences are used when absent.
-        g_jac: optional analytic Jacobians ``(C, D)`` of ``g``.
-        state_names / control_names: labels for file outputs.
+        g: output map ``g(x, v)``, measured at stages 1..N.
+        f_jac: analytic Jacobians ``(A, B, G)`` of ``f`` at ``(x, u, w)``,
+            with the batch dimensions of ``x`` in front.
+        g_jac: analytic Jacobians ``(C, D)`` of ``g`` at ``(x, v)``, alike.
+        state_names: labels for file outputs.
     """
 
     n_x: int
@@ -208,68 +215,13 @@ class SystemModel:
     horizon: int
     f: DynamicsFn
     g: OutputFn
-    f_jac: DynamicsJacFn | None = None
-    g_jac: OutputJacFn | None = None
-    fd_step: float = 1e-6
-    state_names: tuple[str, ...] = ()
-    control_names: tuple[str, ...] = ()
-    # True when f and g ignore the stage index; lets callers fold the stage
-    # axis into the batch and evaluate all Jacobians in one call.
-    stage_invariant: bool = False
+    f_jac: DynamicsJacFn
+    g_jac: OutputJacFn
+    state_names: tuple[str, ...]
 
     def __post_init__(self):
-        if self.horizon < 0:
-            raise ModelError("horizon must be nonnegative")
-
-    def linearize_dynamics(self, k: int, x: Array, u: Array, w: Array) -> tuple[Array, Array, Array]:
-        """Jacobians of ``f`` at ``(x, u, w)``, batch dims supported by the
-        analytic provider; the finite-difference fallback loops per point."""
-        if self.f_jac is not None:
-            A, B, G = self.f_jac(k, np.asarray(x, dtype=float), np.asarray(u, dtype=float), np.asarray(w, dtype=float))
-            return np.asarray(A, dtype=float), np.asarray(B, dtype=float), np.asarray(G, dtype=float)
-        return self._fd_dynamics(k, x, u, w)
-
-    def linearize_output(self, k: int, x: Array, v: Array) -> tuple[Array, Array]:
-        if self.g_jac is not None:
-            C, D = self.g_jac(k, np.asarray(x, dtype=float), np.asarray(v, dtype=float))
-            return np.asarray(C, dtype=float), np.asarray(D, dtype=float)
-        return self._fd_output(k, x, v)
-
-    # Finite-difference fallbacks: one point at a time, vectorized callers
-    # iterate over the batch.
-    def _fd_dynamics(self, k, x, u, w):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        w = np.asarray(w, dtype=float)
-        if x.ndim > 1:
-            flat_x = x.reshape(-1, self.n_x)
-            flat_u = np.broadcast_to(u, x.shape[:-1] + (self.n_u,)).reshape(-1, self.n_u)
-            flat_w = np.broadcast_to(w, x.shape[:-1] + (self.n_w,)).reshape(-1, self.n_w)
-            out = [self._fd_dynamics(k, xi, ui, wi) for xi, ui, wi in zip(flat_x, flat_u, flat_w)]
-            shape = x.shape[:-1]
-            A = np.stack([o[0] for o in out]).reshape(shape + (self.n_x, self.n_x))
-            B = np.stack([o[1] for o in out]).reshape(shape + (self.n_x, self.n_u))
-            G = np.stack([o[2] for o in out]).reshape(shape + (self.n_x, self.n_w))
-            return A, B, G
-        A = fd_jacobian(lambda p: self.f(k, p, u, w), x, self.fd_step)
-        B = fd_jacobian(lambda p: self.f(k, x, p, w), u, self.fd_step)
-        G = fd_jacobian(lambda p: self.f(k, x, u, p), w, self.fd_step)
-        return A, B, G
-
-    def _fd_output(self, k, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if x.ndim > 1:
-            flat_x = x.reshape(-1, self.n_x)
-            flat_v = np.broadcast_to(v, x.shape[:-1] + (self.n_v,)).reshape(-1, self.n_v)
-            out = [self._fd_output(k, xi, vi) for xi, vi in zip(flat_x, flat_v)]
-            shape = x.shape[:-1]
-            C = np.stack([o[0] for o in out]).reshape(shape + (self.n_y, self.n_x))
-            D = np.stack([o[1] for o in out]).reshape(shape + (self.n_y, self.n_v))
-            return C, D
-        C = fd_jacobian(lambda p: self.g(k, p, v), x, self.fd_step)
-        D = fd_jacobian(lambda p: self.g(k, x, p), v, self.fd_step)
-        return C, D
+        if self.horizon < 1:
+            raise ModelError(f"horizon must be at least 1, got {self.horizon}")
 
 
 _PSD_TOL = -1e-10
@@ -432,13 +384,13 @@ def make_linear_problem(
     n_w = G.shape[1]
     n_y, n_v = C.shape[0], D.shape[1]
 
-    def f(k, x, u, w):
+    def f(x, u, w):
         return x @ A.T + u @ B.T + w @ G.T
 
-    def g(k, x, v):
+    def g(x, v):
         return x @ C.T + v @ D.T
 
-    def f_jac(k, x, u, w):
+    def f_jac(x, u, w):
         batch = np.shape(x)[:-1]
         return (
             np.broadcast_to(A, batch + A.shape),
@@ -446,16 +398,14 @@ def make_linear_problem(
             np.broadcast_to(G, batch + G.shape),
         )
 
-    def g_jac(k, x, v):
+    def g_jac(x, v):
         batch = np.shape(x)[:-1]
         return np.broadcast_to(C, batch + C.shape), np.broadcast_to(D, batch + D.shape)
 
     model = SystemModel(
         n_x=n_x, n_u=n_u, n_w=n_w, n_v=n_v, n_y=n_y, horizon=horizon,
         f=f, g=g, f_jac=f_jac, g_jac=g_jac,
-        state_names=tuple(f"x{i}" for i in range(n_x)),
-        control_names=tuple(f"u{i}" for i in range(n_u)),
-        stage_invariant=True,
+        state_names=tuple(f"x_{i}" for i in range(n_x)),
     )
     n_z = n_x + n_u
     H = np.zeros((n_z, n_z))

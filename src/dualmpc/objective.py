@@ -20,6 +20,7 @@ from .uncertainty import (
     NominalTrajectory,
     Policy,
     StageLinearization,
+    joint_covariance,
     kalman_recursion,
     linearize_trajectory,
     nominal_rollout,
@@ -280,20 +281,11 @@ class ObjectiveEvaluator:
     def _stage_joint_covariances(self, pred: Prediction, feedback: Array):
         """Joint (state, control) covariances for stages 0..N-1 plus the
         terminal state covariance, vectorized over stages and batch."""
-        n_x = self.problem.model.n_x
         N = pred.traj.horizon
         policy = Policy(u_nom=pred.traj.controls, feedback=feedback)
         K_all = policy.stage_gains()
         aug = propagate_covariance(pred.lin, policy, pred.filter_gains, self.P_hat_0)
-        sig = aug.sigma[..., :N, :, :]
-        batch = np.broadcast_shapes(sig.shape[:-3], K_all.shape[:-3])
-        n_u = K_all.shape[-2]
-        T = np.zeros(batch + (N, n_x + n_u, 2 * n_x))
-        T[..., :, :n_x, :n_x] = np.eye(n_x)
-        T[..., :, n_x:, :n_x] = K_all
-        T[..., :, n_x:, n_x:] = K_all
-        joint = T @ sig @ np.swapaxes(T, -1, -2)
-        return joint, aug.P[..., N, :, :]
+        return joint_covariance(aug.sigma[..., :N, :, :], K_all), aug.P[..., N, :, :]
 
     def parts_from_prediction(self, pred: Prediction, feedback: Array):
         """Objective components for (prediction, feedback-gain batch).

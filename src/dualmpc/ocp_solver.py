@@ -56,9 +56,6 @@ class SolveOptions:
     max_iterations: int = 500
     tolerance: float = 1e-6
     fd_step: float = 1e-6
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 40
     eps_sigma: float = 1e-3
     eps_K: float = 1e-4
 
@@ -67,8 +64,6 @@ class SolveOptions:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.tolerance <= 0 or self.fd_step <= 0:
             raise ValueError("tolerance and fd_step must be positive")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -202,6 +197,11 @@ def _diag_metric(curv: Array, gnorm: float) -> Array:
     return np.diag(1.0 / np.maximum(c, floor))
 
 
+# Line search: trial steps 1, 1/2, 1/4, ... (at most 40), evaluated 12 per
+# batch; a trial passes on sufficient decrease with constant 1e-4.
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 40
+_ARMIJO_C = 1e-4
 _LS_CHUNK = 12
 # Failures of one trial point that must not end the line search.
 _TRIAL_ERRORS = (RolloutError, LinearizationError, SingularInnovationError, ModelError)
@@ -225,7 +225,7 @@ def _evaluate_trials(ev: ObjectiveEvaluator, var: _Variables, trials: Array, fd_
 
 
 def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array,
-                   direction: Array, opts: "SolveOptions", fd_step: float | None = None):
+                   direction: Array, fd_step: float | None = None):
     """Backtracking Armijo search along the projection arc.
 
     Candidate step sizes form the usual geometric sequence, but they are
@@ -246,7 +246,7 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array,
     position in the step-size sequence, -1 if none passed (theta and f come
     back then), and gradient is (g, curv) at the trial or None.
     """
-    alphas = opts.backtrack_factor ** np.arange(opts.max_backtracks)
+    alphas = _BACKTRACK_FACTOR ** np.arange(_MAX_BACKTRACKS)
     for start in range(0, alphas.size, _LS_CHUNK):
         chunk = alphas[start : start + _LS_CHUNK]
         trials = var.project(theta[None, :] + chunk[:, None] * direction[None, :])
@@ -254,7 +254,7 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array,
         if not np.any(decreases < 0.0):
             continue
         totals, gradient_at = _evaluate_trials(ev, var, trials, fd_step if start == 0 else None)
-        ok = (decreases < 0.0) & (totals <= f + opts.armijo_c * decreases)
+        ok = (decreases < 0.0) & (totals <= f + _ARMIJO_C * decreases)
         if np.any(ok):
             idx = int(np.argmax(ok))  # first True = largest passing step
             f_trial = float(totals[idx])
@@ -370,7 +370,7 @@ def solve(
 
         fd_step = opts.fd_step if full_step else None
         for direction in (d, -g_masked / gnorm):
-            trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction, opts, fd_step)
+            trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction, fd_step)
             if index >= 0:
                 break
             fd_step = None

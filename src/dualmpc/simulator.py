@@ -197,9 +197,9 @@ def simulate_run(
         try:
             u, diag = controller.step(belief)
             w = noise_stream(config.master_seed, run_index, t, SLOT_PROCESS).standard_normal(model.n_w)
-            x_next = model.f(t, x, u, w)
+            x_next = model.f(x, u, w)
             v = noise_stream(config.master_seed, run_index, t, SLOT_MEASUREMENT).standard_normal(model.n_v)
-            y = model.g(t + 1, x_next, v)
+            y = model.g(x_next, v)
             belief = ekf_update(model, ekf_predict(model, belief, u, stage=t), y, stage=t + 1)
         except (EstimationError, RolloutError, SingularInnovationError, LinearizationError, ModelError):
             diverged = True

@@ -186,7 +186,7 @@ def nominal_rollout(model: SystemModel, x0: Array, u_nom: Array) -> NominalTraje
     states = np.empty(batch + (N + 1,) + x0.shape[-1:])
     states[..., 0, :] = x
     for k in range(N):
-        x = np.asarray(model.f(k, x, u_nom[..., k, :], w0), dtype=float)
+        x = np.asarray(model.f(x, u_nom[..., k, :], w0), dtype=float)
         if not np.all(np.isfinite(x)):
             raise RolloutError(f"nominal rollout diverged at stage {k + 1}")
         states[..., k + 1, :] = x
@@ -204,78 +204,40 @@ def _point_bytes(a: Array) -> Array:
 def linearize_trajectory(model: SystemModel, traj: NominalTrajectory) -> StageLinearization:
     """Dynamics and output Jacobians along the nominal trajectory.
 
-    Dynamics are linearized at (x_k, u_k, 0), outputs at (x_{k+1}, 0).
-    Stage-invariant models are linearized in a single call with the stage
-    axis folded into the batch.  That call skips every (row, stage) whose
-    x_k, u_k and x_{k+1} equal row 0's at the same stage and copies row 0's
-    Jacobians there: the finite-difference rows of a control u_k share all
-    stages before k with the centre they are batched behind.
+    Dynamics are linearized at (x_k, u_k, 0), outputs at (x_{k+1}, 0).  The
+    maps are time-invariant, so the stage axis folds into the batch and each
+    Jacobian provider is called once.  That call skips every (row, stage)
+    whose x_k, u_k and x_{k+1} equal row 0's at the same stage and copies row
+    0's Jacobians there: the finite-difference rows of a control u_k share
+    all stages before k with the centre they are batched behind.
 
     Raises:
-        LinearizationError: a Jacobian provider failed or returned
-            non-finite entries (the stage is named where known).
+        LinearizationError: a Jacobian came back with non-finite entries.
     """
     N = traj.horizon
-    w0 = np.zeros(model.n_w)
-    v0 = np.zeros(model.n_v)
-    if model.stage_invariant and N > 0:
-        batch = traj.states.shape[:-2]
-        x = np.ascontiguousarray(traj.states.reshape(-1, N + 1, model.n_x))
-        u = np.ascontiguousarray(traj.controls.reshape(-1, N, model.n_u))
-        x_bytes, u_bytes = _point_bytes(x), _point_bytes(u)
-        moved = x_bytes != x_bytes[0]
-        new = moved[:, :N] | moved[:, 1:] | (u_bytes != u_bytes[0])
-        new[0] = True
-        points = new.ravel().nonzero()[0]  # row * N + stage of each evaluated point
-        count = points.size
-        # Where each (row, stage) takes its Jacobians from: its own point, or
-        # row 0's at that stage, which is evaluated point number `stage`.
-        src = np.arange(new.size) % N
-        src[points] = np.arange(count)
-        at = points + points // N  # row * (N + 1) + stage: the point's x_k
-        states = x.reshape(-1, model.n_x)
-        controls = u.reshape(-1, model.n_u)
-        A, B, G = model.linearize_dynamics(0, states.take(at, axis=0), controls.take(points, axis=0), w0)
-        C, D = model.linearize_output(1, states.take(at + 1, axis=0), v0)
-        mats = dict(A=(A, model.n_x, model.n_x), B=(B, model.n_x, model.n_u),
-                    G=(G, model.n_x, model.n_w), C=(C, model.n_y, model.n_x),
-                    D=(D, model.n_y, model.n_v))
-        out = {}
-        for name, (M, r, c) in mats.items():
-            if not np.isfinite(M).all():
-                raise LinearizationError(f"linearization produced non-finite {name} entries")
-            if M.shape[:-2] != (count,):  # a constant Jacobian
-                M = np.broadcast_to(M, (count, r, c))
-            out[name] = M.take(src, axis=0).reshape(batch + (N, r, c))
-        return StageLinearization(**out)
-    A, B, G, C, D = [], [], [], [], []
-    for k in range(N):
-        try:
-            Ak, Bk, Gk = model.linearize_dynamics(k, traj.states[..., k, :], traj.controls[..., k, :], w0)
-            Ck, Dk = model.linearize_output(k + 1, traj.states[..., k + 1, :], v0)
-        except Exception as exc:
-            raise LinearizationError(f"linearization failed at stage {k}: {exc}") from exc
-        if not all(np.all(np.isfinite(M)) for M in (Ak, Bk, Gk, Ck, Dk)):
-            raise LinearizationError(f"linearization produced non-finite entries at stage {k}")
-        A.append(Ak)
-        B.append(Bk)
-        G.append(Gk)
-        C.append(Ck)
-        D.append(Dk)
     batch = traj.states.shape[:-2]
-
-    def stack(mats, rows, cols):
-        if not mats:
-            return np.zeros(batch + (0, rows, cols))
-        return np.stack([np.broadcast_to(M, batch + (rows, cols)) for M in mats], axis=-3)
-
-    return StageLinearization(
-        A=stack(A, model.n_x, model.n_x),
-        B=stack(B, model.n_x, model.n_u),
-        G=stack(G, model.n_x, model.n_w),
-        C=stack(C, model.n_y, model.n_x),
-        D=stack(D, model.n_y, model.n_v),
-    )
+    x = np.ascontiguousarray(traj.states.reshape(-1, N + 1, model.n_x))
+    u = np.ascontiguousarray(traj.controls.reshape(-1, N, model.n_u))
+    x_bytes, u_bytes = _point_bytes(x), _point_bytes(u)
+    moved = x_bytes != x_bytes[0]
+    new = moved[:, :N] | moved[:, 1:] | (u_bytes != u_bytes[0])
+    new[0] = True
+    points = new.ravel().nonzero()[0]  # row * N + stage of each evaluated point
+    # Where each (row, stage) takes its Jacobians from: its own point, or
+    # row 0's at that stage, which is evaluated point number `stage`.
+    src = np.arange(new.size) % N
+    src[points] = np.arange(points.size)
+    at = points + points // N  # row * (N + 1) + stage: the point's x_k
+    states = x.reshape(-1, model.n_x)
+    controls = u.reshape(-1, model.n_u)
+    A, B, G = model.f_jac(states.take(at, axis=0), controls.take(points, axis=0), np.zeros(model.n_w))
+    C, D = model.g_jac(states.take(at + 1, axis=0), np.zeros(model.n_v))
+    out = {}
+    for name, M in zip("ABGCD", (A, B, G, C, D)):
+        if not np.isfinite(M).all():
+            raise LinearizationError(f"linearization produced non-finite {name} entries")
+        out[name] = M.take(src, axis=0).reshape(batch + (N,) + M.shape[-2:])
+    return StageLinearization(**out)
 
 
 def kalman_recursion(lin: StageLinearization, P_hat_0: Array) -> tuple[Array, Array]:
@@ -416,7 +378,8 @@ def joint_covariance(sigma_k: Array, K_k: Array) -> Array:
 
     With u - u_nom = K (xhat - x_nom) = K (x - x_nom) + K (xhat - x), the
     map from the augmented state is T = [[I, 0], [K, K]] and the joint
-    covariance is T sigma T'.
+    covariance is T sigma T'.  Batched over stages and policies; the product
+    is returned as computed, not re-symmetrized.
     """
     sigma_k = np.asarray(sigma_k, dtype=float)
     K_k = np.asarray(K_k, dtype=float)
@@ -427,4 +390,4 @@ def joint_covariance(sigma_k: Array, K_k: Array) -> Array:
     T[..., :n_x, :n_x] = np.eye(n_x)
     T[..., n_x:, :n_x] = K_k
     T[..., n_x:, n_x:] = K_k
-    return symmetrize(T @ sigma_k @ np.swapaxes(T, -1, -2))
+    return T @ sigma_k @ np.swapaxes(T, -1, -2)

@@ -120,20 +120,20 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
         # the noise block is constant; matmul broadcasting handles the batch
         return A, B, L_w
 
-    def f(k, x, u, w):
+    def f(x, u, w):
         return rk4_step(ode, x, u, w @ L_w.T, params.dt, params.substeps)
 
-    def f_jac(k, x, u, w):
+    def f_jac(x, u, w):
         _, A, B, G = rk4_step_with_jacobian(ode, ode_jac, x, u, w @ L_w.T, params.dt, params.substeps)
         return A, B, G
 
-    def g(k, x, v):
+    def g(x, v):
         x = np.asarray(x, dtype=float)
         return x + sigma_y(x, eps)[..., None] * (v @ L_v.T)
 
     eye = np.eye(3)
 
-    def g_jac(k, x, v):
+    def g_jac(x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         C = eye + (v @ L_v.T)[..., :, None] * sigma_y_grad(x, eps)[..., None, :]
@@ -144,8 +144,6 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
         n_x=3, n_u=2, n_w=3, n_v=3, n_y=3, horizon=N,
         f=f, g=g, f_jac=f_jac, g_jac=g_jac,
         state_names=("r_x", "r_y", "theta"),
-        control_names=("v", "omega"),
-        stage_invariant=True,
     )
 
     # Stage cost r_x + control_weight * ||u||^2 over z = (x, u).

@@ -1,13 +1,17 @@
 """Config parsing: schema validation, line-precise errors, typed access."""
 
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dualmpc import ConfigError, load_config
+from dualmpc.cli import main
+from dualmpc.config import _SCHEMA
 
-REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "unicycle.cfg"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+REPO_CONFIG = REPO_ROOT / "configs" / "unicycle.cfg"
 
 MINIMAL_UNICYCLE = """\
 [model]
@@ -50,7 +54,7 @@ def _write(tmp_path, text, name="exp.cfg"):
 
 def test_shipped_unicycle_config_loads():
     cfg = load_config(REPO_CONFIG)
-    assert cfg.model_kind == "unicycle"
+    assert cfg.problem.model.state_names == ("r_x", "r_y", "theta")
     assert cfg.problem.model.horizon == 10
     assert cfg.sim_config.steps == 20 and cfg.sim_config.runs == 20
     assert cfg.controllers == ("nominal", "open_loop", "output_feedback")
@@ -74,12 +78,12 @@ def test_minimal_unicycle_defaults(tmp_path):
 def test_linear_model_block_builds_problem(tmp_path):
     cfg = load_config(_write(tmp_path, LINEAR))
     model = cfg.problem.model
-    assert cfg.model_kind == "linear"
+    assert model.state_names == ("x_0", "x_1")
     assert (model.n_x, model.n_u, model.n_w, model.n_v) == (2, 1, 2, 2)
     x = np.array([1.0, -0.5])
     u = np.array([0.2])
     np.testing.assert_allclose(
-        model.f(0, x, u, np.zeros(2)),
+        model.f(x, u, np.zeros(2)),
         np.array([[1.0, 0.1], [0.0, 1.0]]) @ x + np.array([0.005, 0.1]) * u[0],
     )
 
@@ -158,6 +162,19 @@ def test_linear_matrix_shape_errors(tmp_path):
         load_config(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("state_cost_diag = 1.0 0.5", "state_cost_diag = -1 1", "not positive semidefinite"),
+    ("horizon_steps = 6", "horizon_steps = -2", "horizon must be at least 1"),
+    ("horizon_steps = 6", "horizon_steps = 0", "horizon must be at least 1"),
+])
+def test_invalid_linear_model_is_a_config_error(tmp_path, old, new, message):
+    path = _write(tmp_path, LINEAR.replace(old, new))
+    with pytest.raises(ConfigError, match=rf"exp\.cfg: invalid linear model: .*{message}"):
+        load_config(path)
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match=r"cannot read config"):
         load_config(tmp_path / "nope.cfg")
@@ -167,3 +184,15 @@ def test_malformed_line_is_rejected(tmp_path):
     text = MINIMAL_UNICYCLE + "\n[solver]\njust some words\n"
     with pytest.raises(ConfigError, match=r"expected 'key = value'"):
         load_config(_write(tmp_path, text))
+
+
+def test_readme_config_keys_match_schema():
+    """Each `[section]` bullet of the README's "Config format" names exactly
+    the keys the parser accepts in that section."""
+    text = (REPO_ROOT / "README.md").read_text()
+    block = text.split("### Config format", 1)[1].split("\n#", 1)[0]
+    bullets = re.findall(r"^- `\[(\w+)\]`(.*?)(?=^- |\Z)", block, re.M | re.S)
+    assert {name for name, _ in bullets} == set(_SCHEMA)
+    for name, body in bullets:
+        keys = set(re.findall(r"`([a-z][a-z0-9_]*)(?: = \w+)?`", body))
+        assert keys == set(_SCHEMA[name]), name

@@ -57,7 +57,7 @@ def test_update_zero_innovation_keeps_mean_and_shrinks_covariance():
                           C=[[1.0, 0.5]], D=[[0.4]])
     P = random_spd(np.random.default_rng(1), 2)
     belief = BeliefState(mean=[0.7, -0.3], cov=P)
-    y = model.g(0, belief.mean, np.zeros(1))
+    y = model.g(belief.mean, np.zeros(1))
     out = ekf_update(model, belief, y)
     assert_allclose(out.mean, belief.mean, rtol=1e-12)
     assert np.linalg.eigvalsh(P - out.cov).min() >= -1e-10
@@ -118,7 +118,7 @@ def test_interleaved_filter_matches_prediction_recursion(case):
     belief = BeliefState(mean=x0, cov=P0)
     for k in range(model.horizon):
         belief = ekf_predict(model, belief, u_nom[k], stage=k)
-        y = model.g(k + 1, traj.states[k + 1], np.zeros(model.n_v))
+        y = model.g(traj.states[k + 1], np.zeros(model.n_v))
         belief = ekf_update(model, belief, y, stage=k + 1)
         assert_allclose(belief.mean, traj.states[k + 1], atol=1e-10)
         assert_allclose(belief.cov, covs[k + 1], atol=1e-12)

@@ -213,9 +213,9 @@ def test_linear_problem_dynamics_and_jacobians():
     D = rng.normal(size=(2, 2))
     prob = make_linear_problem(A, B, G, C, D, np.eye(3), np.eye(2), np.eye(3), horizon=4)
     x, u, w, v = rng.normal(size=3), rng.normal(size=2), rng.normal(size=1), rng.normal(size=2)
-    assert_allclose(prob.model.f(0, x, u, w), A @ x + B @ u + G @ w, rtol=1e-14)
-    assert_allclose(prob.model.g(1, x, v), C @ x + D @ v, rtol=1e-14)
-    Aj, Bj, Gj = prob.model.linearize_dynamics(2, x, u, w)
+    assert_allclose(prob.model.f(x, u, w), A @ x + B @ u + G @ w, rtol=1e-14)
+    assert_allclose(prob.model.g(x, v), C @ x + D @ v, rtol=1e-14)
+    Aj, Bj, Gj = prob.model.f_jac(x, u, w)
     assert_allclose(Aj, A, atol=0)
     assert_allclose(Bj, B, atol=0)
     assert_allclose(Gj, G, atol=0)
@@ -249,9 +249,9 @@ def test_unicycle_output_jacobians_match_fd(unicycle_problem):
     rng = np.random.default_rng(8)
     x = rng.normal(size=3)
     v = rng.normal(size=3)
-    C, D = m.linearize_output(1, x, v)
-    C_fd = fd_jacobian(lambda p: m.g(1, p, v), x)
-    D_fd = fd_jacobian(lambda p: m.g(1, x, p), v)
+    C, D = m.g_jac(x, v)
+    C_fd = fd_jacobian(lambda p: m.g(p, v), x)
+    D_fd = fd_jacobian(lambda p: m.g(x, p), v)
     assert_allclose(C, C_fd, rtol=1e-6, atol=1e-9)
     assert_allclose(D, D_fd, rtol=1e-6, atol=1e-9)
 
@@ -289,10 +289,10 @@ def test_unicycle_dynamics_jacobians_match_fd():
     x = np.array([0.5, 1.2, 2.5])
     u = np.array([1.1, 0.4])
     w = np.array([0.3, -0.1, 0.2])
-    A, B, G = m.linearize_dynamics(0, x, u, w)
-    A_fd = fd_jacobian(lambda p: m.f(0, p, u, w), x)
-    B_fd = fd_jacobian(lambda p: m.f(0, x, p, w), u)
-    G_fd = fd_jacobian(lambda p: m.f(0, x, u, p), w)
+    A, B, G = m.f_jac(x, u, w)
+    A_fd = fd_jacobian(lambda p: m.f(p, u, w), x)
+    B_fd = fd_jacobian(lambda p: m.f(x, p, w), u)
+    G_fd = fd_jacobian(lambda p: m.f(x, u, p), w)
     assert_allclose(A, A_fd, atol=2e-9)
     assert_allclose(B, B_fd, atol=2e-9)
     assert_allclose(G, G_fd, atol=2e-9)

@@ -259,8 +259,7 @@ def test_fused_line_search_gradient_equals_fd_gradient(mode):
     g, _ = _fd_gradient(ev, var, theta, opts.fd_step, f)
     direction = -1e-3 * g / np.linalg.norm(g)
 
-    trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction, opts,
-                                                     opts.fd_step)
+    trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction, opts.fd_step)
     assert index == 0 and gradient is not None
     g_ref, curv_ref = _fd_gradient(ev, var, trial, opts.fd_step, f_trial)
     assert np.array_equal(gradient[0], g_ref)
@@ -293,8 +292,8 @@ def _nan_above_half_problem():
     )
     f = prob.model.f
 
-    def f_nan_above(k, x, u, w):
-        return np.where(np.asarray(u)[..., :1] > 0.5, np.nan, f(k, x, u, w))
+    def f_nan_above(x, u, w):
+        return np.where(np.asarray(u)[..., :1] > 0.5, np.nan, f(x, u, w))
 
     return replace(prob, model=replace(prob.model, f=f_nan_above))
 
@@ -352,5 +351,3 @@ def test_solve_options_rejects_bad_settings():
         SolveOptions(mode="stochastic")
     with pytest.raises(ValueError):
         SolveOptions(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(backtrack_factor=1.0)

@@ -187,8 +187,8 @@ def _growing_problem_with_bad_jacobian(limit=5.0):
                                np.eye(2), horizon=2)
     good_jac = prob.model.f_jac
 
-    def f_jac(k, x, u, w):
-        A, B, G = good_jac(k, x, u, w)
+    def f_jac(x, u, w):
+        A, B, G = good_jac(x, u, w)
         if np.any(np.asarray(x)[..., 1] > limit):
             A = np.full(A.shape, np.nan)
         return A, B, G

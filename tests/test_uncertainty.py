@@ -60,7 +60,7 @@ def test_rollout_output_is_state_at_zero_noise():
     prob = make_unicycle_problem(standard_unicycle_params(horizon=1))
     traj = nominal_rollout(prob.model, np.zeros(3), np.array([[0.0, 1.0]]))
     assert_allclose(traj.states[1], [0.0, 0.0, 0.3], atol=1e-15)
-    assert_allclose(prob.model.g(1, traj.states[1], np.zeros(3)), traj.states[1], atol=0)
+    assert_allclose(prob.model.g(traj.states[1], np.zeros(3)), traj.states[1], atol=0)
 
 
 def test_rollout_resimulation_invariant(unicycle_problem):
@@ -70,18 +70,26 @@ def test_rollout_resimulation_invariant(unicycle_problem):
     traj = nominal_rollout(m, np.array([1.0, 1.0, np.pi]), u)
     for k in range(10):
         assert_allclose(
-            traj.states[k + 1], m.f(k, traj.states[k], u[k], np.zeros(3)), atol=1e-12
+            traj.states[k + 1], m.f(traj.states[k], u[k], np.zeros(3)), atol=1e-12
         )
 
 
 def test_rollout_names_diverging_stage():
-    def f(k, x, u, w):
+    def f(x, u, w):
         with np.errstate(over="ignore"):
             return x * 1e200  # overflows to inf on the second step
 
+    def f_jac(x, u, w):
+        one = np.ones(x.shape + (1,))
+        return 1e200 * one, 0.0 * one, 0.0 * one
+
+    def g_jac(x, v):
+        one = np.ones(x.shape + (1,))
+        return one, 0.0 * one
+
     model = SystemModel(
         n_x=1, n_u=1, n_w=1, n_v=1, n_y=1, horizon=3,
-        f=f, g=lambda k, x, v: x,
+        f=f, g=lambda x, v: x, f_jac=f_jac, g_jac=g_jac, state_names=("x",),
     )
     with pytest.raises(RolloutError, match="stage 2"):
         nominal_rollout(model, np.array([1.0]), np.zeros((3, 1)))
@@ -134,6 +142,29 @@ def test_unicycle_output_linearization_on_axis():
     assert_allclose(lin.D[0], 0.01 * np.eye(3), atol=1e-12)  # sigma_y = 1 on the axis
 
 
+@pytest.mark.parametrize("kind", ["unicycle", "linear"])
+def test_folded_linearization_matches_stage_by_stage_jacobians(unicycle_problem, kind):
+    rng = np.random.default_rng(17)
+    if kind == "unicycle":
+        model = unicycle_problem.model
+        x0 = np.array([1.0, 1.0, np.pi])
+    else:
+        model = make_linear_problem(
+            0.5 * rng.normal(size=(3, 3)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2)),
+            rng.normal(size=(2, 3)), rng.normal(size=(2, 2)),
+            np.eye(3), np.eye(2), np.eye(3), horizon=10,
+        ).model
+        x0 = rng.normal(size=3)
+    traj = nominal_rollout(model, x0, rng.uniform(-1, 1, size=(10, model.n_u)))
+    lin = linearize_trajectory(model, traj)
+    w0, v0 = np.zeros(model.n_w), np.zeros(model.n_v)
+    for k in range(10):
+        A, B, G = model.f_jac(traj.states[k], traj.controls[k], w0)
+        C, D = model.g_jac(traj.states[k + 1], v0)
+        for name, ref in zip("ABGCD", (A, B, G, C, D)):
+            assert_allclose(getattr(lin, name)[k], ref, atol=0, rtol=0, err_msg=f"{name}[{k}]")
+
+
 def _stencil_controls(rng, N=10, n_u=2):
     """A centre control sequence followed by its central-difference rows."""
     centre = rng.uniform(-1, 1, size=(N, n_u))
@@ -151,9 +182,9 @@ def _counting_model(model):
     """The model with f_jac recording how many points each call receives."""
     seen = []
 
-    def f_jac(k, x, u, w):
+    def f_jac(x, u, w):
         seen.append(int(np.prod(x.shape[:-1])))
-        return model.f_jac(k, x, u, w)
+        return model.f_jac(x, u, w)
 
     return replace(model, f_jac=f_jac), seen
 
