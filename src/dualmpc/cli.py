@@ -64,12 +64,10 @@ def _stage_table(config: ExperimentConfig, result: SolveResult) -> tuple[list[st
     uncertainty, in every mode (a ``nominal`` solve ignores it).
     """
     problem = config.problem
-    cs = problem.constraints
     ev = ObjectiveEvaluator(problem, config.sim_config.init_mean, config.sim_config.init_cov)
     pred = ev.prediction(result.policy.u_nom)
     aug = propagate_covariance(pred.lin, result.policy, pred.filter_gains, ev.P_hat_0)
-    N = problem.model.horizon
-    n_h_max = max([cs.terminal_count, *cs.stage_counts], default=0)
+    n_h_max = pred.h.shape[-1]
 
     names = problem.model.state_names
     header = ["stage"]
@@ -80,9 +78,9 @@ def _stage_table(config: ExperimentConfig, result: SolveResult) -> tuple[list[st
     header += [f"beta_{i}" for i in range(n_h_max)]
 
     rows = []
-    for k in range(N + 1):
+    for k, count in enumerate(ev.counts):
         x = pred.traj.states[k]
-        h = pred.h_stage[k, : cs.stage_counts[k]] if k < N else pred.h_term
+        h = pred.h[k, :count]
         beta = np.asarray(result.beta[k])
         row = [str(k)]
         row += [_fmt(v) for v in x]

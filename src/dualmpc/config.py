@@ -79,7 +79,6 @@ _SCHEMA = {
         "mode": "word",
         "tolerance": "float",
         "max_iterations": "int",
-        "fd_step": "float",
         "eps_sigma": "float",
         "eps_feedback": "float",
     },
@@ -285,7 +284,6 @@ def _solve_options(path: Path, solver: _Section, mode: str) -> SolveOptions:
             mode=mode,
             tolerance=solver.number("tolerance", 1e-6),
             max_iterations=solver.integer("max_iterations", 500),
-            fd_step=solver.number("fd_step", 1e-6),
             eps_sigma=solver.number("eps_sigma", 1e-3),
             eps_K=solver.number("eps_feedback", 1e-4),
         )
@@ -349,11 +347,14 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(
                 f"{path}: unknown controller {name!r}; pick from {sorted(MODES)}"
             )
-    sim_solver_options = dataclasses.replace(
-        solver_options,
-        tolerance=sim.number("solver_tolerance", solver_options.tolerance),
-        max_iterations=sim.integer("solver_max_iterations", solver_options.max_iterations),
-    )
+    sim_tolerance = sim.number("solver_tolerance", solver_options.tolerance)
+    sim_max_iterations = sim.integer("solver_max_iterations", solver_options.max_iterations)
+    try:
+        sim_solver_options = dataclasses.replace(
+            solver_options, tolerance=sim_tolerance, max_iterations=sim_max_iterations
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: invalid simulation solver options: {exc}") from exc
 
     out = _section(path, sections, "output")
     output_dir = out.word("directory", "results")

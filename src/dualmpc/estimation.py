@@ -69,7 +69,7 @@ def ekf_update(model: SystemModel, belief: BeliefState, y: Array, stage: int = 0
     v0 = np.zeros(model.n_v)
     C, D = model.g_jac(belief.mean, v0)
     S = C @ belief.cov @ C.T + D @ D.T
-    gain_t, _ = chol_solve_spd(S, C @ belief.cov, context=f"EKF innovation covariance at stage {stage}")
+    gain_t = chol_solve_spd(S, C @ belief.cov, context=f"EKF innovation covariance at stage {stage}")
     gain = gain_t.T
     innovation = y - model.g(belief.mean, v0)
     mean_next = belief.mean + gain @ innovation

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx, ndtr
 
-from .model import Array, ControlProblem
+from .model import Array, ControlProblem, ModelError
 from .uncertainty import (
     NominalTrajectory,
     Policy,
@@ -165,17 +165,16 @@ class Prediction:
     controls (not on the feedback gains): the rollout, its linearization,
     the filter gains, nominal cost and nominal constraint values.
 
-    Stage constraint values/gradients are stored padded to the maximum
-    per-stage constraint count so the penalty evaluates in one vectorized
-    pass; padded rows carry zero weight (see ObjectiveEvaluator).
+    Constraint values/gradients are stored for stages 0..N, the terminal
+    rows as stage N with zero gradient in u, padded to the widest stage so
+    the penalty evaluates in one vectorized pass; padded rows carry zero
+    weight (see ObjectiveEvaluator).
     """
 
     traj: NominalTrajectory
     nominal_cost: Array
-    h_stage: Array  # (.., N, H_max) padded stage constraint values
-    h_stage_grads: Array  # (.., N, H_max, n_z)
-    h_term: Array  # (.., n_h_N)
-    h_term_grads: Array  # (.., n_h_N, n_x)
+    h: Array  # (.., N+1, H_max) padded constraint values
+    h_grads: Array  # (.., N+1, H_max, n_z)
     lin: StageLinearization | None = None
     filter_gains: Array | None = None
 
@@ -186,10 +185,8 @@ class Prediction:
                 states=self.traj.states[index], controls=self.traj.controls[index]
             ),
             nominal_cost=self.nominal_cost[index],
-            h_stage=self.h_stage[index],
-            h_stage_grads=self.h_stage_grads[index],
-            h_term=self.h_term[index],
-            h_term_grads=self.h_term_grads[index],
+            h=self.h[index],
+            h_grads=self.h_grads[index],
             lin=None if self.lin is None else StageLinearization(
                 A=self.lin.A[index], B=self.lin.B[index], G=self.lin.G[index],
                 C=self.lin.C[index], D=self.lin.D[index],
@@ -203,9 +200,11 @@ class ObjectiveEvaluator:
 
     Composes: nominal rollout -> trajectory linearization -> Kalman
     recursion -> augmented covariance propagation -> joint stage
-    covariances -> exact expectations.  With ``include_uncertainty=False``
-    all covariance terms are dropped but constraints keep the minimum
-    smoothing eps_sigma, which is the nominal-controller objective.
+    covariances -> exact expectations.  The terminal cost and constraints
+    are stage N of the same tables, with joint covariance [[P_N, 0], [0, 0]].
+    With ``include_uncertainty=False`` (the nominal-controller objective)
+    every joint covariance and the feedback regularization are zero, so
+    constraints keep only the minimum smoothing eps_sigma.
 
     All methods broadcast over leading batch dimensions of the nominal
     controls and/or feedback gains; a batch of gain perturbations can share
@@ -230,62 +229,70 @@ class ObjectiveEvaluator:
         self.x0 = np.asarray(x0, dtype=float)
         self.P_hat_0 = 0.5 * (np.asarray(P_hat_0, dtype=float) + np.asarray(P_hat_0, dtype=float).T)
         self.eps_sigma = eps_sigma
-        self.eps_K = eps_K
+        self.eps_K = eps_K if include_uncertainty else 0.0
         self.include_uncertainty = include_uncertainty
-        # Per-stage constraint counts are ragged; pad to the widest stage
-        # with zero-weight rows so the penalty evaluates in one pass.
-        cs = problem.constraints
-        N = problem.model.horizon
-        self._h_max = max(cs.stage_counts, default=0)
-        self._stage_weight_pad = np.zeros((N, self._h_max))
-        for k, count in enumerate(cs.stage_counts):
-            self._stage_weight_pad[k, :count] = cs.stage_weights[k]
+        # Stages 0..N-1 plus the terminal stage N.  Constraint counts are
+        # ragged; pad to the widest stage with zero-weight rows so the
+        # penalty evaluates in one pass.
+        model, cost, cs = problem.model, problem.cost, problem.constraints
+        N, n_x = model.horizon, model.n_x
+        self.counts = (*cs.stage_counts, cs.terminal_count)
+        self._h_max = max(self.counts)
+        self._weights = np.zeros((N + 1, self._h_max))
+        for k, w in enumerate((*cs.stage_weights, cs.terminal_weights)):
+            self._weights[k, : self.counts[k]] = w
+        n_z = n_x + model.n_u
+        self._hessians = np.zeros((N + 1, n_z, n_z))
+        self._hessians[:N] = cost.stage_hessians
+        self._hessians[N, :n_x, :n_x] = cost.terminal_hessian
 
     def prediction(self, u_nom: Array) -> Prediction:
         problem = self.problem
         model = problem.model
         cs = problem.constraints
+        N = model.horizon
+        stages = np.shape(u_nom)[-2]
+        if stages != N:
+            raise ModelError(f"control sequence has {stages} stages, but the model horizon is {N}")
         traj = nominal_rollout(model, self.x0, u_nom)
-        N = traj.horizon
         xs = traj.states
         us = traj.controls
         batch = xs.shape[:-2]
-        n_z = model.n_x + model.n_u
+        n_x = model.n_x
         nominal_cost = problem.cost.terminal_value(xs[..., N, :])
         # padded rows keep a harmless negative value; their weight is zero
-        h_stage = np.full(batch + (N, self._h_max), -1.0)
-        h_grads = np.zeros(batch + (N, self._h_max, n_z))
+        h = np.full(batch + (N + 1, self._h_max), -1.0)
+        h_grads = np.zeros(batch + (N + 1, self._h_max, n_x + model.n_u))
         for k in range(N):
             nominal_cost = nominal_cost + problem.cost.stage_value(k, xs[..., k, :], us[..., k, :])
-            count = cs.stage_counts[k]
+            count = self.counts[k]
             if count:
-                h_stage[..., k, :count] = cs.stage_values(k, xs[..., k, :], us[..., k, :])
+                h[..., k, :count] = cs.stage_values(k, xs[..., k, :], us[..., k, :])
                 h_grads[..., k, :count, :] = cs.stage_gradients(k, xs[..., k, :], us[..., k, :])
-        h_term = cs.terminal_values(xs[..., N, :])
-        h_term_grads = cs.terminal_gradients(xs[..., N, :])
+        count = self.counts[N]
+        if count:
+            h[..., N, :count] = cs.terminal_values(xs[..., N, :])
+            h_grads[..., N, :count, :n_x] = cs.terminal_gradients(xs[..., N, :])
         if not self.include_uncertainty:
-            return Prediction(
-                traj=traj, nominal_cost=nominal_cost,
-                h_stage=h_stage, h_stage_grads=h_grads,
-                h_term=h_term, h_term_grads=h_term_grads,
-            )
+            return Prediction(traj=traj, nominal_cost=nominal_cost, h=h, h_grads=h_grads)
         lin = linearize_trajectory(model, traj)
         filter_gains, _ = kalman_recursion(lin, self.P_hat_0)
         return Prediction(
-            traj=traj, nominal_cost=nominal_cost,
-            h_stage=h_stage, h_stage_grads=h_grads,
-            h_term=h_term, h_term_grads=h_term_grads,
+            traj=traj, nominal_cost=nominal_cost, h=h, h_grads=h_grads,
             lin=lin, filter_gains=filter_gains,
         )
 
-    def _stage_joint_covariances(self, pred: Prediction, feedback: Array):
-        """Joint (state, control) covariances for stages 0..N-1 plus the
-        terminal state covariance, vectorized over stages and batch."""
-        N = pred.traj.horizon
+    def _joint_covariances(self, pred: Prediction, feedback: Array) -> Array:
+        """Joint (state, control) covariances for stages 0..N, vectorized
+        over stages and batch: a zero gain at stage N gives [[P_N, 0], [0, 0]].
+        All zero without uncertainty."""
+        if pred.lin is None:
+            return np.zeros(self._hessians.shape)
         policy = Policy(u_nom=pred.traj.controls, feedback=feedback)
         K_all = policy.stage_gains()
         aug = propagate_covariance(pred.lin, policy, pred.filter_gains, self.P_hat_0)
-        return joint_covariance(aug.sigma[..., :N, :, :], K_all), aug.P[..., N, :, :]
+        K_N = np.zeros(K_all.shape[:-3] + (1,) + K_all.shape[-2:])
+        return joint_covariance(aug.sigma, np.concatenate([K_all, K_N], axis=-3))
 
     def parts_from_prediction(self, pred: Prediction, feedback: Array):
         """Objective components for (prediction, feedback-gain batch).
@@ -297,40 +304,14 @@ class ObjectiveEvaluator:
         return self._parts_and_beta(pred, feedback)[0]
 
     def _parts_and_beta(self, pred: Prediction, feedback: Array):
-        """:meth:`parts_from_prediction` plus the floored direction variances
-        (stage rows padded to the widest stage, then the terminal rows)."""
-        problem = self.problem
-        cost = problem.cost
-        N = pred.traj.horizon
-        eps2 = self.eps_sigma**2
-        w_term = problem.constraints.terminal_weights
-        n_term = pred.h_term.shape[-1]
-        beta_term = np.full(n_term, eps2)
-
-        if not self.include_uncertainty:
-            penalty = np.sum(
-                self._stage_weight_pad * expected_relu(pred.h_stage, self.eps_sigma),
-                axis=(-2, -1),
-            )
-            if n_term:
-                penalty = penalty + penalty_total(pred.h_term, beta_term, w_term, self.eps_sigma)
-            zeros = np.zeros(np.shape(pred.nominal_cost))
-            parts = pred.nominal_cost, zeros, np.broadcast_to(penalty, np.shape(pred.nominal_cost)), zeros
-            return parts, np.full((N, self._h_max), eps2), beta_term
-
+        """:meth:`parts_from_prediction` plus the floored direction variances,
+        padded like ``pred.h`` (stages 0..N)."""
         feedback = np.asarray(feedback, dtype=float)
-        joint, P_N = self._stage_joint_covariances(pred, feedback)
-        variance = 0.5 * np.einsum("kij,...kji->...", cost.stage_hessians, joint)
-        variance = variance + 0.5 * np.einsum("ij,...ji->...", cost.terminal_hessian, P_N)
-        H_dir = np.einsum("...khi,...kij,...khj->...kh", pred.h_stage_grads, joint, pred.h_stage_grads)
+        joint = self._joint_covariances(pred, feedback)
+        variance = 0.5 * np.einsum("kij,...kji->...", self._hessians, joint)
+        H_dir = constraint_direction_variance(pred.h_grads, joint[..., None, :, :])
         beta = floored_variance(H_dir, self.eps_sigma)
-        penalty = np.sum(
-            self._stage_weight_pad * expected_relu(pred.h_stage, np.sqrt(beta)), axis=(-2, -1)
-        )
-        if n_term:
-            H_term = constraint_direction_variance(pred.h_term_grads, P_N[..., None, :, :])
-            beta_term = floored_variance(H_term, self.eps_sigma)
-            penalty = penalty + penalty_total(pred.h_term, beta_term, w_term, self.eps_sigma)
+        penalty = np.sum(self._weights * expected_relu(pred.h, np.sqrt(beta)), axis=(-2, -1))
         reg = feedback_regularization(feedback, self.eps_K)
         nominal = pred.nominal_cost
         shape = np.broadcast_shapes(
@@ -342,7 +323,7 @@ class ObjectiveEvaluator:
             np.broadcast_to(penalty, shape),
             np.broadcast_to(reg, shape),
         )
-        return parts, beta, beta_term
+        return parts, beta
 
     def totals(self, u_nom: Array, feedback: Array) -> tuple[Array, Prediction]:
         """Total objective for batched (u_nom, feedback), and the prediction
@@ -352,21 +333,17 @@ class ObjectiveEvaluator:
         parts = self.parts_from_prediction(pred, feedback)
         return parts[0] + parts[1] + parts[2] + parts[3], pred
 
-    def breakdown(self, policy: Policy) -> ObjectiveBreakdown:
-        """Scalar objective decomposition for a single (unbatched) policy."""
-        return self.breakdown_and_beta(policy)[0]
-
     def breakdown_and_beta(self, policy: Policy) -> tuple[ObjectiveBreakdown, list]:
-        """:meth:`breakdown` and the floored direction variances (the
-        eliminated slack values) of a single policy, from one prediction.
+        """Scalar objective decomposition of a single (unbatched) policy and
+        its floored direction variances (the eliminated slack values), from
+        one prediction.
 
         The variances come as a list with one entry per stage 0..N-1 plus
         the terminal entry.
         """
         pred = self.prediction(policy.u_nom)
-        parts, beta, beta_term = self._parts_and_beta(pred, policy.feedback)
-        counts = self.problem.constraints.stage_counts
-        return ObjectiveBreakdown.assemble(*parts), [beta[k, :c] for k, c in enumerate(counts)] + [beta_term]
+        parts, beta = self._parts_and_beta(pred, policy.feedback)
+        return ObjectiveBreakdown.assemble(*parts), [beta[k, :c] for k, c in enumerate(self.counts)]
 
 
 def total_objective(
@@ -382,4 +359,4 @@ def total_objective(
     ev = ObjectiveEvaluator(
         problem, x0, P_hat_0, eps_sigma=eps_sigma, eps_K=eps_K, include_uncertainty=include_uncertainty
     )
-    return ev.breakdown(policy)
+    return ev.breakdown_and_beta(policy)[0]

@@ -39,6 +39,8 @@ MODES = ("nominal", "open_loop", "output_feedback")
 
 _CURVATURE_SKIP_LIMIT = 3
 _BOUND_EPS = 1e-10
+# Relative step of the central-difference gradient: h_i = 1e-6 (1 + |theta_i|).
+_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,18 @@ class SolveOptions:
     mode: str = "output_feedback"
     max_iterations: int = 500
     tolerance: float = 1e-6
-    fd_step: float = 1e-6
     eps_sigma: float = 1e-3
     eps_K: float = 1e-4
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.tolerance <= 0 or self.fd_step <= 0:
-            raise ValueError("tolerance and fd_step must be positive")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if self.tolerance <= 0 or self.eps_sigma <= 0:
+            raise ValueError("tolerance and eps_sigma must be positive")
+        if self.eps_K < 0:
+            raise ValueError(f"eps_K must be nonnegative, got {self.eps_K}")
 
 
 @dataclass(frozen=True)
@@ -139,10 +144,10 @@ def _stencil(theta: Array, step: float) -> tuple[Array, Array]:
     return rows, h
 
 
-def _evaluate(ev: ObjectiveEvaluator, var: _Variables, points: Array, fd_step: float | None = None):
+def _evaluate(ev: ObjectiveEvaluator, var: _Variables, points: Array, stencil_step: float | None = None):
     """Objective totals at ``points`` from one ``ObjectiveEvaluator.totals`` batch.
 
-    With ``fd_step`` the control rows of the central-difference stencil around
+    With ``stencil_step`` the control rows of the central-difference stencil around
     points[0] join the batch, and the second return value, called with the
     total f0 at points[0], returns the gradient and the per-coordinate
     curvature there.  Its gain rows share the prediction at points[0] (exact,
@@ -150,15 +155,15 @@ def _evaluate(ev: ObjectiveEvaluator, var: _Variables, points: Array, fd_step: f
     curvatures are second differences around f0 that come for free; they
     seed the quasi-Newton metric, which matters enormously on instances
     mixing near-flat control directions with stiff penalty walls.  Without
-    ``fd_step`` the second value is None.
+    ``stencil_step`` the second value is None.
     """
     n = points.shape[0]
     rows = points
-    if fd_step is not None:
-        stencil, h = _stencil(points[0], fd_step)
+    if stencil_step is not None:
+        stencil, h = _stencil(points[0], stencil_step)
         rows = np.concatenate([points, stencil[: 2 * var.n_u_vars]])
     totals, pred = ev.totals(*var.unpack_batch(rows))
-    if fd_step is None:
+    if stencil_step is None:
         return totals, None
 
     def gradient_at(f0: float) -> tuple[Array, Array]:
@@ -207,12 +212,12 @@ _LS_CHUNK = 12
 _TRIAL_ERRORS = (RolloutError, LinearizationError, SingularInnovationError, ModelError)
 
 
-def _evaluate_trials(ev: ObjectiveEvaluator, var: _Variables, trials: Array, fd_step: float | None):
+def _evaluate_trials(ev: ObjectiveEvaluator, var: _Variables, trials: Array, stencil_step: float | None):
     """:func:`_evaluate` over line-search trials.  If the batch fails, each
     trial is re-evaluated on its own without the stencil, and a trial that
     fails alone scores +inf, so backtracking rejects it."""
     try:
-        return _evaluate(ev, var, trials, fd_step)
+        return _evaluate(ev, var, trials, stencil_step)
     except _TRIAL_ERRORS:
         pass
     totals = np.full(trials.shape[0], np.inf)
@@ -225,7 +230,7 @@ def _evaluate_trials(ev: ObjectiveEvaluator, var: _Variables, trials: Array, fd_
 
 
 def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array,
-                   direction: Array, fd_step: float | None = None):
+                   direction: Array, stencil_step: float | None = None):
     """Backtracking Armijo search along the projection arc.
 
     Candidate step sizes form the usual geometric sequence, but they are
@@ -233,7 +238,7 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array,
     one objective call per trial; the first (largest) passing step is
     returned, so the result is identical to sequential backtracking.
 
-    With ``fd_step`` the first chunk also carries the control rows of the
+    With ``stencil_step`` the first chunk also carries the control rows of the
     finite-difference stencil around its first trial, the full step.  If
     that trial is accepted, its gradient and curvature come back as well
     (see _evaluate), so the next iteration needs no prediction pass of its
@@ -253,7 +258,7 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array,
         decreases = (trials - theta) @ g
         if not np.any(decreases < 0.0):
             continue
-        totals, gradient_at = _evaluate_trials(ev, var, trials, fd_step if start == 0 else None)
+        totals, gradient_at = _evaluate_trials(ev, var, trials, stencil_step if start == 0 else None)
         ok = (decreases < 0.0) & (totals <= f + _ARMIJO_C * decreases)
         if np.any(ok):
             idx = int(np.argmax(ok))  # first True = largest passing step
@@ -335,7 +340,7 @@ def solve(
         theta0 = np.zeros(var.size)
     theta = var.project(theta0)
 
-    totals0, gradient_at = _evaluate(ev, var, theta[None], opts.fd_step)
+    totals0, gradient_at = _evaluate(ev, var, theta[None], _FD_STEP)
     f = float(totals0[0])
     g, curv = gradient_at(f)
     del gradient_at  # keep no prediction alive beyond its iteration
@@ -368,12 +373,12 @@ def solve(
             d = -H @ g_masked
             d[g_masked == 0.0] = 0.0
 
-        fd_step = opts.fd_step if full_step else None
+        stencil_step = _FD_STEP if full_step else None
         for direction in (d, -g_masked / gnorm):
-            trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction, fd_step)
+            trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction, stencil_step)
             if index >= 0:
                 break
-            fd_step = None
+            stencil_step = None
             H = _diag_metric(curv, gnorm)  # quasi-Newton direction failed
         if index < 0:
             status = "line_search_failure"
@@ -382,7 +387,7 @@ def solve(
 
         if gradient is None:
             try:
-                gradient = _fd_gradient(ev, var, trial, opts.fd_step, f_trial)
+                gradient = _fd_gradient(ev, var, trial, _FD_STEP, f_trial)
             except _TRIAL_ERRORS:  # the stencil around the trial crosses a failure boundary
                 status = "line_search_failure"
                 break

@@ -51,9 +51,6 @@ def chol_solve_spd(S: Array, rhs: Array, context: str = "linear solve"):
     Adds an escalating diagonal jitter (1e-12, x10 per attempt, up to 1e-6)
     before giving up, which keeps degenerate zero-noise corner cases usable.
 
-    Returns:
-        (X, jitter_used).
-
     Raises:
         SingularInnovationError: if S stays non-PD at the largest jitter.
     """
@@ -76,8 +73,7 @@ def chol_solve_spd(S: Array, rhs: Array, context: str = "linear solve"):
                 jitter *= 10.0
     # Two triangular solves; L is (..., n, n), rhs (..., n, m).
     y = np.linalg.solve(L, rhs)
-    x = np.linalg.solve(np.swapaxes(L, -1, -2), y)
-    return x, jitter
+    return np.linalg.solve(np.swapaxes(L, -1, -2), y)
 
 
 @dataclass(frozen=True)
@@ -149,8 +145,8 @@ class AugmentedCovariance:
     """Covariance of the stacked vector (x_k - x_nom_k, xhat_k - x_k).
 
     ``sigma`` has shape (.., N+1, 2*n_x, 2*n_x); the named blocks are the
-    true-state deviation covariance P, the estimation-error covariance
-    P_hat, and their cross term.
+    true-state deviation covariance P and the estimation-error covariance
+    P_hat.
     """
 
     sigma: Array
@@ -163,10 +159,6 @@ class AugmentedCovariance:
     @property
     def P_hat(self) -> Array:
         return self.sigma[..., self.n_x :, self.n_x :]
-
-    @property
-    def cross(self) -> Array:
-        return self.sigma[..., : self.n_x, self.n_x :]
 
 
 def nominal_rollout(model: SystemModel, x0: Array, u_nom: Array) -> NominalTrajectory:
@@ -276,7 +268,7 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array) -> tuple[Array, Ar
         P_minus = symmetrize(A @ P @ A_T[..., k, :, :] + GGt[..., k, :, :])
         S = C @ P_minus @ C_T[..., k, :, :] + DDt[..., k, :, :]
         # K = P- C' S^{-1}  <=>  S K' = C P-   (S symmetric).
-        K_T, _ = chol_solve_spd(symmetrize(S), C @ P_minus, context=f"innovation covariance at stage {k + 1}")
+        K_T = chol_solve_spd(symmetrize(S), C @ P_minus, context=f"innovation covariance at stage {k + 1}")
         K = np.swapaxes(K_T, -1, -2)
         P = symmetrize((eye - K @ C) @ P_minus)
         gains[..., k, :, :] = K

@@ -175,6 +175,25 @@ def test_invalid_linear_model_is_a_config_error(tmp_path, old, new, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("[solver]\neps_sigma = 0\n", "eps_sigma must be positive"),
+    ("[solver]\neps_feedback = -1\n", "eps_K must be nonnegative"),
+    ("solver_tolerance = 0\n", "tolerance and eps_sigma must be positive"),
+    ("[solver]\nmax_iterations = -3\n", "max_iterations must be at least 1"),
+])
+def test_bad_solver_setting_is_a_config_error(tmp_path, capsys, extra, message):
+    """Rejected by load_config, so the CLI exits 2 with one error line and
+    writes nothing (MINIMAL_UNICYCLE ends inside [simulation])."""
+    path = _write(tmp_path, MINIMAL_UNICYCLE + extra)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    capsys.readouterr()
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match=r"cannot read config"):
         load_config(tmp_path / "nope.cfg")

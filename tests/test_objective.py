@@ -5,18 +5,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dualmpc import (
+    ModelError,
     ObjectiveEvaluator,
     Policy,
     constraint_direction_variance,
     expected_quadratic,
     expected_relu,
     feedback_regularization,
+    joint_covariance,
     kalman_recursion,
     linearize_trajectory,
     make_linear_problem,
     make_unicycle_problem,
     nominal_rollout,
     penalty_total,
+    propagate_covariance,
     total_objective,
 )
 
@@ -310,3 +313,95 @@ def test_totals_of_line_search_batch_match_rows_bitwise():
     totals = ev.totals(u, fb)[0]
     rows = np.array([ev.totals(u[i], fb[i])[0] for i in range(52)])
     assert_allclose(totals, rows, atol=0, rtol=0)
+
+
+@pytest.mark.parametrize("stages", [3, 0])
+def test_prediction_rejects_control_sequence_off_the_horizon(stages):
+    prob = make_unicycle_problem(standard_unicycle_params())
+    ev = ObjectiveEvaluator(prob, np.array([1.0, 1.0, np.pi]), 0.01 * np.eye(3))
+    with pytest.raises(ModelError, match=rf"has {stages} stages, but the model horizon is 10"):
+        ev.prediction(np.zeros((stages, 2)))
+
+
+# ------------------------------------------------- stage-N assembly reference
+
+def _reference_parts(problem, x0, P0, policy, eps_sigma, eps_K):
+    """Objective parts and direction variances of one policy, summed stage by
+    stage from the public pipeline, with the terminal stage as a separate term."""
+    model, cost, cs = problem.model, problem.cost, problem.constraints
+    N = model.horizon
+    eps2 = eps_sigma**2
+    traj = nominal_rollout(model, x0, policy.u_nom)
+    lin = linearize_trajectory(model, traj)
+    gains, _ = kalman_recursion(lin, P0)
+    aug = propagate_covariance(lin, policy, gains, P0)
+    K_all = policy.stage_gains()
+    nominal, variance, penalty, betas = 0.0, 0.0, 0.0, []
+    for k in range(N):
+        x, u = traj.states[k], traj.controls[k]
+        joint = joint_covariance(aug.sigma[k], K_all[k])
+        nominal += cost.stage_value(k, x, u)
+        variance += 0.5 * np.trace(cost.stage_hessians[k] @ joint)
+        beta = np.maximum(constraint_direction_variance(cs.stage_gradients(k, x, u), joint), eps2)
+        penalty += np.sum(cs.stage_weights[k] * expected_relu(cs.stage_values(k, x, u), np.sqrt(beta)))
+        betas.append(beta)
+    x_N, P_N = traj.states[N], aug.P[N]
+    nominal += cost.terminal_value(x_N)
+    variance += 0.5 * np.trace(cost.terminal_hessian @ P_N)
+    beta = np.maximum(constraint_direction_variance(cs.terminal_gradients(x_N), P_N), eps2)
+    penalty += np.sum(cs.terminal_weights * expected_relu(cs.terminal_values(x_N), np.sqrt(beta)))
+    betas.append(beta)
+    reg = eps_K * np.sum(np.asarray(policy.feedback) ** 2)
+    return (nominal, variance, penalty, reg), betas
+
+
+def _assembly_cases():
+    """A linear problem with a nonzero terminal Hessian, and the unicycle
+    near its r_x wall so that stage and terminal penalties are live."""
+    rng = np.random.default_rng(41)
+    lin_prob = make_linear_problem(
+        np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([[0.005], [0.1]]), 0.15 * np.eye(2),
+        np.eye(2), 0.3 * np.eye(2), np.diag([1.0, 0.5]), np.array([[0.4]]),
+        np.array([[2.0, 0.3], [0.3, 1.0]]), horizon=5,
+    )
+    uni_prob = make_unicycle_problem(standard_unicycle_params(horizon=6))
+    return [
+        (lin_prob, np.array([1.0, -0.5]), 0.2 * np.eye(2), rng.normal(0, 0.5, size=(5, 1))),
+        (uni_prob, np.array([0.05, 0.8, np.pi]), 0.01 * np.eye(3), rng.uniform(-1.5, 1.5, size=(6, 2))),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+@pytest.mark.parametrize("mode", ["open_loop", "output_feedback"])
+def test_stage_n_assembly_matches_stage_by_stage_reference(case, mode):
+    prob, x0, P0, u = _assembly_cases()[case]
+    n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
+    rng = np.random.default_rng(43)
+    scale = 0.0 if mode == "open_loop" else 0.2
+    fb_batch = scale * rng.normal(size=(3, N - 1, n_u, n_x))
+    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=1e-3, eps_K=1e-4)
+    parts = ev.parts_from_prediction(ev.prediction(u), fb_batch)
+    for i, fb in enumerate(fb_batch):
+        policy = Policy(u_nom=u, feedback=fb)
+        ref_parts, ref_betas = _reference_parts(prob, x0, P0, policy, 1e-3, 1e-4)
+        assert_allclose([p[i] for p in parts], ref_parts, rtol=1e-12, atol=0)
+        _, betas = ev.breakdown_and_beta(policy)
+        assert len(betas) == N + 1
+        for beta, ref in zip(betas, ref_betas):
+            assert_allclose(beta, ref, rtol=1e-12, atol=0)
+    if case == 1:
+        assert np.all(parts[2] > 1e-6)  # the penalty is live
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_nominal_assembly_has_zero_variance_and_floored_beta(case):
+    prob, x0, P0, u = _assembly_cases()[case]
+    n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
+    fb = 0.2 * np.random.default_rng(44).normal(size=(N - 1, n_u, n_x))
+    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=1e-3, eps_K=1e-4, include_uncertainty=False)
+    bd, betas = ev.breakdown_and_beta(Policy(u_nom=u, feedback=fb))
+    assert bd.variance_cost == 0.0 and bd.regularization == 0.0
+    assert [b.size for b in betas] == [*prob.constraints.stage_counts, prob.constraints.terminal_count]
+    for beta in betas:
+        assert np.all(beta == 1e-3**2)
+

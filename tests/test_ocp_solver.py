@@ -20,7 +20,7 @@ from dualmpc import (
     solve,
     total_objective,
 )
-from dualmpc.ocp_solver import _armijo_search, _fd_gradient, _Variables
+from dualmpc.ocp_solver import _FD_STEP, _armijo_search, _fd_gradient, _Variables
 
 from conftest import standard_unicycle_params
 
@@ -256,12 +256,12 @@ def test_fused_line_search_gradient_equals_fd_gradient(mode):
     ])
     pol = var.unpack(theta)
     f = float(ev.totals(pol.u_nom, pol.feedback)[0])
-    g, _ = _fd_gradient(ev, var, theta, opts.fd_step, f)
+    g, _ = _fd_gradient(ev, var, theta, _FD_STEP, f)
     direction = -1e-3 * g / np.linalg.norm(g)
 
-    trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction, opts.fd_step)
+    trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction, _FD_STEP)
     assert index == 0 and gradient is not None
-    g_ref, curv_ref = _fd_gradient(ev, var, trial, opts.fd_step, f_trial)
+    g_ref, curv_ref = _fd_gradient(ev, var, trial, _FD_STEP, f_trial)
     assert np.array_equal(gradient[0], g_ref)
     assert np.array_equal(gradient[1], curv_ref)
 
