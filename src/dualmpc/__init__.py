@@ -17,7 +17,6 @@ from .model import (
     ModelError,
     QuadraticCost,
     SystemModel,
-    fd_jacobian,
     make_linear_problem,
     psd_sqrt,
     rk4_step,
@@ -31,7 +30,6 @@ from .objective import (
     expected_relu,
     feedback_regularization,
     floored_variance,
-    penalty_total,
     total_objective,
 )
 from .ocp_solver import MODES, SolveOptions, SolveResult, solve
@@ -52,7 +50,6 @@ from .uncertainty import (
     joint_covariance,
     kalman_recursion,
     linearize_trajectory,
-    luenberger_covariance,
     nominal_rollout,
     propagate_covariance,
 )
@@ -88,19 +85,16 @@ __all__ = [
     "ekf_update",
     "expected_quadratic",
     "expected_relu",
-    "fd_jacobian",
     "feedback_regularization",
     "floored_variance",
     "joint_covariance",
     "kalman_recursion",
     "linearize_trajectory",
     "load_config",
-    "luenberger_covariance",
     "make_linear_problem",
     "make_unicycle_problem",
     "noise_stream",
     "nominal_rollout",
-    "penalty_total",
     "propagate_covariance",
     "psd_sqrt",
     "rk4_step",

@@ -279,14 +279,16 @@ def _build_linear(path: Path, model: _Section) -> ControlProblem:
 
 
 def _solve_options(path: Path, solver: _Section, mode: str) -> SolveOptions:
+    # Read the values first: a malformed one is a ConfigError (a ValueError)
+    # that already names its line.
+    values = dict(
+        tolerance=solver.number("tolerance", 1e-6),
+        max_iterations=solver.integer("max_iterations", 500),
+        eps_sigma=solver.number("eps_sigma", 1e-3),
+        eps_K=solver.number("eps_feedback", 1e-4),
+    )
     try:
-        return SolveOptions(
-            mode=mode,
-            tolerance=solver.number("tolerance", 1e-6),
-            max_iterations=solver.integer("max_iterations", 500),
-            eps_sigma=solver.number("eps_sigma", 1e-3),
-            eps_K=solver.number("eps_feedback", 1e-4),
-        )
+        return SolveOptions(mode=mode, **values)
     except ValueError as exc:
         raise ConfigError(f"{path}: invalid solver options: {exc}") from exc
 
@@ -330,14 +332,13 @@ def load_config(path) -> ExperimentConfig:
         )
     if np.any(init_cov_diag < 0.0):
         raise ConfigError(f"{path}: init_cov_diag must be nonnegative")
+    counts = dict(
+        steps=sim.integer("steps", 20),
+        runs=sim.integer("runs", 20),
+        master_seed=sim.integer("master_seed", 0),
+    )
     try:
-        sim_config = SimConfig(
-            init_mean=init_mean,
-            init_cov=np.diag(init_cov_diag),
-            steps=sim.integer("steps", 20),
-            runs=sim.integer("runs", 20),
-            master_seed=sim.integer("master_seed", 0),
-        )
+        sim_config = SimConfig(init_mean=init_mean, init_cov=np.diag(init_cov_diag), **counts)
     except ValueError as exc:
         raise ConfigError(f"{path}: invalid simulation block: {exc}") from exc
 

@@ -54,39 +54,6 @@ def psd_sqrt(M: Array) -> Array:
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def fd_jacobian(fn: Callable[[Array], Array], at: Array, step: float = 1e-6) -> Array:
-    """Central-difference Jacobian of a vector map at a single point.
-
-    The step for column ``j`` is ``step * (1 + |at[j]|)``, which keeps the
-    perturbation meaningful for both small and large coordinates.  Matches
-    analytic Jacobians of smooth maps to O(step^2).
-
-    Raises:
-        ModelError: if the map returns non-finite values at a perturbed
-            point (the offending column is named).
-    """
-    at = np.asarray(at, dtype=float)
-    if at.ndim != 1:
-        raise ModelError(f"fd_jacobian expects a 1-d point, got shape {at.shape}")
-    base = np.asarray(fn(at), dtype=float)
-    if not np.all(np.isfinite(base)):
-        raise ModelError("fd_jacobian: map is non-finite at the evaluation point")
-    n = at.size
-    cols = []
-    for j in range(n):
-        h = step * (1.0 + abs(at[j]))
-        lo = at.copy()
-        hi = at.copy()
-        lo[j] -= h
-        hi[j] += h
-        f_hi = np.asarray(fn(hi), dtype=float)
-        f_lo = np.asarray(fn(lo), dtype=float)
-        if not (np.all(np.isfinite(f_hi)) and np.all(np.isfinite(f_lo))):
-            raise ModelError(f"fd_jacobian: non-finite evaluation perturbing column {j}")
-        cols.append((f_hi - f_lo) / (2.0 * h))
-    return np.stack(cols, axis=-1)
-
-
 def rk4_step(
     ode: Callable[[Array, Array, Array], Array],
     x: Array,

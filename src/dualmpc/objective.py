@@ -20,11 +20,14 @@ from .uncertainty import (
     NominalTrajectory,
     Policy,
     StageLinearization,
+    covariance_gain_adjoint,
     joint_covariance,
+    joint_map,
     kalman_recursion,
     linearize_trajectory,
     nominal_rollout,
     propagate_covariance,
+    symmetrize,
 )
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -112,15 +115,6 @@ def floored_variance(direction_variances: Array, eps_sigma: float) -> Array:
     return np.maximum(H, eps_sigma**2)
 
 
-def penalty_total(h_nom: Array, beta: Array, weights: Array, eps_sigma: float):
-    """Sum of weighted expected hinge penalties over the trailing axis.
-
-    ``beta`` is floored by :func:`floored_variance` before taking the square
-    root, so every constraint sees at least the minimum smoothing variance.
-    """
-    return np.sum(weights * expected_relu(h_nom, np.sqrt(floored_variance(beta, eps_sigma))), axis=-1)
-
-
 def feedback_regularization(feedback: Array, eps_K: float):
     """eps_K times the squared Frobenius norm of all feedback gains."""
     feedback = np.asarray(feedback, dtype=float)
@@ -179,19 +173,21 @@ class Prediction:
     filter_gains: Array | None = None
 
     def take(self, index: int) -> "Prediction":
-        """Select one element of the leading batch axis."""
+        """Select one element of the leading batch axis, as copies that keep
+        nothing of the batch alive."""
+        def pick(a: Array) -> Array:
+            return a[index].copy()
+
         return Prediction(
-            traj=NominalTrajectory(
-                states=self.traj.states[index], controls=self.traj.controls[index]
-            ),
-            nominal_cost=self.nominal_cost[index],
-            h=self.h[index],
-            h_grads=self.h_grads[index],
+            traj=NominalTrajectory(states=pick(self.traj.states), controls=pick(self.traj.controls)),
+            nominal_cost=pick(self.nominal_cost),
+            h=pick(self.h),
+            h_grads=pick(self.h_grads),
             lin=None if self.lin is None else StageLinearization(
-                A=self.lin.A[index], B=self.lin.B[index], G=self.lin.G[index],
-                C=self.lin.C[index], D=self.lin.D[index],
+                A=pick(self.lin.A), B=pick(self.lin.B), G=pick(self.lin.G),
+                C=pick(self.lin.C), D=pick(self.lin.D),
             ),
-            filter_gains=None if self.filter_gains is None else self.filter_gains[index],
+            filter_gains=None if self.filter_gains is None else pick(self.filter_gains),
         )
 
 
@@ -324,6 +320,42 @@ class ObjectiveEvaluator:
             np.broadcast_to(reg, shape),
         )
         return parts, beta
+
+    def gain_gradient(self, pred: Prediction, feedback: Array) -> Array:
+        """Exact derivative of the total objective with respect to the
+        feedback gains K_1..K_{N-1}, at one unbatched prediction that carries
+        the filter (``include_uncertainty=True``).
+
+        Reverse mode through the stage 0..N assembly.  With T_k the joint map
+        of stage k and sigma_k its augmented covariance, the objective reads
+        the joint covariance T_k sigma_k T_k' through
+            M_k = H_k / 2 + sum_i c_ki g_ki g_ki',
+            c_ki = w_ki pdf(h_ki / s_ki) / (2 s_ki),
+        the derivative with respect to the joint covariance (s_ki is the
+        floored standard deviation; c_ki is 0 where the floor is active,
+        including padded rows).  That gives dJ/dsigma_k = T_k' M_k T_k and
+        dJ/dT_k = 2 M_k T_k sigma_k, which
+        :func:`~dualmpc.uncertainty.covariance_gain_adjoint` carries back
+        through the covariance recursion; the regularizer adds 2 eps_K K.
+        """
+        feedback = np.asarray(feedback, dtype=float)
+        n_x = self.problem.model.n_x
+        policy = Policy(u_nom=pred.traj.controls, feedback=feedback)
+        K_all = policy.stage_gains()
+        sigma = propagate_covariance(pred.lin, policy, pred.filter_gains, self.P_hat_0).sigma
+        T = joint_map(np.concatenate([K_all, np.zeros((1,) + K_all.shape[1:])]))
+        T_t = np.swapaxes(T, -1, -2)
+        joint = T @ sigma @ T_t
+        direction = constraint_direction_variance(pred.h_grads, joint[:, None])
+        std = np.sqrt(floored_variance(direction, self.eps_sigma))
+        live = np.clip(direction, 0.0, None) > self.eps_sigma**2
+        pdf = np.exp(-0.5 * (pred.h / std) ** 2) / _SQRT_2PI
+        c = np.where(live, self._weights * pdf / (2.0 * std), 0.0)
+        M = 0.5 * symmetrize(self._hessians) + np.einsum("ki,kia,kib->kab", c, pred.h_grads, pred.h_grads)
+        T_bar = 2.0 * M @ T @ sigma
+        K_bar = T_bar[:-1, n_x:, :n_x] + T_bar[:-1, n_x:, n_x:]
+        grad = covariance_gain_adjoint(pred.lin, policy, pred.filter_gains, sigma, T_t @ M @ T, K_bar)
+        return grad + 2.0 * self.eps_K * feedback
 
     def totals(self, u_nom: Array, feedback: Array) -> tuple[Array, Prediction]:
         """Total objective for batched (u_nom, feedback), and the prediction

@@ -6,28 +6,29 @@ controls and the feedback gains; the constraint-variance slacks are
 eliminated analytically (the expected hinge penalty is strictly increasing
 in the variance, so at any optimum each slack sits at max(floor, variance)).
 
-The optimizer is a projected quasi-Newton method: central finite-difference
-gradient, damped BFGS approximation with restart, Armijo backtracking along
-the projection arc, and hard box bounds on the nominal controls enforced by
-clipping at every trial point.
+The optimizer is a projected quasi-Newton method: damped BFGS approximation
+with restart, Armijo backtracking along the projection arc, and hard box
+bounds on the nominal controls enforced by clipping at every trial point.
 
-Gradient cost note: a perturbation of the nominal controls changes the
-whole prediction, but a perturbation of the feedback gains leaves the
-rollout, the linearization and the filter gains untouched, so the gain rows
-of the central-difference stencil reuse the prediction at the stencil's
-centre and only re-run the covariance propagation.  The control rows ride in
-the line search's first batch: its first trial is the full quasi-Newton
-step, which is accepted in most iterations near a solution, so that batch
-also carries the control rows of the stencil around that trial.  When the
-full step is accepted, one prediction pass serves both the line search and
-the next gradient; otherwise the stencil is evaluated at the accepted trial
-in a batch of its own.  Batched rows evaluate independently, so either way
-gives the same numbers.
+Gradient: the control entries are central differences, the gain entries
+exact.  A perturbation of the nominal controls changes the whole
+prediction, so each control coordinate costs two rows through the full
+pipeline.  Those rows ride in the line search's first batch: its first
+trial is the full quasi-Newton step, which is accepted in most iterations
+near a solution, so that batch also carries the control rows of the stencil
+around that trial.  When the full step is accepted, one prediction pass
+serves both the line search and the next gradient; otherwise the stencil is
+evaluated at the accepted trial in a batch of its own.  Batched rows
+evaluate independently, so either way gives the same numbers.  The gains
+leave the prediction untouched, so their entries come from one reverse-mode
+pass at the accepted point's prediction, and central-difference gain rows
+run only for the curvature that seeds or reseeds the metric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -130,58 +131,73 @@ class _Variables:
         return np.clip(theta, self.lower, self.upper)
 
 
-def _stencil(theta: Array, step: float) -> tuple[Array, Array]:
-    """Central-difference rows around theta and their steps.
+def _stencil(theta: Array, step: float, coords: slice) -> tuple[Array, Array]:
+    """Central-difference rows around theta for the coordinates ``coords``.
 
-    Row 2i is theta + h_i e_i and row 2i+1 is theta - h_i e_i, with
-    h_i = step * (1 + |theta_i|).
+    Row 2i is theta + h_i e_i and row 2i+1 is theta - h_i e_i for the i-th
+    coordinate of the slice, with h_i = step * (1 + |theta_i|).
     """
-    h = step * (1.0 + np.abs(theta))
-    rows = np.repeat(theta[None], 2 * theta.size, axis=0)
-    idx = np.arange(theta.size)
-    rows[2 * idx, idx] += h
-    rows[2 * idx + 1, idx] -= h
+    h = step * (1.0 + np.abs(theta[coords]))
+    idx = np.arange(theta.size)[coords]
+    rows = np.repeat(theta[None], 2 * idx.size, axis=0)
+    pair = 2 * np.arange(idx.size)
+    rows[pair, idx] += h
+    rows[pair + 1, idx] -= h
     return rows, h
+
+
+def _second_differences(fd: Array, f0: float, h: Array) -> Array:
+    return (fd[0::2] - 2.0 * f0 + fd[1::2]) / h**2
 
 
 def _evaluate(ev: ObjectiveEvaluator, var: _Variables, points: Array, stencil_step: float | None = None):
     """Objective totals at ``points`` from one ``ObjectiveEvaluator.totals`` batch.
 
-    With ``stencil_step`` the control rows of the central-difference stencil around
-    points[0] join the batch, and the second return value, called with the
-    total f0 at points[0], returns the gradient and the per-coordinate
-    curvature there.  Its gain rows share the prediction at points[0] (exact,
-    not an approximation: the prediction does not depend on the gains).  The
-    curvatures are second differences around f0 that come for free; they
-    seed the quasi-Newton metric, which matters enormously on instances
-    mixing near-flat control directions with stiff penalty walls.  Without
+    With ``stencil_step`` the control rows of the central-difference stencil
+    around points[0] join the batch, and the second return value, called with
+    the total f0 at points[0], returns the gradient there (control entries by
+    central differences, gain entries exact from
+    :meth:`ObjectiveEvaluator.gain_gradient`) and a function that computes
+    the per-coordinate curvature: second differences around f0, free for the
+    controls, a batch of gain rows at the prediction of points[0] for the
+    gains (the prediction does not depend on the gains).  The curvatures seed
+    the quasi-Newton metric, which matters enormously on instances mixing
+    near-flat control directions with stiff penalty walls.  Without
     ``stencil_step`` the second value is None.
     """
     n = points.shape[0]
     rows = points
     if stencil_step is not None:
-        stencil, h = _stencil(points[0], stencil_step)
-        rows = np.concatenate([points, stencil[: 2 * var.n_u_vars]])
+        stencil, h = _stencil(points[0], stencil_step, slice(0, var.n_u_vars))
+        rows = np.concatenate([points, stencil])
     totals, pred = ev.totals(*var.unpack_batch(rows))
     if stencil_step is None:
         return totals, None
 
-    def gradient_at(f0: float) -> tuple[Array, Array]:
+    def gradient_at(f0: float) -> tuple[Array, Callable[[], Array]]:
         fd = totals[n:]
-        if var.n_k_vars:
-            fb = stencil[2 * var.n_u_vars :, var.n_u_vars :]
-            parts = ev.parts_from_prediction(
-                pred.take(0), fb.reshape(2 * var.n_k_vars, var.N - 1, var.n_u, var.n_x)
-            )
-            fd = np.concatenate([fd, parts[0] + parts[1] + parts[2] + parts[3]])
-        return (fd[0::2] - fd[1::2]) / (2.0 * h), (fd[0::2] - 2.0 * f0 + fd[1::2]) / h**2
+        g = (fd[0::2] - fd[1::2]) / (2.0 * h)
+        curv = _second_differences(fd, f0, h)
+        if not var.n_k_vars:
+            return g, lambda: curv
+        center = pred.take(0)
+        g = np.concatenate([g, ev.gain_gradient(center, var.unpack(points[0]).feedback).ravel()])
+
+        def curvature() -> Array:
+            gain_rows, h_k = _stencil(points[0], stencil_step, slice(var.n_u_vars, None))
+            fb = gain_rows[:, var.n_u_vars :].reshape(-1, var.N - 1, var.n_u, var.n_x)
+            parts = ev.parts_from_prediction(center, fb)
+            fd_k = parts[0] + parts[1] + parts[2] + parts[3]
+            return np.concatenate([curv, _second_differences(fd_k, f0, h_k)])
+
+        return g, curvature
 
     return totals[:n], gradient_at
 
 
-def _fd_gradient(ev: ObjectiveEvaluator, var: _Variables, theta: Array, step: float,
-                 f0: float) -> tuple[Array, Array]:
-    """Central-difference gradient plus diagonal curvature at theta (see _evaluate)."""
+def _gradient(ev: ObjectiveEvaluator, var: _Variables, theta: Array, step: float,
+              f0: float) -> tuple[Array, Callable[[], Array]]:
+    """The solver's gradient at theta and its curvature function (see _evaluate)."""
     _, gradient_at = _evaluate(ev, var, theta[None], step)
     return gradient_at(f0)
 
@@ -240,16 +256,16 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array,
 
     With ``stencil_step`` the first chunk also carries the control rows of the
     finite-difference stencil around its first trial, the full step.  If
-    that trial is accepted, its gradient and curvature come back as well
-    (see _evaluate), so the next iteration needs no prediction pass of its
-    own.
+    that trial is accepted, its gradient and curvature function come back
+    as well (see _evaluate), so the next iteration needs no prediction pass
+    of its own.
 
     A chunk that fails as a whole is re-scored trial by trial, and its
     failing trials are rejected (see _evaluate_trials).
 
     Returns (trial, f_trial, index, gradient): index is the accepted trial's
     position in the step-size sequence, -1 if none passed (theta and f come
-    back then), and gradient is (g, curv) at the trial or None.
+    back then), and gradient is (g, curvature) at the trial or None.
     """
     alphas = _BACKTRACK_FACTOR ** np.arange(_MAX_BACKTRACKS)
     for start in range(0, alphas.size, _LS_CHUNK):
@@ -342,8 +358,9 @@ def solve(
 
     totals0, gradient_at = _evaluate(ev, var, theta[None], _FD_STEP)
     f = float(totals0[0])
-    g, curv = gradient_at(f)
-    del gradient_at  # keep no prediction alive beyond its iteration
+    # curvature() holds the current iterate's prediction until the next one.
+    g, curvature = gradient_at(f)
+    del gradient_at
     best_theta, best_f = theta.copy(), f
     curvature_skips = 0
     status = "max_iter"
@@ -353,6 +370,7 @@ def solve(
     # rejected (early nominal iterations) its rows would go unused.
     full_step = True
     gnorm = max(float(np.linalg.norm(g)), 1e-12)
+    curv = curvature()
     H = _diag_metric(curv, gnorm)
     # With no usable curvature the seed is just scaled steepest descent; in that
     # case calibrate the metric from the first accepted step instead.
@@ -369,7 +387,7 @@ def solve(
         d = -H @ g_masked
         d[g_masked == 0.0] = 0.0
         if float(d @ g_masked) >= 0.0:  # metric went bad: reseed from curvature
-            H = _diag_metric(curv, gnorm)
+            H = _diag_metric(curvature(), gnorm)
             d = -H @ g_masked
             d[g_masked == 0.0] = 0.0
 
@@ -379,7 +397,7 @@ def solve(
             if index >= 0:
                 break
             stencil_step = None
-            H = _diag_metric(curv, gnorm)  # quasi-Newton direction failed
+            H = _diag_metric(curvature(), gnorm)  # quasi-Newton direction failed
         if index < 0:
             status = "line_search_failure"
             break
@@ -387,11 +405,11 @@ def solve(
 
         if gradient is None:
             try:
-                gradient = _fd_gradient(ev, var, trial, _FD_STEP, f_trial)
+                gradient = _gradient(ev, var, trial, _FD_STEP, f_trial)
             except _TRIAL_ERRORS:  # the stencil around the trial crosses a failure boundary
                 status = "line_search_failure"
                 break
-        g_new, curv = gradient
+        g_new, curvature = gradient
         s = trial - theta
         y = g_new - g
         if first_step_pending:
@@ -405,7 +423,7 @@ def solve(
         else:
             curvature_skips += 1
             if curvature_skips >= _CURVATURE_SKIP_LIMIT:
-                H = _diag_metric(curv, max(float(np.linalg.norm(g_new)), 1e-12))
+                H = _diag_metric(curvature(), max(float(np.linalg.norm(g_new)), 1e-12))
                 curvature_skips = 0
 
         theta, f, g = trial, f_trial, g_new

@@ -276,36 +276,18 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array) -> tuple[Array, Ar
     return gains, covs
 
 
-def luenberger_covariance(lin: StageLinearization, gains: Array, P_hat_0: Array) -> Array:
-    """Estimation-error covariances under an arbitrary observer gain sequence.
-
-    Uses the general-gain (Joseph) form, valid whether or not the gains are
-    the Kalman ones:
-        P+ = (I - K C)(A P A' + G G')(I - K C)' + K D D' K'.
-    With the Kalman gains this reproduces :func:`kalman_recursion` up to
-    rounding; with any other gains it can only be larger in the matrix
-    sense.
-    """
-    gains = np.asarray(gains, dtype=float)
-    N = lin.horizon
+def _augmented_transitions(lin: StageLinearization, K_all: Array, E: Array, batch) -> Array:
+    """Transition matrices [[A + B K_k, B K_k], [0, -E_k A]] of stages 0..N-1,
+    where E_k = Khat_{k+1} C_{k+1} - I."""
     n_x = lin.A.shape[-1]
-    P = symmetrize(np.asarray(P_hat_0, dtype=float))
-    batch = np.broadcast_shapes(P.shape[:-2], lin.A.shape[:-3], gains.shape[:-3])
-    P = np.broadcast_to(P, batch + (n_x, n_x))
-    eye = np.eye(n_x)
-    covs = [P]
-    for k in range(N):
-        A = lin.A[..., k, :, :]
-        G = lin.G[..., k, :, :]
-        C = lin.C[..., k, :, :]
-        D = lin.D[..., k, :, :]
-        K = gains[..., k, :, :]
-        P_minus = A @ P @ np.swapaxes(A, -1, -2) + G @ np.swapaxes(G, -1, -2)
-        M = eye - K @ C
-        P = M @ P_minus @ np.swapaxes(M, -1, -2) + K @ D @ np.swapaxes(D, -1, -2) @ np.swapaxes(K, -1, -2)
-        P = symmetrize(P)
-        covs.append(P)
-    return np.stack(covs, axis=-3)
+    BK = lin.B @ K_all
+    lower = -E @ lin.A  # (I - Khat C) A
+    shape = np.broadcast_shapes(BK.shape[:-3], lower.shape[:-3], batch)
+    trans = np.zeros(shape + (lin.horizon, 2 * n_x, 2 * n_x))
+    trans[..., :n_x, :n_x] = lin.A + BK
+    trans[..., :n_x, n_x:] = BK
+    trans[..., n_x:, n_x:] = lower
+    return trans
 
 
 def propagate_covariance(
@@ -337,17 +319,12 @@ def propagate_covariance(
     )
     # Transition and noise blocks of every stage at once; only the sandwich
     # product with the running covariance stays in the loop.
-    BK = lin.B @ K_all
     E = gains @ lin.C - np.eye(n_x)  # maps process noise into estimation error
-    lower = -E @ lin.A  # (I - Khat C) A
+    trans = _augmented_transitions(lin, K_all, E, batch)
+    trans_T = np.swapaxes(trans, -1, -2)
     GGt = lin.G @ np.swapaxes(lin.G, -1, -2)
     EG = E @ lin.G
     KD = gains @ lin.D
-    trans = np.zeros(np.broadcast_shapes(BK.shape[:-3], lower.shape[:-3], batch) + (N, 2 * n_x, 2 * n_x))
-    trans[..., :n_x, :n_x] = lin.A + BK
-    trans[..., :n_x, n_x:] = BK
-    trans[..., n_x:, n_x:] = lower
-    trans_T = np.swapaxes(trans, -1, -2)
     noise = np.zeros(np.broadcast_shapes(GGt.shape[:-2], E.shape[:-2]) + (2 * n_x, 2 * n_x))
     noise[..., :n_x, :n_x] = GGt
     noise[..., :n_x, n_x:] = GGt @ np.swapaxes(E, -1, -2)
@@ -365,21 +342,65 @@ def propagate_covariance(
     return AugmentedCovariance(sigma=out, n_x=n_x)
 
 
+def covariance_gain_adjoint(
+    lin: StageLinearization,
+    policy: Policy,
+    gains: Array,
+    sigma: Array,
+    sigma_bar: Array,
+    K_bar: Array,
+) -> Array:
+    """Reverse-mode pass of :func:`propagate_covariance` with respect to the
+    feedback gains (one unbatched policy).
+
+    ``sigma`` is the forward output (N+1, 2n_x, 2n_x); ``sigma_bar`` holds the
+    symmetric derivatives dJ/dsigma_k of some scalar J that reads each stage
+    covariance directly, and ``K_bar`` the direct derivatives dJ/dK_k of the
+    stage gains K_0..K_{N-1}.  The covariance recursion is linear in sigma for
+    fixed gains, so its adjoint is the backward Lyapunov recursion
+        Lambda_N = sigma_bar_N,
+        Lambda_k = sigma_bar_k + F_k' Lambda_{k+1} F_k,
+    and stage k adds B_k'(dF_k[:n, :n] + dF_k[:n, n:]) to dJ/dK_k with
+    dF_k = 2 Lambda_{k+1} F_k sigma_k.
+
+    Returns:
+        dJ/dK for the free gains K_1..K_{N-1}, shaped like ``policy.feedback``.
+    """
+    N = lin.horizon
+    n_x = lin.A.shape[-1]
+    E = np.asarray(gains, dtype=float) @ lin.C - np.eye(n_x)
+    trans = _augmented_transitions(lin, policy.stage_gains(), E, ())
+    K_bar = np.array(K_bar, dtype=float)
+    lam = sigma_bar[N]
+    for k in range(N - 1, 0, -1):
+        F = trans[k]
+        F_bar = 2.0 * lam @ F @ sigma[k]
+        K_bar[k] += lin.B[k].T @ (F_bar[:n_x, :n_x] + F_bar[:n_x, n_x:])
+        lam = sigma_bar[k] + F.T @ lam @ F
+    return K_bar[1:]
+
+
+def joint_map(K_k: Array, batch: tuple = ()) -> Array:
+    """T = [[I, 0], [K, K]], which maps the augmented state to
+    (x_k - x_nom_k, u_k - u_nom_k); batched over ``batch`` and the leading
+    axes of K_k."""
+    K_k = np.asarray(K_k, dtype=float)
+    n_u, n_x = K_k.shape[-2:]
+    T = np.zeros(np.broadcast_shapes(batch, K_k.shape[:-2]) + (n_x + n_u, 2 * n_x))
+    T[..., :n_x, :n_x] = np.eye(n_x)
+    T[..., n_x:, :n_x] = K_k
+    T[..., n_x:, n_x:] = K_k
+    return T
+
+
 def joint_covariance(sigma_k: Array, K_k: Array) -> Array:
     """Covariance of (x_k - x_nom_k, u_k - u_nom_k) at one stage.
 
     With u - u_nom = K (xhat - x_nom) = K (x - x_nom) + K (xhat - x), the
-    map from the augmented state is T = [[I, 0], [K, K]] and the joint
-    covariance is T sigma T'.  Batched over stages and policies; the product
-    is returned as computed, not re-symmetrized.
+    map from the augmented state is T = [[I, 0], [K, K]] (:func:`joint_map`)
+    and the joint covariance is T sigma T'.  Batched over stages and
+    policies; the product is returned as computed, not re-symmetrized.
     """
     sigma_k = np.asarray(sigma_k, dtype=float)
-    K_k = np.asarray(K_k, dtype=float)
-    n_x = K_k.shape[-1]
-    n_u = K_k.shape[-2]
-    batch = np.broadcast_shapes(sigma_k.shape[:-2], K_k.shape[:-2])
-    T = np.zeros(batch + (n_x + n_u, 2 * n_x))
-    T[..., :n_x, :n_x] = np.eye(n_x)
-    T[..., n_x:, :n_x] = K_k
-    T[..., n_x:, n_x:] = K_k
+    T = joint_map(K_k, sigma_k.shape[:-2])
     return T @ sigma_k @ np.swapaxes(T, -1, -2)

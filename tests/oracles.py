@@ -1,0 +1,90 @@
+"""Reference implementations that only the tests use.
+
+Each one is a plain, independent route to a quantity the package computes
+another way: a central-difference Jacobian, the general-gain (Joseph)
+estimation-error covariance, and a stand-alone penalty sum.
+"""
+
+from typing import Callable
+
+import numpy as np
+
+from dualmpc import ModelError, expected_relu, floored_variance
+from dualmpc.model import Array
+from dualmpc.uncertainty import StageLinearization, symmetrize
+
+
+def fd_jacobian(fn: Callable[[Array], Array], at: Array, step: float = 1e-6) -> Array:
+    """Central-difference Jacobian of a vector map at a single point.
+
+    The step for column ``j`` is ``step * (1 + |at[j]|)``, which keeps the
+    perturbation meaningful for both small and large coordinates.  Matches
+    analytic Jacobians of smooth maps to O(step^2).
+
+    Raises:
+        ModelError: if the map returns non-finite values at a perturbed
+            point (the offending column is named).
+    """
+    at = np.asarray(at, dtype=float)
+    if at.ndim != 1:
+        raise ModelError(f"fd_jacobian expects a 1-d point, got shape {at.shape}")
+    base = np.asarray(fn(at), dtype=float)
+    if not np.all(np.isfinite(base)):
+        raise ModelError("fd_jacobian: map is non-finite at the evaluation point")
+    n = at.size
+    cols = []
+    for j in range(n):
+        h = step * (1.0 + abs(at[j]))
+        lo = at.copy()
+        hi = at.copy()
+        lo[j] -= h
+        hi[j] += h
+        f_hi = np.asarray(fn(hi), dtype=float)
+        f_lo = np.asarray(fn(lo), dtype=float)
+        if not (np.all(np.isfinite(f_hi)) and np.all(np.isfinite(f_lo))):
+            raise ModelError(f"fd_jacobian: non-finite evaluation perturbing column {j}")
+        cols.append((f_hi - f_lo) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+
+
+def luenberger_covariance(lin: StageLinearization, gains: Array, P_hat_0: Array) -> Array:
+    """Estimation-error covariances under an arbitrary observer gain sequence.
+
+    Uses the general-gain (Joseph) form, valid whether or not the gains are
+    the Kalman ones:
+        P+ = (I - K C)(A P A' + G G')(I - K C)' + K D D' K'.
+    With the Kalman gains this reproduces :func:`kalman_recursion` up to
+    rounding; with any other gains it can only be larger in the matrix
+    sense.
+    """
+    gains = np.asarray(gains, dtype=float)
+    N = lin.horizon
+    n_x = lin.A.shape[-1]
+    P = symmetrize(np.asarray(P_hat_0, dtype=float))
+    batch = np.broadcast_shapes(P.shape[:-2], lin.A.shape[:-3], gains.shape[:-3])
+    P = np.broadcast_to(P, batch + (n_x, n_x))
+    eye = np.eye(n_x)
+    covs = [P]
+    for k in range(N):
+        A = lin.A[..., k, :, :]
+        G = lin.G[..., k, :, :]
+        C = lin.C[..., k, :, :]
+        D = lin.D[..., k, :, :]
+        K = gains[..., k, :, :]
+        P_minus = A @ P @ np.swapaxes(A, -1, -2) + G @ np.swapaxes(G, -1, -2)
+        M = eye - K @ C
+        P = M @ P_minus @ np.swapaxes(M, -1, -2) + K @ D @ np.swapaxes(D, -1, -2) @ np.swapaxes(K, -1, -2)
+        P = symmetrize(P)
+        covs.append(P)
+    return np.stack(covs, axis=-3)
+
+
+def penalty_total(h_nom: Array, beta: Array, weights: Array, eps_sigma: float):
+    """Sum of weighted expected hinge penalties over the trailing axis.
+
+    ``beta`` is floored by :func:`floored_variance` before taking the square
+    root, so every constraint sees at least the minimum smoothing variance.
+    """
+    return np.sum(weights * expected_relu(h_nom, np.sqrt(floored_variance(beta, eps_sigma))), axis=-1)

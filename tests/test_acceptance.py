@@ -34,10 +34,10 @@ from dualmpc import (
     total_objective,
 )
 from dualmpc.cli import main as cli_main
-from dualmpc.ocp_solver import _fd_gradient, _Variables
-from dualmpc.uncertainty import luenberger_covariance
+from dualmpc.ocp_solver import _gradient, _Variables
 
 from conftest import standard_unicycle_params
+from oracles import luenberger_covariance
 
 CONFIG_PATH = Path(__file__).resolve().parents[1] / "configs" / "unicycle.cfg"
 
@@ -297,7 +297,8 @@ def test_criterion_06_linear_quadratic_solution_matches_riccati():
 def test_criterion_07_gradient_matches_directional_differences():
     """Solver gradient on the unicycle against central differences.
 
-    The assembled finite-difference gradient must reproduce secondary
+    The gradient the solver uses (central differences in the controls, the
+    exact adjoint in the feedback gains) must reproduce secondary
     directional derivatives along 5 random unit directions to 1e-4
     relative.
     """
@@ -316,7 +317,7 @@ def test_criterion_07_gradient_matches_directional_differences():
         pol = var.unpack(th)
         return float(ev.totals(pol.u_nom, pol.feedback)[0])
 
-    g, _ = _fd_gradient(ev, var, theta, 1e-6, scalar(theta))
+    g, _ = _gradient(ev, var, theta, 1e-6, scalar(theta))
     t = 1e-6
     worst = 0.0
     for _ in range(5):

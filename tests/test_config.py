@@ -194,6 +194,22 @@ def test_bad_solver_setting_is_a_config_error(tmp_path, capsys, extra, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("[solver]\neps_sigma = abc\n", "eps_sigma is not a number: 'abc'"),
+    ("[solver]\nmax_iterations = 2.5\n", "max_iterations is not an integer: '2.5'"),
+    ("runs = many\n", "runs is not an integer: 'many'"),
+])
+def test_malformed_value_is_reported_once(tmp_path, capsys, extra, message):
+    """A value that does not parse is reported once, at its own line, and
+    not wrapped again by the block that uses it."""
+    path = _write(tmp_path, MINIMAL_UNICYCLE + extra)
+    line = len((MINIMAL_UNICYCLE + extra).splitlines())
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}:{line}: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match=r"cannot read config"):
         load_config(tmp_path / "nope.cfg")

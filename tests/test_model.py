@@ -8,7 +8,6 @@ from dualmpc import (
     ConstraintSet,
     ModelError,
     QuadraticCost,
-    fd_jacobian,
     make_linear_problem,
     make_unicycle_problem,
     rk4_step,
@@ -18,6 +17,7 @@ from dualmpc import (
 from dualmpc.unicycle import sigma_y_grad
 
 from conftest import standard_unicycle_params
+from oracles import fd_jacobian
 
 
 # ---------------------------------------------------------------- fd_jacobian

@@ -18,12 +18,13 @@ from dualmpc import (
     make_linear_problem,
     make_unicycle_problem,
     nominal_rollout,
-    penalty_total,
     propagate_covariance,
     total_objective,
 )
+from dualmpc.ocp_solver import _FD_STEP, _stencil
 
 from conftest import standard_unicycle_params, random_spd
+from oracles import penalty_total
 
 
 # ---------------------------------------------------------------- expected_relu
@@ -405,3 +406,39 @@ def test_nominal_assembly_has_zero_variance_and_floored_beta(case):
     for beta in betas:
         assert np.all(beta == 1e-3**2)
 
+
+
+@pytest.mark.parametrize("scale", [0.05, 0.2, 0.5])
+@pytest.mark.parametrize("case", [0, 1])
+def test_gain_gradient_matches_central_differences(case, scale):
+    """The reverse-mode gain gradient against the solver's central-difference
+    gain rows through ``parts_from_prediction``.  The linear problem has a
+    nonzero terminal Hessian and eps_K > 0.  On the unicycle next to its r_x
+    wall some constraint rows lie above the variance floor and some sit on
+    it, among them the box rows of the last stage, whose small gain keeps
+    their variance under the floor while their first control presses on its
+    bound, so their expected hinge is live but its gain derivative is 0."""
+    prob, x0, P0, u = _assembly_cases()[case]
+    n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
+    fb = scale * np.random.default_rng(47).normal(size=(N - 1, n_u, n_x))
+    if case == 1:
+        u = u.copy()
+        u[N - 1, 0] = prob.constraints.u_upper[0] - 2e-4
+        fb[-1] *= 1e-2
+    eps_sigma = 1e-3
+    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=eps_sigma, eps_K=1e-4)
+    pred = ev.prediction(u)
+    rows, h = _stencil(fb.ravel(), _FD_STEP, slice(None))
+    parts = ev.parts_from_prediction(pred, rows.reshape(-1, N - 1, n_u, n_x))
+    fd = parts[0] + parts[1] + parts[2] + parts[3]
+    g_fd = (fd[0::2] - fd[1::2]) / (2.0 * h)
+    g = ev.gain_gradient(pred, fb)
+    assert g.shape == fb.shape
+    assert_allclose(g.ravel(), g_fd, rtol=0, atol=1e-6 * np.max(np.abs(g_fd)))
+    if case == 1:
+        _, beta = ev._parts_and_beta(pred, fb)
+        used = ev._weights > 0
+        floored = used & (beta == eps_sigma**2)
+        live = used & (np.abs(pred.h / np.sqrt(beta)) < 3)
+        assert (used & ~floored & live).any()
+        assert (floored & live)[N - 1].any()

@@ -20,7 +20,8 @@ from dualmpc import (
     solve,
     total_objective,
 )
-from dualmpc.ocp_solver import _FD_STEP, _armijo_search, _fd_gradient, _Variables
+from dualmpc import ocp_solver
+from dualmpc.ocp_solver import _FD_STEP, _armijo_search, _gradient, _stencil, _Variables
 
 from conftest import standard_unicycle_params
 
@@ -228,7 +229,7 @@ def test_fd_gradient_matches_secondary_directional_differences():
         pol = var.unpack(th)
         return float(ev.totals(pol.u_nom, pol.feedback)[0])
 
-    g, _ = _fd_gradient(ev, var, theta, 1e-6, scalar(theta))
+    g, _ = _gradient(ev, var, theta, 1e-6, scalar(theta))
 
     t = 1e-6
     for _ in range(5):
@@ -240,8 +241,10 @@ def test_fd_gradient_matches_secondary_directional_differences():
 
 @pytest.mark.parametrize("mode", ["nominal", "open_loop", "output_feedback"])
 def test_fused_line_search_gradient_equals_fd_gradient(mode):
-    """At an accepted full step, the gradient built from the stencil rows
-    that rode in the line-search batch is the stand-alone one, bit for bit."""
+    """At an accepted full step, the gradient and curvature built from the
+    stencil rows that rode in the line-search batch (plus, with gains, the
+    gain adjoint and gain rows at the trial's prediction) are the
+    stand-alone ones, bit for bit."""
     prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
     x0 = np.array([1.0, 0.5, 2.0])
     P0 = 1e-4 * np.eye(3)
@@ -256,14 +259,61 @@ def test_fused_line_search_gradient_equals_fd_gradient(mode):
     ])
     pol = var.unpack(theta)
     f = float(ev.totals(pol.u_nom, pol.feedback)[0])
-    g, _ = _fd_gradient(ev, var, theta, _FD_STEP, f)
+    g, _ = _gradient(ev, var, theta, _FD_STEP, f)
     direction = -1e-3 * g / np.linalg.norm(g)
 
     trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction, _FD_STEP)
     assert index == 0 and gradient is not None
-    g_ref, curv_ref = _fd_gradient(ev, var, trial, _FD_STEP, f_trial)
+    g_ref, curvature_ref = _gradient(ev, var, trial, _FD_STEP, f_trial)
     assert np.array_equal(gradient[0], g_ref)
-    assert np.array_equal(gradient[1], curv_ref)
+    assert np.array_equal(gradient[1](), curvature_ref())
+
+
+def test_metric_reseed_after_first_iteration_uses_fd_curvature(monkeypatch):
+    """Gain curvature is computed only when the metric is seeded.  Failing the
+    quasi-Newton line search of the third iteration forces a reseed there,
+    and the curvature it gets is, bit for bit, the central second difference
+    of the objective along every coordinate at that iterate: control rows
+    through ``totals`` and gain rows through ``parts_from_prediction`` at the
+    iterate's prediction."""
+    prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
+    x0 = np.array([1.0, 0.5, 2.0])
+    P0 = 1e-4 * np.eye(3)
+    opts = SolveOptions(mode="output_feedback", max_iterations=6)
+    events = []
+    search, seed = ocp_solver._armijo_search, ocp_solver._diag_metric
+
+    def failing_third_search(ev, var, theta, f, g, direction, stencil_step=None):
+        events.append(("search", theta.copy(), f))
+        if [e[0] for e in events].count("search") == 3:
+            return theta, f, -1, None
+        return search(ev, var, theta, f, g, direction, stencil_step)
+
+    def recorded_seed(curv, gnorm):
+        events.append(("seed", curv.copy()))
+        return seed(curv, gnorm)
+
+    monkeypatch.setattr(ocp_solver, "_armijo_search", failing_third_search)
+    monkeypatch.setattr(ocp_solver, "_diag_metric", recorded_seed)
+    solve(prob, x0, P0, opts)
+
+    kinds = [e[0] for e in events]
+    assert kinds[:5] == ["seed", "search", "search", "search", "seed"]
+    _, theta, f = events[3]
+    curv = events[4][1]
+    assert not np.array_equal(theta, np.zeros_like(theta))
+
+    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K)
+    var = _Variables(prob, opts.mode)
+    rows_u, h_u = _stencil(theta, _FD_STEP, slice(0, var.n_u_vars))
+    totals, pred = ev.totals(*var.unpack_batch(np.concatenate([theta[None], rows_u])))
+    rows_k, h_k = _stencil(theta, _FD_STEP, slice(var.n_u_vars, None))
+    parts = ev.parts_from_prediction(
+        pred.take(0), rows_k[:, var.n_u_vars :].reshape(-1, var.N - 1, var.n_u, var.n_x)
+    )
+    fd = np.concatenate([totals[1:], parts[0] + parts[1] + parts[2] + parts[3]])
+    h = np.concatenate([h_u, h_k])
+    assert np.array_equal(curv, (fd[0::2] - 2.0 * f + fd[1::2]) / h**2)
 
 
 def test_open_loop_solve_runs_about_one_prediction_per_iteration(monkeypatch):

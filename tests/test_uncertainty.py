@@ -12,7 +12,6 @@ from dualmpc import (
     joint_covariance,
     kalman_recursion,
     linearize_trajectory,
-    luenberger_covariance,
     make_linear_problem,
     make_unicycle_problem,
     nominal_rollout,
@@ -27,6 +26,7 @@ from dualmpc.uncertainty import (
 )
 
 from conftest import standard_unicycle_params, random_spd
+from oracles import luenberger_covariance
 
 
 def scalar_lin(A=1.0, G=1.0, C=1.0, D=1.0, N=1):
