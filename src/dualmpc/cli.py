@@ -191,13 +191,16 @@ def cmd_simulate(config: ExperimentConfig, controller: str | None, out_dir: Path
 
 # --------------------------------------------------------------- phi-table
 
-def cmd_phi_table(mu_range: tuple[float, float, int], sigmas: list[float], out: Path) -> int:
+def cmd_phi_table(mu_range: tuple[float, float, float], sigmas: list[float], out: Path) -> int:
+    if not np.isfinite([*mu_range, *sigmas]).all():
+        raise ConfigError("--mu-range and --sigma-list entries must be finite")
     lo, hi, count = mu_range
+    count = int(count)
     if count < 2 or hi <= lo:
         raise ConfigError("--mu-range expects MIN MAX COUNT with MIN < MAX and COUNT >= 2")
     if any(s < 0 for s in sigmas):
         raise ConfigError("--sigma-list entries must be nonnegative")
-    mus = np.linspace(lo, hi, int(count))
+    mus = np.linspace(lo, hi, count)
     header = ["sigma"] + [f"mu={_fmt(m)}" for m in mus]
     rows = [
         [_fmt(s)] + [_fmt(expected_relu(m, s)) for m in mus]
@@ -246,8 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "phi-table":
-            lo, hi, count = args.mu_range
-            return cmd_phi_table((lo, hi, int(count)), args.sigma_list, Path(args.out))
+            return cmd_phi_table(tuple(args.mu_range), args.sigma_list, Path(args.out))
 
         config = load_config(args.config)
         if args.command == "simulate":

@@ -11,18 +11,21 @@ composes them along a predicted trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import erfcx, ndtr
 
 from .model import Array, ControlProblem, ModelError
 from .uncertainty import (
+    LinearizationError,
     NominalTrajectory,
     Policy,
     StageLinearization,
-    covariance_gain_adjoint,
+    covariance_adjoint,
     joint_covariance,
     joint_map,
+    kalman_adjoint,
     kalman_recursion,
     linearize_trajectory,
     nominal_rollout,
@@ -32,6 +35,9 @@ from .uncertainty import (
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _TAIL_Z = 8.0
+# Relative step of the central differences of the model and constraint
+# Jacobians in the gradient pass: h_j = 1e-5 (1 + |z_j|).
+_JAC_STEP = 1e-5
 
 
 def _relu_tail(z: Array) -> Array:
@@ -49,7 +55,7 @@ def expected_relu(mu, sigma):
     """E[max(0, X)] for X ~ N(mu, sigma^2), elementwise.
 
     sigma = 0 returns max(0, mu) exactly.  Monotone in both arguments,
-    always >= max(0, mu), smooth for sigma > 0.
+    always >= max(0, mu), smooth for sigma > 0.  A NaN argument gives NaN.
 
     Raises:
         ValueError: on negative sigma.
@@ -71,7 +77,7 @@ def expected_relu(mu, sigma):
     m = mu_f[live]
     s = sigma_f[live]
     z = m / s
-    val = np.empty_like(z)
+    val = np.full_like(z, np.nan)  # NaN z takes none of the branches below
     mid = np.abs(z) <= _TAIL_Z
     val[mid] = s[mid] * np.exp(-0.5 * z[mid] ** 2) / _SQRT_2PI + m[mid] * ndtr(z[mid])
     lo = z < -_TAIL_Z
@@ -123,6 +129,30 @@ def feedback_regularization(feedback: Array, eps_K: float):
     return eps_K * np.sum(feedback**2, axis=(-3, -2, -1))
 
 
+def _jacobian_pullback(jac: Callable[[Array], tuple], z: Array, bars: tuple[Array, ...]) -> Array:
+    """sum over J of <J_bar, dJ/dz_j> at each row of z (M, n), as (M, n).
+
+    ``jac`` maps points (2, n, M, n), the rows of z moved by +h_j e_j (first)
+    and -h_j e_j along every coordinate j, to Jacobians J (2, n, M, a, b);
+    ``bars`` holds the matching derivatives J_bar (M, a, b).  dJ/dz_j is the
+    central difference with step h_j = _JAC_STEP (1 + |z_j|), from one
+    ``jac`` call.
+
+    Raises:
+        LinearizationError: a perturbed Jacobian has non-finite entries.
+    """
+    M, n = z.shape
+    h = _JAC_STEP * (1.0 + np.abs(z.T))
+    delta = h[:, :, None] * np.eye(n)[:, None, :]  # delta[j, m] = h_jm e_j
+    out = np.zeros((n, M))
+    for J, J_bar in zip(jac(np.stack([z + delta, z - delta])), bars):
+        J = np.broadcast_to(J, (2, n) + J_bar.shape)
+        if not np.isfinite(J).all():
+            raise LinearizationError("Jacobian has non-finite entries at a perturbed point")
+        out += np.einsum("jmab,mab->jm", J[0] - J[1], J_bar)
+    return (out / (2.0 * h)).T
+
+
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
     """Additive decomposition of the optimized objective."""
@@ -171,6 +201,7 @@ class Prediction:
     h_grads: Array  # (.., N+1, H_max, n_z)
     lin: StageLinearization | None = None
     filter_gains: Array | None = None
+    filter_covs: Array | None = None  # (.., N+1, n_x, n_x), the filter's covariances
 
     def take(self, index: int) -> "Prediction":
         """Select one element of the leading batch axis, as copies that keep
@@ -188,6 +219,7 @@ class Prediction:
                 C=pick(self.lin.C), D=pick(self.lin.D),
             ),
             filter_gains=None if self.filter_gains is None else pick(self.filter_gains),
+            filter_covs=None if self.filter_covs is None else pick(self.filter_covs),
         )
 
 
@@ -241,11 +273,13 @@ class ObjectiveEvaluator:
         self._hessians = np.zeros((N + 1, n_z, n_z))
         self._hessians[:N] = cost.stage_hessians
         self._hessians[N, :n_x, :n_x] = cost.terminal_hessian
+        self._linear_costs = np.zeros((N + 1, n_z))
+        self._linear_costs[:N] = cost.stage_gradients
+        self._linear_costs[N, :n_x] = cost.terminal_gradient
 
     def prediction(self, u_nom: Array) -> Prediction:
         problem = self.problem
         model = problem.model
-        cs = problem.constraints
         N = model.horizon
         stages = np.shape(u_nom)[-2]
         if stages != N:
@@ -253,14 +287,31 @@ class ObjectiveEvaluator:
         traj = nominal_rollout(model, self.x0, u_nom)
         xs = traj.states
         us = traj.controls
-        batch = xs.shape[:-2]
-        n_x = model.n_x
         nominal_cost = problem.cost.terminal_value(xs[..., N, :])
-        # padded rows keep a harmless negative value; their weight is zero
-        h = np.full(batch + (N + 1, self._h_max), -1.0)
-        h_grads = np.zeros(batch + (N + 1, self._h_max, n_x + model.n_u))
         for k in range(N):
             nominal_cost = nominal_cost + problem.cost.stage_value(k, xs[..., k, :], us[..., k, :])
+        h, h_grads = self._constraint_tables(xs, us)
+        if not self.include_uncertainty:
+            return Prediction(traj=traj, nominal_cost=nominal_cost, h=h, h_grads=h_grads)
+        lin = linearize_trajectory(model, traj)
+        filter_gains, filter_covs = kalman_recursion(lin, self.P_hat_0)
+        return Prediction(
+            traj=traj, nominal_cost=nominal_cost, h=h, h_grads=h_grads,
+            lin=lin, filter_gains=filter_gains, filter_covs=filter_covs,
+        )
+
+    def _constraint_tables(self, xs: Array, us: Array) -> tuple[Array, Array]:
+        """Constraint values and gradients of stages 0..N at batched states
+        (.., N+1, n_x) and controls (.., N, n_u), padded to the widest stage
+        (see :class:`Prediction`)."""
+        cs = self.problem.constraints
+        N = self.problem.model.horizon
+        n_x = xs.shape[-1]
+        batch = np.broadcast_shapes(xs.shape[:-2], us.shape[:-2])
+        # padded rows keep a harmless negative value; their weight is zero
+        h = np.full(batch + (N + 1, self._h_max), -1.0)
+        h_grads = np.zeros(batch + (N + 1, self._h_max, n_x + us.shape[-1]))
+        for k in range(N):
             count = self.counts[k]
             if count:
                 h[..., k, :count] = cs.stage_values(k, xs[..., k, :], us[..., k, :])
@@ -269,14 +320,7 @@ class ObjectiveEvaluator:
         if count:
             h[..., N, :count] = cs.terminal_values(xs[..., N, :])
             h_grads[..., N, :count, :n_x] = cs.terminal_gradients(xs[..., N, :])
-        if not self.include_uncertainty:
-            return Prediction(traj=traj, nominal_cost=nominal_cost, h=h, h_grads=h_grads)
-        lin = linearize_trajectory(model, traj)
-        filter_gains, _ = kalman_recursion(lin, self.P_hat_0)
-        return Prediction(
-            traj=traj, nominal_cost=nominal_cost, h=h, h_grads=h_grads,
-            lin=lin, filter_gains=filter_gains,
-        )
+        return h, h_grads
 
     def _joint_covariances(self, pred: Prediction, feedback: Array) -> Array:
         """Joint (state, control) covariances for stages 0..N, vectorized
@@ -321,41 +365,104 @@ class ObjectiveEvaluator:
         )
         return parts, beta
 
-    def gain_gradient(self, pred: Prediction, feedback: Array) -> Array:
-        """Exact derivative of the total objective with respect to the
-        feedback gains K_1..K_{N-1}, at one unbatched prediction that carries
-        the filter (``include_uncertainty=True``).
+    def gradient(self, pred: Prediction, feedback: Array) -> tuple[Array, Array]:
+        """Exact derivatives (dJ/du_nom, dJ/dK) of the total objective at one
+        unbatched prediction, by one reverse-mode pass through the pipeline.
+        dJ/dK is zero without uncertainty.
 
-        Reverse mode through the stage 0..N assembly.  With T_k the joint map
-        of stage k and sigma_k its augmented covariance, the objective reads
-        the joint covariance T_k sigma_k T_k' through
-            M_k = H_k / 2 + sum_i c_ki g_ki g_ki',
-            c_ki = w_ki pdf(h_ki / s_ki) / (2 s_ki),
-        the derivative with respect to the joint covariance (s_ki is the
-        floored standard deviation; c_ki is 0 where the floor is active,
-        including padded rows).  That gives dJ/dsigma_k = T_k' M_k T_k and
-        dJ/dT_k = 2 M_k T_k sigma_k, which
-        :func:`~dualmpc.uncertainty.covariance_gain_adjoint` carries back
-        through the covariance recursion; the regularizer adds 2 eps_K K.
+        Backwards through:
+          1. the stage 0..N assembly.  With s_ki the floored standard
+             deviation of constraint row i, dJ/dh_ki = w_ki cdf(h_ki / s_ki),
+             and the objective reads the joint covariance through
+             M_k = H_k / 2 + sum_i c_ki g_ki g_ki',
+             c_ki = w_ki pdf(h_ki / s_ki) / (2 s_ki), 0 on floored rows, and
+             the constraint gradients g_ki through 2 c_ki (joint_k) g_ki;
+             the nominal cost adds H_k z_k + its linear term;
+          2. the joint maps and the covariance recursion
+             (:func:`~dualmpc.uncertainty.covariance_adjoint`), which give
+             dJ/dK plus the derivatives with respect to the linearization
+             and the filter gains; the regularizer adds 2 eps_K K;
+          3. the Kalman recursion
+             (:func:`~dualmpc.uncertainty.kalman_adjoint`);
+          4. the linearization: the derivatives with respect to A, B, G at
+             (x_k, u_k), C, D at x_{k+1} and the constraint gradients at z_k
+             contract with the second derivatives of the model and the
+             constraints, one stage-local central difference of each
+             analytic Jacobian provider along every coordinate;
+          5. the rollout: lambda_N = dJ/dx_N,
+             lambda_k = dJ/dx_k + A_k' lambda_{k+1} and
+             dJ/du_k = (direct) + B_k' lambda_{k+1}.
+
+        Without uncertainty only steps 1 and 5 run, with A_k, B_k from one
+        ``f_jac`` call along the trajectory.
+
+        Raises:
+            LinearizationError: a model Jacobian is non-finite at the
+                trajectory or at a perturbed point.
+            SingularInnovationError: see
+                :func:`~dualmpc.uncertainty.kalman_adjoint`.
         """
+        model = self.problem.model
+        N, n_x = model.horizon, model.n_x
         feedback = np.asarray(feedback, dtype=float)
-        n_x = self.problem.model.n_x
-        policy = Policy(u_nom=pred.traj.controls, feedback=feedback)
-        K_all = policy.stage_gains()
-        sigma = propagate_covariance(pred.lin, policy, pred.filter_gains, self.P_hat_0).sigma
-        T = joint_map(np.concatenate([K_all, np.zeros((1,) + K_all.shape[1:])]))
-        T_t = np.swapaxes(T, -1, -2)
-        joint = T @ sigma @ T_t
+        xs, us = pred.traj.states, pred.traj.controls
+        z = np.zeros((N + 1, n_x + model.n_u))  # (x_k, u_k), u_N = 0
+        z[:, :n_x] = xs
+        z[:N, n_x:] = us
+        hessians = symmetrize(self._hessians)
+        if pred.lin is None:
+            joint = np.zeros(hessians.shape)
+        else:
+            policy = Policy(u_nom=us, feedback=feedback)
+            K_all = policy.stage_gains()
+            sigma = propagate_covariance(pred.lin, policy, pred.filter_gains, self.P_hat_0).sigma
+            T = joint_map(np.concatenate([K_all, np.zeros((1,) + K_all.shape[1:])]))
+            T_t = np.swapaxes(T, -1, -2)
+            joint = T @ sigma @ T_t
         direction = constraint_direction_variance(pred.h_grads, joint[:, None])
         std = np.sqrt(floored_variance(direction, self.eps_sigma))
-        live = np.clip(direction, 0.0, None) > self.eps_sigma**2
-        pdf = np.exp(-0.5 * (pred.h / std) ** 2) / _SQRT_2PI
-        c = np.where(live, self._weights * pdf / (2.0 * std), 0.0)
-        M = 0.5 * symmetrize(self._hessians) + np.einsum("ki,kia,kib->kab", c, pred.h_grads, pred.h_grads)
-        T_bar = 2.0 * M @ T @ sigma
-        K_bar = T_bar[:-1, n_x:, :n_x] + T_bar[:-1, n_x:, n_x:]
-        grad = covariance_gain_adjoint(pred.lin, policy, pred.filter_gains, sigma, T_t @ M @ T, K_bar)
-        return grad + 2.0 * self.eps_K * feedback
+        ratio = pred.h / std
+        z_bar = (
+            np.einsum("kab,kb->ka", hessians, z)
+            + self._linear_costs
+            + np.einsum("ki,kia->ka", self._weights * ndtr(ratio), pred.h_grads)
+        )
+        if pred.lin is None:
+            A, B, _ = model.f_jac(xs[:N], us, np.zeros(model.n_w))
+            if not (np.isfinite(A).all() and np.isfinite(B).all()):
+                raise LinearizationError("linearization produced non-finite entries")
+            K_grad = np.zeros(feedback.shape)
+        else:
+            A, B = pred.lin.A, pred.lin.B
+            live = np.clip(direction, 0.0, None) > self.eps_sigma**2
+            c = np.where(live, self._weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std), 0.0)
+            M = 0.5 * hessians + np.einsum("ki,kia,kib->kab", c, pred.h_grads, pred.h_grads)
+            T_bar = 2.0 * M @ T @ sigma
+            K_bar, lin_bar, gains_bar = covariance_adjoint(
+                pred.lin, policy, pred.filter_gains, sigma, T_t @ M @ T,
+                T_bar[:-1, n_x:, :n_x] + T_bar[:-1, n_x:, n_x:],
+            )
+            K_grad = K_bar + 2.0 * self.eps_K * feedback
+            kal_bar = kalman_adjoint(pred.lin, pred.filter_gains, pred.filter_covs, gains_bar)
+            w0, v0 = np.zeros(model.n_w), np.zeros(model.n_v)
+            z_bar[:N] += _jacobian_pullback(
+                lambda p: model.f_jac(p[..., :n_x], p[..., n_x:], w0), z[:N],
+                (lin_bar.A + kal_bar.A, lin_bar.B, lin_bar.G + kal_bar.G),
+            )
+            z_bar[1:, :n_x] += _jacobian_pullback(
+                lambda p: model.g_jac(p, v0), xs[1:], (lin_bar.C + kal_bar.C, lin_bar.D + kal_bar.D)
+            )
+            # Each stage's row of the perturbed tables moves only its own z_k.
+            z_bar += _jacobian_pullback(
+                lambda p: self._constraint_tables(p[..., :n_x], p[..., :N, n_x:])[1:], z,
+                (2.0 * c[..., None] * np.einsum("kab,kib->kia", symmetrize(joint), pred.h_grads),),
+            )
+        lam = z_bar[N, :n_x]
+        u_bar = np.empty(us.shape)
+        for k in range(N - 1, -1, -1):
+            u_bar[k] = z_bar[k, n_x:] + lam @ B[k]
+            lam = z_bar[k, :n_x] + lam @ A[k]
+        return u_bar, K_grad
 
     def totals(self, u_nom: Array, feedback: Array) -> tuple[Array, Prediction]:
         """Total objective for batched (u_nom, feedback), and the prediction

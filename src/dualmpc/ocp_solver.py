@@ -10,37 +10,34 @@ The optimizer is a projected quasi-Newton method: damped BFGS approximation
 with restart, Armijo backtracking along the projection arc, and hard box
 bounds on the nominal controls enforced by clipping at every trial point.
 
-Gradient: the control entries are central differences, the gain entries
-exact.  A perturbation of the nominal controls changes the whole
-prediction, so each control coordinate costs two rows through the full
-pipeline.  Those rows ride in the line search's first batch: its first
-trial is the full quasi-Newton step, which is accepted in most iterations
-near a solution, so that batch also carries the control rows of the stencil
-around that trial.  When the full step is accepted, one prediction pass
-serves both the line search and the next gradient; otherwise the stencil is
-evaluated at the accepted trial in a batch of its own.  Batched rows
-evaluate independently, so either way gives the same numbers.  The gains
-leave the prediction untouched, so their entries come from one reverse-mode
-pass at the accepted point's prediction, and central-difference gain rows
-run only for the curvature that seeds or reseeds the metric.
+Gradient: exact, from one reverse-mode pass through the prediction
+pipeline (:meth:`ObjectiveEvaluator.gradient`) at the unbatched
+prediction of the accepted line-search trial, which the line-search batch
+already computed.  So each iteration runs the pipeline forward once per
+line-search chunk, and once backwards.  Central differences survive only
+for the per-coordinate curvature that seeds or reseeds the quasi-Newton
+metric: control rows through the whole pipeline, gain rows at the point's
+prediction (the gains leave the prediction untouched).  At the initial
+point the control rows ride in one batch with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .model import Array, ControlProblem, ModelError
-from .objective import ObjectiveBreakdown, ObjectiveEvaluator
+from .objective import ObjectiveBreakdown, ObjectiveEvaluator, Prediction
 from .uncertainty import LinearizationError, Policy, RolloutError, SingularInnovationError
 
 MODES = ("nominal", "open_loop", "output_feedback")
 
 _CURVATURE_SKIP_LIMIT = 3
 _BOUND_EPS = 1e-10
-# Relative step of the central-difference gradient: h_i = 1e-6 (1 + |theta_i|).
+# Relative step of the central-difference curvature: h_i = 1e-6 (1 + |theta_i|).
 _FD_STEP = 1e-6
 
 
@@ -150,56 +147,36 @@ def _second_differences(fd: Array, f0: float, h: Array) -> Array:
     return (fd[0::2] - 2.0 * f0 + fd[1::2]) / h**2
 
 
-def _evaluate(ev: ObjectiveEvaluator, var: _Variables, points: Array, stencil_step: float | None = None):
-    """Objective totals at ``points`` from one ``ObjectiveEvaluator.totals`` batch.
+def _gradient(ev: ObjectiveEvaluator, var: _Variables, pred: Prediction, theta: Array) -> Array:
+    """The solver's gradient at theta, from one reverse-mode pass at theta's
+    unbatched prediction."""
+    u_bar, K_bar = ev.gradient(pred, var.unpack(theta).feedback)
+    return var.pack(Policy(u_nom=u_bar, feedback=K_bar))
 
-    With ``stencil_step`` the control rows of the central-difference stencil
-    around points[0] join the batch, and the second return value, called with
-    the total f0 at points[0], returns the gradient there (control entries by
-    central differences, gain entries exact from
-    :meth:`ObjectiveEvaluator.gain_gradient`) and a function that computes
-    the per-coordinate curvature: second differences around f0, free for the
-    controls, a batch of gain rows at the prediction of points[0] for the
-    gains (the prediction does not depend on the gains).  The curvatures seed
-    the quasi-Newton metric, which matters enormously on instances mixing
-    near-flat control directions with stiff penalty walls.  Without
-    ``stencil_step`` the second value is None.
+
+def _curvature(ev: ObjectiveEvaluator, var: _Variables, theta: Array, f: float, center: Prediction,
+               fd_u: Array | None = None) -> Array:
+    """Per-coordinate curvature at theta for the metric seed: central second
+    differences around f, the objective at theta.
+
+    The control rows run through the whole pipeline; ``fd_u`` holds their
+    totals when they were already evaluated.  The gain rows run through
+    ``parts_from_prediction`` at ``center``, theta's prediction.  Control
+    rows that fail to evaluate give infinite curvature, so the seed falls
+    back to scaled steepest descent (see _diag_metric).
     """
-    n = points.shape[0]
-    rows = points
-    if stencil_step is not None:
-        stencil, h = _stencil(points[0], stencil_step, slice(0, var.n_u_vars))
-        rows = np.concatenate([points, stencil])
-    totals, pred = ev.totals(*var.unpack_batch(rows))
-    if stencil_step is None:
-        return totals, None
-
-    def gradient_at(f0: float) -> tuple[Array, Callable[[], Array]]:
-        fd = totals[n:]
-        g = (fd[0::2] - fd[1::2]) / (2.0 * h)
-        curv = _second_differences(fd, f0, h)
-        if not var.n_k_vars:
-            return g, lambda: curv
-        center = pred.take(0)
-        g = np.concatenate([g, ev.gain_gradient(center, var.unpack(points[0]).feedback).ravel()])
-
-        def curvature() -> Array:
-            gain_rows, h_k = _stencil(points[0], stencil_step, slice(var.n_u_vars, None))
-            fb = gain_rows[:, var.n_u_vars :].reshape(-1, var.N - 1, var.n_u, var.n_x)
-            parts = ev.parts_from_prediction(center, fb)
-            fd_k = parts[0] + parts[1] + parts[2] + parts[3]
-            return np.concatenate([curv, _second_differences(fd_k, f0, h_k)])
-
-        return g, curvature
-
-    return totals[:n], gradient_at
-
-
-def _gradient(ev: ObjectiveEvaluator, var: _Variables, theta: Array, step: float,
-              f0: float) -> tuple[Array, Callable[[], Array]]:
-    """The solver's gradient at theta and its curvature function (see _evaluate)."""
-    _, gradient_at = _evaluate(ev, var, theta[None], step)
-    return gradient_at(f0)
+    rows, h = _stencil(theta, _FD_STEP, slice(0, var.n_u_vars))
+    if fd_u is None:
+        try:
+            fd_u = ev.totals(*var.unpack_batch(rows))[0]
+        except _TRIAL_ERRORS:
+            fd_u = np.full(rows.shape[0], np.inf)
+    curv = _second_differences(fd_u, f, h)
+    if not var.n_k_vars:
+        return curv
+    rows, h = _stencil(theta, _FD_STEP, slice(var.n_u_vars, None))
+    parts = ev.parts_from_prediction(center, rows[:, var.n_u_vars :].reshape(-1, var.N - 1, var.n_u, var.n_x))
+    return np.concatenate([curv, _second_differences(parts[0] + parts[1] + parts[2] + parts[3], f, h)])
 
 
 def _diag_metric(curv: Array, gnorm: float) -> Array:
@@ -228,44 +205,45 @@ _LS_CHUNK = 12
 _TRIAL_ERRORS = (RolloutError, LinearizationError, SingularInnovationError, ModelError)
 
 
-def _evaluate_trials(ev: ObjectiveEvaluator, var: _Variables, trials: Array, stencil_step: float | None):
-    """:func:`_evaluate` over line-search trials.  If the batch fails, each
-    trial is re-evaluated on its own without the stencil, and a trial that
+def _evaluate_trials(ev: ObjectiveEvaluator, var: _Variables,
+                     trials: Array) -> tuple[Array, Callable[[int], Prediction]]:
+    """Objective totals at line-search trials from one ``totals`` batch, and
+    a function that returns the unbatched prediction of trial i.  If the
+    batch fails, each trial is re-evaluated on its own, and a trial that
     fails alone scores +inf, so backtracking rejects it."""
     try:
-        return _evaluate(ev, var, trials, stencil_step)
+        totals, pred = ev.totals(*var.unpack_batch(trials))
+        return totals, pred.take
     except _TRIAL_ERRORS:
         pass
     totals = np.full(trials.shape[0], np.inf)
+    preds = {}
     for i, trial in enumerate(trials):
         try:
-            totals[i] = _evaluate(ev, var, trial[None])[0][0]
+            row, preds[i] = ev.totals(*var.unpack_batch(trial[None]))
+            totals[i] = row[0]
         except _TRIAL_ERRORS:
             pass
-    return totals, None
+    return totals, lambda i: preds[i].take(0)
 
 
-def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array,
-                   direction: Array, stencil_step: float | None = None):
+def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direction: Array):
     """Backtracking Armijo search along the projection arc.
 
     Candidate step sizes form the usual geometric sequence, but they are
     evaluated in batched chunks (one prediction pass per chunk) instead of
     one objective call per trial; the first (largest) passing step is
-    returned, so the result is identical to sequential backtracking.
-
-    With ``stencil_step`` the first chunk also carries the control rows of the
-    finite-difference stencil around its first trial, the full step.  If
-    that trial is accepted, its gradient and curvature function come back
-    as well (see _evaluate), so the next iteration needs no prediction pass
-    of its own.
-
-    A chunk that fails as a whole is re-scored trial by trial, and its
-    failing trials are rejected (see _evaluate_trials).
+    returned, so the result is identical to sequential backtracking.  A
+    chunk that fails as a whole is re-scored trial by trial, and its failing
+    trials are rejected (see _evaluate_trials).
 
     Returns (trial, f_trial, index, gradient): index is the accepted trial's
     position in the step-size sequence, -1 if none passed (theta and f come
-    back then), and gradient is (g, curvature) at the trial or None.
+    back then).  gradient is (g, curvature) at the accepted trial: g from
+    one reverse-mode pass on the trial's row of the chunk's prediction, and
+    curvature a function that computes the metric-seed curvature there (see
+    _curvature).  It is None if no trial passed, or if the pass fails at the
+    accepted trial.
     """
     alphas = _BACKTRACK_FACTOR ** np.arange(_MAX_BACKTRACKS)
     for start in range(0, alphas.size, _LS_CHUNK):
@@ -274,13 +252,17 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array,
         decreases = (trials - theta) @ g
         if not np.any(decreases < 0.0):
             continue
-        totals, gradient_at = _evaluate_trials(ev, var, trials, stencil_step if start == 0 else None)
+        totals, prediction_of = _evaluate_trials(ev, var, trials)
         ok = (decreases < 0.0) & (totals <= f + _ARMIJO_C * decreases)
         if np.any(ok):
             idx = int(np.argmax(ok))  # first True = largest passing step
-            f_trial = float(totals[idx])
-            gradient = gradient_at(f_trial) if gradient_at is not None and idx == 0 else None
-            return trials[idx], f_trial, start + idx, gradient
+            trial, f_trial = trials[idx], float(totals[idx])
+            center = prediction_of(idx)
+            try:
+                g_trial = _gradient(ev, var, center, trial)
+            except _TRIAL_ERRORS:  # the pass perturbs the model across a failure boundary
+                return trial, f_trial, start + idx, None
+            return trial, f_trial, start + idx, (g_trial, partial(_curvature, ev, var, trial, f_trial, center))
     return theta, f, -1, None
 
 
@@ -336,8 +318,8 @@ def solve(
     infinity norm reaches the tolerance, 'max_iter' when the iteration
     budget runs out, and 'line_search_failure' when no acceptable step
     exists along either the quasi-Newton or the steepest-descent direction,
-    or when the gradient stencil around the accepted step fails to evaluate
-    (the best iterate found so far is returned in all cases).
+    or when the gradient pass at the accepted step fails (the best iterate
+    found so far is returned in all cases).
     """
     opts = options or SolveOptions()
     var = _Variables(problem, opts.mode)
@@ -356,19 +338,19 @@ def solve(
         theta0 = np.zeros(var.size)
     theta = var.project(theta0)
 
-    totals0, gradient_at = _evaluate(ev, var, theta[None], _FD_STEP)
+    # The control rows of the curvature stencil ride in one batch with theta.
+    stencil, _ = _stencil(theta, _FD_STEP, slice(0, var.n_u_vars))
+    totals0, pred0 = ev.totals(*var.unpack_batch(np.concatenate([theta[None], stencil])))
     f = float(totals0[0])
+    center = pred0.take(0)
+    del pred0
+    g = _gradient(ev, var, center, theta)
     # curvature() holds the current iterate's prediction until the next one.
-    g, curvature = gradient_at(f)
-    del gradient_at
+    curvature = partial(_curvature, ev, var, theta, f, center, totals0[1:])
     best_theta, best_f = theta.copy(), f
     curvature_skips = 0
     status = "max_iter"
     iterations = 0
-    # The stencil rides along with the full step on the first iteration and
-    # after each iteration that accepted its full step; while full steps are
-    # rejected (early nominal iterations) its rows would go unused.
-    full_step = True
     gnorm = max(float(np.linalg.norm(g)), 1e-12)
     curv = curvature()
     H = _diag_metric(curv, gnorm)
@@ -391,31 +373,22 @@ def solve(
             d = -H @ g_masked
             d[g_masked == 0.0] = 0.0
 
-        stencil_step = _FD_STEP if full_step else None
         for direction in (d, -g_masked / gnorm):
-            trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction, stencil_step)
+            trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction)
             if index >= 0:
                 break
-            stencil_step = None
             H = _diag_metric(curvature(), gnorm)  # quasi-Newton direction failed
-        if index < 0:
+        if gradient is None:  # no acceptable step, or no gradient at it
             status = "line_search_failure"
             break
-        full_step = index == 0
-
-        if gradient is None:
-            try:
-                gradient = _gradient(ev, var, trial, _FD_STEP, f_trial)
-            except _TRIAL_ERRORS:  # the stencil around the trial crosses a failure boundary
-                status = "line_search_failure"
-                break
         g_new, curvature = gradient
-        s = trial - theta
-        y = g_new - g
+        s, y = trial - theta, g_new - g
+        gnorm = max(float(np.linalg.norm(g_new)), 1e-12)
         if first_step_pending:
             sy, yy = float(s @ y), float(y @ y)
             if sy > 0 and yy > 0:
-                H = np.eye(var.size) * (sy / yy)
+                # capped at the steepest-descent scale, like _diag_metric's floor
+                H = np.eye(var.size) * min(sy / yy, 1.0 / gnorm)
             first_step_pending = False
         H, updated = _bfgs_update(H, s, y)
         if updated:
@@ -423,7 +396,7 @@ def solve(
         else:
             curvature_skips += 1
             if curvature_skips >= _CURVATURE_SKIP_LIMIT:
-                H = _diag_metric(curvature(), max(float(np.linalg.norm(g_new)), 1e-12))
+                H = _diag_metric(curvature(), gnorm)
                 curvature_skips = 0
 
         theta, f, g = trial, f_trial, g_new

@@ -52,9 +52,12 @@ def chol_solve_spd(S: Array, rhs: Array, context: str = "linear solve"):
     before giving up, which keeps degenerate zero-noise corner cases usable.
 
     Raises:
-        SingularInnovationError: if S stays non-PD at the largest jitter.
+        SingularInnovationError: if S has non-finite entries, or stays
+            non-PD at the largest jitter.
     """
     S = np.asarray(S, dtype=float)
+    if not np.isfinite(S).all():
+        raise SingularInnovationError(f"{context}: matrix has non-finite entries")
     n = S.shape[-1]
     eye = np.eye(n)
     jitter = 0.0
@@ -290,6 +293,19 @@ def _augmented_transitions(lin: StageLinearization, K_all: Array, E: Array, batc
     return trans
 
 
+def _noise_factors(lin: StageLinearization, gains: Array, E: Array) -> Array:
+    """Factors W_k = [[G_k, 0], [E_k G_k, Khat_{k+1} D_{k+1}]] of the augmented
+    noise blocks W_k W_k' of stages 0..N-1."""
+    n_x, n_w = lin.G.shape[-2:]
+    KD = gains @ lin.D
+    EG = E @ lin.G
+    W = np.zeros(np.broadcast_shapes(EG.shape[:-2], KD.shape[:-2]) + (2 * n_x, n_w + KD.shape[-1]))
+    W[..., :n_x, :n_w] = lin.G
+    W[..., n_x:, :n_w] = EG
+    W[..., n_x:, n_w:] = KD
+    return W
+
+
 def propagate_covariance(
     lin: StageLinearization,
     policy: Policy,
@@ -300,8 +316,8 @@ def propagate_covariance(
 
     The augmented transition is
         [[A + B K_k, B K_k], [0, (I - Khat_{k+1} C_{k+1}) A]]
-    with noise block
-        [[G, 0], [(Khat_{k+1} C_{k+1} - I) G, Khat_{k+1} D_{k+1}]],
+    with noise block W W' (:func:`_noise_factors`),
+        W = [[G, 0], [(Khat_{k+1} C_{k+1} - I) G, Khat_{k+1} D_{k+1}]],
     starting from sigma_0 = [[P0, -P0], [-P0, P0]] (the estimation error
     and the deviation are the same draw with opposite sign at stage 0).
     Every update is symmetrized.
@@ -322,14 +338,8 @@ def propagate_covariance(
     E = gains @ lin.C - np.eye(n_x)  # maps process noise into estimation error
     trans = _augmented_transitions(lin, K_all, E, batch)
     trans_T = np.swapaxes(trans, -1, -2)
-    GGt = lin.G @ np.swapaxes(lin.G, -1, -2)
-    EG = E @ lin.G
-    KD = gains @ lin.D
-    noise = np.zeros(np.broadcast_shapes(GGt.shape[:-2], E.shape[:-2]) + (2 * n_x, 2 * n_x))
-    noise[..., :n_x, :n_x] = GGt
-    noise[..., :n_x, n_x:] = GGt @ np.swapaxes(E, -1, -2)
-    noise[..., n_x:, :n_x] = E @ GGt
-    noise[..., n_x:, n_x:] = EG @ np.swapaxes(EG, -1, -2) + KD @ np.swapaxes(KD, -1, -2)
+    W = _noise_factors(lin, gains, E)
+    noise = W @ np.swapaxes(W, -1, -2)
     out = np.empty(batch + (N + 1, 2 * n_x, 2 * n_x))
     sigma = out[..., 0, :, :]
     sigma[..., :n_x, :n_x] = P0
@@ -342,42 +352,106 @@ def propagate_covariance(
     return AugmentedCovariance(sigma=out, n_x=n_x)
 
 
-def covariance_gain_adjoint(
+def covariance_adjoint(
     lin: StageLinearization,
     policy: Policy,
     gains: Array,
     sigma: Array,
     sigma_bar: Array,
     K_bar: Array,
-) -> Array:
-    """Reverse-mode pass of :func:`propagate_covariance` with respect to the
-    feedback gains (one unbatched policy).
+) -> tuple[Array, StageLinearization, Array]:
+    """Reverse-mode pass of :func:`propagate_covariance` (one unbatched policy).
 
     ``sigma`` is the forward output (N+1, 2n_x, 2n_x); ``sigma_bar`` holds the
     symmetric derivatives dJ/dsigma_k of some scalar J that reads each stage
     covariance directly, and ``K_bar`` the direct derivatives dJ/dK_k of the
-    stage gains K_0..K_{N-1}.  The covariance recursion is linear in sigma for
-    fixed gains, so its adjoint is the backward Lyapunov recursion
+    stage gains K_0..K_{N-1}.  With F_k the augmented transition and
+    W_k W_k' the noise block of stage k, the recursion
+    sigma_{k+1} = F_k sigma_k F_k' + W_k W_k' is linear in sigma for fixed
+    matrices, so its adjoint is the backward Lyapunov recursion
         Lambda_N = sigma_bar_N,
         Lambda_k = sigma_bar_k + F_k' Lambda_{k+1} F_k,
-    and stage k adds B_k'(dF_k[:n, :n] + dF_k[:n, n:]) to dJ/dK_k with
-    dF_k = 2 Lambda_{k+1} F_k sigma_k.
+    and stage k's matrices get dF_k = 2 Lambda_{k+1} F_k sigma_k and
+    dW_k = 2 Lambda_{k+1} W_k.  Those are pulled back through
+    F_k = [[A + B K, B K], [0, -E A]], W_k = [[G, 0], [E G, Khat D]] and
+    E_k = Khat_{k+1} C_{k+1} - I onto the gains, the linearization and the
+    filter gains.
 
     Returns:
-        dJ/dK for the free gains K_1..K_{N-1}, shaped like ``policy.feedback``.
+        (dJ/dK for the free gains K_1..K_{N-1}, shaped like
+        ``policy.feedback``; dJ/d(A, B, G, C, D) as a
+        :class:`StageLinearization`; dJ/dKhat, shaped like ``gains``).
     """
     N = lin.horizon
     n_x = lin.A.shape[-1]
-    E = np.asarray(gains, dtype=float) @ lin.C - np.eye(n_x)
-    trans = _augmented_transitions(lin, policy.stage_gains(), E, ())
-    K_bar = np.array(K_bar, dtype=float)
-    lam = sigma_bar[N]
+    n_w = lin.G.shape[-1]
+    gains = np.asarray(gains, dtype=float)
+    K_all = policy.stage_gains()
+    E = gains @ lin.C - np.eye(n_x)
+    trans = _augmented_transitions(lin, K_all, E, ())
+    W = _noise_factors(lin, gains, E)
+    lam = np.empty((N, 2 * n_x, 2 * n_x))  # lam[k] = Lambda_{k+1}
+    lam[N - 1] = sigma_bar[N]
     for k in range(N - 1, 0, -1):
-        F = trans[k]
-        F_bar = 2.0 * lam @ F @ sigma[k]
-        K_bar[k] += lin.B[k].T @ (F_bar[:n_x, :n_x] + F_bar[:n_x, n_x:])
-        lam = sigma_bar[k] + F.T @ lam @ F
-    return K_bar[1:]
+        lam[k - 1] = sigma_bar[k] + trans[k].T @ lam[k] @ trans[k]
+    F_bar = 2.0 * lam @ trans @ sigma[:N]
+    W_bar = 2.0 * lam @ W
+    top = F_bar[:, :n_x, :n_x] + F_bar[:, :n_x, n_x:]  # dJ/d(B K)
+    E_t = np.swapaxes(E, -1, -2)
+    E_bar = -F_bar[:, n_x:, n_x:] @ np.swapaxes(lin.A, -1, -2) + W_bar[:, n_x:, :n_w] @ np.swapaxes(lin.G, -1, -2)
+    gains_t = np.swapaxes(gains, -1, -2)
+    lin_bar = StageLinearization(
+        A=F_bar[:, :n_x, :n_x] - E_t @ F_bar[:, n_x:, n_x:],
+        B=top @ np.swapaxes(K_all, -1, -2),
+        G=W_bar[:, :n_x, :n_w] + E_t @ W_bar[:, n_x:, :n_w],
+        C=gains_t @ E_bar,
+        D=gains_t @ W_bar[:, n_x:, n_w:],
+    )
+    gains_bar = E_bar @ np.swapaxes(lin.C, -1, -2) + W_bar[:, n_x:, n_w:] @ np.swapaxes(lin.D, -1, -2)
+    K_bar = np.asarray(K_bar, dtype=float) + np.swapaxes(lin.B, -1, -2) @ top
+    return K_bar[1:], lin_bar, gains_bar
+
+
+def kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, gains_bar: Array) -> StageLinearization:
+    """Reverse-mode pass of :func:`kalman_recursion` (one unbatched
+    linearization): the derivatives dJ/d(A, G, C, D) of a scalar J that reads
+    the filter gains, whose derivatives are ``gains_bar``.
+
+    ``gains`` and ``covs`` are the forward outputs.  Per stage, backwards,
+    with P_k = covs[k], P- = A P_k A' + G G', S = C P- C' + D D' and
+    Khat = P- C' S^{-1}: the update P_{k+1} = (I - Khat C) P- and the gain
+    pass their derivatives to P-, C and Khat; the gain's solve S Khat' = C P-
+    (the Cholesky solve of the forward pass) passes dJ/d(C P-) = S^{-1} Khat_bar'
+    and dJ/dS = -S^{-1} Khat_bar' Khat; then S and P- pass theirs to C, D,
+    A, G and P_k.  P_0 is fixed.
+
+    Raises:
+        SingularInnovationError: an innovation covariance is not positive
+            definite even with maximal jitter.
+    """
+    N = lin.horizon
+    n_x = lin.A.shape[-1]
+    A, C, G, D = lin.A, lin.C, lin.G, lin.D
+    A_t, C_t = np.swapaxes(A, -1, -2), np.swapaxes(C, -1, -2)
+    P = covs[:N]
+    P_minus = symmetrize(A @ P @ A_t + G @ np.swapaxes(G, -1, -2))
+    S = symmetrize(C @ P_minus @ C_t + D @ np.swapaxes(D, -1, -2))
+    S_inv = chol_solve_spd(S, np.broadcast_to(np.eye(S.shape[-1]), S.shape), context="innovation covariance")
+    eye = np.eye(n_x)
+    A_bar, G_bar, C_bar, D_bar = (np.empty_like(M) for M in (A, G, C, D))
+    P_bar = np.zeros((n_x, n_x))  # dJ/dP_{k+1}
+    for k in range(N - 1, -1, -1):
+        K, Pm, Ck = gains[k], P_minus[k], C[k]
+        K_bar = gains_bar[k] - P_bar @ Pm @ C_t[k]
+        R_bar = S_inv[k] @ K_bar.T  # dJ/d(C P-)
+        S_bar = -symmetrize(R_bar @ K)
+        C_bar[k] = -K.T @ P_bar @ Pm + R_bar @ Pm + 2.0 * S_bar @ Ck @ Pm
+        D_bar[k] = 2.0 * S_bar @ D[k]
+        Pm_bar = symmetrize((eye - K @ Ck).T @ P_bar + C_t[k] @ R_bar + C_t[k] @ S_bar @ Ck)
+        A_bar[k] = 2.0 * Pm_bar @ A[k] @ P[k]
+        G_bar[k] = 2.0 * Pm_bar @ G[k]
+        P_bar = A_t[k] @ Pm_bar @ A[k]
+    return StageLinearization(A=A_bar, B=np.zeros(lin.B.shape), G=G_bar, C=C_bar, D=D_bar)
 
 
 def joint_map(K_k: Array, batch: tuple = ()) -> Array:

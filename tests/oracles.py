@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use.
 
 Each one is a plain, independent route to a quantity the package computes
-another way: a central-difference Jacobian, the general-gain (Joseph)
-estimation-error covariance, and a stand-alone penalty sum.
+another way: a central-difference Jacobian, a central-difference objective
+gradient, the general-gain (Joseph) estimation-error covariance, and a
+stand-alone penalty sum.
 """
 
 from typing import Callable
@@ -47,6 +48,36 @@ def fd_jacobian(fn: Callable[[Array], Array], at: Array, step: float = 1e-6) -> 
     return np.stack(cols, axis=-1)
 
 
+def _central_rows(a: Array, step: float) -> tuple[Array, Array]:
+    """Rows a + h_i e_i (even) and a - h_i e_i (odd) for every entry of a,
+    shaped (2 a.size,) + a.shape, with h_i = step * (1 + |a_i|)."""
+    flat = np.asarray(a, dtype=float).ravel()
+    h = step * (1.0 + np.abs(flat))
+    rows = np.repeat(flat[None], 2 * flat.size, axis=0)
+    i = np.arange(flat.size)
+    rows[2 * i, i] += h
+    rows[2 * i + 1, i] -= h
+    return rows.reshape((-1,) + np.shape(a)), h
+
+
+def fd_gradient(ev, u_nom: Array, feedback: Array, step: float = 1e-6) -> tuple[Array, Array]:
+    """Central-difference gradient (dJ/du_nom, dJ/dK) of an
+    :class:`~dualmpc.ObjectiveEvaluator`'s total objective.
+
+    Each control entry costs two rows through the whole pipeline
+    (``totals``); the gains leave the prediction untouched, so their rows go
+    through ``parts_from_prediction`` at the prediction of ``u_nom``.  The
+    step of entry i is step * (1 + |theta_i|).
+    """
+    u_nom = np.asarray(u_nom, dtype=float)
+    feedback = np.asarray(feedback, dtype=float)
+    rows_u, h_u = _central_rows(u_nom, step)
+    f_u = ev.totals(rows_u, feedback)[0]
+    g_u = (f_u[0::2] - f_u[1::2]) / (2.0 * h_u)
+    rows_k, h_k = _central_rows(feedback, step)
+    f_k = sum(ev.parts_from_prediction(ev.prediction(u_nom), rows_k))
+    g_k = (f_k[0::2] - f_k[1::2]) / (2.0 * h_k)
+    return g_u.reshape(u_nom.shape), g_k.reshape(feedback.shape)
 
 
 def luenberger_covariance(lin: StageLinearization, gains: Array, P_hat_0: Array) -> Array:

@@ -303,12 +303,21 @@ def test_phi_table_grid_properties(tmp_path):
     assert np.all(np.diff(table, axis=1) >= 0.0)  # nondecreasing in mu
 
 
-def test_phi_table_bad_range_exits_two(tmp_path):
+def test_phi_table_bad_range_exits_two(tmp_path, capsys):
     out = tmp_path / "phi.csv"
     code = main(["phi-table", "--mu-range", "2", "-2", "5", "--sigma-list", "1",
                  "--out", str(out)])
     assert code == 2
     assert not out.exists()
+    # non-finite entries: one error line, no file
+    for mu_range, sigmas in ((["-1", "1", "3"], ["nan", "1"]), (["-1", "1", "3"], ["inf"]),
+                             (["nan", "1", "3"], ["1"]), (["-1", "inf", "3"], ["1"]),
+                             (["-1", "1", "nan"], ["1"]), (["-1", "1", "inf"], ["1"])):
+        capsys.readouterr()
+        code = main(["phi-table", "--mu-range", *mu_range, "--sigma-list", *sigmas, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --mu-range and --sigma-list entries must be finite\n"
+        assert not out.exists()
 
 
 # -------------------------------------------------------------- exit code 2

@@ -21,10 +21,9 @@ from dualmpc import (
     propagate_covariance,
     total_objective,
 )
-from dualmpc.ocp_solver import _FD_STEP, _stencil
 
 from conftest import standard_unicycle_params, random_spd
-from oracles import penalty_total
+from oracles import fd_gradient, penalty_total
 
 
 # ---------------------------------------------------------------- expected_relu
@@ -35,6 +34,12 @@ def test_expected_relu_spot_values():
     assert expected_relu(-1.0, 1.0) == pytest.approx(0.08331547058768629, abs=1e-15)
     assert expected_relu(2.0, 0.0) == 2.0
     assert expected_relu(-2.0, 0.0) == 0.0
+    # NaN in gives NaN out, in every branch
+    assert np.isnan(expected_relu(np.nan, 1.0))
+    assert np.isnan(expected_relu(np.nan, 0.0))
+    assert np.isnan(expected_relu(0.1, np.nan))
+    out = expected_relu(np.array([0.1, np.nan, 0.1, -9.0, 9.0]), np.array([np.nan, 1.0, 1.0, 1.0, 1.0]))
+    assert np.isnan(out[:2]).all() and np.isfinite(out[2:]).all()
 
 
 def test_expected_relu_rejects_negative_sigma():
@@ -411,7 +416,7 @@ def test_nominal_assembly_has_zero_variance_and_floored_beta(case):
 @pytest.mark.parametrize("scale", [0.05, 0.2, 0.5])
 @pytest.mark.parametrize("case", [0, 1])
 def test_gain_gradient_matches_central_differences(case, scale):
-    """The reverse-mode gain gradient against the solver's central-difference
+    """The gain half of the reverse-mode gradient against central-difference
     gain rows through ``parts_from_prediction``.  The linear problem has a
     nonzero terminal Hessian and eps_K > 0.  On the unicycle next to its r_x
     wall some constraint rows lie above the variance floor and some sit on
@@ -428,13 +433,10 @@ def test_gain_gradient_matches_central_differences(case, scale):
     eps_sigma = 1e-3
     ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=eps_sigma, eps_K=1e-4)
     pred = ev.prediction(u)
-    rows, h = _stencil(fb.ravel(), _FD_STEP, slice(None))
-    parts = ev.parts_from_prediction(pred, rows.reshape(-1, N - 1, n_u, n_x))
-    fd = parts[0] + parts[1] + parts[2] + parts[3]
-    g_fd = (fd[0::2] - fd[1::2]) / (2.0 * h)
-    g = ev.gain_gradient(pred, fb)
+    g_fd = fd_gradient(ev, u, fb)[1]
+    g = ev.gradient(pred, fb)[1]
     assert g.shape == fb.shape
-    assert_allclose(g.ravel(), g_fd, rtol=0, atol=1e-6 * np.max(np.abs(g_fd)))
+    assert_allclose(g, g_fd, rtol=0, atol=1e-6 * np.max(np.abs(g_fd)))
     if case == 1:
         _, beta = ev._parts_and_beta(pred, fb)
         used = ev._weights > 0
@@ -442,3 +444,29 @@ def test_gain_gradient_matches_central_differences(case, scale):
         live = used & (np.abs(pred.h / np.sqrt(beta)) < 3)
         assert (used & ~floored & live).any()
         assert (floored & live)[N - 1].any()
+
+
+@pytest.mark.parametrize("mode", ["nominal", "open_loop", "output_feedback"])
+@pytest.mark.parametrize("case", [0, 1])
+def test_gradient_matches_fd_gradient(case, mode):
+    """The reverse-mode gradient (dJ/du_nom, dJ/dK) against central
+    differences of the objective at random points, to 1e-6 of max|g|: the
+    linear problem with terminal Hessian [[2, 0.3], [0.3, 1]], and the
+    unicycle next to its r_x wall, where the dual effect (the state
+    dependence of the measurement noise) and live penalties enter."""
+    prob, x0, P0, u0 = _assembly_cases()[case]
+    n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
+    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=1e-3, eps_K=1e-4, include_uncertainty=mode != "nominal")
+    rng = np.random.default_rng(53)
+    for _ in range(2):
+        u = u0 + 0.1 * rng.normal(size=u0.shape)
+        scale = 0.2 if mode == "output_feedback" else 0.0
+        fb = scale * rng.normal(size=(N - 1, n_u, n_x))
+        g_u, g_k = ev.gradient(ev.prediction(u), fb)
+        fd_u, fd_k = fd_gradient(ev, u, fb)
+        atol = 1e-6 * max(np.max(np.abs(fd_u)), np.max(np.abs(fd_k)))
+        assert_allclose(g_u, fd_u, rtol=0, atol=atol)
+        if mode == "nominal":
+            assert np.all(g_k == 0.0)
+        else:
+            assert_allclose(g_k, fd_k, rtol=0, atol=atol)

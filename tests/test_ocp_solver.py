@@ -215,6 +215,8 @@ def test_output_feedback_warm_started_dominates_open_loop():
 
 
 def test_fd_gradient_matches_secondary_directional_differences():
+    """The solver's gradient (one reverse-mode pass) against secondary
+    directional central differences of the objective."""
     prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
     x0 = np.array([1.0, 0.5, 2.0])
     P0 = 1e-4 * np.eye(3)
@@ -229,7 +231,7 @@ def test_fd_gradient_matches_secondary_directional_differences():
         pol = var.unpack(th)
         return float(ev.totals(pol.u_nom, pol.feedback)[0])
 
-    g, _ = _gradient(ev, var, theta, 1e-6, scalar(theta))
+    g = _gradient(ev, var, ev.prediction(var.unpack(theta).u_nom), theta)
 
     t = 1e-6
     for _ in range(5):
@@ -241,10 +243,10 @@ def test_fd_gradient_matches_secondary_directional_differences():
 
 @pytest.mark.parametrize("mode", ["nominal", "open_loop", "output_feedback"])
 def test_fused_line_search_gradient_equals_fd_gradient(mode):
-    """At an accepted full step, the gradient and curvature built from the
-    stencil rows that rode in the line-search batch (plus, with gains, the
-    gain adjoint and gain rows at the trial's prediction) are the
-    stand-alone ones, bit for bit."""
+    """The gradient that ``_armijo_search`` returns at an accepted trial, from
+    the trial's row of the line-search batch, is the stand-alone reverse-mode
+    pass at that trial, bit for bit; so is the curvature function that comes
+    with it.  Checked at an accepted full step and at a backtracked one."""
     prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
     x0 = np.array([1.0, 0.5, 2.0])
     P0 = 1e-4 * np.eye(3)
@@ -258,15 +260,17 @@ def test_fused_line_search_gradient_equals_fd_gradient(mode):
         rng.normal(0.0, 0.1, size=var.n_k_vars),
     ])
     pol = var.unpack(theta)
-    f = float(ev.totals(pol.u_nom, pol.feedback)[0])
-    g, _ = _gradient(ev, var, theta, _FD_STEP, f)
-    direction = -1e-3 * g / np.linalg.norm(g)
-
-    trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction, _FD_STEP)
-    assert index == 0 and gradient is not None
-    g_ref, curvature_ref = _gradient(ev, var, trial, _FD_STEP, f_trial)
-    assert np.array_equal(gradient[0], g_ref)
-    assert np.array_equal(gradient[1](), curvature_ref())
+    f, pred = ev.totals(pol.u_nom, pol.feedback)
+    f = float(f)
+    g = _gradient(ev, var, pred, theta)
+    for scale, backtracked in ((1e-3, False), (1e2, True)):
+        direction = -scale * g / np.linalg.norm(g)
+        trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction)
+        assert gradient is not None
+        assert (index > 0) == backtracked
+        center = ev.prediction(var.unpack(trial).u_nom)
+        assert np.array_equal(gradient[0], _gradient(ev, var, center, trial))
+        assert np.array_equal(gradient[1](), ocp_solver._curvature(ev, var, trial, f_trial, center))
 
 
 def test_metric_reseed_after_first_iteration_uses_fd_curvature(monkeypatch):
@@ -283,11 +287,11 @@ def test_metric_reseed_after_first_iteration_uses_fd_curvature(monkeypatch):
     events = []
     search, seed = ocp_solver._armijo_search, ocp_solver._diag_metric
 
-    def failing_third_search(ev, var, theta, f, g, direction, stencil_step=None):
+    def failing_third_search(ev, var, theta, f, g, direction):
         events.append(("search", theta.copy(), f))
         if [e[0] for e in events].count("search") == 3:
             return theta, f, -1, None
-        return search(ev, var, theta, f, g, direction, stencil_step)
+        return search(ev, var, theta, f, g, direction)
 
     def recorded_seed(curv, gnorm):
         events.append(("seed", curv.copy()))
@@ -316,8 +320,12 @@ def test_metric_reseed_after_first_iteration_uses_fd_curvature(monkeypatch):
     assert np.array_equal(curv, (fd[0::2] - 2.0 * f + fd[1::2]) / h**2)
 
 
+def _shipped_config():
+    return load_config(Path(__file__).resolve().parents[1] / "configs" / "unicycle.cfg")
+
+
 def test_open_loop_solve_runs_about_one_prediction_per_iteration(monkeypatch):
-    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "unicycle.cfg")
+    config = _shipped_config()
     calls = []
     prediction = ObjectiveEvaluator.prediction
 
@@ -332,20 +340,51 @@ def test_open_loop_solve_runs_about_one_prediction_per_iteration(monkeypatch):
     assert len(calls) <= 1.3 * res.iterations
 
 
-def _nan_above_half_problem():
-    """Scalar linear problem whose f turns NaN for controls above 0.5, inside
-    the box |u| <= 2; from x0 = -3 the unconstrained optimum lies beyond 0.5."""
+def test_stencil_rows_run_only_for_metric_seeds(monkeypatch):
+    """Line-search batches hold at most 12 trials and the gradient comes from
+    the reverse-mode pass, so every wider ``totals`` batch is a curvature
+    stencil, and each one feeds a metric seed."""
+    config = _shipped_config()
+    widths, seeds = [], []
+    totals, seed = ObjectiveEvaluator.totals, ocp_solver._diag_metric
+
+    def counted_totals(self, u_nom, feedback):
+        widths.append(u_nom.shape[0])
+        return totals(self, u_nom, feedback)
+
+    def counted_seed(curv, gnorm):
+        seeds.append(1)
+        return seed(curv, gnorm)
+
+    monkeypatch.setattr(ObjectiveEvaluator, "totals", counted_totals)
+    monkeypatch.setattr(ocp_solver, "_diag_metric", counted_seed)
+    res = solve(config.problem, config.sim_config.init_mean, config.sim_config.init_cov,
+                replace(config.solver_options, mode="output_feedback", max_iterations=25))
+    assert res.iterations == 25
+    assert len(widths) >= res.iterations
+    assert sum(w > 12 for w in widths) == len(seeds)
+
+
+def _nan_above_half_problem(jacobian_too=False):
+    """Scalar linear problem whose f (and with ``jacobian_too`` also f_jac)
+    turns NaN for controls above 0.5, inside the box |u| <= 2; from x0 = -3
+    the unconstrained optimum lies beyond 0.5."""
     prob = make_linear_problem(
         A=[[1.0]], B=[[1.0]], G=[[0.1]], C=[[1.0]], D=[[0.1]],
         Q=[[1.0]], R=[[1e-3]], Q_terminal=[[1.0]], horizon=3,
         u_lower=[-2.0], u_upper=[2.0],
     )
-    f = prob.model.f
+    f, f_jac = prob.model.f, prob.model.f_jac
 
     def f_nan_above(x, u, w):
         return np.where(np.asarray(u)[..., :1] > 0.5, np.nan, f(x, u, w))
 
-    return replace(prob, model=replace(prob.model, f=f_nan_above))
+    def f_jac_nan_above(x, u, w):
+        above = (np.asarray(u)[..., :1] > 0.5)[..., None]
+        return tuple(np.where(above, np.nan, J) for J in f_jac(x, u, w))
+
+    model = replace(prob.model, f=f_nan_above, f_jac=f_jac_nan_above if jacobian_too else f_jac)
+    return replace(prob, model=model)
 
 
 def test_failing_trial_is_rejected_not_fatal():
@@ -361,13 +400,19 @@ def test_failing_trial_is_rejected_not_fatal():
 
 
 def test_stencil_crossing_failure_boundary_ends_solve_not_fatal():
-    """With a larger budget the iterates creep up to u_0 just below 0.5,
-    until the +h row of the gradient stencil around an accepted trial
-    crosses the threshold: the solve stops there with the best iterate."""
-    problem = _nan_above_half_problem()
+    """With a larger budget the iterates creep up to u_0 just below 0.5.  In
+    open_loop mode the gradient pass differentiates f_jac at points a step
+    away from the accepted trial; once those cross the threshold, where f_jac
+    is NaN too, the pass fails and the solve stops with the best iterate.
+    nominal mode evaluates f_jac on the trajectory only; there the
+    curvature stencils of the metric reseeds next to the threshold fail,
+    which falls back to a steepest-descent seed, and the solve has to stay
+    finite and inside the good region."""
+    problem = _nan_above_half_problem(jacobian_too=True)
     for mode in ("nominal", "open_loop"):
-        res = solve(problem, np.array([-3.0]), 0.01 * np.eye(1), SolveOptions(mode=mode, max_iterations=20))
-        assert res.status == "line_search_failure"
+        res = solve(problem, np.array([-3.0]), 0.01 * np.eye(1), SolveOptions(mode=mode, max_iterations=30))
+        if mode == "open_loop":
+            assert res.status == "line_search_failure"
         assert np.isfinite(res.objective.total)
         assert np.all(res.policy.u_nom <= 0.5)
 

@@ -23,10 +23,12 @@ from dualmpc.uncertainty import (
     SingularInnovationError,
     StageLinearization,
     chol_solve_spd,
+    covariance_adjoint,
+    kalman_adjoint,
 )
 
 from conftest import standard_unicycle_params, random_spd
-from oracles import luenberger_covariance
+from oracles import fd_jacobian, luenberger_covariance
 
 
 def scalar_lin(A=1.0, G=1.0, C=1.0, D=1.0, N=1):
@@ -276,6 +278,12 @@ def test_innovation_solver_jitter_and_failure():
     assert np.all(np.isfinite(x))
     with pytest.raises(SingularInnovationError, match="stage"):
         chol_solve_spd(np.array([[-1.0]]), np.array([[1.0]]), context="innovation covariance at stage 3")
+    # non-finite entries are named, not solved: NaN would propagate, and
+    # diag(inf, 1) would come back as the finite wrong answer diag(0, 1)
+    for bad in (np.nan, np.inf):
+        S = np.diag([bad, 1.0])
+        with pytest.raises(SingularInnovationError, match="stage 2: matrix has non-finite entries"):
+            chol_solve_spd(S, np.eye(2), context="innovation covariance at stage 2")
 
 
 def test_kalman_matches_luenberger_at_kalman_gains():
@@ -453,3 +461,70 @@ def test_policy_stage_gains_pins_first_to_zero():
     assert K.shape == (4, 2, 4)
     assert np.all(K[0] == 0.0)
     assert np.all(K[1:] == 1.0)
+
+
+# ------------------------------------------------------------- adjoints
+
+def _random_lin(rng, N=5, n_x=3, n_u=2, n_w=2, n_y=2):
+    return StageLinearization(
+        A=rng.normal(size=(N, n_x, n_x)) * 0.5,
+        B=rng.normal(size=(N, n_x, n_u)),
+        G=rng.normal(size=(N, n_x, n_w)) * 0.3,
+        C=rng.normal(size=(N, n_y, n_x)),
+        D=rng.normal(size=(N, n_y, n_y)) * 0.4 + np.eye(n_y),
+    )
+
+
+def _fd(scalar, base):
+    """Central differences of a scalar function of one array, shaped like it."""
+    base = np.asarray(base, dtype=float)
+    return fd_jacobian(lambda v: scalar(v.reshape(base.shape)), base.ravel()).reshape(base.shape)
+
+
+def test_kalman_adjoint_matches_central_differences():
+    """kalman_adjoint pulls the derivative of a scalar that reads the filter
+    gains back onto A, G, C, D, through the Cholesky solve of every stage."""
+    rng = np.random.default_rng(61)
+    lin = _random_lin(rng)
+    P0 = random_spd(rng, 3, 0.2)
+    weights = rng.normal(size=(5, 3, 2))
+
+    def scalar(l):
+        return float(np.sum(weights * kalman_recursion(l, P0)[0]))
+
+    gains, covs = kalman_recursion(lin, P0)
+    adj = kalman_adjoint(lin, gains, covs, weights)
+    for name in "AGCD":
+        fd = _fd(lambda M: scalar(replace(lin, **{name: M})), getattr(lin, name))
+        assert_allclose(getattr(adj, name), fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
+    assert np.all(adj.B == 0.0)
+
+
+def test_covariance_adjoint_matches_central_differences():
+    """covariance_adjoint gives the derivatives of a scalar that reads every
+    stage covariance and the gains with respect to the gains, the
+    linearization and the filter gains."""
+    rng = np.random.default_rng(62)
+    lin = _random_lin(rng)
+    N, n_x, n_u = 5, 3, 2
+    P0 = random_spd(rng, n_x, 0.2)
+    filter_gains = 0.3 * rng.normal(size=(N, n_x, 2))
+    fb = 0.3 * rng.normal(size=(N - 1, n_u, n_x))
+    weights = np.array([random_spd(rng, 2 * n_x) for _ in range(N + 1)])
+    K_weights = rng.normal(size=(N, n_u, n_x))
+
+    def scalar(l, gains=filter_gains, feedback=fb):
+        policy = Policy(u_nom=np.zeros((N, n_u)), feedback=feedback)
+        sigma = propagate_covariance(l, policy, gains, P0).sigma
+        return float(np.sum(weights * sigma) + np.sum(K_weights * policy.stage_gains()))
+
+    policy = Policy(u_nom=np.zeros((N, n_u)), feedback=fb)
+    sigma = propagate_covariance(lin, policy, filter_gains, P0).sigma
+    K_bar, lin_bar, gains_bar = covariance_adjoint(lin, policy, filter_gains, sigma, weights, K_weights)
+    cases = [(getattr(lin_bar, name), lambda M, name=name: scalar(replace(lin, **{name: M})), getattr(lin, name))
+             for name in "ABGCD"]
+    cases += [(gains_bar, lambda M: scalar(lin, gains=M), filter_gains),
+              (K_bar, lambda M: scalar(lin, feedback=M), fb)]
+    for bar, fn, base in cases:
+        fd = _fd(fn, base)
+        assert_allclose(bar, fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
