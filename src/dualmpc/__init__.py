@@ -10,7 +10,7 @@ and a closed-loop Monte-Carlo simulator.
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .controllers import RecedingHorizonController, StepDiagnostics, shift_warm_start
-from .estimation import BeliefState, EstimationError, ekf_predict, ekf_update
+from .estimation import BeliefState, EstimationError, ekf_step
 from .model import (
     ConstraintSet,
     ControlProblem,
@@ -81,8 +81,7 @@ __all__ = [
     "SystemModel",
     "UnicycleParams",
     "constraint_direction_variance",
-    "ekf_predict",
-    "ekf_update",
+    "ekf_step",
     "expected_quadratic",
     "expected_relu",
     "feedback_regularization",

@@ -100,7 +100,7 @@ def _solution_payload(mode: str, result: SolveResult) -> dict:
         "status": result.status,
         "iterations": result.iterations,
         "stationarity": result.stationarity,
-        "objective": result.objective.as_dict(),
+        "objective": dataclasses.asdict(result.objective),
         "u_nom": np.asarray(result.policy.u_nom).tolist(),
         "feedback_gains": np.asarray(result.policy.feedback).tolist(),
         "beta": beta,
@@ -168,7 +168,7 @@ def cmd_simulate(config: ExperimentConfig, controller: str | None, out_dir: Path
             config.sim_config,
             controller_name=name,
         )
-        summaries[name] = summary.as_dict()
+        summaries[name] = dataclasses.asdict(summary)
         any_diverged = any_diverged or summary.diverged_runs > 0
         for record in records:
             path = out_dir / f"{name}_run{record.run_index:03d}.csv"

@@ -1,9 +1,10 @@
 """Extended Kalman filter used by the closed-loop simulator.
 
-Unlike the prediction-side Kalman recursion (which linearizes around the
-planned nominal trajectory), the EKF linearizes at the current estimate:
-predict at (x_hat, u, 0), update at (x_hat, 0).  On a linear model the two
-recursions follow the same arithmetic.
+One filter step is the planner's prediction pipeline on a one-stage horizon
+from the belief mean: the noise-free rollout to x- = f(x_hat, u, 0), its
+linearization (A, G at (x_hat, u, 0), C, D at (x-, 0)) and one stage of the
+Kalman recursion.  The closed loop therefore runs the filter the optimizer
+predicts, linearized at the estimate instead of the plan.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Array, SystemModel
-from .uncertainty import chol_solve_spd, symmetrize
+from .uncertainty import kalman_recursion, linearize_trajectory, nominal_rollout, symmetrize
 
 
 class EstimationError(RuntimeError):
@@ -42,38 +43,20 @@ class BeliefState:
         object.__setattr__(self, "cov", cov)
 
 
-def ekf_predict(model: SystemModel, belief: BeliefState, u: Array, stage: int = 0) -> BeliefState:
-    """Propagate the belief through the dynamics at the estimate.
+def ekf_step(model: SystemModel, belief: BeliefState, u: Array, y: Array) -> BeliefState:
+    """Propagate the belief under the control u and condition it on the
+    measurement y of the next state: mean x- + Khat (y - g(x-, 0)), with
+    the gain Khat and covariance of one Kalman stage.
 
-    Mean moves through the noise-free dynamics; covariance through the
-    Jacobians evaluated at (mean, u, 0).
+    Raises:
+        RolloutError: x- is non-finite.
+        LinearizationError: a Jacobian is non-finite.
+        SingularInnovationError: the innovation covariance is non-finite or
+            not positive definite even with maximal jitter.
+        EstimationError: the updated mean or covariance is non-finite.
     """
-    u = np.asarray(u, dtype=float)
-    w0 = np.zeros(model.n_w)
-    mean_next = model.f(belief.mean, u, w0)
-    A, _, G = model.f_jac(belief.mean, u, w0)
-    cov_next = A @ belief.cov @ A.T + G @ G.T
-    if not (np.all(np.isfinite(mean_next)) and np.all(np.isfinite(cov_next))):
-        raise EstimationError(f"EKF prediction diverged at stage {stage}")
-    return BeliefState(mean=mean_next, cov=symmetrize(cov_next))
-
-
-def ekf_update(model: SystemModel, belief: BeliefState, y: Array, stage: int = 0) -> BeliefState:
-    """Condition the belief on a measurement.
-
-    Output is linearized at (mean, 0); the innovation covariance is solved
-    with the shared escalating-jitter Cholesky, so a singular innovation
-    raises rather than producing garbage.
-    """
-    y = np.asarray(y, dtype=float)
-    v0 = np.zeros(model.n_v)
-    C, D = model.g_jac(belief.mean, v0)
-    S = C @ belief.cov @ C.T + D @ D.T
-    gain_t = chol_solve_spd(S, C @ belief.cov, context=f"EKF innovation covariance at stage {stage}")
-    gain = gain_t.T
-    innovation = y - model.g(belief.mean, v0)
-    mean_next = belief.mean + gain @ innovation
-    cov_next = (np.eye(model.n_x) - gain @ C) @ belief.cov
-    if not np.all(np.isfinite(mean_next)):
-        raise EstimationError(f"EKF update diverged at stage {stage}")
-    return BeliefState(mean=mean_next, cov=symmetrize(cov_next))
+    traj = nominal_rollout(model, belief.mean, np.asarray(u, dtype=float)[None])
+    gains, covs = kalman_recursion(linearize_trajectory(model, traj), belief.cov)
+    x_minus = traj.states[1]
+    innovation = np.asarray(y, dtype=float) - model.g(x_minus, np.zeros(model.n_v))
+    return BeliefState(mean=x_minus + gains[0] @ innovation, cov=covs[1])

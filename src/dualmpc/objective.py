@@ -109,8 +109,9 @@ def constraint_direction_variance(grad: Array, cov: Array) -> Array:
     return np.einsum("...i,...ij,...j->...", grad, cov, grad)
 
 
-def floored_variance(direction_variances: Array, eps_sigma: float) -> Array:
-    """Optimal constraint-variance slacks: max(clip(variance, 0), eps_sigma^2).
+def floored_variance(direction_variances: Array, eps_sigma: float) -> tuple[Array, Array]:
+    """Optimal constraint-variance slacks max(clip(H, 0), eps_sigma^2) of the
+    direction variances H, and their slope d/dH (1 above the floor, else 0).
 
     The slacks are eliminated analytically: the expected hinge penalty is
     strictly increasing in the standard deviation, so at the optimum each
@@ -118,7 +119,7 @@ def floored_variance(direction_variances: Array, eps_sigma: float) -> Array:
     floor.
     """
     H = np.clip(np.asarray(direction_variances, dtype=float), 0.0, None)
-    return np.maximum(H, eps_sigma**2)
+    return np.maximum(H, eps_sigma**2), (H > eps_sigma**2).astype(float)
 
 
 def feedback_regularization(feedback: Array, eps_K: float):
@@ -172,15 +173,6 @@ class ObjectiveBreakdown:
             regularization=float(regularization),
             total=float(nominal_cost) + float(variance_cost) + float(penalty) + float(regularization),
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "nominal_cost": self.nominal_cost,
-            "variance_cost": self.variance_cost,
-            "penalty": self.penalty,
-            "regularization": self.regularization,
-            "total": self.total,
-        }
 
 
 @dataclass(frozen=True)
@@ -350,7 +342,7 @@ class ObjectiveEvaluator:
         joint = self._joint_covariances(pred, feedback)
         variance = 0.5 * np.einsum("kij,...kji->...", self._hessians, joint)
         H_dir = constraint_direction_variance(pred.h_grads, joint[..., None, :, :])
-        beta = floored_variance(H_dir, self.eps_sigma)
+        beta, _ = floored_variance(H_dir, self.eps_sigma)
         penalty = np.sum(self._weights * expected_relu(pred.h, np.sqrt(beta)), axis=(-2, -1))
         reg = feedback_regularization(feedback, self.eps_K)
         nominal = pred.nominal_cost
@@ -420,7 +412,8 @@ class ObjectiveEvaluator:
             T_t = np.swapaxes(T, -1, -2)
             joint = T @ sigma @ T_t
         direction = constraint_direction_variance(pred.h_grads, joint[:, None])
-        std = np.sqrt(floored_variance(direction, self.eps_sigma))
+        beta, slope = floored_variance(direction, self.eps_sigma)
+        std = np.sqrt(beta)
         ratio = pred.h / std
         z_bar = (
             np.einsum("kab,kb->ka", hessians, z)
@@ -434,8 +427,7 @@ class ObjectiveEvaluator:
             K_grad = np.zeros(feedback.shape)
         else:
             A, B = pred.lin.A, pred.lin.B
-            live = np.clip(direction, 0.0, None) > self.eps_sigma**2
-            c = np.where(live, self._weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std), 0.0)
+            c = slope * self._weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
             M = 0.5 * hessians + np.einsum("ki,kia,kib->kab", c, pred.h_grads, pred.h_grads)
             T_bar = 2.0 * M @ T @ sigma
             K_bar, lin_bar, gains_bar = covariance_adjoint(

@@ -318,8 +318,9 @@ def solve(
     infinity norm reaches the tolerance, 'max_iter' when the iteration
     budget runs out, and 'line_search_failure' when no acceptable step
     exists along either the quasi-Newton or the steepest-descent direction,
-    or when the gradient pass at the accepted step fails (the best iterate
-    found so far is returned in all cases).
+    or when the gradient pass at the accepted step fails.  Every accepted
+    step lowers f, so the last accepted iterate is the best one and is what
+    comes back in all cases.
     """
     opts = options or SolveOptions()
     var = _Variables(problem, opts.mode)
@@ -347,7 +348,6 @@ def solve(
     g = _gradient(ev, var, center, theta)
     # curvature() holds the current iterate's prediction until the next one.
     curvature = partial(_curvature, ev, var, theta, f, center, totals0[1:])
-    best_theta, best_f = theta.copy(), f
     curvature_skips = 0
     status = "max_iter"
     iterations = 0
@@ -400,13 +400,9 @@ def solve(
                 curvature_skips = 0
 
         theta, f, g = trial, f_trial, g_new
-        if f < best_f:
-            best_f, best_theta = f, theta.copy()
         stationarity = _projected_gradient_norm(theta, g, var)
 
-    if f <= best_f:
-        best_f, best_theta = f, theta
-    policy = var.unpack(best_theta)
+    policy = var.unpack(theta)
     breakdown, beta = ev.breakdown_and_beta(policy)
     return SolveResult(
         policy=policy,

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .controllers import RecedingHorizonController
-from .estimation import BeliefState, EstimationError, ekf_predict, ekf_update
+from .estimation import BeliefState, EstimationError, ekf_step
 from .model import Array, ControlProblem, ModelError, psd_sqrt
 from .uncertainty import LinearizationError, RolloutError, SingularInnovationError
 
@@ -120,21 +120,6 @@ class MetricsSummary:
         if not (np.isnan(self.violation_frequency) or 0.0 <= self.violation_frequency <= 1.0):
             raise ValueError("violation frequency must lie in [0, 1]")
 
-    def as_dict(self) -> dict:
-        return {
-            "controller": self.controller,
-            "runs": self.runs,
-            "steps": self.steps,
-            "mean_total_cost": self.mean_total_cost,
-            "std_total_cost": self.std_total_cost,
-            "mean_stage_cost": self.mean_stage_cost,
-            "violation_frequency": self.violation_frequency,
-            "mean_boundary_distance": self.mean_boundary_distance,
-            "mean_abs_lateral": self.mean_abs_lateral,
-            "mean_estimate_cov_trace": self.mean_estimate_cov_trace,
-            "diverged_runs": self.diverged_runs,
-        }
-
 
 def _realized_stage_cost(problem: ControlProblem, h: Array, weights: Array, x: Array, u: Array) -> float:
     """True penalized stage cost: l(x, u) + sum_i w_i max(0, h_i)."""
@@ -200,7 +185,7 @@ def simulate_run(
             x_next = model.f(x, u, w)
             v = noise_stream(config.master_seed, run_index, t, SLOT_MEASUREMENT).standard_normal(model.n_v)
             y = model.g(x_next, v)
-            belief = ekf_update(model, ekf_predict(model, belief, u, stage=t), y, stage=t + 1)
+            belief = ekf_step(model, belief, u, y)
         except (EstimationError, RolloutError, SingularInnovationError, LinearizationError, ModelError):
             diverged = True
             break

@@ -189,49 +189,28 @@ def nominal_rollout(model: SystemModel, x0: Array, u_nom: Array) -> NominalTraje
     return NominalTrajectory(states=states, controls=controls)
 
 
-def _point_bytes(a: Array) -> Array:
-    """Each vector along the (contiguous) last axis as one raw-bytes scalar,
-    so that equal means bit-identical (0.0 and -0.0 differ, and so may their
-    Jacobians)."""
-    return a.view(f"V{a.itemsize * a.shape[-1]}")[..., 0]
-
-
 def linearize_trajectory(model: SystemModel, traj: NominalTrajectory) -> StageLinearization:
     """Dynamics and output Jacobians along the nominal trajectory.
 
     Dynamics are linearized at (x_k, u_k, 0), outputs at (x_{k+1}, 0).  The
     maps are time-invariant, so the stage axis folds into the batch and each
-    Jacobian provider is called once.  That call skips every (row, stage)
-    whose x_k, u_k and x_{k+1} equal row 0's at the same stage and copies row
-    0's Jacobians there: the finite-difference rows of a control u_k share
-    all stages before k with the centre they are batched behind.
+    Jacobian provider is called once, on every point.
 
     Raises:
         LinearizationError: a Jacobian came back with non-finite entries.
     """
     N = traj.horizon
     batch = traj.states.shape[:-2]
-    x = np.ascontiguousarray(traj.states.reshape(-1, N + 1, model.n_x))
-    u = np.ascontiguousarray(traj.controls.reshape(-1, N, model.n_u))
-    x_bytes, u_bytes = _point_bytes(x), _point_bytes(u)
-    moved = x_bytes != x_bytes[0]
-    new = moved[:, :N] | moved[:, 1:] | (u_bytes != u_bytes[0])
-    new[0] = True
-    points = new.ravel().nonzero()[0]  # row * N + stage of each evaluated point
-    # Where each (row, stage) takes its Jacobians from: its own point, or
-    # row 0's at that stage, which is evaluated point number `stage`.
-    src = np.arange(new.size) % N
-    src[points] = np.arange(points.size)
-    at = points + points // N  # row * (N + 1) + stage: the point's x_k
-    states = x.reshape(-1, model.n_x)
-    controls = u.reshape(-1, model.n_u)
-    A, B, G = model.f_jac(states.take(at, axis=0), controls.take(points, axis=0), np.zeros(model.n_w))
-    C, D = model.g_jac(states.take(at + 1, axis=0), np.zeros(model.n_v))
+    x = traj.states.reshape(-1, N + 1, model.n_x)
+    A, B, G = model.f_jac(
+        x[:, :N].reshape(-1, model.n_x), traj.controls.reshape(-1, model.n_u), np.zeros(model.n_w)
+    )
+    C, D = model.g_jac(x[:, 1:].reshape(-1, model.n_x), np.zeros(model.n_v))
     out = {}
     for name, M in zip("ABGCD", (A, B, G, C, D)):
         if not np.isfinite(M).all():
             raise LinearizationError(f"linearization produced non-finite {name} entries")
-        out[name] = M.take(src, axis=0).reshape(batch + (N,) + M.shape[-2:])
+        out[name] = M.reshape(batch + (N,) + M.shape[-2:])
     return StageLinearization(**out)
 
 

@@ -2,8 +2,8 @@
 
 Each one is a plain, independent route to a quantity the package computes
 another way: a central-difference Jacobian, a central-difference objective
-gradient, the general-gain (Joseph) estimation-error covariance, and a
-stand-alone penalty sum.
+gradient, the general-gain (Joseph) estimation-error covariance, a
+stand-alone penalty sum, and a hand-written EKF predict/update pair.
 """
 
 from typing import Callable
@@ -11,8 +11,9 @@ from typing import Callable
 import numpy as np
 
 from dualmpc import ModelError, expected_relu, floored_variance
-from dualmpc.model import Array
-from dualmpc.uncertainty import StageLinearization, symmetrize
+from dualmpc.estimation import BeliefState, EstimationError
+from dualmpc.model import Array, SystemModel
+from dualmpc.uncertainty import StageLinearization, chol_solve_spd, symmetrize
 
 
 def fd_jacobian(fn: Callable[[Array], Array], at: Array, step: float = 1e-6) -> Array:
@@ -118,4 +119,41 @@ def penalty_total(h_nom: Array, beta: Array, weights: Array, eps_sigma: float):
     ``beta`` is floored by :func:`floored_variance` before taking the square
     root, so every constraint sees at least the minimum smoothing variance.
     """
-    return np.sum(weights * expected_relu(h_nom, np.sqrt(floored_variance(beta, eps_sigma))), axis=-1)
+    return np.sum(weights * expected_relu(h_nom, np.sqrt(floored_variance(beta, eps_sigma)[0])), axis=-1)
+
+
+def ekf_predict(model: SystemModel, belief: BeliefState, u: Array, stage: int = 0) -> BeliefState:
+    """Propagate the belief through the dynamics at the estimate.
+
+    Mean moves through the noise-free dynamics; covariance through the
+    Jacobians evaluated at (mean, u, 0).
+    """
+    u = np.asarray(u, dtype=float)
+    w0 = np.zeros(model.n_w)
+    mean_next = model.f(belief.mean, u, w0)
+    A, _, G = model.f_jac(belief.mean, u, w0)
+    cov_next = A @ belief.cov @ A.T + G @ G.T
+    if not (np.all(np.isfinite(mean_next)) and np.all(np.isfinite(cov_next))):
+        raise EstimationError(f"EKF prediction diverged at stage {stage}")
+    return BeliefState(mean=mean_next, cov=symmetrize(cov_next))
+
+
+def ekf_update(model: SystemModel, belief: BeliefState, y: Array, stage: int = 0) -> BeliefState:
+    """Condition the belief on a measurement.
+
+    Output is linearized at (mean, 0); the innovation covariance is solved
+    with the shared escalating-jitter Cholesky, so a singular innovation
+    raises rather than producing garbage.
+    """
+    y = np.asarray(y, dtype=float)
+    v0 = np.zeros(model.n_v)
+    C, D = model.g_jac(belief.mean, v0)
+    S = C @ belief.cov @ C.T + D @ D.T
+    gain_t = chol_solve_spd(S, C @ belief.cov, context=f"EKF innovation covariance at stage {stage}")
+    gain = gain_t.T
+    innovation = y - model.g(belief.mean, v0)
+    mean_next = belief.mean + gain @ innovation
+    cov_next = (np.eye(model.n_x) - gain @ C) @ belief.cov
+    if not np.all(np.isfinite(mean_next)):
+        raise EstimationError(f"EKF update diverged at stage {stage}")
+    return BeliefState(mean=mean_next, cov=symmetrize(cov_next))

@@ -29,11 +29,13 @@ from conftest import standard_unicycle_params
 # ------------------------------------------------------------- slack elimination
 
 def test_eliminate_beta_applies_floor_and_passthrough():
-    assert floored_variance(0.0, 1e-3) == pytest.approx(1e-6, abs=0)
-    assert floored_variance(4.0, 1e-3) == pytest.approx(4.0, abs=0)
-    # negative inputs (FD noise on a PSD form) are clamped before flooring
-    out = floored_variance(np.array([-1e-9, 0.0, 2.5e-7, 0.3]), 1e-3)
-    np.testing.assert_allclose(out, [1e-6, 1e-6, 1e-6, 0.3], atol=0)
+    assert floored_variance(0.0, 1e-3) == (1e-6, 0.0)
+    assert floored_variance(4.0, 1e-3) == (4.0, 1.0)
+    # negative inputs (FD noise on a PSD form) are clamped before flooring;
+    # the slope is 1 only strictly above the floor
+    out, slope = floored_variance(np.array([-1e-9, 0.0, 2.5e-7, 1e-6, 0.3]), 1e-3)
+    np.testing.assert_allclose(out, [1e-6, 1e-6, 1e-6, 1e-6, 0.3], atol=0)
+    np.testing.assert_array_equal(slope, [0.0, 0.0, 0.0, 0.0, 1.0])
 
 
 def _one_stage_problem(rho=50.0):

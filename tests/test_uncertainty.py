@@ -200,13 +200,13 @@ def _assert_rows_match(model, traj):
             assert_allclose(getattr(lin, name)[i], getattr(row, name), atol=0, rtol=0)
 
 
-def test_linearization_of_stencil_batch_matches_rows_and_skips_shared_prefix(unicycle_problem):
+def test_linearization_of_stencil_batch_matches_rows_in_one_call(unicycle_problem):
     model, seen = _counting_model(unicycle_problem.model)
     u = _stencil_controls(np.random.default_rng(31))
     traj = nominal_rollout(model, np.array([1.0, 1.0, np.pi]), u)
     _assert_rows_match(model, traj)
-    # the rows perturbing u_k share stages 0..k-1 with the centre
-    assert seen[0] == 41 * 10 - 4 * sum(range(10))
+    # one call with every point, shared with the centre or not, then one per row
+    assert seen == [41 * 10] + [10] * 41
 
 
 def test_linearization_row_matching_row_zero_only_late(unicycle_problem):
@@ -220,7 +220,7 @@ def test_linearization_row_matching_row_zero_only_late(unicycle_problem):
     controls[1, 7:] = controls[0, 7:]
     late = NominalTrajectory(states=states, controls=controls)
     _assert_rows_match(model, late)
-    assert seen[0] == 3 * 10 - 3
+    assert seen == [3 * 10] + [10] * 3
 
 
 def test_linearization_batch_without_shared_points_calls_model_once(unicycle_problem):
@@ -228,7 +228,7 @@ def test_linearization_batch_without_shared_points_calls_model_once(unicycle_pro
     u = np.random.default_rng(33).uniform(-1, 1, size=(5, 10, 2))
     traj = nominal_rollout(model, np.array([1.0, 1.0, np.pi]), u)
     _assert_rows_match(model, traj)
-    assert seen[0] == 5 * 10
+    assert seen == [5 * 10] + [10] * 5
 
 
 # ----------------------------------------------------------- kalman recursion
