@@ -9,7 +9,9 @@ vectorized.
 The model contract: the stage maps and their Jacobians are time-invariant
 (no stage index), and the Jacobians are analytic and required, so a whole
 trajectory linearizes in one call with the stage axis folded into the batch.
-Costs and constraints keep a stage index, because their data is per stage.
+Constraints follow the same contract: one row set with analytic Jacobians
+for every stage, and a per-stage weight table that says which rows apply
+where.  Costs keep a stage index, because their data is per stage.
 """
 
 from __future__ import annotations
@@ -242,27 +244,36 @@ class QuadraticCost:
 class ConstraintSet:
     """Penalized inequality constraints plus hard control box bounds.
 
-    Stage constraints ``h_k(x, u) <= 0`` (k = 0..N-1) and a terminal
-    ``h_N(x) <= 0`` are softened with per-constraint linear violation
-    weights.  The control box is additionally enforced exactly on the
-    nominal controls by the solver.
+    One row set ``h(x, u) <= 0`` serves every stage 0..N; stage N is
+    evaluated at ``u = 0``, with the rows' ``u`` derivatives taken as 0.
+    The rows are softened with linear violation weights from the
+    ``(N+1, n_h)`` table ``weights``: ``weights[k, i]`` is row i's weight at
+    stage k, and 0 means the row does not apply there.  The control box is
+    additionally enforced exactly on the nominal controls by the solver.
+
+    Attributes:
+        fn: rows ``fn(x, u) -> (.., n_h)``, broadcast over batch dimensions.
+        jac: their analytic Jacobians ``jac(x, u) -> (.., n_h, n_x + n_u)``
+            over ``z = (x, u)``.
+        weights: finite, nonnegative ``(N+1, n_h)`` weight table.
+        u_lower, u_upper: control box.
     """
 
-    stage_fn: Callable[[int, Array, Array], Array] | None
-    stage_jac: Callable[[int, Array, Array], Array] | None
-    stage_counts: tuple[int, ...]
-    stage_weights: tuple[Array, ...]
-    terminal_fn: Callable[[Array], Array] | None
-    terminal_jac: Callable[[Array], Array] | None
-    terminal_count: int
-    terminal_weights: Array
+    fn: Callable[[Array, Array], Array]
+    jac: Callable[[Array, Array], Array]
+    weights: Array
     u_lower: Array
     u_upper: Array
 
     def __post_init__(self):
-        for wts in list(self.stage_weights) + [self.terminal_weights]:
-            if np.asarray(wts).size and np.any(np.asarray(wts) <= 0.0):
-                raise ModelError("violation weights must be strictly positive")
+        weights = np.asarray(self.weights, dtype=float)
+        if weights.ndim != 2:
+            raise ModelError(f"weight table must be 2-D (stages, rows), got shape {weights.shape}")
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+            raise ModelError("violation weights must be finite and nonnegative")
+        object.__setattr__(self, "weights", weights)
+        if np.any(np.isnan(self.u_lower)) or np.any(np.isnan(self.u_upper)):
+            raise ModelError("control box bounds must not be NaN")
         if np.any(self.u_lower > self.u_upper):
             raise ModelError("control box is empty (lower > upper)")
 
@@ -270,40 +281,20 @@ class ConstraintSet:
     def empty(cls, n_u: int, horizon: int, u_lower=None, u_upper=None) -> "ConstraintSet":
         lo = np.full(n_u, -np.inf) if u_lower is None else np.asarray(u_lower, dtype=float)
         hi = np.full(n_u, np.inf) if u_upper is None else np.asarray(u_upper, dtype=float)
+
+        def fn(x, u):
+            return np.zeros(np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1]) + (0,))
+
+        def jac(x, u):
+            return np.zeros(fn(x, u).shape + (np.shape(x)[-1] + np.shape(u)[-1],))
+
         return cls(
-            stage_fn=None,
-            stage_jac=None,
-            stage_counts=tuple([0] * horizon),
-            stage_weights=tuple([np.zeros(0)] * horizon),
-            terminal_fn=None,
-            terminal_jac=None,
-            terminal_count=0,
-            terminal_weights=np.zeros(0),
+            fn=fn,
+            jac=jac,
+            weights=np.zeros((horizon + 1, 0)),
             u_lower=lo,
             u_upper=hi,
         )
-
-    def stage_values(self, k: int, x: Array, u: Array) -> Array:
-        if self.stage_fn is None or self.stage_counts[k] == 0:
-            batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1])
-            return np.zeros(batch + (0,))
-        return np.asarray(self.stage_fn(k, x, u), dtype=float)
-
-    def stage_gradients(self, k: int, x: Array, u: Array) -> Array:
-        if self.stage_jac is None or self.stage_counts[k] == 0:
-            batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1])
-            return np.zeros(batch + (0, np.shape(x)[-1] + np.shape(u)[-1]))
-        return np.asarray(self.stage_jac(k, x, u), dtype=float)
-
-    def terminal_values(self, x: Array) -> Array:
-        if self.terminal_fn is None or self.terminal_count == 0:
-            return np.zeros(np.shape(x)[:-1] + (0,))
-        return np.asarray(self.terminal_fn(x), dtype=float)
-
-    def terminal_gradients(self, x: Array) -> Array:
-        if self.terminal_jac is None or self.terminal_count == 0:
-            return np.zeros(np.shape(x)[:-1] + (0, np.shape(x)[-1]))
-        return np.asarray(self.terminal_jac(x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -315,10 +306,12 @@ class ControlProblem:
     constraints: ConstraintSet
 
     def __post_init__(self):
-        if self.cost.horizon != self.model.horizon:
+        N = self.model.horizon
+        if self.cost.horizon != N:
             raise ModelError("cost horizon does not match model horizon")
-        if len(self.constraints.stage_counts) != self.model.horizon:
-            raise ModelError("constraint stage count does not match model horizon")
+        rows = self.constraints.weights.shape[0]
+        if rows != N + 1:
+            raise ModelError(f"constraint weight table has {rows} stage rows, but horizon {N} needs {N + 1}")
 
 
 def make_linear_problem(

@@ -181,10 +181,11 @@ class Prediction:
     controls (not on the feedback gains): the rollout, its linearization,
     the filter gains, nominal cost and nominal constraint values.
 
-    Constraint values/gradients are stored for stages 0..N, the terminal
-    rows as stage N with zero gradient in u, padded to the widest stage so
-    the penalty evaluates in one vectorized pass; padded rows carry zero
-    weight (see ObjectiveEvaluator).
+    Constraint values/gradients are stored for stages 0..N, stage N at
+    u = 0 with zero gradient in u.  Each stage holds the rows that apply
+    there (nonzero weight) first, in row order, padded to the widest stage
+    so the penalty evaluates in one vectorized pass; padded rows carry
+    zero weight (see ObjectiveEvaluator).
     """
 
     traj: NominalTrajectory
@@ -241,26 +242,28 @@ class ObjectiveEvaluator:
         eps_K: float = 1e-4,
         include_uncertainty: bool = True,
     ):
-        if eps_sigma <= 0.0:
-            raise ValueError("eps_sigma must be positive")
-        if eps_K < 0.0:
-            raise ValueError("eps_K must be nonnegative")
+        if not 0.0 < eps_sigma < np.inf:
+            raise ValueError("eps_sigma must be positive and finite")
+        if not 0.0 <= eps_K < np.inf:
+            raise ValueError("eps_K must be nonnegative and finite")
         self.problem = problem
         self.x0 = np.asarray(x0, dtype=float)
         self.P_hat_0 = 0.5 * (np.asarray(P_hat_0, dtype=float) + np.asarray(P_hat_0, dtype=float).T)
         self.eps_sigma = eps_sigma
         self.eps_K = eps_K if include_uncertainty else 0.0
         self.include_uncertainty = include_uncertainty
-        # Stages 0..N-1 plus the terminal stage N.  Constraint counts are
-        # ragged; pad to the widest stage with zero-weight rows so the
-        # penalty evaluates in one pass.
+        # Stages 0..N-1 plus the terminal stage N.  Each stage's applicable
+        # rows (nonzero weight) come first, in row order, and the tables are
+        # cut to the widest stage, so the other stages are padded with
+        # zero-weight rows and the penalty evaluates in one pass; _rows
+        # gathers them from the flattened (N+1, n_h) constraint tables.
         model, cost, cs = problem.model, problem.cost, problem.constraints
         N, n_x = model.horizon, model.n_x
-        self.counts = (*cs.stage_counts, cs.terminal_count)
-        self._h_max = max(self.counts)
-        self._weights = np.zeros((N + 1, self._h_max))
-        for k, w in enumerate((*cs.stage_weights, cs.terminal_weights)):
-            self._weights[k, : self.counts[k]] = w
+        used = cs.weights > 0.0
+        self.counts = tuple(int(c) for c in used.sum(axis=1))
+        order = np.argsort(~used, axis=1, kind="stable")[:, : max(self.counts)]
+        self._rows = order + used.shape[1] * np.arange(N + 1)[:, None]
+        self._weights = np.take_along_axis(cs.weights, order, axis=1)
         n_z = n_x + model.n_u
         self._hessians = np.zeros((N + 1, n_z, n_z))
         self._hessians[:N] = cost.stage_hessians
@@ -294,24 +297,23 @@ class ObjectiveEvaluator:
 
     def _constraint_tables(self, xs: Array, us: Array) -> tuple[Array, Array]:
         """Constraint values and gradients of stages 0..N at batched states
-        (.., N+1, n_x) and controls (.., N, n_u), padded to the widest stage
+        (.., N+1, n_x) and controls (.., N, n_u), stage N at u = 0, packed
         (see :class:`Prediction`)."""
         cs = self.problem.constraints
-        N = self.problem.model.horizon
-        n_x = xs.shape[-1]
+        n_x, n_u = xs.shape[-1], us.shape[-1]
         batch = np.broadcast_shapes(xs.shape[:-2], us.shape[:-2])
+        xs = np.broadcast_to(xs, batch + xs.shape[-2:])
+        us = np.concatenate([np.broadcast_to(us, batch + us.shape[-2:]), np.zeros(batch + (1, n_u))], axis=-2)
+        flat = batch + (cs.weights.size,)
+        h = np.take(np.asarray(cs.fn(xs, us), dtype=float).reshape(flat), self._rows, axis=-1)
+        h_grads = np.take(
+            np.asarray(cs.jac(xs, us), dtype=float).reshape(flat + (n_x + n_u,)), self._rows, axis=-2
+        )
         # padded rows keep a harmless negative value; their weight is zero
-        h = np.full(batch + (N + 1, self._h_max), -1.0)
-        h_grads = np.zeros(batch + (N + 1, self._h_max, n_x + us.shape[-1]))
-        for k in range(N):
-            count = self.counts[k]
-            if count:
-                h[..., k, :count] = cs.stage_values(k, xs[..., k, :], us[..., k, :])
-                h_grads[..., k, :count, :] = cs.stage_gradients(k, xs[..., k, :], us[..., k, :])
-        count = self.counts[N]
-        if count:
-            h[..., N, :count] = cs.terminal_values(xs[..., N, :])
-            h_grads[..., N, :count, :n_x] = cs.terminal_gradients(xs[..., N, :])
+        pad = self._weights == 0.0
+        h[..., pad] = -1.0
+        h_grads[..., pad, :] = 0.0
+        h_grads[..., -1, :, n_x:] = 0.0
         return h, h_grads
 
     def _joint_covariances(self, pred: Prediction, feedback: Array) -> Array:

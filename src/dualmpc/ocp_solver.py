@@ -63,10 +63,10 @@ class SolveOptions:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if self.tolerance <= 0 or self.eps_sigma <= 0:
-            raise ValueError("tolerance and eps_sigma must be positive")
-        if self.eps_K < 0:
-            raise ValueError(f"eps_K must be nonnegative, got {self.eps_K}")
+        if not (0 < self.tolerance < np.inf and 0 < self.eps_sigma < np.inf):
+            raise ValueError("tolerance and eps_sigma must be positive and finite")
+        if not 0 <= self.eps_K < np.inf:
+            raise ValueError(f"eps_K must be nonnegative and finite, got {self.eps_K}")
 
 
 @dataclass(frozen=True)
@@ -207,24 +207,32 @@ _TRIAL_ERRORS = (RolloutError, LinearizationError, SingularInnovationError, Mode
 
 def _evaluate_trials(ev: ObjectiveEvaluator, var: _Variables,
                      trials: Array) -> tuple[Array, Callable[[int], Prediction]]:
-    """Objective totals at line-search trials from one ``totals`` batch, and
-    a function that returns the unbatched prediction of trial i.  If the
+    """Objective totals at trial points from one ``totals`` batch, and a
+    function that returns the unbatched prediction of trial i.  If the
     batch fails, each trial is re-evaluated on its own, and a trial that
-    fails alone scores +inf, so backtracking rejects it."""
+    fails alone scores +inf, so backtracking rejects it; asking for its
+    prediction raises its error."""
     try:
         totals, pred = ev.totals(*var.unpack_batch(trials))
         return totals, pred.take
     except _TRIAL_ERRORS:
         pass
     totals = np.full(trials.shape[0], np.inf)
-    preds = {}
+    outcomes = []
     for i, trial in enumerate(trials):
         try:
-            row, preds[i] = ev.totals(*var.unpack_batch(trial[None]))
+            row, pred = ev.totals(*var.unpack_batch(trial[None]))
             totals[i] = row[0]
-        except _TRIAL_ERRORS:
-            pass
-    return totals, lambda i: preds[i].take(0)
+            outcomes.append(pred)
+        except _TRIAL_ERRORS as err:
+            outcomes.append(err)
+
+    def prediction_of(i: int) -> Prediction:
+        if isinstance(outcomes[i], Exception):
+            raise outcomes[i]
+        return outcomes[i].take(0)
+
+    return totals, prediction_of
 
 
 def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direction: Array):
@@ -340,11 +348,13 @@ def solve(
     theta = var.project(theta0)
 
     # The control rows of the curvature stencil ride in one batch with theta.
+    # A stencil row that fails scores +inf (infinite curvature, so the seed
+    # falls back to steepest descent); a failing theta raises its error.
     stencil, _ = _stencil(theta, _FD_STEP, slice(0, var.n_u_vars))
-    totals0, pred0 = ev.totals(*var.unpack_batch(np.concatenate([theta[None], stencil])))
+    totals0, prediction_of = _evaluate_trials(ev, var, np.concatenate([theta[None], stencil]))
+    center = prediction_of(0)
+    del prediction_of
     f = float(totals0[0])
-    center = pred0.take(0)
-    del pred0
     g = _gradient(ev, var, center, theta)
     # curvature() holds the current iterate's prediction until the next one.
     curvature = partial(_curvature, ev, var, theta, f, center, totals0[1:])

@@ -130,11 +130,12 @@ def _realized_stage_cost(problem: ControlProblem, h: Array, weights: Array, x: A
 
 
 def _metric_stage(problem: ControlProblem) -> int:
-    """Stage index whose constraint rows act on a free state.
+    """Stage whose row of the constraint weight table selects the rows of
+    the realized metric: the rows that apply to a free state and a control.
 
-    Stage 0 of the planning problem omits state rows (its state is given),
-    so the generic per-step constraint is the one from stage 1 when the
-    horizon has one.
+    Stage 0 of the planning problem may drop state rows (its state is
+    given) and stage N has no control, so the generic per-step constraint
+    is the one from stage 1 when the horizon has more than one stage.
     """
     return min(1, problem.model.horizon - 1)
 
@@ -154,9 +155,9 @@ def simulate_run(
     """
     model = problem.model
     cs = problem.constraints
-    k_h = _metric_stage(problem)
-    w_h = np.asarray(cs.stage_weights[k_h]) if cs.stage_counts[k_h] else np.zeros(0)
-    n_h = cs.stage_counts[k_h]
+    weights = cs.weights[_metric_stage(problem)]
+    rows = weights > 0.0
+    w_h = weights[rows]
     steps = config.steps
 
     controller.reset()
@@ -169,7 +170,7 @@ def simulate_run(
     belief_covs = np.full((steps + 1, model.n_x, model.n_x), np.nan)
     controls = np.full((steps, model.n_u), np.nan)
     stage_costs = np.full(steps, np.nan)
-    h_values = np.full((steps, n_h), np.nan)
+    h_values = np.full((steps, w_h.size), np.nan)
     violations = np.zeros(steps, dtype=bool)
     statuses: list[str] = []
 
@@ -190,7 +191,7 @@ def simulate_run(
             diverged = True
             break
 
-        h = cs.stage_values(k_h, x, u)
+        h = np.asarray(cs.fn(x, u), dtype=float)[rows]
         controls[t] = u
         h_values[t] = h
         violations[t] = bool(np.any(h > 0.0))

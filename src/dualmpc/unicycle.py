@@ -5,9 +5,11 @@ state is measured, but the measurement noise grows roughly linearly with the
 distance to the r_x-axis, so information gathering (moving towards the axis)
 competes with the direct objective of decreasing r_x.  The stage cost is
 r_x + control_weight*||u||^2, the position must keep r_x >= 0 from stage 1
-on, and the controls live in a symmetric box.  Both the r_x constraint and
-the control box are softened with a linear violation weight; the box is
-additionally enforced exactly on the nominal controls.
+on, and the controls live in a symmetric box.  Both are rows of one
+constraint set, softened with a linear violation weight: the weight table
+drops the r_x row at stage 0 (its state is given) and the box rows at the
+terminal stage N (it has no control).  The box is additionally enforced
+exactly on the nominal controls.
 """
 
 from __future__ import annotations
@@ -159,50 +161,30 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
         terminal_gradient=np.array([1.0, 0.0, 0.0]),
     )
 
-    # Penalized rows per stage: [-r_x] (stages >= 1 only), then the control
-    # box split into u - u_max and -u - u_max.
-    def stage_fn(k, x, u):
+    # Penalized rows [-r_x, u - u_max, -u - u_max] over z = (x, u).
+    def constraint_fn(x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
-        u_b = np.broadcast_to(u, batch + (2,))
-        box = np.concatenate([u_b - u_max, -u_b - u_max], axis=-1)
-        if k == 0:
-            return box
         r_x = np.broadcast_to(x[..., :1], batch + (1,))
-        return np.concatenate([-r_x, box], axis=-1)
+        u_b = np.broadcast_to(u, batch + (2,))
+        return np.concatenate([-r_x, u_b - u_max, -u_b - u_max], axis=-1)
 
-    _box_jac = np.zeros((4, 5))
-    _box_jac[0, 3] = _box_jac[1, 4] = 1.0
-    _box_jac[2, 3] = _box_jac[3, 4] = -1.0
-    _state_row = np.array([[-1.0, 0.0, 0.0, 0.0, 0.0]])
-    _stage_jac_full = np.vstack([_state_row, _box_jac])
+    jac = np.zeros((5, 5))
+    jac[0, 0] = -1.0
+    jac[1, 3] = jac[2, 4] = 1.0
+    jac[3, 3] = jac[4, 4] = -1.0
 
-    def stage_jac(k, x, u):
+    def constraint_jac(x, u):
         batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1])
-        J = _box_jac if k == 0 else _stage_jac_full
-        return np.broadcast_to(J, batch + J.shape)
+        return np.broadcast_to(jac, batch + jac.shape)
 
-    def terminal_fn(x):
-        return -np.asarray(x, dtype=float)[..., :1]
-
-    def terminal_jac(x):
-        J = np.array([[-1.0, 0.0, 0.0]])
-        return np.broadcast_to(J, np.shape(x)[:-1] + (1, 3))
-
-    rho = params.violation_weight
-    counts = tuple([4] + [5] * (N - 1))
-    weights = tuple(np.full(c, rho) for c in counts)
+    # Stage 0's state is given, so its r_x row does not apply; stage N has
+    # no control, so only its r_x row does.
+    weights = np.full((N + 1, 5), params.violation_weight)
+    weights[0, 0] = 0.0
+    weights[N, 1:] = 0.0
     constraints = ConstraintSet(
-        stage_fn=stage_fn,
-        stage_jac=stage_jac,
-        stage_counts=counts,
-        stage_weights=weights,
-        terminal_fn=terminal_fn,
-        terminal_jac=terminal_jac,
-        terminal_count=1,
-        terminal_weights=np.full(1, rho),
-        u_lower=-u_max,
-        u_upper=u_max,
+        fn=constraint_fn, jac=constraint_jac, weights=weights, u_lower=-u_max, u_upper=u_max
     )
     return ControlProblem(model=model, cost=cost, constraints=constraints)

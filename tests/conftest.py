@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dualmpc import UnicycleParams, make_unicycle_problem
+from dualmpc import ConstraintSet, UnicycleParams, make_linear_problem, make_unicycle_problem
 
 
 def standard_unicycle_params(horizon=10, dt=0.3, process_std=0.02, measurement_std=0.01,
@@ -17,6 +19,22 @@ def standard_unicycle_params(horizon=10, dt=0.3, process_std=0.02, measurement_s
         smoothing_eps=smoothing_eps,
         **kwargs,
     )
+
+
+def one_stage_terminal_problem(rho=50.0):
+    """Scalar system, one stage, one terminal inequality x - 0.5 <= 0."""
+    prob = make_linear_problem(
+        A=[[0.9]], B=[[0.5]], G=[[0.2]], C=[[1.0]], D=[[0.25]],
+        Q=[[1.0]], R=[[0.5]], Q_terminal=[[2.0]], horizon=1,
+        u_lower=[-10.0], u_upper=[10.0],
+    )
+    cs = ConstraintSet(
+        fn=lambda x, u: x - 0.5,
+        jac=lambda x, u: np.stack([np.ones(x.shape), np.zeros(u.shape)], axis=-1),  # d/d(x, u)
+        weights=np.array([[0.0], [rho]]),  # terminal stage only
+        u_lower=np.array([-10.0]), u_upper=np.array([10.0]),
+    )
+    return replace(prob, constraints=cs)
 
 
 @pytest.fixture

@@ -153,11 +153,13 @@ def test_stage_table_matches_public_pipeline_bitwise(tmp_path, mode):
     gains, _ = kalman_recursion(lin, P0)
     aug = propagate_covariance(lin, result.policy, gains, P0)
     N = model.horizon
-    n_h_max = max([cs.terminal_count, *cs.stage_counts])
+    used = cs.weights > 0
+    n_h_max = max(used.sum(axis=1))
     expected = []
     for k in range(N + 1):
         x = traj.states[k]
-        h = cs.stage_values(k, x, traj.controls[k]) if k < N else cs.terminal_values(x)
+        u = traj.controls[k] if k < N else np.zeros(model.n_u)
+        h = cs.fn(x, u)[used[k]]
         beta = np.asarray(result.beta[k])
         expected.append(
             [str(k)]

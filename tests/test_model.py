@@ -1,5 +1,7 @@
 """Model layer: integrator, finite differences, costs, constraints."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -184,21 +186,44 @@ def test_quadratic_cost_values_batched():
 
 # -------------------------------------------------------------- ConstraintSet
 
-def test_constraint_weights_must_be_positive():
-    with pytest.raises(ModelError):
-        ConstraintSet(
-            stage_fn=None, stage_jac=None, stage_counts=(1,),
-            stage_weights=(np.array([0.0]),),
-            terminal_fn=None, terminal_jac=None, terminal_count=0,
-            terminal_weights=np.zeros(0),
-            u_lower=np.array([-1.0]), u_upper=np.array([1.0]),
-        )
+def _one_row_set(weights, u_lower=(-1.0,), u_upper=(1.0,)):
+    return ConstraintSet(
+        fn=lambda x, u: x[..., :1] - 0.5,
+        jac=lambda x, u: np.ones(np.shape(x)[:-1] + (1, 2)),
+        weights=weights,
+        u_lower=np.array(u_lower), u_upper=np.array(u_upper),
+    )
+
+
+def test_constraint_weights_must_be_finite_and_nonnegative():
+    _one_row_set([[0.0], [1.0]])  # a zero weight is allowed: the row drops
+    for bad in ([[1.0], [-1.0]], [[1.0], [np.nan]], [[np.inf], [1.0]]):
+        with pytest.raises(ModelError, match="finite and nonnegative"):
+            _one_row_set(bad)
+    for bad in ([1.0, 1.0], [[[1.0]], [[1.0]]]):
+        with pytest.raises(ModelError, match="must be 2-D"):
+            _one_row_set(bad)
+
+
+@pytest.mark.parametrize("bounds", [((np.nan,), (1.0,)), ((-1.0,), (np.nan,))])
+def test_constraint_box_rejects_nan_bounds(bounds):
+    with pytest.raises(ModelError, match="NaN"):
+        _one_row_set([[1.0], [1.0]], *bounds)
+
+
+def test_problem_rejects_weight_table_off_the_horizon():
+    prob = make_linear_problem([[1.0]], [[1.0]], [[0.1]], [[1.0]], [[0.1]], [[1.0]], [[1.0]],
+                               [[1.0]], horizon=2)
+    replace(prob, constraints=_one_row_set([[1.0], [1.0], [1.0]]))
+    with pytest.raises(ModelError, match="has 2 stage rows, but horizon 2 needs 3"):
+        replace(prob, constraints=_one_row_set([[1.0], [1.0]]))
 
 
 def test_empty_constraint_set_shapes():
     cs = ConstraintSet.empty(2, 3)
-    assert cs.stage_values(0, np.zeros((5, 4)), np.zeros((5, 2))).shape == (5, 0)
-    assert cs.stage_gradients(1, np.zeros(4), np.zeros(2)).shape == (0, 6)
+    assert cs.weights.shape == (4, 0)
+    assert cs.fn(np.zeros((5, 4)), np.zeros((5, 2))).shape == (5, 0)
+    assert cs.jac(np.zeros(4), np.zeros(2)).shape == (0, 6)
     assert np.all(np.isinf(cs.u_lower))
 
 
@@ -260,18 +285,18 @@ def test_unicycle_constraints_and_jacobians(unicycle_problem):
     cs = unicycle_problem.constraints
     x = np.array([0.4, -1.0, 0.2])
     u = np.array([2.5, -2.5])
-    h0 = cs.stage_values(0, x, u)
+    h = cs.fn(x, u)
     # stage 0: only the control box, split as (u - u_max, -u - u_max)
-    assert_allclose(h0, [0.5, -4.5, -4.5, 0.5], atol=1e-15)
-    h1 = cs.stage_values(1, x, u)
-    assert_allclose(h1, [-0.4, 0.5, -4.5, -4.5, 0.5], atol=1e-15)
+    assert_allclose(h[cs.weights[0] > 0], [0.5, -4.5, -4.5, 0.5], atol=1e-15)
+    assert_allclose(h[cs.weights[1] > 0], [-0.4, 0.5, -4.5, -4.5, 0.5], atol=1e-15)
     # jacobian rows via FD on the stacked (x, u) argument
-    J = cs.stage_gradients(1, x, u)
+    J = cs.jac(x, u)
     step = 1e-6
     z = np.concatenate([x, u])
-    J_fd = fd_jacobian(lambda p: cs.stage_values(1, p[:3], p[3:]), z, step)
+    J_fd = fd_jacobian(lambda p: cs.fn(p[:3], p[3:]), z, step)
     assert_allclose(J, J_fd, atol=1e-9)
-    assert_allclose(cs.terminal_values(x), [-0.4], atol=0)
+    # terminal stage: only r_x
+    assert_allclose(cs.fn(x, np.zeros(2))[cs.weights[-1] > 0], [-0.4], atol=0)
 
 
 def test_unicycle_stage_cost(unicycle_problem):

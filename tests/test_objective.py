@@ -1,5 +1,7 @@
 """Expected costs and penalties: closed forms against Monte-Carlo oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,7 +24,7 @@ from dualmpc import (
     total_objective,
 )
 
-from conftest import standard_unicycle_params, random_spd
+from conftest import one_stage_terminal_problem, standard_unicycle_params, random_spd
 from oracles import fd_gradient, penalty_total
 
 
@@ -329,11 +331,62 @@ def test_prediction_rejects_control_sequence_off_the_horizon(stages):
         ev.prediction(np.zeros((stages, 2)))
 
 
+# ------------------------------------------------- packed constraint tables
+
+def _row_by_row_tables(problem, xs, us):
+    """Constraint values, gradients and weights of stages 0..N built one row
+    at a time from ``fn``/``jac``: each stage's rows with nonzero weight in
+    row order, stage N at u = 0 with zero u columns, padded with h = -1,
+    zero gradients and zero weights."""
+    cs, n_x = problem.constraints, problem.model.n_x
+    N, n_u = us.shape
+    used = cs.weights > 0
+    width = max(used.sum(axis=1))
+    h = np.full((N + 1, width), -1.0)
+    grads = np.zeros((N + 1, width, n_x + n_u))
+    weights = np.zeros((N + 1, width))
+    for k in range(N + 1):
+        u = us[k] if k < N else np.zeros(n_u)
+        for j, i in enumerate(np.flatnonzero(used[k])):
+            h[k, j] = cs.fn(xs[k], u)[i]
+            grads[k, j] = cs.jac(xs[k], u)[i]
+            weights[k, j] = cs.weights[k, i]
+    grads[N, :, n_x:] = 0.0
+    return h, grads, weights
+
+
+@pytest.mark.parametrize("case", ["unicycle", "unicycle_every_row", "terminal_only"])
+def test_packed_tables_match_row_by_row_reference(case):
+    """The prediction's h and h_grads and the evaluator's weight table equal,
+    bit for bit, tables built row by row with each stage's weight mask,
+    unbatched and as rows of a 12-row batch.  With every row applied at
+    every stage, the box rows at stage N keep their x columns only."""
+    if case.startswith("unicycle"):
+        prob, x0 = make_unicycle_problem(standard_unicycle_params()), np.array([0.05, 0.8, np.pi])
+        if case == "unicycle_every_row":
+            cs = replace(prob.constraints, weights=np.ones(prob.constraints.weights.shape))
+            prob = replace(prob, constraints=cs)
+    else:
+        prob, x0 = one_stage_terminal_problem(), np.array([1.0])
+    n_u, N = prob.model.n_u, prob.model.horizon
+    ev = ObjectiveEvaluator(prob, x0, 0.01 * np.eye(x0.size))
+    u = np.random.default_rng(61).uniform(-1.5, 1.5, size=(12, N, n_u))
+    batch = ev.prediction(u)
+    for i in range(12):
+        for pred in (ev.prediction(u[i]), batch.take(i)):
+            h, grads, weights = _row_by_row_tables(prob, pred.traj.states, u[i])
+            assert np.array_equal(pred.h, h)
+            assert np.array_equal(pred.h_grads, grads)
+            assert np.array_equal(ev._weights, weights)
+
+
 # ------------------------------------------------- stage-N assembly reference
 
 def _reference_parts(problem, x0, P0, policy, eps_sigma, eps_K):
     """Objective parts and direction variances of one policy, summed stage by
-    stage from the public pipeline, with the terminal stage as a separate term."""
+    stage from the public pipeline, with the terminal stage as a separate term.
+    Each stage takes the constraint rows its weights select; the terminal
+    stage evaluates them at u = 0 and keeps their x columns."""
     model, cost, cs = problem.model, problem.cost, problem.constraints
     N = model.horizon
     eps2 = eps_sigma**2
@@ -348,14 +401,17 @@ def _reference_parts(problem, x0, P0, policy, eps_sigma, eps_K):
         joint = joint_covariance(aug.sigma[k], K_all[k])
         nominal += cost.stage_value(k, x, u)
         variance += 0.5 * np.trace(cost.stage_hessians[k] @ joint)
-        beta = np.maximum(constraint_direction_variance(cs.stage_gradients(k, x, u), joint), eps2)
-        penalty += np.sum(cs.stage_weights[k] * expected_relu(cs.stage_values(k, x, u), np.sqrt(beta)))
+        used = cs.weights[k] > 0
+        beta = np.maximum(constraint_direction_variance(cs.jac(x, u)[used], joint), eps2)
+        penalty += np.sum(cs.weights[k][used] * expected_relu(cs.fn(x, u)[used], np.sqrt(beta)))
         betas.append(beta)
-    x_N, P_N = traj.states[N], aug.P[N]
+    x_N, P_N, u_N = traj.states[N], aug.P[N], np.zeros(model.n_u)
     nominal += cost.terminal_value(x_N)
     variance += 0.5 * np.trace(cost.terminal_hessian @ P_N)
-    beta = np.maximum(constraint_direction_variance(cs.terminal_gradients(x_N), P_N), eps2)
-    penalty += np.sum(cs.terminal_weights * expected_relu(cs.terminal_values(x_N), np.sqrt(beta)))
+    used = cs.weights[N] > 0
+    grads = cs.jac(x_N, u_N)[used][:, : model.n_x]
+    beta = np.maximum(constraint_direction_variance(grads, P_N), eps2)
+    penalty += np.sum(cs.weights[N][used] * expected_relu(cs.fn(x_N, u_N)[used], np.sqrt(beta)))
     betas.append(beta)
     reg = eps_K * np.sum(np.asarray(policy.feedback) ** 2)
     return (nominal, variance, penalty, reg), betas
@@ -407,7 +463,7 @@ def test_nominal_assembly_has_zero_variance_and_floored_beta(case):
     ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=1e-3, eps_K=1e-4, include_uncertainty=False)
     bd, betas = ev.breakdown_and_beta(Policy(u_nom=u, feedback=fb))
     assert bd.variance_cost == 0.0 and bd.regularization == 0.0
-    assert [b.size for b in betas] == [*prob.constraints.stage_counts, prob.constraints.terminal_count]
+    assert [b.size for b in betas] == list(np.sum(prob.constraints.weights > 0, axis=1))
     for beta in betas:
         assert np.all(beta == 1e-3**2)
 

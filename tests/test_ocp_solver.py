@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from dualmpc import (
-    ConstraintSet,
     ObjectiveEvaluator,
     Policy,
     SolveOptions,
@@ -21,9 +20,10 @@ from dualmpc import (
     total_objective,
 )
 from dualmpc import ocp_solver
+from dualmpc.uncertainty import RolloutError
 from dualmpc.ocp_solver import _FD_STEP, _armijo_search, _gradient, _stencil, _Variables
 
-from conftest import standard_unicycle_params
+from conftest import one_stage_terminal_problem, standard_unicycle_params
 
 
 # ------------------------------------------------------------- slack elimination
@@ -38,31 +38,13 @@ def test_eliminate_beta_applies_floor_and_passthrough():
     np.testing.assert_array_equal(slope, [0.0, 0.0, 0.0, 0.0, 1.0])
 
 
-def _one_stage_problem(rho=50.0):
-    """Scalar system, one stage, one terminal inequality x - 0.5 <= 0."""
-    prob = make_linear_problem(
-        A=[[0.9]], B=[[0.5]], G=[[0.2]], C=[[1.0]], D=[[0.25]],
-        Q=[[1.0]], R=[[0.5]], Q_terminal=[[2.0]], horizon=1,
-        u_lower=[-10.0], u_upper=[10.0],
-    )
-    cs = ConstraintSet(
-        stage_fn=None, stage_jac=None,
-        stage_counts=(0,), stage_weights=(np.zeros(0),),
-        terminal_fn=lambda x: x - 0.5,
-        terminal_jac=lambda x: np.ones(x.shape[:-1] + (1, 1)),
-        terminal_count=1, terminal_weights=np.array([rho]),
-        u_lower=np.array([-10.0]), u_upper=np.array([10.0]),
-    )
-    return replace(prob, constraints=cs)
-
-
 def test_explicit_slack_brute_force_matches_eliminated_formulation():
     # Brute-force the one-stage problem over (u, beta) with beta kept as an
     # explicit decision variable (bounded below by the floor and by the
     # terminal direction variance); the reduced solver must match the best
     # grid value and report beta at its lower bound.
     rho, eps_sigma = 50.0, 1e-3
-    prob = _one_stage_problem(rho)
+    prob = one_stage_terminal_problem(rho)
     x0 = np.array([1.0])
     P0 = np.array([[0.04]])
     res = solve(prob, x0, P0, SolveOptions(mode="output_feedback", eps_sigma=eps_sigma))
@@ -419,6 +401,35 @@ def test_stencil_crossing_failure_boundary_ends_solve_not_fatal():
         assert np.all(res.policy.u_nom <= 0.5)
 
 
+def test_initial_stencil_crossing_failure_boundary_is_contained(monkeypatch):
+    """A warm start just below the NaN threshold: the objective there is
+    finite, but the +h curvature row of u_0 crosses 0.5 inside the first
+    batch.  That row scores +inf, so u_0 gets infinite curvature and the
+    first metric seed is steepest descent; the solve goes on.  A warm start
+    above the threshold still raises its named error."""
+    problem = _nan_above_half_problem()
+    x0, P0 = np.array([-3.0]), 0.01 * np.eye(1)
+    warm = Policy(u_nom=np.array([[0.5 - 1e-7], [0.0], [0.0]]), feedback=np.zeros((2, 1, 1)))
+    nominal = total_objective(problem, x0, P0, warm, include_uncertainty=False)
+    assert nominal.total == pytest.approx(13.875, rel=1e-4)
+    seeds, seed = [], ocp_solver._diag_metric
+
+    def recorded_seed(curv, gnorm):
+        seeds.append(curv.copy())
+        return seed(curv, gnorm)
+
+    monkeypatch.setattr(ocp_solver, "_diag_metric", recorded_seed)
+    for mode in ocp_solver.MODES:
+        seeds.clear()
+        res = solve(problem, x0, P0, SolveOptions(mode=mode, max_iterations=5), warm_start=warm)
+        assert np.isfinite(res.objective.total)
+        assert np.all(res.policy.u_nom <= 0.5)
+        assert seeds[0][0] == np.inf and np.all(np.isfinite(seeds[0][1:]))
+        bad = Policy(u_nom=np.array([[0.6], [0.0], [0.0]]), feedback=np.zeros((2, 1, 1)))
+        with pytest.raises(RolloutError):
+            solve(problem, x0, P0, SolveOptions(mode=mode, max_iterations=5), warm_start=bad)
+
+
 def test_resolve_from_solution_converges_immediately():
     prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
     x0 = np.array([1.0, 0.5, np.pi])
@@ -448,3 +459,11 @@ def test_solve_options_rejects_bad_settings():
         SolveOptions(mode="stochastic")
     with pytest.raises(ValueError):
         SolveOptions(tolerance=0.0)
+    for setting in ("tolerance", "eps_sigma", "eps_K"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SolveOptions(**{setting: value})
+    prob = one_stage_terminal_problem()
+    for setting in ("eps_sigma", "eps_K"):
+        with pytest.raises(ValueError, match="finite"):
+            ObjectiveEvaluator(prob, np.zeros(1), np.eye(1), **{setting: np.nan})

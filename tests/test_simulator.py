@@ -56,28 +56,25 @@ def _drift_problem(a=1.0, noise=0.0, horizon=6):
 
 
 def _with_state_bound(problem, bound, weight=10.0):
-    """Add one penalized row h = x[0] - bound <= 0 at every stage."""
+    """Add one penalized row h = x[0] - bound <= 0 at stages 0..N-1."""
     n_x, n_u = problem.model.n_x, problem.model.n_u
     horizon = problem.model.horizon
 
-    def h(k, x, u):
+    def h(x, u):
         return x[..., :1] - bound
 
-    def jac(k, x, u):
+    def jac(x, u):
         batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1])
         J = np.zeros(batch + (1, n_x + n_u))
         J[..., 0, 0] = 1.0
         return J
 
+    weights = np.full((horizon + 1, 1), weight)
+    weights[horizon] = 0.0
     cs = ConstraintSet(
-        stage_fn=h,
-        stage_jac=jac,
-        stage_counts=(1,) * horizon,
-        stage_weights=tuple(np.array([weight]) for _ in range(horizon)),
-        terminal_fn=None,
-        terminal_jac=None,
-        terminal_count=0,
-        terminal_weights=np.zeros(0),
+        fn=h,
+        jac=jac,
+        weights=weights,
         u_lower=np.full(n_u, -np.inf),
         u_upper=np.full(n_u, np.inf),
     )
@@ -157,9 +154,9 @@ def test_recorded_cost_and_flags_follow_true_state():
     assert not rec.diverged
     for t in range(cfg.steps):
         x = rec.states[t]
-        h = prob.constraints.stage_values(1, x, u_fix)
+        h = prob.constraints.fn(x, u_fix)
         expected = float(prob.cost.stage_value(0, x, u_fix))
-        expected += float(np.sum(prob.constraints.stage_weights[1] * np.maximum(h, 0.0)))
+        expected += float(np.sum(prob.constraints.weights[1] * np.maximum(h, 0.0)))
         assert rec.stage_costs[t] == pytest.approx(expected, rel=1e-12)
         assert bool(rec.violation_flags[t]) == bool(np.any(h > 0.0))
         assert_allclose(rec.constraint_values[t], h)
