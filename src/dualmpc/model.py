@@ -11,7 +11,8 @@ The model contract: the stage maps and their Jacobians are time-invariant
 trajectory linearizes in one call with the stage axis folded into the batch.
 Constraints follow the same contract: one row set with analytic Jacobians
 for every stage, and a per-stage weight table that says which rows apply
-where.  Costs keep a stage index, because their data is per stage.
+where.  Costs are per-stage data: (N+1)-row tables of Hessians, gradients
+and constants, with the terminal cost as stage N at u = 0.
 """
 
 from __future__ import annotations
@@ -198,46 +199,49 @@ _PSD_TOL = -1e-10
 
 @dataclass(frozen=True)
 class QuadraticCost:
-    """Convex quadratic stage and terminal costs.
+    """Convex quadratic costs of stages 0..N, one table row per stage.
 
     Stage k cost over ``z = (x, u)``:
         ``l_k(z) = 0.5 z' H_k z + g_k' z + c_k``
-    Terminal cost over ``x`` alike.  All stage Hessians must be PSD (the
+    Stage N is the terminal cost, evaluated at ``u = 0``, so its ``u``
+    entries are never read.  The tables must be finite, and each Hessian is
+    stored as its symmetric part 0.5 (H_k + H_k'), which must be PSD (the
     expected-cost trace term is then nonnegative for PSD covariances).
     """
 
-    stage_hessians: Array  # (N, n_z, n_z)
-    stage_gradients: Array  # (N, n_z)
-    stage_constants: Array  # (N,)
-    terminal_hessian: Array  # (n_x, n_x)
-    terminal_gradient: Array  # (n_x,)
-    terminal_constant: float = 0.0
+    hessians: Array  # (N+1, n_z, n_z)
+    gradients: Array  # (N+1, n_z)
+    constants: Array  # (N+1,)
 
     def __post_init__(self):
-        for name, H in (("stage", self.stage_hessians), ("terminal", self.terminal_hessian)):
-            if H.size and np.min(np.linalg.eigvalsh(H)) < _PSD_TOL:
-                raise ModelError(f"{name} cost Hessian is not positive semidefinite")
+        H, g, c = (np.asarray(a, dtype=float) for a in (self.hessians, self.gradients, self.constants))
+        if g.ndim != 2 or H.shape != g.shape + g.shape[1:] or c.shape != g.shape[:1]:
+            shapes = f"{H.shape}, {g.shape}, {c.shape}"
+            raise ModelError(f"cost table shapes {shapes} are not (S, n_z, n_z), (S, n_z), (S,)")
+        if not all(np.isfinite(a).all() for a in (H, g, c)):
+            raise ModelError("cost tables must be finite")
+        H = 0.5 * (H + np.swapaxes(H, -1, -2))
+        if H.size and np.min(np.linalg.eigvalsh(H)) < _PSD_TOL:
+            raise ModelError("cost Hessian is not positive semidefinite")
+        for name, table in (("hessians", H), ("gradients", g), ("constants", c)):
+            object.__setattr__(self, name, table)
 
-    @property
-    def horizon(self) -> int:
-        return self.stage_hessians.shape[0]
+    def value(self, k, x: Array, u: Array) -> Array:
+        """Cost of stage k at (x, u), broadcast over batch dimensions.
 
-    def stage_value(self, k: int, x: Array, u: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
+        ``k`` is a stage index, or an index array or slice that selects
+        several stages along the last batch axis of ``x`` and ``u``.
+        """
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
         batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
         z = np.concatenate(
-            [np.broadcast_to(x, batch + x.shape[-1:]), np.broadcast_to(u, batch + u.shape[-1:])],
-            axis=-1,
+            [np.broadcast_to(x, batch + x.shape[-1:]), np.broadcast_to(u, batch + u.shape[-1:])], axis=-1
         )
-        H = self.stage_hessians[k]
-        g = self.stage_gradients[k]
-        return 0.5 * np.einsum("...i,ij,...j->...", z, H, z) + z @ g + self.stage_constants[k]
-
-    def terminal_value(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        H = self.terminal_hessian
-        return 0.5 * np.einsum("...i,ij,...j->...", x, H, x) + x @ self.terminal_gradient + self.terminal_constant
+        return (
+            0.5 * np.einsum("...i,...ij,...j->...", z, self.hessians[k], z)
+            + np.einsum("...i,...i->...", z, self.gradients[k])
+            + self.constants[k]
+        )
 
 
 @dataclass(frozen=True)
@@ -306,12 +310,15 @@ class ControlProblem:
     constraints: ConstraintSet
 
     def __post_init__(self):
-        N = self.model.horizon
-        if self.cost.horizon != N:
-            raise ModelError("cost horizon does not match model horizon")
-        rows = self.constraints.weights.shape[0]
+        model, cs = self.model, self.constraints
+        N, n_u = model.horizon, model.n_u
+        if self.cost.gradients.shape != (N + 1, model.n_x + n_u):
+            raise ModelError(f"cost tables of shape {self.cost.gradients.shape} do not match (N+1, n_x + n_u)")
+        rows = cs.weights.shape[0]
         if rows != N + 1:
             raise ModelError(f"constraint weight table has {rows} stage rows, but horizon {N} needs {N + 1}")
+        if np.shape(cs.u_lower) != (n_u,) or np.shape(cs.u_upper) != (n_u,):
+            raise ModelError(f"control box bounds need shape ({n_u},): one entry per control")
 
 
 def make_linear_problem(
@@ -368,15 +375,11 @@ def make_linear_problem(
         state_names=tuple(f"x_{i}" for i in range(n_x)),
     )
     n_z = n_x + n_u
-    H = np.zeros((n_z, n_z))
-    H[:n_x, :n_x] = np.asarray(Q, dtype=float)
-    H[n_x:, n_x:] = np.asarray(R, dtype=float)
-    cost = QuadraticCost(
-        stage_hessians=np.repeat(H[None], horizon, axis=0),
-        stage_gradients=np.zeros((horizon, n_z)),
-        stage_constants=np.zeros(horizon),
-        terminal_hessian=np.asarray(Q_terminal, dtype=float),
-        terminal_gradient=np.zeros(n_x),
-    )
+    # Stages 0..N-1 weigh (x, u) with Q and R; stage N weighs x with Q_f.
+    H = np.zeros((horizon + 1, n_z, n_z))
+    H[:horizon, :n_x, :n_x] = np.asarray(Q, dtype=float)
+    H[:horizon, n_x:, n_x:] = np.asarray(R, dtype=float)
+    H[horizon, :n_x, :n_x] = np.asarray(Q_terminal, dtype=float)
+    cost = QuadraticCost(hessians=H, gradients=np.zeros((horizon + 1, n_z)), constants=np.zeros(horizon + 1))
     constraints = ConstraintSet.empty(n_u, horizon, u_lower, u_upper)
     return ControlProblem(model=model, cost=cost, constraints=constraints)

@@ -130,6 +130,15 @@ def feedback_regularization(feedback: Array, eps_K: float):
     return eps_K * np.sum(feedback**2, axis=(-3, -2, -1))
 
 
+def _stage_points(xs: Array, us: Array) -> tuple[Array, Array]:
+    """The points of stages 0..N from batched states (.., N+1, n_x) and
+    controls (.., N, n_u): both broadcast to one batch shape, with stage N
+    at u = 0."""
+    batch = np.broadcast_shapes(xs.shape[:-2], us.shape[:-2])
+    us = np.concatenate([np.broadcast_to(us, batch + us.shape[-2:]), np.zeros(batch + (1, us.shape[-1]))], axis=-2)
+    return np.broadcast_to(xs, batch + xs.shape[-2:]), us
+
+
 def _jacobian_pullback(jac: Callable[[Array], tuple], z: Array, bars: tuple[Array, ...]) -> Array:
     """sum over J of <J_bar, dJ/dz_j> at each row of z (M, n), as (M, n).
 
@@ -257,20 +266,12 @@ class ObjectiveEvaluator:
         # cut to the widest stage, so the other stages are padded with
         # zero-weight rows and the penalty evaluates in one pass; _rows
         # gathers them from the flattened (N+1, n_h) constraint tables.
-        model, cost, cs = problem.model, problem.cost, problem.constraints
-        N, n_x = model.horizon, model.n_x
+        cs = problem.constraints
         used = cs.weights > 0.0
         self.counts = tuple(int(c) for c in used.sum(axis=1))
         order = np.argsort(~used, axis=1, kind="stable")[:, : max(self.counts)]
-        self._rows = order + used.shape[1] * np.arange(N + 1)[:, None]
+        self._rows = order + used.shape[1] * np.arange(used.shape[0])[:, None]
         self._weights = np.take_along_axis(cs.weights, order, axis=1)
-        n_z = n_x + model.n_u
-        self._hessians = np.zeros((N + 1, n_z, n_z))
-        self._hessians[:N] = cost.stage_hessians
-        self._hessians[N, :n_x, :n_x] = cost.terminal_hessian
-        self._linear_costs = np.zeros((N + 1, n_z))
-        self._linear_costs[:N] = cost.stage_gradients
-        self._linear_costs[N, :n_x] = cost.terminal_gradient
 
     def prediction(self, u_nom: Array) -> Prediction:
         problem = self.problem
@@ -280,11 +281,13 @@ class ObjectiveEvaluator:
         if stages != N:
             raise ModelError(f"control sequence has {stages} stages, but the model horizon is {N}")
         traj = nominal_rollout(model, self.x0, u_nom)
-        xs = traj.states
-        us = traj.controls
-        nominal_cost = problem.cost.terminal_value(xs[..., N, :])
+        xs, us = _stage_points(traj.states, traj.controls)
+        # Terminal stage first, then 0..N-1, one add at a time: this order
+        # fixes the sum's rounding, which the capped closed-loop solves amplify.
+        stage_costs = problem.cost.value(slice(None), xs, us)
+        nominal_cost = stage_costs[..., N]
         for k in range(N):
-            nominal_cost = nominal_cost + problem.cost.stage_value(k, xs[..., k, :], us[..., k, :])
+            nominal_cost = nominal_cost + stage_costs[..., k]
         h, h_grads = self._constraint_tables(xs, us)
         if not self.include_uncertainty:
             return Prediction(traj=traj, nominal_cost=nominal_cost, h=h, h_grads=h_grads)
@@ -296,15 +299,12 @@ class ObjectiveEvaluator:
         )
 
     def _constraint_tables(self, xs: Array, us: Array) -> tuple[Array, Array]:
-        """Constraint values and gradients of stages 0..N at batched states
-        (.., N+1, n_x) and controls (.., N, n_u), stage N at u = 0, packed
-        (see :class:`Prediction`)."""
+        """Constraint values and gradients at the stage points (xs, us) of
+        stages 0..N (see :func:`_stage_points`), packed (see
+        :class:`Prediction`); stage N's u columns are zero."""
         cs = self.problem.constraints
         n_x, n_u = xs.shape[-1], us.shape[-1]
-        batch = np.broadcast_shapes(xs.shape[:-2], us.shape[:-2])
-        xs = np.broadcast_to(xs, batch + xs.shape[-2:])
-        us = np.concatenate([np.broadcast_to(us, batch + us.shape[-2:]), np.zeros(batch + (1, n_u))], axis=-2)
-        flat = batch + (cs.weights.size,)
+        flat = xs.shape[:-2] + (cs.weights.size,)
         h = np.take(np.asarray(cs.fn(xs, us), dtype=float).reshape(flat), self._rows, axis=-1)
         h_grads = np.take(
             np.asarray(cs.jac(xs, us), dtype=float).reshape(flat + (n_x + n_u,)), self._rows, axis=-2
@@ -321,7 +321,7 @@ class ObjectiveEvaluator:
         over stages and batch: a zero gain at stage N gives [[P_N, 0], [0, 0]].
         All zero without uncertainty."""
         if pred.lin is None:
-            return np.zeros(self._hessians.shape)
+            return np.zeros(self.problem.cost.hessians.shape)
         policy = Policy(u_nom=pred.traj.controls, feedback=feedback)
         K_all = policy.stage_gains()
         aug = propagate_covariance(pred.lin, policy, pred.filter_gains, self.P_hat_0)
@@ -342,7 +342,7 @@ class ObjectiveEvaluator:
         padded like ``pred.h`` (stages 0..N)."""
         feedback = np.asarray(feedback, dtype=float)
         joint = self._joint_covariances(pred, feedback)
-        variance = 0.5 * np.einsum("kij,...kji->...", self._hessians, joint)
+        variance = 0.5 * np.einsum("kij,...kji->...", self.problem.cost.hessians, joint)
         H_dir = constraint_direction_variance(pred.h_grads, joint[..., None, :, :])
         beta, _ = floored_variance(H_dir, self.eps_sigma)
         penalty = np.sum(self._weights * expected_relu(pred.h, np.sqrt(beta)), axis=(-2, -1))
@@ -396,16 +396,13 @@ class ObjectiveEvaluator:
             SingularInnovationError: see
                 :func:`~dualmpc.uncertainty.kalman_adjoint`.
         """
-        model = self.problem.model
+        model, cost = self.problem.model, self.problem.cost
         N, n_x = model.horizon, model.n_x
         feedback = np.asarray(feedback, dtype=float)
         xs, us = pred.traj.states, pred.traj.controls
-        z = np.zeros((N + 1, n_x + model.n_u))  # (x_k, u_k), u_N = 0
-        z[:, :n_x] = xs
-        z[:N, n_x:] = us
-        hessians = symmetrize(self._hessians)
+        z = np.concatenate(_stage_points(xs, us), axis=-1)
         if pred.lin is None:
-            joint = np.zeros(hessians.shape)
+            joint = np.zeros(cost.hessians.shape)
         else:
             policy = Policy(u_nom=us, feedback=feedback)
             K_all = policy.stage_gains()
@@ -418,8 +415,8 @@ class ObjectiveEvaluator:
         std = np.sqrt(beta)
         ratio = pred.h / std
         z_bar = (
-            np.einsum("kab,kb->ka", hessians, z)
-            + self._linear_costs
+            np.einsum("kab,kb->ka", cost.hessians, z)
+            + cost.gradients
             + np.einsum("ki,kia->ka", self._weights * ndtr(ratio), pred.h_grads)
         )
         if pred.lin is None:
@@ -430,7 +427,7 @@ class ObjectiveEvaluator:
         else:
             A, B = pred.lin.A, pred.lin.B
             c = slope * self._weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
-            M = 0.5 * hessians + np.einsum("ki,kia,kib->kab", c, pred.h_grads, pred.h_grads)
+            M = 0.5 * cost.hessians + np.einsum("ki,kia,kib->kab", c, pred.h_grads, pred.h_grads)
             T_bar = 2.0 * M @ T @ sigma
             K_bar, lin_bar, gains_bar = covariance_adjoint(
                 pred.lin, policy, pred.filter_gains, sigma, T_t @ M @ T,
@@ -448,7 +445,7 @@ class ObjectiveEvaluator:
             )
             # Each stage's row of the perturbed tables moves only its own z_k.
             z_bar += _jacobian_pullback(
-                lambda p: self._constraint_tables(p[..., :n_x], p[..., :N, n_x:])[1:], z,
+                lambda p: self._constraint_tables(p[..., :n_x], p[..., n_x:])[1:], z,
                 (2.0 * c[..., None] * np.einsum("kab,kib->kia", symmetrize(joint), pred.h_grads),),
             )
         lam = z_bar[N, :n_x]

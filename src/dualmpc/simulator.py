@@ -58,8 +58,8 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "init_mean", np.asarray(self.init_mean, dtype=float))
         object.__setattr__(self, "init_cov", np.asarray(self.init_cov, dtype=float))
-        if self.steps < 1 or self.runs < 1:
-            raise ValueError("SimConfig needs steps >= 1 and runs >= 1")
+        if self.steps < 1 or self.runs < 1 or self.master_seed < 0:
+            raise ValueError("SimConfig needs steps >= 1, runs >= 1 and master_seed >= 0")
         if self.init_cov.shape != (self.init_mean.size, self.init_mean.size):
             raise ValueError("init_cov shape does not match init_mean")
 
@@ -123,7 +123,7 @@ class MetricsSummary:
 
 def _realized_stage_cost(problem: ControlProblem, h: Array, weights: Array, x: Array, u: Array) -> float:
     """True penalized stage cost: l(x, u) + sum_i w_i max(0, h_i)."""
-    value = float(problem.cost.stage_value(0, x, u))
+    value = float(problem.cost.value(0, x, u))
     if h.size:
         value += float(np.sum(weights * np.maximum(h, 0.0)))
     return value

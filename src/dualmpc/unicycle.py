@@ -4,7 +4,8 @@ State is (r_x, r_y, theta), control is (speed v, turn rate omega).  The full
 state is measured, but the measurement noise grows roughly linearly with the
 distance to the r_x-axis, so information gathering (moving towards the axis)
 competes with the direct objective of decreasing r_x.  The stage cost is
-r_x + control_weight*||u||^2, the position must keep r_x >= 0 from stage 1
+r_x + control_weight*||u||^2 at every stage 0..N (at stage N, where u = 0,
+it is the terminal cost r_x), the position must keep r_x >= 0 from stage 1
 on, and the controls live in a symmetric box.  Both are rows of one
 constraint set, softened with a linear violation weight: the weight table
 drops the r_x row at stage 0 (its state is given) and the box rows at the
@@ -73,12 +74,14 @@ class UnicycleParams:
         object.__setattr__(self, "process_noise_cov", np.asarray(self.process_noise_cov, dtype=float))
         object.__setattr__(self, "measurement_noise_cov", np.asarray(self.measurement_noise_cov, dtype=float))
         object.__setattr__(self, "u_max", np.asarray(self.u_max, dtype=float))
-        if self.dt <= 0.0 or self.horizon < 1:
-            raise ModelError("unicycle needs dt > 0 and horizon >= 1")
-        if self.smoothing_eps <= 0.0:
-            raise ModelError("smoothing_eps must be positive")
-        if np.any(self.u_max <= 0.0):
-            raise ModelError("u_max must be positive")
+        if not 0.0 < self.dt < np.inf or self.horizon < 1:
+            raise ModelError("unicycle needs a finite dt > 0 and horizon >= 1")
+        if self.substeps < 1:
+            raise ModelError(f"rk4 substeps must be at least 1, got {self.substeps}")
+        if not 0.0 < self.smoothing_eps < np.inf:
+            raise ModelError("smoothing_eps must be positive and finite")
+        if not np.all((self.u_max > 0.0) & np.isfinite(self.u_max)):
+            raise ModelError("u_max must be positive and finite")
 
 
 def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
@@ -148,17 +151,12 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
         state_names=("r_x", "r_y", "theta"),
     )
 
-    # Stage cost r_x + control_weight * ||u||^2 over z = (x, u).
-    H = np.zeros((5, 5))
-    H[3, 3] = H[4, 4] = 2.0 * params.control_weight
-    grad = np.zeros(5)
-    grad[0] = 1.0
+    # Stage cost r_x + control_weight * ||u||^2 over z = (x, u) at every
+    # stage 0..N; at stage N (u = 0) it is the terminal cost r_x.
     cost = QuadraticCost(
-        stage_hessians=np.repeat(H[None], N, axis=0),
-        stage_gradients=np.repeat(grad[None], N, axis=0),
-        stage_constants=np.zeros(N),
-        terminal_hessian=np.zeros((3, 3)),
-        terminal_gradient=np.array([1.0, 0.0, 0.0]),
+        hessians=np.broadcast_to(np.diag([0.0, 0.0, 0.0, 2.0, 2.0]) * params.control_weight, (N + 1, 5, 5)),
+        gradients=np.broadcast_to(np.eye(5)[0], (N + 1, 5)),
+        constants=np.zeros(N + 1),
     )
 
     # Penalized rows [-r_x, u - u_max, -u - u_max] over z = (x, u).

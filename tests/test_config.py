@@ -166,12 +166,55 @@ def test_linear_matrix_shape_errors(tmp_path):
     ("state_cost_diag = 1.0 0.5", "state_cost_diag = -1 1", "not positive semidefinite"),
     ("horizon_steps = 6", "horizon_steps = -2", "horizon must be at least 1"),
     ("horizon_steps = 6", "horizon_steps = 0", "horizon must be at least 1"),
+    ("terminal_cost_diag = 2.0 1.0", "terminal_cost_diag = 2.0 1.0\nu_lower = -0.1 -0.1\nu_upper = 0.1 0.1",
+     "one entry per control"),
 ])
-def test_invalid_linear_model_is_a_config_error(tmp_path, old, new, message):
+def test_invalid_linear_model_is_a_config_error(tmp_path, capsys, old, new, message):
     path = _write(tmp_path, LINEAR.replace(old, new))
     with pytest.raises(ConfigError, match=rf"exp\.cfg: invalid linear model: .*{message}"):
         load_config(path)
-    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+    capsys.readouterr()
+    for command in ("solve", "simulate"):
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("u_max = 1.5", "u_max = 1.5\nrk4_substeps = 0", "rk4 substeps must be at least 1"),
+    ("u_max = 1.5", "u_max = 1.5\nrk4_substeps = -2", "rk4 substeps must be at least 1"),
+    ("dt_s = 0.25", "dt_s = 0", "finite dt > 0"),
+    ("u_max = 1.5", "u_max = 0", "u_max must be positive"),
+    ("u_max = 1.5", "u_max = 1.5\nsmoothing_eps = -1", "smoothing_eps must be positive"),
+])
+def test_invalid_unicycle_model_is_a_config_error(tmp_path, capsys, old, new, message):
+    """Rejected by load_config, so the CLI exits 2 with one error line and
+    writes nothing."""
+    path = _write(tmp_path, MINIMAL_UNICYCLE.replace(old, new))
+    with pytest.raises(ConfigError, match=rf"exp\.cfg: invalid unicycle parameters: .*{message}"):
+        load_config(path)
+    capsys.readouterr()
+    assert main(["solve", str(path), "--controller", "nominal", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["config", "override"])
+def test_negative_master_seed_is_a_config_error(tmp_path, capsys, where):
+    text = MINIMAL_UNICYCLE + ("master_seed = -1\n" if where == "config" else "")
+    path = _write(tmp_path, text)
+    argv = ["simulate", str(path), "--out", str(tmp_path / "out")]
+    if where == "config":
+        with pytest.raises(ConfigError, match="invalid simulation block: .*master_seed >= 0"):
+            load_config(path)
+        capsys.readouterr()
+    else:
+        argv += ["--seed", "-1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "master_seed >= 0" in err[0]
     assert not (tmp_path / "out").exists()
 
 

@@ -150,38 +150,87 @@ def test_euler_substep_jacobian_hand_derived():
 
 # -------------------------------------------------------------- QuadraticCost
 
+def _cost_tables(H):
+    """Zero gradient and constant tables that match the Hessian table H."""
+    return dict(hessians=H, gradients=np.zeros(H.shape[:2]), constants=np.zeros(H.shape[0]))
+
+
 def test_quadratic_cost_rejects_indefinite_hessian():
     H = np.zeros((1, 3, 3))
     H[0] = np.diag([1.0, -0.5, 1.0])
-    with pytest.raises(ModelError):
-        QuadraticCost(
-            stage_hessians=H,
-            stage_gradients=np.zeros((1, 3)),
-            stage_constants=np.zeros(1),
-            terminal_hessian=np.zeros((2, 2)),
-            terminal_gradient=np.zeros(2),
-        )
+    with pytest.raises(ModelError, match="not positive semidefinite"):
+        QuadraticCost(**_cost_tables(H))
+
+
+def test_quadratic_cost_checks_the_symmetric_part():
+    """eigvalsh reads one triangle only: [[1, 4], [0, 1]] looks PSD there,
+    but its symmetric part [[1, 2], [2, 1]] has eigenvalue -1."""
+    H = np.array([[[1.0, 4.0], [0.0, 1.0]]])
+    with pytest.raises(ModelError, match="not positive semidefinite"):
+        QuadraticCost(**_cost_tables(H))
+    # an asymmetric PSD table is stored as its symmetric part
+    H = np.array([[[2.0, 1.0], [0.0, 2.0]]])
+    cost = QuadraticCost(**_cost_tables(H))
+    assert np.array_equal(cost.hessians, [[[2.0, 0.5], [0.5, 2.0]]])
+    assert cost.value(0, np.array([1.0]), np.array([-1.0])) == 1.5
+
+
+@pytest.mark.parametrize("field", ["hessians", "gradients", "constants"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_quadratic_cost_rejects_non_finite_entries(field, bad):
+    tables = _cost_tables(np.repeat(np.eye(3)[None], 2, axis=0))
+    tables[field] = tables[field].copy()
+    tables[field].flat[0] = bad
+    with pytest.raises(ModelError, match="cost tables must be finite"):
+        QuadraticCost(**tables)
+
+
+@pytest.mark.parametrize("field, shape", [
+    ("hessians", (2, 3, 2)),
+    ("hessians", (3, 3)),
+    ("gradients", (2, 2)),
+    ("gradients", (3, 3)),
+    ("constants", (3,)),
+    ("constants", ()),
+])
+def test_quadratic_cost_rejects_mismatched_shapes(field, shape):
+    tables = _cost_tables(np.repeat(np.eye(3)[None], 2, axis=0))
+    tables[field] = np.zeros(shape)
+    with pytest.raises(ModelError, match=r"are not \(S, n_z, n_z\), \(S, n_z\), \(S,\)"):
+        QuadraticCost(**tables)
 
 
 def test_quadratic_cost_values_batched():
     rng = np.random.default_rng(5)
     L = rng.normal(size=(3, 3))
-    H = np.repeat((L @ L.T)[None], 2, axis=0)
-    g = rng.normal(size=(2, 3))
-    cost = QuadraticCost(
-        stage_hessians=H,
-        stage_gradients=g,
-        stage_constants=np.array([0.5, -1.0]),
-        terminal_hessian=np.eye(2),
-        terminal_gradient=np.zeros(2),
-    )
+    H = np.repeat((L @ L.T)[None], 3, axis=0)
+    H[2] = 0.0
+    H[2, :2, :2] = np.eye(2)
+    g = rng.normal(size=(3, 3))
+    g[2] = 0.0
+    cost = QuadraticCost(hessians=H, gradients=g, constants=np.array([0.5, -1.0, 0.0]))
     xs = rng.normal(size=(4, 2))
     us = rng.normal(size=(4, 1))
-    vals = cost.stage_value(1, xs, us)
+    vals = cost.value(1, xs, us)
     for i in range(4):
         z = np.concatenate([xs[i], us[i]])
         assert_allclose(vals[i], 0.5 * z @ H[1] @ z + g[1] @ z - 1.0, rtol=1e-12)
-    assert_allclose(cost.terminal_value(np.array([1.0, 2.0])), 2.5, rtol=1e-12)
+    assert_allclose(cost.value(2, np.array([1.0, 2.0]), np.zeros(1)), 2.5, rtol=1e-12)
+    # several stages at once, along the last batch axis
+    stages = cost.value(slice(None), xs[:3], us[:3])
+    assert stages.shape == (3,)
+    for k in range(3):
+        assert stages[k] == cost.value(k, xs[k], us[k])
+
+
+def test_problem_rejects_cost_table_off_the_horizon():
+    prob = make_linear_problem([[1.0]], [[1.0]], [[0.1]], [[1.0]], [[0.1]], [[1.0]], [[1.0]],
+                               [[1.0]], horizon=2)
+    assert prob.cost.hessians.shape == (3, 2, 2)
+    with pytest.raises(ModelError, match=r"cost tables of shape \(2, 2\) do not match"):
+        replace(prob, cost=QuadraticCost(**_cost_tables(np.zeros((2, 2, 2)))))
+    with pytest.raises(ModelError, match=r"cost tables of shape \(3, 3\) do not match"):
+        replace(prob, cost=QuadraticCost(**_cost_tables(np.zeros((3, 3, 3)))))
 
 
 # -------------------------------------------------------------- ConstraintSet
@@ -217,6 +266,14 @@ def test_problem_rejects_weight_table_off_the_horizon():
     replace(prob, constraints=_one_row_set([[1.0], [1.0], [1.0]]))
     with pytest.raises(ModelError, match="has 2 stage rows, but horizon 2 needs 3"):
         replace(prob, constraints=_one_row_set([[1.0], [1.0]]))
+
+
+@pytest.mark.parametrize("lower, upper", [((-1.0, -1.0), (1.0, 1.0)), ((-1.0,), (1.0, 1.0)), (-1.0, 1.0)])
+def test_problem_rejects_control_box_of_the_wrong_length(lower, upper):
+    prob = make_linear_problem([[1.0]], [[1.0]], [[0.1]], [[1.0]], [[0.1]], [[1.0]], [[1.0]],
+                               [[1.0]], horizon=2)
+    with pytest.raises(ModelError, match=r"control box bounds need shape \(1,\)"):
+        replace(prob, constraints=_one_row_set([[1.0]] * 3, u_lower=lower, u_upper=upper))
 
 
 def test_empty_constraint_set_shapes():
@@ -304,8 +361,18 @@ def test_unicycle_stage_cost(unicycle_problem):
     x = np.array([1.5, -2.0, 0.7])
     u = np.array([1.0, -2.0])
     expected = 1.5 + 1e-6 * (1.0 + 4.0)
-    assert_allclose(cost.stage_value(0, x, u), expected, rtol=1e-12)
-    assert_allclose(cost.terminal_value(x), 1.5, rtol=1e-12)
+    assert_allclose(cost.value(0, x, u), expected, rtol=1e-12)
+    N = unicycle_problem.model.horizon
+    assert_allclose(cost.value(N, x, np.zeros(2)), 1.5, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(dt=np.nan), dict(dt=np.inf), dict(smoothing_eps=np.nan), dict(smoothing_eps=np.inf),
+    dict(u_max=np.nan), dict(u_max=np.inf), dict(substeps=0), dict(substeps=-2),
+])
+def test_unicycle_params_reject_non_finite_and_empty_settings(kwargs):
+    with pytest.raises(ModelError):
+        replace(standard_unicycle_params(), **kwargs)
 
 
 def test_unicycle_dynamics_jacobians_match_fd():

@@ -10,6 +10,7 @@ from dualmpc import (
     ModelError,
     ObjectiveEvaluator,
     Policy,
+    QuadraticCost,
     constraint_direction_variance,
     expected_quadratic,
     expected_relu,
@@ -385,8 +386,9 @@ def test_packed_tables_match_row_by_row_reference(case):
 def _reference_parts(problem, x0, P0, policy, eps_sigma, eps_K):
     """Objective parts and direction variances of one policy, summed stage by
     stage from the public pipeline, with the terminal stage as a separate term.
-    Each stage takes the constraint rows its weights select; the terminal
-    stage evaluates them at u = 0 and keeps their x columns."""
+    Each stage's cost comes from its table entries, 0.5 z'H_k z + g_k'z + c_k,
+    and each stage takes the constraint rows its weights select; the terminal
+    stage evaluates both at u = 0 and keeps the x block and x columns."""
     model, cost, cs = problem.model, problem.cost, problem.constraints
     N = model.horizon
     eps2 = eps_sigma**2
@@ -395,19 +397,23 @@ def _reference_parts(problem, x0, P0, policy, eps_sigma, eps_K):
     gains, _ = kalman_recursion(lin, P0)
     aug = propagate_covariance(lin, policy, gains, P0)
     K_all = policy.stage_gains()
+    n_x = model.n_x
+    H, g, c = cost.hessians, cost.gradients, cost.constants
     nominal, variance, penalty, betas = 0.0, 0.0, 0.0, []
     for k in range(N):
         x, u = traj.states[k], traj.controls[k]
         joint = joint_covariance(aug.sigma[k], K_all[k])
-        nominal += cost.stage_value(k, x, u)
-        variance += 0.5 * np.trace(cost.stage_hessians[k] @ joint)
+        z = np.concatenate([x, u])
+        nominal += 0.5 * z @ H[k] @ z + g[k] @ z + c[k]
+        variance += 0.5 * np.trace(H[k] @ joint)
         used = cs.weights[k] > 0
         beta = np.maximum(constraint_direction_variance(cs.jac(x, u)[used], joint), eps2)
         penalty += np.sum(cs.weights[k][used] * expected_relu(cs.fn(x, u)[used], np.sqrt(beta)))
         betas.append(beta)
     x_N, P_N, u_N = traj.states[N], aug.P[N], np.zeros(model.n_u)
-    nominal += cost.terminal_value(x_N)
-    variance += 0.5 * np.trace(cost.terminal_hessian @ P_N)
+    H_N = H[N, :n_x, :n_x]
+    nominal += 0.5 * x_N @ H_N @ x_N + g[N, :n_x] @ x_N + c[N]
+    variance += 0.5 * np.trace(H_N @ P_N)
     used = cs.weights[N] > 0
     grads = cs.jac(x_N, u_N)[used][:, : model.n_x]
     beta = np.maximum(constraint_direction_variance(grads, P_N), eps2)
@@ -453,6 +459,34 @@ def test_stage_n_assembly_matches_stage_by_stage_reference(case, mode):
             assert_allclose(beta, ref, rtol=1e-12, atol=0)
     if case == 1:
         assert np.all(parts[2] > 1e-6)  # the penalty is live
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_nominal_cost_is_terminal_first_sequential_sum(case):
+    """The nominal cost adds the stage values in one fixed order, terminal
+    stage first and then stages 0..N-1, one add at a time, unbatched and in
+    every row of a batch; a pairwise sum differs in the last bits."""
+    prob, x0, P0, _ = _assembly_cases()[case]
+    n_u, N = prob.model.n_u, prob.model.horizon
+    # a dense cost with every table entry live, stage N's x block included
+    rng = np.random.default_rng(45)
+    n_z = prob.model.n_x + n_u
+    L = rng.normal(size=(N + 1, n_z, n_z))
+    cost = QuadraticCost(
+        hessians=L @ np.swapaxes(L, -1, -2), gradients=rng.normal(size=(N + 1, n_z)),
+        constants=rng.normal(size=N + 1),
+    )
+    prob = replace(prob, cost=cost)
+    ev = ObjectiveEvaluator(prob, x0, P0, include_uncertainty=False)
+    u = rng.uniform(-1.5, 1.5, size=(12, N, n_u))
+    batch = ev.prediction(u)
+    for i in range(12):
+        for pred in (ev.prediction(u[i]), batch.take(i)):
+            xs = pred.traj.states
+            expected = cost.value(N, xs[N], np.zeros(n_u))
+            for k in range(N):
+                expected = expected + cost.value(k, xs[k], u[i, k])
+            assert pred.nominal_cost == expected
 
 
 @pytest.mark.parametrize("case", [0, 1])

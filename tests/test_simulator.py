@@ -155,7 +155,7 @@ def test_recorded_cost_and_flags_follow_true_state():
     for t in range(cfg.steps):
         x = rec.states[t]
         h = prob.constraints.fn(x, u_fix)
-        expected = float(prob.cost.stage_value(0, x, u_fix))
+        expected = float(prob.cost.value(0, x, u_fix))
         expected += float(np.sum(prob.constraints.weights[1] * np.maximum(h, 0.0)))
         assert rec.stage_costs[t] == pytest.approx(expected, rel=1e-12)
         assert bool(rec.violation_flags[t]) == bool(np.any(h > 0.0))
