@@ -26,7 +26,6 @@ from .objective import (
     ObjectiveBreakdown,
     ObjectiveEvaluator,
     constraint_direction_variance,
-    expected_quadratic,
     expected_relu,
     feedback_regularization,
     floored_variance,
@@ -82,7 +81,6 @@ __all__ = [
     "UnicycleParams",
     "constraint_direction_variance",
     "ekf_step",
-    "expected_quadratic",
     "expected_relu",
     "feedback_regularization",
     "floored_variance",

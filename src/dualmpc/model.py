@@ -351,11 +351,16 @@ def make_linear_problem(
     n_w = G.shape[1]
     n_y, n_v = C.shape[0], D.shape[1]
 
+    # Per-point products: a batched x @ A.T runs as one BLAS matrix product
+    # and can differ in the last bit from the same point evaluated alone.
+    def apply(M, x):
+        return np.einsum("ij,...j->...i", M, x)
+
     def f(x, u, w):
-        return x @ A.T + u @ B.T + w @ G.T
+        return apply(A, x) + apply(B, u) + apply(G, w)
 
     def g(x, v):
-        return x @ C.T + v @ D.T
+        return apply(C, x) + apply(D, v)
 
     def f_jac(x, u, w):
         batch = np.shape(x)[:-1]

@@ -90,20 +90,6 @@ def expected_relu(mu, sigma):
     return float(out[()]) if scalar else out
 
 
-def expected_quadratic(hessian: Array, gradient: Array, constant, mean: Array, cov: Array):
-    """Expectation of 0.5 z'Hz + g'z + c under z ~ N(mean, cov).
-
-    Exact for quadratics: value at the mean plus 0.5*trace(H cov).
-    """
-    mean = np.asarray(mean, dtype=float)
-    nominal = (
-        0.5 * np.einsum("...i,...ij,...j->...", mean, hessian, mean)
-        + np.einsum("...i,...i->...", np.broadcast_to(gradient, mean.shape), mean)
-        + constant
-    )
-    return nominal + 0.5 * np.einsum("...ij,...ji->...", hessian, cov)
-
-
 def constraint_direction_variance(grad: Array, cov: Array) -> Array:
     """Variance of a linearized constraint: grad' cov grad (batched)."""
     return np.einsum("...i,...ij,...j->...", grad, cov, grad)
@@ -137,6 +123,18 @@ def _stage_points(xs: Array, us: Array) -> tuple[Array, Array]:
     batch = np.broadcast_shapes(xs.shape[:-2], us.shape[:-2])
     us = np.concatenate([np.broadcast_to(us, batch + us.shape[-2:]), np.zeros(batch + (1, us.shape[-1]))], axis=-2)
     return np.broadcast_to(xs, batch + xs.shape[-2:]), us
+
+
+def _trace_sum(hessians: Array, joint: Array) -> Array:
+    """sum_k trace(H_k joint_k) over the stage axis, batched over the leading
+    axes of ``joint``.  The products are added in one fixed order, strictly
+    sequentially: each row (k, i) over j, then the row sums in turn from
+    +0.0, so a row of a batch adds up exactly as it does alone (an einsum's
+    order depends on the batch shape)."""
+    terms = hessians * np.swapaxes(joint, -1, -2)
+    rows = np.add.accumulate(terms, axis=-1)[..., -1].reshape(terms.shape[:-3] + (-1,))
+    rows[..., 0] += 0.0  # a sum from +0.0 never ends at -0.0
+    return np.add.accumulate(rows, axis=-1)[..., -1]
 
 
 def _jacobian_pullback(jac: Callable[[Array], tuple], z: Array, bars: tuple[Array, ...]) -> Array:
@@ -342,7 +340,7 @@ class ObjectiveEvaluator:
         padded like ``pred.h`` (stages 0..N)."""
         feedback = np.asarray(feedback, dtype=float)
         joint = self._joint_covariances(pred, feedback)
-        variance = 0.5 * np.einsum("kij,...kji->...", self.problem.cost.hessians, joint)
+        variance = 0.5 * _trace_sum(self.problem.cost.hessians, joint)
         H_dir = constraint_direction_variance(pred.h_grads, joint[..., None, :, :])
         beta, _ = floored_variance(H_dir, self.eps_sigma)
         penalty = np.sum(self._weights * expected_relu(pred.h, np.sqrt(beta)), axis=(-2, -1))
@@ -463,15 +461,17 @@ class ObjectiveEvaluator:
         parts = self.parts_from_prediction(pred, feedback)
         return parts[0] + parts[1] + parts[2] + parts[3], pred
 
-    def breakdown_and_beta(self, policy: Policy) -> tuple[ObjectiveBreakdown, list]:
+    def breakdown_and_beta(self, policy: Policy, pred: Prediction | None = None) -> tuple[ObjectiveBreakdown, list]:
         """Scalar objective decomposition of a single (unbatched) policy and
         its floored direction variances (the eliminated slack values), from
-        one prediction.
+        one prediction: ``pred``, the unbatched prediction at
+        ``policy.u_nom`` if the caller holds it, else a new one.
 
         The variances come as a list with one entry per stage 0..N-1 plus
         the terminal entry.
         """
-        pred = self.prediction(policy.u_nom)
+        if pred is None:
+            pred = self.prediction(policy.u_nom)
         parts, beta = self._parts_and_beta(pred, policy.feedback)
         return ObjectiveBreakdown.assemble(*parts), [beta[k, :c] for k, c in enumerate(self.counts)]
 

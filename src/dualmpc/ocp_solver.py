@@ -18,7 +18,19 @@ line-search chunk, and once backwards.  Central differences survive only
 for the per-coordinate curvature that seeds or reseeds the quasi-Newton
 metric: control rows through the whole pipeline, gain rows at the point's
 prediction (the gains leave the prediction untouched).  At the initial
-point the control rows ride in one batch with it.
+point the control rows ride in one batch with it.  The final objective
+breakdown reads the last accepted trial's prediction too.
+
+Line-search chunks: with uncertainty, a search that follows an accepted
+full step evaluates the full step alone first, then 12-trial chunks.  The
+filter and covariance recursions make a 12-row batch cost about 1.4-1.6
+times a 1-row one (shipped config), so the lone full step pays when it
+passes in more than about 2/3 of such searches, and it passes in over 90%
+(shipped-config solves).  Without uncertainty the rollout dominates: 12
+rows cost about 1.15-1.2 times one (break-even 84-88%), the full step
+passes in 82% of such searches, and every chunk holds 12 trials.  Either
+way the accepted trial is the first passing step of the same sequence,
+because every row of a batch evaluates exactly as it does alone.
 """
 
 from __future__ import annotations
@@ -196,7 +208,8 @@ def _diag_metric(curv: Array, gnorm: float) -> Array:
 
 
 # Line search: trial steps 1, 1/2, 1/4, ... (at most 40), evaluated 12 per
-# batch; a trial passes on sufficient decrease with constant 1e-4.
+# batch, optionally after the full step alone; a trial passes on sufficient
+# decrease with constant 1e-4.
 _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 40
 _ARMIJO_C = 1e-4
@@ -235,27 +248,30 @@ def _evaluate_trials(ev: ObjectiveEvaluator, var: _Variables,
     return totals, prediction_of
 
 
-def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direction: Array):
+def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direction: Array,
+                   full_step_first: bool = False):
     """Backtracking Armijo search along the projection arc.
 
     Candidate step sizes form the usual geometric sequence, but they are
     evaluated in batched chunks (one prediction pass per chunk) instead of
-    one objective call per trial; the first (largest) passing step is
-    returned, so the result is identical to sequential backtracking.  A
-    chunk that fails as a whole is re-scored trial by trial, and its failing
+    one objective call per trial: 12 trials per chunk, after the full step
+    alone when ``full_step_first`` is set (see the module docstring for when
+    that pays).  The first (largest) passing step is returned, so the result
+    is identical to sequential backtracking whatever the chunks.  A chunk
+    that fails as a whole is re-scored trial by trial, and its failing
     trials are rejected (see _evaluate_trials).
 
-    Returns (trial, f_trial, index, gradient): index is the accepted trial's
+    Returns (trial, f_trial, index, accepted): index is the accepted trial's
     position in the step-size sequence, -1 if none passed (theta and f come
-    back then).  gradient is (g, curvature) at the accepted trial: g from
-    one reverse-mode pass on the trial's row of the chunk's prediction, and
-    curvature a function that computes the metric-seed curvature there (see
-    _curvature).  It is None if no trial passed, or if the pass fails at the
-    accepted trial.
+    back then).  accepted is (g, center) at the accepted trial: its
+    unbatched prediction ``center``, the trial's row of the chunk's
+    prediction, and g from one reverse-mode pass on it.  It is None if no
+    trial passed, or if the pass fails at the accepted trial.
     """
     alphas = _BACKTRACK_FACTOR ** np.arange(_MAX_BACKTRACKS)
-    for start in range(0, alphas.size, _LS_CHUNK):
-        chunk = alphas[start : start + _LS_CHUNK]
+    starts = [0, *range(1 if full_step_first else _LS_CHUNK, alphas.size, _LS_CHUNK)]
+    for start, stop in zip(starts, starts[1:] + [alphas.size]):
+        chunk = alphas[start:stop]
         trials = var.project(theta[None, :] + chunk[:, None] * direction[None, :])
         decreases = (trials - theta) @ g
         if not np.any(decreases < 0.0):
@@ -270,7 +286,7 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direct
                 g_trial = _gradient(ev, var, center, trial)
             except _TRIAL_ERRORS:  # the pass perturbs the model across a failure boundary
                 return trial, f_trial, start + idx, None
-            return trial, f_trial, start + idx, (g_trial, partial(_curvature, ev, var, trial, f_trial, center))
+            return trial, f_trial, start + idx, (g_trial, center)
     return theta, f, -1, None
 
 
@@ -356,8 +372,10 @@ def solve(
     del prediction_of
     f = float(totals0[0])
     g = _gradient(ev, var, center, theta)
-    # curvature() holds the current iterate's prediction until the next one.
+    # center is the current iterate's prediction, and curvature() computes
+    # the metric-seed curvature there.
     curvature = partial(_curvature, ev, var, theta, f, center, totals0[1:])
+    full_step_first = False
     curvature_skips = 0
     status = "max_iter"
     iterations = 0
@@ -383,15 +401,16 @@ def solve(
             d = -H @ g_masked
             d[g_masked == 0.0] = 0.0
 
-        for direction in (d, -g_masked / gnorm):
-            trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction)
-            if index >= 0:
-                break
-            H = _diag_metric(curvature(), gnorm)  # quasi-Newton direction failed
-        if gradient is None:  # no acceptable step, or no gradient at it
+        trial, f_trial, index, accepted = _armijo_search(ev, var, theta, f, g, d, full_step_first)
+        if index < 0:  # quasi-Newton direction failed: reseed, try steepest descent
+            H = _diag_metric(curvature(), gnorm)
+            trial, f_trial, index, accepted = _armijo_search(ev, var, theta, f, g, -g_masked / gnorm)
+        if accepted is None:  # no acceptable step, or no gradient at it
             status = "line_search_failure"
             break
-        g_new, curvature = gradient
+        full_step_first = ev.include_uncertainty and index == 0
+        g_new, center = accepted
+        curvature = partial(_curvature, ev, var, trial, f_trial, center)
         s, y = trial - theta, g_new - g
         gnorm = max(float(np.linalg.norm(g_new)), 1e-12)
         if first_step_pending:
@@ -413,7 +432,7 @@ def solve(
         stationarity = _projected_gradient_norm(theta, g, var)
 
     policy = var.unpack(theta)
-    breakdown, beta = ev.breakdown_and_beta(policy)
+    breakdown, beta = ev.breakdown_and_beta(policy, center)
     return SolveResult(
         policy=policy,
         objective=breakdown,

@@ -248,9 +248,10 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array) -> tuple[Array, Ar
         A = lin.A[..., k, :, :]
         C = lin.C[..., k, :, :]
         P_minus = symmetrize(A @ P @ A_T[..., k, :, :] + GGt[..., k, :, :])
-        S = C @ P_minus @ C_T[..., k, :, :] + DDt[..., k, :, :]
+        CP = C @ P_minus
+        S = CP @ C_T[..., k, :, :] + DDt[..., k, :, :]
         # K = P- C' S^{-1}  <=>  S K' = C P-   (S symmetric).
-        K_T = chol_solve_spd(symmetrize(S), C @ P_minus, context=f"innovation covariance at stage {k + 1}")
+        K_T = chol_solve_spd(symmetrize(S), CP, context=f"innovation covariance at stage {k + 1}")
         K = np.swapaxes(K_T, -1, -2)
         P = symmetrize((eye - K @ C) @ P_minus)
         gains[..., k, :, :] = K
@@ -416,21 +417,23 @@ def kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, gains_bar
     P_minus = symmetrize(A @ P @ A_t + G @ np.swapaxes(G, -1, -2))
     S = symmetrize(C @ P_minus @ C_t + D @ np.swapaxes(D, -1, -2))
     S_inv = chol_solve_spd(S, np.broadcast_to(np.eye(S.shape[-1]), S.shape), context="innovation covariance")
-    eye = np.eye(n_x)
-    A_bar, G_bar, C_bar, D_bar = (np.empty_like(M) for M in (A, G, C, D))
-    P_bar = np.zeros((n_x, n_x))  # dJ/dP_{k+1}
+    # Only the recursion runs per stage; the pullbacks onto C, D, A and G
+    # are batched products over all stages afterwards.
+    n_y = C.shape[-2]
+    I_KC_t = np.swapaxes(np.eye(n_x) - gains @ C, -1, -2)
+    P_bar = np.zeros((N + 1, n_x, n_x))  # P_bar[k] = dJ/dP_k
+    R_bar = np.empty((N, n_y, n_x))  # dJ/d(C P-)
+    S_bar = np.empty((N, n_y, n_y))
+    Pm_bar = np.empty((N, n_x, n_x))
     for k in range(N - 1, -1, -1):
-        K, Pm, Ck = gains[k], P_minus[k], C[k]
-        K_bar = gains_bar[k] - P_bar @ Pm @ C_t[k]
-        R_bar = S_inv[k] @ K_bar.T  # dJ/d(C P-)
-        S_bar = -symmetrize(R_bar @ K)
-        C_bar[k] = -K.T @ P_bar @ Pm + R_bar @ Pm + 2.0 * S_bar @ Ck @ Pm
-        D_bar[k] = 2.0 * S_bar @ D[k]
-        Pm_bar = symmetrize((eye - K @ Ck).T @ P_bar + C_t[k] @ R_bar + C_t[k] @ S_bar @ Ck)
-        A_bar[k] = 2.0 * Pm_bar @ A[k] @ P[k]
-        G_bar[k] = 2.0 * Pm_bar @ G[k]
-        P_bar = A_t[k] @ Pm_bar @ A[k]
-    return StageLinearization(A=A_bar, B=np.zeros(lin.B.shape), G=G_bar, C=C_bar, D=D_bar)
+        K_bar = gains_bar[k] - P_bar[k + 1] @ P_minus[k] @ C_t[k]
+        R_bar[k] = S_inv[k] @ K_bar.T
+        S_bar[k] = -symmetrize(R_bar[k] @ gains[k])
+        Pm_bar[k] = symmetrize(I_KC_t[k] @ P_bar[k + 1] + C_t[k] @ R_bar[k] + C_t[k] @ S_bar[k] @ C[k])
+        P_bar[k] = A_t[k] @ Pm_bar[k] @ A[k]
+    C_bar = -np.swapaxes(gains, -1, -2) @ P_bar[1:] @ P_minus + R_bar @ P_minus + 2.0 * S_bar @ C @ P_minus
+    return StageLinearization(A=2.0 * Pm_bar @ A @ P, B=np.zeros(lin.B.shape), G=2.0 * Pm_bar @ G,
+                              C=C_bar, D=2.0 * S_bar @ D)
 
 
 def joint_map(K_k: Array, batch: tuple = ()) -> Array:

@@ -45,3 +45,11 @@ def unicycle_problem():
 def random_spd(rng, n, scale=1.0):
     M = rng.normal(size=(n, n))
     return scale * (M @ M.T + 0.1 * np.eye(n))
+
+
+def prediction_fields(pred):
+    """Every array of a ``Prediction``, in a fixed order, for bitwise checks."""
+    fields = [pred.traj.states, pred.traj.controls, pred.nominal_cost, pred.h, pred.h_grads]
+    if pred.lin is not None:
+        fields += [getattr(pred.lin, name) for name in "ABGCD"] + [pred.filter_gains, pred.filter_covs]
+    return fields

@@ -3,7 +3,8 @@
 Each one is a plain, independent route to a quantity the package computes
 another way: a central-difference Jacobian, a central-difference objective
 gradient, the general-gain (Joseph) estimation-error covariance, a
-stand-alone penalty sum, and a hand-written EKF predict/update pair.
+stand-alone penalty sum, the closed-form expectation of a quadratic, and a
+hand-written EKF predict/update pair.
 """
 
 from typing import Callable
@@ -111,6 +112,20 @@ def luenberger_covariance(lin: StageLinearization, gains: Array, P_hat_0: Array)
         P = symmetrize(P)
         covs.append(P)
     return np.stack(covs, axis=-3)
+
+
+def expected_quadratic(hessian: Array, gradient: Array, constant, mean: Array, cov: Array):
+    """Expectation of 0.5 z'Hz + g'z + c under z ~ N(mean, cov).
+
+    Exact for quadratics: value at the mean plus 0.5*trace(H cov).
+    """
+    mean = np.asarray(mean, dtype=float)
+    nominal = (
+        0.5 * np.einsum("...i,...ij,...j->...", mean, hessian, mean)
+        + np.einsum("...i,...i->...", np.broadcast_to(gradient, mean.shape), mean)
+        + constant
+    )
+    return nominal + 0.5 * np.einsum("...ij,...ji->...", hessian, cov)
 
 
 def penalty_total(h_nom: Array, beta: Array, weights: Array, eps_sigma: float):

@@ -20,7 +20,6 @@ from dualmpc import (
     Policy,
     RecedingHorizonController,
     SolveOptions,
-    expected_quadratic,
     expected_relu,
     kalman_recursion,
     linearize_trajectory,
@@ -37,7 +36,7 @@ from dualmpc.cli import main as cli_main
 from dualmpc.ocp_solver import _gradient, _Variables
 
 from conftest import standard_unicycle_params
-from oracles import luenberger_covariance
+from oracles import expected_quadratic, luenberger_covariance
 
 CONFIG_PATH = Path(__file__).resolve().parents[1] / "configs" / "unicycle.cfg"
 

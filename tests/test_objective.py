@@ -12,7 +12,6 @@ from dualmpc import (
     Policy,
     QuadraticCost,
     constraint_direction_variance,
-    expected_quadratic,
     expected_relu,
     feedback_regularization,
     joint_covariance,
@@ -24,9 +23,10 @@ from dualmpc import (
     propagate_covariance,
     total_objective,
 )
+from dualmpc.objective import _trace_sum
 
-from conftest import one_stage_terminal_problem, standard_unicycle_params, random_spd
-from oracles import fd_gradient, penalty_total
+from conftest import one_stage_terminal_problem, prediction_fields, standard_unicycle_params, random_spd
+from oracles import expected_quadratic, fd_gradient, penalty_total
 
 
 # ---------------------------------------------------------------- expected_relu
@@ -322,6 +322,50 @@ def test_totals_of_line_search_batch_match_rows_bitwise():
     totals = ev.totals(u, fb)[0]
     rows = np.array([ev.totals(u[i], fb[i])[0] for i in range(52)])
     assert_allclose(totals, rows, atol=0, rtol=0)
+
+
+@pytest.mark.parametrize("uncertainty", [True, False], ids=["uncertainty", "nominal"])
+@pytest.mark.parametrize("case", ["linear", "unicycle"])
+def test_batch_rows_evaluate_as_alone(case, uncertainty):
+    """Every row of a 12-row ``totals`` batch, its total and every field of
+    its prediction, equals that row evaluated alone, as a one-row batch and
+    unbatched, bit for bit.  The line search relies on this: its chunking
+    cannot change which trial passes, nor the prediction it continues from."""
+    prob, x0, P0, _ = _assembly_cases()[0 if case == "linear" else 1]
+    n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
+    rng = np.random.default_rng(45)
+    u = rng.uniform(-1.5, 1.5, size=(12, N, n_u))
+    fb = rng.normal(0.0, 0.2, size=(12, N - 1, n_u, n_x))
+    ev = ObjectiveEvaluator(prob, x0, P0, include_uncertainty=uncertainty)
+    totals, batch = ev.totals(u, fb)
+    for i in range(12):
+        one_total, one_row = ev.totals(u[i : i + 1], fb[i : i + 1])
+        alone_total, alone = ev.totals(u[i], fb[i])
+        assert totals[i] == one_total[0] == alone_total
+        for got, one, expected in zip(prediction_fields(batch.take(i)), prediction_fields(one_row.take(0)),
+                                      prediction_fields(alone)):
+            assert np.array_equal(got, expected) and np.array_equal(one, expected)
+
+
+def test_trace_sum_adds_in_one_fixed_order():
+    """``_trace_sum`` equals a plain loop that adds the products of each row
+    (k, i) over j, then the row sums in turn, every sum from +0.0, bit for
+    bit, for a batch and for each of its rows alone."""
+    rng = np.random.default_rng(46)
+    for n in (2, 3, 5):
+        H = rng.normal(size=(7, n, n))
+        joint = rng.normal(size=(4, 7, n, n))
+        batch = _trace_sum(H, joint)
+        for b in range(4):
+            total = 0.0
+            for k in range(7):
+                for i in range(n):
+                    row = 0.0
+                    for j in range(n):
+                        row += H[k, i, j] * joint[b, k, j, i]
+                    total += row
+            assert batch[b] == total == _trace_sum(H, joint[b])
+    assert not np.signbit(_trace_sum(np.zeros((2, 2, 2)), -np.ones((2, 2, 2))))
 
 
 @pytest.mark.parametrize("stages", [3, 0])

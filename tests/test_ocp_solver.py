@@ -23,7 +23,7 @@ from dualmpc import ocp_solver
 from dualmpc.uncertainty import RolloutError
 from dualmpc.ocp_solver import _FD_STEP, _armijo_search, _gradient, _stencil, _Variables
 
-from conftest import one_stage_terminal_problem, standard_unicycle_params
+from conftest import one_stage_terminal_problem, prediction_fields, standard_unicycle_params
 
 
 # ------------------------------------------------------------- slack elimination
@@ -225,36 +225,76 @@ def test_fd_gradient_matches_secondary_directional_differences():
         assert g @ d == pytest.approx(secondary, rel=1e-4)
 
 
-@pytest.mark.parametrize("mode", ["nominal", "open_loop", "output_feedback"])
-def test_fused_line_search_gradient_equals_fd_gradient(mode):
+_SEARCH_CASES = [(mode, False) for mode in ocp_solver.MODES] + [(mode, True) for mode in ocp_solver.MODES]
+
+
+@pytest.mark.parametrize(
+    "mode, failing_full_step", _SEARCH_CASES,
+    ids=[mode + ("-failing_full_step" if failing else "") for mode, failing in _SEARCH_CASES],
+)
+def test_fused_line_search_gradient_equals_fd_gradient(mode, failing_full_step):
     """The gradient that ``_armijo_search`` returns at an accepted trial, from
     the trial's row of the line-search batch, is the stand-alone reverse-mode
-    pass at that trial, bit for bit; so is the curvature function that comes
-    with it.  Checked at an accepted full step and at a backtracked one."""
-    prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
-    x0 = np.array([1.0, 0.5, 2.0])
-    P0 = 1e-4 * np.eye(3)
+    pass at that trial, bit for bit; so are the trial's prediction and the
+    curvature computed there.  Evaluating the full step alone first gives
+    the same trial, value, index, gradient and curvature as 12-trial chunks.
+    Checked at an accepted full step and at a backtracked one, and on a
+    problem whose full step fails to evaluate."""
+    if failing_full_step:
+        prob, x0, P0 = _nan_above_half_problem(), np.array([-3.0]), 0.01 * np.eye(1)
+    else:
+        prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
+        x0, P0 = np.array([1.0, 0.5, 2.0]), 1e-4 * np.eye(3)
     opts = SolveOptions(mode=mode)
     ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K,
                             include_uncertainty=mode != "nominal")
     var = _Variables(prob, mode)
     rng = np.random.default_rng(11)
     theta = np.concatenate([
-        rng.uniform(-1.0, 1.0, size=var.n_u_vars),
+        np.zeros(var.n_u_vars) if failing_full_step else rng.uniform(-1.0, 1.0, size=var.n_u_vars),
         rng.normal(0.0, 0.1, size=var.n_k_vars),
     ])
     pol = var.unpack(theta)
     f, pred = ev.totals(pol.u_nom, pol.feedback)
     f = float(f)
     g = _gradient(ev, var, pred, theta)
-    for scale, backtracked in ((1e-3, False), (1e2, True)):
+    scales = ((4.0, True),) if failing_full_step else ((1e-3, False), (1e2, True))
+    for scale, backtracked in scales:
         direction = -scale * g / np.linalg.norm(g)
-        trial, f_trial, index, gradient = _armijo_search(ev, var, theta, f, g, direction)
-        assert gradient is not None
-        assert (index > 0) == backtracked
-        center = ev.prediction(var.unpack(trial).u_nom)
-        assert np.array_equal(gradient[0], _gradient(ev, var, center, trial))
-        assert np.array_equal(gradient[1](), ocp_solver._curvature(ev, var, trial, f_trial, center))
+        if failing_full_step:
+            with pytest.raises(RolloutError):
+                ev.totals(*var.unpack_batch(var.project(theta + direction)[None]))
+        results = [_armijo_search(ev, var, theta, f, g, direction, first) for first in (False, True)]
+        for trial, f_trial, index, accepted in results:
+            assert accepted is not None
+            assert (index > 0) == backtracked
+            center = ev.prediction(var.unpack(trial).u_nom)
+            for got, expected in zip(prediction_fields(accepted[1]), prediction_fields(center)):
+                assert np.array_equal(got, expected)
+            assert np.array_equal(accepted[0], _gradient(ev, var, center, trial))
+        (trial, f_trial, index, accepted), (trial_1, f_trial_1, index_1, accepted_1) = results
+        assert np.array_equal(trial, trial_1) and f_trial == f_trial_1 and index == index_1
+        assert np.array_equal(accepted[0], accepted_1[0])
+        assert np.array_equal(ocp_solver._curvature(ev, var, trial, f_trial, accepted[1]),
+                              ocp_solver._curvature(ev, var, trial_1, f_trial_1, accepted_1[1]))
+
+
+@pytest.mark.parametrize("mode", ocp_solver.MODES)
+def test_solve_result_is_the_breakdown_of_the_returned_policy(mode):
+    """The result's objective and slacks come from the last accepted trial's
+    row of its line-search batch; they equal a fresh unbatched evaluation of
+    the returned policy bit for bit."""
+    prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
+    x0, P0 = np.array([1.0, 0.5, 2.0]), 1e-4 * np.eye(3)
+    opts = SolveOptions(mode=mode, max_iterations=20)
+    res = solve(prob, x0, P0, opts)
+    assert res.iterations > 0
+    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K,
+                            include_uncertainty=mode != "nominal")
+    breakdown, beta = ev.breakdown_and_beta(res.policy)
+    assert res.objective == breakdown
+    assert len(res.beta) == len(beta)
+    assert all(np.array_equal(a, b) for a, b in zip(res.beta, beta))
 
 
 def test_metric_reseed_after_first_iteration_uses_fd_curvature(monkeypatch):
@@ -271,11 +311,11 @@ def test_metric_reseed_after_first_iteration_uses_fd_curvature(monkeypatch):
     events = []
     search, seed = ocp_solver._armijo_search, ocp_solver._diag_metric
 
-    def failing_third_search(ev, var, theta, f, g, direction):
+    def failing_third_search(ev, var, theta, f, g, direction, full_step_first=False):
         events.append(("search", theta.copy(), f))
         if [e[0] for e in events].count("search") == 3:
             return theta, f, -1, None
-        return search(ev, var, theta, f, g, direction)
+        return search(ev, var, theta, f, g, direction, full_step_first)
 
     def recorded_seed(curv, gnorm):
         events.append(("seed", curv.copy()))
@@ -322,6 +362,57 @@ def test_open_loop_solve_runs_about_one_prediction_per_iteration(monkeypatch):
                 replace(config.solver_options, mode="open_loop"))
     assert res.iterations > 0
     assert len(calls) <= 1.3 * res.iterations
+
+
+def test_shipped_solve_line_search_rows(monkeypatch):
+    """With uncertainty, a search after an accepted full step tries that
+    step alone first, so an open_loop solve evaluates few trial rows per
+    iteration; without uncertainty every line-search batch holds 12."""
+    config = _shipped_config()
+    rows = []
+    totals = ObjectiveEvaluator.totals
+
+    def counted(self, u_nom, feedback):
+        rows.append(u_nom.shape[0])
+        return totals(self, u_nom, feedback)
+
+    monkeypatch.setattr(ObjectiveEvaluator, "totals", counted)
+    for mode in ("open_loop", "nominal"):
+        rows.clear()
+        res = solve(config.problem, config.sim_config.init_mean, config.sim_config.init_cov,
+                    replace(config.solver_options, mode=mode))
+        assert res.iterations > 0
+        if mode == "open_loop":
+            assert sum(rows) <= 4 * res.iterations
+        else:  # the first batch is the initial point and its curvature stencil
+            assert set(rows[1:]) == {12}
+
+
+def test_failed_steepest_descent_search_skips_the_metric_reseed(monkeypatch):
+    """When both directions fail, the solve stops: the metric is reseeded
+    once, for the steepest-descent search, and not again after it."""
+    prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
+    x0, P0 = np.array([1.0, 0.5, 2.0]), 1e-4 * np.eye(3)
+    warm = Policy(u_nom=np.full((5, 2), 0.3), feedback=np.zeros((4, 2, 3)))
+    seeds, searches, seed = [], [], ocp_solver._diag_metric
+
+    def failing_search(ev, var, theta, f, g, direction, full_step_first=False):
+        searches.append(theta.copy())
+        return theta, f, -1, None
+
+    def recorded_seed(curv, gnorm):
+        seeds.append(1)
+        return seed(curv, gnorm)
+
+    monkeypatch.setattr(ocp_solver, "_armijo_search", failing_search)
+    monkeypatch.setattr(ocp_solver, "_diag_metric", recorded_seed)
+    res = solve(prob, x0, P0, SolveOptions(mode="output_feedback"), warm_start=warm)
+    assert len(searches) == 2
+    assert len(seeds) == 2  # the initial seed and the reseed before steepest descent
+    assert res.status == "line_search_failure"
+    assert res.iterations == 1
+    assert np.array_equal(res.policy.u_nom, warm.u_nom)
+    assert np.array_equal(res.policy.feedback, warm.feedback)
 
 
 def test_stencil_rows_run_only_for_metric_seeds(monkeypatch):
