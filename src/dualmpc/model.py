@@ -89,7 +89,7 @@ def rk4_step(
 
 def rk4_step_with_jacobian(
     ode: Callable[[Array, Array, Array], Array],
-    ode_jac: Callable[[Array, Array, Array], tuple[Array, Array, Array]],
+    ode_jac: Callable[[Array, Array, Array], tuple[Array, Array]],
     x: Array,
     u: Array,
     w: Array,
@@ -98,11 +98,12 @@ def rk4_step_with_jacobian(
 ) -> tuple[Array, Array, Array, Array]:
     """RK4 step together with the exact Jacobians of the discrete map.
 
-    ``ode_jac`` returns the continuous-time Jacobians ``(d xdot/dx,
-    d xdot/du, d xdot/dw)`` at a point.  The discrete Jacobians are obtained
-    by differentiating the RK4 update itself (chain rule through the four
-    stages, composed over sub-steps), so they are consistent with
-    :func:`rk4_step` to machine precision.
+    ``ode_jac`` returns the continuous-time Jacobians ``(d xdot/dx, E)`` at
+    a point, where ``E = [d xdot/du | d xdot/dw]`` holds the control and
+    noise columns side by side, so both ride one tangent chain.  The
+    discrete Jacobians are obtained by differentiating the RK4 update itself
+    (chain rule through the four stages, composed over sub-steps), so they
+    are consistent with :func:`rk4_step` to machine precision.
 
     Returns:
         ``(x_next, A, B, G)`` with ``A = dx+/dx``, ``B = dx+/du``,
@@ -115,8 +116,7 @@ def rk4_step_with_jacobian(
     n = x.shape[-1]
     eye = np.eye(n)
     A = np.broadcast_to(eye, x.shape + (n,)).copy()
-    B = None
-    G = None
+    E = None
     for _ in range(substeps):
         k1 = ode(x, u, w)
         x2 = x + 0.5 * h * k1
@@ -126,34 +126,23 @@ def rk4_step_with_jacobian(
         x4 = x + h * k3
         k4 = ode(x4, u, w)
 
-        A1, B1, G1 = ode_jac(x, u, w)
-        A2, B2, G2 = ode_jac(x2, u, w)
-        A3, B3, G3 = ode_jac(x3, u, w)
-        A4, B4, G4 = ode_jac(x4, u, w)
+        (A1, E1), (A2, E2), (A3, E3), (A4, E4) = (ode_jac(p, u, w) for p in (x, x2, x3, x4))
 
-        D1x = A1
-        D2x = A2 @ (eye + 0.5 * h * D1x)
+        D2x = A2 @ (eye + 0.5 * h * A1)
         D3x = A3 @ (eye + 0.5 * h * D2x)
         D4x = A4 @ (eye + h * D3x)
-        Jx = eye + (h / 6.0) * (D1x + 2.0 * D2x + 2.0 * D3x + D4x)
+        Jx = eye + (h / 6.0) * (A1 + 2.0 * D2x + 2.0 * D3x + D4x)
 
-        D1u = B1
-        D2u = B2 + A2 @ (0.5 * h * D1u)
-        D3u = B3 + A3 @ (0.5 * h * D2u)
-        D4u = B4 + A4 @ (h * D3u)
-        Ju = (h / 6.0) * (D1u + 2.0 * D2u + 2.0 * D3u + D4u)
-
-        D1w = G1
-        D2w = G2 + A2 @ (0.5 * h * D1w)
-        D3w = G3 + A3 @ (0.5 * h * D2w)
-        D4w = G4 + A4 @ (h * D3w)
-        Jw = (h / 6.0) * (D1w + 2.0 * D2w + 2.0 * D3w + D4w)
+        D2e = E2 + A2 @ (0.5 * h * E1)
+        D3e = E3 + A3 @ (0.5 * h * D2e)
+        D4e = E4 + A4 @ (h * D3e)
+        Je = (h / 6.0) * (E1 + 2.0 * D2e + 2.0 * D3e + D4e)
 
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         A = Jx @ A
-        B = Ju if B is None else Jx @ B + Ju
-        G = Jw if G is None else Jx @ G + Jw
-    return x, A, B, G
+        E = Je if E is None else Jx @ E + Je
+    n_u = np.shape(u)[-1]
+    return x, A, E[..., :n_u], E[..., n_u:]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ composes them along a predicted trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable
 
 import numpy as np
@@ -161,6 +161,20 @@ def _jacobian_pullback(jac: Callable[[Array], tuple], z: Array, bars: tuple[Arra
     return (out / (2.0 * h)).T
 
 
+def _row(value, index: int):
+    """Element ``index`` of the leading batch axis of every array in
+    ``value``, a dataclass, tuple or array (None stays None).  The row of an
+    axis that is only broadcast (stride 0) is a view of what it broadcasts;
+    every other row is a copy that keeps nothing of the batch alive."""
+    if value is None:
+        return None
+    if is_dataclass(value):
+        return type(value)(**{f.name: _row(getattr(value, f.name), index) for f in fields(value)})
+    if isinstance(value, tuple):
+        return tuple(_row(v, index) for v in value)
+    return value[index] if value.strides[0] == 0 else value[index].copy()
+
+
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
     """Additive decomposition of the optimized objective."""
@@ -203,24 +217,29 @@ class Prediction:
     filter_gains: Array | None = None
     filter_covs: Array | None = None  # (.., N+1, n_x, n_x), the filter's covariances
 
-    def take(self, index: int) -> "Prediction":
-        """Select one element of the leading batch axis, as copies that keep
-        nothing of the batch alive."""
-        def pick(a: Array) -> Array:
-            return a[index].copy()
+    take = _row
 
-        return Prediction(
-            traj=NominalTrajectory(states=pick(self.traj.states), controls=pick(self.traj.controls)),
-            nominal_cost=pick(self.nominal_cost),
-            h=pick(self.h),
-            h_grads=pick(self.h_grads),
-            lin=None if self.lin is None else StageLinearization(
-                A=pick(self.lin.A), B=pick(self.lin.B), G=pick(self.lin.G),
-                C=pick(self.lin.C), D=pick(self.lin.D),
-            ),
-            filter_gains=None if self.filter_gains is None else pick(self.filter_gains),
-            filter_covs=None if self.filter_covs is None else pick(self.filter_covs),
-        )
+
+@dataclass(frozen=True)
+class Evaluation:
+    """The forward record of one evaluated batch of policies: everything the
+    reverse sweep (:meth:`ObjectiveEvaluator.gradient`) reads, from the one
+    forward pass that scored the batch.
+
+    Every array carries the combined batch shape of the prediction and the
+    gains in front; what the rows share (one gain set for every row, the
+    zero joint covariances without uncertainty) is a broadcast view.
+    """
+
+    prediction: Prediction
+    feedback: Array  # (.., N-1, n_u, n_x), the gains K_1..K_{N-1}
+    sigma: Array | None  # (.., N+1, 2n_x, 2n_x) augmented covariances; None without uncertainty
+    joint: Array  # (.., N+1, n_z, n_z) joint (state, control) covariances
+    beta: Array  # (.., N+1, H_max) floored direction variances, padded like prediction.h
+    slope: Array  # (.., N+1, H_max) their slopes d beta / dH
+    parts: tuple  # (nominal_cost, variance_cost, penalty, regularization)
+
+    take = _row
 
 
 class ObjectiveEvaluator:
@@ -314,53 +333,43 @@ class ObjectiveEvaluator:
         h_grads[..., -1, :, n_x:] = 0.0
         return h, h_grads
 
-    def _joint_covariances(self, pred: Prediction, feedback: Array) -> Array:
-        """Joint (state, control) covariances for stages 0..N, vectorized
-        over stages and batch: a zero gain at stage N gives [[P_N, 0], [0, 0]].
-        All zero without uncertainty."""
-        if pred.lin is None:
-            return np.zeros(self.problem.cost.hessians.shape)
-        policy = Policy(u_nom=pred.traj.controls, feedback=feedback)
-        K_all = policy.stage_gains()
-        aug = propagate_covariance(pred.lin, policy, pred.filter_gains, self.P_hat_0)
-        K_N = np.zeros(K_all.shape[:-3] + (1,) + K_all.shape[-2:])
-        return joint_covariance(aug.sigma, np.concatenate([K_all, K_N], axis=-3))
-
-    def parts_from_prediction(self, pred: Prediction, feedback: Array):
-        """Objective components for (prediction, feedback-gain batch).
-
-        Returns:
-            (nominal_cost, variance_cost, penalty, regularization), each
-            broadcast over the combined batch shape.
-        """
-        return self._parts_and_beta(pred, feedback)[0]
-
-    def _parts_and_beta(self, pred: Prediction, feedback: Array):
-        """:meth:`parts_from_prediction` plus the floored direction variances,
-        padded like ``pred.h`` (stages 0..N)."""
+    def evaluate(self, pred: Prediction, feedback: Array) -> Evaluation:
+        """The forward record of (prediction, feedback-gain batch), over the
+        combined batch shape: the augmented covariances of stages 0..N, their
+        joint (state, control) covariances, the floored direction variances
+        and the four objective parts.  A zero gain at stage N gives the joint
+        covariance [[P_N, 0], [0, 0]]; without uncertainty every joint
+        covariance is zero."""
+        cost = self.problem.cost
         feedback = np.asarray(feedback, dtype=float)
-        joint = self._joint_covariances(pred, feedback)
-        variance = 0.5 * _trace_sum(self.problem.cost.hessians, joint)
+        batch = np.broadcast_shapes(np.shape(pred.nominal_cost), feedback.shape[:-3])
+        if pred.lin is None:
+            sigma, joint = None, np.broadcast_to(np.zeros(cost.hessians.shape), batch + cost.hessians.shape)
+        else:
+            policy = Policy(u_nom=pred.traj.controls, feedback=feedback)
+            K_all = policy.stage_gains()
+            sigma = propagate_covariance(pred.lin, policy, pred.filter_gains, self.P_hat_0).sigma
+            K_N = np.zeros(K_all.shape[:-3] + (1,) + K_all.shape[-2:])
+            joint = joint_covariance(sigma, np.concatenate([K_all, K_N], axis=-3))
+        variance = 0.5 * _trace_sum(cost.hessians, joint)
         H_dir = constraint_direction_variance(pred.h_grads, joint[..., None, :, :])
-        beta, _ = floored_variance(H_dir, self.eps_sigma)
+        beta, slope = floored_variance(H_dir, self.eps_sigma)
         penalty = np.sum(self._weights * expected_relu(pred.h, np.sqrt(beta)), axis=(-2, -1))
         reg = feedback_regularization(feedback, self.eps_K)
-        nominal = pred.nominal_cost
-        shape = np.broadcast_shapes(
-            np.shape(nominal), np.shape(variance), np.shape(penalty), np.shape(reg)
-        )
-        parts = (
-            np.broadcast_to(nominal, shape),
-            np.broadcast_to(variance, shape),
-            np.broadcast_to(penalty, shape),
-            np.broadcast_to(reg, shape),
-        )
-        return parts, beta
+        parts = tuple(np.broadcast_arrays(pred.nominal_cost, variance, penalty, reg))
+        return Evaluation(prediction=pred, feedback=np.broadcast_to(feedback, batch + feedback.shape[-3:]),
+                          sigma=sigma, joint=joint, beta=beta, slope=slope, parts=parts)
 
-    def gradient(self, pred: Prediction, feedback: Array) -> tuple[Array, Array]:
+    def parts_from_prediction(self, pred: Prediction, feedback: Array):
+        """The objective parts (nominal_cost, variance_cost, penalty,
+        regularization) of :meth:`evaluate`, over the combined batch shape."""
+        return self.evaluate(pred, feedback).parts
+
+    def gradient(self, record: Evaluation) -> tuple[Array, Array]:
         """Exact derivatives (dJ/du_nom, dJ/dK) of the total objective at one
-        unbatched prediction, by one reverse-mode pass through the pipeline.
-        dJ/dK is zero without uncertainty.
+        unbatched forward record, by one reverse sweep that reads the
+        record's prediction, covariances and floors and runs no part of the
+        forward pipeline again.  dJ/dK is zero without uncertainty.
 
         Backwards through:
           1. the stage 0..N assembly.  With s_ki the floored standard
@@ -396,21 +405,10 @@ class ObjectiveEvaluator:
         """
         model, cost = self.problem.model, self.problem.cost
         N, n_x = model.horizon, model.n_x
-        feedback = np.asarray(feedback, dtype=float)
+        pred, feedback, joint = record.prediction, record.feedback, record.joint
         xs, us = pred.traj.states, pred.traj.controls
         z = np.concatenate(_stage_points(xs, us), axis=-1)
-        if pred.lin is None:
-            joint = np.zeros(cost.hessians.shape)
-        else:
-            policy = Policy(u_nom=us, feedback=feedback)
-            K_all = policy.stage_gains()
-            sigma = propagate_covariance(pred.lin, policy, pred.filter_gains, self.P_hat_0).sigma
-            T = joint_map(np.concatenate([K_all, np.zeros((1,) + K_all.shape[1:])]))
-            T_t = np.swapaxes(T, -1, -2)
-            joint = T @ sigma @ T_t
-        direction = constraint_direction_variance(pred.h_grads, joint[:, None])
-        beta, slope = floored_variance(direction, self.eps_sigma)
-        std = np.sqrt(beta)
+        std = np.sqrt(record.beta)
         ratio = pred.h / std
         z_bar = (
             np.einsum("kab,kb->ka", cost.hessians, z)
@@ -423,8 +421,12 @@ class ObjectiveEvaluator:
                 raise LinearizationError("linearization produced non-finite entries")
             K_grad = np.zeros(feedback.shape)
         else:
-            A, B = pred.lin.A, pred.lin.B
-            c = slope * self._weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
+            A, B, sigma = pred.lin.A, pred.lin.B, record.sigma
+            policy = Policy(u_nom=us, feedback=feedback)
+            K_all = policy.stage_gains()
+            T = joint_map(np.concatenate([K_all, np.zeros((1,) + K_all.shape[1:])]))
+            T_t = np.swapaxes(T, -1, -2)
+            c = record.slope * self._weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
             M = 0.5 * cost.hessians + np.einsum("ki,kia,kib->kab", c, pred.h_grads, pred.h_grads)
             T_bar = 2.0 * M @ T @ sigma
             K_bar, lin_bar, gains_bar = covariance_adjoint(
@@ -453,27 +455,27 @@ class ObjectiveEvaluator:
             lam = z_bar[k, :n_x] + lam @ A[k]
         return u_bar, K_grad
 
-    def totals(self, u_nom: Array, feedback: Array) -> tuple[Array, Prediction]:
-        """Total objective for batched (u_nom, feedback), and the prediction
-        at u_nom, so callers can reuse it for feedback-gain sweeps at the
-        same controls."""
-        pred = self.prediction(u_nom)
-        parts = self.parts_from_prediction(pred, feedback)
-        return parts[0] + parts[1] + parts[2] + parts[3], pred
+    def totals(self, u_nom: Array, feedback: Array) -> tuple[Array, Evaluation]:
+        """Total objective for batched (u_nom, feedback), and the forward
+        record of the batch: a row of it is everything the reverse sweep
+        (:meth:`gradient`) and a feedback-gain sweep at the same controls
+        read, so neither runs the forward pipeline again."""
+        record = self.evaluate(self.prediction(u_nom), feedback)
+        parts = record.parts
+        return parts[0] + parts[1] + parts[2] + parts[3], record
 
-    def breakdown_and_beta(self, policy: Policy, pred: Prediction | None = None) -> tuple[ObjectiveBreakdown, list]:
+    def breakdown_and_beta(self, policy: Policy, record: Evaluation | None = None) -> tuple[ObjectiveBreakdown, list]:
         """Scalar objective decomposition of a single (unbatched) policy and
         its floored direction variances (the eliminated slack values), from
-        one prediction: ``pred``, the unbatched prediction at
-        ``policy.u_nom`` if the caller holds it, else a new one.
+        one forward record: ``record``, the unbatched record of ``policy`` if
+        the caller holds it, else a new one.
 
         The variances come as a list with one entry per stage 0..N-1 plus
         the terminal entry.
         """
-        if pred is None:
-            pred = self.prediction(policy.u_nom)
-        parts, beta = self._parts_and_beta(pred, policy.feedback)
-        return ObjectiveBreakdown.assemble(*parts), [beta[k, :c] for k, c in enumerate(self.counts)]
+        if record is None:
+            record = self.evaluate(self.prediction(policy.u_nom), policy.feedback)
+        return ObjectiveBreakdown.assemble(*record.parts), [record.beta[k, :c] for k, c in enumerate(self.counts)]
 
 
 def total_objective(

@@ -10,16 +10,16 @@ The optimizer is a projected quasi-Newton method: damped BFGS approximation
 with restart, Armijo backtracking along the projection arc, and hard box
 bounds on the nominal controls enforced by clipping at every trial point.
 
-Gradient: exact, from one reverse-mode pass through the prediction
-pipeline (:meth:`ObjectiveEvaluator.gradient`) at the unbatched
-prediction of the accepted line-search trial, which the line-search batch
-already computed.  So each iteration runs the pipeline forward once per
-line-search chunk, and once backwards.  Central differences survive only
-for the per-coordinate curvature that seeds or reseeds the quasi-Newton
-metric: control rows through the whole pipeline, gain rows at the point's
+Gradient: exact, from one reverse sweep (:meth:`ObjectiveEvaluator.gradient`)
+that reads the accepted line-search trial's row of the batch's forward
+record: its prediction, covariances, floored variances and slopes.  So
+each iteration runs the pipeline forward once per line-search chunk, and
+the sweep runs none of it again.  Central differences survive only for the
+per-coordinate curvature that seeds or reseeds the quasi-Newton metric:
+control rows through the whole pipeline, gain rows at the point's
 prediction (the gains leave the prediction untouched).  At the initial
 point the control rows ride in one batch with it.  The final objective
-breakdown reads the last accepted trial's prediction too.
+breakdown reads the last accepted trial's record too.
 
 Line-search chunks: with uncertainty, a search that follows an accepted
 full step evaluates the full step alone first, then 12-trial chunks.  The
@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .model import Array, ControlProblem, ModelError
-from .objective import ObjectiveBreakdown, ObjectiveEvaluator, Prediction
+from .objective import Evaluation, ObjectiveBreakdown, ObjectiveEvaluator
 from .uncertainty import LinearizationError, Policy, RolloutError, SingularInnovationError
 
 MODES = ("nominal", "open_loop", "output_feedback")
@@ -119,12 +119,8 @@ class _Variables:
         return np.concatenate(parts)
 
     def unpack(self, theta: Array) -> Policy:
-        u = theta[: self.n_u_vars].reshape(self.N, self.n_u)
-        if self.with_gains:
-            fb = theta[self.n_u_vars :].reshape(self.N - 1, self.n_u, self.n_x)
-        else:
-            fb = np.zeros((max(self.N - 1, 0), self.n_u, self.n_x))
-        return Policy(u_nom=u, feedback=fb)
+        u, fb = self.unpack_batch(theta[None])
+        return Policy(u_nom=u[0], feedback=fb[0] if self.with_gains else fb)
 
     def unpack_batch(self, thetas: Array) -> tuple[Array, Array]:
         """Batched controls and gains; without gains, one shared zero gain set."""
@@ -159,23 +155,23 @@ def _second_differences(fd: Array, f0: float, h: Array) -> Array:
     return (fd[0::2] - 2.0 * f0 + fd[1::2]) / h**2
 
 
-def _gradient(ev: ObjectiveEvaluator, var: _Variables, pred: Prediction, theta: Array) -> Array:
-    """The solver's gradient at theta, from one reverse-mode pass at theta's
-    unbatched prediction."""
-    u_bar, K_bar = ev.gradient(pred, var.unpack(theta).feedback)
-    return var.pack(Policy(u_nom=u_bar, feedback=K_bar))
+def _gradient(ev: ObjectiveEvaluator, var: _Variables, record: Evaluation) -> Array:
+    """The solver's gradient at a point, from one reverse sweep of the
+    point's unbatched forward record."""
+    return var.pack(Policy(*ev.gradient(record)))
 
 
-def _curvature(ev: ObjectiveEvaluator, var: _Variables, theta: Array, f: float, center: Prediction,
+def _curvature(ev: ObjectiveEvaluator, var: _Variables, theta: Array, f: float, center: Evaluation,
                fd_u: Array | None = None) -> Array:
     """Per-coordinate curvature at theta for the metric seed: central second
     differences around f, the objective at theta.
 
     The control rows run through the whole pipeline; ``fd_u`` holds their
     totals when they were already evaluated.  The gain rows run through
-    ``parts_from_prediction`` at ``center``, theta's prediction.  Control
-    rows that fail to evaluate give infinite curvature, so the seed falls
-    back to scaled steepest descent (see _diag_metric).
+    ``parts_from_prediction`` at the prediction of ``center``, theta's
+    forward record.  Control rows that fail to evaluate give infinite
+    curvature, so the seed falls back to scaled steepest descent (see
+    _diag_metric).
     """
     rows, h = _stencil(theta, _FD_STEP, slice(0, var.n_u_vars))
     if fd_u is None:
@@ -187,7 +183,7 @@ def _curvature(ev: ObjectiveEvaluator, var: _Variables, theta: Array, f: float, 
     if not var.n_k_vars:
         return curv
     rows, h = _stencil(theta, _FD_STEP, slice(var.n_u_vars, None))
-    parts = ev.parts_from_prediction(center, rows[:, var.n_u_vars :].reshape(-1, var.N - 1, var.n_u, var.n_x))
+    parts = ev.parts_from_prediction(center.prediction, var.unpack_batch(rows)[1])
     return np.concatenate([curv, _second_differences(parts[0] + parts[1] + parts[2] + parts[3], f, h)])
 
 
@@ -219,33 +215,33 @@ _TRIAL_ERRORS = (RolloutError, LinearizationError, SingularInnovationError, Mode
 
 
 def _evaluate_trials(ev: ObjectiveEvaluator, var: _Variables,
-                     trials: Array) -> tuple[Array, Callable[[int], Prediction]]:
+                     trials: Array) -> tuple[Array, Callable[[int], Evaluation]]:
     """Objective totals at trial points from one ``totals`` batch, and a
-    function that returns the unbatched prediction of trial i.  If the
+    function that returns the unbatched forward record of trial i.  If the
     batch fails, each trial is re-evaluated on its own, and a trial that
     fails alone scores +inf, so backtracking rejects it; asking for its
-    prediction raises its error."""
+    record raises its error."""
     try:
-        totals, pred = ev.totals(*var.unpack_batch(trials))
-        return totals, pred.take
+        totals, record = ev.totals(*var.unpack_batch(trials))
+        return totals, record.take
     except _TRIAL_ERRORS:
         pass
     totals = np.full(trials.shape[0], np.inf)
     outcomes = []
     for i, trial in enumerate(trials):
         try:
-            row, pred = ev.totals(*var.unpack_batch(trial[None]))
+            row, record = ev.totals(*var.unpack_batch(trial[None]))
             totals[i] = row[0]
-            outcomes.append(pred)
+            outcomes.append(record)
         except _TRIAL_ERRORS as err:
             outcomes.append(err)
 
-    def prediction_of(i: int) -> Prediction:
+    def record_of(i: int) -> Evaluation:
         if isinstance(outcomes[i], Exception):
             raise outcomes[i]
         return outcomes[i].take(0)
 
-    return totals, prediction_of
+    return totals, record_of
 
 
 def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direction: Array,
@@ -264,9 +260,9 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direct
     Returns (trial, f_trial, index, accepted): index is the accepted trial's
     position in the step-size sequence, -1 if none passed (theta and f come
     back then).  accepted is (g, center) at the accepted trial: its
-    unbatched prediction ``center``, the trial's row of the chunk's
-    prediction, and g from one reverse-mode pass on it.  It is None if no
-    trial passed, or if the pass fails at the accepted trial.
+    unbatched forward record ``center``, the trial's row of the chunk's
+    record, and g from one reverse sweep of it.  It is None if no trial
+    passed, or if the sweep fails at the accepted trial.
     """
     alphas = _BACKTRACK_FACTOR ** np.arange(_MAX_BACKTRACKS)
     starts = [0, *range(1 if full_step_first else _LS_CHUNK, alphas.size, _LS_CHUNK)]
@@ -276,15 +272,15 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direct
         decreases = (trials - theta) @ g
         if not np.any(decreases < 0.0):
             continue
-        totals, prediction_of = _evaluate_trials(ev, var, trials)
+        totals, record_of = _evaluate_trials(ev, var, trials)
         ok = (decreases < 0.0) & (totals <= f + _ARMIJO_C * decreases)
         if np.any(ok):
             idx = int(np.argmax(ok))  # first True = largest passing step
             trial, f_trial = trials[idx], float(totals[idx])
-            center = prediction_of(idx)
+            center = record_of(idx)
             try:
-                g_trial = _gradient(ev, var, center, trial)
-            except _TRIAL_ERRORS:  # the pass perturbs the model across a failure boundary
+                g_trial = _gradient(ev, var, center)
+            except _TRIAL_ERRORS:  # the sweep perturbs the model across a failure boundary
                 return trial, f_trial, start + idx, None
             return trial, f_trial, start + idx, (g_trial, center)
     return theta, f, -1, None
@@ -323,7 +319,8 @@ def _bfgs_update(H: Array, s: Array, y: Array) -> tuple[Array, bool]:
     Hy = H @ y
     yHy = float(y @ Hy)
     # H <- (I - rho s y')H(I - rho y s') + rho s s'
-    H_new = H - rho * (np.outer(s, Hy) + np.outer(Hy, s)) + rho**2 * yHy * np.outer(s, s) + rho * np.outer(s, s)
+    sHy, ss = np.outer(s, Hy), np.outer(s, s)
+    H_new = H - rho * (sHy + sHy.T) + rho**2 * yHy * ss + rho * ss
     return 0.5 * (H_new + H_new.T), True
 
 
@@ -367,12 +364,12 @@ def solve(
     # A stencil row that fails scores +inf (infinite curvature, so the seed
     # falls back to steepest descent); a failing theta raises its error.
     stencil, _ = _stencil(theta, _FD_STEP, slice(0, var.n_u_vars))
-    totals0, prediction_of = _evaluate_trials(ev, var, np.concatenate([theta[None], stencil]))
-    center = prediction_of(0)
-    del prediction_of
+    totals0, record_of = _evaluate_trials(ev, var, np.concatenate([theta[None], stencil]))
+    center = record_of(0)
+    del record_of
     f = float(totals0[0])
-    g = _gradient(ev, var, center, theta)
-    # center is the current iterate's prediction, and curvature() computes
+    g = _gradient(ev, var, center)
+    # center is the current iterate's forward record, and curvature() computes
     # the metric-seed curvature there.
     curvature = partial(_curvature, ev, var, theta, f, center, totals0[1:])
     full_step_first = False

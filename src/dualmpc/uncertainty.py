@@ -45,35 +45,43 @@ def symmetrize(M: Array) -> Array:
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
+def _jittered_cholesky(S: Array, context: str) -> Array:
+    """Cholesky factor of one matrix S, or, if S is not positive definite,
+    of S + jitter I with jitter 1e-12, x10 per attempt, up to 1e-6."""
+    jitter = 0.0
+    while True:
+        try:
+            return np.linalg.cholesky(S + jitter * np.eye(S.shape[-1]) if jitter else S)
+        except np.linalg.LinAlgError:
+            if jitter >= _JITTER_MAX:
+                raise SingularInnovationError(
+                    f"{context}: matrix not positive definite at jitter {jitter:g}"
+                ) from None
+            jitter = 10.0 * jitter if jitter else _JITTER_START
+
+
 def chol_solve_spd(S: Array, rhs: Array, context: str = "linear solve"):
     """Solve S X = rhs for symmetric positive-definite S (batched).
 
-    Adds an escalating diagonal jitter (1e-12, x10 per attempt, up to 1e-6)
-    before giving up, which keeps degenerate zero-noise corner cases usable.
+    A matrix of the batch that is not positive definite is factored on its
+    own with an escalating diagonal jitter (1e-12, x10 per attempt, up to
+    1e-6) before giving up, which keeps degenerate zero-noise corner cases
+    usable; every other matrix keeps its plain factor, so each one is solved
+    exactly as it would be alone.
 
     Raises:
-        SingularInnovationError: if S has non-finite entries, or stays
-            non-PD at the largest jitter.
+        SingularInnovationError: if S has non-finite entries, or a matrix
+            stays non-PD at the largest jitter.
     """
     S = np.asarray(S, dtype=float)
     if not np.isfinite(S).all():
         raise SingularInnovationError(f"{context}: matrix has non-finite entries")
-    n = S.shape[-1]
-    eye = np.eye(n)
-    jitter = 0.0
-    while True:
-        try:
-            L = np.linalg.cholesky(S + jitter * eye if jitter else S)
-            break
-        except np.linalg.LinAlgError:
-            if jitter == 0.0:
-                jitter = _JITTER_START
-            elif jitter >= _JITTER_MAX:
-                raise SingularInnovationError(
-                    f"{context}: matrix not positive definite at jitter {jitter:g}"
-                ) from None
-            else:
-                jitter *= 10.0
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:  # each matrix alone, with its own jitter
+        L = np.empty(S.shape)
+        for i in np.ndindex(S.shape[:-2]):
+            L[i] = _jittered_cholesky(S[i], context)
     # Two triangular solves; L is (..., n, n), rhs (..., n, m).
     y = np.linalg.solve(L, rhs)
     return np.linalg.solve(np.swapaxes(L, -1, -2), y)

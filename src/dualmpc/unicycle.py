@@ -99,7 +99,7 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
 
     # ode takes the held noise already shaped, L_w w, so that an RK4 step
     # shapes it once rather than in each of its 4 * substeps ode calls;
-    # ode_jac's noise block stays d xdot / dw = L_w for the standardized w.
+    # ode_jac's noise columns stay d xdot / dw = L_w for the standardized w.
     def ode(x, u, w_shaped):
         theta = x[..., 2]
         v = u[..., 0]
@@ -118,12 +118,12 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
         A = np.zeros(dx_dtheta.shape + (3, 3))
         A[..., 0, 2] = dx_dtheta
         A[..., 1, 2] = v * cos
-        B = np.zeros(dx_dtheta.shape + (3, 2))
-        B[..., 0, 0] = cos
-        B[..., 1, 0] = sin
-        B[..., 2, 1] = 1.0
-        # the noise block is constant; matmul broadcasting handles the batch
-        return A, B, L_w
+        E = np.zeros(dx_dtheta.shape + (3, 5))  # [d xdot / du | d xdot / dw]
+        E[..., 0, 0] = cos
+        E[..., 1, 0] = sin
+        E[..., 2, 1] = 1.0
+        E[..., 2:] = L_w
+        return A, E
 
     def f(x, u, w):
         return rk4_step(ode, x, u, w @ L_w.T, params.dt, params.substeps)

@@ -53,3 +53,10 @@ def prediction_fields(pred):
     if pred.lin is not None:
         fields += [getattr(pred.lin, name) for name in "ABGCD"] + [pred.filter_gains, pred.filter_covs]
     return fields
+
+
+def record_fields(record):
+    """Every array of a forward record (``ObjectiveEvaluator.evaluate``), its
+    prediction's included, in a fixed order, for bitwise checks."""
+    fields = prediction_fields(record.prediction) + [record.feedback, record.joint, record.beta, record.slope]
+    return fields + ([] if record.sigma is None else [record.sigma]) + list(record.parts)

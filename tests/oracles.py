@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use.
 
 Each one is a plain, independent route to a quantity the package computes
-another way: a central-difference Jacobian, a central-difference objective
-gradient, the general-gain (Joseph) estimation-error covariance, a
+another way: a central-difference Jacobian, the RK4 Jacobians with one
+tangent chain each for the control and the noise, a central-difference
+objective gradient, the general-gain (Joseph) estimation-error covariance, a
 stand-alone penalty sum, the closed-form expectation of a quadratic, and a
 hand-written EKF predict/update pair.
 """
@@ -48,6 +49,46 @@ def fd_jacobian(fn: Callable[[Array], Array], at: Array, step: float = 1e-6) -> 
             raise ModelError(f"fd_jacobian: non-finite evaluation perturbing column {j}")
         cols.append((f_hi - f_lo) / (2.0 * h))
     return np.stack(cols, axis=-1)
+
+
+def rk4_three_chain_jacobians(ode, ode_jac, x: Array, u: Array, w: Array, dt: float,
+                              substeps: int = 4) -> tuple[Array, Array, Array]:
+    """The Jacobians (A, B, G) of an RK4 step with the control and the noise
+    tangents carried as two separate chains; ``ode_jac`` returns
+    ``(d xdot/dx, d xdot/du, d xdot/dw)``.  The package's
+    ``rk4_step_with_jacobian`` carries both in one chain and must agree bit
+    for bit."""
+    x = np.asarray(x, dtype=float)
+    h = dt / substeps
+    eye = np.eye(x.shape[-1])
+    A = np.broadcast_to(eye, x.shape + eye.shape[-1:]).copy()
+    B = G = None
+    for _ in range(substeps):
+        k1 = ode(x, u, w)
+        x2 = x + 0.5 * h * k1
+        k2 = ode(x2, u, w)
+        x3 = x + 0.5 * h * k2
+        k3 = ode(x3, u, w)
+        x4 = x + h * k3
+        k4 = ode(x4, u, w)
+        (A1, B1, G1), (A2, B2, G2), (A3, B3, G3), (A4, B4, G4) = (ode_jac(p, u, w) for p in (x, x2, x3, x4))
+        D2x = A2 @ (eye + 0.5 * h * A1)
+        D3x = A3 @ (eye + 0.5 * h * D2x)
+        D4x = A4 @ (eye + h * D3x)
+        Jx = eye + (h / 6.0) * (A1 + 2.0 * D2x + 2.0 * D3x + D4x)
+        D2u = B2 + A2 @ (0.5 * h * B1)
+        D3u = B3 + A3 @ (0.5 * h * D2u)
+        D4u = B4 + A4 @ (h * D3u)
+        Ju = (h / 6.0) * (B1 + 2.0 * D2u + 2.0 * D3u + D4u)
+        D2w = G2 + A2 @ (0.5 * h * G1)
+        D3w = G3 + A3 @ (0.5 * h * D2w)
+        D4w = G4 + A4 @ (h * D3w)
+        Jw = (h / 6.0) * (G1 + 2.0 * D2w + 2.0 * D3w + D4w)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        A = Jx @ A
+        B = Ju if B is None else Jx @ B + Ju
+        G = Jw if G is None else Jx @ G + Jw
+    return A, B, G
 
 
 def _central_rows(a: Array, step: float) -> tuple[Array, Array]:

@@ -316,7 +316,7 @@ def test_criterion_07_gradient_matches_directional_differences():
         pol = var.unpack(th)
         return float(ev.totals(pol.u_nom, pol.feedback)[0])
 
-    g = _gradient(ev, var, ev.prediction(var.unpack(theta).u_nom), theta)
+    g = _gradient(ev, var, ev.totals(var.unpack(theta).u_nom, var.unpack(theta).feedback)[1])
     t = 1e-6
     worst = 0.0
     for _ in range(5):

@@ -16,10 +16,11 @@ from dualmpc import (
     rk4_step_with_jacobian,
     sigma_y,
 )
+from dualmpc.model import psd_sqrt
 from dualmpc.unicycle import sigma_y_grad
 
 from conftest import standard_unicycle_params
-from oracles import fd_jacobian
+from oracles import fd_jacobian, rk4_three_chain_jacobians
 
 
 # ---------------------------------------------------------------- fd_jacobian
@@ -106,18 +107,19 @@ def test_rk4_batch_matches_loop():
 # --------------------------------------------------- rk4 sensitivity chaining
 
 def _unicycle_ode_jac(x, u, w):
+    """(d xdot/dx, [d xdot/du | d xdot/dw]) of ``_unicycle_ode``."""
     batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
     theta = np.broadcast_to(x[..., 2], batch)
     v = np.broadcast_to(u[..., 0], batch)
     A = np.zeros(batch + (3, 3))
     A[..., 0, 2] = -v * np.sin(theta)
     A[..., 1, 2] = v * np.cos(theta)
-    B = np.zeros(batch + (3, 2))
-    B[..., 0, 0] = np.cos(theta)
-    B[..., 1, 0] = np.sin(theta)
-    B[..., 2, 1] = 1.0
-    G = np.broadcast_to(np.eye(3), batch + (3, 3))
-    return A, B, G
+    E = np.zeros(batch + (3, 5))
+    E[..., 0, 0] = np.cos(theta)
+    E[..., 1, 0] = np.sin(theta)
+    E[..., 2, 1] = 1.0
+    E[..., 2:] = np.eye(3)
+    return A, E
 
 
 def test_rk4_jacobians_match_finite_differences():
@@ -132,6 +134,32 @@ def test_rk4_jacobians_match_finite_differences():
     assert_allclose(A, A_fd, atol=2e-9)
     assert_allclose(B, B_fd, atol=2e-9)
     assert_allclose(G, G_fd, atol=2e-9)
+
+
+@pytest.mark.parametrize("batch", [1, 10, 100, 1000])
+def test_rk4_jacobians_match_three_chain_reference_bitwise(batch):
+    """The unicycle model's dynamics Jacobians, whose control and noise
+    tangents ride one chain, equal the three-chain RK4 formula bit for bit,
+    with the noise block passed unbatched as L_w; zero-speed rows and a
+    nonzero held noise included."""
+    params = standard_unicycle_params()
+    model = make_unicycle_problem(params).model
+    L_w = psd_sqrt(params.process_noise_cov)
+
+    def three_chain_ode_jac(x, u, w):
+        A, E = _unicycle_ode_jac(x, u, w)
+        return A, E[..., :2], L_w
+
+    rng = np.random.default_rng(batch)
+    for held_noise in (False, True):
+        x = rng.normal(size=(batch, 3))
+        u = rng.uniform(-2.0, 2.0, size=(batch, 2))
+        u[::3, 0] = 0.0
+        w = rng.normal(size=(batch, 3)) if held_noise else np.zeros(3)
+        expected = rk4_three_chain_jacobians(_unicycle_ode, three_chain_ode_jac, x, u, w @ L_w.T,
+                                             params.dt, params.substeps)
+        for got, ref in zip(model.f_jac(x, u, w), expected, strict=True):
+            assert np.array_equal(got, ref)
 
 
 def test_euler_substep_jacobian_hand_derived():

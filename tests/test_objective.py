@@ -23,9 +23,10 @@ from dualmpc import (
     propagate_covariance,
     total_objective,
 )
+from dualmpc import objective
 from dualmpc.objective import _trace_sum
 
-from conftest import one_stage_terminal_problem, prediction_fields, standard_unicycle_params, random_spd
+from conftest import one_stage_terminal_problem, record_fields, standard_unicycle_params, random_spd
 from oracles import expected_quadratic, fd_gradient, penalty_total
 
 
@@ -328,9 +329,11 @@ def test_totals_of_line_search_batch_match_rows_bitwise():
 @pytest.mark.parametrize("case", ["linear", "unicycle"])
 def test_batch_rows_evaluate_as_alone(case, uncertainty):
     """Every row of a 12-row ``totals`` batch, its total and every field of
-    its prediction, equals that row evaluated alone, as a one-row batch and
-    unbatched, bit for bit.  The line search relies on this: its chunking
-    cannot change which trial passes, nor the prediction it continues from."""
+    its forward record (prediction, covariances, floors, slopes and parts),
+    equals that row evaluated alone, as a one-row batch and unbatched, bit
+    for bit, and so does the gradient read from it.  The line search relies
+    on this: its chunking cannot change which trial passes, nor the record
+    and gradient it continues from."""
     prob, x0, P0, _ = _assembly_cases()[0 if case == "linear" else 1]
     n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
     rng = np.random.default_rng(45)
@@ -342,9 +345,12 @@ def test_batch_rows_evaluate_as_alone(case, uncertainty):
         one_total, one_row = ev.totals(u[i : i + 1], fb[i : i + 1])
         alone_total, alone = ev.totals(u[i], fb[i])
         assert totals[i] == one_total[0] == alone_total
-        for got, one, expected in zip(prediction_fields(batch.take(i)), prediction_fields(one_row.take(0)),
-                                      prediction_fields(alone)):
+        row = batch.take(i)
+        for got, one, expected in zip(record_fields(row), record_fields(one_row.take(0)), record_fields(alone),
+                                      strict=True):
             assert np.array_equal(got, expected) and np.array_equal(one, expected)
+        for got, expected in zip(ev.gradient(row), ev.gradient(alone)):
+            assert np.array_equal(got, expected)
 
 
 def test_trace_sum_adds_in_one_fixed_order():
@@ -567,12 +573,13 @@ def test_gain_gradient_matches_central_differences(case, scale):
     eps_sigma = 1e-3
     ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=eps_sigma, eps_K=1e-4)
     pred = ev.prediction(u)
+    record = ev.evaluate(pred, fb)
     g_fd = fd_gradient(ev, u, fb)[1]
-    g = ev.gradient(pred, fb)[1]
+    g = ev.gradient(record)[1]
     assert g.shape == fb.shape
     assert_allclose(g, g_fd, rtol=0, atol=1e-6 * np.max(np.abs(g_fd)))
     if case == 1:
-        _, beta = ev._parts_and_beta(pred, fb)
+        beta = record.beta
         used = ev._weights > 0
         floored = used & (beta == eps_sigma**2)
         live = used & (np.abs(pred.h / np.sqrt(beta)) < 3)
@@ -580,14 +587,23 @@ def test_gain_gradient_matches_central_differences(case, scale):
         assert (floored & live)[N - 1].any()
 
 
+def _forward_pipeline_call(name):
+    def raises(*args, **kwargs):
+        raise AssertionError(f"the reverse sweep called {name}")
+
+    return raises
+
+
 @pytest.mark.parametrize("mode", ["nominal", "open_loop", "output_feedback"])
 @pytest.mark.parametrize("case", [0, 1])
-def test_gradient_matches_fd_gradient(case, mode):
+def test_gradient_matches_fd_gradient(case, mode, monkeypatch):
     """The reverse-mode gradient (dJ/du_nom, dJ/dK) against central
     differences of the objective at random points, to 1e-6 of max|g|: the
     linear problem with terminal Hessian [[2, 0.3], [0.3, 1]], and the
     unicycle next to its r_x wall, where the dual effect (the state
-    dependence of the measurement noise) and live penalties enter."""
+    dependence of the measurement noise) and live penalties enter.  The
+    sweep reads the forward record: with every forward-pipeline function
+    raising, it returns the same gradient bit for bit."""
     prob, x0, P0, u0 = _assembly_cases()[case]
     n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
     ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=1e-3, eps_K=1e-4, include_uncertainty=mode != "nominal")
@@ -596,7 +612,8 @@ def test_gradient_matches_fd_gradient(case, mode):
         u = u0 + 0.1 * rng.normal(size=u0.shape)
         scale = 0.2 if mode == "output_feedback" else 0.0
         fb = scale * rng.normal(size=(N - 1, n_u, n_x))
-        g_u, g_k = ev.gradient(ev.prediction(u), fb)
+        record = ev.totals(u, fb)[1]
+        g_u, g_k = ev.gradient(record)
         fd_u, fd_k = fd_gradient(ev, u, fb)
         atol = 1e-6 * max(np.max(np.abs(fd_u)), np.max(np.abs(fd_k)))
         assert_allclose(g_u, fd_u, rtol=0, atol=atol)
@@ -604,3 +621,8 @@ def test_gradient_matches_fd_gradient(case, mode):
             assert np.all(g_k == 0.0)
         else:
             assert_allclose(g_k, fd_k, rtol=0, atol=atol)
+        with monkeypatch.context() as patch:
+            for name in ("nominal_rollout", "linearize_trajectory", "kalman_recursion", "propagate_covariance"):
+                patch.setattr(objective, name, _forward_pipeline_call(name))
+            again_u, again_k = ev.gradient(record)
+        assert np.array_equal(again_u, g_u) and np.array_equal(again_k, g_k)

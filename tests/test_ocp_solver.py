@@ -19,11 +19,11 @@ from dualmpc import (
     solve,
     total_objective,
 )
-from dualmpc import ocp_solver
+from dualmpc import objective, ocp_solver
 from dualmpc.uncertainty import RolloutError
 from dualmpc.ocp_solver import _FD_STEP, _armijo_search, _gradient, _stencil, _Variables
 
-from conftest import one_stage_terminal_problem, prediction_fields, standard_unicycle_params
+from conftest import one_stage_terminal_problem, record_fields, standard_unicycle_params
 
 
 # ------------------------------------------------------------- slack elimination
@@ -215,7 +215,7 @@ def test_fd_gradient_matches_secondary_directional_differences():
         pol = var.unpack(th)
         return float(ev.totals(pol.u_nom, pol.feedback)[0])
 
-    g = _gradient(ev, var, ev.prediction(var.unpack(theta).u_nom), theta)
+    g = _gradient(ev, var, ev.totals(var.unpack(theta).u_nom, var.unpack(theta).feedback)[1])
 
     t = 1e-6
     for _ in range(5):
@@ -234,12 +234,12 @@ _SEARCH_CASES = [(mode, False) for mode in ocp_solver.MODES] + [(mode, True) for
 )
 def test_fused_line_search_gradient_equals_fd_gradient(mode, failing_full_step):
     """The gradient that ``_armijo_search`` returns at an accepted trial, from
-    the trial's row of the line-search batch, is the stand-alone reverse-mode
-    pass at that trial, bit for bit; so are the trial's prediction and the
-    curvature computed there.  Evaluating the full step alone first gives
-    the same trial, value, index, gradient and curvature as 12-trial chunks.
-    Checked at an accepted full step and at a backtracked one, and on a
-    problem whose full step fails to evaluate."""
+    the trial's row of the line-search batch's forward record, is the
+    stand-alone reverse sweep at that trial, bit for bit; so are the trial's
+    record and the curvature computed there.  Evaluating the full step alone
+    first gives the same trial, value, index, gradient and curvature as
+    12-trial chunks.  Checked at an accepted full step and at a backtracked
+    one, and on a problem whose full step fails to evaluate."""
     if failing_full_step:
         prob, x0, P0 = _nan_above_half_problem(), np.array([-3.0]), 0.01 * np.eye(1)
     else:
@@ -255,9 +255,9 @@ def test_fused_line_search_gradient_equals_fd_gradient(mode, failing_full_step):
         rng.normal(0.0, 0.1, size=var.n_k_vars),
     ])
     pol = var.unpack(theta)
-    f, pred = ev.totals(pol.u_nom, pol.feedback)
+    f, record = ev.totals(pol.u_nom, pol.feedback)
     f = float(f)
-    g = _gradient(ev, var, pred, theta)
+    g = _gradient(ev, var, record)
     scales = ((4.0, True),) if failing_full_step else ((1e-3, False), (1e2, True))
     for scale, backtracked in scales:
         direction = -scale * g / np.linalg.norm(g)
@@ -268,10 +268,11 @@ def test_fused_line_search_gradient_equals_fd_gradient(mode, failing_full_step):
         for trial, f_trial, index, accepted in results:
             assert accepted is not None
             assert (index > 0) == backtracked
-            center = ev.prediction(var.unpack(trial).u_nom)
-            for got, expected in zip(prediction_fields(accepted[1]), prediction_fields(center)):
+            trial_pol = var.unpack(trial)
+            center = ev.totals(trial_pol.u_nom, trial_pol.feedback)[1]
+            for got, expected in zip(record_fields(accepted[1]), record_fields(center), strict=True):
                 assert np.array_equal(got, expected)
-            assert np.array_equal(accepted[0], _gradient(ev, var, center, trial))
+            assert np.array_equal(accepted[0], _gradient(ev, var, center))
         (trial, f_trial, index, accepted), (trial_1, f_trial_1, index_1, accepted_1) = results
         assert np.array_equal(trial, trial_1) and f_trial == f_trial_1 and index == index_1
         assert np.array_equal(accepted[0], accepted_1[0])
@@ -334,10 +335,10 @@ def test_metric_reseed_after_first_iteration_uses_fd_curvature(monkeypatch):
     ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K)
     var = _Variables(prob, opts.mode)
     rows_u, h_u = _stencil(theta, _FD_STEP, slice(0, var.n_u_vars))
-    totals, pred = ev.totals(*var.unpack_batch(np.concatenate([theta[None], rows_u])))
+    totals, record = ev.totals(*var.unpack_batch(np.concatenate([theta[None], rows_u])))
     rows_k, h_k = _stencil(theta, _FD_STEP, slice(var.n_u_vars, None))
     parts = ev.parts_from_prediction(
-        pred.take(0), rows_k[:, var.n_u_vars :].reshape(-1, var.N - 1, var.n_u, var.n_x)
+        record.prediction.take(0), rows_k[:, var.n_u_vars :].reshape(-1, var.N - 1, var.n_u, var.n_x)
     )
     fd = np.concatenate([totals[1:], parts[0] + parts[1] + parts[2] + parts[3]])
     h = np.concatenate([h_u, h_k])
@@ -367,25 +368,36 @@ def test_open_loop_solve_runs_about_one_prediction_per_iteration(monkeypatch):
 def test_shipped_solve_line_search_rows(monkeypatch):
     """With uncertainty, a search after an accepted full step tries that
     step alone first, so an open_loop solve evaluates few trial rows per
-    iteration; without uncertainty every line-search batch holds 12."""
+    iteration; without uncertainty every line-search batch holds 12.  The
+    covariance propagation runs once per ``totals`` batch (open_loop has no
+    gain curvature), never in the gradient sweep or the final breakdown,
+    and not at all without uncertainty."""
     config = _shipped_config()
-    rows = []
-    totals = ObjectiveEvaluator.totals
+    rows, propagations = [], []
+    totals, propagate = ObjectiveEvaluator.totals, objective.propagate_covariance
 
     def counted(self, u_nom, feedback):
         rows.append(u_nom.shape[0])
         return totals(self, u_nom, feedback)
 
+    def counted_propagate(*args):
+        propagations.append(1)
+        return propagate(*args)
+
     monkeypatch.setattr(ObjectiveEvaluator, "totals", counted)
+    monkeypatch.setattr(objective, "propagate_covariance", counted_propagate)
     for mode in ("open_loop", "nominal"):
         rows.clear()
+        propagations.clear()
         res = solve(config.problem, config.sim_config.init_mean, config.sim_config.init_cov,
                     replace(config.solver_options, mode=mode))
         assert res.iterations > 0
         if mode == "open_loop":
             assert sum(rows) <= 4 * res.iterations
+            assert len(propagations) == len(rows)
         else:  # the first batch is the initial point and its curvature stencil
             assert set(rows[1:]) == {12}
+            assert not propagations
 
 
 def test_failed_steepest_descent_search_skips_the_metric_reseed(monkeypatch):

@@ -286,6 +286,23 @@ def test_innovation_solver_jitter_and_failure():
             chol_solve_spd(S, np.eye(2), context="innovation covariance at stage 2")
 
 
+def test_innovation_solver_jitters_each_matrix_alone():
+    """A batch with one rank-1 matrix: that matrix gets its jitter, and every
+    other one is solved bit for bit as it is alone, without jitter."""
+    rng = np.random.default_rng(31)
+    good = random_spd(rng, 3)
+    v = rng.normal(size=(3, 1))
+    S = np.stack([good, v @ v.T, good + np.eye(3)])
+    rhs = rng.normal(size=(3, 3, 2))
+    X = chol_solve_spd(S, rhs)
+    for i in range(3):
+        assert np.array_equal(X[i], chol_solve_spd(S[i], rhs[i]))
+    L = np.linalg.cholesky(good)
+    assert np.array_equal(X[0], np.linalg.solve(L.T, np.linalg.solve(L, rhs[0])))
+    with pytest.raises(SingularInnovationError, match="not positive definite at jitter"):
+        chol_solve_spd(np.stack([good, -np.eye(3)]), rhs[:2])
+
+
 def test_kalman_matches_luenberger_at_kalman_gains():
     rng = np.random.default_rng(7)
     from dualmpc.uncertainty import StageLinearization
