@@ -61,7 +61,8 @@ def _stage_table(config: ExperimentConfig, result: SolveResult) -> tuple[list[st
     nominal constraint values and their direction variances.
 
     The columns come from one prediction of the solved controls with
-    uncertainty, in every mode (a ``nominal`` solve ignores it).
+    uncertainty and the filter, in every mode (an ``open_loop`` solve runs
+    no filter, and a ``nominal`` solve ignores the uncertainty).
     """
     problem = config.problem
     ev = ObjectiveEvaluator(problem, config.sim_config.init_mean, config.sim_config.init_cov)

@@ -33,6 +33,8 @@ from .uncertainty import (
     symmetrize,
 )
 
+MODES = ("nominal", "open_loop", "output_feedback")
+
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _TAIL_Z = 8.0
 # Relative step of the central differences of the model and constraint
@@ -202,6 +204,9 @@ class Prediction:
     controls (not on the feedback gains): the rollout, its linearization,
     the filter gains, nominal cost and nominal constraint values.
 
+    Without a filter (``open_loop`` mode) the filter gains are a broadcast
+    zero and there are no filter covariances.
+
     Constraint values/gradients are stored for stages 0..N, stage N at
     u = 0 with zero gradient in u.  Each stage holds the rows that apply
     there (nonzero weight) first, in row order, padded to the widest stage
@@ -215,7 +220,7 @@ class Prediction:
     h_grads: Array  # (.., N+1, H_max, n_z)
     lin: StageLinearization | None = None
     filter_gains: Array | None = None
-    filter_covs: Array | None = None  # (.., N+1, n_x, n_x), the filter's covariances
+    filter_covs: Array | None = None  # (.., N+1, n_x, n_x), the filter's covariances; None without a filter
 
     take = _row
 
@@ -249,8 +254,15 @@ class ObjectiveEvaluator:
     recursion -> augmented covariance propagation -> joint stage
     covariances -> exact expectations.  The terminal cost and constraints
     are stage N of the same tables, with joint covariance [[P_N, 0], [0, 0]].
-    With ``include_uncertainty=False`` (the nominal-controller objective)
-    every joint covariance and the feedback regularization are zero, so
+
+    ``mode`` (one of :data:`MODES`) names the policies scored.
+    ``output_feedback`` runs the whole pipeline.  ``open_loop`` skips the
+    Kalman recursion and propagates with zero filter gains: the filter gains
+    reach the objective only through the feedback gains, so with zero
+    feedback every objective part and the control gradient are the same
+    bits as with the filter (nonzero feedback is scored as if the estimate
+    were an open-loop prediction).  ``nominal`` (the nominal-controller
+    objective) has zero joint covariances and feedback regularization, so
     constraints keep only the minimum smoothing eps_sigma.
 
     All methods broadcast over leading batch dimensions of the nominal
@@ -266,8 +278,10 @@ class ObjectiveEvaluator:
         P_hat_0: Array,
         eps_sigma: float = 1e-3,
         eps_K: float = 1e-4,
-        include_uncertainty: bool = True,
+        mode: str = "output_feedback",
     ):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if not 0.0 < eps_sigma < np.inf:
             raise ValueError("eps_sigma must be positive and finite")
         if not 0.0 <= eps_K < np.inf:
@@ -276,8 +290,8 @@ class ObjectiveEvaluator:
         self.x0 = np.asarray(x0, dtype=float)
         self.P_hat_0 = 0.5 * (np.asarray(P_hat_0, dtype=float) + np.asarray(P_hat_0, dtype=float).T)
         self.eps_sigma = eps_sigma
-        self.eps_K = eps_K if include_uncertainty else 0.0
-        self.include_uncertainty = include_uncertainty
+        self.eps_K = eps_K if mode != "nominal" else 0.0
+        self.mode = mode
         # Stages 0..N-1 plus the terminal stage N.  Each stage's applicable
         # rows (nonzero weight) come first, in row order, and the tables are
         # cut to the widest stage, so the other stages are padded with
@@ -305,33 +319,34 @@ class ObjectiveEvaluator:
         nominal_cost = stage_costs[..., N]
         for k in range(N):
             nominal_cost = nominal_cost + stage_costs[..., k]
-        h, h_grads = self._constraint_tables(xs, us)
-        if not self.include_uncertainty:
+        cs = problem.constraints
+        h = np.take(np.asarray(cs.fn(xs, us), dtype=float).reshape(xs.shape[:-2] + (cs.weights.size,)),
+                    self._rows, axis=-1)
+        h[..., self._weights == 0.0] = -1.0  # padded rows keep a harmless value; their weight is zero
+        h_grads = self._constraint_grads(xs, us)
+        if self.mode == "nominal":
             return Prediction(traj=traj, nominal_cost=nominal_cost, h=h, h_grads=h_grads)
         lin = linearize_trajectory(model, traj)
-        filter_gains, filter_covs = kalman_recursion(lin, self.P_hat_0)
+        if self.mode == "output_feedback":
+            filter_gains, filter_covs = kalman_recursion(lin, self.P_hat_0)
+        else:  # no filter: zero gains, shaped like the Kalman gains C'
+            filter_gains, filter_covs = np.broadcast_to(0.0, np.swapaxes(lin.C, -1, -2).shape), None
         return Prediction(
             traj=traj, nominal_cost=nominal_cost, h=h, h_grads=h_grads,
             lin=lin, filter_gains=filter_gains, filter_covs=filter_covs,
         )
 
-    def _constraint_tables(self, xs: Array, us: Array) -> tuple[Array, Array]:
-        """Constraint values and gradients at the stage points (xs, us) of
-        stages 0..N (see :func:`_stage_points`), packed (see
-        :class:`Prediction`); stage N's u columns are zero."""
+    def _constraint_grads(self, xs: Array, us: Array) -> Array:
+        """Constraint gradients at the stage points (xs, us) of stages 0..N
+        (see :func:`_stage_points`), packed (see :class:`Prediction`); stage
+        N's u columns are zero."""
         cs = self.problem.constraints
         n_x, n_u = xs.shape[-1], us.shape[-1]
-        flat = xs.shape[:-2] + (cs.weights.size,)
-        h = np.take(np.asarray(cs.fn(xs, us), dtype=float).reshape(flat), self._rows, axis=-1)
-        h_grads = np.take(
-            np.asarray(cs.jac(xs, us), dtype=float).reshape(flat + (n_x + n_u,)), self._rows, axis=-2
-        )
-        # padded rows keep a harmless negative value; their weight is zero
-        pad = self._weights == 0.0
-        h[..., pad] = -1.0
-        h_grads[..., pad, :] = 0.0
+        flat = xs.shape[:-2] + (cs.weights.size, n_x + n_u)
+        h_grads = np.take(np.asarray(cs.jac(xs, us), dtype=float).reshape(flat), self._rows, axis=-2)
+        h_grads[..., self._weights == 0.0, :] = 0.0
         h_grads[..., -1, :, n_x:] = 0.0
-        return h, h_grads
+        return h_grads
 
     def evaluate(self, pred: Prediction, feedback: Array) -> Evaluation:
         """The forward record of (prediction, feedback-gain batch), over the
@@ -395,12 +410,14 @@ class ObjectiveEvaluator:
              dJ/du_k = (direct) + B_k' lambda_{k+1}.
 
         Without uncertainty only steps 1 and 5 run, with A_k, B_k from one
-        ``f_jac`` call along the trajectory.
+        ``f_jac`` call along the trajectory.  Without a filter step 3 and
+        the output-map part of step 4 do not run: with zero filter gains
+        the objective does not read C and D.
 
         Raises:
             LinearizationError: a model Jacobian is non-finite at the
                 trajectory or at a perturbed point.
-            SingularInnovationError: see
+            SingularInnovationError: with the filter only, see
                 :func:`~dualmpc.uncertainty.kalman_adjoint`.
         """
         model, cost = self.problem.model, self.problem.cost
@@ -434,18 +451,22 @@ class ObjectiveEvaluator:
                 T_bar[:-1, n_x:, :n_x] + T_bar[:-1, n_x:, n_x:],
             )
             K_grad = K_bar + 2.0 * self.eps_K * feedback
-            kal_bar = kalman_adjoint(pred.lin, pred.filter_gains, pred.filter_covs, gains_bar)
             w0, v0 = np.zeros(model.n_w), np.zeros(model.n_v)
-            z_bar[:N] += _jacobian_pullback(
-                lambda p: model.f_jac(p[..., :n_x], p[..., n_x:], w0), z[:N],
-                (lin_bar.A + kal_bar.A, lin_bar.B, lin_bar.G + kal_bar.G),
-            )
-            z_bar[1:, :n_x] += _jacobian_pullback(
-                lambda p: model.g_jac(p, v0), xs[1:], (lin_bar.C + kal_bar.C, lin_bar.D + kal_bar.D)
-            )
+
+            def f_jac(p):
+                return model.f_jac(p[..., :n_x], p[..., n_x:], w0)
+
+            if pred.filter_covs is None:  # no filter: zero filter gains leave C and D unread
+                z_bar[:N] += _jacobian_pullback(f_jac, z[:N], (lin_bar.A, lin_bar.B, lin_bar.G))
+            else:
+                kal_bar = kalman_adjoint(pred.lin, pred.filter_gains, pred.filter_covs, gains_bar)
+                z_bar[:N] += _jacobian_pullback(f_jac, z[:N], (lin_bar.A + kal_bar.A, lin_bar.B, lin_bar.G + kal_bar.G))
+                z_bar[1:, :n_x] += _jacobian_pullback(
+                    lambda p: model.g_jac(p, v0), xs[1:], (lin_bar.C + kal_bar.C, lin_bar.D + kal_bar.D)
+                )
             # Each stage's row of the perturbed tables moves only its own z_k.
             z_bar += _jacobian_pullback(
-                lambda p: self._constraint_tables(p[..., :n_x], p[..., n_x:])[1:], z,
+                lambda p: (self._constraint_grads(p[..., :n_x], p[..., n_x:]),), z,
                 (2.0 * c[..., None] * np.einsum("kab,kib->kia", symmetrize(joint), pred.h_grads),),
             )
         lam = z_bar[N, :n_x]
@@ -488,7 +509,6 @@ def total_objective(
     include_uncertainty: bool = True,
 ) -> ObjectiveBreakdown:
     """One-call scalar evaluation; see :class:`ObjectiveEvaluator`."""
-    ev = ObjectiveEvaluator(
-        problem, x0, P_hat_0, eps_sigma=eps_sigma, eps_K=eps_K, include_uncertainty=include_uncertainty
-    )
+    mode = "output_feedback" if include_uncertainty else "nominal"
+    ev = ObjectiveEvaluator(problem, x0, P_hat_0, eps_sigma=eps_sigma, eps_K=eps_K, mode=mode)
     return ev.breakdown_and_beta(policy)[0]

@@ -21,16 +21,23 @@ prediction (the gains leave the prediction untouched).  At the initial
 point the control rows ride in one batch with it.  The final objective
 breakdown reads the last accepted trial's record too.
 
+Only output_feedback runs the Kalman filter: with zero feedback gains the
+objective and its control gradient are the same bits without it (see
+ObjectiveEvaluator).
+
 Line-search chunks: with uncertainty, a search that follows an accepted
-full step evaluates the full step alone first, then 12-trial chunks.  The
-filter and covariance recursions make a 12-row batch cost about 1.4-1.6
-times a 1-row one (shipped config), so the lone full step pays when it
-passes in more than about 2/3 of such searches, and it passes in over 90%
-(shipped-config solves).  Without uncertainty the rollout dominates: 12
-rows cost about 1.15-1.2 times one (break-even 84-88%), the full step
-passes in 82% of such searches, and every chunk holds 12 trials.  Either
-way the accepted trial is the first passing step of the same sequence,
-because every row of a batch evaluates exactly as it does alone.
+full step evaluates the full step alone first, then 12-trial chunks.  On
+the shipped config the covariance recursion, and in output_feedback the
+filter, make a 12-row batch cost about 1.4 times a 1-row one in
+output_feedback (break-even about 71%) and 1.36 times in open_loop
+(break-even about 74%), so the lone full step pays when it passes in more
+of such searches than that.  It passes in 93% of them in output_feedback
+(shipped solve), and in 96% (shipped solve) and 99% (the in-loop solves of
+closed-loop runs 0-1) in open_loop.  Without uncertainty the rollout
+dominates: 12 rows cost about 1.15-1.2 times one (break-even 84-88%), the
+full step passes in 82% of such searches, and every chunk holds 12 trials.
+Either way the accepted trial is the first passing step of the same
+sequence, because every row of a batch evaluates exactly as it does alone.
 """
 
 from __future__ import annotations
@@ -42,10 +49,8 @@ from typing import Callable
 import numpy as np
 
 from .model import Array, ControlProblem, ModelError
-from .objective import Evaluation, ObjectiveBreakdown, ObjectiveEvaluator
+from .objective import MODES, Evaluation, ObjectiveBreakdown, ObjectiveEvaluator
 from .uncertainty import LinearizationError, Policy, RolloutError, SingularInnovationError
-
-MODES = ("nominal", "open_loop", "output_feedback")
 
 _CURVATURE_SKIP_LIMIT = 3
 _BOUND_EPS = 1e-10
@@ -345,14 +350,7 @@ def solve(
     """
     opts = options or SolveOptions()
     var = _Variables(problem, opts.mode)
-    ev = ObjectiveEvaluator(
-        problem,
-        x0,
-        P_hat_0,
-        eps_sigma=opts.eps_sigma,
-        eps_K=opts.eps_K,
-        include_uncertainty=opts.mode != "nominal",
-    )
+    ev = ObjectiveEvaluator(problem, x0, P_hat_0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K, mode=opts.mode)
 
     if warm_start is not None:
         theta0 = var.pack(warm_start)
@@ -405,7 +403,7 @@ def solve(
         if accepted is None:  # no acceptable step, or no gradient at it
             status = "line_search_failure"
             break
-        full_step_first = ev.include_uncertainty and index == 0
+        full_step_first = opts.mode != "nominal" and index == 0
         g_new, center = accepted
         curvature = partial(_curvature, ev, var, trial, f_trial, center)
         s, y = trial - theta, g_new - g

@@ -25,8 +25,8 @@ import numpy as np
 
 from .model import Array, SystemModel
 
-_JITTER_START = 1e-12
-_JITTER_MAX = 1e-6
+# Diagonal jitters tried, in turn, on a matrix that is not positive definite.
+_JITTERS = (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 
 class RolloutError(RuntimeError):
@@ -47,27 +47,24 @@ def symmetrize(M: Array) -> Array:
 
 def _jittered_cholesky(S: Array, context: str) -> Array:
     """Cholesky factor of one matrix S, or, if S is not positive definite,
-    of S + jitter I with jitter 1e-12, x10 per attempt, up to 1e-6."""
-    jitter = 0.0
-    while True:
+    of S + jitter I with the first jitter 1e-12, 1e-11, ..., 1e-6 that
+    works."""
+    for jitter in (0.0, *_JITTERS):
         try:
             return np.linalg.cholesky(S + jitter * np.eye(S.shape[-1]) if jitter else S)
         except np.linalg.LinAlgError:
-            if jitter >= _JITTER_MAX:
-                raise SingularInnovationError(
-                    f"{context}: matrix not positive definite at jitter {jitter:g}"
-                ) from None
-            jitter = 10.0 * jitter if jitter else _JITTER_START
+            pass
+    raise SingularInnovationError(f"{context}: matrix not positive definite at jitter {_JITTERS[-1]:g}")
 
 
 def chol_solve_spd(S: Array, rhs: Array, context: str = "linear solve"):
     """Solve S X = rhs for symmetric positive-definite S (batched).
 
     A matrix of the batch that is not positive definite is factored on its
-    own with an escalating diagonal jitter (1e-12, x10 per attempt, up to
-    1e-6) before giving up, which keeps degenerate zero-noise corner cases
-    usable; every other matrix keeps its plain factor, so each one is solved
-    exactly as it would be alone.
+    own with an escalating diagonal jitter (1e-12, 1e-11, ..., 1e-6) before
+    giving up, which keeps degenerate zero-noise corner cases usable; every
+    other matrix keeps its plain factor, so each one is solved exactly as it
+    would be alone.
 
     Raises:
         SingularInnovationError: if S has non-finite entries, or a matrix

@@ -13,6 +13,7 @@ from dualmpc.cli import _fmt, _stage_table, main
 from dualmpc.config import load_config
 from dualmpc.ocp_solver import solve
 from dualmpc.uncertainty import (
+    Policy,
     kalman_recursion,
     linearize_trajectory,
     nominal_rollout,
@@ -170,6 +171,27 @@ def test_stage_table_matches_public_pipeline_bitwise(tmp_path, mode):
             + [_fmt(v) for v in beta] + [""] * (n_h_max - beta.size)
         )
     assert rows == expected
+
+
+def test_open_loop_stage_table_reports_the_filtered_estimate(tmp_path):
+    """An open_loop solve runs no filter, yet the Phat_diag_* columns of its
+    stage table are, digit for digit, the filtered estimation-error
+    variances of the solved controls (without the filter they would equal
+    the P_diag_* columns)."""
+    cfg = _cfg(tmp_path, FAST_UNICYCLE)
+    out = tmp_path / "out"
+    main(["solve", cfg, "--controller", "open_loop", "--out", str(out)])
+    config = load_config(cfg)
+    model, x0, P0 = config.problem.model, config.sim_config.init_mean, config.sim_config.init_cov
+    u = np.array(json.loads((out / "solve_open_loop.json").read_text())["u_nom"])
+    lin = linearize_trajectory(model, nominal_rollout(model, x0, u))
+    gains, _ = kalman_recursion(lin, P0)
+    aug = propagate_covariance(lin, Policy.open_loop(u, model.n_x), gains, P0)
+    assert not np.allclose(aug.P_hat[1:], aug.P[1:])
+    rows = _read_rows(out / "solve_open_loop_stages.csv")
+    assert len(rows) == model.horizon + 1
+    for k, row in enumerate(rows):
+        assert [row[f"Phat_diag_{n}"] for n in model.state_names] == [_fmt(v) for v in np.diag(aug.P_hat[k])]
 
 
 def test_solve_converged_linear_instance_exits_zero(tmp_path):

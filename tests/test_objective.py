@@ -339,7 +339,7 @@ def test_batch_rows_evaluate_as_alone(case, uncertainty):
     rng = np.random.default_rng(45)
     u = rng.uniform(-1.5, 1.5, size=(12, N, n_u))
     fb = rng.normal(0.0, 0.2, size=(12, N - 1, n_u, n_x))
-    ev = ObjectiveEvaluator(prob, x0, P0, include_uncertainty=uncertainty)
+    ev = ObjectiveEvaluator(prob, x0, P0, mode="output_feedback" if uncertainty else "nominal")
     totals, batch = ev.totals(u, fb)
     for i in range(12):
         one_total, one_row = ev.totals(u[i : i + 1], fb[i : i + 1])
@@ -351,6 +351,36 @@ def test_batch_rows_evaluate_as_alone(case, uncertainty):
             assert np.array_equal(got, expected) and np.array_equal(one, expected)
         for got, expected in zip(ev.gradient(row), ev.gradient(alone)):
             assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("case", ["linear", "unicycle"])
+def test_filter_free_evaluation_matches_filtered_bitwise(case, monkeypatch):
+    """With zero feedback gains the objective cannot read the filter: on a
+    12-row batch with shared zero gains, the open_loop evaluator, which runs
+    neither ``kalman_recursion`` nor ``kalman_adjoint``, gives the filtered
+    evaluator's totals, joint covariances, floors, slopes and parts bit for
+    bit, and so does each row's control gradient."""
+    prob, x0, P0, _ = _assembly_cases()[0 if case == "linear" else 1]
+    n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
+    u = np.random.default_rng(48).uniform(-1.5, 1.5, size=(12, N, n_u))
+    fb = np.zeros((N - 1, n_u, n_x))
+    filtered = ObjectiveEvaluator(prob, x0, P0)
+    totals, record = filtered.totals(u, fb)
+    free = ObjectiveEvaluator(prob, x0, P0, mode="open_loop")
+    with monkeypatch.context() as patch:
+        for name in ("kalman_recursion", "kalman_adjoint"):
+            patch.setattr(objective, name, _unexpected_call(name))
+        free_totals, free_record = free.totals(u, fb)
+        free_grads = [free.gradient(free_record.take(i))[0] for i in range(12)]
+    assert np.array_equal(free_totals, totals)
+    for got, expected in zip([free_record.joint, free_record.beta, free_record.slope, *free_record.parts],
+                             [record.joint, record.beta, record.slope, *record.parts], strict=True):
+        assert np.array_equal(got, expected)
+    for i in range(12):
+        assert np.array_equal(free_grads[i], filtered.gradient(record.take(i))[0])
+    if case == "unicycle":
+        assert np.any(free_record.parts[2] > 1e-6)  # the penalty is live
+    assert free_record.prediction.filter_covs is None
 
 
 def test_trace_sum_adds_in_one_fixed_order():
@@ -527,7 +557,7 @@ def test_nominal_cost_is_terminal_first_sequential_sum(case):
         constants=rng.normal(size=N + 1),
     )
     prob = replace(prob, cost=cost)
-    ev = ObjectiveEvaluator(prob, x0, P0, include_uncertainty=False)
+    ev = ObjectiveEvaluator(prob, x0, P0, mode="nominal")
     u = rng.uniform(-1.5, 1.5, size=(12, N, n_u))
     batch = ev.prediction(u)
     for i in range(12):
@@ -544,7 +574,7 @@ def test_nominal_assembly_has_zero_variance_and_floored_beta(case):
     prob, x0, P0, u = _assembly_cases()[case]
     n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
     fb = 0.2 * np.random.default_rng(44).normal(size=(N - 1, n_u, n_x))
-    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=1e-3, eps_K=1e-4, include_uncertainty=False)
+    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=1e-3, eps_K=1e-4, mode="nominal")
     bd, betas = ev.breakdown_and_beta(Policy(u_nom=u, feedback=fb))
     assert bd.variance_cost == 0.0 and bd.regularization == 0.0
     assert [b.size for b in betas] == list(np.sum(prob.constraints.weights > 0, axis=1))
@@ -587,9 +617,9 @@ def test_gain_gradient_matches_central_differences(case, scale):
         assert (floored & live)[N - 1].any()
 
 
-def _forward_pipeline_call(name):
+def _unexpected_call(name):
     def raises(*args, **kwargs):
-        raise AssertionError(f"the reverse sweep called {name}")
+        raise AssertionError(f"{name} was called")
 
     return raises
 
@@ -606,7 +636,7 @@ def test_gradient_matches_fd_gradient(case, mode, monkeypatch):
     raising, it returns the same gradient bit for bit."""
     prob, x0, P0, u0 = _assembly_cases()[case]
     n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
-    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=1e-3, eps_K=1e-4, include_uncertainty=mode != "nominal")
+    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=1e-3, eps_K=1e-4, mode=mode)
     rng = np.random.default_rng(53)
     for _ in range(2):
         u = u0 + 0.1 * rng.normal(size=u0.shape)
@@ -623,6 +653,6 @@ def test_gradient_matches_fd_gradient(case, mode, monkeypatch):
             assert_allclose(g_k, fd_k, rtol=0, atol=atol)
         with monkeypatch.context() as patch:
             for name in ("nominal_rollout", "linearize_trajectory", "kalman_recursion", "propagate_covariance"):
-                patch.setattr(objective, name, _forward_pipeline_call(name))
+                patch.setattr(objective, name, _unexpected_call(name))
             again_u, again_k = ev.gradient(record)
         assert np.array_equal(again_u, g_u) and np.array_equal(again_k, g_k)

@@ -246,8 +246,7 @@ def test_fused_line_search_gradient_equals_fd_gradient(mode, failing_full_step):
         prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
         x0, P0 = np.array([1.0, 0.5, 2.0]), 1e-4 * np.eye(3)
     opts = SolveOptions(mode=mode)
-    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K,
-                            include_uncertainty=mode != "nominal")
+    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K, mode=mode)
     var = _Variables(prob, mode)
     rng = np.random.default_rng(11)
     theta = np.concatenate([
@@ -284,14 +283,15 @@ def test_fused_line_search_gradient_equals_fd_gradient(mode, failing_full_step):
 def test_solve_result_is_the_breakdown_of_the_returned_policy(mode):
     """The result's objective and slacks come from the last accepted trial's
     row of its line-search batch; they equal a fresh unbatched evaluation of
-    the returned policy bit for bit."""
+    the returned policy bit for bit, with the filter also for an open_loop
+    solve, which runs none."""
     prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
     x0, P0 = np.array([1.0, 0.5, 2.0]), 1e-4 * np.eye(3)
     opts = SolveOptions(mode=mode, max_iterations=20)
     res = solve(prob, x0, P0, opts)
     assert res.iterations > 0
     ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K,
-                            include_uncertainty=mode != "nominal")
+                            mode="nominal" if mode == "nominal" else "output_feedback")
     breakdown, beta = ev.breakdown_and_beta(res.policy)
     assert res.objective == breakdown
     assert len(res.beta) == len(beta)
@@ -369,35 +369,44 @@ def test_shipped_solve_line_search_rows(monkeypatch):
     """With uncertainty, a search after an accepted full step tries that
     step alone first, so an open_loop solve evaluates few trial rows per
     iteration; without uncertainty every line-search batch holds 12.  The
-    covariance propagation runs once per ``totals`` batch (open_loop has no
-    gain curvature), never in the gradient sweep or the final breakdown,
-    and not at all without uncertainty."""
+    covariance propagation runs once per ``totals`` batch, plus once for
+    the output_feedback gain curvature, never in the gradient sweep or the
+    final breakdown, and not at all without uncertainty.  Only
+    output_feedback runs the filter: the Kalman recursion once per
+    ``totals`` batch and its adjoint once per gradient sweep."""
     config = _shipped_config()
-    rows, propagations = [], []
-    totals, propagate = ObjectiveEvaluator.totals, objective.propagate_covariance
+    rows, calls = [], {}
+    totals = ObjectiveEvaluator.totals
 
     def counted(self, u_nom, feedback):
         rows.append(u_nom.shape[0])
         return totals(self, u_nom, feedback)
 
-    def counted_propagate(*args):
-        propagations.append(1)
-        return propagate(*args)
+    def counting(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return call
 
     monkeypatch.setattr(ObjectiveEvaluator, "totals", counted)
-    monkeypatch.setattr(objective, "propagate_covariance", counted_propagate)
-    for mode in ("open_loop", "nominal"):
+    for name in ("propagate_covariance", "kalman_recursion", "kalman_adjoint"):
+        monkeypatch.setattr(objective, name, counting(name, getattr(objective, name)))
+    for mode in ("open_loop", "nominal", "output_feedback"):
         rows.clear()
-        propagations.clear()
+        calls.update(propagate_covariance=0, kalman_recursion=0, kalman_adjoint=0)
         res = solve(config.problem, config.sim_config.init_mean, config.sim_config.init_cov,
                     replace(config.solver_options, mode=mode))
         assert res.iterations > 0
         if mode == "open_loop":
             assert sum(rows) <= 4 * res.iterations
-            assert len(propagations) == len(rows)
-        else:  # the first batch is the initial point and its curvature stencil
+            assert calls == dict(propagate_covariance=len(rows), kalman_recursion=0, kalman_adjoint=0)
+        elif mode == "nominal":  # the first batch is the initial point and its curvature stencil
             assert set(rows[1:]) == {12}
-            assert not propagations
+            assert calls == dict(propagate_covariance=0, kalman_recursion=0, kalman_adjoint=0)
+        else:  # one gain-curvature batch, one sweep per iteration plus the initial point's
+            assert calls == dict(propagate_covariance=len(rows) + 1, kalman_recursion=len(rows),
+                                 kalman_adjoint=res.iterations + 1)
 
 
 def test_failed_steepest_descent_search_skips_the_metric_reseed(monkeypatch):
@@ -570,3 +579,5 @@ def test_solve_options_rejects_bad_settings():
     for setting in ("eps_sigma", "eps_K"):
         with pytest.raises(ValueError, match="finite"):
             ObjectiveEvaluator(prob, np.zeros(1), np.eye(1), **{setting: np.nan})
+    with pytest.raises(ValueError, match="mode"):
+        ObjectiveEvaluator(prob, np.zeros(1), np.eye(1), mode="stochastic")

@@ -303,6 +303,23 @@ def test_innovation_solver_jitters_each_matrix_alone():
         chol_solve_spd(np.stack([good, -np.eye(3)]), rhs[:2])
 
 
+def test_innovation_solver_jitter_stops_at_1e_6_alone():
+    """The largest jitter tried is 1e-6: a matrix that needs a shift of
+    5e-7 is solved with it, one that needs 5e-6 is refused."""
+    X = chol_solve_spd(np.diag([1.0, 1.0, -5e-7]), np.eye(3))
+    assert X[2, 2] == pytest.approx(1.0 / (1e-6 - 5e-7), rel=1e-6)
+    with pytest.raises(SingularInnovationError, match=r"not positive definite at jitter 1e-06$"):
+        chol_solve_spd(np.diag([1.0, 1.0, -5e-6]), np.eye(3))
+
+
+def test_innovation_solver_jitter_stops_at_1e_6_in_a_batch():
+    """A batch whose non-PD matrix needs more than the largest jitter fails
+    naming that jitter, 1e-6."""
+    S = np.stack([random_spd(np.random.default_rng(32), 3), -np.eye(3)])
+    with pytest.raises(SingularInnovationError, match=r"not positive definite at jitter 1e-06$"):
+        chol_solve_spd(S, np.broadcast_to(np.eye(3), S.shape))
+
+
 def test_kalman_matches_luenberger_at_kalman_gains():
     rng = np.random.default_rng(7)
     from dualmpc.uncertainty import StageLinearization
@@ -376,6 +393,22 @@ def test_propagation_open_loop_block_and_khat_independence():
     # and is bitwise independent of the observer gains
     aug2 = propagate_covariance(lin, pol, rng.normal(size=gains.shape), P0)
     assert np.array_equal(aug.P, aug2.P)
+
+
+def test_propagation_open_loop_block_khat_independence_unicycle(unicycle_problem):
+    """The Khat independence above on a 3-state unicycle linearization: with
+    zero feedback, zero filter gains and the Kalman gains give the same P
+    block bit for bit, while the estimation-error blocks differ."""
+    model = unicycle_problem.model
+    u = np.random.default_rng(4).uniform(-1.5, 1.5, size=(model.horizon, model.n_u))
+    lin = linearize_trajectory(model, nominal_rollout(model, np.array([0.05, 0.8, np.pi]), u))
+    P0 = 0.01 * np.eye(3)
+    gains, _ = kalman_recursion(lin, P0)
+    pol = Policy.open_loop(u, n_x=3)
+    filtered = propagate_covariance(lin, pol, gains, P0)
+    free = propagate_covariance(lin, pol, np.broadcast_to(0.0, gains.shape), P0)
+    assert np.array_equal(free.P, filtered.P)
+    assert not np.allclose(free.P_hat[1:], filtered.P_hat[1:])
 
 
 def test_estimation_block_independent_of_feedback():
