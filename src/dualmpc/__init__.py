@@ -19,8 +19,6 @@ from .model import (
     SystemModel,
     make_linear_problem,
     psd_sqrt,
-    rk4_step,
-    rk4_step_with_jacobian,
 )
 from .objective import (
     ObjectiveBreakdown,
@@ -94,8 +92,6 @@ __all__ = [
     "nominal_rollout",
     "propagate_covariance",
     "psd_sqrt",
-    "rk4_step",
-    "rk4_step_with_jacobian",
     "run_batch",
     "shift_warm_start",
     "sigma_y",

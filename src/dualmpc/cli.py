@@ -196,12 +196,11 @@ def cmd_phi_table(mu_range: tuple[float, float, float], sigmas: list[float], out
     if not np.isfinite([*mu_range, *sigmas]).all():
         raise ConfigError("--mu-range and --sigma-list entries must be finite")
     lo, hi, count = mu_range
-    count = int(count)
-    if count < 2 or hi <= lo:
-        raise ConfigError("--mu-range expects MIN MAX COUNT with MIN < MAX and COUNT >= 2")
+    if count < 2 or count != int(count) or hi <= lo:
+        raise ConfigError("--mu-range expects MIN MAX COUNT with MIN < MAX and an integer COUNT >= 2")
     if any(s < 0 for s in sigmas):
         raise ConfigError("--sigma-list entries must be nonnegative")
-    mus = np.linspace(lo, hi, count)
+    mus = np.linspace(lo, hi, int(count))
     header = ["sigma"] + [f"mu={_fmt(m)}" for m in mus]
     rows = [
         [_fmt(s)] + [_fmt(expected_relu(m, s)) for m in mus]

@@ -57,94 +57,6 @@ def psd_sqrt(M: Array) -> Array:
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def rk4_step(
-    ode: Callable[[Array, Array, Array], Array],
-    x: Array,
-    u: Array,
-    w: Array,
-    dt: float,
-    substeps: int = 4,
-) -> Array:
-    """Classical 4-stage Runge-Kutta step with the noise held constant.
-
-    Integrates ``xdot = ode(x, u, w)`` over ``dt`` using ``substeps`` equal
-    sub-intervals.  ``u`` and ``w`` are zero-order held.  Batch dimensions
-    broadcast through the ode.
-    """
-    if dt <= 0.0:
-        raise ModelError(f"rk4_step requires dt > 0, got {dt}")
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
-        raise ModelError("rk4_step: non-finite state or control input")
-    h = dt / substeps
-    for _ in range(substeps):
-        k1 = ode(x, u, w)
-        k2 = ode(x + 0.5 * h * k1, u, w)
-        k3 = ode(x + 0.5 * h * k2, u, w)
-        k4 = ode(x + h * k3, u, w)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
-
-
-def rk4_step_with_jacobian(
-    ode: Callable[[Array, Array, Array], Array],
-    ode_jac: Callable[[Array, Array, Array], tuple[Array, Array]],
-    x: Array,
-    u: Array,
-    w: Array,
-    dt: float,
-    substeps: int = 4,
-) -> tuple[Array, Array, Array, Array]:
-    """RK4 step together with the exact Jacobians of the discrete map.
-
-    ``ode_jac`` returns the continuous-time Jacobians ``(d xdot/dx, E)`` at
-    a point, where ``E = [d xdot/du | d xdot/dw]`` holds the control and
-    noise columns side by side, so both ride one tangent chain.  The
-    discrete Jacobians are obtained by differentiating the RK4 update itself
-    (chain rule through the four stages, composed over sub-steps), so they
-    are consistent with :func:`rk4_step` to machine precision.
-
-    Returns:
-        ``(x_next, A, B, G)`` with ``A = dx+/dx``, ``B = dx+/du``,
-        ``G = dx+/dw``; all broadcast over leading batch dimensions.
-    """
-    if dt <= 0.0:
-        raise ModelError(f"rk4_step_with_jacobian requires dt > 0, got {dt}")
-    x = np.asarray(x, dtype=float)
-    h = dt / substeps
-    n = x.shape[-1]
-    eye = np.eye(n)
-    A = np.broadcast_to(eye, x.shape + (n,)).copy()
-    E = None
-    for _ in range(substeps):
-        k1 = ode(x, u, w)
-        x2 = x + 0.5 * h * k1
-        k2 = ode(x2, u, w)
-        x3 = x + 0.5 * h * k2
-        k3 = ode(x3, u, w)
-        x4 = x + h * k3
-        k4 = ode(x4, u, w)
-
-        (A1, E1), (A2, E2), (A3, E3), (A4, E4) = (ode_jac(p, u, w) for p in (x, x2, x3, x4))
-
-        D2x = A2 @ (eye + 0.5 * h * A1)
-        D3x = A3 @ (eye + 0.5 * h * D2x)
-        D4x = A4 @ (eye + h * D3x)
-        Jx = eye + (h / 6.0) * (A1 + 2.0 * D2x + 2.0 * D3x + D4x)
-
-        D2e = E2 + A2 @ (0.5 * h * E1)
-        D3e = E3 + A3 @ (0.5 * h * D2e)
-        D4e = E4 + A4 @ (h * D3e)
-        Je = (h / 6.0) * (E1 + 2.0 * D2e + 2.0 * D3e + D4e)
-
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        A = Jx @ A
-        E = Je if E is None else Jx @ E + Je
-    n_u = np.shape(u)[-1]
-    return x, A, E[..., :n_u], E[..., n_u:]
-
-
 @dataclass(frozen=True)
 class SystemModel:
     """Nonlinear stochastic discrete-time system with unit-covariance noise.

@@ -205,7 +205,7 @@ class Prediction:
     the filter gains, nominal cost and nominal constraint values.
 
     Without a filter (``open_loop`` mode) the filter gains are a broadcast
-    zero and there are no filter covariances.
+    zero and there are no filter covariances or innovation factors.
 
     Constraint values/gradients are stored for stages 0..N, stage N at
     u = 0 with zero gradient in u.  Each stage holds the rows that apply
@@ -221,6 +221,8 @@ class Prediction:
     lin: StageLinearization | None = None
     filter_gains: Array | None = None
     filter_covs: Array | None = None  # (.., N+1, n_x, n_x), the filter's covariances; None without a filter
+    filter_pred_covs: Array | None = None  # (.., N, n_x, n_x), its predicted covariances P- of stages 1..N
+    innovation_chols: Array | None = None  # (.., N, n_y, n_y), the Cholesky factors of its innovation covariances
 
     take = _row
 
@@ -327,14 +329,11 @@ class ObjectiveEvaluator:
         if self.mode == "nominal":
             return Prediction(traj=traj, nominal_cost=nominal_cost, h=h, h_grads=h_grads)
         lin = linearize_trajectory(model, traj)
-        if self.mode == "output_feedback":
-            filter_gains, filter_covs = kalman_recursion(lin, self.P_hat_0)
+        if self.mode == "output_feedback":  # with the factors its adjoint reads
+            kalman = kalman_recursion(lin, self.P_hat_0, True)
         else:  # no filter: zero gains, shaped like the Kalman gains C'
-            filter_gains, filter_covs = np.broadcast_to(0.0, np.swapaxes(lin.C, -1, -2).shape), None
-        return Prediction(
-            traj=traj, nominal_cost=nominal_cost, h=h, h_grads=h_grads,
-            lin=lin, filter_gains=filter_gains, filter_covs=filter_covs,
-        )
+            kalman = (np.broadcast_to(0.0, np.swapaxes(lin.C, -1, -2).shape), None, None, None)
+        return Prediction(traj, nominal_cost, h, h_grads, lin, *kalman)
 
     def _constraint_grads(self, xs: Array, us: Array) -> Array:
         """Constraint gradients at the stage points (xs, us) of stages 0..N
@@ -417,8 +416,6 @@ class ObjectiveEvaluator:
         Raises:
             LinearizationError: a model Jacobian is non-finite at the
                 trajectory or at a perturbed point.
-            SingularInnovationError: with the filter only, see
-                :func:`~dualmpc.uncertainty.kalman_adjoint`.
         """
         model, cost = self.problem.model, self.problem.cost
         N, n_x = model.horizon, model.n_x
@@ -459,7 +456,8 @@ class ObjectiveEvaluator:
             if pred.filter_covs is None:  # no filter: zero filter gains leave C and D unread
                 z_bar[:N] += _jacobian_pullback(f_jac, z[:N], (lin_bar.A, lin_bar.B, lin_bar.G))
             else:
-                kal_bar = kalman_adjoint(pred.lin, pred.filter_gains, pred.filter_covs, gains_bar)
+                kal_bar = kalman_adjoint(pred.lin, pred.filter_gains, pred.filter_covs, pred.filter_pred_covs,
+                                         pred.innovation_chols, gains_bar)
                 z_bar[:N] += _jacobian_pullback(f_jac, z[:N], (lin_bar.A + kal_bar.A, lin_bar.B, lin_bar.G + kal_bar.G))
                 z_bar[1:, :n_x] += _jacobian_pullback(
                     lambda p: model.g_jac(p, v0), xs[1:], (lin_bar.C + kal_bar.C, lin_bar.D + kal_bar.D)

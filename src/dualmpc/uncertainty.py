@@ -57,14 +57,13 @@ def _jittered_cholesky(S: Array, context: str) -> Array:
     raise SingularInnovationError(f"{context}: matrix not positive definite at jitter {_JITTERS[-1]:g}")
 
 
-def chol_solve_spd(S: Array, rhs: Array, context: str = "linear solve"):
-    """Solve S X = rhs for symmetric positive-definite S (batched).
+def spd_factor(S: Array, context: str = "linear solve") -> Array:
+    """Cholesky factors of symmetric positive-definite matrices (batched).
 
     A matrix of the batch that is not positive definite is factored on its
     own with an escalating diagonal jitter (1e-12, 1e-11, ..., 1e-6) before
     giving up, which keeps degenerate zero-noise corner cases usable; every
-    other matrix keeps its plain factor, so each one is solved exactly as it
-    would be alone.
+    other matrix keeps its plain factor, exactly as it would be alone.
 
     Raises:
         SingularInnovationError: if S has non-finite entries, or a matrix
@@ -74,14 +73,18 @@ def chol_solve_spd(S: Array, rhs: Array, context: str = "linear solve"):
     if not np.isfinite(S).all():
         raise SingularInnovationError(f"{context}: matrix has non-finite entries")
     try:
-        L = np.linalg.cholesky(S)
+        return np.linalg.cholesky(S)
     except np.linalg.LinAlgError:  # each matrix alone, with its own jitter
         L = np.empty(S.shape)
         for i in np.ndindex(S.shape[:-2]):
             L[i] = _jittered_cholesky(S[i], context)
-    # Two triangular solves; L is (..., n, n), rhs (..., n, m).
-    y = np.linalg.solve(L, rhs)
-    return np.linalg.solve(np.swapaxes(L, -1, -2), y)
+        return L
+
+
+def factor_solve(L: Array, rhs: Array) -> Array:
+    """Solve L L' X = rhs by two triangular solves; L is (..., n, n), rhs
+    (..., n, m)."""
+    return np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.solve(L, rhs))
 
 
 @dataclass(frozen=True)
@@ -219,7 +222,7 @@ def linearize_trajectory(model: SystemModel, traj: NominalTrajectory) -> StageLi
     return StageLinearization(**out)
 
 
-def kalman_recursion(lin: StageLinearization, P_hat_0: Array) -> tuple[Array, Array]:
+def kalman_recursion(lin: StageLinearization, P_hat_0: Array, factors: bool = False) -> tuple[Array, ...]:
     """Time-varying Kalman filter on the linearized system.
 
     Per stage: predict P_minus = A P A' + G G'; innovation
@@ -229,7 +232,10 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array) -> tuple[Array, Ar
 
     Returns:
         gains (.., N, n_x, n_y) — entry j is the gain applied at stage j+1 —
-        and covariances (.., N+1, n_x, n_x).
+        and covariances (.., N+1, n_x, n_x); with ``factors``, also what
+        :func:`kalman_adjoint` reads of stages 1..N: the predicted
+        covariances P_minus (.., N, n_x, n_x) and the Cholesky factors of
+        the innovation covariances (.., N, n_y, n_y).
 
     Raises:
         SingularInnovationError: innovation covariance not PD at some stage
@@ -249,6 +255,8 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array) -> tuple[Array, Ar
     gains = np.empty(batch + (N, n_x, n_y))
     covs = np.empty(batch + (N + 1, n_x, n_x))
     covs[..., 0, :, :] = P
+    pred_covs = np.empty(batch + (N, n_x, n_x))
+    chols = np.empty(batch + (N, n_y, n_y))
     for k in range(N):
         A = lin.A[..., k, :, :]
         C = lin.C[..., k, :, :]
@@ -256,12 +264,14 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array) -> tuple[Array, Ar
         CP = C @ P_minus
         S = CP @ C_T[..., k, :, :] + DDt[..., k, :, :]
         # K = P- C' S^{-1}  <=>  S K' = C P-   (S symmetric).
-        K_T = chol_solve_spd(symmetrize(S), CP, context=f"innovation covariance at stage {k + 1}")
-        K = np.swapaxes(K_T, -1, -2)
+        L = spd_factor(symmetrize(S), context=f"innovation covariance at stage {k + 1}")
+        K = np.swapaxes(factor_solve(L, CP), -1, -2)
         P = symmetrize((eye - K @ C) @ P_minus)
         gains[..., k, :, :] = K
         covs[..., k + 1, :, :] = P
-    return gains, covs
+        pred_covs[..., k, :, :] = P_minus
+        chols[..., k, :, :] = L
+    return (gains, covs, pred_covs, chols) if factors else (gains, covs)
 
 
 def _augmented_transitions(lin: StageLinearization, K_all: Array, E: Array, batch) -> Array:
@@ -397,31 +407,27 @@ def covariance_adjoint(
     return K_bar[1:], lin_bar, gains_bar
 
 
-def kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, gains_bar: Array) -> StageLinearization:
+def kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, P_minus: Array, chols: Array,
+                   gains_bar: Array) -> StageLinearization:
     """Reverse-mode pass of :func:`kalman_recursion` (one unbatched
     linearization): the derivatives dJ/d(A, G, C, D) of a scalar J that reads
     the filter gains, whose derivatives are ``gains_bar``.
 
-    ``gains`` and ``covs`` are the forward outputs.  Per stage, backwards,
-    with P_k = covs[k], P- = A P_k A' + G G', S = C P- C' + D D' and
-    Khat = P- C' S^{-1}: the update P_{k+1} = (I - Khat C) P- and the gain
-    pass their derivatives to P-, C and Khat; the gain's solve S Khat' = C P-
-    (the Cholesky solve of the forward pass) passes dJ/d(C P-) = S^{-1} Khat_bar'
-    and dJ/dS = -S^{-1} Khat_bar' Khat; then S and P- pass theirs to C, D,
-    A, G and P_k.  P_0 is fixed.
-
-    Raises:
-        SingularInnovationError: an innovation covariance is not positive
-            definite even with maximal jitter.
+    ``gains``, ``covs``, ``P_minus`` and ``chols`` are the forward outputs
+    (``kalman_recursion(lin, P_hat_0, factors=True)``).  Per stage,
+    backwards, with P_k = covs[k], P- = A P_k A' + G G', S = C P- C' + D D'
+    = L L' and Khat = P- C' S^{-1}: the update P_{k+1} = (I - Khat C) P- and
+    the gain pass their derivatives to P-, C and Khat; the gain's solve
+    S Khat' = C P- passes dJ/d(C P-) = S^{-1} Khat_bar' and
+    dJ/dS = -S^{-1} Khat_bar' Khat, with S^{-1} from the forward factor L;
+    then S and P- pass theirs to C, D, A, G and P_k.  P_0 is fixed.
     """
     N = lin.horizon
     n_x = lin.A.shape[-1]
     A, C, G, D = lin.A, lin.C, lin.G, lin.D
     A_t, C_t = np.swapaxes(A, -1, -2), np.swapaxes(C, -1, -2)
     P = covs[:N]
-    P_minus = symmetrize(A @ P @ A_t + G @ np.swapaxes(G, -1, -2))
-    S = symmetrize(C @ P_minus @ C_t + D @ np.swapaxes(D, -1, -2))
-    S_inv = chol_solve_spd(S, np.broadcast_to(np.eye(S.shape[-1]), S.shape), context="innovation covariance")
+    S_inv = factor_solve(chols, np.broadcast_to(np.eye(chols.shape[-1]), chols.shape))
     # Only the recursion runs per stage; the pullbacks onto C, D, A and G
     # are batched products over all stages afterwards.
     n_y = C.shape[-2]

@@ -11,6 +11,12 @@ constraint set, softened with a linear violation weight: the weight table
 drops the r_x row at stage 0 (its state is given) and the box rows at the
 terminal stage N (it has no control).  The box is additionally enforced
 exactly on the nominal controls.
+
+The dynamics are one classical RK4 step per stage (``substeps`` substeps,
+controls and noise held), integrated in cascade form: the heading does not
+depend on the position, so all stage headings come first and the positions
+follow.  The results are the bits of the generic RK4 step, which the tests
+keep as the reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -27,8 +33,6 @@ from .model import (
     QuadraticCost,
     SystemModel,
     psd_sqrt,
-    rk4_step,
-    rk4_step_with_jacobian,
 )
 
 
@@ -97,40 +101,77 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
     u_max = params.u_max
     N = params.horizon
 
-    # ode takes the held noise already shaped, L_w w, so that an RK4 step
-    # shapes it once rather than in each of its 4 * substeps ode calls;
-    # ode_jac's noise columns stay d xdot / dw = L_w for the standardized w.
-    def ode(x, u, w_shaped):
-        theta = x[..., 2]
-        v = u[..., 0]
-        v_cos = v * np.cos(theta)
-        out = np.empty(v_cos.shape + (3,))
-        out[..., 0] = v_cos
-        out[..., 1] = v * np.sin(theta)
-        out[..., 2] = u[..., 1]
-        return out + w_shaped
+    # In cascade form: the heading rate omega + (L_w w)_3 does not depend on
+    # the state, and the position rates v cos(theta) + (L_w w)_1 and
+    # v sin(theta) + (L_w w)_2 read only the heading.  So the headings of all
+    # RK4 stage points come first, and the positions follow from one sin and
+    # one cos call.  Every IEEE operation is the one the generic RK4 step
+    # (the tests' oracle) performs on the same numbers, in the same order,
+    # so f and f_jac give its bits.
+    h = params.dt / params.substeps
 
-    def ode_jac(x, u, w_shaped):
-        theta = x[..., 2]
-        v = u[..., 0]
-        sin, cos = np.sin(theta), np.cos(theta)
-        dx_dtheta = -v * sin
-        A = np.zeros(dx_dtheta.shape + (3, 3))
-        A[..., 0, 2] = dx_dtheta
-        A[..., 1, 2] = v * cos
-        E = np.zeros(dx_dtheta.shape + (3, 5))  # [d xdot / du | d xdot / dw]
-        E[..., 0, 0] = cos
-        E[..., 1, 0] = sin
-        E[..., 2, 1] = 1.0
-        E[..., 2:] = L_w
-        return A, E
+    def stage_headings(x, u, w_shaped):
+        """The headings (.., substeps, 3) of the stage points of every
+        substep: its start theta_s, theta_s + (h/2) r (stages 2 and 3) and
+        theta_s + h r (stage 4), with the heading rate r; and the table
+        (.., substeps + 1, 3) whose cumulative sum over the substeps is the
+        state: x in row 0, the heading increments in column 2."""
+        rate = u[..., 1] + w_shaped[..., 2]
+        steps = np.empty(np.broadcast_shapes(x.shape[:-1], rate.shape) + (params.substeps + 1, 3))
+        steps[..., 0, :] = x
+        steps[..., 1:, 2] = ((h / 6.0) * (((rate + 2.0 * rate) + 2.0 * rate) + rate))[..., None]
+        theta = np.add.accumulate(steps[..., :-1, 2], axis=-1)  # strictly sequential
+        rate = rate[..., None]
+        return np.stack([theta, theta + 0.5 * h * rate, theta + h * rate], axis=-1), steps
 
     def f(x, u, w):
-        return rk4_step(ode, x, u, w @ L_w.T, params.dt, params.substeps)
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        if not (np.isfinite(x).all() and np.isfinite(u).all()):
+            raise ModelError("unicycle step: non-finite state or control input")
+        w_shaped = w @ L_w.T
+        heading, steps = stage_headings(x, u, w_shaped)
+        k = u[..., None, None, :1] * np.stack([np.cos(heading), np.sin(heading)], axis=-1)
+        k = k + w_shaped[..., None, None, :2]  # position rates at the stage points 1, 2 (= 3) and 4
+        steps[..., 1:, :2] = (h / 6.0) * (((k[..., 0, :] + 2.0 * k[..., 1, :]) + 2.0 * k[..., 1, :]) + k[..., 2, :])
+        return np.add.accumulate(steps, axis=-2)[..., -1, :]
 
     def f_jac(x, u, w):
-        _, A, B, G = rk4_step_with_jacobian(ode, ode_jac, x, u, w @ L_w.T, params.dt, params.substeps)
-        return A, B, G
+        """Jacobians of the RK4 step: the tangents ride the RK4 stages, with
+        the control and the standardized-noise columns in one chain."""
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        heading, _ = stage_headings(x, u, w @ L_w.T)
+        sin, cos = np.sin(heading), np.cos(heading)
+        v = u[..., 0, None]
+        eye = np.eye(3)
+        A = np.broadcast_to(eye, x.shape + (3,)).copy()
+        E = None
+        for s in range(params.substeps):
+            # Continuous-time Jacobians at the substep's stage points:
+            # d xdot / dx, and E = [d xdot / du | d xdot / dw].
+            dx_dtheta = -v * sin[..., s, :]
+            A_s = np.zeros(dx_dtheta.shape + (3, 3))
+            A_s[..., 0, 2] = dx_dtheta
+            A_s[..., 1, 2] = v * cos[..., s, :]
+            E_s = np.zeros(dx_dtheta.shape + (3, 5))
+            E_s[..., 0, 0] = cos[..., s, :]
+            E_s[..., 1, 0] = sin[..., s, :]
+            E_s[..., 2, 1] = 1.0
+            E_s[..., 2:] = L_w
+            (A1, A2, A4), (E1, E2, E4) = np.moveaxis(A_s, -3, 0), np.moveaxis(E_s, -3, 0)
+
+            D2x = A2 @ (eye + 0.5 * h * A1)
+            D3x = A2 @ (eye + 0.5 * h * D2x)
+            D4x = A4 @ (eye + h * D3x)
+            Jx = eye + (h / 6.0) * (A1 + 2.0 * D2x + 2.0 * D3x + D4x)
+
+            D2e = E2 + A2 @ (0.5 * h * E1)
+            D3e = E2 + A2 @ (0.5 * h * D2e)
+            D4e = E4 + A4 @ (h * D3e)
+            Je = (h / 6.0) * (E1 + 2.0 * D2e + 2.0 * D3e + D4e)
+
+            A = Jx @ A
+            E = Je if E is None else Jx @ E + Je
+        return A, E[..., :2], E[..., 2:]
 
     def g(x, v):
         x = np.asarray(x, dtype=float)

@@ -51,7 +51,9 @@ def prediction_fields(pred):
     """Every array of a ``Prediction``, in a fixed order, for bitwise checks."""
     fields = [pred.traj.states, pred.traj.controls, pred.nominal_cost, pred.h, pred.h_grads]
     if pred.lin is not None:
-        fields += [getattr(pred.lin, name) for name in "ABGCD"] + [pred.filter_gains, pred.filter_covs]
+        fields += [getattr(pred.lin, name) for name in "ABGCD"] + [pred.filter_gains]
+    if pred.filter_covs is not None:
+        fields += [pred.filter_covs, pred.filter_pred_covs, pred.innovation_chols]
     return fields
 
 

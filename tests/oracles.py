@@ -1,11 +1,12 @@
 """Reference implementations that only the tests use.
 
 Each one is a plain, independent route to a quantity the package computes
-another way: a central-difference Jacobian, the RK4 Jacobians with one
-tangent chain each for the control and the noise, a central-difference
+another way: a central-difference Jacobian, the generic RK4 step and its
+Jacobians (the unicycle integrates in cascade form), the RK4 Jacobians with
+one tangent chain each for the control and the noise, a central-difference
 objective gradient, the general-gain (Joseph) estimation-error covariance, a
 stand-alone penalty sum, the closed-form expectation of a quadratic, and a
-hand-written EKF predict/update pair.
+hand-written EKF predict/update pair with its SPD solve.
 """
 
 from typing import Callable
@@ -15,7 +16,7 @@ import numpy as np
 from dualmpc import ModelError, expected_relu, floored_variance
 from dualmpc.estimation import BeliefState, EstimationError
 from dualmpc.model import Array, SystemModel
-from dualmpc.uncertainty import StageLinearization, chol_solve_spd, symmetrize
+from dualmpc.uncertainty import StageLinearization, factor_solve, spd_factor, symmetrize
 
 
 def fd_jacobian(fn: Callable[[Array], Array], at: Array, step: float = 1e-6) -> Array:
@@ -51,12 +52,102 @@ def fd_jacobian(fn: Callable[[Array], Array], at: Array, step: float = 1e-6) -> 
     return np.stack(cols, axis=-1)
 
 
+def rk4_step(
+    ode: Callable[[Array, Array, Array], Array],
+    x: Array,
+    u: Array,
+    w: Array,
+    dt: float,
+    substeps: int = 4,
+) -> Array:
+    """Classical 4-stage Runge-Kutta step with the noise held constant.
+
+    Integrates ``xdot = ode(x, u, w)`` over ``dt`` using ``substeps`` equal
+    sub-intervals.  ``u`` and ``w`` are zero-order held.  Batch dimensions
+    broadcast through the ode.  The unicycle's cascade-form step must give
+    its bits.
+    """
+    if dt <= 0.0:
+        raise ModelError(f"rk4_step requires dt > 0, got {dt}")
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+        raise ModelError("rk4_step: non-finite state or control input")
+    h = dt / substeps
+    for _ in range(substeps):
+        k1 = ode(x, u, w)
+        k2 = ode(x + 0.5 * h * k1, u, w)
+        k3 = ode(x + 0.5 * h * k2, u, w)
+        k4 = ode(x + h * k3, u, w)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def rk4_step_with_jacobian(
+    ode: Callable[[Array, Array, Array], Array],
+    ode_jac: Callable[[Array, Array, Array], tuple[Array, Array]],
+    x: Array,
+    u: Array,
+    w: Array,
+    dt: float,
+    substeps: int = 4,
+) -> tuple[Array, Array, Array, Array]:
+    """RK4 step together with the exact Jacobians of the discrete map.
+
+    ``ode_jac`` returns the continuous-time Jacobians ``(d xdot/dx, E)`` at
+    a point, where ``E = [d xdot/du | d xdot/dw]`` holds the control and
+    noise columns side by side, so both ride one tangent chain.  The
+    discrete Jacobians are obtained by differentiating the RK4 update itself
+    (chain rule through the four stages, composed over sub-steps), so they
+    are consistent with :func:`rk4_step` to machine precision.  The
+    unicycle's cascade-form ``f_jac`` must give their bits.
+
+    Returns:
+        ``(x_next, A, B, G)`` with ``A = dx+/dx``, ``B = dx+/du``,
+        ``G = dx+/dw``; all broadcast over leading batch dimensions.
+    """
+    if dt <= 0.0:
+        raise ModelError(f"rk4_step_with_jacobian requires dt > 0, got {dt}")
+    x = np.asarray(x, dtype=float)
+    h = dt / substeps
+    n = x.shape[-1]
+    eye = np.eye(n)
+    A = np.broadcast_to(eye, x.shape + (n,)).copy()
+    E = None
+    for _ in range(substeps):
+        k1 = ode(x, u, w)
+        x2 = x + 0.5 * h * k1
+        k2 = ode(x2, u, w)
+        x3 = x + 0.5 * h * k2
+        k3 = ode(x3, u, w)
+        x4 = x + h * k3
+        k4 = ode(x4, u, w)
+
+        (A1, E1), (A2, E2), (A3, E3), (A4, E4) = (ode_jac(p, u, w) for p in (x, x2, x3, x4))
+
+        D2x = A2 @ (eye + 0.5 * h * A1)
+        D3x = A3 @ (eye + 0.5 * h * D2x)
+        D4x = A4 @ (eye + h * D3x)
+        Jx = eye + (h / 6.0) * (A1 + 2.0 * D2x + 2.0 * D3x + D4x)
+
+        D2e = E2 + A2 @ (0.5 * h * E1)
+        D3e = E3 + A3 @ (0.5 * h * D2e)
+        D4e = E4 + A4 @ (h * D3e)
+        Je = (h / 6.0) * (E1 + 2.0 * D2e + 2.0 * D3e + D4e)
+
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        A = Jx @ A
+        E = Je if E is None else Jx @ E + Je
+    n_u = np.shape(u)[-1]
+    return x, A, E[..., :n_u], E[..., n_u:]
+
+
 def rk4_three_chain_jacobians(ode, ode_jac, x: Array, u: Array, w: Array, dt: float,
                               substeps: int = 4) -> tuple[Array, Array, Array]:
     """The Jacobians (A, B, G) of an RK4 step with the control and the noise
     tangents carried as two separate chains; ``ode_jac`` returns
-    ``(d xdot/dx, d xdot/du, d xdot/dw)``.  The package's
-    ``rk4_step_with_jacobian`` carries both in one chain and must agree bit
+    ``(d xdot/dx, d xdot/du, d xdot/dw)``.  :func:`rk4_step_with_jacobian`
+    and the unicycle's ``f_jac`` carry both in one chain and must agree bit
     for bit."""
     x = np.asarray(x, dtype=float)
     h = dt / substeps
@@ -176,6 +267,12 @@ def penalty_total(h_nom: Array, beta: Array, weights: Array, eps_sigma: float):
     root, so every constraint sees at least the minimum smoothing variance.
     """
     return np.sum(weights * expected_relu(h_nom, np.sqrt(floored_variance(beta, eps_sigma)[0])), axis=-1)
+
+
+def chol_solve_spd(S: Array, rhs: Array, context: str = "linear solve"):
+    """Solve S X = rhs for symmetric positive-definite S (batched), with the
+    jittered Cholesky factor the Kalman filter uses."""
+    return factor_solve(spd_factor(S, context), rhs)
 
 
 def ekf_predict(model: SystemModel, belief: BeliefState, u: Array, stage: int = 0) -> BeliefState:

@@ -333,6 +333,16 @@ def test_phi_table_bad_range_exits_two(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 2
     assert not out.exists()
+    # a fractional COUNT: one error line, no file; 5.0 is the integer 5
+    capsys.readouterr()
+    code = main(["phi-table", "--mu-range", "0", "1", "2.9", "--sigma-list", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "integer COUNT" in err and err.count("\n") == 1
+    assert not out.exists()
+    assert main(["phi-table", "--mu-range", "0", "1", "5.0", "--sigma-list", "1", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0].count("mu=") == 5
+    out.unlink()
     # non-finite entries: one error line, no file
     for mu_range, sigmas in ((["-1", "1", "3"], ["nan", "1"]), (["-1", "1", "3"], ["inf"]),
                              (["nan", "1", "3"], ["1"]), (["-1", "inf", "3"], ["1"]),

@@ -12,15 +12,15 @@ from dualmpc import (
     QuadraticCost,
     make_linear_problem,
     make_unicycle_problem,
-    rk4_step,
-    rk4_step_with_jacobian,
+    nominal_rollout,
     sigma_y,
 )
 from dualmpc.model import psd_sqrt
+from dualmpc.uncertainty import RolloutError
 from dualmpc.unicycle import sigma_y_grad
 
 from conftest import standard_unicycle_params
-from oracles import fd_jacobian, rk4_three_chain_jacobians
+from oracles import fd_jacobian, rk4_step, rk4_step_with_jacobian, rk4_three_chain_jacobians
 
 
 # ---------------------------------------------------------------- fd_jacobian
@@ -63,23 +63,33 @@ def _unicycle_ode(x, u, w):
     return np.stack([u[..., 0] * np.cos(theta), u[..., 0] * np.sin(theta), u[..., 1]], axis=-1) + w
 
 
+def _rk4_steps(dt):
+    """The noise-free unicycle step x+ = step(x, u) over dt, twice: the
+    generic RK4 step of the test ODE and the model's cascade-form map."""
+    model = make_unicycle_problem(standard_unicycle_params(dt=dt)).model
+    return (lambda x, u: rk4_step(_unicycle_ode, x, u, np.zeros(3), dt=dt),
+            lambda x, u: model.f(x, u, np.zeros(3)))
+
+
 def test_rk4_straight_line_motion_is_exact():
     # omega = 0 keeps theta constant; the integral is then linear in t.
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        x = rng.normal(size=3)
-        v = rng.normal()
-        u = np.array([v, 0.0])
-        out = rk4_step(_unicycle_ode, x, u, np.zeros(3), dt=0.3)
-        expected = x + np.array([v * 0.3 * np.cos(x[2]), v * 0.3 * np.sin(x[2]), 0.0])
-        assert_allclose(out, expected, atol=1e-12)
+    for step in _rk4_steps(0.3):
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            x = rng.normal(size=3)
+            v = rng.normal()
+            u = np.array([v, 0.0])
+            out = step(x, u)
+            expected = x + np.array([v * 0.3 * np.cos(x[2]), v * 0.3 * np.sin(x[2]), 0.0])
+            assert_allclose(out, expected, atol=1e-12)
 
 
 def test_rk4_unicycle_spec_points():
-    out = rk4_step(_unicycle_ode, np.array([1.0, 1.0, np.pi]), np.array([1.0, 0.0]), np.zeros(3), dt=0.3)
-    assert_allclose(out, [0.7, 1.0, np.pi], atol=1e-12)
-    out = rk4_step(_unicycle_ode, np.zeros(3), np.array([0.0, 1.0]), np.zeros(3), dt=0.3)
-    assert_allclose(out, [0.0, 0.0, 0.3], atol=1e-15)
+    for step in _rk4_steps(0.3):
+        out = step(np.array([1.0, 1.0, np.pi]), np.array([1.0, 0.0]))
+        assert_allclose(out, [0.7, 1.0, np.pi], atol=1e-12)
+        out = step(np.zeros(3), np.array([0.0, 1.0]))
+        assert_allclose(out, [0.0, 0.0, 0.3], atol=1e-15)
 
 
 def test_rk4_fixed_point():
@@ -89,19 +99,61 @@ def test_rk4_fixed_point():
 
 
 def test_rk4_rejects_bad_inputs():
-    with pytest.raises(ModelError):
-        rk4_step(_unicycle_ode, np.array([np.nan, 0, 0]), np.zeros(2), np.zeros(3), dt=0.3)
+    for step in _rk4_steps(0.3):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ModelError):
+                step(np.array([bad, 0, 0]), np.zeros(2))
+            with pytest.raises(ModelError):
+                step(np.zeros(3), np.array([0.0, bad]))
     with pytest.raises(ModelError):
         rk4_step(_unicycle_ode, np.zeros(3), np.zeros(2), np.zeros(3), dt=0.0)
+    with pytest.raises(ModelError):
+        standard_unicycle_params(dt=0.0)
 
 
 def test_rk4_batch_matches_loop():
-    rng = np.random.default_rng(1)
-    xs = rng.normal(size=(7, 3))
-    us = rng.normal(size=(7, 2))
-    batch = rk4_step(_unicycle_ode, xs, us, np.zeros(3), dt=0.25)
-    for i in range(7):
-        assert_allclose(batch[i], rk4_step(_unicycle_ode, xs[i], us[i], np.zeros(3), dt=0.25), atol=0)
+    for step in _rk4_steps(0.25):
+        rng = np.random.default_rng(1)
+        xs = rng.normal(size=(7, 3))
+        us = rng.normal(size=(7, 2))
+        batch = step(xs, us)
+        for i in range(7):
+            assert_allclose(batch[i], step(xs[i], us[i]), atol=0)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (12,), (41,), (1000,), (2, 5, 10)])
+def test_unicycle_step_matches_generic_rk4_bitwise(shape):
+    """The unicycle's cascade-form step gives the generic RK4 step's bits,
+    sign bits included: unbatched and batched, with zero-speed rows, heading
+    pi, zero and nonzero held noise, and an unbatched state against batched
+    controls."""
+    params = standard_unicycle_params()
+    model = make_unicycle_problem(params).model
+    L_w = psd_sqrt(params.process_noise_cov)
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    x = rng.normal(scale=3.0, size=shape + (3,))
+    u = rng.uniform(-2.0, 2.0, size=shape + (2,))
+    x.reshape(-1, 3)[::4, 2] = np.pi
+    u.reshape(-1, 2)[::3, 0] = 0.0
+    for w in (np.zeros(3), rng.normal(size=shape + (3,))):
+        expected = rk4_step(_unicycle_ode, x, u, w @ L_w.T, params.dt, params.substeps)
+        assert _same_bits(model.f(x, u, w), expected)
+    if shape:
+        x0 = x.reshape(-1, 3)[0]
+        expected = rk4_step(_unicycle_ode, x0, u, np.zeros(3), params.dt, params.substeps)
+        assert _same_bits(model.f(x0, u, np.zeros(3)), expected)
+
+
+def test_overflowing_heading_rate_fails_the_rollout_at_stage_1():
+    model = make_unicycle_problem(standard_unicycle_params()).model
+    u = np.zeros((model.horizon, 2))
+    u[:, 1] = 1e308  # the RK4 weights 1 + 2 + 2 + 1 overflow it
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RolloutError, match="stage 1$"):
+        nominal_rollout(model, np.zeros(3), u)
 
 
 # --------------------------------------------------- rk4 sensitivity chaining

@@ -624,6 +624,26 @@ def _unexpected_call(name):
     return raises
 
 
+@pytest.mark.parametrize("case", [0, 1])
+def test_gradient_reads_the_forward_innovation_factors(case, monkeypatch):
+    """The Kalman adjoint forms S^{-1} from the innovation covariances'
+    Cholesky factors of the forward pass: with every factorization raising,
+    each row of a 12-row record gives the same gradient bits."""
+    prob, x0, P0, u0 = _assembly_cases()[case]
+    n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
+    ev = ObjectiveEvaluator(prob, x0, P0)
+    rng = np.random.default_rng(54)
+    u = u0 + 0.1 * rng.normal(size=(12,) + u0.shape)
+    fb = 0.2 * rng.normal(size=(N - 1, n_u, n_x))
+    record = ev.totals(u, fb)[1]
+    expected = [ev.gradient(record.take(i)) for i in range(12)]
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", _unexpected_call("np.linalg.cholesky"))
+        got = [ev.gradient(record.take(i)) for i in range(12)]
+    for (g_u, g_k), (e_u, e_k) in zip(got, expected, strict=True):
+        assert np.array_equal(g_u, e_u) and np.array_equal(g_k, e_k)
+
+
 @pytest.mark.parametrize("mode", ["nominal", "open_loop", "output_feedback"])
 @pytest.mark.parametrize("case", [0, 1])
 def test_gradient_matches_fd_gradient(case, mode, monkeypatch):

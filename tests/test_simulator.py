@@ -212,6 +212,19 @@ def test_bad_linearization_flags_the_run_not_the_batch():
     assert all(r.diverged for r in recs)
 
 
+def test_non_finite_control_flags_the_run_not_the_batch():
+    """A controller that returns a NaN control makes the unicycle's step
+    raise ModelError: that run is flagged diverged from the step on, and the
+    next run of the batch completes."""
+    prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
+    cfg = SimConfig(init_mean=[1.0, 0.5, np.pi], init_cov=0.01 * np.eye(3), steps=4, runs=2)
+    controllers = iter([_ScriptedController([np.nan, 0.0]), _ScriptedController([0.5, 0.0])])
+    summary, (bad, good) = run_batch(prob, lambda: next(controllers), cfg, "scripted")
+    assert summary.diverged_runs == 1
+    assert bad.diverged and np.isfinite(bad.states[0]).all() and np.isnan(bad.states[1:]).all()
+    assert not good.diverged and np.isfinite(good.states).all()
+
+
 # ----------------------------------------------------------------- batch runs
 
 def test_run_records_do_not_depend_on_batch_size():

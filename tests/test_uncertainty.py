@@ -22,13 +22,13 @@ from dualmpc.uncertainty import (
     RolloutError,
     SingularInnovationError,
     StageLinearization,
-    chol_solve_spd,
     covariance_adjoint,
     kalman_adjoint,
+    symmetrize,
 )
 
 from conftest import standard_unicycle_params, random_spd
-from oracles import fd_jacobian, luenberger_covariance
+from oracles import chol_solve_spd, fd_jacobian, luenberger_covariance
 
 
 def scalar_lin(A=1.0, G=1.0, C=1.0, D=1.0, N=1):
@@ -542,12 +542,30 @@ def test_kalman_adjoint_matches_central_differences():
     def scalar(l):
         return float(np.sum(weights * kalman_recursion(l, P0)[0]))
 
-    gains, covs = kalman_recursion(lin, P0)
-    adj = kalman_adjoint(lin, gains, covs, weights)
+    adj = kalman_adjoint(lin, *kalman_recursion(lin, P0, factors=True), weights)
     for name in "AGCD":
         fd = _fd(lambda M: scalar(replace(lin, **{name: M})), getattr(lin, name))
         assert_allclose(getattr(adj, name), fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
     assert np.all(adj.B == 0.0)
+
+
+def test_kalman_factors_are_the_stages_the_adjoint_reads(unicycle_problem):
+    """The predicted covariances and innovation factors that kalman_recursion
+    keeps for kalman_adjoint are, bit for bit, P- = sym(A P A' + G G') and
+    chol(sym(C P- C' + D D')) re-derived from the filter covariances over
+    all stages at once, for each row of a batch."""
+    m = unicycle_problem.model
+    rng = np.random.default_rng(63)
+    traj = nominal_rollout(m, np.array([1.0, 0.5, np.pi]), rng.uniform(-1, 1, size=(4, 10, 2)))
+    lin = linearize_trajectory(m, traj)
+    gains, covs, P_minus, chols = kalman_recursion(lin, 0.01 * np.eye(3), factors=True)
+    assert np.array_equal(gains, kalman_recursion(lin, 0.01 * np.eye(3))[0])
+    swap = lambda M: np.swapaxes(M, -1, -2)
+    for i in range(4):
+        A, G, C, D = (getattr(lin, name)[i] for name in "AGCD")
+        P_re = symmetrize(A @ covs[i, :-1] @ swap(A) + G @ swap(G))
+        assert np.array_equal(P_minus[i], P_re)
+        assert np.array_equal(chols[i], np.linalg.cholesky(symmetrize(C @ P_re @ swap(C) + D @ swap(D))))
 
 
 def test_covariance_adjoint_matches_central_differences():
