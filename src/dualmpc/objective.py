@@ -290,7 +290,7 @@ class ObjectiveEvaluator:
             raise ValueError("eps_K must be nonnegative and finite")
         self.problem = problem
         self.x0 = np.asarray(x0, dtype=float)
-        self.P_hat_0 = 0.5 * (np.asarray(P_hat_0, dtype=float) + np.asarray(P_hat_0, dtype=float).T)
+        self.P_hat_0 = symmetrize(np.asarray(P_hat_0, dtype=float))
         self.eps_sigma = eps_sigma
         self.eps_K = eps_K if mode != "nominal" else 0.0
         self.mode = mode

@@ -43,7 +43,6 @@ sequence, because every row of a batch evaluates exactly as it does alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -367,21 +366,21 @@ def solve(
     del record_of
     f = float(totals0[0])
     g = _gradient(ev, var, center)
-    # center is the current iterate's forward record, and curvature() computes
-    # the metric-seed curvature there.
-    curvature = partial(_curvature, ev, var, theta, f, center, totals0[1:])
     full_step_first = False
     curvature_skips = 0
     status = "max_iter"
     iterations = 0
     gnorm = max(float(np.linalg.norm(g)), 1e-12)
-    curv = curvature()
+    curv = _curvature(ev, var, theta, f, center, totals0[1:])
     H = _diag_metric(curv, gnorm)
     # With no usable curvature the seed is just scaled steepest descent; in that
     # case calibrate the metric from the first accepted step instead.
     first_step_pending = float(np.max(np.abs(curv), initial=0.0)) <= 0.0
     stationarity = _projected_gradient_norm(theta, g, var)
 
+    # center is always the current iterate's forward record, where the metric
+    # reseeds measure their curvature.  With H positive definite, d is a
+    # descent direction whenever the masked gradient is nonzero.
     for it in range(opts.max_iterations):
         if stationarity <= opts.tolerance:
             status = "converged"
@@ -391,23 +390,19 @@ def solve(
         gnorm = max(float(np.linalg.norm(g_masked)), 1e-12)
         d = -H @ g_masked
         d[g_masked == 0.0] = 0.0
-        if float(d @ g_masked) >= 0.0:  # metric went bad: reseed from curvature
-            H = _diag_metric(curvature(), gnorm)
-            d = -H @ g_masked
-            d[g_masked == 0.0] = 0.0
 
         trial, f_trial, index, accepted = _armijo_search(ev, var, theta, f, g, d, full_step_first)
         if index < 0:  # quasi-Newton direction failed: reseed, try steepest descent
-            H = _diag_metric(curvature(), gnorm)
+            H = _diag_metric(_curvature(ev, var, theta, f, center), gnorm)
             trial, f_trial, index, accepted = _armijo_search(ev, var, theta, f, g, -g_masked / gnorm)
         if accepted is None:  # no acceptable step, or no gradient at it
             status = "line_search_failure"
             break
         full_step_first = opts.mode != "nominal" and index == 0
         g_new, center = accepted
-        curvature = partial(_curvature, ev, var, trial, f_trial, center)
         s, y = trial - theta, g_new - g
-        gnorm = max(float(np.linalg.norm(g_new)), 1e-12)
+        theta, f, g = trial, f_trial, g_new
+        gnorm = max(float(np.linalg.norm(g)), 1e-12)
         if first_step_pending:
             sy, yy = float(s @ y), float(y @ y)
             if sy > 0 and yy > 0:
@@ -420,10 +415,8 @@ def solve(
         else:
             curvature_skips += 1
             if curvature_skips >= _CURVATURE_SKIP_LIMIT:
-                H = _diag_metric(curvature(), gnorm)
+                H = _diag_metric(_curvature(ev, var, theta, f, center), gnorm)
                 curvature_skips = 0
-
-        theta, f, g = trial, f_trial, g_new
         stationarity = _projected_gradient_norm(theta, g, var)
 
     policy = var.unpack(theta)

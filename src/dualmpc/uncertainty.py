@@ -142,14 +142,6 @@ class Policy:
         fb = np.broadcast_to(self.feedback, batch + self.feedback.shape[-3:])
         return np.concatenate([zero, fb], axis=-3)
 
-    @classmethod
-    def open_loop(cls, u_nom: Array, n_x: int) -> "Policy":
-        u_nom = np.asarray(u_nom, dtype=float)
-        N = u_nom.shape[-2]
-        n_u = u_nom.shape[-1]
-        fb = np.zeros(u_nom.shape[:-2] + (max(N - 1, 0), n_u, n_x))
-        return cls(u_nom=u_nom, feedback=fb)
-
 
 @dataclass(frozen=True)
 class AugmentedCovariance:

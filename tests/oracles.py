@@ -1,10 +1,11 @@
 """Reference implementations that only the tests use.
 
 Each one is a plain, independent route to a quantity the package computes
-another way: a central-difference Jacobian, the generic RK4 step and its
-Jacobians (the unicycle integrates in cascade form), the RK4 Jacobians with
-one tangent chain each for the control and the noise, a central-difference
-objective gradient, the general-gain (Joseph) estimation-error covariance, a
+another way, or a shorthand only the tests need: a zero-gain policy, a
+central-difference Jacobian, the generic RK4 step and its Jacobians (the
+unicycle integrates in cascade form), the RK4 Jacobians with one tangent
+chain each for the control and the noise, a central-difference objective
+gradient, the general-gain (Joseph) estimation-error covariance, a
 stand-alone penalty sum, the closed-form expectation of a quadratic, and a
 hand-written EKF predict/update pair with its SPD solve.
 """
@@ -16,7 +17,14 @@ import numpy as np
 from dualmpc import ModelError, expected_relu, floored_variance
 from dualmpc.estimation import BeliefState, EstimationError
 from dualmpc.model import Array, SystemModel
-from dualmpc.uncertainty import StageLinearization, factor_solve, spd_factor, symmetrize
+from dualmpc.uncertainty import Policy, StageLinearization, factor_solve, spd_factor, symmetrize
+
+
+def open_loop_policy(u_nom: Array, n_x: int) -> Policy:
+    """The policy of the controls ``u_nom`` with every feedback gain zero."""
+    u_nom = np.asarray(u_nom, dtype=float)
+    N, n_u = u_nom.shape[-2:]
+    return Policy(u_nom=u_nom, feedback=np.zeros(u_nom.shape[:-2] + (max(N - 1, 0), n_u, n_x)))
 
 
 def fd_jacobian(fn: Callable[[Array], Array], at: Array, step: float = 1e-6) -> Array:

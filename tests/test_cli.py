@@ -13,12 +13,13 @@ from dualmpc.cli import _fmt, _stage_table, main
 from dualmpc.config import load_config
 from dualmpc.ocp_solver import solve
 from dualmpc.uncertainty import (
-    Policy,
     kalman_recursion,
     linearize_trajectory,
     nominal_rollout,
     propagate_covariance,
 )
+
+from oracles import open_loop_policy
 
 FAST_UNICYCLE = """\
 [model]
@@ -186,7 +187,7 @@ def test_open_loop_stage_table_reports_the_filtered_estimate(tmp_path):
     u = np.array(json.loads((out / "solve_open_loop.json").read_text())["u_nom"])
     lin = linearize_trajectory(model, nominal_rollout(model, x0, u))
     gains, _ = kalman_recursion(lin, P0)
-    aug = propagate_covariance(lin, Policy.open_loop(u, model.n_x), gains, P0)
+    aug = propagate_covariance(lin, open_loop_policy(u, model.n_x), gains, P0)
     assert not np.allclose(aug.P_hat[1:], aug.P[1:])
     rows = _read_rows(out / "solve_open_loop_stages.csv")
     assert len(rows) == model.horizon + 1

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualmpc import ConfigError, load_config
+from dualmpc import MODES, ConfigError, SolveOptions, load_config
 from dualmpc.cli import main
 from dualmpc.config import _SCHEMA
 
@@ -71,6 +71,9 @@ def test_minimal_unicycle_defaults(tmp_path):
     assert cfg.solver_options.mode == "output_feedback"
     assert cfg.sim_config.steps == 20 and cfg.sim_config.master_seed == 0
     assert cfg.output_dir == "results"
+    # keys left out take the defaults of the dataclasses that receive them
+    assert cfg.solver_options == cfg.sim_solver_options == SolveOptions()
+    assert cfg.controllers == MODES
     np.testing.assert_allclose(cfg.sim_config.init_mean, [1.0, 0.5, 3.0])
     np.testing.assert_allclose(cfg.sim_config.init_cov, 0.01 * np.eye(3))
 
@@ -241,10 +244,16 @@ def test_bad_solver_setting_is_a_config_error(tmp_path, capsys, extra, message):
     ("[solver]\neps_sigma = abc\n", "eps_sigma is not a number: 'abc'"),
     ("[solver]\nmax_iterations = 2.5\n", "max_iterations is not an integer: '2.5'"),
     ("runs = many\n", "runs is not an integer: 'many'"),
+    ("[model]\nrk4_substeps = 2.5\n", "rk4_substeps is not an integer: '2.5'"),
+    ("controllers = nominal pid\n",
+     "unknown controller 'pid'; pick from ['nominal', 'open_loop', 'output_feedback']"),
+    # a key the unicycle model does not read is checked all the same
+    ("[model]\ndynamics_matrix = 1 x\n", "dynamics_matrix is not a list of numbers: '1 x'"),
 ])
 def test_malformed_value_is_reported_once(tmp_path, capsys, extra, message):
     """A value that does not parse is reported once, at its own line, and
-    not wrapped again by the block that uses it."""
+    not wrapped again by the block that uses it, in every key of the
+    schema."""
     path = _write(tmp_path, MINIMAL_UNICYCLE + extra)
     line = len((MINIMAL_UNICYCLE + extra).splitlines())
     assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2

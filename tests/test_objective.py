@@ -27,7 +27,7 @@ from dualmpc import objective
 from dualmpc.objective import _trace_sum
 
 from conftest import one_stage_terminal_problem, record_fields, standard_unicycle_params, random_spd
-from oracles import expected_quadratic, fd_gradient, penalty_total
+from oracles import expected_quadratic, fd_gradient, open_loop_policy, penalty_total
 
 
 # ---------------------------------------------------------------- expected_relu
@@ -188,7 +188,7 @@ def test_zero_uncertainty_collapses_to_deterministic_objective():
     prob = make_unicycle_problem(params)
     rng = np.random.default_rng(5)
     u = rng.uniform(-1, 1, size=(5, 2))
-    pol = Policy.open_loop(u, n_x=3)
+    pol = open_loop_policy(u, n_x=3)
     x0 = np.array([1.0, 0.5, np.pi])
     full = total_objective(prob, x0, np.zeros((3, 3)), pol, eps_K=0.0)
     nominal_only = total_objective(
@@ -349,6 +349,33 @@ def test_batch_rows_evaluate_as_alone(case, uncertainty):
         for got, one, expected in zip(record_fields(row), record_fields(one_row.take(0)), record_fields(alone),
                                       strict=True):
             assert np.array_equal(got, expected) and np.array_equal(one, expected)
+        for got, expected in zip(ev.gradient(row), ev.gradient(alone)):
+            assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("mode", ["nominal", "open_loop", "output_feedback"])
+@pytest.mark.parametrize("case", [0, 1])
+def test_stacked_beliefs_evaluate_as_alone(case, mode):
+    """An evaluator over 4 stacked beliefs (x0, P_hat_0), each P_hat_0
+    slightly asymmetric, scores row i as the evaluator of belief i alone
+    does, bit for bit: its total, its forward record and the gradient read
+    from that record."""
+    prob, x0, P0, u0 = _assembly_cases()[case]
+    n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
+    rng = np.random.default_rng(57)
+    x0s = x0 + 0.05 * rng.normal(size=(4, n_x))
+    P0s = np.array([P0 + random_spd(rng, n_x, 1e-3) + 1e-4 * rng.normal(size=(n_x, n_x)) for _ in range(4)])
+    u = u0 + 0.1 * rng.normal(size=(4,) + u0.shape)
+    scale = 0.2 if mode == "output_feedback" else 0.0
+    fb = scale * rng.normal(size=(4, N - 1, n_u, n_x))
+    totals, record = ObjectiveEvaluator(prob, x0s, P0s, mode=mode).totals(u, fb)
+    for i in range(4):
+        ev = ObjectiveEvaluator(prob, x0s[i], P0s[i], mode=mode)
+        alone_total, alone = ev.totals(u[i], fb[i])
+        row = record.take(i)
+        assert totals[i] == alone_total
+        for got, expected in zip(record_fields(row), record_fields(alone), strict=True):
+            assert np.array_equal(got, expected)
         for got, expected in zip(ev.gradient(row), ev.gradient(alone)):
             assert np.array_equal(got, expected)
 

@@ -24,6 +24,7 @@ from dualmpc.uncertainty import RolloutError
 from dualmpc.ocp_solver import _FD_STEP, _armijo_search, _gradient, _stencil, _Variables
 
 from conftest import one_stage_terminal_problem, record_fields, standard_unicycle_params
+from oracles import open_loop_policy
 
 
 # ------------------------------------------------------------- slack elimination
@@ -155,7 +156,7 @@ def test_open_loop_mode_pins_feedback_to_zero():
     P0 = 1e-4 * np.eye(3)
     res = solve(prob, x0, P0, SolveOptions(mode="open_loop"))
     assert np.all(res.policy.feedback == 0.0)
-    replayed = total_objective(prob, x0, P0, Policy.open_loop(res.policy.u_nom, 3))
+    replayed = total_objective(prob, x0, P0, open_loop_policy(res.policy.u_nom, 3))
     assert res.objective.total == pytest.approx(replayed.total, rel=1e-12)
 
 
@@ -165,7 +166,7 @@ def test_objective_nonincreasing_with_iteration_budget():
     prob = make_unicycle_problem(standard_unicycle_params(horizon=4))
     x0 = np.array([1.0, 0.5, np.pi])
     P0 = 1e-4 * np.eye(3)
-    cold = total_objective(prob, x0, P0, Policy.open_loop(np.zeros((4, 2)), 3)).total
+    cold = total_objective(prob, x0, P0, open_loop_policy(np.zeros((4, 2)), 3)).total
     totals = [
         solve(prob, x0, P0, SolveOptions(mode="open_loop", max_iterations=m)).objective.total
         for m in (1, 3, 7, 15)

@@ -12,8 +12,16 @@ from dualmpc import (
     make_linear_problem,
     make_unicycle_problem,
 )
+from dualmpc import simulator
 from dualmpc.controllers import RecedingHorizonController
-from dualmpc.uncertainty import LinearizationError, linearize_trajectory, nominal_rollout
+from dualmpc.estimation import ekf_step
+from dualmpc.uncertainty import (
+    LinearizationError,
+    RolloutError,
+    SingularInnovationError,
+    linearize_trajectory,
+    nominal_rollout,
+)
 from dualmpc.simulator import (
     SimConfig,
     noise_stream,
@@ -223,6 +231,39 @@ def test_non_finite_control_flags_the_run_not_the_batch():
     assert summary.diverged_runs == 1
     assert bad.diverged and np.isfinite(bad.states[0]).all() and np.isnan(bad.states[1:]).all()
     assert not good.diverged and np.isfinite(good.states).all()
+
+
+@pytest.mark.parametrize("error", [RolloutError, SingularInnovationError])
+def test_filter_failure_flags_the_run_not_the_batch(monkeypatch, error):
+    """A filter step that raises at step 2 of run 1 flags that run diverged
+    from that step on, NaN-padded, and runs 0 and 2 of the batch keep the
+    records they have alone, bit for bit."""
+    prob = _with_state_bound(_drift_problem(noise=0.1), bound=1.2)
+    cfg = SimConfig(init_mean=[1.0, 0.0], init_cov=0.1 * np.eye(2), steps=5, runs=3, master_seed=3)
+    alone = {i: simulate_run(prob, _ScriptedController([0.1]), cfg, i) for i in (0, 2)}
+    failing_steps = iter(range(cfg.steps))
+
+    def failing_ekf_step(model, belief, u, y):
+        if u[0] == 0.3 and next(failing_steps) == 2:  # run 1's controller, at step 2
+            raise error("injected")
+        return ekf_step(model, belief, u, y)
+
+    monkeypatch.setattr(simulator, "ekf_step", failing_ekf_step)
+    controllers = iter([_ScriptedController([0.1]), _ScriptedController([0.3]), _ScriptedController([0.1])])
+    summary, records = run_batch(prob, lambda: next(controllers), cfg, "scripted")
+    assert summary.diverged_runs == 1
+    bad = records[1]
+    assert bad.diverged and bad.solver_statuses == ["scripted"] * 2
+    assert np.isfinite(bad.states[:3]).all() and np.isnan(bad.states[3:]).all()
+    assert np.isfinite(bad.belief_covs[:3]).all() and np.isnan(bad.belief_covs[3:]).all()
+    assert np.isfinite(bad.controls[:2]).all() and np.isnan(bad.controls[2:]).all()
+    assert np.isfinite(bad.stage_costs[:2]).all() and np.isnan(bad.stage_costs[2:]).all()
+    for i, expected in alone.items():
+        got = records[i]
+        assert not got.diverged and got.solver_statuses == expected.solver_statuses
+        for name in ("states", "belief_means", "belief_covs", "controls", "stage_costs", "constraint_values",
+                     "violation_flags"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
 
 
 # ----------------------------------------------------------------- batch runs

@@ -28,7 +28,7 @@ from dualmpc.uncertainty import (
 )
 
 from conftest import standard_unicycle_params, random_spd
-from oracles import chol_solve_spd, fd_jacobian, luenberger_covariance
+from oracles import chol_solve_spd, fd_jacobian, luenberger_covariance, open_loop_policy
 
 
 def scalar_lin(A=1.0, G=1.0, C=1.0, D=1.0, N=1):
@@ -383,7 +383,7 @@ def test_propagation_open_loop_block_and_khat_independence():
     lin = scalar_lin(A=0.9, G=0.5, C=1.0, D=0.7, N=6)
     P0 = np.array([[0.3]])
     gains, _ = kalman_recursion(lin, P0)
-    pol = Policy.open_loop(np.zeros((6, 1)), n_x=1)
+    pol = open_loop_policy(np.zeros((6, 1)), n_x=1)
     aug = propagate_covariance(lin, pol, gains, P0)
     # P block follows the open-loop recursion when K = 0
     P = P0[0, 0]
@@ -404,7 +404,7 @@ def test_propagation_open_loop_block_khat_independence_unicycle(unicycle_problem
     lin = linearize_trajectory(model, nominal_rollout(model, np.array([0.05, 0.8, np.pi]), u))
     P0 = 0.01 * np.eye(3)
     gains, _ = kalman_recursion(lin, P0)
-    pol = Policy.open_loop(u, n_x=3)
+    pol = open_loop_policy(u, n_x=3)
     filtered = propagate_covariance(lin, pol, gains, P0)
     free = propagate_covariance(lin, pol, np.broadcast_to(0.0, gains.shape), P0)
     assert np.array_equal(free.P, filtered.P)
@@ -416,7 +416,7 @@ def test_estimation_block_independent_of_feedback():
     lin = scalar_lin(A=1.1, G=0.4, C=1.0, D=0.5, N=5)
     P0 = np.array([[0.2]])
     gains, _ = kalman_recursion(lin, P0)
-    base = propagate_covariance(lin, Policy.open_loop(np.zeros((5, 1)), 1), gains, P0)
+    base = propagate_covariance(lin, open_loop_policy(np.zeros((5, 1)), 1), gains, P0)
     for _ in range(10):
         fb = rng.normal(size=(4, 1, 1))
         aug = propagate_covariance(lin, Policy(u_nom=np.zeros((5, 1)), feedback=fb), gains, P0)
