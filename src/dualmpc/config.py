@@ -225,15 +225,15 @@ def _parse_lines(path: Path, text: str) -> dict[str, _Section]:
 def _build_unicycle(path: Path, model: _Section) -> ControlProblem:
     model.require(("dt_s", "u_max", "process_noise_std", "measurement_noise_std"))
     values = model.values
-    p_std, m_std = values["process_noise_std"], values["measurement_noise_std"]
-    if p_std.size not in (1, 3) or m_std.size not in (1, 3):
-        raise ConfigError(f"{path}: unicycle noise stds need 1 or 3 entries")
+    for key in ("process_noise_std", "measurement_noise_std"):
+        if values[key].size not in (1, 3):
+            model.fail(key, f"{key} needs 1 or 3 entries for the unicycle")
     try:
         params = UnicycleParams(
             dt=values["dt_s"],
             horizon=values["horizon_steps"],
-            process_noise_cov=np.diag(np.broadcast_to(p_std, 3) ** 2),
-            measurement_noise_cov=np.diag(np.broadcast_to(m_std, 3) ** 2),
+            process_noise_cov=np.diag(np.broadcast_to(values["process_noise_std"], 3) ** 2),
+            measurement_noise_cov=np.diag(np.broadcast_to(values["measurement_noise_std"], 3) ** 2),
             u_max=np.full(2, values["u_max"]),
             smoothing_eps=values.get("smoothing_eps", 1e-2),
             **_present(model, "control_weight", "violation_weight", substeps="rk4_substeps"),
@@ -253,13 +253,13 @@ def _build_linear(path: Path, model: _Section) -> ControlProblem:
     a_flat = values["dynamics_matrix"]
     n_x = math.isqrt(a_flat.size)
     if n_x * n_x != a_flat.size:
-        raise ConfigError(f"{path}: dynamics_matrix must be square (got {a_flat.size} entries)")
+        model.fail("dynamics_matrix", f"dynamics_matrix must be square (got {a_flat.size} entries)")
     A = a_flat.reshape(n_x, n_x)
     B = model.matrix("input_matrix", n_x, "state")
     G = model.matrix("process_noise_matrix", n_x, "state")
     C_flat = values["output_matrix"]
     if C_flat.size % n_x:
-        raise ConfigError(f"{path}: output_matrix needs a multiple of {n_x} entries")
+        model.fail("output_matrix", f"output_matrix needs a multiple of {n_x} entries")
     C = C_flat.reshape(-1, n_x)
     D = model.matrix("measurement_noise_matrix", C.shape[0], "output")
     q = values["state_cost_diag"]
@@ -314,7 +314,7 @@ def load_config(path) -> ExperimentConfig:
             f"{path}: init_mean/init_cov_diag must have {problem.model.n_x} entries"
         )
     if np.any(init_cov_diag < 0.0):
-        raise ConfigError(f"{path}: init_cov_diag must be nonnegative")
+        sim.fail("init_cov_diag", "init_cov_diag must be nonnegative")
     try:
         sim_config = SimConfig(
             init_mean=init_mean, init_cov=np.diag(init_cov_diag),

@@ -51,23 +51,21 @@ class RecedingHorizonController:
     """Stateful wrapper: solve at each belief, apply the first control.
 
     A non-converged solve is not fatal — the best iterate found is applied
-    and the step is flagged in the diagnostics log.
+    and the step's diagnostics flag it.
     """
 
     def __init__(self, problem: ControlProblem, options: SolveOptions | None = None):
         self.problem = problem
         self.options = options or SolveOptions()
         self.last_result: SolveResult | None = None
-        self.diagnostics: list[StepDiagnostics] = []
 
     @property
     def mode(self) -> str:
         return self.options.mode
 
     def reset(self) -> None:
-        """Drop warm-start state and the diagnostics log."""
+        """Drop warm-start state."""
         self.last_result = None
-        self.diagnostics = []
 
     def step(self, belief: BeliefState) -> tuple[np.ndarray, StepDiagnostics]:
         warm = None
@@ -75,12 +73,10 @@ class RecedingHorizonController:
             warm = shift_warm_start(self.last_result.policy)
         result = solve(self.problem, belief.mean, belief.cov, self.options, warm_start=warm)
         self.last_result = result
-        diag = StepDiagnostics(
+        return result.policy.u_nom[0].copy(), StepDiagnostics(
             status=result.status,
             iterations=result.iterations,
             objective_total=result.objective.total,
             stationarity=result.stationarity,
             warm_started=warm is not None,
         )
-        self.diagnostics.append(diag)
-        return result.policy.u_nom[0].copy(), diag

@@ -15,11 +15,14 @@ that reads the accepted line-search trial's row of the batch's forward
 record: its prediction, covariances, floored variances and slopes.  So
 each iteration runs the pipeline forward once per line-search chunk, and
 the sweep runs none of it again.  Central differences survive only for the
-per-coordinate curvature that seeds or reseeds the quasi-Newton metric:
+per-coordinate curvature that seeds the quasi-Newton metric (_seed):
 control rows through the whole pipeline, gain rows at the point's
-prediction (the gains leave the prediction untouched).  At the initial
-point the control rows ride in one batch with it.  The final objective
-breakdown reads the last accepted trial's record too.
+prediction (the gains leave the prediction untouched).  The metric is
+seeded at the initial point, whose control rows ride in one batch with it,
+and reseeded at the current iterate after a failed quasi-Newton search
+(before the steepest-descent retry) and after three skipped updates in a
+row.  The final objective breakdown reads the last accepted trial's record
+too.
 
 Only output_feedback runs the Kalman filter: with zero feedback gains the
 objective and its control gradient are the same bits without it (see
@@ -38,12 +41,13 @@ dominates: 12 rows cost about 1.15-1.2 times one (break-even 84-88%), the
 full step passes in 82% of such searches, and every chunk holds 12 trials.
 Either way the accepted trial is the first passing step of the same
 sequence, because every row of a batch evaluates exactly as it does alone.
+A chunk that fails as a whole is scored trial by trial, up to the first
+trial that passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -165,30 +169,38 @@ def _gradient(ev: ObjectiveEvaluator, var: _Variables, record: Evaluation) -> Ar
     return var.pack(Policy(*ev.gradient(record)))
 
 
-def _curvature(ev: ObjectiveEvaluator, var: _Variables, theta: Array, f: float, center: Evaluation,
-               fd_u: Array | None = None) -> Array:
-    """Per-coordinate curvature at theta for the metric seed: central second
-    differences around f, the objective at theta.
+def _seed(ev: ObjectiveEvaluator, var: _Variables, theta: Array,
+          at: tuple[float, Evaluation] | None = None) -> tuple[float, Evaluation, Array]:
+    """The objective f at theta, theta's unbatched forward record, and the
+    per-coordinate curvature there that seeds the quasi-Newton metric:
+    central second differences around f.
 
-    The control rows run through the whole pipeline; ``fd_u`` holds their
-    totals when they were already evaluated.  The gain rows run through
-    ``parts_from_prediction`` at the prediction of ``center``, theta's
-    forward record.  Control rows that fail to evaluate give infinite
-    curvature, so the seed falls back to scaled steepest descent (see
-    _diag_metric).
+    The control rows of the stencil run through the whole pipeline in one
+    ``totals`` batch, with theta in front unless ``at`` already holds f and
+    theta's record (the reseeds).  If that batch fails, every control row
+    gets infinite curvature, which makes the seed scaled steepest descent
+    (see _diag_metric), and theta, if it was in the batch, is evaluated
+    alone, so a theta that fails raises its error.  The gain rows run
+    through ``parts_from_prediction`` at theta's prediction.
     """
     rows, h = _stencil(theta, _FD_STEP, slice(0, var.n_u_vars))
-    if fd_u is None:
-        try:
-            fd_u = ev.totals(*var.unpack_batch(rows))[0]
-        except _TRIAL_ERRORS:
-            fd_u = np.full(rows.shape[0], np.inf)
-    curv = _second_differences(fd_u, f, h)
-    if not var.n_k_vars:
-        return curv
-    rows, h = _stencil(theta, _FD_STEP, slice(var.n_u_vars, None))
-    parts = ev.parts_from_prediction(center.prediction, var.unpack_batch(rows)[1])
-    return np.concatenate([curv, _second_differences(parts[0] + parts[1] + parts[2] + parts[3], f, h)])
+    batch = rows if at is not None else np.concatenate([theta[None], rows])
+    try:
+        totals, record = ev.totals(*var.unpack_batch(batch))
+    except _TRIAL_ERRORS:
+        totals = np.full(batch.shape[0], np.inf)
+        if at is None:
+            theta_total, record = ev.totals(*var.unpack_batch(theta[None]))
+            totals[0] = theta_total[0]
+    if at is None:
+        at, totals = (float(totals[0]), record.take(0)), totals[1:]
+    f, center = at
+    curv = _second_differences(totals, f, h)
+    if var.n_k_vars:
+        rows, h = _stencil(theta, _FD_STEP, slice(var.n_u_vars, None))
+        parts = ev.parts_from_prediction(center.prediction, var.unpack_batch(rows)[1])
+        curv = np.concatenate([curv, _second_differences(parts[0] + parts[1] + parts[2] + parts[3], f, h)])
+    return f, center, curv
 
 
 def _diag_metric(curv: Array, gnorm: float) -> Array:
@@ -218,34 +230,33 @@ _LS_CHUNK = 12
 _TRIAL_ERRORS = (RolloutError, LinearizationError, SingularInnovationError, ModelError)
 
 
-def _evaluate_trials(ev: ObjectiveEvaluator, var: _Variables,
-                     trials: Array) -> tuple[Array, Callable[[int], Evaluation]]:
-    """Objective totals at trial points from one ``totals`` batch, and a
-    function that returns the unbatched forward record of trial i.  If the
-    batch fails, each trial is re-evaluated on its own, and a trial that
-    fails alone scores +inf, so backtracking rejects it; asking for its
-    record raises its error."""
+def _first_passing(ev: ObjectiveEvaluator, var: _Variables, trials: Array, f: float,
+                   decreases: Array) -> tuple[int, float, Evaluation] | None:
+    """The first trial of a chunk that passes the Armijo test, as (index,
+    objective, unbatched forward record), or None.  The chunk is one
+    ``totals`` batch.  If that batch fails, the trials are scored one at a
+    time up to the first that passes, and a trial that fails alone is
+    rejected."""
+
+    def passes(total, decrease):
+        return (decrease < 0.0) & (total <= f + _ARMIJO_C * decrease)
+
     try:
         totals, record = ev.totals(*var.unpack_batch(trials))
-        return totals, record.take
     except _TRIAL_ERRORS:
-        pass
-    totals = np.full(trials.shape[0], np.inf)
-    outcomes = []
-    for i, trial in enumerate(trials):
-        try:
-            row, record = ev.totals(*var.unpack_batch(trial[None]))
-            totals[i] = row[0]
-            outcomes.append(record)
-        except _TRIAL_ERRORS as err:
-            outcomes.append(err)
-
-    def record_of(i: int) -> Evaluation:
-        if isinstance(outcomes[i], Exception):
-            raise outcomes[i]
-        return outcomes[i].take(0)
-
-    return totals, record_of
+        for i, trial in enumerate(trials):
+            try:
+                total, record = ev.totals(*var.unpack_batch(trial[None]))
+            except _TRIAL_ERRORS:
+                continue
+            if passes(total[0], decreases[i]):
+                return i, float(total[0]), record.take(0)
+        return None
+    ok = passes(totals, decreases)
+    if not np.any(ok):
+        return None
+    idx = int(np.argmax(ok))  # first True = largest passing step
+    return idx, float(totals[idx]), record.take(idx)
 
 
 def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direction: Array,
@@ -258,8 +269,8 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direct
     alone when ``full_step_first`` is set (see the module docstring for when
     that pays).  The first (largest) passing step is returned, so the result
     is identical to sequential backtracking whatever the chunks.  A chunk
-    that fails as a whole is re-scored trial by trial, and its failing
-    trials are rejected (see _evaluate_trials).
+    that fails as a whole is re-scored trial by trial up to the first trial
+    that passes, and the trials that fail are rejected (see _first_passing).
 
     Returns (trial, f_trial, index, accepted): index is the accepted trial's
     position in the step-size sequence, -1 if none passed (theta and f come
@@ -276,17 +287,14 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direct
         decreases = (trials - theta) @ g
         if not np.any(decreases < 0.0):
             continue
-        totals, record_of = _evaluate_trials(ev, var, trials)
-        ok = (decreases < 0.0) & (totals <= f + _ARMIJO_C * decreases)
-        if np.any(ok):
-            idx = int(np.argmax(ok))  # first True = largest passing step
-            trial, f_trial = trials[idx], float(totals[idx])
-            center = record_of(idx)
+        passing = _first_passing(ev, var, trials, f, decreases)
+        if passing is not None:
+            idx, f_trial, center = passing
             try:
                 g_trial = _gradient(ev, var, center)
             except _TRIAL_ERRORS:  # the sweep perturbs the model across a failure boundary
-                return trial, f_trial, start + idx, None
-            return trial, f_trial, start + idx, (g_trial, center)
+                return trials[idx], f_trial, start + idx, None
+            return trials[idx], f_trial, start + idx, (g_trial, center)
     return theta, f, -1, None
 
 
@@ -351,35 +359,22 @@ def solve(
     var = _Variables(problem, opts.mode)
     ev = ObjectiveEvaluator(problem, x0, P_hat_0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K, mode=opts.mode)
 
-    if warm_start is not None:
-        theta0 = var.pack(warm_start)
-    else:
-        theta0 = np.zeros(var.size)
-    theta = var.project(theta0)
-
-    # The control rows of the curvature stencil ride in one batch with theta.
-    # A stencil row that fails scores +inf (infinite curvature, so the seed
-    # falls back to steepest descent); a failing theta raises its error.
-    stencil, _ = _stencil(theta, _FD_STEP, slice(0, var.n_u_vars))
-    totals0, record_of = _evaluate_trials(ev, var, np.concatenate([theta[None], stencil]))
-    center = record_of(0)
-    del record_of
-    f = float(totals0[0])
+    theta = var.project(var.pack(warm_start) if warm_start is not None else np.zeros(var.size))
+    f, center, curv = _seed(ev, var, theta)
     g = _gradient(ev, var, center)
     full_step_first = False
     curvature_skips = 0
     status = "max_iter"
     iterations = 0
     gnorm = max(float(np.linalg.norm(g)), 1e-12)
-    curv = _curvature(ev, var, theta, f, center, totals0[1:])
     H = _diag_metric(curv, gnorm)
     # With no usable curvature the seed is just scaled steepest descent; in that
     # case calibrate the metric from the first accepted step instead.
     first_step_pending = float(np.max(np.abs(curv), initial=0.0)) <= 0.0
     stationarity = _projected_gradient_norm(theta, g, var)
 
-    # center is always the current iterate's forward record, where the metric
-    # reseeds measure their curvature.  With H positive definite, d is a
+    # center is always the current iterate's forward record, which the metric
+    # reseeds and the final breakdown read.  With H positive definite, d is a
     # descent direction whenever the masked gradient is nonzero.
     for it in range(opts.max_iterations):
         if stationarity <= opts.tolerance:
@@ -393,7 +388,7 @@ def solve(
 
         trial, f_trial, index, accepted = _armijo_search(ev, var, theta, f, g, d, full_step_first)
         if index < 0:  # quasi-Newton direction failed: reseed, try steepest descent
-            H = _diag_metric(_curvature(ev, var, theta, f, center), gnorm)
+            H = _diag_metric(_seed(ev, var, theta, (f, center))[2], gnorm)
             trial, f_trial, index, accepted = _armijo_search(ev, var, theta, f, g, -g_masked / gnorm)
         if accepted is None:  # no acceptable step, or no gradient at it
             status = "line_search_failure"
@@ -415,7 +410,7 @@ def solve(
         else:
             curvature_skips += 1
             if curvature_skips >= _CURVATURE_SKIP_LIMIT:
-                H = _diag_metric(_curvature(ev, var, theta, f, center), gnorm)
+                H = _diag_metric(_seed(ev, var, theta, (f, center))[2], gnorm)
                 curvature_skips = 0
         stationarity = _projected_gradient_norm(theta, g, var)
 

@@ -150,16 +150,29 @@ def test_negative_init_cov_is_rejected(tmp_path):
     text = MINIMAL_UNICYCLE.replace(
         "init_cov_diag = 0.01 0.01 0.01", "init_cov_diag = 0.01 -0.01 0.01"
     )
-    with pytest.raises(ConfigError, match=r"init_cov_diag must be nonnegative"):
-        load_config(_write(tmp_path, text))
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:11: init_cov_diag must be nonnegative$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key, line", [("process_noise_std", 6), ("measurement_noise_std", 7)])
+def test_unicycle_noise_std_count_error_names_its_key(tmp_path, key, line):
+    path = _write(tmp_path, re.sub(rf"{key} = .*", f"{key} = 0.01 0.01", MINIMAL_UNICYCLE))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:{line}: {key} needs 1 or 3 entries"):
+        load_config(path)
 
 
 def test_linear_matrix_shape_errors(tmp_path):
     text = LINEAR.replace(
         "dynamics_matrix = 1.0 0.1 0.0 1.0", "dynamics_matrix = 1.0 0.1 0.0"
     )
-    with pytest.raises(ConfigError, match=r"dynamics_matrix must be square"):
-        load_config(_write(tmp_path, text))
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:4: dynamics_matrix must be square"):
+        load_config(path)
+    text = LINEAR.replace("output_matrix = 1.0 0.0 0.0 1.0", "output_matrix = 1.0 0.0 0.0")
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:7: output_matrix needs a multiple of 2 entries$"):
+        load_config(path)
     text = LINEAR.replace("control_cost_diag = 0.4", "control_cost_diag = 0.4 0.7")
     with pytest.raises(ConfigError, match=r"cost diagonals do not match"):
         load_config(_write(tmp_path, text))

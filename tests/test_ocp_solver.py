@@ -236,10 +236,10 @@ _SEARCH_CASES = [(mode, False) for mode in ocp_solver.MODES] + [(mode, True) for
 def test_fused_line_search_gradient_equals_fd_gradient(mode, failing_full_step):
     """The gradient that ``_armijo_search`` returns at an accepted trial, from
     the trial's row of the line-search batch's forward record, is the
-    stand-alone reverse sweep at that trial, bit for bit; so are the trial's
-    record and the curvature computed there.  Evaluating the full step alone
-    first gives the same trial, value, index, gradient and curvature as
-    12-trial chunks.  Checked at an accepted full step and at a backtracked
+    stand-alone reverse sweep at that trial, bit for bit; so is the trial's
+    record, and a metric seed at the trial evaluates to the trial's value and
+    record.  Evaluating the full step alone first gives the same trial,
+    value, index and gradient as 12-trial chunks.  Checked at an accepted full step and at a backtracked
     one, and on a problem whose full step fails to evaluate."""
     if failing_full_step:
         prob, x0, P0 = _nan_above_half_problem(), np.array([-3.0]), 0.01 * np.eye(1)
@@ -276,8 +276,10 @@ def test_fused_line_search_gradient_equals_fd_gradient(mode, failing_full_step):
         (trial, f_trial, index, accepted), (trial_1, f_trial_1, index_1, accepted_1) = results
         assert np.array_equal(trial, trial_1) and f_trial == f_trial_1 and index == index_1
         assert np.array_equal(accepted[0], accepted_1[0])
-        assert np.array_equal(ocp_solver._curvature(ev, var, trial, f_trial, accepted[1]),
-                              ocp_solver._curvature(ev, var, trial_1, f_trial_1, accepted_1[1]))
+        f_seed, center_seed, _ = ocp_solver._seed(ev, var, trial)
+        assert f_seed == f_trial
+        for got, expected in zip(record_fields(center_seed), record_fields(accepted[1]), strict=True):
+            assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("mode", ocp_solver.MODES)
@@ -344,6 +346,8 @@ def test_metric_reseed_after_first_iteration_uses_fd_curvature(monkeypatch):
     fd = np.concatenate([totals[1:], parts[0] + parts[1] + parts[2] + parts[3]])
     h = np.concatenate([h_u, h_k])
     assert np.array_equal(curv, (fd[0::2] - 2.0 * f + fd[1::2]) / h**2)
+    f_seed, _, curv_seed = ocp_solver._seed(ev, var, theta)
+    assert f_seed == f and np.array_equal(curv_seed, curv)
 
 
 def _shipped_config():
@@ -374,7 +378,8 @@ def test_shipped_solve_line_search_rows(monkeypatch):
     the output_feedback gain curvature, never in the gradient sweep or the
     final breakdown, and not at all without uncertainty.  Only
     output_feedback runs the filter: the Kalman recursion once per
-    ``totals`` batch and its adjoint once per gradient sweep."""
+    ``totals`` batch and its adjoint once per gradient sweep.  No search
+    fails, so the metric is seeded once per solve and never reseeded."""
     config = _shipped_config()
     rows, calls = [], {}
     totals = ObjectiveEvaluator.totals
@@ -393,12 +398,14 @@ def test_shipped_solve_line_search_rows(monkeypatch):
     monkeypatch.setattr(ObjectiveEvaluator, "totals", counted)
     for name in ("propagate_covariance", "kalman_recursion", "kalman_adjoint"):
         monkeypatch.setattr(objective, name, counting(name, getattr(objective, name)))
+    monkeypatch.setattr(ocp_solver, "_diag_metric", counting("_diag_metric", ocp_solver._diag_metric))
     for mode in ("open_loop", "nominal", "output_feedback"):
         rows.clear()
-        calls.update(propagate_covariance=0, kalman_recursion=0, kalman_adjoint=0)
+        calls.update(propagate_covariance=0, kalman_recursion=0, kalman_adjoint=0, _diag_metric=0)
         res = solve(config.problem, config.sim_config.init_mean, config.sim_config.init_cov,
                     replace(config.solver_options, mode=mode))
         assert res.iterations > 0
+        assert calls.pop("_diag_metric") == 1
         if mode == "open_loop":
             assert sum(rows) <= 4 * res.iterations
             assert calls == dict(propagate_covariance=len(rows), kalman_recursion=0, kalman_adjoint=0)
@@ -435,6 +442,50 @@ def test_failed_steepest_descent_search_skips_the_metric_reseed(monkeypatch):
     assert res.iterations == 1
     assert np.array_equal(res.policy.u_nom, warm.u_nom)
     assert np.array_equal(res.policy.feedback, warm.feedback)
+
+
+def test_three_skipped_updates_reseed_the_metric(monkeypatch):
+    """The damped BFGS update skips pairs without usable curvature.  After
+    three skips in a row the metric is reseeded at the current iterate; every
+    seed after the initial one follows either that or a failed search.  This
+    horizon-5 solve reaches the skip-limit reseed once and converges; with a
+    metric left frozen by the skips it skipped 68 updates and ran out of its
+    200 iterations."""
+    prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
+    x0, P0 = np.array([0.8, 0.9, 3.0]), 1e-4 * np.eye(3)
+    events = []
+    search, seed, update = ocp_solver._armijo_search, ocp_solver._diag_metric, ocp_solver._bfgs_update
+
+    def recorded_search(*args):
+        result = search(*args)
+        events.append(("search", result[2] >= 0))
+        return result
+
+    def recorded_seed(curv, gnorm):
+        events.append(("seed", None))
+        return seed(curv, gnorm)
+
+    def recorded_update(H, s, y):
+        result = update(H, s, y)
+        events.append(("update", result[1]))
+        return result
+
+    monkeypatch.setattr(ocp_solver, "_armijo_search", recorded_search)
+    monkeypatch.setattr(ocp_solver, "_diag_metric", recorded_seed)
+    monkeypatch.setattr(ocp_solver, "_bfgs_update", recorded_update)
+    res = solve(prob, x0, P0, SolveOptions(mode="output_feedback", max_iterations=200))
+    assert res.status == "converged"
+    assert events[0] == ("seed", None)
+    skip_reseeds = 0
+    for i, event in enumerate(events[1:], start=1):
+        if event[0] != "seed":
+            continue
+        if events[i - 1] == ("search", False):
+            continue
+        updates = [updated for kind, updated in events[:i] if kind == "update"]
+        assert updates[-3:] == [False] * 3 and events[i - 1][0] == "update"
+        skip_reseeds += 1
+    assert skip_reseeds == 1
 
 
 def test_stencil_rows_run_only_for_metric_seeds(monkeypatch):
@@ -486,14 +537,49 @@ def _nan_above_half_problem(jacobian_too=False):
 
 def test_failing_trial_is_rejected_not_fatal():
     """The first full step crosses the NaN threshold, so the first
-    line-search batch fails as a whole; its trials are re-scored one by one
-    and the failing ones rejected."""
+    line-search batch fails as a whole; its trials are re-scored one by one,
+    up to the first that passes, and the failing ones rejected."""
     problem = _nan_above_half_problem()
     for mode in ("nominal", "open_loop"):
         res = solve(problem, np.array([-3.0]), 0.01 * np.eye(1), SolveOptions(mode=mode, max_iterations=3))
         assert res.iterations > 0
         assert np.isfinite(res.objective.total)
         assert np.all(res.policy.u_nom <= 0.5)
+
+
+@pytest.mark.parametrize("mode, total", [("nominal", 12.010898156715514), ("open_loop", 12.060898156715515)])
+def test_failed_chunk_is_scored_up_to_the_first_passing_trial(monkeypatch, mode, total):
+    """Next to the NaN threshold whole line-search chunks fail.  Each trial
+    of such a chunk is then scored alone, and scoring stops at the first
+    that passes: no trial after the accepted one is evaluated, so a
+    successful search ends with the ``totals`` call that holds its
+    accepted trial."""
+    problem = _nan_above_half_problem()
+    calls, totals, search = [], ObjectiveEvaluator.totals, ocp_solver._armijo_search
+
+    def recorded_totals(self, u_nom, feedback):
+        try:
+            out = totals(self, u_nom, feedback)
+        except RolloutError:
+            calls.append(("fail", u_nom.copy()))
+            raise
+        calls.append(("ok", u_nom.copy()))
+        return out
+
+    def checked_search(ev, var, theta, f, g, direction, full_step_first=False):
+        result = search(ev, var, theta, f, g, direction, full_step_first)
+        if result[2] >= 0:
+            outcome, u_nom = calls[-1]
+            assert outcome == "ok"
+            assert any(np.array_equal(row, var.unpack(result[0]).u_nom) for row in u_nom)
+        return result
+
+    monkeypatch.setattr(ObjectiveEvaluator, "totals", recorded_totals)
+    monkeypatch.setattr(ocp_solver, "_armijo_search", checked_search)
+    res = solve(problem, np.array([-3.0]), 0.01 * np.eye(1), SolveOptions(mode=mode, max_iterations=30))
+    assert (res.status, res.iterations, res.objective.total) == ("line_search_failure", 19, total)
+    outcomes = [outcome for outcome, _ in calls]
+    assert outcomes.count("ok") == 19 and outcomes.count("fail") == 580
 
 
 def test_stencil_crossing_failure_boundary_ends_solve_not_fatal():
@@ -517,9 +603,10 @@ def test_stencil_crossing_failure_boundary_ends_solve_not_fatal():
 def test_initial_stencil_crossing_failure_boundary_is_contained(monkeypatch):
     """A warm start just below the NaN threshold: the objective there is
     finite, but the +h curvature row of u_0 crosses 0.5 inside the first
-    batch.  That row scores +inf, so u_0 gets infinite curvature and the
-    first metric seed is steepest descent; the solve goes on.  A warm start
-    above the threshold still raises its named error."""
+    batch.  So every control coordinate gets infinite curvature, the gain
+    coordinates keep theirs, and the first metric is scaled steepest
+    descent; the solve goes on.  A warm start above the threshold still
+    raises its named error."""
     problem = _nan_above_half_problem()
     x0, P0 = np.array([-3.0]), 0.01 * np.eye(1)
     warm = Policy(u_nom=np.array([[0.5 - 1e-7], [0.0], [0.0]]), feedback=np.zeros((2, 1, 1)))
@@ -528,16 +615,23 @@ def test_initial_stencil_crossing_failure_boundary_is_contained(monkeypatch):
     seeds, seed = [], ocp_solver._diag_metric
 
     def recorded_seed(curv, gnorm):
-        seeds.append(curv.copy())
-        return seed(curv, gnorm)
+        seeds.append((curv.copy(), seed(curv, gnorm)))
+        return seeds[-1][1]
 
     monkeypatch.setattr(ocp_solver, "_diag_metric", recorded_seed)
     for mode in ocp_solver.MODES:
         seeds.clear()
-        res = solve(problem, x0, P0, SolveOptions(mode=mode, max_iterations=5), warm_start=warm)
+        opts = SolveOptions(mode=mode, max_iterations=5)
+        res = solve(problem, x0, P0, opts, warm_start=warm)
         assert np.isfinite(res.objective.total)
         assert np.all(res.policy.u_nom <= 0.5)
-        assert seeds[0][0] == np.inf and np.all(np.isfinite(seeds[0][1:]))
+        var = _Variables(problem, mode)
+        curv, metric = seeds[0]
+        assert np.all(curv[: var.n_u_vars] == np.inf) and np.all(np.isfinite(curv[var.n_u_vars :]))
+        ev = ObjectiveEvaluator(problem, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K, mode=mode)
+        theta = var.pack(warm)
+        gnorm = np.linalg.norm(_gradient(ev, var, ev.totals(*var.unpack_batch(theta[None]))[1].take(0)))
+        assert np.array_equal(metric, np.eye(var.size) / gnorm)
         bad = Policy(u_nom=np.array([[0.6], [0.0], [0.0]]), feedback=np.zeros((2, 1, 1)))
         with pytest.raises(RolloutError):
             solve(problem, x0, P0, SolveOptions(mode=mode, max_iterations=5), warm_start=bad)
