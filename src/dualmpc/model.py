@@ -9,10 +9,12 @@ vectorized.
 The model contract: the stage maps and their Jacobians are time-invariant
 (no stage index), and the Jacobians are analytic and required, so a whole
 trajectory linearizes in one call with the stage axis folded into the batch.
-Constraints follow the same contract: one row set with analytic Jacobians
-for every stage, and a per-stage weight table that says which rows apply
-where.  Costs are per-stage data: (N+1)-row tables of Hessians, gradients
-and constants, with the terminal cost as stage N at u = 0.
+Costs and constraints are data.  Costs are (N+1)-row tables of Hessians,
+gradients and constants, with the terminal cost as stage N at u = 0.
+Constraints are one set of rows affine in (x, u), a (matrix, offset) pair
+that serves every stage, and a per-stage weight table that says which rows
+apply where; under the linearization their values are then exactly
+Gaussian and their gradients one constant table.
 """
 
 from __future__ import annotations
@@ -43,9 +45,12 @@ def psd_sqrt(M: Array) -> Array:
     Cholesky when positive definite, eigendecomposition otherwise.
 
     Raises:
-        ModelError: if M has a significantly negative eigenvalue.
+        ModelError: if M has non-finite entries or a significantly negative
+            eigenvalue.
     """
     M = np.asarray(M, dtype=float)
+    if not np.isfinite(M).all():
+        raise ModelError("covariance has non-finite entries")
     if not np.any(M):
         return np.zeros_like(M)
     try:
@@ -98,6 +103,13 @@ class SystemModel:
 _PSD_TOL = -1e-10
 
 
+def _stack(x: Array, u: Array) -> Array:
+    """The points z = (x, u), with x and u broadcast to one batch shape."""
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+    return np.concatenate([np.broadcast_to(x, batch + x.shape[-1:]), np.broadcast_to(u, batch + u.shape[-1:])], axis=-1)
+
+
 @dataclass(frozen=True)
 class QuadraticCost:
     """Convex quadratic costs of stages 0..N, one table row per stage.
@@ -133,11 +145,7 @@ class QuadraticCost:
         ``k`` is a stage index, or an index array or slice that selects
         several stages along the last batch axis of ``x`` and ``u``.
         """
-        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-        batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
-        z = np.concatenate(
-            [np.broadcast_to(x, batch + x.shape[-1:]), np.broadcast_to(u, batch + u.shape[-1:])], axis=-1
-        )
+        z = _stack(x, u)
         return (
             0.5 * np.einsum("...i,...ij,...j->...", z, self.hessians[k], z)
             + np.einsum("...i,...i->...", z, self.gradients[k])
@@ -147,58 +155,66 @@ class QuadraticCost:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Penalized inequality constraints plus hard control box bounds.
+    """Penalized affine inequality constraints plus hard control box bounds.
 
-    One row set ``h(x, u) <= 0`` serves every stage 0..N; stage N is
-    evaluated at ``u = 0``, with the rows' ``u`` derivatives taken as 0.
-    The rows are softened with linear violation weights from the
-    ``(N+1, n_h)`` table ``weights``: ``weights[k, i]`` is row i's weight at
-    stage k, and 0 means the row does not apply there.  The control box is
-    additionally enforced exactly on the nominal controls by the solver.
+    One row set ``h(x, u) = matrix (x, u) + offset <= 0`` serves every stage
+    0..N; stage N is evaluated at ``u = 0``, with the rows' ``u``
+    derivatives taken as 0.  The rows are softened with linear violation
+    weights from the ``(N+1, n_h)`` table ``weights``: ``weights[k, i]`` is
+    row i's weight at stage k, and 0 means the row does not apply there.
+    The control box is additionally enforced exactly on the nominal
+    controls by the solver.
 
     Attributes:
-        fn: rows ``fn(x, u) -> (.., n_h)``, broadcast over batch dimensions.
-        jac: their analytic Jacobians ``jac(x, u) -> (.., n_h, n_x + n_u)``
-            over ``z = (x, u)``.
+        matrix: finite ``(n_h, n_x + n_u)`` table, the rows' gradients over
+            ``z = (x, u)``.
+        offset: finite ``(n_h,)`` table, the rows' values at ``z = 0``.
         weights: finite, nonnegative ``(N+1, n_h)`` weight table.
         u_lower, u_upper: control box.
     """
 
-    fn: Callable[[Array, Array], Array]
-    jac: Callable[[Array, Array], Array]
+    matrix: Array
+    offset: Array
     weights: Array
     u_lower: Array
     u_upper: Array
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
+        for name in ("matrix", "offset", "weights", "u_lower", "u_upper"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        matrix, offset, weights = self.matrix, self.offset, self.weights
+        if matrix.ndim != 2:
+            raise ModelError(f"constraint matrix must be 2-D (rows, n_x + n_u), got shape {matrix.shape}")
         if weights.ndim != 2:
             raise ModelError(f"weight table must be 2-D (stages, rows), got shape {weights.shape}")
+        if offset.shape != matrix.shape[:1] or weights.shape[1] != matrix.shape[0]:
+            raise ModelError(f"constraint offset {offset.shape} and weight table {weights.shape} "
+                             f"do not match the {matrix.shape[0]} rows of the matrix")
+        if not (np.isfinite(matrix).all() and np.isfinite(offset).all()):
+            raise ModelError("constraint matrix and offset must be finite")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
             raise ModelError("violation weights must be finite and nonnegative")
-        object.__setattr__(self, "weights", weights)
         if np.any(np.isnan(self.u_lower)) or np.any(np.isnan(self.u_upper)):
             raise ModelError("control box bounds must not be NaN")
         if np.any(self.u_lower > self.u_upper):
             raise ModelError("control box is empty (lower > upper)")
 
+    def values(self, x: Array, u: Array) -> Array:
+        """The rows ``h(x, u)`` (.., n_h), broadcast over batch dimensions.
+
+        Per-point products: a batched z @ matrix.T runs as one BLAS matrix
+        product and can differ in the last bit from the same point alone.
+        """
+        return np.einsum("ij,...j->...i", self.matrix, _stack(x, u)) + self.offset
+
     @classmethod
-    def empty(cls, n_u: int, horizon: int, u_lower=None, u_upper=None) -> "ConstraintSet":
-        lo = np.full(n_u, -np.inf) if u_lower is None else np.asarray(u_lower, dtype=float)
-        hi = np.full(n_u, np.inf) if u_upper is None else np.asarray(u_upper, dtype=float)
-
-        def fn(x, u):
-            return np.zeros(np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1]) + (0,))
-
-        def jac(x, u):
-            return np.zeros(fn(x, u).shape + (np.shape(x)[-1] + np.shape(u)[-1],))
-
+    def empty(cls, n_x: int, n_u: int, horizon: int, u_lower=None, u_upper=None) -> "ConstraintSet":
         return cls(
-            fn=fn,
-            jac=jac,
+            matrix=np.zeros((0, n_x + n_u)),
+            offset=np.zeros(0),
             weights=np.zeros((horizon + 1, 0)),
-            u_lower=lo,
-            u_upper=hi,
+            u_lower=np.full(n_u, -np.inf) if u_lower is None else u_lower,
+            u_upper=np.full(n_u, np.inf) if u_upper is None else u_upper,
         )
 
 
@@ -215,6 +231,8 @@ class ControlProblem:
         N, n_u = model.horizon, model.n_u
         if self.cost.gradients.shape != (N + 1, model.n_x + n_u):
             raise ModelError(f"cost tables of shape {self.cost.gradients.shape} do not match (N+1, n_x + n_u)")
+        if cs.matrix.shape[1] != model.n_x + n_u:
+            raise ModelError(f"constraint matrix has {cs.matrix.shape[1]} columns, but n_x + n_u = {model.n_x + n_u}")
         rows = cs.weights.shape[0]
         if rows != N + 1:
             raise ModelError(f"constraint weight table has {rows} stage rows, but horizon {N} needs {N + 1}")
@@ -287,5 +305,5 @@ def make_linear_problem(
     H[:horizon, n_x:, n_x:] = np.asarray(R, dtype=float)
     H[horizon, :n_x, :n_x] = np.asarray(Q_terminal, dtype=float)
     cost = QuadraticCost(hessians=H, gradients=np.zeros((horizon + 1, n_z)), constants=np.zeros(horizon + 1))
-    constraints = ConstraintSet.empty(n_u, horizon, u_lower, u_upper)
+    constraints = ConstraintSet.empty(n_x, n_u, horizon, u_lower, u_upper)
     return ControlProblem(model=model, cost=cost, constraints=constraints)

@@ -37,8 +37,8 @@ MODES = ("nominal", "open_loop", "output_feedback")
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _TAIL_Z = 8.0
-# Relative step of the central differences of the model and constraint
-# Jacobians in the gradient pass: h_j = 1e-5 (1 + |z_j|).
+# Relative step of the central differences of the model Jacobians in the
+# gradient pass: h_j = 1e-5 (1 + |z_j|).
 _JAC_STEP = 1e-5
 
 
@@ -207,17 +207,17 @@ class Prediction:
     Without a filter (``open_loop`` mode) the filter gains are a broadcast
     zero and there are no filter covariances or innovation factors.
 
-    Constraint values/gradients are stored for stages 0..N, stage N at
-    u = 0 with zero gradient in u.  Each stage holds the rows that apply
-    there (nonzero weight) first, in row order, padded to the widest stage
-    so the penalty evaluates in one vectorized pass; padded rows carry
-    zero weight (see ObjectiveEvaluator).
+    Constraint values are stored for stages 0..N, stage N at u = 0.  Each
+    stage holds the rows that apply there (nonzero weight) first, in row
+    order, padded to the widest stage so the penalty evaluates in one
+    vectorized pass; padded rows carry zero weight.  The rows' gradients
+    are constant, so the evaluator packs them once in the same layout (see
+    ObjectiveEvaluator).
     """
 
     traj: NominalTrajectory
     nominal_cost: Array
     h: Array  # (.., N+1, H_max) padded constraint values
-    h_grads: Array  # (.., N+1, H_max, n_z)
     lin: StageLinearization | None = None
     filter_gains: Array | None = None
     filter_covs: Array | None = None  # (.., N+1, n_x, n_x), the filter's covariances; None without a filter
@@ -298,13 +298,18 @@ class ObjectiveEvaluator:
         # rows (nonzero weight) come first, in row order, and the tables are
         # cut to the widest stage, so the other stages are padded with
         # zero-weight rows and the penalty evaluates in one pass; _rows
-        # gathers them from the flattened (N+1, n_h) constraint tables.
+        # gathers them from the flattened (N+1, n_h) constraint values.
+        # The rows' gradients over z = (x, u) are the constant table _grads,
+        # packed alike: zero on the padded rows, and zero in the u columns
+        # at stage N, where u = 0 is fixed.
         cs = problem.constraints
         used = cs.weights > 0.0
         self.counts = tuple(int(c) for c in used.sum(axis=1))
         order = np.argsort(~used, axis=1, kind="stable")[:, : max(self.counts)]
         self._rows = order + used.shape[1] * np.arange(used.shape[0])[:, None]
         self._weights = np.take_along_axis(cs.weights, order, axis=1)
+        self._grads = np.where(self._weights[..., None] > 0.0, cs.matrix[order], 0.0)
+        self._grads[-1, :, problem.model.n_x:] = 0.0
 
     def prediction(self, u_nom: Array) -> Prediction:
         problem = self.problem
@@ -322,30 +327,16 @@ class ObjectiveEvaluator:
         for k in range(N):
             nominal_cost = nominal_cost + stage_costs[..., k]
         cs = problem.constraints
-        h = np.take(np.asarray(cs.fn(xs, us), dtype=float).reshape(xs.shape[:-2] + (cs.weights.size,)),
-                    self._rows, axis=-1)
+        h = np.take(cs.values(xs, us).reshape(xs.shape[:-2] + (cs.weights.size,)), self._rows, axis=-1)
         h[..., self._weights == 0.0] = -1.0  # padded rows keep a harmless value; their weight is zero
-        h_grads = self._constraint_grads(xs, us)
         if self.mode == "nominal":
-            return Prediction(traj=traj, nominal_cost=nominal_cost, h=h, h_grads=h_grads)
+            return Prediction(traj=traj, nominal_cost=nominal_cost, h=h)
         lin = linearize_trajectory(model, traj)
         if self.mode == "output_feedback":  # with the factors its adjoint reads
             kalman = kalman_recursion(lin, self.P_hat_0, True)
         else:  # no filter: zero gains, shaped like the Kalman gains C'
             kalman = (np.broadcast_to(0.0, np.swapaxes(lin.C, -1, -2).shape), None, None, None)
-        return Prediction(traj, nominal_cost, h, h_grads, lin, *kalman)
-
-    def _constraint_grads(self, xs: Array, us: Array) -> Array:
-        """Constraint gradients at the stage points (xs, us) of stages 0..N
-        (see :func:`_stage_points`), packed (see :class:`Prediction`); stage
-        N's u columns are zero."""
-        cs = self.problem.constraints
-        n_x, n_u = xs.shape[-1], us.shape[-1]
-        flat = xs.shape[:-2] + (cs.weights.size, n_x + n_u)
-        h_grads = np.take(np.asarray(cs.jac(xs, us), dtype=float).reshape(flat), self._rows, axis=-2)
-        h_grads[..., self._weights == 0.0, :] = 0.0
-        h_grads[..., -1, :, n_x:] = 0.0
-        return h_grads
+        return Prediction(traj, nominal_cost, h, lin, *kalman)
 
     def evaluate(self, pred: Prediction, feedback: Array) -> Evaluation:
         """The forward record of (prediction, feedback-gain batch), over the
@@ -366,7 +357,7 @@ class ObjectiveEvaluator:
             K_N = np.zeros(K_all.shape[:-3] + (1,) + K_all.shape[-2:])
             joint = joint_covariance(sigma, np.concatenate([K_all, K_N], axis=-3))
         variance = 0.5 * _trace_sum(cost.hessians, joint)
-        H_dir = constraint_direction_variance(pred.h_grads, joint[..., None, :, :])
+        H_dir = constraint_direction_variance(self._grads, joint[..., None, :, :])
         beta, slope = floored_variance(H_dir, self.eps_sigma)
         penalty = np.sum(self._weights * expected_relu(pred.h, np.sqrt(beta)), axis=(-2, -1))
         reg = feedback_regularization(feedback, self.eps_K)
@@ -389,9 +380,9 @@ class ObjectiveEvaluator:
           1. the stage 0..N assembly.  With s_ki the floored standard
              deviation of constraint row i, dJ/dh_ki = w_ki cdf(h_ki / s_ki),
              and the objective reads the joint covariance through
-             M_k = H_k / 2 + sum_i c_ki g_ki g_ki',
-             c_ki = w_ki pdf(h_ki / s_ki) / (2 s_ki), 0 on floored rows, and
-             the constraint gradients g_ki through 2 c_ki (joint_k) g_ki;
+             M_k = H_k / 2 + sum_i c_ki g_ki g_ki' with the constant
+             constraint gradients g_ki and
+             c_ki = w_ki pdf(h_ki / s_ki) / (2 s_ki), 0 on floored rows;
              the nominal cost adds H_k z_k + its linear term;
           2. the joint maps and the covariance recursion
              (:func:`~dualmpc.uncertainty.covariance_adjoint`), which give
@@ -400,10 +391,9 @@ class ObjectiveEvaluator:
           3. the Kalman recursion
              (:func:`~dualmpc.uncertainty.kalman_adjoint`);
           4. the linearization: the derivatives with respect to A, B, G at
-             (x_k, u_k), C, D at x_{k+1} and the constraint gradients at z_k
-             contract with the second derivatives of the model and the
-             constraints, one stage-local central difference of each
-             analytic Jacobian provider along every coordinate;
+             (x_k, u_k) and C, D at x_{k+1} contract with the second
+             derivatives of the model, one stage-local central difference
+             of each analytic Jacobian provider along every coordinate;
           5. the rollout: lambda_N = dJ/dx_N,
              lambda_k = dJ/dx_k + A_k' lambda_{k+1} and
              dJ/du_k = (direct) + B_k' lambda_{k+1}.
@@ -419,7 +409,7 @@ class ObjectiveEvaluator:
         """
         model, cost = self.problem.model, self.problem.cost
         N, n_x = model.horizon, model.n_x
-        pred, feedback, joint = record.prediction, record.feedback, record.joint
+        pred, feedback = record.prediction, record.feedback
         xs, us = pred.traj.states, pred.traj.controls
         z = np.concatenate(_stage_points(xs, us), axis=-1)
         std = np.sqrt(record.beta)
@@ -427,7 +417,7 @@ class ObjectiveEvaluator:
         z_bar = (
             np.einsum("kab,kb->ka", cost.hessians, z)
             + cost.gradients
-            + np.einsum("ki,kia->ka", self._weights * ndtr(ratio), pred.h_grads)
+            + np.einsum("ki,kia->ka", self._weights * ndtr(ratio), self._grads)
         )
         if pred.lin is None:
             A, B, _ = model.f_jac(xs[:N], us, np.zeros(model.n_w))
@@ -441,7 +431,7 @@ class ObjectiveEvaluator:
             T = joint_map(np.concatenate([K_all, np.zeros((1,) + K_all.shape[1:])]))
             T_t = np.swapaxes(T, -1, -2)
             c = record.slope * self._weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
-            M = 0.5 * cost.hessians + np.einsum("ki,kia,kib->kab", c, pred.h_grads, pred.h_grads)
+            M = 0.5 * cost.hessians + np.einsum("ki,kia,kib->kab", c, self._grads, self._grads)
             T_bar = 2.0 * M @ T @ sigma
             K_bar, lin_bar, gains_bar = covariance_adjoint(
                 pred.lin, policy, pred.filter_gains, sigma, T_t @ M @ T,
@@ -462,11 +452,6 @@ class ObjectiveEvaluator:
                 z_bar[1:, :n_x] += _jacobian_pullback(
                     lambda p: model.g_jac(p, v0), xs[1:], (lin_bar.C + kal_bar.C, lin_bar.D + kal_bar.D)
                 )
-            # Each stage's row of the perturbed tables moves only its own z_k.
-            z_bar += _jacobian_pullback(
-                lambda p: (self._constraint_grads(p[..., :n_x], p[..., n_x:]),), z,
-                (2.0 * c[..., None] * np.einsum("kab,kib->kia", symmetrize(joint), pred.h_grads),),
-            )
         lam = z_bar[N, :n_x]
         u_bar = np.empty(us.shape)
         for k in range(N - 1, -1, -1):

@@ -62,6 +62,7 @@ class SimConfig:
             raise ValueError("SimConfig needs steps >= 1, runs >= 1 and master_seed >= 0")
         if self.init_cov.shape != (self.init_mean.size, self.init_mean.size):
             raise ValueError("init_cov shape does not match init_mean")
+        psd_sqrt(self.init_cov)  # raises ModelError unless finite and PSD
 
 
 @dataclass
@@ -191,7 +192,7 @@ def simulate_run(
             diverged = True
             break
 
-        h = np.asarray(cs.fn(x, u), dtype=float)[rows]
+        h = cs.values(x, u)[rows]
         controls[t] = u
         h_values[t] = h
         violations[t] = bool(np.any(h > 0.0))

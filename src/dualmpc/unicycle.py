@@ -6,11 +6,11 @@ distance to the r_x-axis, so information gathering (moving towards the axis)
 competes with the direct objective of decreasing r_x.  The stage cost is
 r_x + control_weight*||u||^2 at every stage 0..N (at stage N, where u = 0,
 it is the terminal cost r_x), the position must keep r_x >= 0 from stage 1
-on, and the controls live in a symmetric box.  Both are rows of one
-constraint set, softened with a linear violation weight: the weight table
-drops the r_x row at stage 0 (its state is given) and the box rows at the
-terminal stage N (it has no control).  The box is additionally enforced
-exactly on the nominal controls.
+on, and the controls live in a symmetric box.  Both are affine rows of one
+constraint set, [-r_x, u - u_max, -u - u_max] over (x, u), softened with a
+linear violation weight: the weight table drops the r_x row at stage 0 (its
+state is given) and the box rows at the terminal stage N (it has no
+control).  The box is additionally enforced exactly on the nominal controls.
 
 The dynamics are one classical RK4 step per stage (``substeps`` substeps,
 controls and noise held), integrated in cascade form: the heading does not
@@ -201,29 +201,16 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
     )
 
     # Penalized rows [-r_x, u - u_max, -u - u_max] over z = (x, u).
-    def constraint_fn(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
-        r_x = np.broadcast_to(x[..., :1], batch + (1,))
-        u_b = np.broadcast_to(u, batch + (2,))
-        return np.concatenate([-r_x, u_b - u_max, -u_b - u_max], axis=-1)
-
-    jac = np.zeros((5, 5))
-    jac[0, 0] = -1.0
-    jac[1, 3] = jac[2, 4] = 1.0
-    jac[3, 3] = jac[4, 4] = -1.0
-
-    def constraint_jac(x, u):
-        batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1])
-        return np.broadcast_to(jac, batch + jac.shape)
+    matrix = np.zeros((5, 5))
+    matrix[0, 0] = -1.0
+    matrix[1, 3] = matrix[2, 4] = 1.0
+    matrix[3, 3] = matrix[4, 4] = -1.0
+    offset = np.concatenate([[0.0], -u_max, -u_max])
 
     # Stage 0's state is given, so its r_x row does not apply; stage N has
     # no control, so only its r_x row does.
     weights = np.full((N + 1, 5), params.violation_weight)
     weights[0, 0] = 0.0
     weights[N, 1:] = 0.0
-    constraints = ConstraintSet(
-        fn=constraint_fn, jac=constraint_jac, weights=weights, u_lower=-u_max, u_upper=u_max
-    )
+    constraints = ConstraintSet(matrix=matrix, offset=offset, weights=weights, u_lower=-u_max, u_upper=u_max)
     return ControlProblem(model=model, cost=cost, constraints=constraints)

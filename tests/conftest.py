@@ -29,8 +29,8 @@ def one_stage_terminal_problem(rho=50.0):
         u_lower=[-10.0], u_upper=[10.0],
     )
     cs = ConstraintSet(
-        fn=lambda x, u: x - 0.5,
-        jac=lambda x, u: np.stack([np.ones(x.shape), np.zeros(u.shape)], axis=-1),  # d/d(x, u)
+        matrix=np.array([[1.0, 0.0]]),  # over (x, u)
+        offset=np.array([-0.5]),
         weights=np.array([[0.0], [rho]]),  # terminal stage only
         u_lower=np.array([-10.0]), u_upper=np.array([10.0]),
     )
@@ -49,7 +49,7 @@ def random_spd(rng, n, scale=1.0):
 
 def prediction_fields(pred):
     """Every array of a ``Prediction``, in a fixed order, for bitwise checks."""
-    fields = [pred.traj.states, pred.traj.controls, pred.nominal_cost, pred.h, pred.h_grads]
+    fields = [pred.traj.states, pred.traj.controls, pred.nominal_cost, pred.h]
     if pred.lin is not None:
         fields += [getattr(pred.lin, name) for name in "ABGCD"] + [pred.filter_gains]
     if pred.filter_covs is not None:

@@ -161,7 +161,7 @@ def test_stage_table_matches_public_pipeline_bitwise(tmp_path, mode):
     for k in range(N + 1):
         x = traj.states[k]
         u = traj.controls[k] if k < N else np.zeros(model.n_u)
-        h = cs.fn(x, u)[used[k]]
+        h = cs.values(x, u)[used[k]]
         beta = np.asarray(result.beta[k])
         expected.append(
             [str(k)]

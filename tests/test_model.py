@@ -315,11 +315,9 @@ def test_problem_rejects_cost_table_off_the_horizon():
 
 # -------------------------------------------------------------- ConstraintSet
 
-def _one_row_set(weights, u_lower=(-1.0,), u_upper=(1.0,)):
+def _one_row_set(weights, u_lower=(-1.0,), u_upper=(1.0,), matrix=((1.0, 0.0),), offset=(-0.5,)):
     return ConstraintSet(
-        fn=lambda x, u: x[..., :1] - 0.5,
-        jac=lambda x, u: np.ones(np.shape(x)[:-1] + (1, 2)),
-        weights=weights,
+        matrix=matrix, offset=offset, weights=weights,
         u_lower=np.array(u_lower), u_upper=np.array(u_upper),
     )
 
@@ -334,10 +332,46 @@ def test_constraint_weights_must_be_finite_and_nonnegative():
             _one_row_set(bad)
 
 
+@pytest.mark.parametrize("tables, message", [
+    (dict(matrix=[1.0, 0.0]), "matrix must be 2-D"),
+    (dict(offset=[-0.5, 0.0]), "do not match the 1 rows"),
+    (dict(offset=-0.5), "do not match the 1 rows"),
+    (dict(weights=[[1.0, 1.0], [1.0, 1.0]]), "do not match the 1 rows"),
+    (dict(matrix=[[np.nan, 0.0]]), "must be finite"),
+    (dict(matrix=[[np.inf, 0.0]]), "must be finite"),
+    (dict(offset=[np.inf]), "must be finite"),
+])
+def test_constraint_tables_are_checked(tables, message):
+    with pytest.raises(ModelError, match=message):
+        _one_row_set(**{"weights": [[1.0], [1.0]], **tables})
+
+
 @pytest.mark.parametrize("bounds", [((np.nan,), (1.0,)), ((-1.0,), (np.nan,))])
 def test_constraint_box_rejects_nan_bounds(bounds):
     with pytest.raises(ModelError, match="NaN"):
         _one_row_set([[1.0], [1.0]], *bounds)
+
+
+def test_constraint_box_compares_list_bounds_entrywise(unicycle_problem):
+    """List bounds are stored as float arrays before the box check, so
+    [0, 5] > [1, 2] in the second entry is an empty box, not a list that
+    sorts first."""
+    cs = replace(unicycle_problem.constraints, u_lower=[-1.0, -2.0], u_upper=[1.0, 2.0])
+    assert isinstance(cs.u_lower, np.ndarray) and isinstance(cs.u_upper, np.ndarray)
+    with pytest.raises(ModelError, match="control box is empty"):
+        replace(unicycle_problem.constraints, u_lower=[0.0, 5.0], u_upper=[1.0, 2.0])
+
+
+def test_constraint_values_of_a_batch_equal_each_point_alone(unicycle_problem):
+    cs = unicycle_problem.constraints
+    rng = np.random.default_rng(5)
+    x, u = rng.normal(size=(7, 4, 3)), rng.normal(size=(7, 4, 2))
+    batch = cs.values(x, u)
+    assert batch.shape == (7, 4, 5)
+    for i in range(7):
+        for j in range(4):
+            assert np.array_equal(batch[i, j], cs.values(x[i, j], u[i, j]))
+    assert np.array_equal(cs.values(x[0, 0], u), np.stack([cs.values(x[0, 0], p) for p in u]))
 
 
 def test_problem_rejects_weight_table_off_the_horizon():
@@ -346,6 +380,14 @@ def test_problem_rejects_weight_table_off_the_horizon():
     replace(prob, constraints=_one_row_set([[1.0], [1.0], [1.0]]))
     with pytest.raises(ModelError, match="has 2 stage rows, but horizon 2 needs 3"):
         replace(prob, constraints=_one_row_set([[1.0], [1.0]]))
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_problem_rejects_constraint_matrix_off_the_model(columns):
+    prob = make_linear_problem([[1.0]], [[1.0]], [[0.1]], [[1.0]], [[0.1]], [[1.0]], [[1.0]],
+                               [[1.0]], horizon=2)
+    with pytest.raises(ModelError, match=rf"matrix has {columns} columns, but n_x \+ n_u = 2"):
+        replace(prob, constraints=_one_row_set([[1.0]] * 3, matrix=np.ones((1, columns))))
 
 
 @pytest.mark.parametrize("lower, upper", [((-1.0, -1.0), (1.0, 1.0)), ((-1.0,), (1.0, 1.0)), (-1.0, 1.0)])
@@ -357,10 +399,10 @@ def test_problem_rejects_control_box_of_the_wrong_length(lower, upper):
 
 
 def test_empty_constraint_set_shapes():
-    cs = ConstraintSet.empty(2, 3)
+    cs = ConstraintSet.empty(4, 2, 3)
     assert cs.weights.shape == (4, 0)
-    assert cs.fn(np.zeros((5, 4)), np.zeros((5, 2))).shape == (5, 0)
-    assert cs.jac(np.zeros(4), np.zeros(2)).shape == (0, 6)
+    assert cs.values(np.zeros((5, 4)), np.zeros((5, 2))).shape == (5, 0)
+    assert cs.matrix.shape == (0, 6) and cs.offset.shape == (0,)
     assert np.all(np.isinf(cs.u_lower))
 
 
@@ -422,18 +464,17 @@ def test_unicycle_constraints_and_jacobians(unicycle_problem):
     cs = unicycle_problem.constraints
     x = np.array([0.4, -1.0, 0.2])
     u = np.array([2.5, -2.5])
-    h = cs.fn(x, u)
+    h = cs.values(x, u)
     # stage 0: only the control box, split as (u - u_max, -u - u_max)
     assert_allclose(h[cs.weights[0] > 0], [0.5, -4.5, -4.5, 0.5], atol=1e-15)
     assert_allclose(h[cs.weights[1] > 0], [-0.4, 0.5, -4.5, -4.5, 0.5], atol=1e-15)
-    # jacobian rows via FD on the stacked (x, u) argument
-    J = cs.jac(x, u)
+    # the matrix rows via FD on the stacked (x, u) argument
     step = 1e-6
     z = np.concatenate([x, u])
-    J_fd = fd_jacobian(lambda p: cs.fn(p[:3], p[3:]), z, step)
-    assert_allclose(J, J_fd, atol=1e-9)
+    J_fd = fd_jacobian(lambda p: cs.values(p[:3], p[3:]), z, step)
+    assert_allclose(cs.matrix, J_fd, atol=1e-9)
     # terminal stage: only r_x
-    assert_allclose(cs.fn(x, np.zeros(2))[cs.weights[-1] > 0], [-0.4], atol=0)
+    assert_allclose(cs.values(x, np.zeros(2))[cs.weights[-1] > 0], [-0.4], atol=0)
 
 
 def test_unicycle_stage_cost(unicycle_problem):
@@ -453,6 +494,18 @@ def test_unicycle_stage_cost(unicycle_problem):
 def test_unicycle_params_reject_non_finite_and_empty_settings(kwargs):
     with pytest.raises(ModelError):
         replace(standard_unicycle_params(), **kwargs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_psd_sqrt_rejects_non_finite_covariances(bad):
+    """A non-finite covariance has no square root: a NaN or inf in the
+    process noise covariance fails when the unicycle is built."""
+    M = 0.01 * np.eye(3)
+    M[0, 1] = M[1, 0] = bad
+    with pytest.raises(ModelError, match="non-finite"):
+        psd_sqrt(M)
+    with pytest.raises(ModelError, match="non-finite"):
+        make_unicycle_problem(replace(standard_unicycle_params(), process_noise_cov=M))
 
 
 def test_unicycle_dynamics_jacobians_match_fd():

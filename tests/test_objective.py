@@ -443,9 +443,9 @@ def test_prediction_rejects_control_sequence_off_the_horizon(stages):
 
 def _row_by_row_tables(problem, xs, us):
     """Constraint values, gradients and weights of stages 0..N built one row
-    at a time from ``fn``/``jac``: each stage's rows with nonzero weight in
-    row order, stage N at u = 0 with zero u columns, padded with h = -1,
-    zero gradients and zero weights."""
+    at a time from ``values``/``matrix``: each stage's rows with nonzero
+    weight in row order, stage N at u = 0 with zero u columns, padded with
+    h = -1, zero gradients and zero weights."""
     cs, n_x = problem.constraints, problem.model.n_x
     N, n_u = us.shape
     used = cs.weights > 0
@@ -456,8 +456,8 @@ def _row_by_row_tables(problem, xs, us):
     for k in range(N + 1):
         u = us[k] if k < N else np.zeros(n_u)
         for j, i in enumerate(np.flatnonzero(used[k])):
-            h[k, j] = cs.fn(xs[k], u)[i]
-            grads[k, j] = cs.jac(xs[k], u)[i]
+            h[k, j] = cs.values(xs[k], u)[i]
+            grads[k, j] = cs.matrix[i]
             weights[k, j] = cs.weights[k, i]
     grads[N, :, n_x:] = 0.0
     return h, grads, weights
@@ -465,10 +465,10 @@ def _row_by_row_tables(problem, xs, us):
 
 @pytest.mark.parametrize("case", ["unicycle", "unicycle_every_row", "terminal_only"])
 def test_packed_tables_match_row_by_row_reference(case):
-    """The prediction's h and h_grads and the evaluator's weight table equal,
-    bit for bit, tables built row by row with each stage's weight mask,
-    unbatched and as rows of a 12-row batch.  With every row applied at
-    every stage, the box rows at stage N keep their x columns only."""
+    """The prediction's h and the evaluator's gradient and weight tables
+    equal, bit for bit, tables built row by row with each stage's weight
+    mask, unbatched and as rows of a 12-row batch.  With every row applied
+    at every stage, the box rows at stage N keep their x columns only."""
     if case.startswith("unicycle"):
         prob, x0 = make_unicycle_problem(standard_unicycle_params()), np.array([0.05, 0.8, np.pi])
         if case == "unicycle_every_row":
@@ -484,7 +484,7 @@ def test_packed_tables_match_row_by_row_reference(case):
         for pred in (ev.prediction(u[i]), batch.take(i)):
             h, grads, weights = _row_by_row_tables(prob, pred.traj.states, u[i])
             assert np.array_equal(pred.h, h)
-            assert np.array_equal(pred.h_grads, grads)
+            assert np.array_equal(ev._grads, grads)
             assert np.array_equal(ev._weights, weights)
 
 
@@ -514,17 +514,17 @@ def _reference_parts(problem, x0, P0, policy, eps_sigma, eps_K):
         nominal += 0.5 * z @ H[k] @ z + g[k] @ z + c[k]
         variance += 0.5 * np.trace(H[k] @ joint)
         used = cs.weights[k] > 0
-        beta = np.maximum(constraint_direction_variance(cs.jac(x, u)[used], joint), eps2)
-        penalty += np.sum(cs.weights[k][used] * expected_relu(cs.fn(x, u)[used], np.sqrt(beta)))
+        beta = np.maximum(constraint_direction_variance(cs.matrix[used], joint), eps2)
+        penalty += np.sum(cs.weights[k][used] * expected_relu(cs.values(x, u)[used], np.sqrt(beta)))
         betas.append(beta)
     x_N, P_N, u_N = traj.states[N], aug.P[N], np.zeros(model.n_u)
     H_N = H[N, :n_x, :n_x]
     nominal += 0.5 * x_N @ H_N @ x_N + g[N, :n_x] @ x_N + c[N]
     variance += 0.5 * np.trace(H_N @ P_N)
     used = cs.weights[N] > 0
-    grads = cs.jac(x_N, u_N)[used][:, : model.n_x]
+    grads = cs.matrix[used][:, : model.n_x]
     beta = np.maximum(constraint_direction_variance(grads, P_N), eps2)
-    penalty += np.sum(cs.weights[N][used] * expected_relu(cs.fn(x_N, u_N)[used], np.sqrt(beta)))
+    penalty += np.sum(cs.weights[N][used] * expected_relu(cs.values(x_N, u_N)[used], np.sqrt(beta)))
     betas.append(beta)
     reg = eps_K * np.sum(np.asarray(policy.feedback) ** 2)
     return (nominal, variance, penalty, reg), betas

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from dualmpc import (
     ConstraintSet,
+    ModelError,
     SolveOptions,
     make_linear_problem,
     make_unicycle_problem,
@@ -67,21 +68,11 @@ def _with_state_bound(problem, bound, weight=10.0):
     """Add one penalized row h = x[0] - bound <= 0 at stages 0..N-1."""
     n_x, n_u = problem.model.n_x, problem.model.n_u
     horizon = problem.model.horizon
-
-    def h(x, u):
-        return x[..., :1] - bound
-
-    def jac(x, u):
-        batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1])
-        J = np.zeros(batch + (1, n_x + n_u))
-        J[..., 0, 0] = 1.0
-        return J
-
     weights = np.full((horizon + 1, 1), weight)
     weights[horizon] = 0.0
     cs = ConstraintSet(
-        fn=h,
-        jac=jac,
+        matrix=np.eye(1, n_x + n_u),
+        offset=np.array([-bound]),
         weights=weights,
         u_lower=np.full(n_u, -np.inf),
         u_upper=np.full(n_u, np.inf),
@@ -106,6 +97,18 @@ def test_sim_config_validation():
         SimConfig(init_mean=np.zeros(2), init_cov=np.eye(2), steps=0)
     with pytest.raises(ValueError):
         SimConfig(init_mean=np.zeros(2), init_cov=np.eye(2), runs=0)
+
+
+@pytest.mark.parametrize("init_cov, message", [
+    ([[1.0, 2.0], [2.0, 1.0]], "not positive semidefinite"),
+    ([[np.nan, 0.0], [0.0, 1.0]], "non-finite"),
+])
+def test_sim_config_rejects_an_initial_covariance_without_a_square_root(init_cov, message):
+    """An indefinite or non-finite init_cov has no square root to draw the
+    initial states with, so the experiment is rejected when it is built,
+    before any run starts."""
+    with pytest.raises(ModelError, match=message):
+        SimConfig(init_mean=np.zeros(2), init_cov=init_cov)
 
 
 # ------------------------------------------------------------ single-run loop
@@ -162,7 +165,7 @@ def test_recorded_cost_and_flags_follow_true_state():
     assert not rec.diverged
     for t in range(cfg.steps):
         x = rec.states[t]
-        h = prob.constraints.fn(x, u_fix)
+        h = prob.constraints.values(x, u_fix)
         expected = float(prob.cost.value(0, x, u_fix))
         expected += float(np.sum(prob.constraints.weights[1] * np.maximum(h, 0.0)))
         assert rec.stage_costs[t] == pytest.approx(expected, rel=1e-12)
