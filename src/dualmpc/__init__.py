@@ -26,7 +26,7 @@ from .objective import (
     constraint_direction_variance,
     expected_relu,
     feedback_regularization,
-    floored_variance,
+    smoothed_variance,
     total_objective,
 )
 from .ocp_solver import MODES, SolveOptions, SolveResult, solve
@@ -81,7 +81,6 @@ __all__ = [
     "ekf_step",
     "expected_relu",
     "feedback_regularization",
-    "floored_variance",
     "joint_covariance",
     "kalman_recursion",
     "linearize_trajectory",
@@ -96,6 +95,7 @@ __all__ = [
     "shift_warm_start",
     "sigma_y",
     "simulate_run",
+    "smoothed_variance",
     "solve",
     "summarize_records",
     "total_objective",

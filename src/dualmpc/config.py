@@ -267,6 +267,9 @@ def _build_linear(path: Path, model: _Section) -> ControlProblem:
     qf = values["terminal_cost_diag"]
     if q.size != n_x or qf.size != n_x or r.size != B.shape[1]:
         raise ConfigError(f"{path}: cost diagonals do not match the model dimensions")
+    for key in ("u_lower", "u_upper"):
+        if key in values and values[key].size != B.shape[1]:
+            model.fail(key, f"{key} needs {B.shape[1]} entries, one per control (got {values[key].size})")
     try:
         return make_linear_problem(
             A, B, G, C, D, np.diag(q), np.diag(r), np.diag(qf),

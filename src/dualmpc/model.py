@@ -194,6 +194,9 @@ class ConstraintSet:
             raise ModelError("constraint matrix and offset must be finite")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
             raise ModelError("violation weights must be finite and nonnegative")
+        if self.u_lower.ndim != 1 or self.u_lower.shape != self.u_upper.shape:
+            raise ModelError(f"control box bounds must be 1-D and of one length, "
+                             f"got shapes {self.u_lower.shape} and {self.u_upper.shape}")
         if np.any(np.isnan(self.u_lower)) or np.any(np.isnan(self.u_upper)):
             raise ModelError("control box bounds must not be NaN")
         if np.any(self.u_lower > self.u_upper):
@@ -236,7 +239,7 @@ class ControlProblem:
         rows = cs.weights.shape[0]
         if rows != N + 1:
             raise ModelError(f"constraint weight table has {rows} stage rows, but horizon {N} needs {N + 1}")
-        if np.shape(cs.u_lower) != (n_u,) or np.shape(cs.u_upper) != (n_u,):
+        if cs.u_lower.shape != (n_u,):
             raise ModelError(f"control box bounds need shape ({n_u},): one entry per control")
 
 

@@ -3,9 +3,9 @@
 Under the Gaussian approximation the stage cost expectation is the nominal
 cost plus a covariance trace term, and the expectation of a hinge penalty
 max(0, h) of a Gaussian h ~ N(mu, sigma^2) has the closed form
-sigma*pdf(mu/sigma) + mu*cdf(mu/sigma).  This module evaluates both, plus
-the per-constraint direction variances and the feedback regularizer, and
-composes them along a predicted trajectory.
+sigma*pdf(mu/sigma) + mu*cdf(mu/sigma), where sigma^2 is the constraint's
+direction variance plus eps_sigma^2, smooth in the variance.  This module
+evaluates both, plus the feedback regularizer, along a predicted trajectory.
 """
 
 from __future__ import annotations
@@ -97,17 +97,13 @@ def constraint_direction_variance(grad: Array, cov: Array) -> Array:
     return np.einsum("...i,...ij,...j->...", grad, cov, grad)
 
 
-def floored_variance(direction_variances: Array, eps_sigma: float) -> tuple[Array, Array]:
-    """Optimal constraint-variance slacks max(clip(H, 0), eps_sigma^2) of the
-    direction variances H, and their slope d/dH (1 above the floor, else 0).
-
-    The slacks are eliminated analytically: the expected hinge penalty is
-    strictly increasing in the standard deviation, so at the optimum each
-    slack sits at the (nonnegative) direction variance or at the smoothing
-    floor.
-    """
-    H = np.clip(np.asarray(direction_variances, dtype=float), 0.0, None)
-    return np.maximum(H, eps_sigma**2), (H > eps_sigma**2).astype(float)
+def smoothed_variance(direction_variances: Array, eps_sigma: float) -> Array:
+    """Optimal constraint-variance slacks clip(H, 0) + eps_sigma^2 of the
+    direction variances H: the expected hinge penalty is strictly increasing
+    in the standard deviation, so each slack sits at this lower bound.  H is
+    a PSD quadratic form, so the clip removes only rounding and the slack
+    has slope 1 in H."""
+    return np.clip(np.asarray(direction_variances, dtype=float), 0.0, None) + eps_sigma**2
 
 
 def feedback_regularization(feedback: Array, eps_K: float):
@@ -234,16 +230,14 @@ class Evaluation:
     forward pass that scored the batch.
 
     Every array carries the combined batch shape of the prediction and the
-    gains in front; what the rows share (one gain set for every row, the
-    zero joint covariances without uncertainty) is a broadcast view.
+    gains in front; what the rows share (one gain set for every row) is a
+    broadcast view.
     """
 
     prediction: Prediction
     feedback: Array  # (.., N-1, n_u, n_x), the gains K_1..K_{N-1}
     sigma: Array | None  # (.., N+1, 2n_x, 2n_x) augmented covariances; None without uncertainty
-    joint: Array  # (.., N+1, n_z, n_z) joint (state, control) covariances
-    beta: Array  # (.., N+1, H_max) floored direction variances, padded like prediction.h
-    slope: Array  # (.., N+1, H_max) their slopes d beta / dH
+    beta: Array  # (.., N+1, H_max) direction variances plus eps_sigma^2, padded like prediction.h
     parts: tuple  # (nominal_cost, variance_cost, penalty, regularization)
 
     take = _row
@@ -340,11 +334,10 @@ class ObjectiveEvaluator:
 
     def evaluate(self, pred: Prediction, feedback: Array) -> Evaluation:
         """The forward record of (prediction, feedback-gain batch), over the
-        combined batch shape: the augmented covariances of stages 0..N, their
-        joint (state, control) covariances, the floored direction variances
-        and the four objective parts.  A zero gain at stage N gives the joint
-        covariance [[P_N, 0], [0, 0]]; without uncertainty every joint
-        covariance is zero."""
+        combined batch shape: the augmented covariances of stages 0..N, the
+        direction variances plus eps_sigma^2 and the four objective parts.
+        The joint (state, control) covariances are not kept: the sweep
+        rebuilds their maps from the gains."""
         cost = self.problem.cost
         feedback = np.asarray(feedback, dtype=float)
         batch = np.broadcast_shapes(np.shape(pred.nominal_cost), feedback.shape[:-3])
@@ -357,13 +350,12 @@ class ObjectiveEvaluator:
             K_N = np.zeros(K_all.shape[:-3] + (1,) + K_all.shape[-2:])
             joint = joint_covariance(sigma, np.concatenate([K_all, K_N], axis=-3))
         variance = 0.5 * _trace_sum(cost.hessians, joint)
-        H_dir = constraint_direction_variance(self._grads, joint[..., None, :, :])
-        beta, slope = floored_variance(H_dir, self.eps_sigma)
+        beta = smoothed_variance(constraint_direction_variance(self._grads, joint[..., None, :, :]), self.eps_sigma)
         penalty = np.sum(self._weights * expected_relu(pred.h, np.sqrt(beta)), axis=(-2, -1))
         reg = feedback_regularization(feedback, self.eps_K)
         parts = tuple(np.broadcast_arrays(pred.nominal_cost, variance, penalty, reg))
         return Evaluation(prediction=pred, feedback=np.broadcast_to(feedback, batch + feedback.shape[-3:]),
-                          sigma=sigma, joint=joint, beta=beta, slope=slope, parts=parts)
+                          sigma=sigma, beta=beta, parts=parts)
 
     def parts_from_prediction(self, pred: Prediction, feedback: Array):
         """The objective parts (nominal_cost, variance_cost, penalty,
@@ -371,18 +363,18 @@ class ObjectiveEvaluator:
         return self.evaluate(pred, feedback).parts
 
     def gradient(self, record: Evaluation) -> tuple[Array, Array]:
-        """Exact derivatives (dJ/du_nom, dJ/dK) of the total objective at one
-        unbatched forward record, by one reverse sweep that reads the
-        record's prediction, covariances and floors and runs no part of the
-        forward pipeline again.  dJ/dK is zero without uncertainty.
+        """Derivatives (dJ/du_nom, dJ/dK) of the total objective at one
+        unbatched forward record, by one reverse sweep that reads the record
+        and runs no part of the forward pipeline again: exact, except that
+        step 4 takes the model's second derivatives by central differences.
+        dJ/dK is zero without uncertainty.
 
         Backwards through:
-          1. the stage 0..N assembly.  With s_ki the floored standard
-             deviation of constraint row i, dJ/dh_ki = w_ki cdf(h_ki / s_ki),
+          1. the stage 0..N assembly.  With s_ki = sqrt(beta_ki) the
+             standard deviation of row i, dJ/dh_ki = w_ki cdf(h_ki / s_ki),
              and the objective reads the joint covariance through
-             M_k = H_k / 2 + sum_i c_ki g_ki g_ki' with the constant
-             constraint gradients g_ki and
-             c_ki = w_ki pdf(h_ki / s_ki) / (2 s_ki), 0 on floored rows;
+             M_k = H_k / 2 + sum_i c_ki g_ki g_ki' with the constant row
+             gradients g_ki and c_ki = w_ki pdf(h_ki / s_ki) / (2 s_ki);
              the nominal cost adds H_k z_k + its linear term;
           2. the joint maps and the covariance recursion
              (:func:`~dualmpc.uncertainty.covariance_adjoint`), which give
@@ -430,7 +422,7 @@ class ObjectiveEvaluator:
             K_all = policy.stage_gains()
             T = joint_map(np.concatenate([K_all, np.zeros((1,) + K_all.shape[1:])]))
             T_t = np.swapaxes(T, -1, -2)
-            c = record.slope * self._weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
+            c = self._weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
             M = 0.5 * cost.hessians + np.einsum("ki,kia,kib->kab", c, self._grads, self._grads)
             T_bar = 2.0 * M @ T @ sigma
             K_bar, lin_bar, gains_bar = covariance_adjoint(
@@ -470,9 +462,9 @@ class ObjectiveEvaluator:
 
     def breakdown_and_beta(self, policy: Policy, record: Evaluation | None = None) -> tuple[ObjectiveBreakdown, list]:
         """Scalar objective decomposition of a single (unbatched) policy and
-        its floored direction variances (the eliminated slack values), from
-        one forward record: ``record``, the unbatched record of ``policy`` if
-        the caller holds it, else a new one.
+        its direction variances plus eps_sigma^2 (the eliminated slacks),
+        from one forward record: ``record``, the unbatched record of
+        ``policy`` if the caller holds it, else a new one.
 
         The variances come as a list with one entry per stage 0..N-1 plus
         the terminal entry.

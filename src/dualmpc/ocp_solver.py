@@ -4,15 +4,16 @@ The covariance recursion is always evaluated forward from the decision
 variables (single shooting), so the only free variables are the nominal
 controls and the feedback gains; the constraint-variance slacks are
 eliminated analytically (the expected hinge penalty is strictly increasing
-in the variance, so at any optimum each slack sits at max(floor, variance)).
+in the variance, so at any optimum each slack sits at the variance plus
+eps_sigma^2, a smooth function of the decision variables).
 
 The optimizer is a projected quasi-Newton method: damped BFGS approximation
 with restart, Armijo backtracking along the projection arc, and hard box
 bounds on the nominal controls enforced by clipping at every trial point.
 
-Gradient: exact, from one reverse sweep (:meth:`ObjectiveEvaluator.gradient`)
+Gradient: from one reverse sweep (:meth:`ObjectiveEvaluator.gradient`)
 that reads the accepted line-search trial's row of the batch's forward
-record: its prediction, covariances, floored variances and slopes.  So
+record: its prediction, covariances and direction variances.  So
 each iteration runs the pipeline forward once per line-search chunk, and
 the sweep runs none of it again.  Central differences survive only for the
 per-coordinate curvature that seeds the quasi-Newton metric (_seed):

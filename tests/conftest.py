@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -47,18 +47,14 @@ def random_spd(rng, n, scale=1.0):
     return scale * (M @ M.T + 0.1 * np.eye(n))
 
 
-def prediction_fields(pred):
-    """Every array of a ``Prediction``, in a fixed order, for bitwise checks."""
-    fields = [pred.traj.states, pred.traj.controls, pred.nominal_cost, pred.h]
-    if pred.lin is not None:
-        fields += [getattr(pred.lin, name) for name in "ABGCD"] + [pred.filter_gains]
-    if pred.filter_covs is not None:
-        fields += [pred.filter_covs, pred.filter_pred_covs, pred.innovation_chols]
-    return fields
-
-
-def record_fields(record):
-    """Every array of a forward record (``ObjectiveEvaluator.evaluate``), its
-    prediction's included, in a fixed order, for bitwise checks."""
-    fields = prediction_fields(record.prediction) + [record.feedback, record.joint, record.beta, record.slope]
-    return fields + ([] if record.sigma is None else [record.sigma]) + list(record.parts)
+def record_fields(value):
+    """Every array of a forward record (``ObjectiveEvaluator.evaluate``) or
+    of any dataclass or tuple of arrays, nested ones included, in field
+    order, for bitwise checks.  None fields are skipped."""
+    if value is None:
+        return []
+    if is_dataclass(value):
+        return [a for f in fields(value) for a in record_fields(getattr(value, f.name))]
+    if isinstance(value, tuple):
+        return [a for v in value for a in record_fields(v)]
+    return [value]

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from dualmpc import ModelError, expected_relu, floored_variance
+from dualmpc import ModelError, expected_relu
 from dualmpc.estimation import BeliefState, EstimationError
 from dualmpc.model import Array, SystemModel
 from dualmpc.uncertainty import Policy, StageLinearization, factor_solve, spd_factor, symmetrize
@@ -271,10 +271,11 @@ def expected_quadratic(hessian: Array, gradient: Array, constant, mean: Array, c
 def penalty_total(h_nom: Array, beta: Array, weights: Array, eps_sigma: float):
     """Sum of weighted expected hinge penalties over the trailing axis.
 
-    ``beta`` is floored by :func:`floored_variance` before taking the square
-    root, so every constraint sees at least the minimum smoothing variance.
+    Each constraint's standard deviation is sqrt(clip(beta, 0) + eps_sigma^2):
+    the direction variance plus the smoothing variance.
     """
-    return np.sum(weights * expected_relu(h_nom, np.sqrt(floored_variance(beta, eps_sigma)[0])), axis=-1)
+    std = np.sqrt(np.clip(np.asarray(beta, dtype=float), 0.0, None) + eps_sigma**2)
+    return np.sum(weights * expected_relu(h_nom, std), axis=-1)
 
 
 def chol_solve_spd(S: Array, rhs: Array, context: str = "linear solve"):

@@ -357,6 +357,20 @@ def test_phi_table_bad_range_exits_two(tmp_path, capsys):
 
 # -------------------------------------------------------------- exit code 2
 
+def test_linear_box_bounds_off_the_control_count_exit_two_at_their_line(tmp_path, capsys):
+    """u_lower/u_upper entry counts are checked against the number of
+    controls (1 here) before the model is built, so the error names the key
+    and its line, not NumPy's broadcast error."""
+    text = LINEAR_LQG.replace("terminal_cost_diag = 2.0 1.0\n",
+                              "terminal_cost_diag = 2.0 1.0\nu_lower = -1 -1\nu_upper = 1 1 1\n")
+    cfg = _cfg(tmp_path, text)
+    line = text.splitlines().index("u_lower = -1 -1") + 1
+    assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {cfg}:{line}: u_lower needs 1 entries, one per control (got 2)"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_errors_exit_two(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[model]\ntype = hovercraft\n")

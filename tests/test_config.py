@@ -182,8 +182,6 @@ def test_linear_matrix_shape_errors(tmp_path):
     ("state_cost_diag = 1.0 0.5", "state_cost_diag = -1 1", "not positive semidefinite"),
     ("horizon_steps = 6", "horizon_steps = -2", "horizon must be at least 1"),
     ("horizon_steps = 6", "horizon_steps = 0", "horizon must be at least 1"),
-    ("terminal_cost_diag = 2.0 1.0", "terminal_cost_diag = 2.0 1.0\nu_lower = -0.1 -0.1\nu_upper = 0.1 0.1",
-     "one entry per control"),
 ])
 def test_invalid_linear_model_is_a_config_error(tmp_path, capsys, old, new, message):
     path = _write(tmp_path, LINEAR.replace(old, new))
@@ -194,6 +192,23 @@ def test_invalid_linear_model_is_a_config_error(tmp_path, capsys, old, new, mess
         assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_linear_box_bounds_off_the_control_count_are_reported_at_their_line(tmp_path, capsys):
+    """u_lower and u_upper need one entry per control (1 here).  A count off
+    it is reported once, at the line of the first key that is off, by the
+    loader and by solve and simulate (bounds of two lengths: test_cli)."""
+    text = LINEAR.replace("terminal_cost_diag = 2.0 1.0",
+                          "terminal_cost_diag = 2.0 1.0\nu_lower = -0.1 -0.1\nu_upper = 0.1 0.1")
+    path = _write(tmp_path, text)
+    line = text.splitlines().index("u_lower = -0.1 -0.1") + 1
+    message = f"{path}:{line}: u_lower needs 1 entries, one per control (got 2)"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(path)
+    for command in ("solve", "simulate"):
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "out").exists()
 
 

@@ -362,6 +362,21 @@ def test_constraint_box_compares_list_bounds_entrywise(unicycle_problem):
         replace(unicycle_problem.constraints, u_lower=[0.0, 5.0], u_upper=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("lower, upper", [
+    (np.zeros(2), np.ones(3)),
+    (np.zeros((1, 2)), np.ones((1, 2))),
+    (np.zeros((1, 2)), np.ones(2)),
+    (0.0, 1.0),
+])
+def test_constraint_box_bounds_must_be_one_dimensional_and_of_one_length(lower, upper):
+    """The box is checked for shape before its entries are compared, so
+    bounds of different lengths or of another rank raise a ModelError that
+    names the box, not NumPy's broadcast error, and a 2-D box does not wait
+    for ``ControlProblem`` to be caught."""
+    with pytest.raises(ModelError, match=r"control box bounds must be 1-D and of one length, got shapes"):
+        _one_row_set([[1.0], [1.0]], lower, upper)
+
+
 def test_constraint_values_of_a_batch_equal_each_point_alone(unicycle_problem):
     cs = unicycle_problem.constraints
     rng = np.random.default_rng(5)
@@ -394,7 +409,10 @@ def test_problem_rejects_constraint_matrix_off_the_model(columns):
 def test_problem_rejects_control_box_of_the_wrong_length(lower, upper):
     prob = make_linear_problem([[1.0]], [[1.0]], [[0.1]], [[1.0]], [[0.1]], [[1.0]], [[1.0]],
                                [[1.0]], horizon=2)
-    with pytest.raises(ModelError, match=r"control box bounds need shape \(1,\)"):
+    # a box that is not 1-D or whose bounds differ in length fails in ConstraintSet itself
+    one_length = np.ndim(lower) == 1 and np.shape(lower) == np.shape(upper)
+    message = r"need shape \(1,\)" if one_length else "must be 1-D and of one length"
+    with pytest.raises(ModelError, match="control box bounds " + message):
         replace(prob, constraints=_one_row_set([[1.0]] * 3, u_lower=lower, u_upper=upper))
 
 

@@ -148,8 +148,9 @@ def test_penalty_total_values():
     # deep feasible: each term underflows to zero
     val = penalty_total(np.full(3, -1e6), np.full(3, 1e-6), np.full(3, 1e3), 1e-3)
     assert val == 0.0
+    # at h = 0 the expected hinge is sigma / sqrt(2 pi), sigma^2 = beta + eps^2
     val = penalty_total(np.array([0.0]), np.array([1.0]), np.array([1e3]), 1e-3)
-    assert val == pytest.approx(1e3 / np.sqrt(2 * np.pi), rel=1e-12)
+    assert val == pytest.approx(1e3 * np.sqrt(1.0 + 1e-6) / np.sqrt(2 * np.pi), rel=1e-12)
     # additivity
     h = np.array([0.2, -0.3])
     beta = np.array([0.5, 2.0])
@@ -160,13 +161,16 @@ def test_penalty_total_values():
 
 
 def test_penalty_total_applies_variance_floor():
-    # beta below the floor behaves exactly like beta at the floor
+    # beta below zero (rounding on a PSD form) behaves exactly like beta = 0
+    neg = penalty_total(np.array([0.01]), np.array([-1e-12]), np.array([1.0]), 1e-2)
     lo = penalty_total(np.array([0.01]), np.array([0.0]), np.array([1.0]), 1e-2)
-    at = penalty_total(np.array([0.01]), np.array([1e-4]), np.array([1.0]), 1e-2)
-    assert lo == at
+    assert neg == lo == expected_relu(0.01, 1e-2)
     assert lo > 0.01  # smoothing adds mass above the plain hinge
+    # every beta gains eps_sigma^2, also at and above the old floor eps_sigma^2
+    at = penalty_total(np.array([0.01]), np.array([1e-4]), np.array([1.0]), 1e-2)
+    assert at == expected_relu(0.01, np.sqrt(1e-4 + 1e-4))
     above = penalty_total(np.array([0.01]), np.array([4e-4]), np.array([1.0]), 1e-2)
-    assert above > at  # beta above the floor is used as given
+    assert above > at > lo
 
 
 def test_feedback_regularization():
@@ -329,7 +333,7 @@ def test_totals_of_line_search_batch_match_rows_bitwise():
 @pytest.mark.parametrize("case", ["linear", "unicycle"])
 def test_batch_rows_evaluate_as_alone(case, uncertainty):
     """Every row of a 12-row ``totals`` batch, its total and every field of
-    its forward record (prediction, covariances, floors, slopes and parts),
+    its forward record (prediction, covariances, direction variances and parts),
     equals that row evaluated alone, as a one-row batch and unbatched, bit
     for bit, and so does the gradient read from it.  The line search relies
     on this: its chunking cannot change which trial passes, nor the record
@@ -385,8 +389,8 @@ def test_filter_free_evaluation_matches_filtered_bitwise(case, monkeypatch):
     """With zero feedback gains the objective cannot read the filter: on a
     12-row batch with shared zero gains, the open_loop evaluator, which runs
     neither ``kalman_recursion`` nor ``kalman_adjoint``, gives the filtered
-    evaluator's totals, joint covariances, floors, slopes and parts bit for
-    bit, and so does each row's control gradient."""
+    evaluator's totals, state-deviation covariances, direction variances
+    and parts bit for bit, and so does each row's control gradient."""
     prob, x0, P0, _ = _assembly_cases()[0 if case == "linear" else 1]
     n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
     u = np.random.default_rng(48).uniform(-1.5, 1.5, size=(12, N, n_u))
@@ -400,8 +404,9 @@ def test_filter_free_evaluation_matches_filtered_bitwise(case, monkeypatch):
         free_totals, free_record = free.totals(u, fb)
         free_grads = [free.gradient(free_record.take(i))[0] for i in range(12)]
     assert np.array_equal(free_totals, totals)
-    for got, expected in zip([free_record.joint, free_record.beta, free_record.slope, *free_record.parts],
-                             [record.joint, record.beta, record.slope, *record.parts], strict=True):
+    state_block = np.s_[..., :n_x, :n_x]  # with K = 0 the objective reads sigma only here
+    for got, expected in zip([free_record.sigma[state_block], free_record.beta, *free_record.parts],
+                             [record.sigma[state_block], record.beta, *record.parts], strict=True):
         assert np.array_equal(got, expected)
     for i in range(12):
         assert np.array_equal(free_grads[i], filtered.gradient(record.take(i))[0])
@@ -514,7 +519,7 @@ def _reference_parts(problem, x0, P0, policy, eps_sigma, eps_K):
         nominal += 0.5 * z @ H[k] @ z + g[k] @ z + c[k]
         variance += 0.5 * np.trace(H[k] @ joint)
         used = cs.weights[k] > 0
-        beta = np.maximum(constraint_direction_variance(cs.matrix[used], joint), eps2)
+        beta = np.clip(constraint_direction_variance(cs.matrix[used], joint), 0.0, None) + eps2
         penalty += np.sum(cs.weights[k][used] * expected_relu(cs.values(x, u)[used], np.sqrt(beta)))
         betas.append(beta)
     x_N, P_N, u_N = traj.states[N], aug.P[N], np.zeros(model.n_u)
@@ -523,7 +528,7 @@ def _reference_parts(problem, x0, P0, policy, eps_sigma, eps_K):
     variance += 0.5 * np.trace(H_N @ P_N)
     used = cs.weights[N] > 0
     grads = cs.matrix[used][:, : model.n_x]
-    beta = np.maximum(constraint_direction_variance(grads, P_N), eps2)
+    beta = np.clip(constraint_direction_variance(grads, P_N), 0.0, None) + eps2
     penalty += np.sum(cs.weights[N][used] * expected_relu(cs.values(x_N, u_N)[used], np.sqrt(beta)))
     betas.append(beta)
     reg = eps_K * np.sum(np.asarray(policy.feedback) ** 2)
@@ -616,10 +621,12 @@ def test_gain_gradient_matches_central_differences(case, scale):
     """The gain half of the reverse-mode gradient against central-difference
     gain rows through ``parts_from_prediction``.  The linear problem has a
     nonzero terminal Hessian and eps_K > 0.  On the unicycle next to its r_x
-    wall some constraint rows lie above the variance floor and some sit on
-    it, among them the box rows of the last stage, whose small gain keeps
-    their variance under the floor while their first control presses on its
-    bound, so their expected hinge is live but its gain derivative is 0."""
+    wall live constraint rows have direction variances H both above and
+    below eps_sigma^2 (where the old floor max(H, eps_sigma^2) had its
+    kink), among the latter the box rows of the last stage, whose small gain
+    keeps H under eps_sigma^2 while their first control presses on its
+    bound, so their expected hinge is live and its gain derivative is
+    small but not cut to 0."""
     prob, x0, P0, u = _assembly_cases()[case]
     n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
     fb = scale * np.random.default_rng(47).normal(size=(N - 1, n_u, n_x))
@@ -638,10 +645,51 @@ def test_gain_gradient_matches_central_differences(case, scale):
     if case == 1:
         beta = record.beta
         used = ev._weights > 0
-        floored = used & (beta == eps_sigma**2)
+        H = beta - eps_sigma**2
+        below = used & (H > 0.0) & (H < eps_sigma**2)
         live = used & (np.abs(pred.h / np.sqrt(beta)) < 3)
-        assert (used & ~floored & live).any()
-        assert (floored & live)[N - 1].any()
+        assert (used & (H > eps_sigma**2) & live).any()
+        assert (below & live)[N - 1].any()
+
+
+def test_objective_is_c1_across_the_old_variance_floor():
+    """The objective is continuously differentiable where a row's direction
+    variance H passes eps_sigma^2, the kink of the old floor
+    max(H, eps_sigma^2).  On the unicycle with a live box row at stage N-1,
+    scaling the first row of the last gain by s moves that row's H = s^2 H_1
+    through eps_sigma^2 at s*; the left and right difference quotients of
+    ``totals`` at s* agree with each other and with the sweep's directional
+    derivative."""
+    prob, x0, P0, u = _assembly_cases()[1]
+    n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
+    fb = 0.05 * np.random.default_rng(47).normal(size=(N - 1, n_u, n_x))
+    u = u.copy()
+    u[N - 1, 0] = prob.constraints.u_upper[0] - 2e-4  # the row u_0 - u_max is live
+    eps_sigma, row = 1e-3, 1  # row 1 of stage N-1 is u_0 - u_max
+    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=eps_sigma, eps_K=1e-4)
+    k = fb[-1, 0].copy()
+
+    def gains(s):
+        out = fb.copy()
+        out[-1, 0] = s * k
+        return out
+
+    def direction_variance(s):
+        sigma = ev.evaluate(ev.prediction(u), gains(s)).sigma
+        joint = joint_covariance(sigma[N - 1], Policy(u_nom=u, feedback=gains(s)).stage_gains()[N - 1])
+        return constraint_direction_variance(ev._grads[N - 1, row], joint)
+
+    s_star = np.sqrt(eps_sigma**2 / direction_variance(1.0))
+    delta = 1e-5 * s_star
+    assert direction_variance(s_star - delta) < eps_sigma**2 < direction_variance(s_star + delta)
+    J = [ev.totals(u, gains(s))[0] for s in (s_star - delta, s_star, s_star + delta)]
+    left, right = (J[1] - J[0]) / delta, (J[2] - J[1]) / delta
+    record = ev.totals(u, gains(s_star))[1]
+    assert abs(record.prediction.h[N - 1, row]) < 3 * np.sqrt(record.beta[N - 1, row])  # live
+    sweep = np.sum(ev.gradient(record)[1][-1, 0] * k)
+    tol = 1e-5 * abs(sweep)
+    assert abs(right - left) < tol
+    assert abs(left - sweep) < tol and abs(right - sweep) < tol
 
 
 def _unexpected_call(name):

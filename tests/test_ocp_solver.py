@@ -11,11 +11,11 @@ from dualmpc import (
     Policy,
     SolveOptions,
     expected_relu,
-    floored_variance,
     load_config,
     make_linear_problem,
     make_unicycle_problem,
     nominal_rollout,
+    smoothed_variance,
     solve,
     total_objective,
 )
@@ -30,19 +30,22 @@ from oracles import open_loop_policy
 # ------------------------------------------------------------- slack elimination
 
 def test_eliminate_beta_applies_floor_and_passthrough():
-    assert floored_variance(0.0, 1e-3) == (1e-6, 0.0)
-    assert floored_variance(4.0, 1e-3) == (4.0, 1.0)
-    # negative inputs (FD noise on a PSD form) are clamped before flooring;
-    # the slope is 1 only strictly above the floor
-    out, slope = floored_variance(np.array([-1e-9, 0.0, 2.5e-7, 1e-6, 0.3]), 1e-3)
-    np.testing.assert_allclose(out, [1e-6, 1e-6, 1e-6, 1e-6, 0.3], atol=0)
-    np.testing.assert_array_equal(slope, [0.0, 0.0, 0.0, 0.0, 1.0])
+    """smoothed_variance returns one array, clip(H, 0) + eps_sigma^2: a
+    negative input (rounding on a PSD form) counts as 0, and every variance,
+    also one below the old floor eps_sigma^2, gains eps_sigma^2."""
+    assert smoothed_variance(0.0, 1e-3) == 1e-6
+    assert smoothed_variance(4.0, 1e-3) == 4.0 + 1e-6
+    H = np.array([-3e-17, 0.0, 2.5e-7, 1e-6, 0.3])
+    out = smoothed_variance(H, 1e-3)
+    assert isinstance(out, np.ndarray) and out.shape == H.shape
+    assert out.tolist() == [1e-6, 1e-6, 2.5e-7 + 1e-6, 1e-6 + 1e-6, 0.3 + 1e-6]
+    np.testing.assert_allclose(out, [1e-6, 1e-6, 1.25e-6, 2e-6, 0.300001], rtol=1e-15, atol=0)
 
 
 def test_explicit_slack_brute_force_matches_eliminated_formulation():
     # Brute-force the one-stage problem over (u, beta) with beta kept as an
-    # explicit decision variable (bounded below by the floor and by the
-    # terminal direction variance); the reduced solver must match the best
+    # explicit decision variable (bounded below by the terminal direction
+    # variance plus eps_sigma^2); the reduced solver must match the best
     # grid value and report beta at its lower bound.
     rho, eps_sigma = 50.0, 1e-3
     prob = one_stage_terminal_problem(rho)
@@ -59,8 +62,8 @@ def test_explicit_slack_brute_force_matches_eliminated_formulation():
         variance = 0.5 * 1.0 * 0.04 + 0.5 * 2.0 * P1
         return nominal + variance + rho * expected_relu(x1 - 0.5, np.sqrt(beta))
 
-    floor = max(eps_sigma**2, P1)
-    betas = floor * np.linspace(1.0, 4.0, 121)
+    beta_min = P1 + eps_sigma**2
+    betas = beta_min * np.linspace(1.0, 4.0, 121)
     lo, hi = -5.0, 5.0
     for _ in range(4):  # refine the control grid around the incumbent
         us = np.linspace(lo, hi, 401)
@@ -71,11 +74,11 @@ def test_explicit_slack_brute_force_matches_eliminated_formulation():
         span = (hi - lo) / 40
         lo, hi = best_u - span, best_u + span
 
-    assert best_beta == pytest.approx(floor, rel=1e-12)  # monotone in beta
+    assert best_beta == pytest.approx(beta_min, rel=1e-12)  # monotone in beta
     assert res.objective.total == pytest.approx(best_val, rel=1e-6)
-    # reported slacks: no stage rows, one terminal entry at max(eps^2, H)
+    # reported slacks: no stage rows, one terminal entry at H + eps^2
     assert res.beta[0].shape == (0,)
-    assert res.beta[-1] == pytest.approx([floor], rel=1e-12)
+    assert res.beta[-1] == pytest.approx([beta_min], rel=1e-12)
 
 
 # ------------------------------------------------------------------ solve: oracles
