@@ -174,6 +174,14 @@ class _Section:
             self.fail(key, f"{key} has {flat.size} entries, not divisible into {rows} {context} rows")
         return flat.reshape(rows, -1)
 
+    def sizes(self, wanted: dict[str, tuple[int, str]]) -> None:
+        """Fail at the first key set, in file order, whose vector does not
+        have its wanted number of entries (``key: (count, reason)``)."""
+        for key in sorted((k for k in wanted if k in self.values), key=self.lines.__getitem__):
+            count, reason = wanted[key]
+            if self.values[key].size != count:
+                self.fail(key, f"{key} needs {count} entries, {reason} (got {self.values[key].size})")
+
     def require(self, keys) -> None:
         missing = [k for k in keys if k not in self.values]
         if missing:
@@ -262,14 +270,12 @@ def _build_linear(path: Path, model: _Section) -> ControlProblem:
         model.fail("output_matrix", f"output_matrix needs a multiple of {n_x} entries")
     C = C_flat.reshape(-1, n_x)
     D = model.matrix("measurement_noise_matrix", C.shape[0], "output")
-    q = values["state_cost_diag"]
-    r = values["control_cost_diag"]
-    qf = values["terminal_cost_diag"]
-    if q.size != n_x or qf.size != n_x or r.size != B.shape[1]:
-        raise ConfigError(f"{path}: cost diagonals do not match the model dimensions")
-    for key in ("u_lower", "u_upper"):
-        if key in values and values[key].size != B.shape[1]:
-            model.fail(key, f"{key} needs {B.shape[1]} entries, one per control (got {values[key].size})")
+    per_state, per_control = (n_x, "one per state"), (B.shape[1], "one per control")
+    model.sizes({
+        "state_cost_diag": per_state, "terminal_cost_diag": per_state,
+        "control_cost_diag": per_control, "u_lower": per_control, "u_upper": per_control,
+    })
+    q, r, qf = values["state_cost_diag"], values["control_cost_diag"], values["terminal_cost_diag"]
     try:
         return make_linear_problem(
             A, B, G, C, D, np.diag(q), np.diag(r), np.diag(qf),
@@ -312,10 +318,7 @@ def load_config(path) -> ExperimentConfig:
     sim = sections["simulation"]
     init_mean = sim.values["init_mean"]
     init_cov_diag = sim.values["init_cov_diag"]
-    if init_mean.size != problem.model.n_x or init_cov_diag.size != problem.model.n_x:
-        raise ConfigError(
-            f"{path}: init_mean/init_cov_diag must have {problem.model.n_x} entries"
-        )
+    sim.sizes(dict.fromkeys(("init_mean", "init_cov_diag"), (problem.model.n_x, "one per state")))
     if np.any(init_cov_diag < 0.0):
         sim.fail("init_cov_diag", "init_cov_diag must be nonnegative")
     try:

@@ -9,6 +9,7 @@ vectorized.
 The model contract: the stage maps and their Jacobians are time-invariant
 (no stage index), and the Jacobians are analytic and required, so a whole
 trajectory linearizes in one call with the stage axis folded into the batch.
+An optional whole-horizon rollout may stand in for the stage loop over f.
 Costs and constraints are data.  Costs are (N+1)-row tables of Hessians,
 gradients and constants, with the terminal cost as stage N at u = 0.
 Constraints are one set of rows affine in (x, u), a (matrix, offset) pair
@@ -33,6 +34,8 @@ OutputFn = Callable[[Array, Array], Array]
 # float arrays with the point's batch dimensions in front.
 DynamicsJacFn = Callable[[Array, Array, Array], tuple[Array, Array, Array]]
 OutputJacFn = Callable[[Array, Array], tuple[Array, Array]]
+# Noise-free trajectory: rollout(x0, u (.., N, n_u)) -> states (.., N+1, n_x).
+RolloutFn = Callable[[Array, Array], Array]
 
 
 class ModelError(ValueError):
@@ -81,6 +84,13 @@ class SystemModel:
             with the batch dimensions of ``x`` in front.
         g_jac: analytic Jacobians ``(C, D)`` of ``g`` at ``(x, v)``, alike.
         state_names: labels for file outputs.
+        rollout: optional ``rollout(x0, u)``, the states ``(.., N+1, n_x)``
+            from ``x0`` under the controls ``u (.., N, n_u)`` with zero
+            noise, in one call.  When set, it must give the bits of the
+            stage loop ``x_{k+1} = f(x_k, u_k, 0)``; code that replaces
+            ``f`` with ``dataclasses.replace`` must also set
+            ``rollout=None``.  Without it, ``nominal_rollout`` runs that
+            stage loop.
     """
 
     n_x: int
@@ -94,6 +104,7 @@ class SystemModel:
     f_jac: DynamicsJacFn
     g_jac: OutputJacFn
     state_names: tuple[str, ...]
+    rollout: RolloutFn | None = None
 
     def __post_init__(self):
         if self.horizon < 1:

@@ -167,24 +167,34 @@ class AugmentedCovariance:
 def nominal_rollout(model: SystemModel, x0: Array, u_nom: Array) -> NominalTrajectory:
     """Simulate the system with all noises zero from x0 under u_nom.
 
-    Batched over leading dims of ``x0`` / ``u_nom``.
+    Batched over leading dims of ``x0`` / ``u_nom``.  A model with a
+    ``rollout`` integrates the whole horizon in one call; for any other
+    model the stage map ``f(., ., 0)`` runs stage after stage.  Either way
+    the states are checked once.
 
     Raises:
-        RolloutError: if a stage produces non-finite states (stage named).
+        RolloutError: if a stage produces non-finite states (the first
+            such stage named).
     """
     x0 = np.asarray(x0, dtype=float)
     u_nom = np.asarray(u_nom, dtype=float)
     N = u_nom.shape[-2]
     batch = np.broadcast_shapes(x0.shape[:-1], u_nom.shape[:-2])
-    x = np.broadcast_to(x0, batch + x0.shape[-1:]).astype(float)
-    w0 = np.zeros(model.n_w)
-    states = np.empty(batch + (N + 1,) + x0.shape[-1:])
-    states[..., 0, :] = x
-    for k in range(N):
-        x = np.asarray(model.f(x, u_nom[..., k, :], w0), dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise RolloutError(f"nominal rollout diverged at stage {k + 1}")
-        states[..., k + 1, :] = x
+    if model.rollout is not None:
+        # A compact copy: a rollout may return a strided view of a larger table.
+        states = np.ascontiguousarray(model.rollout(x0, u_nom), dtype=float)
+    else:
+        x = np.broadcast_to(x0, batch + x0.shape[-1:]).astype(float)
+        w0 = np.zeros(model.n_w)
+        states = np.empty(batch + (N + 1,) + x0.shape[-1:])
+        states[..., 0, :] = x
+        for k in range(N):
+            x = np.asarray(model.f(x, u_nom[..., k, :], w0), dtype=float)
+            states[..., k + 1, :] = x
+    finite = np.isfinite(states[..., 1:, :]).all(axis=-1)
+    finite = finite.all(axis=tuple(range(finite.ndim - 1)))
+    if not finite.all():
+        raise RolloutError(f"nominal rollout diverged at stage {np.argmin(finite) + 1}")
     controls = np.broadcast_to(u_nom, batch + u_nom.shape[-2:])
     return NominalTrajectory(states=states, controls=controls)
 

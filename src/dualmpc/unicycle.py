@@ -13,10 +13,13 @@ state is given) and the box rows at the terminal stage N (it has no
 control).  The box is additionally enforced exactly on the nominal controls.
 
 The dynamics are one classical RK4 step per stage (``substeps`` substeps,
-controls and noise held), integrated in cascade form: the heading does not
-depend on the position, so all stage headings come first and the positions
-follow.  The results are the bits of the generic RK4 step, which the tests
-keep as the reference (``tests/oracles.py``).
+controls and noise held), integrated in cascade form over the whole
+horizon: the heading does not depend on the position, so the headings of
+every substep of every stage come first and the positions follow.  The
+model's ``rollout`` is that integrator over N stages with zero noise, and
+``f`` is its one-stage case.  The results are the bits of the generic RK4
+step taken stage after stage, which the tests keep as the reference
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -104,60 +107,77 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
     # In cascade form: the heading rate omega + (L_w w)_3 does not depend on
     # the state, and the position rates v cos(theta) + (L_w w)_1 and
     # v sin(theta) + (L_w w)_2 read only the heading.  So the headings of all
-    # RK4 stage points come first, and the positions follow from one sin and
-    # one cos call.  Every IEEE operation is the one the generic RK4 step
-    # (the tests' oracle) performs on the same numbers, in the same order,
-    # so f and f_jac give its bits.
-    h = params.dt / params.substeps
+    # RK4 stage points of the whole horizon come first, from one strictly
+    # sequential sum, and the positions follow from one sin, one cos and one
+    # sum.  Every IEEE operation is the one the generic RK4 step (the tests'
+    # oracle), called stage after stage, performs on the same numbers, in the
+    # same order, so f, the rollout and f_jac give its bits.
+    S = params.substeps
+    h = params.dt / S
 
-    def stage_headings(x, u, w_shaped):
-        """The headings (.., substeps, 3) of the stage points of every
-        substep: its start theta_s, theta_s + (h/2) r (stages 2 and 3) and
-        theta_s + h r (stage 4), with the heading rate r; and the table
-        (.., substeps + 1, 3) whose cumulative sum over the substeps is the
-        state: x in row 0, the heading increments in column 2."""
-        rate = u[..., 1] + w_shaped[..., 2]
-        steps = np.empty(np.broadcast_shapes(x.shape[:-1], rate.shape) + (params.substeps + 1, 3))
-        steps[..., 0, :] = x
-        steps[..., 1:, 2] = ((h / 6.0) * (((rate + 2.0 * rate) + 2.0 * rate) + rate))[..., None]
-        theta = np.add.accumulate(steps[..., :-1, 2], axis=-1)  # strictly sequential
+    def headings(x0, u, w_shaped):
+        """The headings (.., N, substeps, 3) of the stage points of every
+        substep of the N stages of u (.., N, 2): its start theta_s,
+        theta_s + (h/2) r (stages 2 and 3) and theta_s + h r (stage 4), with
+        the stage's heading rate r; and the table (.., N * substeps + 1, 3)
+        whose cumulative sum over the substeps is the trajectory: x0 in row
+        0, the heading increments in column 2."""
+        rate = u[..., 1] + w_shaped[..., None, 2]
+        N = rate.shape[-1]
+        steps = np.empty(np.broadcast_shapes(x0.shape[:-1], rate.shape[:-1]) + (N * S + 1, 3))
+        steps[..., 0, :] = x0
+        steps[..., 1:, 2] = np.repeat((h / 6.0) * (((rate + 2.0 * rate) + 2.0 * rate) + rate), S, axis=-1)
+        theta = np.add.accumulate(steps[..., :-1, 2], axis=-1).reshape(steps.shape[:-2] + (N, S))
         rate = rate[..., None]
         return np.stack([theta, theta + 0.5 * h * rate, theta + h * rate], axis=-1), steps
 
-    def f(x, u, w):
-        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-        if not (np.isfinite(x).all() and np.isfinite(u).all()):
+    def integrate(x0, u, w_shaped):
+        """The states (.., N+1, 3) at the stage boundaries from x0 under the
+        controls u (.., N, 2), with the shaped noise w_shaped (.., 3) held
+        over the whole horizon."""
+        x0, u = np.asarray(x0, dtype=float), np.asarray(u, dtype=float)
+        if not (np.isfinite(x0).all() and np.isfinite(u).all()):
             raise ModelError("unicycle step: non-finite state or control input")
-        w_shaped = w @ L_w.T
-        heading, steps = stage_headings(x, u, w_shaped)
+        heading, steps = headings(x0, u, w_shaped)
         k = u[..., None, None, :1] * np.stack([np.cos(heading), np.sin(heading)], axis=-1)
-        k = k + w_shaped[..., None, None, :2]  # position rates at the stage points 1, 2 (= 3) and 4
-        steps[..., 1:, :2] = (h / 6.0) * (((k[..., 0, :] + 2.0 * k[..., 1, :]) + 2.0 * k[..., 1, :]) + k[..., 2, :])
-        return np.add.accumulate(steps, axis=-2)[..., -1, :]
+        k = k + w_shaped[..., None, None, None, :2]  # position rates at the stage points 1, 2 (= 3) and 4
+        increments = (h / 6.0) * (((k[..., 0, :] + 2.0 * k[..., 1, :]) + 2.0 * k[..., 1, :]) + k[..., 2, :])
+        steps[..., 1:, :2] = increments.reshape(steps.shape[:-2] + (u.shape[-2] * S, 2))
+        return np.add.accumulate(steps, axis=-2)[..., ::S, :]
+
+    # The shaped noise that f(., ., 0) holds: w @ L_w.T at w = 0, zero signs
+    # included.
+    zero_noise = np.zeros(3) @ L_w.T
+
+    def f(x, u, w):
+        return integrate(x, np.asarray(u, dtype=float)[..., None, :], w @ L_w.T)[..., -1, :]
+
+    def rollout(x0, u):
+        return integrate(x0, u, zero_noise)
 
     def f_jac(x, u, w):
         """Jacobians of the RK4 step: the tangents ride the RK4 stages, with
         the control and the standardized-noise columns in one chain."""
         x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-        heading, _ = stage_headings(x, u, w @ L_w.T)
+        heading = headings(x, u[..., None, :], w @ L_w.T)[0][..., 0, :, :]
         sin, cos = np.sin(heading), np.cos(heading)
         v = u[..., 0, None]
         eye = np.eye(3)
         A = np.broadcast_to(eye, x.shape + (3,)).copy()
         E = None
-        for s in range(params.substeps):
-            # Continuous-time Jacobians at the substep's stage points:
-            # d xdot / dx, and E = [d xdot / du | d xdot / dw].
-            dx_dtheta = -v * sin[..., s, :]
-            A_s = np.zeros(dx_dtheta.shape + (3, 3))
-            A_s[..., 0, 2] = dx_dtheta
+        # Continuous-time Jacobians at a substep's stage points: d xdot / dx,
+        # and E = [d xdot / du | d xdot / dw].  Only the heading entries
+        # change from substep to substep.
+        A_s = np.zeros(heading.shape[:-2] + (3, 3, 3))
+        E_s = np.zeros(heading.shape[:-2] + (3, 3, 5))
+        E_s[..., 2, 1] = 1.0
+        E_s[..., 2:] = L_w
+        (A1, A2, A4), (E1, E2, E4) = np.moveaxis(A_s, -3, 0), np.moveaxis(E_s, -3, 0)
+        for s in range(S):
+            A_s[..., 0, 2] = -v * sin[..., s, :]
             A_s[..., 1, 2] = v * cos[..., s, :]
-            E_s = np.zeros(dx_dtheta.shape + (3, 5))
             E_s[..., 0, 0] = cos[..., s, :]
             E_s[..., 1, 0] = sin[..., s, :]
-            E_s[..., 2, 1] = 1.0
-            E_s[..., 2:] = L_w
-            (A1, A2, A4), (E1, E2, E4) = np.moveaxis(A_s, -3, 0), np.moveaxis(E_s, -3, 0)
 
             D2x = A2 @ (eye + 0.5 * h * A1)
             D3x = A2 @ (eye + 0.5 * h * D2x)
@@ -189,7 +209,7 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
     model = SystemModel(
         n_x=3, n_u=2, n_w=3, n_v=3, n_y=3, horizon=N,
         f=f, g=g, f_jac=f_jac, g_jac=g_jac,
-        state_names=("r_x", "r_y", "theta"),
+        state_names=("r_x", "r_y", "theta"), rollout=rollout,
     )
 
     # Stage cost r_x + control_weight * ||u||^2 over z = (x, u) at every

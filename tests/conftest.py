@@ -47,6 +47,11 @@ def random_spd(rng, n, scale=1.0):
     return scale * (M @ M.T + 0.1 * np.eye(n))
 
 
+def same_bits(a, b):
+    """Equal values and equal sign bits, so that -0.0 and 0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def record_fields(value):
     """Every array of a forward record (``ObjectiveEvaluator.evaluate``) or
     of any dataclass or tuple of arrays, nested ones included, in field

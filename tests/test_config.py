@@ -141,9 +141,18 @@ def test_bad_controller_list_is_rejected(tmp_path):
 
 
 def test_init_dimension_mismatch_is_rejected(tmp_path):
-    text = MINIMAL_UNICYCLE.replace("init_mean = 1.0 0.5 3.0", "init_mean = 1.0 0.5")
-    with pytest.raises(ConfigError, match=r"init_mean/init_cov_diag must have 3 entries"):
-        load_config(_write(tmp_path, text))
+    """A wrong-length init vector is reported at its key and line; with
+    both wrong, the first in the file."""
+    short_mean = MINIMAL_UNICYCLE.replace("init_mean = 1.0 0.5 3.0", "init_mean = 1.0 0.5")
+    path = _write(tmp_path, short_mean)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:10: init_mean needs 3 entries, one per state \(got 2\)$"):
+        load_config(path)
+    both = short_mean.replace("init_cov_diag = 0.01 0.01 0.01", "init_cov_diag = 0.01")
+    swapped = "\n".join(both.splitlines()[:9] + both.splitlines()[9:][::-1]) + "\n"
+    for text, line, key, got in ((both, 10, "init_mean", 2), (swapped, 10, "init_cov_diag", 1)):
+        path = _write(tmp_path, text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:{line}: {key} needs 3 entries, one per state \(got {got}\)$"):
+            load_config(path)
 
 
 def test_negative_init_cov_is_rejected(tmp_path):
@@ -173,9 +182,18 @@ def test_linear_matrix_shape_errors(tmp_path):
     path = _write(tmp_path, text)
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:7: output_matrix needs a multiple of 2 entries$"):
         load_config(path)
+    # A cost diagonal of the wrong length is reported at its key and line;
+    # with several wrong, the first in the file.
     text = LINEAR.replace("control_cost_diag = 0.4", "control_cost_diag = 0.4 0.7")
-    with pytest.raises(ConfigError, match=r"cost diagonals do not match"):
-        load_config(_write(tmp_path, text))
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:10: control_cost_diag needs 1 entries, one per control \(got 2\)$"):
+        load_config(path)
+    path = _write(tmp_path, text.replace("terminal_cost_diag = 2.0 1.0", "terminal_cost_diag = 2.0"))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:10: control_cost_diag needs 1 entries"):
+        load_config(path)
+    path = _write(tmp_path, LINEAR.replace("state_cost_diag = 1.0 0.5", "state_cost_diag = 1.0"))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:9: state_cost_diag needs 2 entries, one per state \(got 1\)$"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("old, new, message", [

@@ -19,7 +19,7 @@ from dualmpc.model import psd_sqrt
 from dualmpc.uncertainty import RolloutError
 from dualmpc.unicycle import sigma_y_grad
 
-from conftest import standard_unicycle_params
+from conftest import same_bits, standard_unicycle_params
 from oracles import fd_jacobian, rk4_step, rk4_step_with_jacobian, rk4_three_chain_jacobians
 
 
@@ -105,6 +105,15 @@ def test_rk4_rejects_bad_inputs():
                 step(np.array([bad, 0, 0]), np.zeros(2))
             with pytest.raises(ModelError):
                 step(np.zeros(3), np.array([0.0, bad]))
+    # The unicycle's whole-horizon rollout checks its inputs as f does.
+    model = make_unicycle_problem(standard_unicycle_params()).model
+    for bad in (np.nan, np.inf):
+        u = np.zeros((model.horizon, 2))
+        with pytest.raises(ModelError):
+            nominal_rollout(model, np.array([0.0, bad, 0.0]), u)
+        u[7, 0] = bad
+        with pytest.raises(ModelError):
+            nominal_rollout(model, np.zeros(3), u)
     with pytest.raises(ModelError):
         rk4_step(_unicycle_ode, np.zeros(3), np.zeros(2), np.zeros(3), dt=0.0)
     with pytest.raises(ModelError):
@@ -119,10 +128,6 @@ def test_rk4_batch_matches_loop():
         batch = step(xs, us)
         for i in range(7):
             assert_allclose(batch[i], step(xs[i], us[i]), atol=0)
-
-
-def _same_bits(a, b):
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (12,), (41,), (1000,), (2, 5, 10)])
@@ -141,11 +146,11 @@ def test_unicycle_step_matches_generic_rk4_bitwise(shape):
     u.reshape(-1, 2)[::3, 0] = 0.0
     for w in (np.zeros(3), rng.normal(size=shape + (3,))):
         expected = rk4_step(_unicycle_ode, x, u, w @ L_w.T, params.dt, params.substeps)
-        assert _same_bits(model.f(x, u, w), expected)
+        assert same_bits(model.f(x, u, w), expected)
     if shape:
         x0 = x.reshape(-1, 3)[0]
         expected = rk4_step(_unicycle_ode, x0, u, np.zeros(3), params.dt, params.substeps)
-        assert _same_bits(model.f(x0, u, np.zeros(3)), expected)
+        assert same_bits(model.f(x0, u, np.zeros(3)), expected)
 
 
 def test_overflowing_heading_rate_fails_the_rollout_at_stage_1():
@@ -192,8 +197,8 @@ def test_rk4_jacobians_match_finite_differences():
 def test_rk4_jacobians_match_three_chain_reference_bitwise(batch):
     """The unicycle model's dynamics Jacobians, whose control and noise
     tangents ride one chain, equal the three-chain RK4 formula bit for bit,
-    with the noise block passed unbatched as L_w; zero-speed rows and a
-    nonzero held noise included."""
+    sign bits included, with the noise block passed unbatched as L_w;
+    zero-speed rows and a nonzero held noise included."""
     params = standard_unicycle_params()
     model = make_unicycle_problem(params).model
     L_w = psd_sqrt(params.process_noise_cov)
@@ -211,7 +216,7 @@ def test_rk4_jacobians_match_three_chain_reference_bitwise(batch):
         expected = rk4_three_chain_jacobians(_unicycle_ode, three_chain_ode_jac, x, u, w @ L_w.T,
                                              params.dt, params.substeps)
         for got, ref in zip(model.f_jac(x, u, w), expected, strict=True):
-            assert np.array_equal(got, ref)
+            assert same_bits(got, ref)
 
 
 def test_euler_substep_jacobian_hand_derived():

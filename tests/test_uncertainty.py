@@ -27,7 +27,7 @@ from dualmpc.uncertainty import (
     symmetrize,
 )
 
-from conftest import standard_unicycle_params, random_spd
+from conftest import random_spd, same_bits, standard_unicycle_params
 from oracles import chol_solve_spd, fd_jacobian, luenberger_covariance, open_loop_policy
 
 
@@ -76,10 +76,12 @@ def test_rollout_resimulation_invariant(unicycle_problem):
         )
 
 
-def test_rollout_names_diverging_stage():
+def _overflowing_model(rollout=None):
+    """Scalar toy model whose state grows by 1e200 per stage, so that it
+    overflows to inf on the second stage."""
     def f(x, u, w):
         with np.errstate(over="ignore"):
-            return x * 1e200  # overflows to inf on the second step
+            return x * 1e200
 
     def f_jac(x, u, w):
         one = np.ones(x.shape + (1,))
@@ -89,23 +91,51 @@ def test_rollout_names_diverging_stage():
         one = np.ones(x.shape + (1,))
         return one, 0.0 * one
 
-    model = SystemModel(
+    return SystemModel(
         n_x=1, n_u=1, n_w=1, n_v=1, n_y=1, horizon=3,
-        f=f, g=lambda x, v: x, f_jac=f_jac, g_jac=g_jac, state_names=("x",),
+        f=f, g=lambda x, v: x, f_jac=f_jac, g_jac=g_jac, state_names=("x",), rollout=rollout,
     )
+
+
+def test_rollout_names_diverging_stage():
     with pytest.raises(RolloutError, match="stage 2"):
-        nominal_rollout(model, np.array([1.0]), np.zeros((3, 1)))
+        nominal_rollout(_overflowing_model(), np.array([1.0]), np.zeros((3, 1)))
+
+
+def test_model_rollout_names_diverging_stage():
+    """A model's own rollout is checked like the stage loop: the first
+    non-finite stage is named."""
+    def rollout(x0, u):
+        with np.errstate(over="ignore"):
+            return x0[..., None, :] * 1e200 ** np.arange(u.shape[-2] + 1.0)[:, None]
+
+    with pytest.raises(RolloutError, match="stage 2$"):
+        nominal_rollout(_overflowing_model(rollout), np.array([1.0]), np.zeros((3, 1)))
 
 
 def test_rollout_batched_matches_loop(unicycle_problem):
+    """The unicycle's whole-horizon rollout gives the bits, sign bits
+    included, of the stage loop over its f(., ., 0): unbatched and batched,
+    with zero-speed rows, heading pi, zero states and controls of either
+    sign, an unbatched x0 against batched controls, and the one-stage
+    rollout of the EKF step."""
     m = unicycle_problem.model
-    rng = np.random.default_rng(9)
-    u_batch = rng.uniform(-1, 1, size=(6, 10, 2))
-    x0 = np.array([1.0, 0.5, 2.0])
-    batch = nominal_rollout(m, x0, u_batch)
-    for i in range(6):
-        single = nominal_rollout(m, x0, u_batch[i])
-        assert_allclose(batch.states[i], single.states, atol=0)
+    loop = replace(m, rollout=None)
+    for shape in ((), (1,), (12,), (2, 5, 10)):
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        x0 = rng.normal(scale=3.0, size=shape + (3,))
+        u = rng.uniform(-2.0, 2.0, size=shape + (m.horizon, 2))
+        x0.reshape(-1, 3)[::4, 2] = np.pi
+        x0.reshape(-1, 3)[1::5] = -0.0
+        x0.reshape(-1, 3)[2::5] = 0.0
+        u.reshape(-1, 2)[::3, 0] = 0.0
+        u.reshape(-1, 2)[1::7] = -0.0
+        cases = [(x0, u), (x0, u[..., :1, :])]
+        if shape:
+            cases.append((x0.reshape(-1, 3)[0], u))
+        for x, controls in cases:
+            got, expected = nominal_rollout(m, x, controls), nominal_rollout(loop, x, controls)
+            assert same_bits(got.states, expected.states) and same_bits(got.controls, expected.controls)
 
 
 # -------------------------------------------------------------- linearization
