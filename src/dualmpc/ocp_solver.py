@@ -29,19 +29,15 @@ Only output_feedback runs the Kalman filter: with zero feedback gains the
 objective and its control gradient are the same bits without it (see
 ObjectiveEvaluator).
 
-Line-search chunks: with uncertainty, a search that follows an accepted
-full step evaluates the full step alone first, then 12-trial chunks.  On
-the shipped config the covariance recursion, and in output_feedback the
-filter, make a 12-row batch cost about 1.4 times a 1-row one in
-output_feedback (break-even about 71%) and 1.36 times in open_loop
-(break-even about 74%), so the lone full step pays when it passes in more
-of such searches than that.  It passes in 93% of them in output_feedback
-(shipped solve), and in 96% (shipped solve) and 99% (the in-loop solves of
-closed-loop runs 0-1) in open_loop.  Without uncertainty the rollout
-dominates: 12 rows cost about 1.15-1.2 times one (break-even 84-88%), the
-full step passes in 82% of such searches, and every chunk holds 12 trials.
-Either way the accepted trial is the first passing step of the same
-sequence, because every row of a batch evaluates exactly as it does alone.
+Line-search chunks: in every mode, a search that follows an accepted full
+step evaluates the full step alone first, then 12-trial chunks.  On the
+shipped config a 12-row batch costs about 1.6-1.9 times a 1-row one in
+every mode (break-even about 53-62%), so the lone full step pays when it
+passes in more of such searches than that.  It passes in 84% of them in
+nominal, 96% in open_loop and 93% in output_feedback (shipped solves), and
+in 88%, 99% and 95% of them in the in-loop solves of closed-loop runs 0-1.
+The accepted trial is the first passing step of the sequence whatever the
+chunks, because every row of a batch evaluates exactly as it does alone.
 A chunk that fails as a whole is scored trial by trial, up to the first
 trial that passes.
 """
@@ -394,7 +390,7 @@ def solve(
         if accepted is None:  # no acceptable step, or no gradient at it
             status = "line_search_failure"
             break
-        full_step_first = opts.mode != "nominal" and index == 0
+        full_step_first = index == 0
         g_new, center = accepted
         s, y = trial - theta, g_new - g
         theta, f, g = trial, f_trial, g_new

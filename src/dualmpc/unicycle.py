@@ -19,7 +19,9 @@ every substep of every stage come first and the positions follow.  The
 model's ``rollout`` is that integrator over N stages with zero noise, and
 ``f`` is its one-stage case.  The results are the bits of the generic RK4
 step taken stage after stage, which the tests keep as the reference
-(``tests/oracles.py``).
+(``tests/oracles.py``).  ``f_jac`` gives the exact derivatives of that step
+in closed form, read off the same heading table; they match the oracle's
+tangent chain to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
     # sequential sum, and the positions follow from one sin, one cos and one
     # sum.  Every IEEE operation is the one the generic RK4 step (the tests'
     # oracle), called stage after stage, performs on the same numbers, in the
-    # same order, so f, the rollout and f_jac give its bits.
+    # same order, so f and the rollout give its bits.
     S = params.substeps
     h = params.dt / S
 
@@ -155,43 +157,39 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
     def rollout(x0, u):
         return integrate(x0, u, zero_noise)
 
+    # The Jacobians of the RK4 step in closed form.  Within a substep the
+    # heading rate r = omega + (L_w w)_3 is constant and the position rates
+    # read only the heading, so over the stage points theta_{s,c} =
+    # theta + (s + c) h r, c in {0, 1/2, 1}, with the RK4 weights
+    # (h/6) (1, 4, 1), the step is theta + S h r for the heading and
+    # p + S h (L_w w)_{1,2} + sum weight v (cos, sin)(theta_{s,c}) for the
+    # position.  Its sums run over the stage points in one fixed order
+    # (np.add.accumulate), so every row of a batch gets its one-point bits.
+    weight = (h / 6.0) * np.array([1.0, 4.0, 1.0])
+    lever = h * (np.arange(S)[:, None] + np.array([0.0, 0.5, 1.0]))  # (s + c) h
+    # d x+ / d (L_w w)_{1,2} = S h I, times the first two rows of L_w.
+    G_position = (S * h) * L_w * np.array([[1.0], [1.0], [0.0]])
+
     def f_jac(x, u, w):
-        """Jacobians of the RK4 step: the tangents ride the RK4 stages, with
-        the control and the standardized-noise columns in one chain."""
         x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
         heading = headings(x, u[..., None, :], w @ L_w.T)[0][..., 0, :, :]
-        sin, cos = np.sin(heading), np.cos(heading)
-        v = u[..., 0, None]
-        eye = np.eye(3)
-        A = np.broadcast_to(eye, x.shape + (3,)).copy()
-        E = None
-        # Continuous-time Jacobians at a substep's stage points: d xdot / dx,
-        # and E = [d xdot / du | d xdot / dw].  Only the heading entries
-        # change from substep to substep.
-        A_s = np.zeros(heading.shape[:-2] + (3, 3, 3))
-        E_s = np.zeros(heading.shape[:-2] + (3, 3, 5))
-        E_s[..., 2, 1] = 1.0
-        E_s[..., 2:] = L_w
-        (A1, A2, A4), (E1, E2, E4) = np.moveaxis(A_s, -3, 0), np.moveaxis(E_s, -3, 0)
-        for s in range(S):
-            A_s[..., 0, 2] = -v * sin[..., s, :]
-            A_s[..., 1, 2] = v * cos[..., s, :]
-            E_s[..., 0, 0] = cos[..., s, :]
-            E_s[..., 1, 0] = sin[..., s, :]
-
-            D2x = A2 @ (eye + 0.5 * h * A1)
-            D3x = A2 @ (eye + 0.5 * h * D2x)
-            D4x = A4 @ (eye + h * D3x)
-            Jx = eye + (h / 6.0) * (A1 + 2.0 * D2x + 2.0 * D3x + D4x)
-
-            D2e = E2 + A2 @ (0.5 * h * E1)
-            D3e = E2 + A2 @ (0.5 * h * D2e)
-            D4e = E4 + A4 @ (h * D3e)
-            Je = (h / 6.0) * (E1 + 2.0 * D2e + 2.0 * D3e + D4e)
-
-            A = Jx @ A
-            E = Je if E is None else Jx @ E + Je
-        return A, E[..., :2], E[..., 2:]
+        trig = weight * np.stack([np.cos(heading), np.sin(heading)], axis=-3)
+        trig = np.concatenate([trig, lever * trig], axis=-3)
+        # d p+ / d v = sum weight (cos, sin), and d p+ / d r = v sum weight (s + c) h (-sin, cos)
+        cos, sin, cos_r, sin_r = np.moveaxis(
+            np.add.accumulate(trig.reshape(trig.shape[:-2] + (3 * S,)), axis=-1)[..., -1], -1, 0)
+        v = u[..., 0]
+        A = np.broadcast_to(np.eye(3), cos.shape + (3, 3)).copy()
+        A[..., 0, 2] = -v * sin  # d p+ / d theta = v sum weight (-sin, cos)
+        A[..., 1, 2] = v * cos
+        B = np.zeros(cos.shape + (3, 2))
+        B[..., 0, 0] = cos
+        B[..., 1, 0] = sin
+        B[..., 0, 1] = -v * sin_r
+        B[..., 1, 1] = v * cos_r
+        B[..., 2, 1] = S * h
+        # d x+ / d (L_w w)_3 = d x+ / d omega
+        return A, B, G_position + B[..., :, 1, None] * L_w[2]
 
     def g(x, v):
         x = np.asarray(x, dtype=float)

@@ -107,8 +107,7 @@ def rk4_step_with_jacobian(
     noise columns side by side, so both ride one tangent chain.  The
     discrete Jacobians are obtained by differentiating the RK4 update itself
     (chain rule through the four stages, composed over sub-steps), so they
-    are consistent with :func:`rk4_step` to machine precision.  The
-    unicycle's cascade-form ``f_jac`` must give their bits.
+    are consistent with :func:`rk4_step` to machine precision.
 
     Returns:
         ``(x_next, A, B, G)`` with ``A = dx+/dx``, ``B = dx+/du``,
@@ -155,8 +154,9 @@ def rk4_three_chain_jacobians(ode, ode_jac, x: Array, u: Array, w: Array, dt: fl
     """The Jacobians (A, B, G) of an RK4 step with the control and the noise
     tangents carried as two separate chains; ``ode_jac`` returns
     ``(d xdot/dx, d xdot/du, d xdot/dw)``.  :func:`rk4_step_with_jacobian`
-    and the unicycle's ``f_jac`` carry both in one chain and must agree bit
-    for bit."""
+    carries both in one chain; the unicycle's closed-form ``f_jac`` must
+    agree with this one to max|got - ref| <= 1e-14 max(1, max|ref|) per
+    Jacobian."""
     x = np.asarray(x, dtype=float)
     h = dt / substeps
     eye = np.eye(x.shape[-1])

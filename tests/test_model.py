@@ -194,11 +194,13 @@ def test_rk4_jacobians_match_finite_differences():
 
 
 @pytest.mark.parametrize("batch", [1, 10, 100, 1000])
-def test_rk4_jacobians_match_three_chain_reference_bitwise(batch):
-    """The unicycle model's dynamics Jacobians, whose control and noise
-    tangents ride one chain, equal the three-chain RK4 formula bit for bit,
-    sign bits included, with the noise block passed unbatched as L_w;
-    zero-speed rows and a nonzero held noise included."""
+def test_rk4_jacobians_match_three_chain_reference(batch):
+    """The unicycle model's closed-form dynamics Jacobians equal the
+    three-chain RK4 formula, with the noise block passed unbatched as L_w,
+    to max|got - ref| <= 1e-14 max(1, max|ref|) per Jacobian; zero-speed
+    rows and a nonzero held noise included.  The two add the same terms in
+    different orders (and at zero speed give zeros of either sign), so they
+    agree to rounding, not bit for bit."""
     params = standard_unicycle_params()
     model = make_unicycle_problem(params).model
     L_w = psd_sqrt(params.process_noise_cov)
@@ -216,7 +218,60 @@ def test_rk4_jacobians_match_three_chain_reference_bitwise(batch):
         expected = rk4_three_chain_jacobians(_unicycle_ode, three_chain_ode_jac, x, u, w @ L_w.T,
                                              params.dt, params.substeps)
         for got, ref in zip(model.f_jac(x, u, w), expected, strict=True):
-            assert same_bits(got, ref)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+def _f_jac_points(shape, rng):
+    """States, controls and held noises of the given batch shape, with
+    headings +-pi and zero speeds among them."""
+    x = rng.normal(scale=3.0, size=shape + (3,))
+    u = rng.uniform(-2.0, 2.0, size=shape + (2,))
+    w = rng.normal(size=shape + (3,))
+    x.reshape(-1, 3)[::4, 2] = np.pi
+    x.reshape(-1, 3)[2::4, 2] = -np.pi
+    u.reshape(-1, 2)[::3, 0] = 0.0
+    return x, u, w
+
+
+@pytest.mark.parametrize("substeps", [1, 4])
+@pytest.mark.parametrize("shape", [(), (12,), (2, 5, 10)])
+def test_unicycle_f_jac_matches_finite_differences(substeps, shape):
+    """The model's own (A, B, G) against central differences of model.f in
+    x, u and the standardized noise w, with zero and nonzero held noise."""
+    model = make_unicycle_problem(standard_unicycle_params(substeps=substeps)).model
+    rng = np.random.default_rng(7 + substeps + len(shape))
+    x, u, w = _f_jac_points(shape, rng)
+    for noise in (np.zeros(shape + (3,)), w):
+        point = (x, u, noise)
+        A, B, G = model.f_jac(*point)
+        if not shape:
+            assert (A.shape, B.shape, G.shape) == ((3, 3), (3, 2), (3, 3))
+        for arg, got in enumerate((A, B, G)):
+            assert got.shape == shape + (3, point[arg].shape[-1])
+            for j in range(point[arg].shape[-1]):
+                step = 1e-6 * (1.0 + np.abs(point[arg][..., j]))
+                plus, minus = [p.copy() for p in point], [p.copy() for p in point]
+                plus[arg][..., j] += step
+                minus[arg][..., j] -= step
+                fd = (model.f(*plus) - model.f(*minus)) / (2.0 * step[..., None])
+                assert_allclose(got[..., j], fd, rtol=0, atol=1e-8)
+
+
+def test_unicycle_f_jac_rows_evaluate_as_alone():
+    """Every row of a batched f_jac equals that point's one-point call bit
+    for bit, sign bits included: the closed form sums its stage points in
+    one fixed order whatever the batch."""
+    model = make_unicycle_problem(standard_unicycle_params()).model
+    rng = np.random.default_rng(410)
+    for shape in ((410,), (2, 5, 10)):
+        x, u, w = _f_jac_points(shape, rng)
+        for noise in (np.zeros(3), w):
+            batch = model.f_jac(x, u, noise)
+            for i in np.ndindex(shape):
+                alone = model.f_jac(x[i], u[i], noise if noise.ndim == 1 else noise[i])
+                for got, ref in zip(batch, alone, strict=True):
+                    assert same_bits(got[i], ref)
 
 
 def test_euler_substep_jacobian_hand_derived():

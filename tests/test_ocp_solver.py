@@ -374,9 +374,9 @@ def test_open_loop_solve_runs_about_one_prediction_per_iteration(monkeypatch):
 
 
 def test_shipped_solve_line_search_rows(monkeypatch):
-    """With uncertainty, a search after an accepted full step tries that
-    step alone first, so an open_loop solve evaluates few trial rows per
-    iteration; without uncertainty every line-search batch holds 12.  The
+    """In every mode, a search after an accepted full step tries that step
+    alone first, so a solve evaluates few trial rows per iteration: every
+    line-search batch holds that one step or a 12-trial chunk.  The
     covariance propagation runs once per ``totals`` batch, plus once for
     the output_feedback gain curvature, never in the gradient sweep or the
     final breakdown, and not at all without uncertainty.  Only
@@ -409,11 +409,13 @@ def test_shipped_solve_line_search_rows(monkeypatch):
                     replace(config.solver_options, mode=mode))
         assert res.iterations > 0
         assert calls.pop("_diag_metric") == 1
+        if mode != "output_feedback":  # the first batch is the initial point and its curvature stencil
+            assert set(rows[1:]) == {1, 12}
         if mode == "open_loop":
             assert sum(rows) <= 4 * res.iterations
             assert calls == dict(propagate_covariance=len(rows), kalman_recursion=0, kalman_adjoint=0)
-        elif mode == "nominal":  # the first batch is the initial point and its curvature stencil
-            assert set(rows[1:]) == {12}
+        elif mode == "nominal":
+            assert sum(rows[1:]) <= 8 * res.iterations
             assert calls == dict(propagate_covariance=0, kalman_recursion=0, kalman_adjoint=0)
         else:  # one gain-curvature batch, one sweep per iteration plus the initial point's
             assert calls == dict(propagate_covariance=len(rows) + 1, kalman_recursion=len(rows),
