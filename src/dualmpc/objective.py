@@ -201,7 +201,7 @@ class Prediction:
     the filter gains, nominal cost and nominal constraint values.
 
     Without a filter (``open_loop`` mode) the filter gains are a broadcast
-    zero and there are no filter covariances or innovation factors.
+    zero and there are no filter covariances or innovation inverses.
 
     Constraint values are stored for stages 0..N, stage N at u = 0.  Each
     stage holds the rows that apply there (nonzero weight) first, in row
@@ -218,7 +218,7 @@ class Prediction:
     filter_gains: Array | None = None
     filter_covs: Array | None = None  # (.., N+1, n_x, n_x), the filter's covariances; None without a filter
     filter_pred_covs: Array | None = None  # (.., N, n_x, n_x), its predicted covariances P- of stages 1..N
-    innovation_chols: Array | None = None  # (.., N, n_y, n_y), the Cholesky factors of its innovation covariances
+    innovation_inverses: Array | None = None  # (.., N, n_y, n_y), the inverses S^{-1} of its innovation covariances
 
     take = _row
 
@@ -326,7 +326,7 @@ class ObjectiveEvaluator:
         if self.mode == "nominal":
             return Prediction(traj=traj, nominal_cost=nominal_cost, h=h)
         lin = linearize_trajectory(model, traj)
-        if self.mode == "output_feedback":  # with the factors its adjoint reads
+        if self.mode == "output_feedback":  # with the stage records its adjoint reads
             kalman = kalman_recursion(lin, self.P_hat_0, True)
         else:  # no filter: zero gains, shaped like the Kalman gains C'
             kalman = (np.broadcast_to(0.0, np.swapaxes(lin.C, -1, -2).shape), None, None, None)
@@ -381,7 +381,10 @@ class ObjectiveEvaluator:
              dJ/dK plus the derivatives with respect to the linearization
              and the filter gains; the regularizer adds 2 eps_K K;
           3. the Kalman recursion
-             (:func:`~dualmpc.uncertainty.kalman_adjoint`);
+             (:func:`~dualmpc.uncertainty.kalman_adjoint`): one backward
+             Lyapunov recursion through Phi_k = (I - Khat C) A, driven by
+             the filter gains' derivatives, with the forward pass's
+             innovation inverses S^{-1}, so the sweep forms no inverse;
           4. the linearization: the derivatives with respect to A, B, G at
              (x_k, u_k) and C, D at x_{k+1} contract with the second
              derivatives of the model, one stage-local central difference
@@ -439,7 +442,7 @@ class ObjectiveEvaluator:
                 z_bar[:N] += _jacobian_pullback(f_jac, z[:N], (lin_bar.A, lin_bar.B, lin_bar.G))
             else:
                 kal_bar = kalman_adjoint(pred.lin, pred.filter_gains, pred.filter_covs, pred.filter_pred_covs,
-                                         pred.innovation_chols, gains_bar)
+                                         pred.innovation_inverses, gains_bar)
                 z_bar[:N] += _jacobian_pullback(f_jac, z[:N], (lin_bar.A + kal_bar.A, lin_bar.B, lin_bar.G + kal_bar.G))
                 z_bar[1:, :n_x] += _jacobian_pullback(
                     lambda p: model.g_jac(p, v0), xs[1:], (lin_bar.C + kal_bar.C, lin_bar.D + kal_bar.D)

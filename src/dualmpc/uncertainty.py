@@ -42,7 +42,7 @@ class LinearizationError(RuntimeError):
 
 
 def symmetrize(M: Array) -> Array:
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
+    return 0.5 * (M + M.mT)
 
 
 def _jittered_cholesky(S: Array, context: str) -> Array:
@@ -79,12 +79,6 @@ def spd_factor(S: Array, context: str = "linear solve") -> Array:
         for i in np.ndindex(S.shape[:-2]):
             L[i] = _jittered_cholesky(S[i], context)
         return L
-
-
-def factor_solve(L: Array, rhs: Array) -> Array:
-    """Solve L L' X = rhs by two triangular solves; L is (..., n, n), rhs
-    (..., n, m)."""
-    return np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.solve(L, rhs))
 
 
 @dataclass(frozen=True)
@@ -228,16 +222,18 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array, factors: bool = Fa
     """Time-varying Kalman filter on the linearized system.
 
     Per stage: predict P_minus = A P A' + G G'; innovation
-    S = C P_minus C' + D D'; gain K = P_minus C' S^{-1}; update
-    P_plus = (I - K C) P_minus, symmetrized.  Noises have unit covariance
+    S = C P_minus C' + D D' = L L' (Cholesky, with the jitter of
+    :func:`spd_factor` if S is not positive definite); S^{-1} = L^{-T} L^{-1}
+    from one inverse of L; gain K = P_minus C' S^{-1}; update
+    P_plus = P_minus - K C P_minus, symmetrized.  Noises have unit covariance
     (shaping lives in G and D).
 
     Returns:
         gains (.., N, n_x, n_y) — entry j is the gain applied at stage j+1 —
         and covariances (.., N+1, n_x, n_x); with ``factors``, also what
         :func:`kalman_adjoint` reads of stages 1..N: the predicted
-        covariances P_minus (.., N, n_x, n_x) and the Cholesky factors of
-        the innovation covariances (.., N, n_y, n_y).
+        covariances P_minus (.., N, n_x, n_x) and the inverses S^{-1} of the
+        (jittered) innovation covariances (.., N, n_y, n_y).
 
     Raises:
         SingularInnovationError: innovation covariance not PD at some stage
@@ -249,31 +245,27 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array, factors: bool = Fa
     P = symmetrize(np.asarray(P_hat_0, dtype=float))
     batch = np.broadcast_shapes(P.shape[:-2], lin.A.shape[:-3])
     # Everything but the running covariance, for all stages at once.
-    A_T = np.swapaxes(lin.A, -1, -2)
-    C_T = np.swapaxes(lin.C, -1, -2)
-    GGt = lin.G @ np.swapaxes(lin.G, -1, -2)
-    DDt = lin.D @ np.swapaxes(lin.D, -1, -2)
-    eye = np.eye(n_x)
+    A_T, C_T = lin.A.mT, lin.C.mT
+    GGt = lin.G @ lin.G.mT
+    DDt = lin.D @ lin.D.mT
     gains = np.empty(batch + (N, n_x, n_y))
     covs = np.empty(batch + (N + 1, n_x, n_x))
     covs[..., 0, :, :] = P
     pred_covs = np.empty(batch + (N, n_x, n_x))
-    chols = np.empty(batch + (N, n_y, n_y))
+    inverses = np.empty(batch + (N, n_y, n_y))
     for k in range(N):
-        A = lin.A[..., k, :, :]
-        C = lin.C[..., k, :, :]
-        P_minus = symmetrize(A @ P @ A_T[..., k, :, :] + GGt[..., k, :, :])
-        CP = C @ P_minus
+        P_minus = symmetrize(lin.A[..., k, :, :] @ P @ A_T[..., k, :, :] + GGt[..., k, :, :])
+        CP = lin.C[..., k, :, :] @ P_minus
         S = CP @ C_T[..., k, :, :] + DDt[..., k, :, :]
-        # K = P- C' S^{-1}  <=>  S K' = C P-   (S symmetric).
-        L = spd_factor(symmetrize(S), context=f"innovation covariance at stage {k + 1}")
-        K = np.swapaxes(factor_solve(L, CP), -1, -2)
-        P = symmetrize((eye - K @ C) @ P_minus)
+        L_inv = np.linalg.inv(spd_factor(symmetrize(S), context=f"innovation covariance at stage {k + 1}"))
+        S_inv = L_inv.mT @ L_inv
+        K = (S_inv @ CP).mT
+        P = symmetrize(P_minus - K @ CP)
         gains[..., k, :, :] = K
         covs[..., k + 1, :, :] = P
         pred_covs[..., k, :, :] = P_minus
-        chols[..., k, :, :] = L
-    return (gains, covs, pred_covs, chols) if factors else (gains, covs)
+        inverses[..., k, :, :] = S_inv
+    return (gains, covs, pred_covs, inverses) if factors else (gains, covs)
 
 
 def _augmented_transitions(lin: StageLinearization, K_all: Array, E: Array, batch) -> Array:
@@ -409,44 +401,43 @@ def covariance_adjoint(
     return K_bar[1:], lin_bar, gains_bar
 
 
-def kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, P_minus: Array, chols: Array,
+def kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, P_minus: Array, S_inv: Array,
                    gains_bar: Array) -> StageLinearization:
     """Reverse-mode pass of :func:`kalman_recursion` (one unbatched
     linearization): the derivatives dJ/d(A, G, C, D) of a scalar J that reads
     the filter gains, whose derivatives are ``gains_bar``.
 
-    ``gains``, ``covs``, ``P_minus`` and ``chols`` are the forward outputs
-    (``kalman_recursion(lin, P_hat_0, factors=True)``).  Per stage,
-    backwards, with P_k = covs[k], P- = A P_k A' + G G', S = C P- C' + D D'
-    = L L' and Khat = P- C' S^{-1}: the update P_{k+1} = (I - Khat C) P- and
-    the gain pass their derivatives to P-, C and Khat; the gain's solve
-    S Khat' = C P- passes dJ/d(C P-) = S^{-1} Khat_bar' and
-    dJ/dS = -S^{-1} Khat_bar' Khat, with S^{-1} from the forward factor L;
-    then S and P- pass theirs to C, D, A, G and P_k.  P_0 is fixed.
+    ``gains``, ``covs``, ``P_minus`` and ``S_inv`` are the forward outputs
+    (``kalman_recursion(lin, P_hat_0, factors=True)``).  Per stage, with
+    P_k = covs[k], P- = A P_k A' + G G', S = C P- C' + D D' and
+    Khat = P- C' S^{-1}, the update P_{k+1} = P- - P- C' S^{-1} C P- has the
+    derivative (I - Khat C) dP- (I - Khat C)' in P-, because the Kalman gain
+    minimises the Joseph form; a jittered S adds a constant, so this holds
+    there too.  The gain's solve S Khat' = C P- passes
+    R_bar = dJ/d(C P-) = S^{-1} Khat_bar' and S_bar = dJ/dS = -sym(R_bar Khat),
+    hence Q = sym(C'(R_bar + S_bar C)) onto P-, for all stages at once.  With
+    Phi_k = (I - Khat C) A, the backward recursion is the Lyapunov one
+        P_bar_N = 0,  P_bar_k = Phi_k' P_bar_{k+1} Phi_k + A' Q_k A,
+    and with Pm_bar = (I - Khat C)' P_bar_{k+1} (I - Khat C) + Q the
+    pullbacks are dA = 2 Pm_bar A P_k, dG = 2 Pm_bar G,
+    dC = -2 Khat' P_bar_{k+1} (I - Khat C) P- + R_bar P- + 2 S_bar C P- and
+    dD = 2 (Khat' P_bar_{k+1} Khat + S_bar) D.  P_0 is fixed.
     """
     N = lin.horizon
-    n_x = lin.A.shape[-1]
     A, C, G, D = lin.A, lin.C, lin.G, lin.D
-    A_t, C_t = np.swapaxes(A, -1, -2), np.swapaxes(C, -1, -2)
-    P = covs[:N]
-    S_inv = factor_solve(chols, np.broadcast_to(np.eye(chols.shape[-1]), chols.shape))
-    # Only the recursion runs per stage; the pullbacks onto C, D, A and G
-    # are batched products over all stages afterwards.
-    n_y = C.shape[-2]
-    I_KC_t = np.swapaxes(np.eye(n_x) - gains @ C, -1, -2)
-    P_bar = np.zeros((N + 1, n_x, n_x))  # P_bar[k] = dJ/dP_k
-    R_bar = np.empty((N, n_y, n_x))  # dJ/d(C P-)
-    S_bar = np.empty((N, n_y, n_y))
-    Pm_bar = np.empty((N, n_x, n_x))
-    for k in range(N - 1, -1, -1):
-        K_bar = gains_bar[k] - P_bar[k + 1] @ P_minus[k] @ C_t[k]
-        R_bar[k] = S_inv[k] @ K_bar.T
-        S_bar[k] = -symmetrize(R_bar[k] @ gains[k])
-        Pm_bar[k] = symmetrize(I_KC_t[k] @ P_bar[k + 1] + C_t[k] @ R_bar[k] + C_t[k] @ S_bar[k] @ C[k])
-        P_bar[k] = A_t[k] @ Pm_bar[k] @ A[k]
-    C_bar = -np.swapaxes(gains, -1, -2) @ P_bar[1:] @ P_minus + R_bar @ P_minus + 2.0 * S_bar @ C @ P_minus
-    return StageLinearization(A=2.0 * Pm_bar @ A @ P, B=np.zeros(lin.B.shape), G=2.0 * Pm_bar @ G,
-                              C=C_bar, D=2.0 * S_bar @ D)
+    gains_t = gains.mT
+    R_bar = S_inv @ gains_bar.mT  # dJ/d(C P-)
+    S_bar = -symmetrize(R_bar @ gains)
+    Q = symmetrize(C.mT @ (R_bar + S_bar @ C))
+    E = np.eye(A.shape[-1]) - gains @ C  # I - Khat C
+    Phi, q = E @ A, A.mT @ Q @ A
+    P_bar = np.zeros(covs[1:].shape)  # P_bar[k] = dJ/dP_{k+1}; P_bar_N = 0
+    for k in range(N - 1, 0, -1):
+        P_bar[k - 1] = Phi[k].T @ P_bar[k] @ Phi[k] + q[k]
+    Pm_bar = E.mT @ P_bar @ E + Q
+    C_bar = -2.0 * gains_t @ P_bar @ E @ P_minus + R_bar @ P_minus + 2.0 * S_bar @ C @ P_minus
+    return StageLinearization(A=2.0 * Pm_bar @ A @ covs[:N], B=np.zeros(lin.B.shape), G=2.0 * Pm_bar @ G,
+                              C=C_bar, D=2.0 * (gains_t @ P_bar @ gains + S_bar) @ D)
 
 
 def joint_map(K_k: Array, batch: tuple = ()) -> Array:

@@ -5,9 +5,10 @@ another way, or a shorthand only the tests need: a zero-gain policy, a
 central-difference Jacobian, the generic RK4 step and its Jacobians (the
 unicycle integrates in cascade form), the RK4 Jacobians with one tangent
 chain each for the control and the noise, a central-difference objective
-gradient, the general-gain (Joseph) estimation-error covariance, a
-stand-alone penalty sum, the closed-form expectation of a quadratic, and a
-hand-written EKF predict/update pair with its SPD solve.
+gradient, the general-gain (Joseph) estimation-error covariance, the
+stage-by-stage Kalman adjoint, a stand-alone penalty sum, the closed-form
+expectation of a quadratic, and a hand-written EKF predict/update pair with
+its SPD solve.
 """
 
 from typing import Callable
@@ -17,7 +18,7 @@ import numpy as np
 from dualmpc import ModelError, expected_relu
 from dualmpc.estimation import BeliefState, EstimationError
 from dualmpc.model import Array, SystemModel
-from dualmpc.uncertainty import Policy, StageLinearization, factor_solve, spd_factor, symmetrize
+from dualmpc.uncertainty import Policy, StageLinearization, spd_factor, symmetrize
 
 
 def open_loop_policy(u_nom: Array, n_x: int) -> Policy:
@@ -254,6 +255,38 @@ def luenberger_covariance(lin: StageLinearization, gains: Array, P_hat_0: Array)
     return np.stack(covs, axis=-3)
 
 
+def stagewise_kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, P_minus: Array, S_inv: Array,
+                             gains_bar: Array) -> StageLinearization:
+    """Reverse-mode pass of :func:`~dualmpc.uncertainty.kalman_recursion`
+    stage by stage, with the gain as an intermediate: per stage, backwards,
+    the update P_{k+1} = (I - Khat C) P- and the gain pass their derivatives
+    to P-, C and Khat; the gain's solve S Khat' = C P- passes
+    dJ/d(C P-) = S^{-1} Khat_bar' and dJ/dS = -S^{-1} Khat_bar' Khat; then S
+    and P- pass theirs to C, D, A, G and P_k.  Same arguments and result as
+    :func:`~dualmpc.uncertainty.kalman_adjoint`, without the Joseph
+    identity it rests on."""
+    N = lin.horizon
+    n_x = lin.A.shape[-1]
+    A, C, G, D = lin.A, lin.C, lin.G, lin.D
+    A_t, C_t = np.swapaxes(A, -1, -2), np.swapaxes(C, -1, -2)
+    P = covs[:N]
+    n_y = C.shape[-2]
+    I_KC_t = np.swapaxes(np.eye(n_x) - gains @ C, -1, -2)
+    P_bar = np.zeros((N + 1, n_x, n_x))  # P_bar[k] = dJ/dP_k
+    R_bar = np.empty((N, n_y, n_x))  # dJ/d(C P-)
+    S_bar = np.empty((N, n_y, n_y))
+    Pm_bar = np.empty((N, n_x, n_x))
+    for k in range(N - 1, -1, -1):
+        K_bar = gains_bar[k] - P_bar[k + 1] @ P_minus[k] @ C_t[k]
+        R_bar[k] = S_inv[k] @ K_bar.T
+        S_bar[k] = -symmetrize(R_bar[k] @ gains[k])
+        Pm_bar[k] = symmetrize(I_KC_t[k] @ P_bar[k + 1] + C_t[k] @ R_bar[k] + C_t[k] @ S_bar[k] @ C[k])
+        P_bar[k] = A_t[k] @ Pm_bar[k] @ A[k]
+    C_bar = -np.swapaxes(gains, -1, -2) @ P_bar[1:] @ P_minus + R_bar @ P_minus + 2.0 * S_bar @ C @ P_minus
+    return StageLinearization(A=2.0 * Pm_bar @ A @ P, B=np.zeros(lin.B.shape), G=2.0 * Pm_bar @ G,
+                              C=C_bar, D=2.0 * S_bar @ D)
+
+
 def expected_quadratic(hessian: Array, gradient: Array, constant, mean: Array, cov: Array):
     """Expectation of 0.5 z'Hz + g'z + c under z ~ N(mean, cov).
 
@@ -276,6 +309,12 @@ def penalty_total(h_nom: Array, beta: Array, weights: Array, eps_sigma: float):
     """
     std = np.sqrt(np.clip(np.asarray(beta, dtype=float), 0.0, None) + eps_sigma**2)
     return np.sum(weights * expected_relu(h_nom, std), axis=-1)
+
+
+def factor_solve(L: Array, rhs: Array) -> Array:
+    """Solve L L' X = rhs by two triangular solves; L is (..., n, n), rhs
+    (..., n, m)."""
+    return np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.solve(L, rhs))
 
 
 def chol_solve_spd(S: Array, rhs: Array, context: str = "linear solve"):

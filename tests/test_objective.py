@@ -701,9 +701,9 @@ def _unexpected_call(name):
 
 @pytest.mark.parametrize("case", [0, 1])
 def test_gradient_reads_the_forward_innovation_factors(case, monkeypatch):
-    """The Kalman adjoint forms S^{-1} from the innovation covariances'
-    Cholesky factors of the forward pass: with every factorization raising,
-    each row of a 12-row record gives the same gradient bits."""
+    """The Kalman adjoint reads the innovation inverses S^{-1} of the forward
+    pass: with every factorization and every matrix inverse raising, each
+    row of a 12-row record gives the same gradient bits."""
     prob, x0, P0, u0 = _assembly_cases()[case]
     n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
     ev = ObjectiveEvaluator(prob, x0, P0)
@@ -714,6 +714,7 @@ def test_gradient_reads_the_forward_innovation_factors(case, monkeypatch):
     expected = [ev.gradient(record.take(i)) for i in range(12)]
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "cholesky", _unexpected_call("np.linalg.cholesky"))
+        patch.setattr(np.linalg, "inv", _unexpected_call("np.linalg.inv"))
         got = [ev.gradient(record.take(i)) for i in range(12)]
     for (g_u, g_k), (e_u, e_k) in zip(got, expected, strict=True):
         assert np.array_equal(g_u, e_u) and np.array_equal(g_k, e_k)

@@ -28,7 +28,13 @@ from dualmpc.uncertainty import (
 )
 
 from conftest import random_spd, same_bits, standard_unicycle_params
-from oracles import chol_solve_spd, fd_jacobian, luenberger_covariance, open_loop_policy
+from oracles import (
+    chol_solve_spd,
+    fd_jacobian,
+    luenberger_covariance,
+    open_loop_policy,
+    stagewise_kalman_adjoint,
+)
 
 
 def scalar_lin(A=1.0, G=1.0, C=1.0, D=1.0, N=1):
@@ -561,41 +567,73 @@ def _fd(scalar, base):
     return fd_jacobian(lambda v: scalar(v.reshape(base.shape)), base.ravel()).reshape(base.shape)
 
 
-def test_kalman_adjoint_matches_central_differences():
-    """kalman_adjoint pulls the derivative of a scalar that reads the filter
-    gains back onto A, G, C, D, through the Cholesky solve of every stage."""
+def _adjoint_cases(unicycle_problem):
+    """(linearization, P0, gains_bar) triples: a random linear system with
+    n_y = 2, then the unicycle along three random 10-stage control
+    sequences (n_y = 3)."""
     rng = np.random.default_rng(61)
-    lin = _random_lin(rng)
-    P0 = random_spd(rng, 3, 0.2)
-    weights = rng.normal(size=(5, 3, 2))
+    cases = [(_random_lin(rng), random_spd(rng, 3, 0.2), rng.normal(size=(5, 3, 2)))]
+    model = unicycle_problem.model
+    u = np.random.default_rng(64).uniform(-1, 1, size=(3, 10, 2))
+    lin = linearize_trajectory(model, nominal_rollout(model, np.array([1.0, 0.5, np.pi]), u))
+    for i in range(3):
+        row = StageLinearization(*(getattr(lin, name)[i] for name in "ABGCD"))
+        cases.append((row, 0.01 * np.eye(3), rng.normal(size=(10, 3, 3))))
+    return cases
 
-    def scalar(l):
-        return float(np.sum(weights * kalman_recursion(l, P0)[0]))
 
-    adj = kalman_adjoint(lin, *kalman_recursion(lin, P0, factors=True), weights)
-    for name in "AGCD":
-        fd = _fd(lambda M: scalar(replace(lin, **{name: M})), getattr(lin, name))
-        assert_allclose(getattr(adj, name), fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
-    assert np.all(adj.B == 0.0)
+def test_kalman_adjoint_matches_central_differences(unicycle_problem):
+    """kalman_adjoint pulls the derivative of a scalar that reads the filter
+    gains back onto A, G, C, D, through the innovation inverse of every
+    stage: on a random linear system, and on a unicycle trajectory whose
+    output Jacobians (n_y = 3) depend on the state."""
+    for lin, P0, weights in _adjoint_cases(unicycle_problem)[:2]:
+
+        def scalar(l):
+            return float(np.sum(weights * kalman_recursion(l, P0)[0]))
+
+        adj = kalman_adjoint(lin, *kalman_recursion(lin, P0, factors=True), weights)
+        for name in "AGCD":
+            fd = _fd(lambda M: scalar(replace(lin, **{name: M})), getattr(lin, name))
+            assert_allclose(getattr(adj, name), fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
+        assert np.all(adj.B == 0.0)
+
+
+def test_kalman_adjoint_matches_stagewise_adjoint(unicycle_problem):
+    """The Lyapunov form of kalman_adjoint, which rests on the Joseph
+    identity dP+ = (I - Khat C) dP- (I - Khat C)', agrees with the
+    stage-by-stage pass that keeps the gain as an intermediate to 1e-13 of
+    the largest entry of each Jacobian, on a random linear system (n_y = 2)
+    and on three unicycle trajectories (n_y = 3)."""
+    for lin, P0, weights in _adjoint_cases(unicycle_problem):
+        forward = kalman_recursion(lin, P0, factors=True)
+        got = kalman_adjoint(lin, *forward, weights)
+        ref = stagewise_kalman_adjoint(lin, *forward, weights)
+        for name in "AGCD":
+            expected = getattr(ref, name)
+            assert_allclose(getattr(got, name), expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
+        assert np.all(got.B == 0.0)
 
 
 def test_kalman_factors_are_the_stages_the_adjoint_reads(unicycle_problem):
-    """The predicted covariances and innovation factors that kalman_recursion
-    keeps for kalman_adjoint are, bit for bit, P- = sym(A P A' + G G') and
-    chol(sym(C P- C' + D D')) re-derived from the filter covariances over
-    all stages at once, for each row of a batch."""
+    """The predicted covariances and innovation inverses that
+    kalman_recursion keeps for kalman_adjoint are, bit for bit,
+    P- = sym(A P A' + G G') and S^{-1} = L^{-T} L^{-1} with
+    L = chol(sym(C P- C' + D D')), re-derived from the filter covariances
+    over all stages at once, for each row of a batch."""
     m = unicycle_problem.model
     rng = np.random.default_rng(63)
     traj = nominal_rollout(m, np.array([1.0, 0.5, np.pi]), rng.uniform(-1, 1, size=(4, 10, 2)))
     lin = linearize_trajectory(m, traj)
-    gains, covs, P_minus, chols = kalman_recursion(lin, 0.01 * np.eye(3), factors=True)
+    gains, covs, P_minus, S_inv = kalman_recursion(lin, 0.01 * np.eye(3), factors=True)
     assert np.array_equal(gains, kalman_recursion(lin, 0.01 * np.eye(3))[0])
     swap = lambda M: np.swapaxes(M, -1, -2)
     for i in range(4):
         A, G, C, D = (getattr(lin, name)[i] for name in "AGCD")
         P_re = symmetrize(A @ covs[i, :-1] @ swap(A) + G @ swap(G))
         assert np.array_equal(P_minus[i], P_re)
-        assert np.array_equal(chols[i], np.linalg.cholesky(symmetrize(C @ P_re @ swap(C) + D @ swap(D))))
+        L_inv = np.linalg.inv(np.linalg.cholesky(symmetrize(C @ P_re @ swap(C) + D @ swap(D))))
+        assert np.array_equal(S_inv[i], swap(L_inv) @ L_inv)
 
 
 def test_covariance_adjoint_matches_central_differences():
