@@ -44,7 +44,6 @@ from .uncertainty import (
     NominalTrajectory,
     Policy,
     StageLinearization,
-    joint_covariance,
     kalman_recursion,
     linearize_trajectory,
     nominal_rollout,
@@ -81,7 +80,6 @@ __all__ = [
     "ekf_step",
     "expected_relu",
     "feedback_regularization",
-    "joint_covariance",
     "kalman_recursion",
     "linearize_trajectory",
     "load_config",

@@ -37,7 +37,6 @@ from .controllers import RecedingHorizonController
 from .objective import ObjectiveEvaluator, expected_relu
 from .ocp_solver import MODES, SolveResult, solve
 from .simulator import run_batch
-from .uncertainty import propagate_covariance
 
 
 def _fmt(value: float) -> str:
@@ -60,14 +59,17 @@ def _stage_table(config: ExperimentConfig, result: SolveResult) -> tuple[list[st
     """Stage-wise planning quantities: nominal state, covariance diagonals,
     nominal constraint values and their direction variances.
 
-    The columns come from one prediction of the solved controls with
-    uncertainty and the filter, in every mode (an ``open_loop`` solve runs
-    no filter, and a ``nominal`` solve ignores the uncertainty).
+    The columns come from one ``output_feedback`` evaluation of the solved
+    policy, with uncertainty and the filter, in every mode (an
+    ``open_loop`` solve runs no measurement update, and a ``nominal`` solve
+    ignores the uncertainty): P = Q + P_hat, the estimate's spread plus the
+    filter covariance, and P_hat.
     """
     problem = config.problem
     ev = ObjectiveEvaluator(problem, config.sim_config.init_mean, config.sim_config.init_cov)
     pred = ev.prediction(result.policy.u_nom)
-    aug = propagate_covariance(pred.lin, result.policy, pred.filter_gains, ev.P_hat_0)
+    P_hat = pred.filter_covs
+    P = ev.evaluate(pred, result.policy.feedback).spread + P_hat
     n_h_max = pred.h.shape[-1]
 
     names = problem.model.state_names
@@ -85,8 +87,8 @@ def _stage_table(config: ExperimentConfig, result: SolveResult) -> tuple[list[st
         beta = np.asarray(result.beta[k])
         row = [str(k)]
         row += [_fmt(v) for v in x]
-        row += [_fmt(v) for v in np.diag(aug.P[k])]
-        row += [_fmt(v) for v in np.diag(aug.P_hat[k])]
+        row += [_fmt(v) for v in np.diag(P[k])]
+        row += [_fmt(v) for v in np.diag(P_hat[k])]
         row += [_fmt(v) for v in h] + [""] * (n_h_max - h.size)
         row += [_fmt(v) for v in beta] + [""] * (n_h_max - beta.size)
         rows.append(row)

@@ -36,6 +36,10 @@ DynamicsJacFn = Callable[[Array, Array, Array], tuple[Array, Array, Array]]
 OutputJacFn = Callable[[Array, Array], tuple[Array, Array]]
 # Noise-free trajectory: rollout(x0, u (.., N, n_u)) -> states (.., N+1, n_x).
 RolloutFn = Callable[[Array, Array], Array]
+# Jacobian pullbacks at zero noise: f_jac_pullback(x, u, A_bar, B_bar, G_bar)
+# -> (.., n_x + n_u) and g_jac_pullback(x, C_bar, D_bar) -> (.., n_x).
+DynamicsPullbackFn = Callable[[Array, Array, Array, Array, Array], Array]
+OutputPullbackFn = Callable[[Array, Array, Array], Array]
 
 
 class ModelError(ValueError):
@@ -91,6 +95,17 @@ class SystemModel:
             ``f`` with ``dataclasses.replace`` must also set
             ``rollout=None``.  Without it, ``nominal_rollout`` runs that
             stage loop.
+        f_jac_pullback: optional ``f_jac_pullback(x, u, A_bar, B_bar,
+            G_bar)``, the gradient over ``z = (x, u)`` (.., n_x + n_u) of
+            ``<A_bar, A> + <B_bar, B> + <G_bar, G>`` at each point, with
+            ``(A, B, G) = f_jac(x, u, 0)``: the second derivatives of ``f``
+            that the objective's reverse sweep reads.
+        g_jac_pullback: optional ``g_jac_pullback(x, C_bar, D_bar)``, the
+            gradient over ``x`` (.., n_x) of ``<C_bar, C> + <D_bar, D>``
+            with ``(C, D) = g_jac(x, 0)``.  Without a pullback the sweep
+            takes central differences of the Jacobian provider.  Code that
+            replaces ``f_jac`` or ``g_jac`` with ``dataclasses.replace``
+            must also set its pullback to None, as for ``rollout``.
     """
 
     n_x: int
@@ -105,6 +120,8 @@ class SystemModel:
     g_jac: OutputJacFn
     state_names: tuple[str, ...]
     rollout: RolloutFn | None = None
+    f_jac_pullback: DynamicsPullbackFn | None = None
+    g_jac_pullback: OutputPullbackFn | None = None
 
     def __post_init__(self):
         if self.horizon < 1:

@@ -22,14 +22,12 @@ from .uncertainty import (
     NominalTrajectory,
     Policy,
     StageLinearization,
-    covariance_adjoint,
-    joint_covariance,
-    joint_map,
+    estimate_spread,
     kalman_adjoint,
     kalman_recursion,
     linearize_trajectory,
     nominal_rollout,
-    propagate_covariance,
+    spread_adjoint,
     symmetrize,
 )
 
@@ -161,16 +159,16 @@ def _jacobian_pullback(jac: Callable[[Array], tuple], z: Array, bars: tuple[Arra
 
 def _row(value, index: int):
     """Element ``index`` of the leading batch axis of every array in
-    ``value``, a dataclass, tuple or array (None stays None).  The row of an
-    axis that is only broadcast (stride 0) is a view of what it broadcasts;
-    every other row is a copy that keeps nothing of the batch alive."""
+    ``value``, a dataclass, tuple or array (None stays None).  The row of a
+    one-row batch, or of an axis that is only broadcast (stride 0), is a
+    view; every other row is a copy that keeps nothing of the batch alive."""
     if value is None:
         return None
     if is_dataclass(value):
         return type(value)(**{f.name: _row(getattr(value, f.name), index) for f in fields(value)})
     if isinstance(value, tuple):
         return tuple(_row(v, index) for v in value)
-    return value[index] if value.strides[0] == 0 else value[index].copy()
+    return value[index] if value.shape[0] == 1 or value.strides[0] == 0 else value[index].copy()
 
 
 @dataclass(frozen=True)
@@ -198,10 +196,10 @@ class ObjectiveBreakdown:
 class Prediction:
     """Everything the objective needs that depends only on the nominal
     controls (not on the feedback gains): the rollout, its linearization,
-    the filter gains, nominal cost and nominal constraint values.
+    the filter, nominal cost and nominal constraint values.
 
-    Without a filter (``open_loop`` mode) the filter gains are a broadcast
-    zero and there are no filter covariances or innovation inverses.
+    Without measurements (``open_loop`` mode) the filter only predicts:
+    its gains are zero and its covariances are the predicted ones.
 
     Constraint values are stored for stages 0..N, stage N at u = 0.  Each
     stage holds the rows that apply there (nonzero weight) first, in row
@@ -215,10 +213,9 @@ class Prediction:
     nominal_cost: Array
     h: Array  # (.., N+1, H_max) padded constraint values
     lin: StageLinearization | None = None
-    filter_gains: Array | None = None
-    filter_covs: Array | None = None  # (.., N+1, n_x, n_x), the filter's covariances; None without a filter
+    filter_gains: Array | None = None  # (.., N, n_x, n_y)
+    filter_covs: Array | None = None  # (.., N+1, n_x, n_x), the filter's covariances P_hat
     filter_pred_covs: Array | None = None  # (.., N, n_x, n_x), its predicted covariances P- of stages 1..N
-    innovation_inverses: Array | None = None  # (.., N, n_y, n_y), the inverses S^{-1} of its innovation covariances
 
     take = _row
 
@@ -236,7 +233,7 @@ class Evaluation:
 
     prediction: Prediction
     feedback: Array  # (.., N-1, n_u, n_x), the gains K_1..K_{N-1}
-    sigma: Array | None  # (.., N+1, 2n_x, 2n_x) augmented covariances; None without uncertainty
+    spread: Array | None  # (.., N+1, n_x, n_x) covariances of xhat - x_nom; None without a filter
     beta: Array  # (.., N+1, H_max) direction variances plus eps_sigma^2, padded like prediction.h
     parts: tuple  # (nominal_cost, variance_cost, penalty, regularization)
 
@@ -247,19 +244,22 @@ class ObjectiveEvaluator:
     """Evaluates the expected objective of estimate-feedback policies.
 
     Composes: nominal rollout -> trajectory linearization -> Kalman
-    recursion -> augmented covariance propagation -> joint stage
-    covariances -> exact expectations.  The terminal cost and constraints
-    are stage N of the same tables, with joint covariance [[P_N, 0], [0, 0]].
+    recursion -> estimate spread -> joint stage covariances -> exact
+    expectations.  The filter is the Kalman filter of the same
+    linearization, so the estimation error is uncorrelated with the
+    estimate's spread Q (:func:`~dualmpc.uncertainty.estimate_spread`) and
+    the joint covariance of (x - x_nom, u - u_nom) at stage k is
+    [[Q + P_hat, Q K'], [K Q, K Q K']], all in n_x.  The terminal cost and
+    constraints are stage N of the same tables, with K_N = 0.
 
     ``mode`` (one of :data:`MODES`) names the policies scored.
-    ``output_feedback`` runs the whole pipeline.  ``open_loop`` skips the
-    Kalman recursion and propagates with zero filter gains: the filter gains
-    reach the objective only through the feedback gains, so with zero
-    feedback every objective part and the control gradient are the same
-    bits as with the filter (nonzero feedback is scored as if the estimate
-    were an open-loop prediction).  ``nominal`` (the nominal-controller
-    objective) has zero joint covariances and feedback regularization, so
-    constraints keep only the minimum smoothing eps_sigma.
+    ``output_feedback`` runs the whole pipeline.  ``open_loop`` measures
+    nothing: the filter only predicts, P_{k+1} = sym(A P A' + G G'), the
+    estimate stays at the nominal state (Q = 0, so nonzero feedback moves
+    no control), and the joint covariance is [[P_hat, 0], [0, 0]].
+    ``nominal`` (the nominal-controller objective) has zero joint
+    covariances and feedback regularization, so constraints keep only the
+    minimum smoothing eps_sigma.
 
     All methods broadcast over leading batch dimensions of the nominal
     controls and/or feedback gains; a batch of gain perturbations can share
@@ -326,36 +326,46 @@ class ObjectiveEvaluator:
         if self.mode == "nominal":
             return Prediction(traj=traj, nominal_cost=nominal_cost, h=h)
         lin = linearize_trajectory(model, traj)
-        if self.mode == "output_feedback":  # with the stage records its adjoint reads
-            kalman = kalman_recursion(lin, self.P_hat_0, True)
-        else:  # no filter: zero gains, shaped like the Kalman gains C'
-            kalman = (np.broadcast_to(0.0, np.swapaxes(lin.C, -1, -2).shape), None, None, None)
+        kalman = kalman_recursion(lin, self.P_hat_0, factors=True, update=self.mode == "output_feedback")
         return Prediction(traj, nominal_cost, h, lin, *kalman)
 
     def evaluate(self, pred: Prediction, feedback: Array) -> Evaluation:
         """The forward record of (prediction, feedback-gain batch), over the
-        combined batch shape: the augmented covariances of stages 0..N, the
+        combined batch shape: the estimate's spread at stages 0..N, the
         direction variances plus eps_sigma^2 and the four objective parts.
         The joint (state, control) covariances are not kept: the sweep
-        rebuilds their maps from the gains."""
+        reads them through the spread and the gains."""
         cost = self.problem.cost
         feedback = np.asarray(feedback, dtype=float)
         batch = np.broadcast_shapes(np.shape(pred.nominal_cost), feedback.shape[:-3])
+        spread, n_x = None, self.problem.model.n_x
         if pred.lin is None:
-            sigma, joint = None, np.broadcast_to(np.zeros(cost.hessians.shape), batch + cost.hessians.shape)
+            joint = np.broadcast_to(np.zeros(cost.hessians.shape), batch + cost.hessians.shape)
         else:
-            policy = Policy(u_nom=pred.traj.controls, feedback=feedback)
-            K_all = policy.stage_gains()
-            sigma = propagate_covariance(pred.lin, policy, pred.filter_gains, self.P_hat_0).sigma
-            K_N = np.zeros(K_all.shape[:-3] + (1,) + K_all.shape[-2:])
-            joint = joint_covariance(sigma, np.concatenate([K_all, K_N], axis=-3))
+            joint = np.zeros(batch + cost.hessians.shape)
+            joint[..., :n_x, :n_x] = pred.filter_covs
+        if self.mode == "output_feedback":
+            K = self._stage_gains(feedback)
+            spread = estimate_spread(pred.lin, K[..., :-1, :, :], pred.filter_covs, pred.filter_pred_covs)
+            KQ = K @ spread
+            joint[..., :n_x, :n_x] += spread
+            joint[..., n_x:, :n_x] = KQ
+            joint[..., :n_x, n_x:] = KQ.mT
+            joint[..., n_x:, n_x:] = KQ @ K.mT
         variance = 0.5 * _trace_sum(cost.hessians, joint)
         beta = smoothed_variance(constraint_direction_variance(self._grads, joint[..., None, :, :]), self.eps_sigma)
         penalty = np.sum(self._weights * expected_relu(pred.h, np.sqrt(beta)), axis=(-2, -1))
         reg = feedback_regularization(feedback, self.eps_K)
         parts = tuple(np.broadcast_arrays(pred.nominal_cost, variance, penalty, reg))
         return Evaluation(prediction=pred, feedback=np.broadcast_to(feedback, batch + feedback.shape[-3:]),
-                          sigma=sigma, beta=beta, parts=parts)
+                          spread=spread, beta=beta, parts=parts)
+
+    @staticmethod
+    def _stage_gains(feedback: Array) -> Array:
+        """The gains K_0..K_N of stages 0..N (.., N+1, n_u, n_x), with the
+        fixed zero gains of stage 0 and of the terminal stage."""
+        zero = np.zeros(feedback.shape[:-3] + (1,) + feedback.shape[-2:])
+        return np.concatenate([zero, feedback, zero], axis=-3)
 
     def parts_from_prediction(self, pred: Prediction, feedback: Array):
         """The objective parts (nominal_cost, variance_cost, penalty,
@@ -365,9 +375,10 @@ class ObjectiveEvaluator:
     def gradient(self, record: Evaluation) -> tuple[Array, Array]:
         """Derivatives (dJ/du_nom, dJ/dK) of the total objective at one
         unbatched forward record, by one reverse sweep that reads the record
-        and runs no part of the forward pipeline again: exact, except that
-        step 4 takes the model's second derivatives by central differences.
-        dJ/dK is zero without uncertainty.
+        and runs no part of the forward pipeline again.  Exact, except that
+        step 4 takes the model's second derivatives by central differences
+        when the model has no Jacobian pullbacks.  dJ/dK is zero without
+        uncertainty.
 
         Backwards through:
           1. the stage 0..N assembly.  With s_ki = sqrt(beta_ki) the
@@ -376,27 +387,34 @@ class ObjectiveEvaluator:
              M_k = H_k / 2 + sum_i c_ki g_ki g_ki' with the constant row
              gradients g_ki and c_ki = w_ki pdf(h_ki / s_ki) / (2 s_ki);
              the nominal cost adds H_k z_k + its linear term;
-          2. the joint maps and the covariance recursion
-             (:func:`~dualmpc.uncertainty.covariance_adjoint`), which give
-             dJ/dK plus the derivatives with respect to the linearization
-             and the filter gains; the regularizer adds 2 eps_K K;
+          2. the joint covariance [I; K_k] Q_k [I; K_k]' + [[P_hat_k, 0],
+             [0, 0]] and the spread recursion
+             (:func:`~dualmpc.uncertainty.spread_adjoint`): one backward
+             Lyapunov recursion Lambda_k = [I; K_k]' M_k [I; K_k]
+             + F_k' Lambda_{k+1} F_k with F_k = A_k + B_k K_k, which gives
+             dJ/dK (plus the direct 2 (M_k [I; K_k] Q_k) on the u rows and
+             the regularizer's 2 eps_K K) and the derivatives with respect
+             to A and B;
           3. the Kalman recursion
-             (:func:`~dualmpc.uncertainty.kalman_adjoint`): one backward
-             Lyapunov recursion through Phi_k = (I - Khat C) A, driven by
-             the filter gains' derivatives, with the forward pass's
-             innovation inverses S^{-1}, so the sweep forms no inverse;
+             (:func:`~dualmpc.uncertainty.kalman_adjoint`), driven by the
+             covariances: the predicted covariance P-_k gets Lambda_k and
+             the filter covariance P_hat_k gets the x block of M_k minus
+             Lambda_k; one backward Lyapunov recursion through
+             Phi_k = (I - Khat C) A, which forms no inverse;
           4. the linearization: the derivatives with respect to A, B, G at
              (x_k, u_k) and C, D at x_{k+1} contract with the second
-             derivatives of the model, one stage-local central difference
-             of each analytic Jacobian provider along every coordinate;
+             derivatives of the model, by the model's Jacobian pullbacks
+             (``f_jac_pullback``, ``g_jac_pullback``) or else one
+             stage-local central difference of each analytic Jacobian
+             provider along every coordinate;
           5. the rollout: lambda_N = dJ/dx_N,
              lambda_k = dJ/dx_k + A_k' lambda_{k+1} and
              dJ/du_k = (direct) + B_k' lambda_{k+1}.
 
         Without uncertainty only steps 1 and 5 run, with A_k, B_k from one
-        ``f_jac`` call along the trajectory.  Without a filter step 3 and
-        the output-map part of step 4 do not run: with zero filter gains
-        the objective does not read C and D.
+        ``f_jac`` call along the trajectory.  Without measurements step 2
+        does not run (the spread is zero) and step 3 passes the x block of
+        M_k back through the prediction alone, which does not read C and D.
 
         Raises:
             LinearizationError: a model Jacobian is non-finite at the
@@ -420,39 +438,48 @@ class ObjectiveEvaluator:
                 raise LinearizationError("linearization produced non-finite entries")
             K_grad = np.zeros(feedback.shape)
         else:
-            A, B, sigma = pred.lin.A, pred.lin.B, record.sigma
-            policy = Policy(u_nom=us, feedback=feedback)
-            K_all = policy.stage_gains()
-            T = joint_map(np.concatenate([K_all, np.zeros((1,) + K_all.shape[1:])]))
-            T_t = np.swapaxes(T, -1, -2)
+            lin, K_grad = pred.lin, 2.0 * self.eps_K * feedback
+            A, B = lin.A, lin.B
             c = self._weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
             M = 0.5 * cost.hessians + np.einsum("ki,kia,kib->kab", c, self._grads, self._grads)
-            T_bar = 2.0 * M @ T @ sigma
-            K_bar, lin_bar, gains_bar = covariance_adjoint(
-                pred.lin, policy, pred.filter_gains, sigma, T_t @ M @ T,
-                T_bar[:-1, n_x:, :n_x] + T_bar[:-1, n_x:, n_x:],
-            )
-            K_grad = K_bar + 2.0 * self.eps_K * feedback
-            w0, v0 = np.zeros(model.n_w), np.zeros(model.n_v)
-
-            def f_jac(p):
-                return model.f_jac(p[..., :n_x], p[..., n_x:], w0)
-
-            if pred.filter_covs is None:  # no filter: zero filter gains leave C and D unread
-                z_bar[:N] += _jacobian_pullback(f_jac, z[:N], (lin_bar.A, lin_bar.B, lin_bar.G))
-            else:
-                kal_bar = kalman_adjoint(pred.lin, pred.filter_gains, pred.filter_covs, pred.filter_pred_covs,
-                                         pred.innovation_inverses, gains_bar)
-                z_bar[:N] += _jacobian_pullback(f_jac, z[:N], (lin_bar.A + kal_bar.A, lin_bar.B, lin_bar.G + kal_bar.G))
-                z_bar[1:, :n_x] += _jacobian_pullback(
-                    lambda p: model.g_jac(p, v0), xs[1:], (lin_bar.C + kal_bar.C, lin_bar.D + kal_bar.D)
-                )
+            A_bar, B_bar, lam = 0.0, np.zeros(B.shape), np.zeros((N, n_x, n_x))  # no spread without measurements
+            if self.mode == "output_feedback":
+                K = self._stage_gains(feedback)
+                T = np.concatenate([np.broadcast_to(np.eye(n_x), (N + 1, n_x, n_x)), K], axis=-2)  # [I; K]
+                MT, spread = M @ T, record.spread
+                K_bar, A_bar, B_bar, lam = spread_adjoint(lin, K[:N], spread, T.mT @ MT,
+                                                          2.0 * (MT @ spread)[:N, n_x:])
+                K_grad = K_grad + K_bar
+            A_kal, G_bar, C_bar, D_bar = kalman_adjoint(lin, pred.filter_gains, pred.filter_covs,
+                                                        pred.filter_pred_covs, M[1:, :n_x, :n_x] - lam, lam)
+            z_bar[:N] += self._f_pullback(z[:N], A_bar + A_kal, B_bar, G_bar)
+            if self.mode == "output_feedback":  # zero filter gains do not read C and D
+                z_bar[1:, :n_x] += self._g_pullback(xs[1:], C_bar, D_bar)
         lam = z_bar[N, :n_x]
         u_bar = np.empty(us.shape)
         for k in range(N - 1, -1, -1):
             u_bar[k] = z_bar[k, n_x:] + lam @ B[k]
             lam = z_bar[k, :n_x] + lam @ A[k]
         return u_bar, K_grad
+
+    def _f_pullback(self, z: Array, A_bar: Array, B_bar: Array, G_bar: Array) -> Array:
+        """sum <A_bar, dA/dz> + <B_bar, dB/dz> + <G_bar, dG/dz> at each
+        point z = (x, u) of the rows of ``z``, with w = 0."""
+        model = self.problem.model
+        x, u = z[..., :model.n_x], z[..., model.n_x:]
+        if model.f_jac_pullback is not None:
+            return model.f_jac_pullback(x, u, A_bar, B_bar, G_bar)
+        w0 = np.zeros(model.n_w)
+        return _jacobian_pullback(lambda p: model.f_jac(p[..., :model.n_x], p[..., model.n_x:], w0), z,
+                                  (A_bar, B_bar, G_bar))
+
+    def _g_pullback(self, x: Array, C_bar: Array, D_bar: Array) -> Array:
+        """sum <C_bar, dC/dx> + <D_bar, dD/dx> at each row of ``x``, with v = 0."""
+        model = self.problem.model
+        if model.g_jac_pullback is not None:
+            return model.g_jac_pullback(x, C_bar, D_bar)
+        v0 = np.zeros(model.n_v)
+        return _jacobian_pullback(lambda p: model.g_jac(p, v0), x, (C_bar, D_bar))
 
     def totals(self, u_nom: Array, feedback: Array) -> tuple[Array, Evaluation]:
         """Total objective for batched (u_nom, feedback), and the forward

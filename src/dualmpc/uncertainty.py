@@ -1,10 +1,15 @@
 """Nominal rollout, trajectory linearization, and covariance propagation.
 
 The prediction model used by the optimizer: roll the nonlinear system out
-without noise, linearize along that trajectory, run a time-varying Kalman
-recursion on the linearized system, and propagate the joint covariance of
-(true-state deviation, estimation error) under an estimate-feedback policy
-u_k = u_nom_k + K_k (xhat_k - x_nom_k).
+without noise, linearize along that trajectory, and run a time-varying
+Kalman recursion on the linearized system.  Under an estimate-feedback
+policy u_k = u_nom_k + K_k (xhat_k - x_nom_k) the planned estimate's spread
+xhat_k - x_nom_k and the estimation error xhat_k - x_k are uncorrelated,
+because the filter is the Kalman filter of the same linearization
+(separation); so the joint covariance of (x_k - x_nom_k, u_k - u_nom_k)
+follows from the filter covariances and one n_x recursion for the spread
+(:func:`estimate_spread`).  :func:`propagate_covariance` keeps the
+covariance of (x_k - x_nom_k, xhat_k - x_k) for any observer gains.
 
 Index conventions (0-based stages, horizon N):
   * states x_0..x_N, controls u_0..u_{N-1};
@@ -178,7 +183,9 @@ def nominal_rollout(model: SystemModel, x0: Array, u_nom: Array) -> NominalTraje
         # A compact copy: a rollout may return a strided view of a larger table.
         states = np.ascontiguousarray(model.rollout(x0, u_nom), dtype=float)
     else:
-        x = np.broadcast_to(x0, batch + x0.shape[-1:]).astype(float)
+        # C order: a copy of the broadcast in its own (F) order makes the
+        # first stage map of a batch add in another order than one point.
+        x = np.ascontiguousarray(np.broadcast_to(x0, batch + x0.shape[-1:]))
         w0 = np.zeros(model.n_w)
         states = np.empty(batch + (N + 1,) + x0.shape[-1:])
         states[..., 0, :] = x
@@ -218,7 +225,8 @@ def linearize_trajectory(model: SystemModel, traj: NominalTrajectory) -> StageLi
     return StageLinearization(**out)
 
 
-def kalman_recursion(lin: StageLinearization, P_hat_0: Array, factors: bool = False) -> tuple[Array, ...]:
+def kalman_recursion(lin: StageLinearization, P_hat_0: Array, factors: bool = False,
+                     update: bool = True) -> tuple[Array, ...]:
     """Time-varying Kalman filter on the linearized system.
 
     Per stage: predict P_minus = A P A' + G G'; innovation
@@ -226,14 +234,14 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array, factors: bool = Fa
     :func:`spd_factor` if S is not positive definite); S^{-1} = L^{-T} L^{-1}
     from one inverse of L; gain K = P_minus C' S^{-1}; update
     P_plus = P_minus - K C P_minus, symmetrized.  Noises have unit covariance
-    (shaping lives in G and D).
+    (shaping lives in G and D).  Without ``update`` no measurement arrives:
+    the filter only predicts, P_plus = P_minus, and its gains are zero.
 
     Returns:
         gains (.., N, n_x, n_y) — entry j is the gain applied at stage j+1 —
-        and covariances (.., N+1, n_x, n_x); with ``factors``, also what
-        :func:`kalman_adjoint` reads of stages 1..N: the predicted
-        covariances P_minus (.., N, n_x, n_x) and the inverses S^{-1} of the
-        (jittered) innovation covariances (.., N, n_y, n_y).
+        and covariances (.., N+1, n_x, n_x); with ``factors``, also the
+        predicted covariances P_minus (.., N, n_x, n_x) of stages 1..N,
+        which :func:`estimate_spread` and :func:`kalman_adjoint` read.
 
     Raises:
         SingularInnovationError: innovation covariance not PD at some stage
@@ -248,24 +256,55 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array, factors: bool = Fa
     A_T, C_T = lin.A.mT, lin.C.mT
     GGt = lin.G @ lin.G.mT
     DDt = lin.D @ lin.D.mT
-    gains = np.empty(batch + (N, n_x, n_y))
+    gains = np.zeros(batch + (N, n_x, n_y))
     covs = np.empty(batch + (N + 1, n_x, n_x))
     covs[..., 0, :, :] = P
     pred_covs = np.empty(batch + (N, n_x, n_x))
-    inverses = np.empty(batch + (N, n_y, n_y))
     for k in range(N):
-        P_minus = symmetrize(lin.A[..., k, :, :] @ P @ A_T[..., k, :, :] + GGt[..., k, :, :])
-        CP = lin.C[..., k, :, :] @ P_minus
-        S = CP @ C_T[..., k, :, :] + DDt[..., k, :, :]
-        L_inv = np.linalg.inv(spd_factor(symmetrize(S), context=f"innovation covariance at stage {k + 1}"))
-        S_inv = L_inv.mT @ L_inv
-        K = (S_inv @ CP).mT
-        P = symmetrize(P_minus - K @ CP)
-        gains[..., k, :, :] = K
+        P = P_minus = symmetrize(lin.A[..., k, :, :] @ P @ A_T[..., k, :, :] + GGt[..., k, :, :])
+        if update:
+            CP = lin.C[..., k, :, :] @ P_minus
+            S = CP @ C_T[..., k, :, :] + DDt[..., k, :, :]
+            L_inv = np.linalg.inv(spd_factor(symmetrize(S), context=f"innovation covariance at stage {k + 1}"))
+            K = ((L_inv.mT @ L_inv) @ CP).mT
+            P = symmetrize(P_minus - K @ CP)
+            gains[..., k, :, :] = K
         covs[..., k + 1, :, :] = P
         pred_covs[..., k, :, :] = P_minus
-        inverses[..., k, :, :] = S_inv
-    return (gains, covs, pred_covs, inverses) if factors else (gains, covs)
+    return (gains, covs, pred_covs) if factors else (gains, covs)
+
+
+def estimate_spread(lin: StageLinearization, stage_gains: Array, covs: Array, P_minus: Array) -> Array:
+    """Covariances Q_k of the planned estimate's spread xhat_k - x_nom_k.
+
+    ``stage_gains`` holds the feedback gains K_0..K_{N-1}
+    (:meth:`Policy.stage_gains`); ``covs`` and ``P_minus`` are the Kalman
+    filter's covariances P_hat and predicted covariances
+    (``kalman_recursion(lin, P_hat_0, factors=True)``).  Between updates
+    the estimate moves with F_k = A_k + B_k K_k; each update adds
+    Khat nu, which is uncorrelated with the predicted estimate and has
+    covariance Khat S Khat' = P_minus - P_hat.  So, with the estimate
+    starting at the nominal state,
+        Q_0 = 0,  Q_{k+1} = sym(F_k Q_k F_k' + P_minus_{k+1} - P_hat_{k+1}).
+    The estimation error xhat - x is uncorrelated with the spread, so the
+    state deviation x - x_nom has covariance Q + P_hat and
+    (x - x_nom, u - u_nom) the joint covariance
+    [[Q + P_hat, Q K'], [K Q, K Q K']].
+
+    Returns:
+        (.., N+1, n_x, n_x), over the combined batch shape; gains broadcast,
+        so a batch of policies can share one filter.
+    """
+    N = lin.horizon
+    F = lin.A + lin.B @ stage_gains
+    F_T = F.mT
+    innovation = P_minus - covs[..., 1:, :, :]
+    out = np.zeros(np.broadcast_shapes(F.shape[:-3], innovation.shape[:-3]) + covs.shape[-3:])
+    out[..., 1, :, :] = Q = innovation[..., 0, :, :]  # Q_0 = 0 adds nothing
+    for k in range(1, N):
+        Q = symmetrize(F[..., k, :, :] @ Q @ F_T[..., k, :, :] + innovation[..., k, :, :])
+        out[..., k + 1, :, :] = Q
+    return out
 
 
 def _augmented_transitions(lin: StageLinearization, K_all: Array, E: Array, batch) -> Array:
@@ -312,7 +351,10 @@ def propagate_covariance(
     Every update is symmetrized.
 
     Feedback gains broadcast: a batch of policies can share one
-    linearization and one filter-gain sequence.
+    linearization and one filter-gain sequence.  ``gains`` may be any
+    observer gains.  With the Kalman gains of ``lin`` sigma is, up to
+    rounding, [[Q + P_hat, -P_hat], [-P_hat, P_hat]] with the spread Q of
+    :func:`estimate_spread`, the n_x form that the objective evaluates.
     """
     N = lin.horizon
     n_x = lin.A.shape[-1]
@@ -341,126 +383,66 @@ def propagate_covariance(
     return AugmentedCovariance(sigma=out, n_x=n_x)
 
 
-def covariance_adjoint(
-    lin: StageLinearization,
-    policy: Policy,
-    gains: Array,
-    sigma: Array,
-    sigma_bar: Array,
-    K_bar: Array,
-) -> tuple[Array, StageLinearization, Array]:
-    """Reverse-mode pass of :func:`propagate_covariance` (one unbatched policy).
+def spread_adjoint(lin: StageLinearization, stage_gains: Array, spread: Array, spread_bar: Array,
+                   gains_bar: Array) -> tuple[Array, Array, Array, Array]:
+    """Reverse-mode pass of :func:`estimate_spread` (one unbatched policy).
 
-    ``sigma`` is the forward output (N+1, 2n_x, 2n_x); ``sigma_bar`` holds the
-    symmetric derivatives dJ/dsigma_k of some scalar J that reads each stage
-    covariance directly, and ``K_bar`` the direct derivatives dJ/dK_k of the
-    stage gains K_0..K_{N-1}.  With F_k the augmented transition and
-    W_k W_k' the noise block of stage k, the recursion
-    sigma_{k+1} = F_k sigma_k F_k' + W_k W_k' is linear in sigma for fixed
-    matrices, so its adjoint is the backward Lyapunov recursion
-        Lambda_N = sigma_bar_N,
-        Lambda_k = sigma_bar_k + F_k' Lambda_{k+1} F_k,
-    and stage k's matrices get dF_k = 2 Lambda_{k+1} F_k sigma_k and
-    dW_k = 2 Lambda_{k+1} W_k.  Those are pulled back through
-    F_k = [[A + B K, B K], [0, -E A]], W_k = [[G, 0], [E G, Khat D]] and
-    E_k = Khat_{k+1} C_{k+1} - I onto the gains, the linearization and the
-    filter gains.
+    ``spread`` is the forward output Q (N+1, n_x, n_x); ``spread_bar``
+    holds the symmetric derivatives dJ/dQ_k of some scalar J that reads
+    each stage's spread directly, and ``gains_bar`` the direct derivatives
+    dJ/dK_k of the stage gains K_0..K_{N-1}.  The recursion is linear in Q
+    for fixed F_k = A_k + B_k K_k, so its adjoint is the backward Lyapunov
+    recursion
+        Lambda_N = Q_bar_N,  Lambda_k = Q_bar_k + F_k' Lambda_{k+1} F_k,
+    and F_k gets 2 Lambda_{k+1} F_k Q_k, which passes to A_k, to B_k (times
+    K_k') and to K_k (B_k' times it).  Lambda_{k+1} is also the derivative
+    with respect to the update's covariance P_minus_{k+1} - P_hat_{k+1}.
 
     Returns:
         (dJ/dK for the free gains K_1..K_{N-1}, shaped like
-        ``policy.feedback``; dJ/d(A, B, G, C, D) as a
-        :class:`StageLinearization`; dJ/dKhat, shaped like ``gains``).
+        ``Policy.feedback``; dJ/dA; dJ/dB; Lambda_1..Lambda_N (N, n_x, n_x)).
     """
     N = lin.horizon
-    n_x = lin.A.shape[-1]
-    n_w = lin.G.shape[-1]
-    gains = np.asarray(gains, dtype=float)
-    K_all = policy.stage_gains()
-    E = gains @ lin.C - np.eye(n_x)
-    trans = _augmented_transitions(lin, K_all, E, ())
-    W = _noise_factors(lin, gains, E)
-    lam = np.empty((N, 2 * n_x, 2 * n_x))  # lam[k] = Lambda_{k+1}
-    lam[N - 1] = sigma_bar[N]
+    F = lin.A + lin.B @ stage_gains
+    lam = np.empty(spread.shape[:-3] + (N,) + spread.shape[-2:])  # lam[k] = Lambda_{k+1}
+    lam[N - 1] = spread_bar[N]
     for k in range(N - 1, 0, -1):
-        lam[k - 1] = sigma_bar[k] + trans[k].T @ lam[k] @ trans[k]
-    F_bar = 2.0 * lam @ trans @ sigma[:N]
-    W_bar = 2.0 * lam @ W
-    top = F_bar[:, :n_x, :n_x] + F_bar[:, :n_x, n_x:]  # dJ/d(B K)
-    E_t = np.swapaxes(E, -1, -2)
-    E_bar = -F_bar[:, n_x:, n_x:] @ np.swapaxes(lin.A, -1, -2) + W_bar[:, n_x:, :n_w] @ np.swapaxes(lin.G, -1, -2)
-    gains_t = np.swapaxes(gains, -1, -2)
-    lin_bar = StageLinearization(
-        A=F_bar[:, :n_x, :n_x] - E_t @ F_bar[:, n_x:, n_x:],
-        B=top @ np.swapaxes(K_all, -1, -2),
-        G=W_bar[:, :n_x, :n_w] + E_t @ W_bar[:, n_x:, :n_w],
-        C=gains_t @ E_bar,
-        D=gains_t @ W_bar[:, n_x:, n_w:],
-    )
-    gains_bar = E_bar @ np.swapaxes(lin.C, -1, -2) + W_bar[:, n_x:, n_w:] @ np.swapaxes(lin.D, -1, -2)
-    K_bar = np.asarray(K_bar, dtype=float) + np.swapaxes(lin.B, -1, -2) @ top
-    return K_bar[1:], lin_bar, gains_bar
+        lam[k - 1] = spread_bar[k] + F[k].T @ lam[k] @ F[k]
+    F_bar = 2.0 * lam @ F @ spread[:N]
+    gains_bar = np.asarray(gains_bar, dtype=float) + lin.B.mT @ F_bar
+    return gains_bar[1:], F_bar, F_bar @ stage_gains.mT, lam
 
 
-def kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, P_minus: Array, S_inv: Array,
-                   gains_bar: Array) -> StageLinearization:
+def kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, P_minus: Array, covs_bar: Array,
+                   P_minus_bar: Array) -> tuple[Array, Array, Array, Array]:
     """Reverse-mode pass of :func:`kalman_recursion` (one unbatched
-    linearization): the derivatives dJ/d(A, G, C, D) of a scalar J that reads
-    the filter gains, whose derivatives are ``gains_bar``.
+    linearization): the derivatives dJ/d(A, G, C, D) of a scalar J with
+    direct derivatives ``covs_bar`` (N, n_x, n_x) with respect to the
+    filter covariances P_hat_1..P_hat_N and ``P_minus_bar`` with respect to
+    the predicted ones, from the forward outputs ``gains``, ``covs`` and
+    ``P_minus`` (``kalman_recursion(lin, P_hat_0, factors=True)``; zero
+    gains for a filter that only predicts).
 
-    ``gains``, ``covs``, ``P_minus`` and ``S_inv`` are the forward outputs
-    (``kalman_recursion(lin, P_hat_0, factors=True)``).  Per stage, with
-    P_k = covs[k], P- = A P_k A' + G G', S = C P- C' + D D' and
-    Khat = P- C' S^{-1}, the update P_{k+1} = P- - P- C' S^{-1} C P- has the
-    derivative (I - Khat C) dP- (I - Khat C)' in P-, because the Kalman gain
-    minimises the Joseph form; a jittered S adds a constant, so this holds
-    there too.  The gain's solve S Khat' = C P- passes
-    R_bar = dJ/d(C P-) = S^{-1} Khat_bar' and S_bar = dJ/dS = -sym(R_bar Khat),
-    hence Q = sym(C'(R_bar + S_bar C)) onto P-, for all stages at once.  With
-    Phi_k = (I - Khat C) A, the backward recursion is the Lyapunov one
-        P_bar_N = 0,  P_bar_k = Phi_k' P_bar_{k+1} Phi_k + A' Q_k A,
-    and with Pm_bar = (I - Khat C)' P_bar_{k+1} (I - Khat C) + Q the
-    pullbacks are dA = 2 Pm_bar A P_k, dG = 2 Pm_bar G,
-    dC = -2 Khat' P_bar_{k+1} (I - Khat C) P- + R_bar P- + 2 S_bar C P- and
-    dD = 2 (Khat' P_bar_{k+1} Khat + S_bar) D.  P_0 is fixed.
+    The update P_hat = P- - P- C' S^{-1} C P- has the derivative
+    (I - Khat C) dP- (I - Khat C)' in P- (the Kalman gain minimises the
+    Joseph form; a jittered S adds a constant, so this holds there too),
+    -(I - Khat C) P- dC' Khat' - Khat dC P- (I - Khat C)' in C and
+    Khat d(D D') Khat' in D.  With Phi_k = (I - Khat C) A and W_k the
+    derivative with respect to P_hat_{k+1}, the backward recursion is
+        W_N = covs_bar_N,  W_k = covs_bar_k + Phi_k' W_{k+1} Phi_k + A' P_minus_bar_k A,
+    and with Pm_bar = (I - Khat C)' W (I - Khat C) + P_minus_bar,
+    dA = 2 Pm_bar A P_hat_k, dG = 2 Pm_bar G,
+    dC = -2 Khat' W (I - Khat C) P- and dD = 2 Khat' W Khat D.  P_hat_0 is
+    fixed.
     """
     N = lin.horizon
-    A, C, G, D = lin.A, lin.C, lin.G, lin.D
-    gains_t = gains.mT
-    R_bar = S_inv @ gains_bar.mT  # dJ/d(C P-)
-    S_bar = -symmetrize(R_bar @ gains)
-    Q = symmetrize(C.mT @ (R_bar + S_bar @ C))
+    A, C = lin.A, lin.C
     E = np.eye(A.shape[-1]) - gains @ C  # I - Khat C
-    Phi, q = E @ A, A.mT @ Q @ A
-    P_bar = np.zeros(covs[1:].shape)  # P_bar[k] = dJ/dP_{k+1}; P_bar_N = 0
-    for k in range(N - 1, 0, -1):
-        P_bar[k - 1] = Phi[k].T @ P_bar[k] @ Phi[k] + q[k]
-    Pm_bar = E.mT @ P_bar @ E + Q
-    C_bar = -2.0 * gains_t @ P_bar @ E @ P_minus + R_bar @ P_minus + 2.0 * S_bar @ C @ P_minus
-    return StageLinearization(A=2.0 * Pm_bar @ A @ covs[:N], B=np.zeros(lin.B.shape), G=2.0 * Pm_bar @ G,
-                              C=C_bar, D=2.0 * (gains_t @ P_bar @ gains + S_bar) @ D)
-
-
-def joint_map(K_k: Array, batch: tuple = ()) -> Array:
-    """T = [[I, 0], [K, K]], which maps the augmented state to
-    (x_k - x_nom_k, u_k - u_nom_k); batched over ``batch`` and the leading
-    axes of K_k."""
-    K_k = np.asarray(K_k, dtype=float)
-    n_u, n_x = K_k.shape[-2:]
-    T = np.zeros(np.broadcast_shapes(batch, K_k.shape[:-2]) + (n_x + n_u, 2 * n_x))
-    T[..., :n_x, :n_x] = np.eye(n_x)
-    T[..., n_x:, :n_x] = K_k
-    T[..., n_x:, n_x:] = K_k
-    return T
-
-
-def joint_covariance(sigma_k: Array, K_k: Array) -> Array:
-    """Covariance of (x_k - x_nom_k, u_k - u_nom_k) at one stage.
-
-    With u - u_nom = K (xhat - x_nom) = K (x - x_nom) + K (xhat - x), the
-    map from the augmented state is T = [[I, 0], [K, K]] (:func:`joint_map`)
-    and the joint covariance is T sigma T'.  Batched over stages and
-    policies; the product is returned as computed, not re-symmetrized.
-    """
-    sigma_k = np.asarray(sigma_k, dtype=float)
-    T = joint_map(K_k, sigma_k.shape[:-2])
-    return T @ sigma_k @ np.swapaxes(T, -1, -2)
+    Phi = E @ A
+    W = covs_bar + np.concatenate([A[1:].mT @ P_minus_bar[1:] @ A[1:], np.zeros((1,) + A.shape[1:])])
+    for k in range(N - 1, 0, -1):  # W[k] = dJ/dP_hat_{k+1}
+        W[k - 1] += Phi[k].T @ W[k] @ Phi[k]
+    Pm_bar = E.mT @ W @ E + P_minus_bar
+    KW = gains.mT @ W
+    return (2.0 * Pm_bar @ A @ covs[:N], 2.0 * Pm_bar @ lin.G, -2.0 * KW @ E @ P_minus,
+            2.0 * KW @ gains @ lin.D)

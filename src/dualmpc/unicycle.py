@@ -21,7 +21,8 @@ model's ``rollout`` is that integrator over N stages with zero noise, and
 step taken stage after stage, which the tests keep as the reference
 (``tests/oracles.py``).  ``f_jac`` gives the exact derivatives of that step
 in closed form, read off the same heading table; they match the oracle's
-tangent chain to rounding, not bit for bit.
+tangent chain to rounding, not bit for bit.  The Jacobian pullbacks (the
+Jacobians' own derivatives, contracted) are closed-form too.
 """
 
 from __future__ import annotations
@@ -170,14 +171,22 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
     # d x+ / d (L_w w)_{1,2} = S h I, times the first two rows of L_w.
     G_position = (S * h) * L_w * np.array([[1.0], [1.0], [0.0]])
 
+    def trig_sums(x, u, w_shaped, powers):
+        """The sums over the stage points of one step of
+        weight ((s + c) h)^p (cos, sin)(theta_{s,c}), p = 0..powers-1, in
+        the order cos, sin, then the next power; the point axis is summed
+        in one fixed order."""
+        heading = headings(x, u[..., None, :], w_shaped)[0][..., 0, :, :]
+        trig = [weight * np.stack([np.cos(heading), np.sin(heading)], axis=-3)]
+        for _ in range(1, powers):
+            trig.append(lever * trig[-1])
+        trig = np.concatenate(trig, axis=-3)
+        return np.moveaxis(np.add.accumulate(trig.reshape(trig.shape[:-2] + (3 * S,)), axis=-1)[..., -1], -1, 0)
+
     def f_jac(x, u, w):
         x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-        heading = headings(x, u[..., None, :], w @ L_w.T)[0][..., 0, :, :]
-        trig = weight * np.stack([np.cos(heading), np.sin(heading)], axis=-3)
-        trig = np.concatenate([trig, lever * trig], axis=-3)
         # d p+ / d v = sum weight (cos, sin), and d p+ / d r = v sum weight (s + c) h (-sin, cos)
-        cos, sin, cos_r, sin_r = np.moveaxis(
-            np.add.accumulate(trig.reshape(trig.shape[:-2] + (3 * S,)), axis=-1)[..., -1], -1, 0)
+        cos, sin, cos_r, sin_r = trig_sums(x, u, w @ L_w.T, 2)
         v = u[..., 0]
         A = np.broadcast_to(np.eye(3), cos.shape + (3, 3)).copy()
         A[..., 0, 2] = -v * sin  # d p+ / d theta = v sum weight (-sin, cos)
@@ -190,6 +199,25 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
         B[..., 2, 1] = S * h
         # d x+ / d (L_w w)_3 = d x+ / d omega
         return A, B, G_position + B[..., :, 1, None] * L_w[2]
+
+    def f_jac_pullback(x, u, A_bar, B_bar, G_bar):
+        # The Jacobians read the state only through theta and the sums:
+        # <A_bar, A> + <B_bar, B> + <G_bar, G> = a_c cos + a_s sin
+        # + b_c cos_1 + b_s sin_1 + const, where the omega column of B also
+        # enters G through L_w[2].  A sum's theta derivative turns cos into
+        # -sin and sin into cos; its omega derivative does the same one
+        # power of (s + c) h up.
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        cos, sin, cos_1, sin_1, cos_2, sin_2 = trig_sums(x, u, zero_noise, 3)
+        v = u[..., 0]
+        b = B_bar[..., 1] + np.add.accumulate(G_bar * L_w[2], axis=-1)[..., -1]
+        a_c, a_s = v * A_bar[..., 1, 2] + B_bar[..., 0, 0], B_bar[..., 1, 0] - v * A_bar[..., 0, 2]
+        b_c, b_s = v * b[..., 1], -v * b[..., 0]
+        out = np.zeros(cos.shape + (5,))
+        out[..., 2] = (a_s * cos - a_c * sin) + (b_s * cos_1 - b_c * sin_1)
+        out[..., 3] = (A_bar[..., 1, 2] * cos - A_bar[..., 0, 2] * sin) + (b[..., 1] * cos_1 - b[..., 0] * sin_1)
+        out[..., 4] = (a_s * cos_1 - a_c * sin_1) + (b_s * cos_2 - b_c * sin_2)
+        return out
 
     def g(x, v):
         x = np.asarray(x, dtype=float)
@@ -204,10 +232,17 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
         D = sigma_y(x, eps)[..., None, None] * L_v
         return C, D
 
+    def g_jac_pullback(x, C_bar, D_bar):
+        # At v = 0, C = I and D = sigma_y(r_y) L_v.
+        D_bar = np.asarray(D_bar, dtype=float)
+        weight_D = np.add.accumulate((D_bar * L_v).reshape(D_bar.shape[:-2] + (-1,)), axis=-1)[..., -1]
+        return sigma_y_grad(x, eps) * weight_D[..., None]
+
     model = SystemModel(
         n_x=3, n_u=2, n_w=3, n_v=3, n_y=3, horizon=N,
         f=f, g=g, f_jac=f_jac, g_jac=g_jac,
         state_names=("r_x", "r_y", "theta"), rollout=rollout,
+        f_jac_pullback=f_jac_pullback, g_jac_pullback=g_jac_pullback,
     )
 
     # Stage cost r_x + control_weight * ||u||^2 over z = (x, u) at every

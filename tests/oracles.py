@@ -6,7 +6,9 @@ central-difference Jacobian, the generic RK4 step and its Jacobians (the
 unicycle integrates in cascade form), the RK4 Jacobians with one tangent
 chain each for the control and the noise, a central-difference objective
 gradient, the general-gain (Joseph) estimation-error covariance, the
-stage-by-stage Kalman adjoint, a stand-alone penalty sum, the closed-form
+stage-by-stage Kalman adjoint, the objective evaluated and differentiated
+through the 2n_x augmented covariance of (x - x_nom, xhat - x) instead of
+the separated n_x form, a stand-alone penalty sum, the closed-form
 expectation of a quadratic, and a hand-written EKF predict/update pair with
 its SPD solve.
 """
@@ -14,11 +16,21 @@ its SPD solve.
 from typing import Callable
 
 import numpy as np
+from scipy.special import ndtr
 
-from dualmpc import ModelError, expected_relu
+from dualmpc import ModelError, expected_relu, feedback_regularization, smoothed_variance
 from dualmpc.estimation import BeliefState, EstimationError
 from dualmpc.model import Array, SystemModel
-from dualmpc.uncertainty import Policy, StageLinearization, spd_factor, symmetrize
+from dualmpc.objective import _SQRT_2PI, _trace_sum, constraint_direction_variance
+from dualmpc.uncertainty import (
+    Policy,
+    StageLinearization,
+    _augmented_transitions,
+    _noise_factors,
+    propagate_covariance,
+    spd_factor,
+    symmetrize,
+)
 
 
 def open_loop_policy(u_nom: Array, n_x: int) -> Policy:
@@ -255,36 +267,167 @@ def luenberger_covariance(lin: StageLinearization, gains: Array, P_hat_0: Array)
     return np.stack(covs, axis=-3)
 
 
-def stagewise_kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, P_minus: Array, S_inv: Array,
-                             gains_bar: Array) -> StageLinearization:
+def stagewise_kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, P_minus: Array,
+                             gains_bar: Array | None = None, covs_bar: Array | None = None,
+                             P_minus_bar: Array | None = None) -> tuple[Array, Array, Array, Array]:
     """Reverse-mode pass of :func:`~dualmpc.uncertainty.kalman_recursion`
-    stage by stage, with the gain as an intermediate: per stage, backwards,
-    the update P_{k+1} = (I - Khat C) P- and the gain pass their derivatives
-    to P-, C and Khat; the gain's solve S Khat' = C P- passes
-    dJ/d(C P-) = S^{-1} Khat_bar' and dJ/dS = -S^{-1} Khat_bar' Khat; then S
-    and P- pass theirs to C, D, A, G and P_k.  Same arguments and result as
-    :func:`~dualmpc.uncertainty.kalman_adjoint`, without the Joseph
+    stage by stage, with the gain as an intermediate, for a scalar J that
+    reads the filter gains (``gains_bar``), the filter covariances
+    P_hat_1..P_hat_N (``covs_bar``) and the predicted covariances
+    (``P_minus_bar``); a bar left None is zero.  Per stage, backwards, the
+    update P_{k+1} = (I - Khat C) P- and the gain pass their derivatives to
+    P-, C and Khat; the gain's solve S Khat' = C P- passes
+    dJ/d(C P-) = S^{-1} Khat_bar' and dJ/dS = -S^{-1} Khat_bar' Khat, with
+    S^{-1} re-derived from the jittered factor the filter uses; then S and
+    P- pass theirs to C, D, A, G and P_k.  Returns dJ/d(A, G, C, D), as
+    :func:`~dualmpc.uncertainty.kalman_adjoint` does, without the Joseph
     identity it rests on."""
     N = lin.horizon
     n_x = lin.A.shape[-1]
     A, C, G, D = lin.A, lin.C, lin.G, lin.D
     A_t, C_t = np.swapaxes(A, -1, -2), np.swapaxes(C, -1, -2)
-    P = covs[:N]
-    n_y = C.shape[-2]
+    zero = np.zeros((N, n_x, n_x))
+    gains_bar = np.zeros(gains.shape) if gains_bar is None else gains_bar
+    covs_bar = zero if covs_bar is None else covs_bar
+    P_minus_bar = zero if P_minus_bar is None else P_minus_bar
+    L_inv = np.linalg.inv(spd_factor(symmetrize(C @ P_minus @ C_t + D @ np.swapaxes(D, -1, -2))))
+    S_inv = np.swapaxes(L_inv, -1, -2) @ L_inv
     I_KC_t = np.swapaxes(np.eye(n_x) - gains @ C, -1, -2)
-    P_bar = np.zeros((N + 1, n_x, n_x))  # P_bar[k] = dJ/dP_k
-    R_bar = np.empty((N, n_y, n_x))  # dJ/d(C P-)
-    S_bar = np.empty((N, n_y, n_y))
-    Pm_bar = np.empty((N, n_x, n_x))
+    Pm_bar, C_bar, D_bar = np.empty((N, n_x, n_x)), np.empty(C.shape), np.empty(D.shape)
+    P_bar = np.zeros((n_x, n_x))  # dJ/dP_{k+1} through the later stages
     for k in range(N - 1, -1, -1):
-        K_bar = gains_bar[k] - P_bar[k + 1] @ P_minus[k] @ C_t[k]
-        R_bar[k] = S_inv[k] @ K_bar.T
-        S_bar[k] = -symmetrize(R_bar[k] @ gains[k])
-        Pm_bar[k] = symmetrize(I_KC_t[k] @ P_bar[k + 1] + C_t[k] @ R_bar[k] + C_t[k] @ S_bar[k] @ C[k])
-        P_bar[k] = A_t[k] @ Pm_bar[k] @ A[k]
-    C_bar = -np.swapaxes(gains, -1, -2) @ P_bar[1:] @ P_minus + R_bar @ P_minus + 2.0 * S_bar @ C @ P_minus
-    return StageLinearization(A=2.0 * Pm_bar @ A @ P, B=np.zeros(lin.B.shape), G=2.0 * Pm_bar @ G,
-                              C=C_bar, D=2.0 * S_bar @ D)
+        W = covs_bar[k] + P_bar
+        K_bar = gains_bar[k] - W @ P_minus[k] @ C_t[k]
+        R_bar = S_inv[k] @ K_bar.T  # dJ/d(C P-)
+        S_bar = -symmetrize(R_bar @ gains[k])
+        Pm_bar[k] = symmetrize(I_KC_t[k] @ W + C_t[k] @ R_bar + C_t[k] @ S_bar @ C[k]) + P_minus_bar[k]
+        C_bar[k] = -gains[k].T @ W @ P_minus[k] + R_bar @ P_minus[k] + 2.0 * S_bar @ C[k] @ P_minus[k]
+        D_bar[k] = 2.0 * S_bar @ D[k]
+        P_bar = A_t[k] @ Pm_bar[k] @ A[k]
+    return 2.0 * Pm_bar @ A @ covs[:N], 2.0 * Pm_bar @ G, C_bar, D_bar
+
+
+def joint_map(K_k: Array, batch: tuple = ()) -> Array:
+    """T = [[I, 0], [K, K]], which maps the augmented state
+    (x_k - x_nom_k, xhat_k - x_k) to (x_k - x_nom_k, u_k - u_nom_k);
+    batched over ``batch`` and the leading axes of K_k."""
+    K_k = np.asarray(K_k, dtype=float)
+    n_u, n_x = K_k.shape[-2:]
+    T = np.zeros(np.broadcast_shapes(batch, K_k.shape[:-2]) + (n_x + n_u, 2 * n_x))
+    T[..., :n_x, :n_x] = np.eye(n_x)
+    T[..., n_x:, :n_x] = K_k
+    T[..., n_x:, n_x:] = K_k
+    return T
+
+
+def joint_covariance(sigma_k: Array, K_k: Array) -> Array:
+    """Covariance T sigma T' of (x_k - x_nom_k, u_k - u_nom_k) from the
+    augmented covariance (:func:`joint_map`); batched over stages and
+    policies."""
+    sigma_k = np.asarray(sigma_k, dtype=float)
+    T = joint_map(K_k, sigma_k.shape[:-2])
+    return T @ sigma_k @ np.swapaxes(T, -1, -2)
+
+
+def covariance_adjoint(lin: StageLinearization, policy: Policy, gains: Array, sigma: Array, sigma_bar: Array,
+                       K_bar: Array) -> tuple[Array, StageLinearization, Array]:
+    """Reverse-mode pass of :func:`~dualmpc.uncertainty.propagate_covariance`
+    (one unbatched policy) for a scalar J with derivatives ``sigma_bar``
+    with respect to each stage covariance and ``K_bar`` with respect to the
+    stage gains K_0..K_{N-1}: the backward Lyapunov recursion
+    Lambda_k = sigma_bar_k + F_k' Lambda_{k+1} F_k through the augmented
+    transitions F_k, whose matrices get dF_k = 2 Lambda_{k+1} F_k sigma_k
+    and dW_k = 2 Lambda_{k+1} W_k, pulled back onto the gains, the
+    linearization and the filter gains.
+
+    Returns:
+        (dJ/dK for K_1..K_{N-1}; dJ/d(A, B, G, C, D); dJ/dKhat).
+    """
+    N = lin.horizon
+    n_x = lin.A.shape[-1]
+    n_w = lin.G.shape[-1]
+    gains = np.asarray(gains, dtype=float)
+    K_all = policy.stage_gains()
+    E = gains @ lin.C - np.eye(n_x)
+    trans = _augmented_transitions(lin, K_all, E, ())
+    W = _noise_factors(lin, gains, E)
+    lam = np.empty((N, 2 * n_x, 2 * n_x))  # lam[k] = Lambda_{k+1}
+    lam[N - 1] = sigma_bar[N]
+    for k in range(N - 1, 0, -1):
+        lam[k - 1] = sigma_bar[k] + trans[k].T @ lam[k] @ trans[k]
+    F_bar = 2.0 * lam @ trans @ sigma[:N]
+    W_bar = 2.0 * lam @ W
+    top = F_bar[:, :n_x, :n_x] + F_bar[:, :n_x, n_x:]  # dJ/d(B K)
+    swap = lambda M: np.swapaxes(M, -1, -2)
+    E_bar = -F_bar[:, n_x:, n_x:] @ swap(lin.A) + W_bar[:, n_x:, :n_w] @ swap(lin.G)
+    lin_bar = StageLinearization(
+        A=F_bar[:, :n_x, :n_x] - swap(E) @ F_bar[:, n_x:, n_x:],
+        B=top @ swap(K_all),
+        G=W_bar[:, :n_x, :n_w] + swap(E) @ W_bar[:, n_x:, :n_w],
+        C=swap(gains) @ E_bar,
+        D=swap(gains) @ W_bar[:, n_x:, n_w:],
+    )
+    gains_bar = E_bar @ swap(lin.C) + W_bar[:, n_x:, n_w:] @ swap(lin.D)
+    K_bar = np.asarray(K_bar, dtype=float) + swap(lin.B) @ top
+    return K_bar[1:], lin_bar, gains_bar
+
+
+def augmented_evaluation(ev, pred, feedback: Array) -> tuple[Array, Array, Array, tuple]:
+    """An evaluator's forward pass for ``pred`` and a feedback-gain batch
+    through the augmented covariance sigma of (x - x_nom, xhat - x)
+    (:func:`~dualmpc.uncertainty.propagate_covariance`, 2n_x) and the joint
+    covariances T sigma T': (sigma, joint covariances of stages 0..N,
+    direction variances plus eps_sigma^2, objective parts)."""
+    cost = ev.problem.cost
+    feedback = np.asarray(feedback, dtype=float)
+    policy = Policy(u_nom=pred.traj.controls, feedback=feedback)
+    sigma = propagate_covariance(pred.lin, policy, pred.filter_gains, ev.P_hat_0).sigma
+    joint = joint_covariance(sigma, ev._stage_gains(feedback))
+    variance = 0.5 * _trace_sum(cost.hessians, joint)
+    beta = smoothed_variance(constraint_direction_variance(ev._grads, joint[..., None, :, :]), ev.eps_sigma)
+    penalty = np.sum(ev._weights * expected_relu(pred.h, np.sqrt(beta)), axis=(-2, -1))
+    reg = feedback_regularization(feedback, ev.eps_K)
+    return sigma, joint, beta, tuple(np.broadcast_arrays(pred.nominal_cost, variance, penalty, reg))
+
+
+def augmented_gradient(ev, pred, feedback: Array) -> tuple[Array, Array]:
+    """(dJ/du_nom, dJ/dK) of one unbatched policy by the reverse sweep
+    through the augmented covariance: the stage assembly, then
+    :func:`covariance_adjoint` onto the gains, the linearization and the
+    filter gains, then :func:`stagewise_kalman_adjoint` driven by the
+    filter gains' derivatives (``output_feedback`` only: an ``open_loop``
+    filter's gains are fixed at zero), then the evaluator's own Jacobian
+    pullbacks and rollout adjoint."""
+    model, cost = ev.problem.model, ev.problem.cost
+    N, n_x = model.horizon, model.n_x
+    sigma, _, beta, _ = augmented_evaluation(ev, pred, feedback)
+    xs, us = pred.traj.states, pred.traj.controls
+    us_all = np.concatenate([us, np.zeros((1, model.n_u))])
+    z = np.concatenate([xs, us_all], axis=-1)
+    std = np.sqrt(beta)
+    ratio = pred.h / std
+    z_bar = (np.einsum("kab,kb->ka", cost.hessians, z) + cost.gradients
+             + np.einsum("ki,kia->ka", ev._weights * ndtr(ratio), ev._grads))
+    c = ev._weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
+    M = 0.5 * cost.hessians + np.einsum("ki,kia,kib->kab", c, ev._grads, ev._grads)
+    lin, policy = pred.lin, Policy(u_nom=us, feedback=feedback)
+    T = joint_map(ev._stage_gains(feedback))
+    T_bar = 2.0 * M @ T @ sigma
+    gains = pred.filter_gains
+    K_bar, lin_bar, gains_bar = covariance_adjoint(lin, policy, gains, sigma, np.swapaxes(T, -1, -2) @ M @ T,
+                                                   T_bar[:-1, n_x:, :n_x] + T_bar[:-1, n_x:, n_x:])
+    A_bar, B_bar, G_bar, C_bar, D_bar = lin_bar.A, lin_bar.B, lin_bar.G, lin_bar.C, lin_bar.D
+    if ev.mode == "output_feedback":
+        kal = stagewise_kalman_adjoint(lin, gains, pred.filter_covs, pred.filter_pred_covs, gains_bar=gains_bar)
+        A_bar, G_bar, C_bar, D_bar = A_bar + kal[0], G_bar + kal[1], C_bar + kal[2], D_bar + kal[3]
+        z_bar[1:, :n_x] += ev._g_pullback(xs[1:], C_bar, D_bar)
+    z_bar[:N] += ev._f_pullback(z[:N], A_bar, B_bar, G_bar)
+    lam = z_bar[N, :n_x]
+    u_bar = np.empty(us.shape)
+    for k in range(N - 1, -1, -1):
+        u_bar[k] = z_bar[k, n_x:] + lam @ lin.B[k]
+        lam = z_bar[k, :n_x] + lam @ lin.A[k]
+    return u_bar, K_bar + 2.0 * ev.eps_K * feedback
 
 
 def expected_quadratic(hessian: Array, gradient: Array, constant, mean: Array, cov: Array):

@@ -13,13 +13,11 @@ from dualmpc.cli import _fmt, _stage_table, main
 from dualmpc.config import load_config
 from dualmpc.ocp_solver import solve
 from dualmpc.uncertainty import (
+    estimate_spread,
     kalman_recursion,
     linearize_trajectory,
     nominal_rollout,
-    propagate_covariance,
 )
-
-from oracles import open_loop_policy
 
 FAST_UNICYCLE = """\
 [model]
@@ -141,8 +139,9 @@ def test_solve_writes_solution_and_stage_table(tmp_path):
 
 @pytest.mark.parametrize("mode", ["nominal", "output_feedback"])
 def test_stage_table_matches_public_pipeline_bitwise(tmp_path, mode):
-    """The stage table reuses ObjectiveEvaluator.prediction; its rows equal,
-    digit for digit, rows built from the four public pipeline functions."""
+    """The stage table reuses the evaluator's pipeline; its rows equal,
+    digit for digit, rows built from the four public pipeline functions:
+    P = Q + P_hat with the estimate's spread Q, and P_hat."""
     config = load_config(_cfg(tmp_path, FAST_UNICYCLE))
     options = dataclasses.replace(config.solver_options, mode=mode)
     x0, P0 = config.sim_config.init_mean, config.sim_config.init_cov
@@ -152,8 +151,8 @@ def test_stage_table_matches_public_pipeline_bitwise(tmp_path, mode):
     model, cs = config.problem.model, config.problem.constraints
     traj = nominal_rollout(model, x0, result.policy.u_nom)
     lin = linearize_trajectory(model, traj)
-    gains, _ = kalman_recursion(lin, P0)
-    aug = propagate_covariance(lin, result.policy, gains, P0)
+    _, P_hat, P_minus = kalman_recursion(lin, P0, factors=True)
+    P = estimate_spread(lin, result.policy.stage_gains(), P_hat, P_minus) + P_hat
     N = model.horizon
     used = cs.weights > 0
     n_h_max = max(used.sum(axis=1))
@@ -166,8 +165,8 @@ def test_stage_table_matches_public_pipeline_bitwise(tmp_path, mode):
         expected.append(
             [str(k)]
             + [_fmt(v) for v in x]
-            + [_fmt(v) for v in np.diag(aug.P[k])]
-            + [_fmt(v) for v in np.diag(aug.P_hat[k])]
+            + [_fmt(v) for v in np.diag(P[k])]
+            + [_fmt(v) for v in np.diag(P_hat[k])]
             + [_fmt(v) for v in h] + [""] * (n_h_max - h.size)
             + [_fmt(v) for v in beta] + [""] * (n_h_max - beta.size)
         )
@@ -175,10 +174,10 @@ def test_stage_table_matches_public_pipeline_bitwise(tmp_path, mode):
 
 
 def test_open_loop_stage_table_reports_the_filtered_estimate(tmp_path):
-    """An open_loop solve runs no filter, yet the Phat_diag_* columns of its
-    stage table are, digit for digit, the filtered estimation-error
-    variances of the solved controls (without the filter they would equal
-    the P_diag_* columns)."""
+    """An open_loop solve runs no measurement update, yet the Phat_diag_*
+    columns of its stage table are, digit for digit, the Kalman filter's
+    estimation-error variances of the solved controls (without the update
+    they would equal the P_diag_* columns)."""
     cfg = _cfg(tmp_path, FAST_UNICYCLE)
     out = tmp_path / "out"
     main(["solve", cfg, "--controller", "open_loop", "--out", str(out)])
@@ -186,13 +185,12 @@ def test_open_loop_stage_table_reports_the_filtered_estimate(tmp_path):
     model, x0, P0 = config.problem.model, config.sim_config.init_mean, config.sim_config.init_cov
     u = np.array(json.loads((out / "solve_open_loop.json").read_text())["u_nom"])
     lin = linearize_trajectory(model, nominal_rollout(model, x0, u))
-    gains, _ = kalman_recursion(lin, P0)
-    aug = propagate_covariance(lin, open_loop_policy(u, model.n_x), gains, P0)
-    assert not np.allclose(aug.P_hat[1:], aug.P[1:])
+    P_hat = kalman_recursion(lin, P0)[1]
+    assert not np.allclose(P_hat[1:], kalman_recursion(lin, P0, update=False)[1][1:])
     rows = _read_rows(out / "solve_open_loop_stages.csv")
     assert len(rows) == model.horizon + 1
     for k, row in enumerate(rows):
-        assert [row[f"Phat_diag_{n}"] for n in model.state_names] == [_fmt(v) for v in np.diag(aug.P_hat[k])]
+        assert [row[f"Phat_diag_{n}"] for n in model.state_names] == [_fmt(v) for v in np.diag(P_hat[k])]
 
 
 def test_solve_converged_linear_instance_exits_zero(tmp_path):

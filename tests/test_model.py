@@ -16,6 +16,7 @@ from dualmpc import (
     sigma_y,
 )
 from dualmpc.model import psd_sqrt
+from dualmpc.objective import _jacobian_pullback
 from dualmpc.uncertainty import RolloutError
 from dualmpc.unicycle import sigma_y_grad
 
@@ -272,6 +273,48 @@ def test_unicycle_f_jac_rows_evaluate_as_alone():
                 alone = model.f_jac(x[i], u[i], noise if noise.ndim == 1 else noise[i])
                 for got, ref in zip(batch, alone, strict=True):
                     assert same_bits(got[i], ref)
+
+
+def _pullback_points(rng, M=60):
+    """M random points (x, u) with v = 0, omega = 0 and r_y = 0 among them,
+    and random Jacobian derivatives (A_bar, B_bar, G_bar, C_bar, D_bar)."""
+    x, u = rng.uniform(-2.0, 2.0, size=(M, 3)), rng.uniform(-2.0, 2.0, size=(M, 2))
+    x[::5, 1] = 0.0
+    u[1::5, 0] = 0.0
+    u[2::5, 1] = 0.0
+    bars = tuple(rng.normal(size=(M, 3, n)) for n in (3, 2, 3, 3, 3))
+    return x, u, bars
+
+
+@pytest.mark.parametrize("substeps", [1, 4])
+def test_unicycle_jacobian_pullbacks_match_central_differences(substeps):
+    """The closed-form pullbacks of f_jac and g_jac against the sweep's
+    central differences of the Jacobian providers (``_jacobian_pullback``,
+    step 1e-5 (1 + |z|)) at 60 random points, with v = 0, omega = 0 and
+    r_y = 0 among them.  The tolerances sit above the differences' own
+    truncation error: measured 1.4e-10 for f (max |ref| 1.0) and 2.7e-9
+    for g, at r_y = -0.021, where sigma_y bends on the scale eps = 1e-2."""
+    model = make_unicycle_problem(standard_unicycle_params(substeps=substeps)).model
+    x, u, (A_bar, B_bar, G_bar, C_bar, D_bar) = _pullback_points(np.random.default_rng(430 + substeps))
+    w0, v0 = np.zeros(3), np.zeros(3)
+    ref = _jacobian_pullback(lambda p: model.f_jac(p[..., :3], p[..., 3:], w0), np.concatenate([x, u], axis=-1),
+                             (A_bar, B_bar, G_bar))
+    assert_allclose(model.f_jac_pullback(x, u, A_bar, B_bar, G_bar), ref, rtol=0, atol=1e-9)
+    assert np.all(model.f_jac_pullback(x, u, A_bar, B_bar, G_bar)[:, :2] == 0.0)
+    ref = _jacobian_pullback(lambda p: model.g_jac(p, v0), x, (C_bar, D_bar))
+    assert_allclose(model.g_jac_pullback(x, C_bar, D_bar), ref, rtol=0, atol=1e-8)
+
+
+def test_unicycle_jacobian_pullback_rows_evaluate_as_alone():
+    """Every row of a batched pullback equals that point's one-point call
+    bit for bit, sign bits included."""
+    model = make_unicycle_problem(standard_unicycle_params()).model
+    x, u, (A_bar, B_bar, G_bar, C_bar, D_bar) = _pullback_points(np.random.default_rng(433))
+    f_batch = model.f_jac_pullback(x, u, A_bar, B_bar, G_bar)
+    g_batch = model.g_jac_pullback(x, C_bar, D_bar)
+    for i in range(len(x)):
+        assert same_bits(f_batch[i], model.f_jac_pullback(x[i], u[i], A_bar[i], B_bar[i], G_bar[i]))
+        assert same_bits(g_batch[i], model.g_jac_pullback(x[i], C_bar[i], D_bar[i]))
 
 
 def test_euler_substep_jacobian_hand_derived():

@@ -14,7 +14,6 @@ from dualmpc import (
     constraint_direction_variance,
     expected_relu,
     feedback_regularization,
-    joint_covariance,
     kalman_recursion,
     linearize_trajectory,
     make_linear_problem,
@@ -27,7 +26,16 @@ from dualmpc import objective
 from dualmpc.objective import _trace_sum
 
 from conftest import one_stage_terminal_problem, record_fields, standard_unicycle_params, random_spd
-from oracles import expected_quadratic, fd_gradient, open_loop_policy, penalty_total
+from oracles import (
+    augmented_evaluation,
+    augmented_gradient,
+    expected_quadratic,
+    fd_gradient,
+    joint_covariance,
+    luenberger_covariance,
+    open_loop_policy,
+    penalty_total,
+)
 
 
 # ---------------------------------------------------------------- expected_relu
@@ -385,12 +393,15 @@ def test_stacked_beliefs_evaluate_as_alone(case, mode):
 
 
 @pytest.mark.parametrize("case", ["linear", "unicycle"])
-def test_filter_free_evaluation_matches_filtered_bitwise(case, monkeypatch):
+def test_filter_free_evaluation_matches_filtered(case, monkeypatch):
     """With zero feedback gains the objective cannot read the filter: on a
-    12-row batch with shared zero gains, the open_loop evaluator, which runs
-    neither ``kalman_recursion`` nor ``kalman_adjoint``, gives the filtered
-    evaluator's totals, state-deviation covariances, direction variances
-    and parts bit for bit, and so does each row's control gradient."""
+    12-row batch with shared zero gains, the open_loop evaluator, whose
+    filter only predicts (zero filter gains) and which runs no spread
+    recursion, gives the
+    filtered evaluator's totals, direction variances, parts and control
+    gradients to rounding (<= 1e-12 relative).  The filtered evaluator
+    forms the state-deviation covariance as Q + P_hat, the open_loop one
+    as the predicted covariance P, so the two agree to rounding only."""
     prob, x0, P0, _ = _assembly_cases()[0 if case == "linear" else 1]
     n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
     u = np.random.default_rng(48).uniform(-1.5, 1.5, size=(12, N, n_u))
@@ -399,20 +410,35 @@ def test_filter_free_evaluation_matches_filtered_bitwise(case, monkeypatch):
     totals, record = filtered.totals(u, fb)
     free = ObjectiveEvaluator(prob, x0, P0, mode="open_loop")
     with monkeypatch.context() as patch:
-        for name in ("kalman_recursion", "kalman_adjoint"):
+        for name in ("estimate_spread", "spread_adjoint"):
             patch.setattr(objective, name, _unexpected_call(name))
         free_totals, free_record = free.totals(u, fb)
         free_grads = [free.gradient(free_record.take(i))[0] for i in range(12)]
-    assert np.array_equal(free_totals, totals)
-    state_block = np.s_[..., :n_x, :n_x]  # with K = 0 the objective reads sigma only here
-    for got, expected in zip([free_record.sigma[state_block], free_record.beta, *free_record.parts],
-                             [record.sigma[state_block], record.beta, *record.parts], strict=True):
-        assert np.array_equal(got, expected)
+    assert_allclose(free_totals, totals, rtol=1e-12, atol=0)
+    for got, expected in zip([free_record.beta, *free_record.parts], [record.beta, *record.parts], strict=True):
+        assert_allclose(got, expected, rtol=1e-12, atol=0)
     for i in range(12):
-        assert np.array_equal(free_grads[i], filtered.gradient(record.take(i))[0])
+        expected = filtered.gradient(record.take(i))[0]
+        assert_allclose(free_grads[i], expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
     if case == "unicycle":
         assert np.any(free_record.parts[2] > 1e-6)  # the penalty is live
-    assert free_record.prediction.filter_covs is None
+    pred = free_record.prediction
+    assert np.all(pred.filter_gains == 0.0) and free_record.spread is None
+    assert np.array_equal(pred.filter_pred_covs, pred.filter_covs[..., 1:, :, :])
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_open_loop_filter_covariances_are_the_augmented_state_block(case):
+    """The open_loop evaluator's filter covariances, P_{k+1} = sym(A P A'
+    + G G'), are bit for bit the state-deviation block of the augmented
+    recursion with zero filter gains and zero feedback, the block the
+    objective read before the separated form."""
+    prob, x0, P0, u = _assembly_cases()[case]
+    n_x = prob.model.n_x
+    pred = ObjectiveEvaluator(prob, x0, P0, mode="open_loop").prediction(u)
+    zero_gains = np.zeros(np.swapaxes(pred.lin.C, -1, -2).shape)
+    aug = propagate_covariance(pred.lin, open_loop_policy(u, n_x), zero_gains, P0)
+    assert np.array_equal(pred.filter_covs, aug.P)
 
 
 def test_trace_sum_adds_in_one_fixed_order():
@@ -675,9 +701,8 @@ def test_objective_is_c1_across_the_old_variance_floor():
         return out
 
     def direction_variance(s):
-        sigma = ev.evaluate(ev.prediction(u), gains(s)).sigma
-        joint = joint_covariance(sigma[N - 1], Policy(u_nom=u, feedback=gains(s)).stage_gains()[N - 1])
-        return constraint_direction_variance(ev._grads[N - 1, row], joint)
+        joint = augmented_evaluation(ev, ev.prediction(u), gains(s))[1]
+        return constraint_direction_variance(ev._grads[N - 1, row], joint[N - 1])
 
     s_star = np.sqrt(eps_sigma**2 / direction_variance(1.0))
     delta = 1e-5 * s_star
@@ -690,6 +715,121 @@ def test_objective_is_c1_across_the_old_variance_floor():
     tol = 1e-5 * abs(sweep)
     assert abs(right - left) < tol
     assert abs(left - sweep) < tol and abs(right - sweep) < tol
+
+
+# ------------------------------------------- separated form vs augmented reference
+
+def _separation_cases():
+    """(name, problem, x0, P0, u (3, N, n_u), feedback (3, N-1, n_u, n_x)):
+    three random linear-Gaussian systems, each also from P_hat_0 = 0, and
+    the shipped-size unicycle (10 stages) along three control rows."""
+    rng = np.random.default_rng(440)
+    cases = []
+    for i in range(3):
+        n_x, n_u, n_w, n_y, N = 3, 2, 2, 2, 6
+        A = rng.normal(size=(n_x, n_x))
+        A *= 0.95 / np.max(np.abs(np.linalg.eigvals(A)))
+        prob = make_linear_problem(A, rng.normal(size=(n_x, n_u)), 0.3 * rng.normal(size=(n_x, n_w)),
+                                   rng.normal(size=(n_y, n_x)), 0.3 * np.eye(n_y) + 0.1 * rng.normal(size=(n_y, n_y)),
+                                   np.eye(n_x), 0.1 * np.eye(n_u), 2.0 * np.eye(n_x), N)
+        x0, u = rng.normal(size=n_x), rng.normal(size=(3, N, n_u))
+        fb = 0.3 * rng.normal(size=(3, N - 1, n_u, n_x))
+        cases.append((f"linear-{i}", prob, x0, random_spd(rng, n_x, 0.2), u, fb))
+        cases.append((f"linear-{i}-P0=0", prob, x0, np.zeros((n_x, n_x)), u, fb))
+    uni = make_unicycle_problem(standard_unicycle_params())
+    cases.append(("unicycle", uni, np.array([0.05, 0.8, np.pi]), 0.01 * np.eye(3),
+                  rng.uniform(-1.5, 1.5, size=(3, 10, 2)), 0.1 * rng.normal(size=(3, 9, 2, 3))))
+    return cases
+
+
+def _separated_joint(ev, record):
+    """[[Q + P_hat, Q K'], [K Q, K Q K']] of stages 0..N from a forward record
+    (Q = 0 without measurements)."""
+    P_hat, K = record.prediction.filter_covs, ev._stage_gains(record.feedback)
+    Q = np.zeros(K.shape[:-2] + P_hat.shape[-2:]) if record.spread is None else record.spread
+    KQ = K @ Q
+    return np.concatenate([np.concatenate([Q + P_hat, KQ.mT], axis=-1),
+                           np.concatenate([KQ, KQ @ K.mT], axis=-1)], axis=-2)
+
+
+def _assert_relative(got, ref, tol):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.max(np.abs(got - ref), initial=0.0) <= tol * np.max(np.abs(ref), initial=0.0)
+
+
+@pytest.mark.parametrize("mode", ["open_loop", "output_feedback"])
+@pytest.mark.parametrize("case", range(7), ids=[c[0] for c in _separation_cases()])
+def test_separated_evaluation_matches_augmented_reference(case, mode):
+    """With the Kalman gains of the linearization, the separated n_x form
+    (the estimate's spread Q plus the filter covariance) gives the joint
+    covariances, direction variances, objective parts and gradient of the
+    2n_x augmented recursion and its adjoint (``tests/oracles.py``) to
+    1e-12 relative (measured: at most 6.0e-15, the gradient relative to
+    its largest entry); without measurements the reference runs with zero
+    filter gains.  Each row of the 3-row batch is
+    the same row evaluated alone, bit for bit."""
+    _, prob, x0, P0, u, fb = _separation_cases()[case]
+    ev = ObjectiveEvaluator(prob, x0, P0, mode=mode)
+    totals, batch = ev.totals(u, fb)
+    for i in range(3):
+        alone_total, record = ev.totals(u[i], fb[i])
+        assert totals[i] == alone_total
+        for got, expected in zip(record_fields(batch.take(i)), record_fields(record), strict=True):
+            assert np.array_equal(got, expected)
+        _, joint, beta, parts = augmented_evaluation(ev, record.prediction, fb[i])
+        _assert_relative(_separated_joint(ev, record), joint, 1e-12)
+        _assert_relative(record.beta, beta, 1e-12)
+        scale = sum(np.abs(parts))  # an open_loop variance part is zero, its reference ~1e-26
+        for got, expected in zip(record.parts, parts, strict=True):
+            assert abs(got - expected) <= 1e-12 * scale
+        expected = augmented_gradient(ev, record.prediction, fb[i])
+        scale = max(np.max(np.abs(e)) for e in expected)  # the open_loop dJ/dK is eps_K-small
+        for got, e in zip(ev.gradient(record), expected, strict=True):
+            assert np.max(np.abs(got - e)) <= 1e-12 * scale
+
+
+def test_separated_evaluation_under_jitter_stays_within_the_filters_own_gap():
+    """With D = 0 and two equal outputs every innovation covariance is
+    singular and the filter factors S + 1e-12 I.  Its S^{-1} then has
+    condition 1e12, and its covariance P_hat differs from the Joseph form
+    at its own gains, the estimation error that the augmented recursion
+    propagates, by up to 0.016 (of max |P_hat| 0.2, measured).  The
+    separated form reads P_hat, so its joint covariances differ from the
+    augmented reference by no more than that: measured 1.8e-3 (relative
+    2.8e-3); the variance costs are 1.5e-3 apart (of 2.33) and dJ/dK
+    2.0e-3 of its largest entry."""
+    prob = make_linear_problem([[0.9, 0.2], [0.1, 0.8]], [[1.0], [0.5]], 0.3 * np.eye(2), [[1.0, 0.5], [1.0, 0.5]],
+                               np.zeros((2, 2)), np.eye(2), [[0.1]], np.eye(2), 6)
+    rng = np.random.default_rng(1)
+    u, fb = rng.normal(size=(6, 1)), 0.3 * rng.normal(size=(5, 1, 2))
+    ev = ObjectiveEvaluator(prob, np.array([1.0, -0.5]), 0.2 * np.eye(2))
+    record = ev.totals(u, fb)[1]
+    pred = record.prediction
+    filter_gap = np.max(np.abs(pred.filter_covs - luenberger_covariance(pred.lin, pred.filter_gains, ev.P_hat_0)))
+    assert 1e-3 < filter_gap < 0.02
+    _, joint, _, parts = augmented_evaluation(ev, pred, fb)
+    assert np.max(np.abs(_separated_joint(ev, record) - joint)) <= filter_gap
+    assert abs(record.parts[1] - parts[1]) <= filter_gap
+
+
+@pytest.mark.parametrize("mode", ["open_loop", "output_feedback"])
+def test_gradient_with_closed_form_pullbacks_matches_central_differences(mode):
+    """The unicycle's closed-form Jacobian pullbacks and the sweep's central
+    differences of its Jacobian providers (the model with the pullbacks
+    cleared) give the same gradient to 1e-8 of max |g|."""
+    prob, x0, P0, u = _assembly_cases()[1]
+    model = prob.model
+    fd_prob = replace(prob, model=replace(model, f_jac_pullback=None, g_jac_pullback=None))
+    fb = 0.1 * np.random.default_rng(441).normal(size=(model.horizon - 1, model.n_u, model.n_x))
+
+    def gradient(problem):
+        ev = ObjectiveEvaluator(problem, x0, P0, mode=mode)
+        return ev.gradient(ev.totals(u, fb)[1])
+
+    expected = gradient(fd_prob)
+    scale = max(np.max(np.abs(e)) for e in expected)
+    for got, e in zip(gradient(prob), expected, strict=True):
+        assert np.max(np.abs(got - e)) <= 1e-8 * scale
 
 
 def _unexpected_call(name):
@@ -748,7 +888,7 @@ def test_gradient_matches_fd_gradient(case, mode, monkeypatch):
         else:
             assert_allclose(g_k, fd_k, rtol=0, atol=atol)
         with monkeypatch.context() as patch:
-            for name in ("nominal_rollout", "linearize_trajectory", "kalman_recursion", "propagate_covariance"):
+            for name in ("nominal_rollout", "linearize_trajectory", "kalman_recursion", "estimate_spread"):
                 patch.setattr(objective, name, _unexpected_call(name))
             again_u, again_k = ev.gradient(record)
         assert np.array_equal(again_u, g_u) and np.array_equal(again_k, g_k)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from dualmpc import (
     ObjectiveEvaluator,
@@ -289,19 +290,26 @@ def test_fused_line_search_gradient_equals_fd_gradient(mode, failing_full_step):
 def test_solve_result_is_the_breakdown_of_the_returned_policy(mode):
     """The result's objective and slacks come from the last accepted trial's
     row of its line-search batch; they equal a fresh unbatched evaluation of
-    the returned policy bit for bit, with the filter also for an open_loop
-    solve, which runs none."""
+    the returned policy in the solve's mode bit for bit.  An open_loop
+    solve keeps zero gains, so the filtered evaluation of its policy gives
+    the same objective and slacks to rounding."""
     prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
     x0, P0 = np.array([1.0, 0.5, 2.0]), 1e-4 * np.eye(3)
     opts = SolveOptions(mode=mode, max_iterations=20)
     res = solve(prob, x0, P0, opts)
     assert res.iterations > 0
-    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K,
-                            mode="nominal" if mode == "nominal" else "output_feedback")
+    ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K, mode=mode)
     breakdown, beta = ev.breakdown_and_beta(res.policy)
     assert res.objective == breakdown
     assert len(res.beta) == len(beta)
     assert all(np.array_equal(a, b) for a, b in zip(res.beta, beta))
+    if mode == "open_loop":
+        assert np.all(res.policy.feedback == 0.0)
+        filtered = ObjectiveEvaluator(prob, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K)
+        breakdown, beta = filtered.breakdown_and_beta(res.policy)
+        assert breakdown.total == pytest.approx(res.objective.total, rel=1e-12, abs=0)
+        for a, b in zip(res.beta, beta, strict=True):
+            assert_allclose(a, b, rtol=1e-12, atol=0)
 
 
 def test_metric_reseed_after_first_iteration_uses_fd_curvature(monkeypatch):
@@ -376,13 +384,13 @@ def test_open_loop_solve_runs_about_one_prediction_per_iteration(monkeypatch):
 def test_shipped_solve_line_search_rows(monkeypatch):
     """In every mode, a search after an accepted full step tries that step
     alone first, so a solve evaluates few trial rows per iteration: every
-    line-search batch holds that one step or a 12-trial chunk.  The
-    covariance propagation runs once per ``totals`` batch, plus once for
-    the output_feedback gain curvature, never in the gradient sweep or the
-    final breakdown, and not at all without uncertainty.  Only
-    output_feedback runs the filter: the Kalman recursion once per
-    ``totals`` batch and its adjoint once per gradient sweep.  No search
-    fails, so the metric is seeded once per solve and never reseeded."""
+    line-search batch holds that one step or a 12-trial chunk.  With
+    uncertainty the filter runs once per ``totals`` batch (in open_loop
+    its predict step alone) and its adjoint once per gradient sweep, never
+    in the final breakdown, and not at all without uncertainty.  Only
+    output_feedback runs the spread recursion: once per ``totals`` batch,
+    plus once for the gain curvature.  No search fails, so the metric is
+    seeded once per solve and never reseeded."""
     config = _shipped_config()
     rows, calls = [], {}
     totals = ObjectiveEvaluator.totals
@@ -392,19 +400,19 @@ def test_shipped_solve_line_search_rows(monkeypatch):
         return totals(self, u_nom, feedback)
 
     def counting(name, function):
-        def call(*args):
+        def call(*args, **kwargs):
             calls[name] += 1
-            return function(*args)
+            return function(*args, **kwargs)
 
         return call
 
     monkeypatch.setattr(ObjectiveEvaluator, "totals", counted)
-    for name in ("propagate_covariance", "kalman_recursion", "kalman_adjoint"):
+    for name in ("estimate_spread", "kalman_recursion", "kalman_adjoint"):
         monkeypatch.setattr(objective, name, counting(name, getattr(objective, name)))
     monkeypatch.setattr(ocp_solver, "_diag_metric", counting("_diag_metric", ocp_solver._diag_metric))
     for mode in ("open_loop", "nominal", "output_feedback"):
         rows.clear()
-        calls.update(propagate_covariance=0, kalman_recursion=0, kalman_adjoint=0, _diag_metric=0)
+        calls.update(estimate_spread=0, kalman_recursion=0, kalman_adjoint=0, _diag_metric=0)
         res = solve(config.problem, config.sim_config.init_mean, config.sim_config.init_cov,
                     replace(config.solver_options, mode=mode))
         assert res.iterations > 0
@@ -413,12 +421,12 @@ def test_shipped_solve_line_search_rows(monkeypatch):
             assert set(rows[1:]) == {1, 12}
         if mode == "open_loop":
             assert sum(rows) <= 4 * res.iterations
-            assert calls == dict(propagate_covariance=len(rows), kalman_recursion=0, kalman_adjoint=0)
+            assert calls == dict(estimate_spread=0, kalman_recursion=len(rows), kalman_adjoint=res.iterations + 1)
         elif mode == "nominal":
             assert sum(rows[1:]) <= 8 * res.iterations
-            assert calls == dict(propagate_covariance=0, kalman_recursion=0, kalman_adjoint=0)
+            assert calls == dict(estimate_spread=0, kalman_recursion=0, kalman_adjoint=0)
         else:  # one gain-curvature batch, one sweep per iteration plus the initial point's
-            assert calls == dict(propagate_covariance=len(rows) + 1, kalman_recursion=len(rows),
+            assert calls == dict(estimate_spread=len(rows) + 1, kalman_recursion=len(rows),
                                  kalman_adjoint=res.iterations + 1)
 
 

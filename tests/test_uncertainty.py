@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from dualmpc import (
     Policy,
     SystemModel,
-    joint_covariance,
     kalman_recursion,
     linearize_trajectory,
     make_linear_problem,
@@ -22,15 +21,18 @@ from dualmpc.uncertainty import (
     RolloutError,
     SingularInnovationError,
     StageLinearization,
-    covariance_adjoint,
+    estimate_spread,
     kalman_adjoint,
+    spread_adjoint,
     symmetrize,
 )
 
 from conftest import random_spd, same_bits, standard_unicycle_params
 from oracles import (
     chol_solve_spd,
+    covariance_adjoint,
     fd_jacobian,
+    joint_covariance,
     luenberger_covariance,
     open_loop_policy,
     stagewise_kalman_adjoint,
@@ -567,36 +569,46 @@ def _fd(scalar, base):
     return fd_jacobian(lambda v: scalar(v.reshape(base.shape)), base.ravel()).reshape(base.shape)
 
 
+def _sym_weights(rng, N, n_x):
+    return symmetrize(rng.normal(size=(N, n_x, n_x)))
+
+
 def _adjoint_cases(unicycle_problem):
-    """(linearization, P0, gains_bar) triples: a random linear system with
-    n_y = 2, then the unicycle along three random 10-stage control
-    sequences (n_y = 3)."""
+    """(linearization, P0, covs_bar, P_minus_bar) cases: a random linear
+    system with n_y = 2, then the unicycle along three random 10-stage
+    control sequences (n_y = 3); the bars are symmetric."""
     rng = np.random.default_rng(61)
-    cases = [(_random_lin(rng), random_spd(rng, 3, 0.2), rng.normal(size=(5, 3, 2)))]
+    cases = [(_random_lin(rng), random_spd(rng, 3, 0.2), _sym_weights(rng, 5, 3), _sym_weights(rng, 5, 3))]
     model = unicycle_problem.model
     u = np.random.default_rng(64).uniform(-1, 1, size=(3, 10, 2))
     lin = linearize_trajectory(model, nominal_rollout(model, np.array([1.0, 0.5, np.pi]), u))
     for i in range(3):
         row = StageLinearization(*(getattr(lin, name)[i] for name in "ABGCD"))
-        cases.append((row, 0.01 * np.eye(3), rng.normal(size=(10, 3, 3))))
+        cases.append((row, 0.01 * np.eye(3), _sym_weights(rng, 10, 3), _sym_weights(rng, 10, 3)))
     return cases
 
 
 def test_kalman_adjoint_matches_central_differences(unicycle_problem):
     """kalman_adjoint pulls the derivative of a scalar that reads the filter
-    gains back onto A, G, C, D, through the innovation inverse of every
-    stage: on a random linear system, and on a unicycle trajectory whose
-    output Jacobians (n_y = 3) depend on the state."""
-    for lin, P0, weights in _adjoint_cases(unicycle_problem)[:2]:
+    covariances P_hat_1..P_hat_N and the predicted covariances back onto
+    A, G, C, D: on a random linear system, and on a unicycle trajectory
+    whose output Jacobians (n_y = 3) depend on the state.  A filter that
+    only predicts (zero gains) pulls back onto A and G alone."""
+    for lin, P0, covs_bar, P_minus_bar in _adjoint_cases(unicycle_problem)[:2]:
+        for update in (True, False):
 
-        def scalar(l):
-            return float(np.sum(weights * kalman_recursion(l, P0)[0]))
+            def scalar(l):
+                _, covs, P_minus = kalman_recursion(l, P0, factors=True, update=update)
+                return float(np.sum(covs_bar * covs[1:]) + (np.sum(P_minus_bar * P_minus) if update else 0.0))
 
-        adj = kalman_adjoint(lin, *kalman_recursion(lin, P0, factors=True), weights)
-        for name in "AGCD":
-            fd = _fd(lambda M: scalar(replace(lin, **{name: M})), getattr(lin, name))
-            assert_allclose(getattr(adj, name), fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
-        assert np.all(adj.B == 0.0)
+            gains, covs, P_minus = kalman_recursion(lin, P0, factors=True, update=update)
+            adj = kalman_adjoint(lin, gains, covs, P_minus, covs_bar, P_minus_bar if update else 0.0 * P_minus_bar)
+            for name, bar in zip("AGCD", adj, strict=True):
+                if update or name in "AG":
+                    fd = _fd(lambda M: scalar(replace(lin, **{name: M})), getattr(lin, name))
+                    assert_allclose(bar, fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
+                else:
+                    assert np.all(bar == 0.0)
 
 
 def test_kalman_adjoint_matches_stagewise_adjoint(unicycle_problem):
@@ -605,35 +617,60 @@ def test_kalman_adjoint_matches_stagewise_adjoint(unicycle_problem):
     stage-by-stage pass that keeps the gain as an intermediate to 1e-13 of
     the largest entry of each Jacobian, on a random linear system (n_y = 2)
     and on three unicycle trajectories (n_y = 3)."""
-    for lin, P0, weights in _adjoint_cases(unicycle_problem):
+    for lin, P0, covs_bar, P_minus_bar in _adjoint_cases(unicycle_problem):
         forward = kalman_recursion(lin, P0, factors=True)
-        got = kalman_adjoint(lin, *forward, weights)
-        ref = stagewise_kalman_adjoint(lin, *forward, weights)
-        for name in "AGCD":
-            expected = getattr(ref, name)
-            assert_allclose(getattr(got, name), expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
-        assert np.all(got.B == 0.0)
+        got = kalman_adjoint(lin, *forward, covs_bar, P_minus_bar)
+        ref = stagewise_kalman_adjoint(lin, *forward, covs_bar=covs_bar, P_minus_bar=P_minus_bar)
+        for bar, expected in zip(got, ref, strict=True):
+            assert_allclose(bar, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
 
 
 def test_kalman_factors_are_the_stages_the_adjoint_reads(unicycle_problem):
-    """The predicted covariances and innovation inverses that
-    kalman_recursion keeps for kalman_adjoint are, bit for bit,
-    P- = sym(A P A' + G G') and S^{-1} = L^{-T} L^{-1} with
-    L = chol(sym(C P- C' + D D')), re-derived from the filter covariances
-    over all stages at once, for each row of a batch."""
+    """The predicted covariances that kalman_recursion keeps for the spread
+    and the adjoints are, bit for bit, P- = sym(A P A' + G G') re-derived
+    from the filter covariances over all stages at once, for each row of a
+    batch; the gains and covariances are those of the plain call, and a
+    filter that only predicts keeps P- as its covariances."""
     m = unicycle_problem.model
     rng = np.random.default_rng(63)
     traj = nominal_rollout(m, np.array([1.0, 0.5, np.pi]), rng.uniform(-1, 1, size=(4, 10, 2)))
     lin = linearize_trajectory(m, traj)
-    gains, covs, P_minus, S_inv = kalman_recursion(lin, 0.01 * np.eye(3), factors=True)
-    assert np.array_equal(gains, kalman_recursion(lin, 0.01 * np.eye(3))[0])
+    gains, covs, P_minus = kalman_recursion(lin, 0.01 * np.eye(3), factors=True)
+    plain = kalman_recursion(lin, 0.01 * np.eye(3))
+    assert np.array_equal(gains, plain[0]) and np.array_equal(covs, plain[1])
     swap = lambda M: np.swapaxes(M, -1, -2)
     for i in range(4):
-        A, G, C, D = (getattr(lin, name)[i] for name in "AGCD")
-        P_re = symmetrize(A @ covs[i, :-1] @ swap(A) + G @ swap(G))
-        assert np.array_equal(P_minus[i], P_re)
-        L_inv = np.linalg.inv(np.linalg.cholesky(symmetrize(C @ P_re @ swap(C) + D @ swap(D))))
-        assert np.array_equal(S_inv[i], swap(L_inv) @ L_inv)
+        A, G = lin.A[i], lin.G[i]
+        assert np.array_equal(P_minus[i], symmetrize(A @ covs[i, :-1] @ swap(A) + G @ swap(G)))
+    gains, covs, P_minus = kalman_recursion(lin, 0.01 * np.eye(3), factors=True, update=False)
+    assert np.all(gains == 0.0) and np.array_equal(covs[..., 1:, :, :], P_minus)
+
+
+def test_spread_adjoint_matches_central_differences():
+    """spread_adjoint gives the derivatives of a scalar that reads every
+    stage's spread Q_k and the stage gains with respect to the free gains,
+    A and B, and with respect to the update covariances P- - P_hat through
+    Lambda, with the filter covariances held (random linear system, n_y = 2)."""
+    rng = np.random.default_rng(65)
+    lin = _random_lin(rng)
+    N, n_x, n_u = 5, 3, 2
+    _, covs, P_minus = kalman_recursion(lin, random_spd(rng, n_x, 0.2), factors=True)
+    fb = 0.3 * rng.normal(size=(N - 1, n_u, n_x))
+    weights = _sym_weights(rng, N + 1, n_x)
+    K_weights = rng.normal(size=(N, n_u, n_x))
+
+    def scalar(l=lin, feedback=fb, P_m=P_minus):
+        stage_gains = Policy(u_nom=np.zeros((N, n_u)), feedback=feedback).stage_gains()
+        return float(np.sum(weights * estimate_spread(l, stage_gains, covs, P_m)) + np.sum(K_weights * stage_gains))
+
+    stage_gains = Policy(u_nom=np.zeros((N, n_u)), feedback=fb).stage_gains()
+    spread = estimate_spread(lin, stage_gains, covs, P_minus)
+    K_bar, A_bar, B_bar, lam = spread_adjoint(lin, stage_gains, spread, weights, K_weights)
+    cases = [(A_bar, lambda M: scalar(l=replace(lin, A=M)), lin.A), (B_bar, lambda M: scalar(l=replace(lin, B=M)), lin.B),
+             (K_bar, lambda M: scalar(feedback=M), fb), (lam, lambda M: scalar(P_m=M), P_minus)]
+    for bar, fn, base in cases:
+        fd = _fd(fn, base)
+        assert_allclose(bar, fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
 
 
 def test_covariance_adjoint_matches_central_differences():
