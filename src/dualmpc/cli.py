@@ -36,7 +36,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .controllers import RecedingHorizonController
 from .objective import ObjectiveEvaluator, expected_relu
 from .ocp_solver import MODES, SolveResult, solve
-from .simulator import run_batch
+from .simulator import paired_differences, run_batch
 
 
 def _fmt(value: float) -> str:
@@ -161,7 +161,7 @@ def cmd_simulate(config: ExperimentConfig, controller: str | None, out_dir: Path
     header += [f"u_{i}" for i in range(config.problem.model.n_u)]
     header += ["cost", "violation_flag", "tr_Phat"]
 
-    summaries = {}
+    summaries, records_by_name = {}, {}
     any_diverged = False
     for name in names:
         options = dataclasses.replace(config.sim_solver_options, mode=name)
@@ -172,6 +172,7 @@ def cmd_simulate(config: ExperimentConfig, controller: str | None, out_dir: Path
             controller_name=name,
         )
         summaries[name] = dataclasses.asdict(summary)
+        records_by_name[name] = records
         any_diverged = any_diverged or summary.diverged_runs > 0
         for record in records:
             path = out_dir / f"{name}_run{record.run_index:03d}.csv"
@@ -180,15 +181,16 @@ def cmd_simulate(config: ExperimentConfig, controller: str | None, out_dir: Path
             f"simulate[{name}]: runs={summary.runs} violation_frequency="
             f"{summary.violation_frequency:.6g} mean_stage_cost={summary.mean_stage_cost:.6g}"
         )
-    _write_json(
-        out_dir / "summary.json",
-        {
-            "runs": config.sim_config.runs,
-            "steps": config.sim_config.steps,
-            "master_seed": config.sim_config.master_seed,
-            "controllers": summaries,
-        },
-    )
+    payload = {
+        "runs": config.sim_config.runs,
+        "steps": config.sim_config.steps,
+        "master_seed": config.sim_config.master_seed,
+        "controllers": summaries,
+    }
+    comparisons = paired_differences(config.sim_config, records_by_name)
+    if comparisons:
+        payload["output_feedback_minus"] = comparisons
+    _write_json(out_dir / "summary.json", payload)
     return 3 if any_diverged else 0
 
 

@@ -26,8 +26,11 @@ from .uncertainty import (
     kalman_adjoint,
     kalman_recursion,
     linearize_trajectory,
+    lyapunov,
+    lyapunov_adjoint,
     nominal_rollout,
     spread_adjoint,
+    stage_gains,
     symmetrize,
 )
 
@@ -199,7 +202,8 @@ class Prediction:
     the filter, nominal cost and nominal constraint values.
 
     Without measurements (``open_loop`` mode) the filter only predicts:
-    its gains are zero and its covariances are the predicted ones.
+    ``filter_covs`` holds ``lyapunov(A, G G', P_hat_0)``, and the other two
+    filter fields are None.
 
     Constraint values are stored for stages 0..N, stage N at u = 0.  Each
     stage holds the rows that apply there (nonzero weight) first, in row
@@ -254,9 +258,10 @@ class ObjectiveEvaluator:
 
     ``mode`` (one of :data:`MODES`) names the policies scored.
     ``output_feedback`` runs the whole pipeline.  ``open_loop`` measures
-    nothing: the filter only predicts, P_{k+1} = sym(A P A' + G G'), the
-    estimate stays at the nominal state (Q = 0, so nonzero feedback moves
-    no control), and the joint covariance is [[P_hat, 0], [0, 0]].
+    nothing: the filter only predicts, P_{k+1} = sym(A P A' + G G') (the
+    forward kernel :func:`~dualmpc.uncertainty.lyapunov`), the estimate
+    stays at the nominal state (Q = 0, so nonzero feedback moves no
+    control), and the joint covariance is [[P_hat, 0], [0, 0]].
     ``nominal`` (the nominal-controller objective) has zero joint
     covariances and feedback regularization, so constraints keep only the
     minimum smoothing eps_sigma.
@@ -326,8 +331,9 @@ class ObjectiveEvaluator:
         if self.mode == "nominal":
             return Prediction(traj=traj, nominal_cost=nominal_cost, h=h)
         lin = linearize_trajectory(model, traj)
-        kalman = kalman_recursion(lin, self.P_hat_0, factors=True, update=self.mode == "output_feedback")
-        return Prediction(traj, nominal_cost, h, lin, *kalman)
+        if self.mode == "open_loop":
+            return Prediction(traj, nominal_cost, h, lin, filter_covs=lyapunov(lin.A, lin.G @ lin.G.mT, self.P_hat_0))
+        return Prediction(traj, nominal_cost, h, lin, *kalman_recursion(lin, self.P_hat_0, factors=True))
 
     def evaluate(self, pred: Prediction, feedback: Array) -> Evaluation:
         """The forward record of (prediction, feedback-gain batch), over the
@@ -345,7 +351,7 @@ class ObjectiveEvaluator:
             joint = np.zeros(batch + cost.hessians.shape)
             joint[..., :n_x, :n_x] = pred.filter_covs
         if self.mode == "output_feedback":
-            K = self._stage_gains(feedback)
+            K = stage_gains(feedback)
             spread = estimate_spread(pred.lin, K[..., :-1, :, :], pred.filter_covs, pred.filter_pred_covs)
             KQ = K @ spread
             joint[..., :n_x, :n_x] += spread
@@ -359,13 +365,6 @@ class ObjectiveEvaluator:
         parts = tuple(np.broadcast_arrays(pred.nominal_cost, variance, penalty, reg))
         return Evaluation(prediction=pred, feedback=np.broadcast_to(feedback, batch + feedback.shape[-3:]),
                           spread=spread, beta=beta, parts=parts)
-
-    @staticmethod
-    def _stage_gains(feedback: Array) -> Array:
-        """The gains K_0..K_N of stages 0..N (.., N+1, n_u, n_x), with the
-        fixed zero gains of stage 0 and of the terminal stage."""
-        zero = np.zeros(feedback.shape[:-3] + (1,) + feedback.shape[-2:])
-        return np.concatenate([zero, feedback, zero], axis=-3)
 
     def parts_from_prediction(self, pred: Prediction, feedback: Array):
         """The objective parts (nominal_cost, variance_cost, penalty,
@@ -414,7 +413,9 @@ class ObjectiveEvaluator:
         Without uncertainty only steps 1 and 5 run, with A_k, B_k from one
         ``f_jac`` call along the trajectory.  Without measurements step 2
         does not run (the spread is zero) and step 3 passes the x block of
-        M_k back through the prediction alone, which does not read C and D.
+        M_k back through the prediction alone, the reverse kernel
+        :func:`~dualmpc.uncertainty.lyapunov_adjoint` through A_k, which
+        does not read C and D.
 
         Raises:
             LinearizationError: a model Jacobian is non-finite at the
@@ -442,18 +443,21 @@ class ObjectiveEvaluator:
             A, B = lin.A, lin.B
             c = self._weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
             M = 0.5 * cost.hessians + np.einsum("ki,kia,kib->kab", c, self._grads, self._grads)
-            A_bar, B_bar, lam = 0.0, np.zeros(B.shape), np.zeros((N, n_x, n_x))  # no spread without measurements
             if self.mode == "output_feedback":
-                K = self._stage_gains(feedback)
+                K = stage_gains(feedback)
                 T = np.concatenate([np.broadcast_to(np.eye(n_x), (N + 1, n_x, n_x)), K], axis=-2)  # [I; K]
                 MT, spread = M @ T, record.spread
                 K_bar, A_bar, B_bar, lam = spread_adjoint(lin, K[:N], spread, T.mT @ MT,
                                                           2.0 * (MT @ spread)[:N, n_x:])
                 K_grad = K_grad + K_bar
-            A_kal, G_bar, C_bar, D_bar = kalman_adjoint(lin, pred.filter_gains, pred.filter_covs,
-                                                        pred.filter_pred_covs, M[1:, :n_x, :n_x] - lam, lam)
-            z_bar[:N] += self._f_pullback(z[:N], A_bar + A_kal, B_bar, G_bar)
-            if self.mode == "output_feedback":  # zero filter gains do not read C and D
+                A_kal, G_bar, C_bar, D_bar = kalman_adjoint(lin, pred.filter_gains, pred.filter_covs,
+                                                            pred.filter_pred_covs, M[1:, :n_x, :n_x] - lam, lam)
+                A_bar = A_bar + A_kal
+            else:  # no spread: the prediction alone carries M's x block back
+                lam = lyapunov_adjoint(A, M[1:, :n_x, :n_x])
+                A_bar, B_bar, G_bar = 2.0 * lam @ A @ pred.filter_covs[:N], np.zeros(B.shape), 2.0 * lam @ lin.G
+            z_bar[:N] += self._f_pullback(z[:N], A_bar, B_bar, G_bar)
+            if self.mode == "output_feedback":
                 z_bar[1:, :n_x] += self._g_pullback(xs[1:], C_bar, D_bar)
         lam = z_bar[N, :n_x]
         u_bar = np.empty(us.shape)

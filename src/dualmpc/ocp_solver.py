@@ -16,13 +16,12 @@ that reads the accepted line-search trial's row of the batch's forward
 record: its prediction, covariances and direction variances.  So
 each iteration runs the pipeline forward once per line-search chunk, and
 the sweep runs none of it again.  Central differences survive only for the
-per-coordinate curvature that seeds the quasi-Newton metric (_seed):
-control rows through the whole pipeline, gain rows at the point's
-prediction (the gains leave the prediction untouched).  The metric is
-seeded at the initial point, whose control rows ride in one batch with it,
-and reseeded at the current iterate after a failed quasi-Newton search
-(before the steepest-descent retry) and after three skipped updates in a
-row.  The final objective breakdown reads the last accepted trial's record
+per-control curvature that seeds the quasi-Newton metric (_seed), through
+the whole pipeline; the gain coordinates start at the metric's floor, the
+steepest-descent scale.  The metric is seeded at the initial point, whose
+control rows ride in one batch with it, and reseeded at the current
+iterate after a failed quasi-Newton search (before the steepest-descent
+retry) and after three skipped updates in a row.  The final objective breakdown reads the last accepted trial's record
 too.
 
 Only output_feedback runs the Kalman filter: with zero feedback gains the
@@ -156,10 +155,6 @@ def _stencil(theta: Array, step: float, coords: slice) -> tuple[Array, Array]:
     return rows, h
 
 
-def _second_differences(fd: Array, f0: float, h: Array) -> Array:
-    return (fd[0::2] - 2.0 * f0 + fd[1::2]) / h**2
-
-
 def _gradient(ev: ObjectiveEvaluator, var: _Variables, record: Evaluation) -> Array:
     """The solver's gradient at a point, from one reverse sweep of the
     point's unbatched forward record."""
@@ -170,15 +165,17 @@ def _seed(ev: ObjectiveEvaluator, var: _Variables, theta: Array,
           at: tuple[float, Evaluation] | None = None) -> tuple[float, Evaluation, Array]:
     """The objective f at theta, theta's unbatched forward record, and the
     per-coordinate curvature there that seeds the quasi-Newton metric:
-    central second differences around f.
+    central second differences around f along the controls, and 0 along
+    the gains, which puts them at _diag_metric's floor (the steepest-descent
+    scale).  Measured gain curvature stayed under that floor on the shipped
+    config's plan and closed-loop solves.
 
     The control rows of the stencil run through the whole pipeline in one
     ``totals`` batch, with theta in front unless ``at`` already holds f and
     theta's record (the reseeds).  If that batch fails, every control row
     gets infinite curvature, which makes the seed scaled steepest descent
     (see _diag_metric), and theta, if it was in the batch, is evaluated
-    alone, so a theta that fails raises its error.  The gain rows run
-    through ``parts_from_prediction`` at theta's prediction.
+    alone, so a theta that fails raises its error.
     """
     rows, h = _stencil(theta, _FD_STEP, slice(0, var.n_u_vars))
     batch = rows if at is not None else np.concatenate([theta[None], rows])
@@ -192,12 +189,7 @@ def _seed(ev: ObjectiveEvaluator, var: _Variables, theta: Array,
     if at is None:
         at, totals = (float(totals[0]), record.take(0)), totals[1:]
     f, center = at
-    curv = _second_differences(totals, f, h)
-    if var.n_k_vars:
-        rows, h = _stencil(theta, _FD_STEP, slice(var.n_u_vars, None))
-        parts = ev.parts_from_prediction(center.prediction, var.unpack_batch(rows)[1])
-        curv = np.concatenate([curv, _second_differences(parts[0] + parts[1] + parts[2] + parts[3], f, h)])
-    return f, center, curv
+    return f, center, np.concatenate([(totals[0::2] - 2.0 * f + totals[1::2]) / h**2, np.zeros(var.n_k_vars)])
 
 
 def _diag_metric(curv: Array, gnorm: float) -> Array:

@@ -255,6 +255,38 @@ def summarize_records(controller_name: str, config: SimConfig, records: list) ->
     )
 
 
+# The per-run readings that paired_differences compares, named as in MetricsSummary.
+PAIRED_READINGS = ("mean_stage_cost", "mean_abs_lateral", "mean_estimate_cov_trace")
+
+
+def paired_differences(config: SimConfig, records: dict) -> dict:
+    """Run-paired comparisons of ``output_feedback`` with each other
+    controller of ``records`` (name -> run records): per reading of
+    PAIRED_READINGS, taken per run as summarize_records takes it over the
+    batch, the mean of the differences ``output_feedback - controller``, its
+    standard error and the number of runs where ``output_feedback`` is
+    lower, over the runs that diverged under neither.  A controller with
+    fewer than 2 such runs is left out."""
+
+    def readings(r: ClosedLoopRecord) -> Array:
+        lateral, cov_trace = np.abs(r.states[min(5, config.steps):, 1]), np.trace(r.belief_covs[1:], axis1=1, axis2=2)
+        return np.array([r.total_cost / config.steps, np.mean(lateral), np.mean(cov_trace)])
+
+    reference = {r.run_index: readings(r) for r in records.get("output_feedback", ()) if not r.diverged}
+    out = {}
+    for name, runs in records.items():
+        d = np.array([reference[r.run_index] - readings(r) for r in sorted(runs, key=lambda r: r.run_index)
+                      if not r.diverged and r.run_index in reference])
+        if name == "output_feedback" or len(d) < 2:
+            continue
+        out[name] = {"runs": len(d)}
+        for reading, column in zip(PAIRED_READINGS, d.T):
+            out[name][reading] = {"mean": float(np.mean(column)),
+                                  "std_error": float(np.std(column, ddof=1) / np.sqrt(len(d))),
+                                  "output_feedback_lower": int(np.sum(column < 0.0))}
+    return out
+
+
 def run_batch(
     problem: ControlProblem,
     controller_factory: Callable[[], RecedingHorizonController],

@@ -9,14 +9,17 @@ because the filter is the Kalman filter of the same linearization
 (separation); so the joint covariance of (x_k - x_nom_k, u_k - u_nom_k)
 follows from the filter covariances and one n_x recursion for the spread
 (:func:`estimate_spread`).  :func:`propagate_covariance` keeps the
-covariance of (x_k - x_nom_k, xhat_k - x_k) for any observer gains.
+covariance of (x_k - x_nom_k, xhat_k - x_k) for any observer gains.  These
+and the filter's prediction without measurements run on one Lyapunov
+kernel, :func:`lyapunov`, and their adjoints on :func:`lyapunov_adjoint`.
 
 Index conventions (0-based stages, horizon N):
   * states x_0..x_N, controls u_0..u_{N-1};
   * measurements arrive at stages 1..N, so the first filter gain is the one
     applied at stage 1 and no update happens at stage 0;
   * feedback gains K_1..K_{N-1} are free, K_0 is identically zero because
-    no new information can arrive before the first control is committed.
+    no new information can arrive before the first control is committed
+    (:func:`stage_gains`).
 
 Everything broadcasts over leading batch dimensions so finite-difference
 sweeps and Monte-Carlo checks stay vectorized.
@@ -128,18 +131,14 @@ class Policy:
     u_nom: Array  # (.., N, n_u)
     feedback: Array  # (.., N-1, n_u, n_x)
 
-    @property
-    def horizon(self) -> int:
-        return self.u_nom.shape[-2]
 
-    def stage_gains(self) -> Array:
-        """All gains K_0..K_{N-1} with the zero stage-0 gain materialized."""
-        n_u = self.u_nom.shape[-1]
-        n_x = self.feedback.shape[-1]
-        batch = np.broadcast_shapes(self.u_nom.shape[:-2], self.feedback.shape[:-3])
-        zero = np.zeros(batch + (1, n_u, n_x))
-        fb = np.broadcast_to(self.feedback, batch + self.feedback.shape[-3:])
-        return np.concatenate([zero, fb], axis=-3)
+def stage_gains(feedback: Array) -> Array:
+    """The gains K_0..K_N of stages 0..N (.., N+1, n_u, n_x) from the free
+    gains K_1..K_{N-1}, with the fixed zero gains of stage 0 (no measurement
+    has arrived) and of the terminal stage N (no control follows)."""
+    feedback = np.asarray(feedback, dtype=float)
+    zero = np.zeros(feedback.shape[:-3] + (1,) + feedback.shape[-2:])
+    return np.concatenate([zero, feedback, zero], axis=-3)
 
 
 @dataclass(frozen=True)
@@ -225,8 +224,37 @@ def linearize_trajectory(model: SystemModel, traj: NominalTrajectory) -> StageLi
     return StageLinearization(**out)
 
 
-def kalman_recursion(lin: StageLinearization, P_hat_0: Array, factors: bool = False,
-                     update: bool = True) -> tuple[Array, ...]:
+def lyapunov(F: Array, W: Array, X0: Array) -> Array:
+    """The discrete Lyapunov recursion X_{k+1} = sym(F_k X_k F_k' + W_k) of
+    stages k = 0..N-1 from X_0 = X0, as (.., N+1, n, n) over the combined
+    leading axes of the transitions F (.., N, n, n), the noise blocks W
+    (.., N, n, n) and X0 (.., n, n).  Every second moment of the linearized
+    prediction follows it; X0 is stored as given."""
+    N = F.shape[-3]
+    batch = np.broadcast_shapes(F.shape[:-3], W.shape[:-3], X0.shape[:-2])
+    out = np.empty(batch + (N + 1,) + X0.shape[-2:])
+    out[..., 0, :, :] = X = X0
+    for k in range(N):
+        X = symmetrize(F[..., k, :, :] @ X @ F[..., k, :, :].mT + W[..., k, :, :])
+        out[..., k + 1, :, :] = X
+    return out
+
+
+def lyapunov_adjoint(F: Array, bar: Array) -> Array:
+    """The reverse recursion of :func:`lyapunov`: Lambda_{N-1} = bar_{N-1},
+    Lambda_{k-1} = bar_{k-1} + F_k' Lambda_k F_k, over the leading axes of
+    F (.., N, n, n) and bar (.., N, n, n).  With bar_k the direct derivative
+    of a scalar J with respect to X_{k+1}, Lambda_k is its total
+    derivative; F_0 is not read.  Returns (.., N, n, n)."""
+    N = F.shape[-3]
+    lam = np.empty(np.broadcast_shapes(F.shape[:-3], bar.shape[:-3]) + bar.shape[-3:])
+    lam[..., N - 1, :, :] = bar[..., N - 1, :, :]
+    for k in range(N - 1, 0, -1):
+        lam[..., k - 1, :, :] = bar[..., k - 1, :, :] + F[..., k, :, :].mT @ lam[..., k, :, :] @ F[..., k, :, :]
+    return lam
+
+
+def kalman_recursion(lin: StageLinearization, P_hat_0: Array, factors: bool = False) -> tuple[Array, ...]:
     """Time-varying Kalman filter on the linearized system.
 
     Per stage: predict P_minus = A P A' + G G'; innovation
@@ -234,8 +262,8 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array, factors: bool = Fa
     :func:`spd_factor` if S is not positive definite); S^{-1} = L^{-T} L^{-1}
     from one inverse of L; gain K = P_minus C' S^{-1}; update
     P_plus = P_minus - K C P_minus, symmetrized.  Noises have unit covariance
-    (shaping lives in G and D).  Without ``update`` no measurement arrives:
-    the filter only predicts, P_plus = P_minus, and its gains are zero.
+    (shaping lives in G and D).  A filter that only predicts, with no
+    measurement, is the forward kernel ``lyapunov(A, G G', P_hat_0)``.
 
     Returns:
         gains (.., N, n_x, n_y) — entry j is the gain applied at stage j+1 —
@@ -256,36 +284,36 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array, factors: bool = Fa
     A_T, C_T = lin.A.mT, lin.C.mT
     GGt = lin.G @ lin.G.mT
     DDt = lin.D @ lin.D.mT
-    gains = np.zeros(batch + (N, n_x, n_y))
+    gains = np.empty(batch + (N, n_x, n_y))
     covs = np.empty(batch + (N + 1, n_x, n_x))
     covs[..., 0, :, :] = P
     pred_covs = np.empty(batch + (N, n_x, n_x))
     for k in range(N):
-        P = P_minus = symmetrize(lin.A[..., k, :, :] @ P @ A_T[..., k, :, :] + GGt[..., k, :, :])
-        if update:
-            CP = lin.C[..., k, :, :] @ P_minus
-            S = CP @ C_T[..., k, :, :] + DDt[..., k, :, :]
-            L_inv = np.linalg.inv(spd_factor(symmetrize(S), context=f"innovation covariance at stage {k + 1}"))
-            K = ((L_inv.mT @ L_inv) @ CP).mT
-            P = symmetrize(P_minus - K @ CP)
-            gains[..., k, :, :] = K
+        P_minus = symmetrize(lin.A[..., k, :, :] @ P @ A_T[..., k, :, :] + GGt[..., k, :, :])
+        CP = lin.C[..., k, :, :] @ P_minus
+        S = CP @ C_T[..., k, :, :] + DDt[..., k, :, :]
+        L_inv = np.linalg.inv(spd_factor(symmetrize(S), context=f"innovation covariance at stage {k + 1}"))
+        K = ((L_inv.mT @ L_inv) @ CP).mT
+        P = symmetrize(P_minus - K @ CP)
+        gains[..., k, :, :] = K
         covs[..., k + 1, :, :] = P
         pred_covs[..., k, :, :] = P_minus
     return (gains, covs, pred_covs) if factors else (gains, covs)
 
 
-def estimate_spread(lin: StageLinearization, stage_gains: Array, covs: Array, P_minus: Array) -> Array:
+def estimate_spread(lin: StageLinearization, K: Array, covs: Array, P_minus: Array) -> Array:
     """Covariances Q_k of the planned estimate's spread xhat_k - x_nom_k.
 
-    ``stage_gains`` holds the feedback gains K_0..K_{N-1}
-    (:meth:`Policy.stage_gains`); ``covs`` and ``P_minus`` are the Kalman
-    filter's covariances P_hat and predicted covariances
+    ``K`` holds the feedback gains K_0..K_{N-1}
+    (``stage_gains(feedback)[..., :-1, :, :]``); ``covs`` and ``P_minus``
+    are the Kalman filter's covariances P_hat and predicted covariances
     (``kalman_recursion(lin, P_hat_0, factors=True)``).  Between updates
     the estimate moves with F_k = A_k + B_k K_k; each update adds
     Khat nu, which is uncorrelated with the predicted estimate and has
     covariance Khat S Khat' = P_minus - P_hat.  So, with the estimate
     starting at the nominal state,
-        Q_0 = 0,  Q_{k+1} = sym(F_k Q_k F_k' + P_minus_{k+1} - P_hat_{k+1}).
+        Q_0 = 0,  Q_{k+1} = sym(F_k Q_k F_k' + P_minus_{k+1} - P_hat_{k+1}),
+    the forward kernel :func:`lyapunov` from Q_1 = P_minus_1 - P_hat_1.
     The estimation error xhat - x is uncorrelated with the spread, so the
     state deviation x - x_nom has covariance Q + P_hat and
     (x - x_nom, u - u_nom) the joint covariance
@@ -295,25 +323,19 @@ def estimate_spread(lin: StageLinearization, stage_gains: Array, covs: Array, P_
         (.., N+1, n_x, n_x), over the combined batch shape; gains broadcast,
         so a batch of policies can share one filter.
     """
-    N = lin.horizon
-    F = lin.A + lin.B @ stage_gains
-    F_T = F.mT
+    F = lin.A + lin.B @ K
     innovation = P_minus - covs[..., 1:, :, :]
-    out = np.zeros(np.broadcast_shapes(F.shape[:-3], innovation.shape[:-3]) + covs.shape[-3:])
-    out[..., 1, :, :] = Q = innovation[..., 0, :, :]  # Q_0 = 0 adds nothing
-    for k in range(1, N):
-        Q = symmetrize(F[..., k, :, :] @ Q @ F_T[..., k, :, :] + innovation[..., k, :, :])
-        out[..., k + 1, :, :] = Q
-    return out
+    spread = lyapunov(F[..., 1:, :, :], innovation[..., 1:, :, :], innovation[..., 0, :, :])
+    return np.concatenate([np.zeros(spread.shape[:-3] + (1,) + spread.shape[-2:]), spread], axis=-3)
 
 
-def _augmented_transitions(lin: StageLinearization, K_all: Array, E: Array, batch) -> Array:
+def _augmented_transitions(lin: StageLinearization, K_all: Array, E: Array) -> Array:
     """Transition matrices [[A + B K_k, B K_k], [0, -E_k A]] of stages 0..N-1,
     where E_k = Khat_{k+1} C_{k+1} - I."""
     n_x = lin.A.shape[-1]
     BK = lin.B @ K_all
     lower = -E @ lin.A  # (I - Khat C) A
-    shape = np.broadcast_shapes(BK.shape[:-3], lower.shape[:-3], batch)
+    shape = np.broadcast_shapes(BK.shape[:-3], lower.shape[:-3])
     trans = np.zeros(shape + (lin.horizon, 2 * n_x, 2 * n_x))
     trans[..., :n_x, :n_x] = lin.A + BK
     trans[..., :n_x, n_x:] = BK
@@ -356,34 +378,18 @@ def propagate_covariance(
     rounding, [[Q + P_hat, -P_hat], [-P_hat, P_hat]] with the spread Q of
     :func:`estimate_spread`, the n_x form that the objective evaluates.
     """
-    N = lin.horizon
     n_x = lin.A.shape[-1]
-    K_all = policy.stage_gains()
+    K_all = stage_gains(policy.feedback)[..., :-1, :, :]
     gains = np.asarray(gains, dtype=float)
     P0 = symmetrize(np.asarray(P_hat_0, dtype=float))
-    batch = np.broadcast_shapes(
-        P0.shape[:-2], lin.A.shape[:-3], gains.shape[:-3], K_all.shape[:-3]
-    )
-    # Transition and noise blocks of every stage at once; only the sandwich
-    # product with the running covariance stays in the loop.
     E = gains @ lin.C - np.eye(n_x)  # maps process noise into estimation error
-    trans = _augmented_transitions(lin, K_all, E, batch)
-    trans_T = np.swapaxes(trans, -1, -2)
+    trans = _augmented_transitions(lin, K_all, E)
     W = _noise_factors(lin, gains, E)
-    noise = W @ np.swapaxes(W, -1, -2)
-    out = np.empty(batch + (N + 1, 2 * n_x, 2 * n_x))
-    sigma = out[..., 0, :, :]
-    sigma[..., :n_x, :n_x] = P0
-    sigma[..., :n_x, n_x:] = -P0
-    sigma[..., n_x:, :n_x] = -P0
-    sigma[..., n_x:, n_x:] = P0
-    for k in range(N):
-        sigma = symmetrize(trans[..., k, :, :] @ sigma @ trans_T[..., k, :, :] + noise[..., k, :, :])
-        out[..., k + 1, :, :] = sigma
-    return AugmentedCovariance(sigma=out, n_x=n_x)
+    sigma0 = np.block([[P0, -P0], [-P0, P0]])
+    return AugmentedCovariance(sigma=lyapunov(trans, W @ np.swapaxes(W, -1, -2), sigma0), n_x=n_x)
 
 
-def spread_adjoint(lin: StageLinearization, stage_gains: Array, spread: Array, spread_bar: Array,
+def spread_adjoint(lin: StageLinearization, K: Array, spread: Array, spread_bar: Array,
                    gains_bar: Array) -> tuple[Array, Array, Array, Array]:
     """Reverse-mode pass of :func:`estimate_spread` (one unbatched policy).
 
@@ -391,8 +397,8 @@ def spread_adjoint(lin: StageLinearization, stage_gains: Array, spread: Array, s
     holds the symmetric derivatives dJ/dQ_k of some scalar J that reads
     each stage's spread directly, and ``gains_bar`` the direct derivatives
     dJ/dK_k of the stage gains K_0..K_{N-1}.  The recursion is linear in Q
-    for fixed F_k = A_k + B_k K_k, so its adjoint is the backward Lyapunov
-    recursion
+    for fixed F_k = A_k + B_k K_k, so its adjoint is the reverse kernel
+    :func:`lyapunov_adjoint`,
         Lambda_N = Q_bar_N,  Lambda_k = Q_bar_k + F_k' Lambda_{k+1} F_k,
     and F_k gets 2 Lambda_{k+1} F_k Q_k, which passes to A_k, to B_k (times
     K_k') and to K_k (B_k' times it).  Lambda_{k+1} is also the derivative
@@ -402,15 +408,11 @@ def spread_adjoint(lin: StageLinearization, stage_gains: Array, spread: Array, s
         (dJ/dK for the free gains K_1..K_{N-1}, shaped like
         ``Policy.feedback``; dJ/dA; dJ/dB; Lambda_1..Lambda_N (N, n_x, n_x)).
     """
-    N = lin.horizon
-    F = lin.A + lin.B @ stage_gains
-    lam = np.empty(spread.shape[:-3] + (N,) + spread.shape[-2:])  # lam[k] = Lambda_{k+1}
-    lam[N - 1] = spread_bar[N]
-    for k in range(N - 1, 0, -1):
-        lam[k - 1] = spread_bar[k] + F[k].T @ lam[k] @ F[k]
-    F_bar = 2.0 * lam @ F @ spread[:N]
+    F = lin.A + lin.B @ K
+    lam = lyapunov_adjoint(F, spread_bar[1:])  # lam[k] = Lambda_{k+1}
+    F_bar = 2.0 * lam @ F @ spread[:-1]
     gains_bar = np.asarray(gains_bar, dtype=float) + lin.B.mT @ F_bar
-    return gains_bar[1:], F_bar, F_bar @ stage_gains.mT, lam
+    return gains_bar[1:], F_bar, F_bar @ K.mT, lam
 
 
 def kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, P_minus: Array, covs_bar: Array,
@@ -420,29 +422,26 @@ def kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, P_minus: 
     direct derivatives ``covs_bar`` (N, n_x, n_x) with respect to the
     filter covariances P_hat_1..P_hat_N and ``P_minus_bar`` with respect to
     the predicted ones, from the forward outputs ``gains``, ``covs`` and
-    ``P_minus`` (``kalman_recursion(lin, P_hat_0, factors=True)``; zero
-    gains for a filter that only predicts).
+    ``P_minus`` (``kalman_recursion(lin, P_hat_0, factors=True)``).
 
     The update P_hat = P- - P- C' S^{-1} C P- has the derivative
     (I - Khat C) dP- (I - Khat C)' in P- (the Kalman gain minimises the
     Joseph form; a jittered S adds a constant, so this holds there too),
     -(I - Khat C) P- dC' Khat' - Khat dC P- (I - Khat C)' in C and
     Khat d(D D') Khat' in D.  With Phi_k = (I - Khat C) A and W_k the
-    derivative with respect to P_hat_{k+1}, the backward recursion is
+    derivative with respect to P_hat_{k+1}, the reverse kernel
+    :func:`lyapunov_adjoint` runs
         W_N = covs_bar_N,  W_k = covs_bar_k + Phi_k' W_{k+1} Phi_k + A' P_minus_bar_k A,
     and with Pm_bar = (I - Khat C)' W (I - Khat C) + P_minus_bar,
     dA = 2 Pm_bar A P_hat_k, dG = 2 Pm_bar G,
     dC = -2 Khat' W (I - Khat C) P- and dD = 2 Khat' W Khat D.  P_hat_0 is
     fixed.
     """
-    N = lin.horizon
     A, C = lin.A, lin.C
     E = np.eye(A.shape[-1]) - gains @ C  # I - Khat C
-    Phi = E @ A
     W = covs_bar + np.concatenate([A[1:].mT @ P_minus_bar[1:] @ A[1:], np.zeros((1,) + A.shape[1:])])
-    for k in range(N - 1, 0, -1):  # W[k] = dJ/dP_hat_{k+1}
-        W[k - 1] += Phi[k].T @ W[k] @ Phi[k]
+    W = lyapunov_adjoint(E @ A, W)  # W[k] = dJ/dP_hat_{k+1}
     Pm_bar = E.mT @ W @ E + P_minus_bar
     KW = gains.mT @ W
-    return (2.0 * Pm_bar @ A @ covs[:N], 2.0 * Pm_bar @ lin.G, -2.0 * KW @ E @ P_minus,
+    return (2.0 * Pm_bar @ A @ covs[:-1], 2.0 * Pm_bar @ lin.G, -2.0 * KW @ E @ P_minus,
             2.0 * KW @ gains @ lin.D)

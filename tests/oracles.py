@@ -9,8 +9,8 @@ gradient, the general-gain (Joseph) estimation-error covariance, the
 stage-by-stage Kalman adjoint, the objective evaluated and differentiated
 through the 2n_x augmented covariance of (x - x_nom, xhat - x) instead of
 the separated n_x form, a stand-alone penalty sum, the closed-form
-expectation of a quadratic, and a hand-written EKF predict/update pair with
-its SPD solve.
+expectation of a quadratic, a hand-written EKF predict/update pair with
+its SPD solve, and a Monte-Carlo replay of a policy executed as planned.
 """
 
 from typing import Callable
@@ -29,6 +29,7 @@ from dualmpc.uncertainty import (
     _noise_factors,
     propagate_covariance,
     spd_factor,
+    stage_gains,
     symmetrize,
 )
 
@@ -347,9 +348,9 @@ def covariance_adjoint(lin: StageLinearization, policy: Policy, gains: Array, si
     n_x = lin.A.shape[-1]
     n_w = lin.G.shape[-1]
     gains = np.asarray(gains, dtype=float)
-    K_all = policy.stage_gains()
+    K_all = stage_gains(policy.feedback)[:-1]
     E = gains @ lin.C - np.eye(n_x)
-    trans = _augmented_transitions(lin, K_all, E, ())
+    trans = _augmented_transitions(lin, K_all, E)
     W = _noise_factors(lin, gains, E)
     lam = np.empty((N, 2 * n_x, 2 * n_x))  # lam[k] = Lambda_{k+1}
     lam[N - 1] = sigma_bar[N]
@@ -372,6 +373,14 @@ def covariance_adjoint(lin: StageLinearization, policy: Policy, gains: Array, si
     return K_bar[1:], lin_bar, gains_bar
 
 
+def _observer_gains(pred) -> Array:
+    """A prediction's filter gains, zero for a filter that only predicts
+    (``open_loop``), which keeps none."""
+    if pred.filter_gains is not None:
+        return pred.filter_gains
+    return np.zeros(pred.lin.A.shape[:-1] + pred.lin.C.shape[-2:-1])
+
+
 def augmented_evaluation(ev, pred, feedback: Array) -> tuple[Array, Array, Array, tuple]:
     """An evaluator's forward pass for ``pred`` and a feedback-gain batch
     through the augmented covariance sigma of (x - x_nom, xhat - x)
@@ -381,8 +390,8 @@ def augmented_evaluation(ev, pred, feedback: Array) -> tuple[Array, Array, Array
     cost = ev.problem.cost
     feedback = np.asarray(feedback, dtype=float)
     policy = Policy(u_nom=pred.traj.controls, feedback=feedback)
-    sigma = propagate_covariance(pred.lin, policy, pred.filter_gains, ev.P_hat_0).sigma
-    joint = joint_covariance(sigma, ev._stage_gains(feedback))
+    sigma = propagate_covariance(pred.lin, policy, _observer_gains(pred), ev.P_hat_0).sigma
+    joint = joint_covariance(sigma, stage_gains(feedback))
     variance = 0.5 * _trace_sum(cost.hessians, joint)
     beta = smoothed_variance(constraint_direction_variance(ev._grads, joint[..., None, :, :]), ev.eps_sigma)
     penalty = np.sum(ev._weights * expected_relu(pred.h, np.sqrt(beta)), axis=(-2, -1))
@@ -411,9 +420,9 @@ def augmented_gradient(ev, pred, feedback: Array) -> tuple[Array, Array]:
     c = ev._weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
     M = 0.5 * cost.hessians + np.einsum("ki,kia,kib->kab", c, ev._grads, ev._grads)
     lin, policy = pred.lin, Policy(u_nom=us, feedback=feedback)
-    T = joint_map(ev._stage_gains(feedback))
+    T = joint_map(stage_gains(feedback))
     T_bar = 2.0 * M @ T @ sigma
-    gains = pred.filter_gains
+    gains = _observer_gains(pred)
     K_bar, lin_bar, gains_bar = covariance_adjoint(lin, policy, gains, sigma, np.swapaxes(T, -1, -2) @ M @ T,
                                                    T_bar[:-1, n_x:, :n_x] + T_bar[:-1, n_x:, n_x:])
     A_bar, B_bar, G_bar, C_bar, D_bar = lin_bar.A, lin_bar.B, lin_bar.G, lin_bar.C, lin_bar.D
@@ -428,6 +437,50 @@ def augmented_gradient(ev, pred, feedback: Array) -> tuple[Array, Array]:
         u_bar[k] = z_bar[k, n_x:] + lam @ lin.B[k]
         lam = z_bar[k, :n_x] + lam @ lin.A[k]
     return u_bar, K_bar + 2.0 * ev.eps_K * feedback
+
+
+def replay_policy(problem, x0: Array, P0: Array, policy: Policy, samples: int, seed: int) -> Array:
+    """Realized costs of executing ``policy`` as planned, one per sample.
+
+    Each sample draws x_0 ~ N(x0, P0) and unit-covariance process and
+    measurement noises, and runs u_k = u_nom_k + K_k (xhat_k - x_nom_k)
+    along the noise-free nominal states x_nom from x0, with an extended
+    Kalman filter from (x0, P0) that predicts at the estimate, A, G at
+    (xhat_k, u_k, 0), and updates on y_{k+1} = g(x_{k+1}, v) with C, D at
+    the predicted mean.  The cost is the realized, non-smooth one: the
+    quadratic stage costs of stages 0..N (stage N at u = 0) plus
+    sum_ki w_ki max(0, h_ki) over every constraint row.  All samples run as
+    one batch.
+    """
+    model, cost, cs = problem.model, problem.cost, problem.constraints
+    N, n_x = model.horizon, model.n_x
+    rng = np.random.default_rng(seed)
+    w0, v0 = np.zeros(model.n_w), np.zeros(model.n_v)
+    x_nom = [np.asarray(x0, dtype=float)]
+    for k in range(N):
+        x_nom.append(model.f(x_nom[-1], policy.u_nom[k], w0))
+    K = stage_gains(policy.feedback)
+    x = x0 + rng.standard_normal((samples, n_x)) @ np.linalg.cholesky(P0).T
+    xhat, P = np.broadcast_to(x0, x.shape).copy(), np.broadcast_to(P0, (samples, n_x, n_x))
+    xs, us = [x], []
+    for k in range(N):
+        u = policy.u_nom[k] + (xhat - x_nom[k]) @ K[k].T
+        x = model.f(x, u, rng.standard_normal((samples, model.n_w)))
+        y = model.g(x, rng.standard_normal((samples, model.n_v)))
+        A, _, G = model.f_jac(xhat, u, w0)
+        x_minus = model.f(xhat, u, w0)
+        P_minus = A @ P @ A.mT + G @ G.mT
+        C, D = model.g_jac(x_minus, v0)
+        S = C @ P_minus @ C.mT + D @ D.mT
+        gain = np.linalg.solve(S, C @ P_minus).mT
+        xhat = x_minus + np.einsum("sij,sj->si", gain, y - model.g(x_minus, v0))
+        P = symmetrize(P_minus - gain @ C @ P_minus)
+        xs.append(x)
+        us.append(u)
+    xs = np.stack(xs, axis=1)
+    us = np.stack(us + [np.zeros((samples, model.n_u))], axis=1)
+    hinge = cs.weights * np.maximum(cs.values(xs, us), 0.0)
+    return np.sum(cost.value(slice(None), xs, us), axis=-1) + np.sum(hinge, axis=(-2, -1))
 
 
 def expected_quadratic(hessian: Array, gradient: Array, constant, mean: Array, cov: Array):

@@ -16,7 +16,9 @@ from dualmpc.uncertainty import (
     estimate_spread,
     kalman_recursion,
     linearize_trajectory,
+    lyapunov,
     nominal_rollout,
+    stage_gains,
 )
 
 FAST_UNICYCLE = """\
@@ -152,7 +154,7 @@ def test_stage_table_matches_public_pipeline_bitwise(tmp_path, mode):
     traj = nominal_rollout(model, x0, result.policy.u_nom)
     lin = linearize_trajectory(model, traj)
     _, P_hat, P_minus = kalman_recursion(lin, P0, factors=True)
-    P = estimate_spread(lin, result.policy.stage_gains(), P_hat, P_minus) + P_hat
+    P = estimate_spread(lin, stage_gains(result.policy.feedback)[:-1], P_hat, P_minus) + P_hat
     N = model.horizon
     used = cs.weights > 0
     n_h_max = max(used.sum(axis=1))
@@ -186,7 +188,7 @@ def test_open_loop_stage_table_reports_the_filtered_estimate(tmp_path):
     u = np.array(json.loads((out / "solve_open_loop.json").read_text())["u_nom"])
     lin = linearize_trajectory(model, nominal_rollout(model, x0, u))
     P_hat = kalman_recursion(lin, P0)[1]
-    assert not np.allclose(P_hat[1:], kalman_recursion(lin, P0, update=False)[1][1:])
+    assert not np.allclose(P_hat[1:], lyapunov(lin.A, lin.G @ lin.G.mT, P0)[1:])
     rows = _read_rows(out / "solve_open_loop_stages.csv")
     assert len(rows) == model.horizon + 1
     for k, row in enumerate(rows):
@@ -250,6 +252,46 @@ def test_simulate_all_controllers_keyed_summary(tmp_path):
     for name in summary["controllers"]:
         assert (out / f"{name}_run000.csv").exists()
         assert summary["controllers"][name]["runs"] == 1
+    assert "output_feedback_minus" not in summary  # one run has no standard error
+
+
+def test_simulate_summary_pairs_output_feedback_with_each_controller(tmp_path):
+    """With two or more runs of output_feedback and another controller,
+    summary.json holds the paired differences of the records under their
+    own key, next to the per-controller aggregates; a single controller
+    gets none."""
+    cfg = _cfg(tmp_path, FAST_UNICYCLE)
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary) == ["runs", "steps", "master_seed", "controllers", "output_feedback_minus"]
+    paired = summary["output_feedback_minus"]
+    assert list(paired) == ["nominal", "open_loop"]
+    for stats in paired.values():
+        assert stats["runs"] == 2
+        for reading in ("mean_stage_cost", "mean_abs_lateral", "mean_estimate_cov_trace"):
+            assert math.isfinite(stats[reading]["mean"]) and math.isfinite(stats[reading]["std_error"])
+            assert 0 <= stats[reading]["output_feedback_lower"] <= 2
+    single = tmp_path / "single"
+    assert main(["simulate", cfg, "--controller", "output_feedback", "--out", str(single)]) == 0
+    assert "output_feedback_minus" not in json.loads((single / "summary.json").read_text())
+
+
+def test_shipped_config_with_a_noise_free_coordinate_solves_and_simulates(tmp_path):
+    """The shipped config with no process noise on r_x and an exactly known
+    initial r_x, whose covariances are PSD but singular, loads, solves and
+    simulates with finite outputs."""
+    shipped = (Path(__file__).resolve().parents[1] / "configs" / "unicycle.cfg").read_text()
+    text = shipped.replace("process_noise_std = 0.02 0.02 0.02", "process_noise_std = 0 0.02 0.02")
+    text = text.replace("init_cov_diag = 0.01 0.01 0.01", "init_cov_diag = 0 0.01 0.01")
+    assert text.count(" = 0 0.0") == 2
+    cfg = _cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--out", str(out)]) in (0, 3)
+    assert math.isfinite(json.loads((out / "solve_output_feedback.json").read_text())["objective"]["total"])
+    assert main(["simulate", cfg, "--controller", "output_feedback", "--runs", "2", "--out", str(out)]) == 0
+    stats = json.loads((out / "summary.json").read_text())["controllers"]["output_feedback"]
+    assert all(math.isfinite(v) for v in stats.values() if isinstance(v, float))
 
 
 def test_simulate_same_seed_reruns_identically(tmp_path):

@@ -617,6 +617,16 @@ def test_unicycle_params_reject_non_finite_and_empty_settings(kwargs):
         replace(standard_unicycle_params(), **kwargs)
 
 
+def test_psd_sqrt_of_a_singular_covariance_reproduces_it():
+    """A PSD but singular covariance (one noise-free coordinate) has no
+    Cholesky factor; the eigendecomposition's root reproduces it exactly."""
+    M = np.diag([0.0, 1e-4, 4e-4])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(M)
+    L = psd_sqrt(M)
+    assert np.array_equal(L @ L.T, M)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_psd_sqrt_rejects_non_finite_covariances(bad):
     """A non-finite covariance has no square root: a NaN or inf in the

@@ -1,16 +1,19 @@
 """Expected costs and penalties: closed forms against Monte-Carlo oracles."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from dualmpc import (
+    ConstraintSet,
     ModelError,
     ObjectiveEvaluator,
     Policy,
     QuadraticCost,
+    SolveOptions,
     constraint_direction_variance,
     expected_relu,
     feedback_regularization,
@@ -20,10 +23,13 @@ from dualmpc import (
     make_unicycle_problem,
     nominal_rollout,
     propagate_covariance,
+    solve,
     total_objective,
 )
-from dualmpc import objective
+from dualmpc import load_config, objective
 from dualmpc.objective import _trace_sum
+from dualmpc.ocp_solver import _gradient, _Variables
+from dualmpc.uncertainty import stage_gains
 
 from conftest import one_stage_terminal_problem, record_fields, standard_unicycle_params, random_spd
 from oracles import (
@@ -35,6 +41,7 @@ from oracles import (
     luenberger_covariance,
     open_loop_policy,
     penalty_total,
+    replay_policy,
 )
 
 
@@ -396,8 +403,8 @@ def test_stacked_beliefs_evaluate_as_alone(case, mode):
 def test_filter_free_evaluation_matches_filtered(case, monkeypatch):
     """With zero feedback gains the objective cannot read the filter: on a
     12-row batch with shared zero gains, the open_loop evaluator, whose
-    filter only predicts (zero filter gains) and which runs no spread
-    recursion, gives the
+    filter only predicts (no filter gains, no separate predicted
+    covariances) and which runs no spread recursion, gives the
     filtered evaluator's totals, direction variances, parts and control
     gradients to rounding (<= 1e-12 relative).  The filtered evaluator
     forms the state-deviation covariance as Q + P_hat, the open_loop one
@@ -423,8 +430,7 @@ def test_filter_free_evaluation_matches_filtered(case, monkeypatch):
     if case == "unicycle":
         assert np.any(free_record.parts[2] > 1e-6)  # the penalty is live
     pred = free_record.prediction
-    assert np.all(pred.filter_gains == 0.0) and free_record.spread is None
-    assert np.array_equal(pred.filter_pred_covs, pred.filter_covs[..., 1:, :, :])
+    assert pred.filter_gains is None and pred.filter_pred_covs is None and free_record.spread is None
 
 
 @pytest.mark.parametrize("case", [0, 1])
@@ -468,6 +474,33 @@ def test_prediction_rejects_control_sequence_off_the_horizon(stages):
     ev = ObjectiveEvaluator(prob, np.array([1.0, 1.0, np.pi]), 0.01 * np.eye(3))
     with pytest.raises(ModelError, match=rf"has {stages} stages, but the model horizon is 10"):
         ev.prediction(np.zeros((stages, 2)))
+
+
+def test_solved_policies_replay_to_their_predicted_objective():
+    """On a linear-Gaussian problem the prediction is exact: executing a
+    solved policy, u_k = u_nom_k + K_k (xhat_k - x_nom_k) with the filter
+    in the loop and the realized non-smooth hinge, costs on average what
+    the solve predicts without its feedback regularization, within 3
+    standard errors of 20000 replays, for an open_loop and an
+    output_feedback plan.  The hinge rows x_0 >= 0.5 at stages 1..6 are
+    live (penalty 0.90 and 0.48), and the two predictions lie more than 10
+    standard errors apart, so the agreement is not loose."""
+    prob = make_linear_problem([[1.0, 0.2], [0.0, 0.9]], [[0.0], [0.2]], 0.1 * np.eye(2), [[1.0, 0.0]], [[0.1]],
+                               np.eye(2), [[0.1]], np.eye(2), 6)
+    bound = ConstraintSet(matrix=np.array([[-1.0, 0.0, 0.0]]), offset=np.array([0.5]),
+                          weights=np.array([[0.0]] + [[20.0]] * 6), u_lower=np.array([-5.0]), u_upper=np.array([5.0]))
+    prob = replace(prob, constraints=bound)
+    x0, P0 = np.array([1.0, 0.0]), 0.05 * np.eye(2)
+    predicted, errors = [], []
+    for mode in ("open_loop", "output_feedback"):
+        res = solve(prob, x0, P0, SolveOptions(mode=mode, max_iterations=200))
+        assert res.converged and res.objective.penalty > 0.1
+        predicted.append(res.objective.total - res.objective.regularization)
+        costs = replay_policy(prob, x0, P0, res.policy, 20000, seed=5)
+        errors.append(np.std(costs, ddof=1) / np.sqrt(costs.size))
+        assert abs(np.mean(costs) - predicted[-1]) <= 3.0 * errors[-1]
+    assert np.any(res.policy.feedback != 0.0)
+    assert predicted[0] - predicted[1] > 10.0 * max(errors)
 
 
 # ------------------------------------------------- packed constraint tables
@@ -534,7 +567,7 @@ def _reference_parts(problem, x0, P0, policy, eps_sigma, eps_K):
     lin = linearize_trajectory(model, traj)
     gains, _ = kalman_recursion(lin, P0)
     aug = propagate_covariance(lin, policy, gains, P0)
-    K_all = policy.stage_gains()
+    K_all = stage_gains(policy.feedback)
     n_x = model.n_x
     H, g, c = cost.hessians, cost.gradients, cost.constants
     nominal, variance, penalty, betas = 0.0, 0.0, 0.0, []
@@ -745,7 +778,7 @@ def _separation_cases():
 def _separated_joint(ev, record):
     """[[Q + P_hat, Q K'], [K Q, K Q K']] of stages 0..N from a forward record
     (Q = 0 without measurements)."""
-    P_hat, K = record.prediction.filter_covs, ev._stage_gains(record.feedback)
+    P_hat, K = record.prediction.filter_covs, stage_gains(record.feedback)
     Q = np.zeros(K.shape[:-2] + P_hat.shape[-2:]) if record.spread is None else record.spread
     KQ = K @ Q
     return np.concatenate([np.concatenate([Q + P_hat, KQ.mT], axis=-1),
@@ -830,6 +863,37 @@ def test_gradient_with_closed_form_pullbacks_matches_central_differences(mode):
     scale = max(np.max(np.abs(e)) for e in expected)
     for got, e in zip(gradient(prob), expected, strict=True):
         assert np.max(np.abs(got - e)) <= 1e-8 * scale
+
+
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "unicycle.cfg"
+
+
+@pytest.mark.parametrize("mode", ["open_loop", "output_feedback"])
+def test_gradient_matches_fourth_order_directional_differences(mode):
+    """The solver's gradient g on the shipped unicycle config, at three
+    seeded points (controls in [-1, 1], gains ~ N(0, 0.1)) and four seeded
+    unit directions d each, against the fourth-order difference
+    (8 (f(t) - f(-t)) - (f(2t) - f(-2t))) / 12t with t = 1e-3:
+    |g'd - difference| <= 1e-10 ||g||.  Measured worst: 5.9e-12 (open_loop)
+    and 1.6e-12 (output_feedback), so the bound is 17x above; criterion 7's
+    step-1e-6 central difference cannot see a change below about 3e-9."""
+    config = load_config(SHIPPED_CONFIG)
+    prob, opts = config.problem, config.solver_options
+    ev = ObjectiveEvaluator(prob, config.sim_config.init_mean, config.sim_config.init_cov,
+                            eps_sigma=opts.eps_sigma, eps_K=opts.eps_K, mode=mode)
+    var = _Variables(prob, mode)
+    t = 1e-3
+    steps = np.array([t, -t, 2 * t, -2 * t])
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        theta = np.concatenate([rng.uniform(-1, 1, var.n_u_vars), rng.normal(0, 0.1, var.n_k_vars)])
+        g = _gradient(ev, var, ev.totals(*var.unpack_batch(theta[None]))[1].take(0))
+        d = rng.normal(size=(4, var.size))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        f = ev.totals(*var.unpack_batch(theta + (steps[None, :, None] * d[:, None, :]).reshape(-1, var.size)))[0]
+        f = f.reshape(4, 4)
+        difference = (8.0 * (f[:, 0] - f[:, 1]) - (f[:, 2] - f[:, 3])) / (12.0 * t)
+        assert np.max(np.abs(d @ g - difference)) <= 1e-10 * np.linalg.norm(g)
 
 
 def _unexpected_call(name):

@@ -313,12 +313,11 @@ def test_solve_result_is_the_breakdown_of_the_returned_policy(mode):
 
 
 def test_metric_reseed_after_first_iteration_uses_fd_curvature(monkeypatch):
-    """Gain curvature is computed only when the metric is seeded.  Failing the
-    quasi-Newton line search of the third iteration forces a reseed there,
-    and the curvature it gets is, bit for bit, the central second difference
-    of the objective along every coordinate at that iterate: control rows
-    through ``totals`` and gain rows through ``parts_from_prediction`` at the
-    iterate's prediction."""
+    """Failing the quasi-Newton line search of the third iteration forces a
+    reseed there, and the curvature it gets is, bit for bit, the central
+    second difference of the objective along every control coordinate at
+    that iterate, through ``totals``, and zero along every gain coordinate,
+    which seeds the gains at the metric's floor."""
     prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
     x0 = np.array([1.0, 0.5, 2.0])
     P0 = 1e-4 * np.eye(3)
@@ -349,14 +348,10 @@ def test_metric_reseed_after_first_iteration_uses_fd_curvature(monkeypatch):
     ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K)
     var = _Variables(prob, opts.mode)
     rows_u, h_u = _stencil(theta, _FD_STEP, slice(0, var.n_u_vars))
-    totals, record = ev.totals(*var.unpack_batch(np.concatenate([theta[None], rows_u])))
-    rows_k, h_k = _stencil(theta, _FD_STEP, slice(var.n_u_vars, None))
-    parts = ev.parts_from_prediction(
-        record.prediction.take(0), rows_k[:, var.n_u_vars :].reshape(-1, var.N - 1, var.n_u, var.n_x)
-    )
-    fd = np.concatenate([totals[1:], parts[0] + parts[1] + parts[2] + parts[3]])
-    h = np.concatenate([h_u, h_k])
-    assert np.array_equal(curv, (fd[0::2] - 2.0 * f + fd[1::2]) / h**2)
+    totals = ev.totals(*var.unpack_batch(np.concatenate([theta[None], rows_u])))[0]
+    fd = totals[1:]
+    assert np.array_equal(curv[: var.n_u_vars], (fd[0::2] - 2.0 * f + fd[1::2]) / h_u**2)
+    assert curv.size == var.size and np.all(curv[var.n_u_vars :] == 0.0)
     f_seed, _, curv_seed = ocp_solver._seed(ev, var, theta)
     assert f_seed == f and np.array_equal(curv_seed, curv)
 
@@ -385,12 +380,12 @@ def test_shipped_solve_line_search_rows(monkeypatch):
     """In every mode, a search after an accepted full step tries that step
     alone first, so a solve evaluates few trial rows per iteration: every
     line-search batch holds that one step or a 12-trial chunk.  With
-    uncertainty the filter runs once per ``totals`` batch (in open_loop
-    its predict step alone) and its adjoint once per gradient sweep, never
-    in the final breakdown, and not at all without uncertainty.  Only
-    output_feedback runs the spread recursion: once per ``totals`` batch,
-    plus once for the gain curvature.  No search fails, so the metric is
-    seeded once per solve and never reseeded."""
+    uncertainty the filter runs once per ``totals`` batch and its adjoint
+    once per gradient sweep, never in the final breakdown, and not at all
+    without uncertainty: in output_feedback the Kalman filter and the
+    spread recursion, in open_loop its predict step alone, the forward
+    Lyapunov kernel, with the reverse kernel for the adjoint.  No search
+    fails, so the metric is seeded once per solve and never reseeded."""
     config = _shipped_config()
     rows, calls = [], {}
     totals = ObjectiveEvaluator.totals
@@ -407,26 +402,28 @@ def test_shipped_solve_line_search_rows(monkeypatch):
         return call
 
     monkeypatch.setattr(ObjectiveEvaluator, "totals", counted)
-    for name in ("estimate_spread", "kalman_recursion", "kalman_adjoint"):
+    counted_names = ("estimate_spread", "kalman_recursion", "kalman_adjoint", "lyapunov", "lyapunov_adjoint")
+    for name in counted_names:
         monkeypatch.setattr(objective, name, counting(name, getattr(objective, name)))
     monkeypatch.setattr(ocp_solver, "_diag_metric", counting("_diag_metric", ocp_solver._diag_metric))
     for mode in ("open_loop", "nominal", "output_feedback"):
         rows.clear()
-        calls.update(estimate_spread=0, kalman_recursion=0, kalman_adjoint=0, _diag_metric=0)
+        calls.update(dict.fromkeys(counted_names, 0), _diag_metric=0)
         res = solve(config.problem, config.sim_config.init_mean, config.sim_config.init_cov,
                     replace(config.solver_options, mode=mode))
         assert res.iterations > 0
         assert calls.pop("_diag_metric") == 1
         if mode != "output_feedback":  # the first batch is the initial point and its curvature stencil
             assert set(rows[1:]) == {1, 12}
+        none = dict.fromkeys(counted_names, 0)
         if mode == "open_loop":
             assert sum(rows) <= 4 * res.iterations
-            assert calls == dict(estimate_spread=0, kalman_recursion=len(rows), kalman_adjoint=res.iterations + 1)
+            assert calls == dict(none, lyapunov=len(rows), lyapunov_adjoint=res.iterations + 1)
         elif mode == "nominal":
             assert sum(rows[1:]) <= 8 * res.iterations
-            assert calls == dict(estimate_spread=0, kalman_recursion=0, kalman_adjoint=0)
-        else:  # one gain-curvature batch, one sweep per iteration plus the initial point's
-            assert calls == dict(estimate_spread=len(rows) + 1, kalman_recursion=len(rows),
+            assert calls == none
+        else:  # one sweep per iteration plus the initial point's
+            assert calls == dict(none, estimate_spread=len(rows), kalman_recursion=len(rows),
                                  kalman_adjoint=res.iterations + 1)
 
 

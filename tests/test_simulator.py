@@ -24,8 +24,10 @@ from dualmpc.uncertainty import (
     nominal_rollout,
 )
 from dualmpc.simulator import (
+    ClosedLoopRecord,
     SimConfig,
     noise_stream,
+    paired_differences,
     run_batch,
     simulate_run,
     summarize_records,
@@ -337,3 +339,38 @@ def test_summarize_records_sorts_by_run_index():
     _, batch_recs = run_batch(prob, lambda: _ScriptedController([0.1]), cfg, "c")
     batch_summary = summarize_records("c", cfg, batch_recs)
     assert summary == batch_summary
+
+
+def _scripted_record(run, stage_cost, lateral, cov_trace, steps=6, diverged=False):
+    """A record whose per-run readings are the given mean stage cost, mean
+    |second state| from step 5 on and mean filter-covariance trace."""
+    states = np.zeros((steps + 1, 2))
+    states[5:, 1] = -lateral
+    return ClosedLoopRecord(
+        run_index=run, states=states, belief_means=states.copy(),
+        belief_covs=np.broadcast_to(0.5 * cov_trace * np.eye(2), (steps + 1, 2, 2)),
+        controls=np.zeros((steps, 1)), stage_costs=np.full(steps, stage_cost),
+        constraint_values=np.zeros((steps, 0)), violation_flags=np.zeros(steps, dtype=bool), diverged=diverged,
+    )
+
+
+def test_paired_differences_compare_output_feedback_run_by_run():
+    """Per reading, the mean and standard error of the per-run differences
+    output_feedback - controller and the count of runs where output_feedback
+    is lower, paired by run index whatever the record order, over the runs
+    that diverged under neither controller; nothing without output_feedback
+    or with fewer than two such runs."""
+    cfg = SimConfig(init_mean=[0.0, 0.0], init_cov=np.eye(2), steps=6, runs=4)
+    ref = [_scripted_record(i, c, 2.0 * c, 0.5 * c) for i, c in enumerate((1.0, 2.0, 3.0, 4.0))]
+    other = [_scripted_record(i, c, 2.0 * c, 0.5 * c, diverged=i == 3)
+             for i, c in reversed(list(enumerate((2.0, 2.0, 5.0, 1.0))))]
+    out = paired_differences(cfg, {"nominal": other, "output_feedback": ref})
+    assert list(out) == ["nominal"] and out["nominal"]["runs"] == 3
+    for reading, scale in zip(simulator.PAIRED_READINGS, (1.0, 2.0, 0.5), strict=True):
+        stats = out["nominal"][reading]  # differences (-1, 0, -2) times the scale
+        assert stats["mean"] == pytest.approx(-scale)
+        assert stats["std_error"] == pytest.approx(scale / np.sqrt(3.0))
+        assert stats["output_feedback_lower"] == 2
+    assert paired_differences(cfg, {"nominal": other}) == {}
+    assert paired_differences(cfg, {"output_feedback": ref}) == {}
+    assert paired_differences(cfg, {"nominal": other[:2], "output_feedback": ref}) == {}

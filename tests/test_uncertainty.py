@@ -23,7 +23,10 @@ from dualmpc.uncertainty import (
     StageLinearization,
     estimate_spread,
     kalman_adjoint,
+    lyapunov,
+    lyapunov_adjoint,
     spread_adjoint,
+    stage_gains,
     symmetrize,
 )
 
@@ -542,13 +545,12 @@ def test_joint_covariance_stays_psd():
         assert np.min(np.linalg.eigvalsh(out)) >= -1e-10
 
 
-def test_policy_stage_gains_pins_first_to_zero():
-    fb = np.ones((3, 2, 4))
-    pol = Policy(u_nom=np.zeros((4, 2)), feedback=fb)
-    K = pol.stage_gains()
-    assert K.shape == (4, 2, 4)
-    assert np.all(K[0] == 0.0)
-    assert np.all(K[1:] == 1.0)
+def test_stage_gains_pin_first_and_terminal_to_zero():
+    """K_0..K_N from the free gains K_1..K_{N-1}, batched over the gains."""
+    K = stage_gains(np.ones((5, 3, 2, 4)))
+    assert K.shape == (5, 5, 2, 4)
+    assert np.all(K[:, 0] == 0.0) and np.all(K[:, -1] == 0.0)
+    assert np.all(K[:, 1:-1] == 1.0)
 
 
 # ------------------------------------------------------------- adjoints
@@ -592,23 +594,56 @@ def test_kalman_adjoint_matches_central_differences(unicycle_problem):
     """kalman_adjoint pulls the derivative of a scalar that reads the filter
     covariances P_hat_1..P_hat_N and the predicted covariances back onto
     A, G, C, D: on a random linear system, and on a unicycle trajectory
-    whose output Jacobians (n_y = 3) depend on the state.  A filter that
-    only predicts (zero gains) pulls back onto A and G alone."""
+    whose output Jacobians (n_y = 3) depend on the state."""
     for lin, P0, covs_bar, P_minus_bar in _adjoint_cases(unicycle_problem)[:2]:
-        for update in (True, False):
 
-            def scalar(l):
-                _, covs, P_minus = kalman_recursion(l, P0, factors=True, update=update)
-                return float(np.sum(covs_bar * covs[1:]) + (np.sum(P_minus_bar * P_minus) if update else 0.0))
+        def scalar(l):
+            _, covs, P_minus = kalman_recursion(l, P0, factors=True)
+            return float(np.sum(covs_bar * covs[1:]) + np.sum(P_minus_bar * P_minus))
 
-            gains, covs, P_minus = kalman_recursion(lin, P0, factors=True, update=update)
-            adj = kalman_adjoint(lin, gains, covs, P_minus, covs_bar, P_minus_bar if update else 0.0 * P_minus_bar)
-            for name, bar in zip("AGCD", adj, strict=True):
-                if update or name in "AG":
-                    fd = _fd(lambda M: scalar(replace(lin, **{name: M})), getattr(lin, name))
-                    assert_allclose(bar, fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
-                else:
-                    assert np.all(bar == 0.0)
+        gains, covs, P_minus = kalman_recursion(lin, P0, factors=True)
+        adj = kalman_adjoint(lin, gains, covs, P_minus, covs_bar, P_minus_bar)
+        for name, bar in zip("AGCD", adj, strict=True):
+            fd = _fd(lambda M: scalar(replace(lin, **{name: M})), getattr(lin, name))
+            assert_allclose(bar, fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
+
+
+def test_lyapunov_kernels_are_the_plain_loops():
+    """The forward kernel is, bit for bit, the loop X_{k+1} = sym(F X F' + W)
+    for each row of a batch that shares X0, and the reverse kernel the loop
+    Lambda_{k-1} = bar_{k-1} + F_k' Lambda_k F_k."""
+    rng = np.random.default_rng(66)
+    F, W = 0.6 * rng.normal(size=(4, 7, 3, 3)), rng.normal(size=(4, 7, 3, 3))
+    X0, bar = random_spd(rng, 3), rng.normal(size=(4, 7, 3, 3))
+    X, lam = lyapunov(F, W, X0), lyapunov_adjoint(F, bar)
+    assert X.shape == (4, 8, 3, 3) and lam.shape == (4, 7, 3, 3)
+    for i in range(4):
+        ref = [X0]
+        for k in range(7):
+            ref.append(symmetrize(F[i, k] @ ref[-1] @ F[i, k].T + W[i, k]))
+        assert same_bits(X[i], np.stack(ref)) and same_bits(lyapunov(F[i], W[i], X0), X[i])
+        ref = [bar[i, 6]]
+        for k in range(6, 0, -1):
+            ref.insert(0, bar[i, k - 1] + F[i, k].T @ ref[0] @ F[i, k])
+        assert same_bits(lam[i], np.stack(ref))
+
+
+def test_lyapunov_adjoint_matches_central_differences(unicycle_problem):
+    """Read through the reverse kernel, a filter that only predicts,
+    P_{k+1} = sym(A P A' + G G'), pulls the derivative of a scalar of its
+    covariances back onto A (2 Lambda_k A_k P_k) and G (2 Lambda_k G_k):
+    the open_loop gradient's step.  A random linear system and a unicycle
+    trajectory."""
+    for lin, P0, covs_bar, _ in _adjoint_cases(unicycle_problem)[:2]:
+
+        def scalar(l):
+            return float(np.sum(covs_bar * lyapunov(l.A, l.G @ l.G.mT, P0)[1:]))
+
+        covs = lyapunov(lin.A, lin.G @ lin.G.mT, P0)
+        lam = lyapunov_adjoint(lin.A, covs_bar)
+        for name, bar in (("A", 2.0 * lam @ lin.A @ covs[:-1]), ("G", 2.0 * lam @ lin.G)):
+            fd = _fd(lambda M: scalar(replace(lin, **{name: M})), getattr(lin, name))
+            assert_allclose(bar, fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
 
 
 def test_kalman_adjoint_matches_stagewise_adjoint(unicycle_problem):
@@ -629,8 +664,7 @@ def test_kalman_factors_are_the_stages_the_adjoint_reads(unicycle_problem):
     """The predicted covariances that kalman_recursion keeps for the spread
     and the adjoints are, bit for bit, P- = sym(A P A' + G G') re-derived
     from the filter covariances over all stages at once, for each row of a
-    batch; the gains and covariances are those of the plain call, and a
-    filter that only predicts keeps P- as its covariances."""
+    batch; the gains and covariances are those of the plain call."""
     m = unicycle_problem.model
     rng = np.random.default_rng(63)
     traj = nominal_rollout(m, np.array([1.0, 0.5, np.pi]), rng.uniform(-1, 1, size=(4, 10, 2)))
@@ -642,8 +676,6 @@ def test_kalman_factors_are_the_stages_the_adjoint_reads(unicycle_problem):
     for i in range(4):
         A, G = lin.A[i], lin.G[i]
         assert np.array_equal(P_minus[i], symmetrize(A @ covs[i, :-1] @ swap(A) + G @ swap(G)))
-    gains, covs, P_minus = kalman_recursion(lin, 0.01 * np.eye(3), factors=True, update=False)
-    assert np.all(gains == 0.0) and np.array_equal(covs[..., 1:, :, :], P_minus)
 
 
 def test_spread_adjoint_matches_central_differences():
@@ -660,12 +692,12 @@ def test_spread_adjoint_matches_central_differences():
     K_weights = rng.normal(size=(N, n_u, n_x))
 
     def scalar(l=lin, feedback=fb, P_m=P_minus):
-        stage_gains = Policy(u_nom=np.zeros((N, n_u)), feedback=feedback).stage_gains()
-        return float(np.sum(weights * estimate_spread(l, stage_gains, covs, P_m)) + np.sum(K_weights * stage_gains))
+        K = stage_gains(feedback)[:-1]
+        return float(np.sum(weights * estimate_spread(l, K, covs, P_m)) + np.sum(K_weights * K))
 
-    stage_gains = Policy(u_nom=np.zeros((N, n_u)), feedback=fb).stage_gains()
-    spread = estimate_spread(lin, stage_gains, covs, P_minus)
-    K_bar, A_bar, B_bar, lam = spread_adjoint(lin, stage_gains, spread, weights, K_weights)
+    K = stage_gains(fb)[:-1]
+    spread = estimate_spread(lin, K, covs, P_minus)
+    K_bar, A_bar, B_bar, lam = spread_adjoint(lin, K, spread, weights, K_weights)
     cases = [(A_bar, lambda M: scalar(l=replace(lin, A=M)), lin.A), (B_bar, lambda M: scalar(l=replace(lin, B=M)), lin.B),
              (K_bar, lambda M: scalar(feedback=M), fb), (lam, lambda M: scalar(P_m=M), P_minus)]
     for bar, fn, base in cases:
@@ -689,7 +721,7 @@ def test_covariance_adjoint_matches_central_differences():
     def scalar(l, gains=filter_gains, feedback=fb):
         policy = Policy(u_nom=np.zeros((N, n_u)), feedback=feedback)
         sigma = propagate_covariance(l, policy, gains, P0).sigma
-        return float(np.sum(weights * sigma) + np.sum(K_weights * policy.stage_gains()))
+        return float(np.sum(weights * sigma) + np.sum(K_weights * stage_gains(feedback)[:-1]))
 
     policy = Policy(u_nom=np.zeros((N, n_u)), feedback=fb)
     sigma = propagate_covariance(lin, policy, filter_gains, P0).sigma
