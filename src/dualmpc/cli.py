@@ -70,7 +70,8 @@ def _stage_table(config: ExperimentConfig, result: SolveResult) -> tuple[list[st
     pred = ev.prediction(result.policy.u_nom)
     P_hat = pred.filter_covs
     P = ev.evaluate(pred, result.policy.feedback).spread + P_hat
-    n_h_max = pred.h.shape[-1]
+    used = problem.constraints.weights > 0.0
+    n_h_max = max(used.sum(axis=1))
 
     names = problem.model.state_names
     header = ["stage"]
@@ -81,9 +82,9 @@ def _stage_table(config: ExperimentConfig, result: SolveResult) -> tuple[list[st
     header += [f"beta_{i}" for i in range(n_h_max)]
 
     rows = []
-    for k, count in enumerate(ev.counts):
+    for k, applies in enumerate(used):
         x = pred.traj.states[k]
-        h = pred.h[k, :count]
+        h = pred.h[k, applies]
         beta = np.asarray(result.beta[k])
         row = [str(k)]
         row += [_fmt(v) for v in x]

@@ -205,21 +205,18 @@ class Prediction:
     ``filter_covs`` holds ``lyapunov(A, G G', P_hat_0)``, and the other two
     filter fields are None.
 
-    Constraint values are stored for stages 0..N, stage N at u = 0.  Each
-    stage holds the rows that apply there (nonzero weight) first, in row
-    order, padded to the widest stage so the penalty evaluates in one
-    vectorized pass; padded rows carry zero weight.  The rows' gradients
-    are constant, so the evaluator packs them once in the same layout (see
-    ObjectiveEvaluator).
+    Constraint values are stored for stages 0..N, stage N at u = 0, every
+    row of the constraint set in row order; a row whose weight at a stage
+    is zero does not apply there.
     """
 
     traj: NominalTrajectory
     nominal_cost: Array
-    h: Array  # (.., N+1, H_max) padded constraint values
+    h: Array  # (.., N+1, n_h) constraint values
     lin: StageLinearization | None = None
     filter_gains: Array | None = None  # (.., N, n_x, n_y)
     filter_covs: Array | None = None  # (.., N+1, n_x, n_x), the filter's covariances P_hat
-    filter_pred_covs: Array | None = None  # (.., N, n_x, n_x), its predicted covariances P- of stages 1..N
+    filter_updates: Array | None = None  # (.., N, n_x, n_x), its update covariances Khat S Khat' of stages 1..N
 
     take = _row
 
@@ -238,7 +235,7 @@ class Evaluation:
     prediction: Prediction
     feedback: Array  # (.., N-1, n_u, n_x), the gains K_1..K_{N-1}
     spread: Array | None  # (.., N+1, n_x, n_x) covariances of xhat - x_nom; None without a filter
-    beta: Array  # (.., N+1, H_max) direction variances plus eps_sigma^2, padded like prediction.h
+    beta: Array  # (.., N+1, n_h) direction variances plus eps_sigma^2, in the rows of prediction.h
     parts: tuple  # (nominal_cost, variance_cost, penalty, regularization)
 
     take = _row
@@ -293,21 +290,9 @@ class ObjectiveEvaluator:
         self.eps_sigma = eps_sigma
         self.eps_K = eps_K if mode != "nominal" else 0.0
         self.mode = mode
-        # Stages 0..N-1 plus the terminal stage N.  Each stage's applicable
-        # rows (nonzero weight) come first, in row order, and the tables are
-        # cut to the widest stage, so the other stages are padded with
-        # zero-weight rows and the penalty evaluates in one pass; _rows
-        # gathers them from the flattened (N+1, n_h) constraint values.
-        # The rows' gradients over z = (x, u) are the constant table _grads,
-        # packed alike: zero on the padded rows, and zero in the u columns
-        # at stage N, where u = 0 is fixed.
-        cs = problem.constraints
-        used = cs.weights > 0.0
-        self.counts = tuple(int(c) for c in used.sum(axis=1))
-        order = np.argsort(~used, axis=1, kind="stable")[:, : max(self.counts)]
-        self._rows = order + used.shape[1] * np.arange(used.shape[0])[:, None]
-        self._weights = np.take_along_axis(cs.weights, order, axis=1)
-        self._grads = np.where(self._weights[..., None] > 0.0, cs.matrix[order], 0.0)
+        # The constraint rows' gradients over z = (x, u) at stages 0..N: the
+        # constant matrix, with zero u columns at stage N, where u = 0 is fixed.
+        self._grads = np.repeat(problem.constraints.matrix[None], problem.model.horizon + 1, axis=0)
         self._grads[-1, :, problem.model.n_x:] = 0.0
 
     def prediction(self, u_nom: Array) -> Prediction:
@@ -325,9 +310,7 @@ class ObjectiveEvaluator:
         nominal_cost = stage_costs[..., N]
         for k in range(N):
             nominal_cost = nominal_cost + stage_costs[..., k]
-        cs = problem.constraints
-        h = np.take(cs.values(xs, us).reshape(xs.shape[:-2] + (cs.weights.size,)), self._rows, axis=-1)
-        h[..., self._weights == 0.0] = -1.0  # padded rows keep a harmless value; their weight is zero
+        h = problem.constraints.values(xs, us)
         if self.mode == "nominal":
             return Prediction(traj=traj, nominal_cost=nominal_cost, h=h)
         lin = linearize_trajectory(model, traj)
@@ -352,7 +335,7 @@ class ObjectiveEvaluator:
             joint[..., :n_x, :n_x] = pred.filter_covs
         if self.mode == "output_feedback":
             K = stage_gains(feedback)
-            spread = estimate_spread(pred.lin, K[..., :-1, :, :], pred.filter_covs, pred.filter_pred_covs)
+            spread = estimate_spread(pred.lin, K[..., :-1, :, :], pred.filter_updates)
             KQ = K @ spread
             joint[..., :n_x, :n_x] += spread
             joint[..., n_x:, :n_x] = KQ
@@ -360,7 +343,7 @@ class ObjectiveEvaluator:
             joint[..., n_x:, n_x:] = KQ @ K.mT
         variance = 0.5 * _trace_sum(cost.hessians, joint)
         beta = smoothed_variance(constraint_direction_variance(self._grads, joint[..., None, :, :]), self.eps_sigma)
-        penalty = np.sum(self._weights * expected_relu(pred.h, np.sqrt(beta)), axis=(-2, -1))
+        penalty = np.sum(self.problem.constraints.weights * expected_relu(pred.h, np.sqrt(beta)), axis=(-2, -1))
         reg = feedback_regularization(feedback, self.eps_K)
         parts = tuple(np.broadcast_arrays(pred.nominal_cost, variance, penalty, reg))
         return Evaluation(prediction=pred, feedback=np.broadcast_to(feedback, batch + feedback.shape[-3:]),
@@ -396,9 +379,9 @@ class ObjectiveEvaluator:
              to A and B;
           3. the Kalman recursion
              (:func:`~dualmpc.uncertainty.kalman_adjoint`), driven by the
-             covariances: the predicted covariance P-_k gets Lambda_k and
-             the filter covariance P_hat_k gets the x block of M_k minus
-             Lambda_k; one backward Lyapunov recursion through
+             covariances: the update covariance U_k = Khat S Khat' gets
+             Lambda_k and the filter covariance P_hat_k the x block of
+             M_k; one backward Lyapunov recursion through
              Phi_k = (I - Khat C) A, which forms no inverse;
           4. the linearization: the derivatives with respect to A, B, G at
              (x_k, u_k) and C, D at x_{k+1} contract with the second
@@ -421,7 +404,7 @@ class ObjectiveEvaluator:
             LinearizationError: a model Jacobian is non-finite at the
                 trajectory or at a perturbed point.
         """
-        model, cost = self.problem.model, self.problem.cost
+        model, cost, weights = self.problem.model, self.problem.cost, self.problem.constraints.weights
         N, n_x = model.horizon, model.n_x
         pred, feedback = record.prediction, record.feedback
         xs, us = pred.traj.states, pred.traj.controls
@@ -431,7 +414,7 @@ class ObjectiveEvaluator:
         z_bar = (
             np.einsum("kab,kb->ka", cost.hessians, z)
             + cost.gradients
-            + np.einsum("ki,kia->ka", self._weights * ndtr(ratio), self._grads)
+            + np.einsum("ki,kia->ka", weights * ndtr(ratio), self._grads)
         )
         if pred.lin is None:
             A, B, _ = model.f_jac(xs[:N], us, np.zeros(model.n_w))
@@ -441,7 +424,7 @@ class ObjectiveEvaluator:
         else:
             lin, K_grad = pred.lin, 2.0 * self.eps_K * feedback
             A, B = lin.A, lin.B
-            c = self._weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
+            c = weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
             M = 0.5 * cost.hessians + np.einsum("ki,kia,kib->kab", c, self._grads, self._grads)
             if self.mode == "output_feedback":
                 K = stage_gains(feedback)
@@ -451,7 +434,7 @@ class ObjectiveEvaluator:
                                                           2.0 * (MT @ spread)[:N, n_x:])
                 K_grad = K_grad + K_bar
                 A_kal, G_bar, C_bar, D_bar = kalman_adjoint(lin, pred.filter_gains, pred.filter_covs,
-                                                            pred.filter_pred_covs, M[1:, :n_x, :n_x] - lam, lam)
+                                                            M[1:, :n_x, :n_x], lam)
                 A_bar = A_bar + A_kal
             else:  # no spread: the prediction alone carries M's x block back
                 lam = lyapunov_adjoint(A, M[1:, :n_x, :n_x])
@@ -501,11 +484,13 @@ class ObjectiveEvaluator:
         ``policy`` if the caller holds it, else a new one.
 
         The variances come as a list with one entry per stage 0..N-1 plus
-        the terminal entry.
+        the terminal entry, each holding the rows that apply at its stage
+        (nonzero weight), in row order.
         """
         if record is None:
             record = self.evaluate(self.prediction(policy.u_nom), policy.feedback)
-        return ObjectiveBreakdown.assemble(*record.parts), [record.beta[k, :c] for k, c in enumerate(self.counts)]
+        used = self.problem.constraints.weights > 0.0
+        return ObjectiveBreakdown.assemble(*record.parts), [beta[rows] for beta, rows in zip(record.beta, used)]
 
 
 def total_objective(

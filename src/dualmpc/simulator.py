@@ -220,8 +220,17 @@ def simulate_run(
     )
 
 
+def run_readings(record: ClosedLoopRecord, steps: int) -> tuple[float, Array, Array]:
+    """The readings of one run of ``steps`` steps: its stage cost
+    total/steps, the series |r_y| from step min(5, steps) on, and the series
+    tr P_hat of the beliefs after each step."""
+    return (record.total_cost / steps, np.abs(record.states[min(5, steps):, 1]),
+            np.trace(record.belief_covs[1:], axis1=-2, axis2=-1))
+
+
 def summarize_records(controller_name: str, config: SimConfig, records: list) -> MetricsSummary:
-    """Aggregate per-run records (diverged runs counted, excluded from means)."""
+    """Aggregate per-run records (diverged runs counted, excluded from means),
+    pooling the series of :func:`run_readings` over the runs."""
     records = sorted(records, key=lambda r: r.run_index)
     live = [r for r in records if not r.diverged]
     diverged = len(records) - len(live)
@@ -237,9 +246,7 @@ def summarize_records(controller_name: str, config: SimConfig, records: list) ->
     totals = np.array([r.total_cost for r in live])
     violation_freq = float(np.mean([r.violation_flags for r in live]))
     boundary = float(np.mean([r.states[:, 0] for r in live]))
-    lateral_from = min(5, config.steps)
-    lateral = float(np.mean([np.abs(r.states[lateral_from:, 1]) for r in live]))
-    cov_trace = float(np.mean([np.trace(r.belief_covs[1:], axis1=-2, axis2=-1) for r in live]))
+    _, lateral, cov_trace = zip(*(run_readings(r, config.steps) for r in live))
     return MetricsSummary(
         controller=controller_name,
         runs=len(records),
@@ -249,8 +256,8 @@ def summarize_records(controller_name: str, config: SimConfig, records: list) ->
         mean_stage_cost=float(np.mean(totals)) / config.steps,
         violation_frequency=violation_freq,
         mean_boundary_distance=boundary,
-        mean_abs_lateral=lateral,
-        mean_estimate_cov_trace=cov_trace,
+        mean_abs_lateral=float(np.mean(lateral)),
+        mean_estimate_cov_trace=float(np.mean(cov_trace)),
         diverged_runs=diverged,
     )
 
@@ -262,15 +269,14 @@ PAIRED_READINGS = ("mean_stage_cost", "mean_abs_lateral", "mean_estimate_cov_tra
 def paired_differences(config: SimConfig, records: dict) -> dict:
     """Run-paired comparisons of ``output_feedback`` with each other
     controller of ``records`` (name -> run records): per reading of
-    PAIRED_READINGS, taken per run as summarize_records takes it over the
-    batch, the mean of the differences ``output_feedback - controller``, its
-    standard error and the number of runs where ``output_feedback`` is
-    lower, over the runs that diverged under neither.  A controller with
-    fewer than 2 such runs is left out."""
+    PAIRED_READINGS, the per-run mean of :func:`run_readings`, the mean of
+    the differences ``output_feedback - controller``, its standard error and
+    the number of runs where ``output_feedback`` is lower, over the runs
+    that diverged under neither.  A controller with fewer than 2 such runs
+    is left out."""
 
     def readings(r: ClosedLoopRecord) -> Array:
-        lateral, cov_trace = np.abs(r.states[min(5, config.steps):, 1]), np.trace(r.belief_covs[1:], axis1=1, axis2=2)
-        return np.array([r.total_cost / config.steps, np.mean(lateral), np.mean(cov_trace)])
+        return np.array([np.mean(series) for series in run_readings(r, config.steps)])
 
     reference = {r.run_index: readings(r) for r in records.get("output_feedback", ()) if not r.diverged}
     out = {}

@@ -259,17 +259,20 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array, factors: bool = Fa
 
     Per stage: predict P_minus = A P A' + G G'; innovation
     S = C P_minus C' + D D' = L L' (Cholesky, with the jitter of
-    :func:`spd_factor` if S is not positive definite); S^{-1} = L^{-T} L^{-1}
-    from one inverse of L; gain K = P_minus C' S^{-1}; update
-    P_plus = P_minus - K C P_minus, symmetrized.  Noises have unit covariance
-    (shaping lives in G and D).  A filter that only predicts, with no
-    measurement, is the forward kernel ``lyapunov(A, G G', P_hat_0)``.
+    :func:`spd_factor` if S is not positive definite); Y = L^{-1} C P_minus
+    from one inverse of L; gain Khat = (L^{-T} Y)'; update covariance
+    U = Y'Y = Khat L L' Khat'; P_plus = P_minus - U, symmetrized.  No S^{-1}
+    is formed, so P_plus is the Joseph form at the filter's own gain, a
+    jittered S included.  Noises have unit covariance (shaping lives in G
+    and D).  A filter that only predicts, with no measurement, is the
+    forward kernel ``lyapunov(A, G G', P_hat_0)``.
 
     Returns:
         gains (.., N, n_x, n_y) — entry j is the gain applied at stage j+1 —
         and covariances (.., N+1, n_x, n_x); with ``factors``, also the
-        predicted covariances P_minus (.., N, n_x, n_x) of stages 1..N,
-        which :func:`estimate_spread` and :func:`kalman_adjoint` read.
+        update covariances U (.., N, n_x, n_x) of stages 1..N, the
+        covariance of each update's move Khat nu of the estimate, which
+        :func:`estimate_spread` reads.
 
     Raises:
         SingularInnovationError: innovation covariance not PD at some stage
@@ -287,33 +290,33 @@ def kalman_recursion(lin: StageLinearization, P_hat_0: Array, factors: bool = Fa
     gains = np.empty(batch + (N, n_x, n_y))
     covs = np.empty(batch + (N + 1, n_x, n_x))
     covs[..., 0, :, :] = P
-    pred_covs = np.empty(batch + (N, n_x, n_x))
+    updates = np.empty(batch + (N, n_x, n_x))
     for k in range(N):
         P_minus = symmetrize(lin.A[..., k, :, :] @ P @ A_T[..., k, :, :] + GGt[..., k, :, :])
         CP = lin.C[..., k, :, :] @ P_minus
         S = CP @ C_T[..., k, :, :] + DDt[..., k, :, :]
         L_inv = np.linalg.inv(spd_factor(symmetrize(S), context=f"innovation covariance at stage {k + 1}"))
-        K = ((L_inv.mT @ L_inv) @ CP).mT
-        P = symmetrize(P_minus - K @ CP)
-        gains[..., k, :, :] = K
+        Y = L_inv @ CP
+        U = Y.mT @ Y
+        P = symmetrize(P_minus - U)
+        gains[..., k, :, :] = (L_inv.mT @ Y).mT
         covs[..., k + 1, :, :] = P
-        pred_covs[..., k, :, :] = P_minus
-    return (gains, covs, pred_covs) if factors else (gains, covs)
+        updates[..., k, :, :] = U
+    return (gains, covs, updates) if factors else (gains, covs)
 
 
-def estimate_spread(lin: StageLinearization, K: Array, covs: Array, P_minus: Array) -> Array:
+def estimate_spread(lin: StageLinearization, K: Array, U: Array) -> Array:
     """Covariances Q_k of the planned estimate's spread xhat_k - x_nom_k.
 
     ``K`` holds the feedback gains K_0..K_{N-1}
-    (``stage_gains(feedback)[..., :-1, :, :]``); ``covs`` and ``P_minus``
-    are the Kalman filter's covariances P_hat and predicted covariances
-    (``kalman_recursion(lin, P_hat_0, factors=True)``).  Between updates
+    (``stage_gains(feedback)[..., :-1, :, :]``) and ``U`` the Kalman
+    filter's update covariances Khat S Khat' of stages 1..N
+    (``kalman_recursion(lin, P_hat_0, factors=True)[2]``).  Between updates
     the estimate moves with F_k = A_k + B_k K_k; each update adds
     Khat nu, which is uncorrelated with the predicted estimate and has
-    covariance Khat S Khat' = P_minus - P_hat.  So, with the estimate
-    starting at the nominal state,
-        Q_0 = 0,  Q_{k+1} = sym(F_k Q_k F_k' + P_minus_{k+1} - P_hat_{k+1}),
-    the forward kernel :func:`lyapunov` from Q_1 = P_minus_1 - P_hat_1.
+    covariance U.  So, with the estimate starting at the nominal state,
+        Q_0 = 0,  Q_{k+1} = sym(F_k Q_k F_k' + U_{k+1}),
+    the forward kernel :func:`lyapunov` from Q_1 = U_1.
     The estimation error xhat - x is uncorrelated with the spread, so the
     state deviation x - x_nom has covariance Q + P_hat and
     (x - x_nom, u - u_nom) the joint covariance
@@ -324,8 +327,7 @@ def estimate_spread(lin: StageLinearization, K: Array, covs: Array, P_minus: Arr
         so a batch of policies can share one filter.
     """
     F = lin.A + lin.B @ K
-    innovation = P_minus - covs[..., 1:, :, :]
-    spread = lyapunov(F[..., 1:, :, :], innovation[..., 1:, :, :], innovation[..., 0, :, :])
+    spread = lyapunov(F[..., 1:, :, :], U[..., 1:, :, :], U[..., 0, :, :])
     return np.concatenate([np.zeros(spread.shape[:-3] + (1,) + spread.shape[-2:]), spread], axis=-3)
 
 
@@ -402,7 +404,7 @@ def spread_adjoint(lin: StageLinearization, K: Array, spread: Array, spread_bar:
         Lambda_N = Q_bar_N,  Lambda_k = Q_bar_k + F_k' Lambda_{k+1} F_k,
     and F_k gets 2 Lambda_{k+1} F_k Q_k, which passes to A_k, to B_k (times
     K_k') and to K_k (B_k' times it).  Lambda_{k+1} is also the derivative
-    with respect to the update's covariance P_minus_{k+1} - P_hat_{k+1}.
+    with respect to the update covariance U_{k+1}.
 
     Returns:
         (dJ/dK for the free gains K_1..K_{N-1}, shaped like
@@ -415,33 +417,35 @@ def spread_adjoint(lin: StageLinearization, K: Array, spread: Array, spread_bar:
     return gains_bar[1:], F_bar, F_bar @ K.mT, lam
 
 
-def kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, P_minus: Array, covs_bar: Array,
-                   P_minus_bar: Array) -> tuple[Array, Array, Array, Array]:
+def kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, covs_bar: Array,
+                   U_bar: Array) -> tuple[Array, Array, Array, Array]:
     """Reverse-mode pass of :func:`kalman_recursion` (one unbatched
     linearization): the derivatives dJ/d(A, G, C, D) of a scalar J with
     direct derivatives ``covs_bar`` (N, n_x, n_x) with respect to the
-    filter covariances P_hat_1..P_hat_N and ``P_minus_bar`` with respect to
-    the predicted ones, from the forward outputs ``gains``, ``covs`` and
-    ``P_minus`` (``kalman_recursion(lin, P_hat_0, factors=True)``).
+    filter covariances P_hat_1..P_hat_N and ``U_bar`` with respect to the
+    update covariances U = P- - P_hat, from the forward outputs ``gains``
+    and ``covs`` (``kalman_recursion(lin, P_hat_0)``).
 
-    The update P_hat = P- - P- C' S^{-1} C P- has the derivative
-    (I - Khat C) dP- (I - Khat C)' in P- (the Kalman gain minimises the
-    Joseph form; a jittered S adds a constant, so this holds there too),
-    -(I - Khat C) P- dC' Khat' - Khat dC P- (I - Khat C)' in C and
-    Khat d(D D') Khat' in D.  With Phi_k = (I - Khat C) A and W_k the
-    derivative with respect to P_hat_{k+1}, the reverse kernel
+    Through U = P- - P_hat, J reads P_hat with covs_bar - U_bar and the
+    predicted covariance P- with U_bar.  The update P_hat = P- - U has the
+    derivative (I - Khat C) dP- (I - Khat C)' in P- (the Kalman gain
+    minimises the Joseph form; a jittered S adds a constant, so this holds
+    there too), -P_hat dC' Khat' - Khat dC P_hat in C, since
+    (I - Khat C) P- = P_hat for the filter's own gain, and
+    Khat d(D D') Khat' in D.  With W_k the derivative with respect to
+    P_hat_k and Phi_k = (I - Khat_{k+1} C_{k+1}) A_k, the reverse kernel
     :func:`lyapunov_adjoint` runs
-        W_N = covs_bar_N,  W_k = covs_bar_k + Phi_k' W_{k+1} Phi_k + A' P_minus_bar_k A,
-    and with Pm_bar = (I - Khat C)' W (I - Khat C) + P_minus_bar,
-    dA = 2 Pm_bar A P_hat_k, dG = 2 Pm_bar G,
-    dC = -2 Khat' W (I - Khat C) P- and dD = 2 Khat' W Khat D.  P_hat_0 is
-    fixed.
+        W_N = covs_bar_N - U_bar_N,
+        W_k = covs_bar_k - U_bar_k + Phi_k' W_{k+1} Phi_k + A_k' U_bar_{k+1} A_k,
+    and with Pm_bar = (I - Khat C)' W (I - Khat C) + U_bar at stages 1..N,
+    dA_k = 2 Pm_bar_{k+1} A_k P_hat_k, dG_k = 2 Pm_bar_{k+1} G_k,
+    dC = -2 Khat' W P_hat and dD = 2 Khat' W Khat D.  P_hat_0 is fixed.
     """
     A, C = lin.A, lin.C
     E = np.eye(A.shape[-1]) - gains @ C  # I - Khat C
-    W = covs_bar + np.concatenate([A[1:].mT @ P_minus_bar[1:] @ A[1:], np.zeros((1,) + A.shape[1:])])
+    W = covs_bar - U_bar + np.concatenate([A[1:].mT @ U_bar[1:] @ A[1:], np.zeros((1,) + A.shape[1:])])
     W = lyapunov_adjoint(E @ A, W)  # W[k] = dJ/dP_hat_{k+1}
-    Pm_bar = E.mT @ W @ E + P_minus_bar
+    Pm_bar = E.mT @ W @ E + U_bar
     KW = gains.mT @ W
-    return (2.0 * Pm_bar @ A @ covs[:-1], 2.0 * Pm_bar @ lin.G, -2.0 * KW @ E @ P_minus,
+    return (2.0 * Pm_bar @ A @ covs[:-1], 2.0 * Pm_bar @ lin.G, -2.0 * KW @ covs[1:],
             2.0 * KW @ gains @ lin.D)

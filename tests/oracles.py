@@ -6,11 +6,13 @@ central-difference Jacobian, the generic RK4 step and its Jacobians (the
 unicycle integrates in cascade form), the RK4 Jacobians with one tangent
 chain each for the control and the noise, a central-difference objective
 gradient, the general-gain (Joseph) estimation-error covariance, the
-stage-by-stage Kalman adjoint, the objective evaluated and differentiated
-through the 2n_x augmented covariance of (x - x_nom, xhat - x) instead of
-the separated n_x form, a stand-alone penalty sum, the closed-form
+stage-by-stage Kalman adjoint, the constraint tables read from the problem,
+the objective evaluated and differentiated through the 2n_x augmented
+covariance of (x - x_nom, xhat - x) instead of the separated n_x form, a
+stand-alone penalty sum, the closed-form
 expectation of a quadratic, a hand-written EKF predict/update pair with
-its SPD solve, and a Monte-Carlo replay of a policy executed as planned.
+its SPD solve, and a Monte-Carlo replay of a policy executed as planned,
+on the nonlinear system or on its linearization along the nominal.
 """
 
 from typing import Callable
@@ -18,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-from dualmpc import ModelError, expected_relu, feedback_regularization, smoothed_variance
+from dualmpc import ModelError, ObjectiveEvaluator, expected_relu, feedback_regularization, smoothed_variance
 from dualmpc.estimation import BeliefState, EstimationError
 from dualmpc.model import Array, SystemModel
 from dualmpc.objective import _SQRT_2PI, _trace_sum, constraint_direction_variance
@@ -268,21 +270,22 @@ def luenberger_covariance(lin: StageLinearization, gains: Array, P_hat_0: Array)
     return np.stack(covs, axis=-3)
 
 
-def stagewise_kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array, P_minus: Array,
+def stagewise_kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array,
                              gains_bar: Array | None = None, covs_bar: Array | None = None,
-                             P_minus_bar: Array | None = None) -> tuple[Array, Array, Array, Array]:
+                             U_bar: Array | None = None) -> tuple[Array, Array, Array, Array]:
     """Reverse-mode pass of :func:`~dualmpc.uncertainty.kalman_recursion`
     stage by stage, with the gain as an intermediate, for a scalar J that
     reads the filter gains (``gains_bar``), the filter covariances
-    P_hat_1..P_hat_N (``covs_bar``) and the predicted covariances
-    (``P_minus_bar``); a bar left None is zero.  Per stage, backwards, the
-    update P_{k+1} = (I - Khat C) P- and the gain pass their derivatives to
-    P-, C and Khat; the gain's solve S Khat' = C P- passes
-    dJ/d(C P-) = S^{-1} Khat_bar' and dJ/dS = -S^{-1} Khat_bar' Khat, with
-    S^{-1} re-derived from the jittered factor the filter uses; then S and
-    P- pass theirs to C, D, A, G and P_k.  Returns dJ/d(A, G, C, D), as
-    :func:`~dualmpc.uncertainty.kalman_adjoint` does, without the Joseph
-    identity it rests on."""
+    P_hat_1..P_hat_N (``covs_bar``) and the update covariances
+    U = Khat C P- (``U_bar``); a bar left None is zero.  The predicted
+    covariances P- = A P_hat A' + G G' are formed here from the filter
+    covariances.  Per stage, backwards, the update P_{k+1} = P- - U and the
+    gain pass their derivatives to P-, C and Khat; the gain's solve
+    S Khat' = C P- passes dJ/d(C P-) = S^{-1} Khat_bar' and
+    dJ/dS = -S^{-1} Khat_bar' Khat, with S^{-1} re-derived from the jittered
+    factor the filter uses; then S and P- pass theirs to C, D, A, G and P_k.
+    Returns dJ/d(A, G, C, D), as :func:`~dualmpc.uncertainty.kalman_adjoint`
+    does, without the Joseph identity it rests on."""
     N = lin.horizon
     n_x = lin.A.shape[-1]
     A, C, G, D = lin.A, lin.C, lin.G, lin.D
@@ -290,18 +293,19 @@ def stagewise_kalman_adjoint(lin: StageLinearization, gains: Array, covs: Array,
     zero = np.zeros((N, n_x, n_x))
     gains_bar = np.zeros(gains.shape) if gains_bar is None else gains_bar
     covs_bar = zero if covs_bar is None else covs_bar
-    P_minus_bar = zero if P_minus_bar is None else P_minus_bar
+    U_bar = zero if U_bar is None else U_bar
+    P_minus = symmetrize(A @ covs[:N] @ A_t + G @ np.swapaxes(G, -1, -2))
     L_inv = np.linalg.inv(spd_factor(symmetrize(C @ P_minus @ C_t + D @ np.swapaxes(D, -1, -2))))
     S_inv = np.swapaxes(L_inv, -1, -2) @ L_inv
     I_KC_t = np.swapaxes(np.eye(n_x) - gains @ C, -1, -2)
     Pm_bar, C_bar, D_bar = np.empty((N, n_x, n_x)), np.empty(C.shape), np.empty(D.shape)
     P_bar = np.zeros((n_x, n_x))  # dJ/dP_{k+1} through the later stages
     for k in range(N - 1, -1, -1):
-        W = covs_bar[k] + P_bar
+        W = covs_bar[k] - U_bar[k] + P_bar  # J reads U = P- - P_{k+1}: P_{k+1} gets -U_bar, P- U_bar
         K_bar = gains_bar[k] - W @ P_minus[k] @ C_t[k]
         R_bar = S_inv[k] @ K_bar.T  # dJ/d(C P-)
         S_bar = -symmetrize(R_bar @ gains[k])
-        Pm_bar[k] = symmetrize(I_KC_t[k] @ W + C_t[k] @ R_bar + C_t[k] @ S_bar @ C[k]) + P_minus_bar[k]
+        Pm_bar[k] = symmetrize(I_KC_t[k] @ W + C_t[k] @ R_bar + C_t[k] @ S_bar @ C[k]) + U_bar[k]
         C_bar[k] = -gains[k].T @ W @ P_minus[k] + R_bar @ P_minus[k] + 2.0 * S_bar @ C[k] @ P_minus[k]
         D_bar[k] = 2.0 * S_bar @ D[k]
         P_bar = A_t[k] @ Pm_bar[k] @ A[k]
@@ -381,20 +385,32 @@ def _observer_gains(pred) -> Array:
     return np.zeros(pred.lin.A.shape[:-1] + pred.lin.C.shape[-2:-1])
 
 
+def constraint_tables(problem) -> tuple[Array, Array]:
+    """The constraint rows' weights (N+1, n_h) and their gradients over
+    z = (x, u) at stages 0..N (N+1, n_h, n_x + n_u), read from the
+    problem's constraint set: every stage takes every row of the matrix,
+    and stage N, at u = 0, its x columns only."""
+    cs, n_x = problem.constraints, problem.model.n_x
+    x_only = np.concatenate([cs.matrix[:, :n_x], np.zeros(cs.matrix[:, n_x:].shape)], axis=-1)
+    return cs.weights, np.stack([cs.matrix] * problem.model.horizon + [x_only])
+
+
 def augmented_evaluation(ev, pred, feedback: Array) -> tuple[Array, Array, Array, tuple]:
     """An evaluator's forward pass for ``pred`` and a feedback-gain batch
     through the augmented covariance sigma of (x - x_nom, xhat - x)
     (:func:`~dualmpc.uncertainty.propagate_covariance`, 2n_x) and the joint
-    covariances T sigma T': (sigma, joint covariances of stages 0..N,
+    covariances T sigma T', with the constraint rows of
+    :func:`constraint_tables`: (sigma, joint covariances of stages 0..N,
     direction variances plus eps_sigma^2, objective parts)."""
     cost = ev.problem.cost
+    weights, grads = constraint_tables(ev.problem)
     feedback = np.asarray(feedback, dtype=float)
     policy = Policy(u_nom=pred.traj.controls, feedback=feedback)
     sigma = propagate_covariance(pred.lin, policy, _observer_gains(pred), ev.P_hat_0).sigma
     joint = joint_covariance(sigma, stage_gains(feedback))
     variance = 0.5 * _trace_sum(cost.hessians, joint)
-    beta = smoothed_variance(constraint_direction_variance(ev._grads, joint[..., None, :, :]), ev.eps_sigma)
-    penalty = np.sum(ev._weights * expected_relu(pred.h, np.sqrt(beta)), axis=(-2, -1))
+    beta = smoothed_variance(constraint_direction_variance(grads, joint[..., None, :, :]), ev.eps_sigma)
+    penalty = np.sum(weights * expected_relu(pred.h, np.sqrt(beta)), axis=(-2, -1))
     reg = feedback_regularization(feedback, ev.eps_K)
     return sigma, joint, beta, tuple(np.broadcast_arrays(pred.nominal_cost, variance, penalty, reg))
 
@@ -409,6 +425,7 @@ def augmented_gradient(ev, pred, feedback: Array) -> tuple[Array, Array]:
     pullbacks and rollout adjoint."""
     model, cost = ev.problem.model, ev.problem.cost
     N, n_x = model.horizon, model.n_x
+    weights, grads = constraint_tables(ev.problem)
     sigma, _, beta, _ = augmented_evaluation(ev, pred, feedback)
     xs, us = pred.traj.states, pred.traj.controls
     us_all = np.concatenate([us, np.zeros((1, model.n_u))])
@@ -416,9 +433,9 @@ def augmented_gradient(ev, pred, feedback: Array) -> tuple[Array, Array]:
     std = np.sqrt(beta)
     ratio = pred.h / std
     z_bar = (np.einsum("kab,kb->ka", cost.hessians, z) + cost.gradients
-             + np.einsum("ki,kia->ka", ev._weights * ndtr(ratio), ev._grads))
-    c = ev._weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
-    M = 0.5 * cost.hessians + np.einsum("ki,kia,kib->kab", c, ev._grads, ev._grads)
+             + np.einsum("ki,kia->ka", weights * ndtr(ratio), grads))
+    c = weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
+    M = 0.5 * cost.hessians + np.einsum("ki,kia,kib->kab", c, grads, grads)
     lin, policy = pred.lin, Policy(u_nom=us, feedback=feedback)
     T = joint_map(stage_gains(feedback))
     T_bar = 2.0 * M @ T @ sigma
@@ -427,7 +444,7 @@ def augmented_gradient(ev, pred, feedback: Array) -> tuple[Array, Array]:
                                                    T_bar[:-1, n_x:, :n_x] + T_bar[:-1, n_x:, n_x:])
     A_bar, B_bar, G_bar, C_bar, D_bar = lin_bar.A, lin_bar.B, lin_bar.G, lin_bar.C, lin_bar.D
     if ev.mode == "output_feedback":
-        kal = stagewise_kalman_adjoint(lin, gains, pred.filter_covs, pred.filter_pred_covs, gains_bar=gains_bar)
+        kal = stagewise_kalman_adjoint(lin, gains, pred.filter_covs, gains_bar=gains_bar)
         A_bar, G_bar, C_bar, D_bar = A_bar + kal[0], G_bar + kal[1], C_bar + kal[2], D_bar + kal[3]
         z_bar[1:, :n_x] += ev._g_pullback(xs[1:], C_bar, D_bar)
     z_bar[:N] += ev._f_pullback(z[:N], A_bar, B_bar, G_bar)
@@ -439,7 +456,8 @@ def augmented_gradient(ev, pred, feedback: Array) -> tuple[Array, Array]:
     return u_bar, K_bar + 2.0 * ev.eps_K * feedback
 
 
-def replay_policy(problem, x0: Array, P0: Array, policy: Policy, samples: int, seed: int) -> Array:
+def replay_policy(problem, x0: Array, P0: Array, policy: Policy, samples: int, seed: int,
+                  linearized: bool = False) -> Array:
     """Realized costs of executing ``policy`` as planned, one per sample.
 
     Each sample draws x_0 ~ N(x0, P0) and unit-covariance process and
@@ -447,8 +465,15 @@ def replay_policy(problem, x0: Array, P0: Array, policy: Policy, samples: int, s
     along the noise-free nominal states x_nom from x0, with an extended
     Kalman filter from (x0, P0) that predicts at the estimate, A, G at
     (xhat_k, u_k, 0), and updates on y_{k+1} = g(x_{k+1}, v) with C, D at
-    the predicted mean.  The cost is the realized, non-smooth one: the
-    quadratic stage costs of stages 0..N (stage N at u = 0) plus
+    the predicted mean.  With ``linearized``, f, g and the filter are
+    replaced by their linearizations along the nominal, with the
+    prediction's own Jacobians and filter gains Khat
+    (``ObjectiveEvaluator.prediction``): x_{k+1} = x_nom_{k+1}
+    + A_k (x_k - x_nom_k) + B_k (u_k - u_nom_k) + G_k w_k, the estimate
+    predicts alike without noise to xhat-, and the update adds
+    Khat_{k+1} (C_{k+1} (x_{k+1} - xhat-) + D_{k+1} v), the innovation of
+    the linearized output map.  The cost is the realized, non-smooth one:
+    the quadratic stage costs of stages 0..N (stage N at u = 0) plus
     sum_ki w_ki max(0, h_ki) over every constraint row.  All samples run as
     one batch.
     """
@@ -456,25 +481,38 @@ def replay_policy(problem, x0: Array, P0: Array, policy: Policy, samples: int, s
     N, n_x = model.horizon, model.n_x
     rng = np.random.default_rng(seed)
     w0, v0 = np.zeros(model.n_w), np.zeros(model.n_v)
-    x_nom = [np.asarray(x0, dtype=float)]
-    for k in range(N):
-        x_nom.append(model.f(x_nom[-1], policy.u_nom[k], w0))
+    if linearized:
+        pred = ObjectiveEvaluator(problem, x0, P0).prediction(policy.u_nom)
+        x_nom = pred.traj.states
+    else:
+        x_nom = [np.asarray(x0, dtype=float)]
+        for k in range(N):
+            x_nom.append(model.f(x_nom[-1], policy.u_nom[k], w0))
     K = stage_gains(policy.feedback)
     x = x0 + rng.standard_normal((samples, n_x)) @ np.linalg.cholesky(P0).T
     xhat, P = np.broadcast_to(x0, x.shape).copy(), np.broadcast_to(P0, (samples, n_x, n_x))
     xs, us = [x], []
     for k in range(N):
         u = policy.u_nom[k] + (xhat - x_nom[k]) @ K[k].T
-        x = model.f(x, u, rng.standard_normal((samples, model.n_w)))
-        y = model.g(x, rng.standard_normal((samples, model.n_v)))
-        A, _, G = model.f_jac(xhat, u, w0)
-        x_minus = model.f(xhat, u, w0)
-        P_minus = A @ P @ A.mT + G @ G.mT
-        C, D = model.g_jac(x_minus, v0)
-        S = C @ P_minus @ C.mT + D @ D.mT
-        gain = np.linalg.solve(S, C @ P_minus).mT
-        xhat = x_minus + np.einsum("sij,sj->si", gain, y - model.g(x_minus, v0))
-        P = symmetrize(P_minus - gain @ C @ P_minus)
+        w = rng.standard_normal((samples, model.n_w))
+        v = rng.standard_normal((samples, model.n_v))
+        if linearized:
+            A, B, G, C, D = (getattr(pred.lin, name)[k] for name in "ABGCD")
+            du = u - policy.u_nom[k]
+            x = x_nom[k + 1] + (x - x_nom[k]) @ A.T + du @ B.T + w @ G.T
+            x_minus = x_nom[k + 1] + (xhat - x_nom[k]) @ A.T + du @ B.T
+            xhat = x_minus + ((x - x_minus) @ C.T + v @ D.T) @ pred.filter_gains[k].T
+        else:
+            x = model.f(x, u, w)
+            y = model.g(x, v)
+            A, _, G = model.f_jac(xhat, u, w0)
+            x_minus = model.f(xhat, u, w0)
+            P_minus = A @ P @ A.mT + G @ G.mT
+            C, D = model.g_jac(x_minus, v0)
+            S = C @ P_minus @ C.mT + D @ D.mT
+            gain = np.linalg.solve(S, C @ P_minus).mT
+            xhat = x_minus + np.einsum("sij,sj->si", gain, y - model.g(x_minus, v0))
+            P = symmetrize(P_minus - gain @ C @ P_minus)
         xs.append(x)
         us.append(u)
     xs = np.stack(xs, axis=1)

@@ -153,8 +153,8 @@ def test_stage_table_matches_public_pipeline_bitwise(tmp_path, mode):
     model, cs = config.problem.model, config.problem.constraints
     traj = nominal_rollout(model, x0, result.policy.u_nom)
     lin = linearize_trajectory(model, traj)
-    _, P_hat, P_minus = kalman_recursion(lin, P0, factors=True)
-    P = estimate_spread(lin, stage_gains(result.policy.feedback)[:-1], P_hat, P_minus) + P_hat
+    _, P_hat, U = kalman_recursion(lin, P0, factors=True)
+    P = estimate_spread(lin, stage_gains(result.policy.feedback)[:-1], U) + P_hat
     N = model.horizon
     used = cs.weights > 0
     n_h_max = max(used.sum(axis=1))
@@ -393,6 +393,11 @@ def test_phi_table_bad_range_exits_two(tmp_path, capsys):
         assert code == 2
         assert capsys.readouterr().err == "error: --mu-range and --sigma-list entries must be finite\n"
         assert not out.exists()
+    # a negative sigma: one error line, no file
+    capsys.readouterr()
+    assert main(["phi-table", "--mu-range", "-1", "1", "3", "--sigma-list", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --sigma-list entries must be nonnegative\n"
+    assert not out.exists()
 
 
 # -------------------------------------------------------------- exit code 2

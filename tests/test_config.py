@@ -295,6 +295,11 @@ def test_bad_solver_setting_is_a_config_error(tmp_path, capsys, extra, message):
      "unknown controller 'pid'; pick from ['nominal', 'open_loop', 'output_feedback']"),
     # a key the unicycle model does not read is checked all the same
     ("[model]\ndynamics_matrix = 1 x\n", "dynamics_matrix is not a list of numbers: '1 x'"),
+    ("[solver]\ntolerance = inf\n", "tolerance must be finite, got 'inf'"),
+    ("[model]\nstate_cost_diag =\n", "state_cost_diag expects at least one number"),
+    ("[model]\nu_lower = 1 nan\n", "u_lower must be finite"),
+    ("[output]\ndirectory = a b\n", "directory expects a single word, got 'a b'"),
+    ("controllers =\n", "controllers expects at least one word"),
 ])
 def test_malformed_value_is_reported_once(tmp_path, capsys, extra, message):
     """A value that does not parse is reported once, at its own line, and
@@ -305,6 +310,23 @@ def test_malformed_value_is_reported_once(tmp_path, capsys, extra, message):
     assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {path}:{line}: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("base, old, new, message", [
+    (MINIMAL_UNICYCLE, "type = unicycle", "type = bicycle", "model type must be 'unicycle' or 'linear', got 'bicycle'"),
+    (LINEAR, "input_matrix = 0.005 0.1", "input_matrix = 0.005 0.1 0.2",
+     "input_matrix has 3 entries, not divisible into 2 state rows"),
+])
+def test_value_the_model_cannot_take_is_reported_at_its_line(tmp_path, capsys, base, old, new, message):
+    """A well-formed value that the model cannot take, an unknown model type
+    or a linear matrix whose entry count does not fill its rows, is
+    reported once, at its own line, and nothing is written."""
+    text = base.replace(old, new)
+    path = _write(tmp_path, text)
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+    line = text.splitlines().index(new) + 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:{line}: {message}"]
     assert not (tmp_path / "out").exists()
 
 

@@ -403,8 +403,8 @@ def test_stacked_beliefs_evaluate_as_alone(case, mode):
 def test_filter_free_evaluation_matches_filtered(case, monkeypatch):
     """With zero feedback gains the objective cannot read the filter: on a
     12-row batch with shared zero gains, the open_loop evaluator, whose
-    filter only predicts (no filter gains, no separate predicted
-    covariances) and which runs no spread recursion, gives the
+    filter only predicts (no filter gains, no update covariances) and
+    which runs no spread recursion, gives the
     filtered evaluator's totals, direction variances, parts and control
     gradients to rounding (<= 1e-12 relative).  The filtered evaluator
     forms the state-deviation covariance as Q + P_hat, the open_loop one
@@ -430,7 +430,7 @@ def test_filter_free_evaluation_matches_filtered(case, monkeypatch):
     if case == "unicycle":
         assert np.any(free_record.parts[2] > 1e-6)  # the penalty is live
     pred = free_record.prediction
-    assert pred.filter_gains is None and pred.filter_pred_covs is None and free_record.spread is None
+    assert pred.filter_gains is None and pred.filter_updates is None and free_record.spread is None
 
 
 @pytest.mark.parametrize("case", [0, 1])
@@ -503,36 +503,55 @@ def test_solved_policies_replay_to_their_predicted_objective():
     assert predicted[0] - predicted[1] > 10.0 * max(errors)
 
 
-# ------------------------------------------------- packed constraint tables
+def test_unicycle_plan_replays_on_its_linearization_to_its_predicted_objective():
+    """The paper's approximation is exact on the linearization: the shipped
+    unicycle output_feedback plan (500 iterations, live hinge rows, penalty
+    0.076, gain entries up to 6.9), executed with f, g and the filter
+    replaced by their linearizations along the nominal, costs on average
+    what the solve predicts without its feedback regularization, within 3
+    standard errors of 100000 replays (measured: 2.2672 +- 0.0053 against
+    2.2719 predicted).  The eps_sigma smoothing of the predicted hinge
+    leaves a bias of -0.0024 +- 0.0014 (2 million replays), under half a
+    standard error here."""
+    config = load_config(SHIPPED_CONFIG)
+    x0, P0 = config.sim_config.init_mean, config.sim_config.init_cov
+    res = solve(config.problem, x0, P0, config.solver_options)
+    assert res.objective.penalty > 0.05 and np.max(np.abs(res.policy.feedback)) > 1.0
+    predicted = res.objective.total - res.objective.regularization
+    costs = replay_policy(config.problem, x0, P0, res.policy, 100000, seed=0, linearized=True)
+    assert abs(np.mean(costs) - predicted) <= 3.0 * np.std(costs, ddof=1) / np.sqrt(costs.size)
+
+
+# ------------------------------------------------- constraint tables as given
 
 def _row_by_row_tables(problem, xs, us):
-    """Constraint values, gradients and weights of stages 0..N built one row
-    at a time from ``values``/``matrix``: each stage's rows with nonzero
-    weight in row order, stage N at u = 0 with zero u columns, padded with
-    h = -1, zero gradients and zero weights."""
+    """Constraint values and gradients of stages 0..N built one row at a
+    time from ``values``/``matrix``: every row in row order, stage N at
+    u = 0 with zero u columns."""
     cs, n_x = problem.constraints, problem.model.n_x
     N, n_u = us.shape
-    used = cs.weights > 0
-    width = max(used.sum(axis=1))
-    h = np.full((N + 1, width), -1.0)
-    grads = np.zeros((N + 1, width, n_x + n_u))
-    weights = np.zeros((N + 1, width))
+    n_h = cs.matrix.shape[0]
+    h = np.empty((N + 1, n_h))
+    grads = np.empty((N + 1, n_h, n_x + n_u))
     for k in range(N + 1):
         u = us[k] if k < N else np.zeros(n_u)
-        for j, i in enumerate(np.flatnonzero(used[k])):
-            h[k, j] = cs.values(xs[k], u)[i]
-            grads[k, j] = cs.matrix[i]
-            weights[k, j] = cs.weights[k, i]
+        for i in range(n_h):
+            h[k, i] = cs.values(xs[k], u)[i]
+            grads[k, i] = cs.matrix[i]
     grads[N, :, n_x:] = 0.0
-    return h, grads, weights
+    return h, grads
 
 
 @pytest.mark.parametrize("case", ["unicycle", "unicycle_every_row", "terminal_only"])
 def test_packed_tables_match_row_by_row_reference(case):
-    """The prediction's h and the evaluator's gradient and weight tables
-    equal, bit for bit, tables built row by row with each stage's weight
-    mask, unbatched and as rows of a 12-row batch.  With every row applied
-    at every stage, the box rows at stage N keep their x columns only."""
+    """The evaluator scores the constraint table as the problem gives it:
+    the prediction's h and the evaluator's gradient table equal, bit for
+    bit, tables built row by row, every row at every stage, unbatched and
+    as rows of a 12-row batch; stage N keeps the rows' x columns only.
+    The breakdown lists each stage's direction variances of the rows with
+    nonzero weight, in row order: the unicycle's stage 0 drops row 0, its
+    stage N keeps row 0 alone, and the terminal-only problem's stage 0 has
+    none."""
     if case.startswith("unicycle"):
         prob, x0 = make_unicycle_problem(standard_unicycle_params()), np.array([0.05, 0.8, np.pi])
         if case == "unicycle_every_row":
@@ -540,16 +559,26 @@ def test_packed_tables_match_row_by_row_reference(case):
             prob = replace(prob, constraints=cs)
     else:
         prob, x0 = one_stage_terminal_problem(), np.array([1.0])
-    n_u, N = prob.model.n_u, prob.model.horizon
+    n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
     ev = ObjectiveEvaluator(prob, x0, 0.01 * np.eye(x0.size))
-    u = np.random.default_rng(61).uniform(-1.5, 1.5, size=(12, N, n_u))
+    rng = np.random.default_rng(61)
+    u = rng.uniform(-1.5, 1.5, size=(12, N, n_u))
     batch = ev.prediction(u)
     for i in range(12):
         for pred in (ev.prediction(u[i]), batch.take(i)):
-            h, grads, weights = _row_by_row_tables(prob, pred.traj.states, u[i])
+            h, grads = _row_by_row_tables(prob, pred.traj.states, u[i])
             assert np.array_equal(pred.h, h)
             assert np.array_equal(ev._grads, grads)
-            assert np.array_equal(ev._weights, weights)
+    fb = 0.1 * rng.normal(size=(N - 1, n_u, n_x))
+    record = ev.evaluate(ev.prediction(u[0]), fb)
+    _, betas = ev.breakdown_and_beta(Policy(u_nom=u[0], feedback=fb), record)
+    assert len(betas) == N + 1
+    for k, beta in enumerate(betas):
+        rows = np.flatnonzero(prob.constraints.weights[k] > 0)
+        assert np.array_equal(beta, record.beta[k, rows])
+    sizes = [b.size for b in betas]
+    expected = {"unicycle": [4] + [5] * (N - 1) + [1], "unicycle_every_row": [5] * (N + 1), "terminal_only": [0, 1]}
+    assert sizes == expected[case]
 
 
 # ------------------------------------------------- stage-N assembly reference
@@ -703,7 +732,7 @@ def test_gain_gradient_matches_central_differences(case, scale):
     assert_allclose(g, g_fd, rtol=0, atol=1e-6 * np.max(np.abs(g_fd)))
     if case == 1:
         beta = record.beta
-        used = ev._weights > 0
+        used = prob.constraints.weights > 0
         H = beta - eps_sigma**2
         below = used & (H > 0.0) & (H < eps_sigma**2)
         live = used & (np.abs(pred.h / np.sqrt(beta)) < 3)
@@ -735,7 +764,7 @@ def test_objective_is_c1_across_the_old_variance_floor():
 
     def direction_variance(s):
         joint = augmented_evaluation(ev, ev.prediction(u), gains(s))[1]
-        return constraint_direction_variance(ev._grads[N - 1, row], joint[N - 1])
+        return constraint_direction_variance(prob.constraints.matrix[row], joint[N - 1])
 
     s_star = np.sqrt(eps_sigma**2 / direction_variance(1.0))
     delta = 1e-5 * s_star
@@ -821,16 +850,17 @@ def test_separated_evaluation_matches_augmented_reference(case, mode):
             assert np.max(np.abs(got - e)) <= 1e-12 * scale
 
 
-def test_separated_evaluation_under_jitter_stays_within_the_filters_own_gap():
-    """With D = 0 and two equal outputs every innovation covariance is
-    singular and the filter factors S + 1e-12 I.  Its S^{-1} then has
-    condition 1e12, and its covariance P_hat differs from the Joseph form
-    at its own gains, the estimation error that the augmented recursion
-    propagates, by up to 0.016 (of max |P_hat| 0.2, measured).  The
-    separated form reads P_hat, so its joint covariances differ from the
-    augmented reference by no more than that: measured 1.8e-3 (relative
-    2.8e-3); the variance costs are 1.5e-3 apart (of 2.33) and dJ/dK
-    2.0e-3 of its largest entry."""
+def test_separated_evaluation_under_jitter_matches_augmented_reference():
+    """With D = 0 and two equal outputs every innovation covariance S is
+    singular, and the filter factors S + 1e-12 I, of condition 1e12.  The
+    filter takes its gain and its update from that one factor, so its
+    covariance P_hat is the Joseph form at its own gains, the estimation
+    error that the augmented recursion propagates, to 2e-11 of max |P_hat|
+    (measured: 1.5e-12).  The separated form then gives the augmented
+    reference's joint covariances to 1e-12 relative (measured: 4.2e-14),
+    its objective parts to 1e-12 of the sum of their magnitudes (measured:
+    the variance costs are 5.1e-14 apart, of 2.31) and its dJ/dK to 2e-12
+    of the largest entry (measured: 1.3e-13)."""
     prob = make_linear_problem([[0.9, 0.2], [0.1, 0.8]], [[1.0], [0.5]], 0.3 * np.eye(2), [[1.0, 0.5], [1.0, 0.5]],
                                np.zeros((2, 2)), np.eye(2), [[0.1]], np.eye(2), 6)
     rng = np.random.default_rng(1)
@@ -838,11 +868,19 @@ def test_separated_evaluation_under_jitter_stays_within_the_filters_own_gap():
     ev = ObjectiveEvaluator(prob, np.array([1.0, -0.5]), 0.2 * np.eye(2))
     record = ev.totals(u, fb)[1]
     pred = record.prediction
-    filter_gap = np.max(np.abs(pred.filter_covs - luenberger_covariance(pred.lin, pred.filter_gains, ev.P_hat_0)))
-    assert 1e-3 < filter_gap < 0.02
+    lin, P_hat = pred.lin, pred.filter_covs
+    P_minus = lin.A @ P_hat[:-1] @ lin.A.mT + lin.G @ lin.G.mT
+    for S in lin.C @ P_minus @ lin.C.mT:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(S)
+    _assert_relative(P_hat, luenberger_covariance(lin, pred.filter_gains, ev.P_hat_0), 2e-11)
     _, joint, _, parts = augmented_evaluation(ev, pred, fb)
-    assert np.max(np.abs(_separated_joint(ev, record) - joint)) <= filter_gap
-    assert abs(record.parts[1] - parts[1]) <= filter_gap
+    _assert_relative(_separated_joint(ev, record), joint, 1e-12)
+    scale = sum(np.abs(parts))
+    for got, expected in zip(record.parts, parts, strict=True):
+        assert abs(got - expected) <= 1e-12 * scale
+    expected = augmented_gradient(ev, pred, fb)[1]
+    assert np.max(np.abs(ev.gradient(record)[1] - expected)) <= 2e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("mode", ["open_loop", "output_feedback"])
@@ -905,9 +943,10 @@ def _unexpected_call(name):
 
 @pytest.mark.parametrize("case", [0, 1])
 def test_gradient_reads_the_forward_innovation_factors(case, monkeypatch):
-    """The Kalman adjoint reads the innovation inverses S^{-1} of the forward
-    pass: with every factorization and every matrix inverse raising, each
-    row of a 12-row record gives the same gradient bits."""
+    """The Kalman adjoint reads what the forward pass took from the
+    innovation factors, the gains and the covariances: with every
+    factorization and every matrix inverse raising, each row of a 12-row
+    record gives the same gradient bits."""
     prob, x0, P0, u0 = _assembly_cases()[case]
     n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
     ev = ObjectiveEvaluator(prob, x0, P0)

@@ -576,7 +576,7 @@ def _sym_weights(rng, N, n_x):
 
 
 def _adjoint_cases(unicycle_problem):
-    """(linearization, P0, covs_bar, P_minus_bar) cases: a random linear
+    """(linearization, P0, covs_bar, U_bar) cases: a random linear
     system with n_y = 2, then the unicycle along three random 10-stage
     control sequences (n_y = 3); the bars are symmetric."""
     rng = np.random.default_rng(61)
@@ -592,17 +592,17 @@ def _adjoint_cases(unicycle_problem):
 
 def test_kalman_adjoint_matches_central_differences(unicycle_problem):
     """kalman_adjoint pulls the derivative of a scalar that reads the filter
-    covariances P_hat_1..P_hat_N and the predicted covariances back onto
+    covariances P_hat_1..P_hat_N and the update covariances U back onto
     A, G, C, D: on a random linear system, and on a unicycle trajectory
     whose output Jacobians (n_y = 3) depend on the state."""
-    for lin, P0, covs_bar, P_minus_bar in _adjoint_cases(unicycle_problem)[:2]:
+    for lin, P0, covs_bar, U_bar in _adjoint_cases(unicycle_problem)[:2]:
 
         def scalar(l):
-            _, covs, P_minus = kalman_recursion(l, P0, factors=True)
-            return float(np.sum(covs_bar * covs[1:]) + np.sum(P_minus_bar * P_minus))
+            _, covs, U = kalman_recursion(l, P0, factors=True)
+            return float(np.sum(covs_bar * covs[1:]) + np.sum(U_bar * U))
 
-        gains, covs, P_minus = kalman_recursion(lin, P0, factors=True)
-        adj = kalman_adjoint(lin, gains, covs, P_minus, covs_bar, P_minus_bar)
+        gains, covs = kalman_recursion(lin, P0)
+        adj = kalman_adjoint(lin, gains, covs, covs_bar, U_bar)
         for name, bar in zip("AGCD", adj, strict=True):
             fd = _fd(lambda M: scalar(replace(lin, **{name: M})), getattr(lin, name))
             assert_allclose(bar, fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
@@ -652,54 +652,64 @@ def test_kalman_adjoint_matches_stagewise_adjoint(unicycle_problem):
     stage-by-stage pass that keeps the gain as an intermediate to 1e-13 of
     the largest entry of each Jacobian, on a random linear system (n_y = 2)
     and on three unicycle trajectories (n_y = 3)."""
-    for lin, P0, covs_bar, P_minus_bar in _adjoint_cases(unicycle_problem):
-        forward = kalman_recursion(lin, P0, factors=True)
-        got = kalman_adjoint(lin, *forward, covs_bar, P_minus_bar)
-        ref = stagewise_kalman_adjoint(lin, *forward, covs_bar=covs_bar, P_minus_bar=P_minus_bar)
+    for lin, P0, covs_bar, U_bar in _adjoint_cases(unicycle_problem):
+        forward = kalman_recursion(lin, P0)
+        got = kalman_adjoint(lin, *forward, covs_bar, U_bar)
+        ref = stagewise_kalman_adjoint(lin, *forward, covs_bar=covs_bar, U_bar=U_bar)
         for bar, expected in zip(got, ref, strict=True):
             assert_allclose(bar, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
 
 
 def test_kalman_factors_are_the_stages_the_adjoint_reads(unicycle_problem):
-    """The predicted covariances that kalman_recursion keeps for the spread
-    and the adjoints are, bit for bit, P- = sym(A P A' + G G') re-derived
-    from the filter covariances over all stages at once, for each row of a
-    batch; the gains and covariances are those of the plain call."""
+    """The update covariances U = Khat S Khat' that kalman_recursion keeps
+    for the spread are symmetric, and each update is, bit for bit,
+    P_hat = sym(P- - U) with P- = sym(A P A' + G G') re-derived from the
+    filter covariances over all stages at once, for each row of a batch
+    and for the row alone; the gains and covariances are those of the
+    plain call.  U is Khat S Khat' at the filter's own gains to 1e-14 of
+    its largest entry (measured: at most 4.7e-16)."""
     m = unicycle_problem.model
     rng = np.random.default_rng(63)
     traj = nominal_rollout(m, np.array([1.0, 0.5, np.pi]), rng.uniform(-1, 1, size=(4, 10, 2)))
     lin = linearize_trajectory(m, traj)
-    gains, covs, P_minus = kalman_recursion(lin, 0.01 * np.eye(3), factors=True)
+    gains, covs, U = kalman_recursion(lin, 0.01 * np.eye(3), factors=True)
     plain = kalman_recursion(lin, 0.01 * np.eye(3))
     assert np.array_equal(gains, plain[0]) and np.array_equal(covs, plain[1])
+    assert np.array_equal(U, np.swapaxes(U, -1, -2))
     swap = lambda M: np.swapaxes(M, -1, -2)
     for i in range(4):
-        A, G = lin.A[i], lin.G[i]
-        assert np.array_equal(P_minus[i], symmetrize(A @ covs[i, :-1] @ swap(A) + G @ swap(G)))
+        row = StageLinearization(*(getattr(lin, name)[i] for name in "ABGCD"))
+        assert all(np.array_equal(a, b) for a, b in zip(kalman_recursion(row, 0.01 * np.eye(3), factors=True),
+                                                       (gains[i], covs[i], U[i]), strict=True))
+        A, G, C, D = row.A, row.G, row.C, row.D
+        P_minus = symmetrize(A @ covs[i, :-1] @ swap(A) + G @ swap(G))
+        assert np.array_equal(covs[i, 1:], symmetrize(P_minus - U[i]))
+        S = C @ P_minus @ swap(C) + D @ swap(D)
+        assert_allclose(U[i], gains[i] @ S @ swap(gains[i]), rtol=0, atol=1e-14 * np.max(np.abs(U[i])))
 
 
 def test_spread_adjoint_matches_central_differences():
     """spread_adjoint gives the derivatives of a scalar that reads every
     stage's spread Q_k and the stage gains with respect to the free gains,
-    A and B, and with respect to the update covariances P- - P_hat through
-    Lambda, with the filter covariances held (random linear system, n_y = 2)."""
+    A and B, and with respect to the update covariances U through Lambda,
+    with U held for the first three (random linear system, n_y = 2)."""
     rng = np.random.default_rng(65)
     lin = _random_lin(rng)
     N, n_x, n_u = 5, 3, 2
-    _, covs, P_minus = kalman_recursion(lin, random_spd(rng, n_x, 0.2), factors=True)
+    U = kalman_recursion(lin, random_spd(rng, n_x, 0.2), factors=True)[2]
     fb = 0.3 * rng.normal(size=(N - 1, n_u, n_x))
     weights = _sym_weights(rng, N + 1, n_x)
     K_weights = rng.normal(size=(N, n_u, n_x))
 
-    def scalar(l=lin, feedback=fb, P_m=P_minus):
+    def scalar(l=lin, feedback=fb, updates=U):
         K = stage_gains(feedback)[:-1]
-        return float(np.sum(weights * estimate_spread(l, K, covs, P_m)) + np.sum(K_weights * K))
+        return float(np.sum(weights * estimate_spread(l, K, updates)) + np.sum(K_weights * K))
 
     K = stage_gains(fb)[:-1]
-    spread = estimate_spread(lin, K, covs, P_minus)
+    spread = estimate_spread(lin, K, U)
     K_bar, A_bar, B_bar, lam = spread_adjoint(lin, K, spread, weights, K_weights)
     cases = [(A_bar, lambda M: scalar(l=replace(lin, A=M)), lin.A), (B_bar, lambda M: scalar(l=replace(lin, B=M)), lin.B),
-             (K_bar, lambda M: scalar(feedback=M), fb), (lam, lambda M: scalar(P_m=M), P_minus)]
+             (K_bar, lambda M: scalar(feedback=M), fb), (lam, lambda M: scalar(updates=M), U)]
     for bar, fn, base in cases:
         fd = _fd(fn, base)
         assert_allclose(bar, fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
