@@ -7,7 +7,8 @@ them.  This keeps finite-difference gradients and Monte-Carlo evaluations
 vectorized.
 
 The model contract: the stage maps and their Jacobians are time-invariant
-(no stage index), and the Jacobians are analytic and required, so a whole
+(no stage index), and the Jacobians and their pullbacks (the second
+derivatives the gradient sweep reads) are analytic and required, so a whole
 trajectory linearizes in one call with the stage axis folded into the batch.
 An optional whole-horizon rollout may stand in for the stage loop over f.
 Costs and constraints are data.  Costs are (N+1)-row tables of Hessians,
@@ -87,6 +88,18 @@ class SystemModel:
         f_jac: analytic Jacobians ``(A, B, G)`` of ``f`` at ``(x, u, w)``,
             with the batch dimensions of ``x`` in front.
         g_jac: analytic Jacobians ``(C, D)`` of ``g`` at ``(x, v)``, alike.
+        f_jac_pullback: ``f_jac_pullback(x, u, A_bar, B_bar, G_bar)``, the
+            gradient over ``z = (x, u)`` (.., n_x + n_u) of
+            ``<A_bar, A> + <B_bar, B> + <G_bar, G>`` at each point, with
+            ``(A, B, G) = f_jac(x, u, 0)``: the second derivatives of ``f``
+            that the objective's reverse sweep reads.  Constant Jacobians
+            give zeros.
+        g_jac_pullback: ``g_jac_pullback(x, C_bar, D_bar)``, the gradient
+            over ``x`` (.., n_x) of ``<C_bar, C> + <D_bar, D>`` with
+            ``(C, D) = g_jac(x, 0)``.  Both pullbacks broadcast over the
+            leading axes of their arguments, and code that replaces
+            ``f_jac`` or ``g_jac`` with ``dataclasses.replace`` must give
+            the pullback of the new Jacobians.
         state_names: labels for file outputs.
         rollout: optional ``rollout(x0, u)``, the states ``(.., N+1, n_x)``
             from ``x0`` under the controls ``u (.., N, n_u)`` with zero
@@ -95,17 +108,6 @@ class SystemModel:
             ``f`` with ``dataclasses.replace`` must also set
             ``rollout=None``.  Without it, ``nominal_rollout`` runs that
             stage loop.
-        f_jac_pullback: optional ``f_jac_pullback(x, u, A_bar, B_bar,
-            G_bar)``, the gradient over ``z = (x, u)`` (.., n_x + n_u) of
-            ``<A_bar, A> + <B_bar, B> + <G_bar, G>`` at each point, with
-            ``(A, B, G) = f_jac(x, u, 0)``: the second derivatives of ``f``
-            that the objective's reverse sweep reads.
-        g_jac_pullback: optional ``g_jac_pullback(x, C_bar, D_bar)``, the
-            gradient over ``x`` (.., n_x) of ``<C_bar, C> + <D_bar, D>``
-            with ``(C, D) = g_jac(x, 0)``.  Without a pullback the sweep
-            takes central differences of the Jacobian provider.  Code that
-            replaces ``f_jac`` or ``g_jac`` with ``dataclasses.replace``
-            must also set its pullback to None, as for ``rollout``.
     """
 
     n_x: int
@@ -118,10 +120,10 @@ class SystemModel:
     g: OutputFn
     f_jac: DynamicsJacFn
     g_jac: OutputJacFn
+    f_jac_pullback: DynamicsPullbackFn
+    g_jac_pullback: OutputPullbackFn
     state_names: tuple[str, ...]
     rollout: RolloutFn | None = None
-    f_jac_pullback: DynamicsPullbackFn | None = None
-    g_jac_pullback: OutputPullbackFn | None = None
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -324,9 +326,16 @@ def make_linear_problem(
         batch = np.shape(x)[:-1]
         return np.broadcast_to(C, batch + C.shape), np.broadcast_to(D, batch + D.shape)
 
+    # The Jacobians are constant, so their pullbacks are exact zeros.
+    def f_jac_pullback(x, u, A_bar, B_bar, G_bar):
+        return np.zeros(np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1]) + (n_x + n_u,))
+
+    def g_jac_pullback(x, C_bar, D_bar):
+        return np.zeros(np.shape(x))
+
     model = SystemModel(
         n_x=n_x, n_u=n_u, n_w=n_w, n_v=n_v, n_y=n_y, horizon=horizon,
-        f=f, g=g, f_jac=f_jac, g_jac=g_jac,
+        f=f, g=g, f_jac=f_jac, g_jac=g_jac, f_jac_pullback=f_jac_pullback, g_jac_pullback=g_jac_pullback,
         state_names=tuple(f"x_{i}" for i in range(n_x)),
     )
     n_z = n_x + n_u

@@ -10,11 +10,10 @@ evaluates both, plus the feedback regularizer, along a predicted trajectory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.special import erfcx, ndtr
 
 from .model import Array, ControlProblem, ModelError
 from .uncertainty import (
@@ -38,20 +37,50 @@ MODES = ("nominal", "open_loop", "output_feedback")
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _TAIL_Z = 8.0
-# Relative step of the central differences of the model Jacobians in the
-# gradient pass: h_j = 1e-5 (1 + |z_j|).
-_JAC_STEP = 1e-5
+# Levels of the tail's continued fraction: 16 reach 1.5 ulp for t >= 8.
+_TAIL_DEPTH = 16
 
 
-def _relu_tail(z: Array) -> Array:
-    """pdf(z) + z*cdf(z) for z <= -8, in a cancellation-free form.
-
-    Writing cdf(z) = 0.5*erfcx(-z/sqrt(2))*exp(-z^2/2) pulls the common
-    exponential out of the difference, so the subtraction happens between
-    O(1) quantities and the result keeps full relative accuracy deep in
-    the tail (direct evaluation loses all digits there).
+def _relu_tail(t: Array) -> tuple[Array, Array]:
+    """(Q(t), pdf(t) - t Q(t)) for t > 8, with Q(t) = cdf(-t) the upper
+    tail, from Laplace's continued fraction for Mills' ratio
+    Q / pdf = 1 / (t + a), a = 1 / (t + 2 / (t + 3 / (t + ...))), summed
+    backwards from a fixed depth.  Then pdf - t Q = a Q: no difference is
+    taken, so nothing cancels.  Against 40-digit references the relative
+    error is at most 5.7e-14 while the result is a normal float (t up to
+    37.4), all of it from the rounding of t^2 / 2 in the exponent of pdf;
+    further out the result is subnormal and keeps only the bits it has.
     """
-    return np.exp(-0.5 * z * z) * (1.0 / _SQRT_2PI + 0.5 * z * erfcx(-z / np.sqrt(2.0)))
+    a = np.zeros_like(t)
+    for k in range(_TAIL_DEPTH, 0, -1):
+        a = k / (t + a)
+    Q = np.exp(-0.5 * t * t) / _SQRT_2PI / (t + a)
+    return Q, a * Q
+
+
+def _hinge(mu: Array, sigma: Array) -> tuple[Array, Array]:
+    """(E max(0, X), cdf(mu / sigma)) for X ~ N(mu, sigma^2), sigma > 0,
+    elementwise over the broadcast shape; NaN in gives NaN out.
+
+    With z = mu / sigma and t = |z|, E max(0, X) = max(mu, 0) + sigma e(t)
+    for e(t) = pdf(t) - t Q(t), and cdf(z) is Q(t) below zero and 1 - Q(t)
+    above.  Q(t) = erfc(t / sqrt(2)) / 2 by stdlib ``math.erfc`` for
+    t <= 8, by :func:`_relu_tail` beyond.  The middle branch's difference
+    cancels most near t = 8: against 40-digit references over z in
+    [-30, 30], the worst relative error is 6.6e-13 for the hinge (at
+    z = -7.82) and 2.8e-14 for the cdf.
+    """
+    z = mu / sigma
+    t = np.abs(z)
+    pdf = np.exp(-0.5 * t * t) / _SQRT_2PI
+    Q, e = np.zeros(t.shape), np.zeros(t.shape)  # where pdf(t) is 0, so are Q and e
+    mid = t <= _TAIL_Z
+    tm = t[mid]
+    q = 0.5 * np.fromiter(map(math.erfc, (tm / np.sqrt(2.0)).tolist()), float, tm.size)
+    Q[mid], e[mid] = q, pdf[mid] - tm * q
+    tail = ~(mid | (pdf == 0.0))  # NaN included: it stays NaN through the fraction
+    Q[tail], e[tail] = _relu_tail(t[tail])
+    return np.maximum(mu, 0.0) + sigma * e, np.where(z < 0.0, Q, 1.0 - Q)
 
 
 def expected_relu(mu, sigma):
@@ -67,30 +96,11 @@ def expected_relu(mu, sigma):
     sigma_a = np.asarray(sigma, dtype=float)
     if np.any(sigma_a < 0.0):
         raise ValueError("expected_relu: sigma must be nonnegative")
-    scalar = mu_a.ndim == 0 and sigma_a.ndim == 0
     mu_b, sigma_b = np.broadcast_arrays(mu_a, sigma_a)
-    mu_f = np.ravel(mu_b)
-    sigma_f = np.ravel(sigma_b)
-    out = np.empty(mu_f.shape)
-
-    zero = sigma_f == 0.0
-    out[zero] = np.maximum(mu_f[zero], 0.0)
-
-    live = ~zero
-    m = mu_f[live]
-    s = sigma_f[live]
-    z = m / s
-    val = np.full_like(z, np.nan)  # NaN z takes none of the branches below
-    mid = np.abs(z) <= _TAIL_Z
-    val[mid] = s[mid] * np.exp(-0.5 * z[mid] ** 2) / _SQRT_2PI + m[mid] * ndtr(z[mid])
-    lo = z < -_TAIL_Z
-    val[lo] = s[lo] * _relu_tail(z[lo])
-    hi = z > _TAIL_Z
-    # E max(0, X) = E X + E max(0, -X): reduce to the far-left tail.
-    val[hi] = m[hi] + s[hi] * _relu_tail(-z[hi])
-    out[live] = val
-    out = out.reshape(mu_b.shape)
-    return float(out[()]) if scalar else out
+    out = np.maximum(mu_b, 0.0, out=np.empty(mu_b.shape))
+    live = sigma_b != 0.0
+    out[live] = _hinge(mu_b[live], sigma_b[live])[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def constraint_direction_variance(grad: Array, cov: Array) -> Array:
@@ -134,30 +144,6 @@ def _trace_sum(hessians: Array, joint: Array) -> Array:
     rows = np.add.accumulate(terms, axis=-1)[..., -1].reshape(terms.shape[:-3] + (-1,))
     rows[..., 0] += 0.0  # a sum from +0.0 never ends at -0.0
     return np.add.accumulate(rows, axis=-1)[..., -1]
-
-
-def _jacobian_pullback(jac: Callable[[Array], tuple], z: Array, bars: tuple[Array, ...]) -> Array:
-    """sum over J of <J_bar, dJ/dz_j> at each row of z (M, n), as (M, n).
-
-    ``jac`` maps points (2, n, M, n), the rows of z moved by +h_j e_j (first)
-    and -h_j e_j along every coordinate j, to Jacobians J (2, n, M, a, b);
-    ``bars`` holds the matching derivatives J_bar (M, a, b).  dJ/dz_j is the
-    central difference with step h_j = _JAC_STEP (1 + |z_j|), from one
-    ``jac`` call.
-
-    Raises:
-        LinearizationError: a perturbed Jacobian has non-finite entries.
-    """
-    M, n = z.shape
-    h = _JAC_STEP * (1.0 + np.abs(z.T))
-    delta = h[:, :, None] * np.eye(n)[:, None, :]  # delta[j, m] = h_jm e_j
-    out = np.zeros((n, M))
-    for J, J_bar in zip(jac(np.stack([z + delta, z - delta])), bars):
-        J = np.broadcast_to(J, (2, n) + J_bar.shape)
-        if not np.isfinite(J).all():
-            raise LinearizationError("Jacobian has non-finite entries at a perturbed point")
-        out += np.einsum("jmab,mab->jm", J[0] - J[1], J_bar)
-    return (out / (2.0 * h)).T
 
 
 def _row(value, index: int):
@@ -236,6 +222,7 @@ class Evaluation:
     feedback: Array  # (.., N-1, n_u, n_x), the gains K_1..K_{N-1}
     spread: Array | None  # (.., N+1, n_x, n_x) covariances of xhat - x_nom; None without a filter
     beta: Array  # (.., N+1, n_h) direction variances plus eps_sigma^2, in the rows of prediction.h
+    cdf: Array  # (.., N+1, n_h) cdf(h / sqrt(beta)), the penalty's slope in h over its weight
     parts: tuple  # (nominal_cost, variance_cost, penalty, regularization)
 
     take = _row
@@ -343,11 +330,12 @@ class ObjectiveEvaluator:
             joint[..., n_x:, n_x:] = KQ @ K.mT
         variance = 0.5 * _trace_sum(cost.hessians, joint)
         beta = smoothed_variance(constraint_direction_variance(self._grads, joint[..., None, :, :]), self.eps_sigma)
-        penalty = np.sum(self.problem.constraints.weights * expected_relu(pred.h, np.sqrt(beta)), axis=(-2, -1))
+        hinge, cdf = _hinge(pred.h, np.sqrt(beta))
+        penalty = np.sum(self.problem.constraints.weights * hinge, axis=(-2, -1))
         reg = feedback_regularization(feedback, self.eps_K)
         parts = tuple(np.broadcast_arrays(pred.nominal_cost, variance, penalty, reg))
         return Evaluation(prediction=pred, feedback=np.broadcast_to(feedback, batch + feedback.shape[-3:]),
-                          spread=spread, beta=beta, parts=parts)
+                          spread=spread, beta=beta, cdf=cdf, parts=parts)
 
     def parts_from_prediction(self, pred: Prediction, feedback: Array):
         """The objective parts (nominal_cost, variance_cost, penalty,
@@ -357,14 +345,13 @@ class ObjectiveEvaluator:
     def gradient(self, record: Evaluation) -> tuple[Array, Array]:
         """Derivatives (dJ/du_nom, dJ/dK) of the total objective at one
         unbatched forward record, by one reverse sweep that reads the record
-        and runs no part of the forward pipeline again.  Exact, except that
-        step 4 takes the model's second derivatives by central differences
-        when the model has no Jacobian pullbacks.  dJ/dK is zero without
-        uncertainty.
+        and runs no part of the forward pipeline again.  Exact; it calls no
+        special function.  dJ/dK is zero without uncertainty.
 
         Backwards through:
           1. the stage 0..N assembly.  With s_ki = sqrt(beta_ki) the
-             standard deviation of row i, dJ/dh_ki = w_ki cdf(h_ki / s_ki),
+             standard deviation of row i, dJ/dh_ki = w_ki cdf(h_ki / s_ki)
+             with the cdf read from the record,
              and the objective reads the joint covariance through
              M_k = H_k / 2 + sum_i c_ki g_ki g_ki' with the constant row
              gradients g_ki and c_ki = w_ki pdf(h_ki / s_ki) / (2 s_ki);
@@ -386,9 +373,7 @@ class ObjectiveEvaluator:
           4. the linearization: the derivatives with respect to A, B, G at
              (x_k, u_k) and C, D at x_{k+1} contract with the second
              derivatives of the model, by the model's Jacobian pullbacks
-             (``f_jac_pullback``, ``g_jac_pullback``) or else one
-             stage-local central difference of each analytic Jacobian
-             provider along every coordinate;
+             (``f_jac_pullback``, ``g_jac_pullback``);
           5. the rollout: lambda_N = dJ/dx_N,
              lambda_k = dJ/dx_k + A_k' lambda_{k+1} and
              dJ/du_k = (direct) + B_k' lambda_{k+1}.
@@ -401,20 +386,18 @@ class ObjectiveEvaluator:
         does not read C and D.
 
         Raises:
-            LinearizationError: a model Jacobian is non-finite at the
-                trajectory or at a perturbed point.
+            LinearizationError: in ``nominal`` mode, ``f_jac`` is non-finite
+                along the trajectory.
         """
         model, cost, weights = self.problem.model, self.problem.cost, self.problem.constraints.weights
         N, n_x = model.horizon, model.n_x
         pred, feedback = record.prediction, record.feedback
         xs, us = pred.traj.states, pred.traj.controls
         z = np.concatenate(_stage_points(xs, us), axis=-1)
-        std = np.sqrt(record.beta)
-        ratio = pred.h / std
         z_bar = (
             np.einsum("kab,kb->ka", cost.hessians, z)
             + cost.gradients
-            + np.einsum("ki,kia->ka", weights * ndtr(ratio), self._grads)
+            + np.einsum("ki,kia->ka", weights * record.cdf, self._grads)
         )
         if pred.lin is None:
             A, B, _ = model.f_jac(xs[:N], us, np.zeros(model.n_w))
@@ -424,7 +407,8 @@ class ObjectiveEvaluator:
         else:
             lin, K_grad = pred.lin, 2.0 * self.eps_K * feedback
             A, B = lin.A, lin.B
-            c = weights * np.exp(-0.5 * ratio**2) / (2.0 * _SQRT_2PI * std)
+            std = np.sqrt(record.beta)
+            c = weights * np.exp(-0.5 * (pred.h / std) ** 2) / (2.0 * _SQRT_2PI * std)
             M = 0.5 * cost.hessians + np.einsum("ki,kia,kib->kab", c, self._grads, self._grads)
             if self.mode == "output_feedback":
                 K = stage_gains(feedback)
@@ -439,34 +423,15 @@ class ObjectiveEvaluator:
             else:  # no spread: the prediction alone carries M's x block back
                 lam = lyapunov_adjoint(A, M[1:, :n_x, :n_x])
                 A_bar, B_bar, G_bar = 2.0 * lam @ A @ pred.filter_covs[:N], np.zeros(B.shape), 2.0 * lam @ lin.G
-            z_bar[:N] += self._f_pullback(z[:N], A_bar, B_bar, G_bar)
+            z_bar[:N] += model.f_jac_pullback(xs[:N], us, A_bar, B_bar, G_bar)
             if self.mode == "output_feedback":
-                z_bar[1:, :n_x] += self._g_pullback(xs[1:], C_bar, D_bar)
+                z_bar[1:, :n_x] += model.g_jac_pullback(xs[1:], C_bar, D_bar)
         lam = z_bar[N, :n_x]
         u_bar = np.empty(us.shape)
         for k in range(N - 1, -1, -1):
             u_bar[k] = z_bar[k, n_x:] + lam @ B[k]
             lam = z_bar[k, :n_x] + lam @ A[k]
         return u_bar, K_grad
-
-    def _f_pullback(self, z: Array, A_bar: Array, B_bar: Array, G_bar: Array) -> Array:
-        """sum <A_bar, dA/dz> + <B_bar, dB/dz> + <G_bar, dG/dz> at each
-        point z = (x, u) of the rows of ``z``, with w = 0."""
-        model = self.problem.model
-        x, u = z[..., :model.n_x], z[..., model.n_x:]
-        if model.f_jac_pullback is not None:
-            return model.f_jac_pullback(x, u, A_bar, B_bar, G_bar)
-        w0 = np.zeros(model.n_w)
-        return _jacobian_pullback(lambda p: model.f_jac(p[..., :model.n_x], p[..., model.n_x:], w0), z,
-                                  (A_bar, B_bar, G_bar))
-
-    def _g_pullback(self, x: Array, C_bar: Array, D_bar: Array) -> Array:
-        """sum <C_bar, dC/dx> + <D_bar, dD/dx> at each row of ``x``, with v = 0."""
-        model = self.problem.model
-        if model.g_jac_pullback is not None:
-            return model.g_jac_pullback(x, C_bar, D_bar)
-        v0 = np.zeros(model.n_v)
-        return _jacobian_pullback(lambda p: model.g_jac(p, v0), x, (C_bar, D_bar))
 
     def totals(self, u_nom: Array, feedback: Array) -> tuple[Array, Evaluation]:
         """Total objective for batched (u_nom, feedback), and the forward

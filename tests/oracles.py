@@ -2,10 +2,10 @@
 
 Each one is a plain, independent route to a quantity the package computes
 another way, or a shorthand only the tests need: a zero-gain policy, a
-central-difference Jacobian, the generic RK4 step and its Jacobians (the
-unicycle integrates in cascade form), the RK4 Jacobians with one tangent
-chain each for the control and the noise, a central-difference objective
-gradient, the general-gain (Joseph) estimation-error covariance, the
+central-difference Jacobian and Jacobian pullback, the generic RK4 step and
+its Jacobians (the unicycle integrates in cascade form), the RK4 Jacobians
+with one tangent chain each for the control and the noise, a
+central-difference objective gradient, the general-gain (Joseph) estimation-error covariance, the
 stage-by-stage Kalman adjoint, the constraint tables read from the problem,
 the objective evaluated and differentiated through the 2n_x augmented
 covariance of (x - x_nom, xhat - x) instead of the separated n_x form, a
@@ -15,6 +15,7 @@ its SPD solve, and a Monte-Carlo replay of a policy executed as planned,
 on the nonlinear system or on its linearization along the nominal.
 """
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -25,6 +26,7 @@ from dualmpc.estimation import BeliefState, EstimationError
 from dualmpc.model import Array, SystemModel
 from dualmpc.objective import _SQRT_2PI, _trace_sum, constraint_direction_variance
 from dualmpc.uncertainty import (
+    LinearizationError,
     Policy,
     StageLinearization,
     _augmented_transitions,
@@ -74,6 +76,51 @@ def fd_jacobian(fn: Callable[[Array], Array], at: Array, step: float = 1e-6) -> 
             raise ModelError(f"fd_jacobian: non-finite evaluation perturbing column {j}")
         cols.append((f_hi - f_lo) / (2.0 * h))
     return np.stack(cols, axis=-1)
+
+
+# Relative step of the central differences of the model Jacobians:
+# h_j = _JAC_STEP (1 + |z_j|).
+_JAC_STEP = 1e-5
+
+
+def _jacobian_pullback(jac: Callable[[Array], tuple], z: Array, bars: tuple[Array, ...]) -> Array:
+    """sum over J of <J_bar, dJ/dz_j> at each row of z (M, n), as (M, n).
+
+    ``jac`` maps points (2, n, M, n), the rows of z moved by +h_j e_j (first)
+    and -h_j e_j along every coordinate j, to Jacobians J (2, n, M, a, b);
+    ``bars`` holds the matching derivatives J_bar (M, a, b).  dJ/dz_j is the
+    central difference with step h_j = _JAC_STEP (1 + |z_j|), from one
+    ``jac`` call.
+
+    Raises:
+        LinearizationError: a perturbed Jacobian has non-finite entries.
+    """
+    M, n = z.shape
+    h = _JAC_STEP * (1.0 + np.abs(z.T))
+    delta = h[:, :, None] * np.eye(n)[:, None, :]  # delta[j, m] = h_jm e_j
+    out = np.zeros((n, M))
+    for J, J_bar in zip(jac(np.stack([z + delta, z - delta])), bars):
+        J = np.broadcast_to(J, (2, n) + J_bar.shape)
+        if not np.isfinite(J).all():
+            raise LinearizationError("Jacobian has non-finite entries at a perturbed point")
+        out += np.einsum("jmab,mab->jm", J[0] - J[1], J_bar)
+    return (out / (2.0 * h)).T
+
+
+def fd_pullbacks(model: SystemModel) -> SystemModel:
+    """``model`` with its Jacobian pullbacks replaced by central differences
+    of its Jacobian providers (:func:`_jacobian_pullback`), at zero noise,
+    over one stacked axis of points."""
+    n_x, w0, v0 = model.n_x, np.zeros(model.n_w), np.zeros(model.n_v)
+
+    def f_jac_pullback(x, u, A_bar, B_bar, G_bar):
+        return _jacobian_pullback(lambda p: model.f_jac(p[..., :n_x], p[..., n_x:], w0),
+                                  np.concatenate([x, u], axis=-1), (A_bar, B_bar, G_bar))
+
+    def g_jac_pullback(x, C_bar, D_bar):
+        return _jacobian_pullback(lambda p: model.g_jac(p, v0), x, (C_bar, D_bar))
+
+    return replace(model, f_jac_pullback=f_jac_pullback, g_jac_pullback=g_jac_pullback)
 
 
 def rk4_step(
@@ -421,7 +468,7 @@ def augmented_gradient(ev, pred, feedback: Array) -> tuple[Array, Array]:
     :func:`covariance_adjoint` onto the gains, the linearization and the
     filter gains, then :func:`stagewise_kalman_adjoint` driven by the
     filter gains' derivatives (``output_feedback`` only: an ``open_loop``
-    filter's gains are fixed at zero), then the evaluator's own Jacobian
+    filter's gains are fixed at zero), then the model's Jacobian
     pullbacks and rollout adjoint."""
     model, cost = ev.problem.model, ev.problem.cost
     N, n_x = model.horizon, model.n_x
@@ -446,8 +493,8 @@ def augmented_gradient(ev, pred, feedback: Array) -> tuple[Array, Array]:
     if ev.mode == "output_feedback":
         kal = stagewise_kalman_adjoint(lin, gains, pred.filter_covs, gains_bar=gains_bar)
         A_bar, G_bar, C_bar, D_bar = A_bar + kal[0], G_bar + kal[1], C_bar + kal[2], D_bar + kal[3]
-        z_bar[1:, :n_x] += ev._g_pullback(xs[1:], C_bar, D_bar)
-    z_bar[:N] += ev._f_pullback(z[:N], A_bar, B_bar, G_bar)
+        z_bar[1:, :n_x] += model.g_jac_pullback(xs[1:], C_bar, D_bar)
+    z_bar[:N] += model.f_jac_pullback(xs[:N], us, A_bar, B_bar, G_bar)
     lam = z_bar[N, :n_x]
     u_bar = np.empty(us.shape)
     for k in range(N - 1, -1, -1):

@@ -422,3 +422,30 @@ def test_config_errors_exit_two(tmp_path):
     assert main(["solve", str(bad)]) == 2
     assert main(["simulate", str(bad)]) == 2
     assert main(["solve", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_a_cli_run_imports_no_scipy(tmp_path):
+    """A fresh interpreter that imports the package and runs one shipped
+    ``nominal`` solve through the CLI holds no ``scipy`` module afterwards:
+    the package needs NumPy and the standard library only, and no deferred
+    import moves SciPy's start-up cost into the run."""
+    import os
+    import subprocess
+    import sys
+
+    import dualmpc
+
+    script = (
+        "import json, sys\n"
+        "import dualmpc, dualmpc.cli\n"
+        "code = dualmpc.cli.main(['solve', sys.argv[1], '--controller', 'nominal', '--out', sys.argv[2]])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))]))\n"
+    )
+    src = str(Path(dualmpc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "unicycle.cfg"
+    out = subprocess.run([sys.executable, "-c", script, str(shipped), str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    code, scipy_modules = json.loads(out.stdout.strip().splitlines()[-1])
+    assert code == 0 and (tmp_path / "solve_nominal.json").is_file()
+    assert scipy_modules == []

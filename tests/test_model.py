@@ -16,12 +16,11 @@ from dualmpc import (
     sigma_y,
 )
 from dualmpc.model import psd_sqrt
-from dualmpc.objective import _jacobian_pullback
 from dualmpc.uncertainty import RolloutError
 from dualmpc.unicycle import sigma_y_grad
 
 from conftest import same_bits, standard_unicycle_params
-from oracles import fd_jacobian, rk4_step, rk4_step_with_jacobian, rk4_three_chain_jacobians
+from oracles import _jacobian_pullback, fd_jacobian, rk4_step, rk4_step_with_jacobian, rk4_three_chain_jacobians
 
 
 # ---------------------------------------------------------------- fd_jacobian
@@ -288,8 +287,8 @@ def _pullback_points(rng, M=60):
 
 @pytest.mark.parametrize("substeps", [1, 4])
 def test_unicycle_jacobian_pullbacks_match_central_differences(substeps):
-    """The closed-form pullbacks of f_jac and g_jac against the sweep's
-    central differences of the Jacobian providers (``_jacobian_pullback``,
+    """The closed-form pullbacks of f_jac and g_jac against central
+    differences of the Jacobian providers (``oracles._jacobian_pullback``,
     step 1e-5 (1 + |z|)) at 60 random points, with v = 0, omega = 0 and
     r_y = 0 among them.  The tolerances sit above the differences' own
     truncation error: measured 1.4e-10 for f (max |ref| 1.0) and 2.7e-9

@@ -105,6 +105,8 @@ def _overflowing_model(rollout=None):
     return SystemModel(
         n_x=1, n_u=1, n_w=1, n_v=1, n_y=1, horizon=3,
         f=f, g=lambda x, v: x, f_jac=f_jac, g_jac=g_jac, state_names=("x",), rollout=rollout,
+        f_jac_pullback=lambda x, u, A_bar, B_bar, G_bar: np.zeros(x.shape[:-1] + (2,)),
+        g_jac_pullback=lambda x, C_bar, D_bar: np.zeros(x.shape),
     )
 
 
