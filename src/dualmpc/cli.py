@@ -5,7 +5,8 @@ Three subcommands:
 ``solve``
     Solve one finite-horizon instance from a config file and write the
     optimized policy (JSON) plus a stage-wise table of the predicted
-    nominal trajectory, covariances and constraint backoffs (CSV).
+    nominal trajectory, covariances and constraint backoffs (CSV), both
+    read from the solve's own forward record.
 
 ``simulate``
     Run the seeded closed-loop Monte-Carlo batch for one or all
@@ -34,7 +35,8 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .controllers import RecedingHorizonController
-from .objective import ObjectiveEvaluator, expected_relu
+from .model import ControlProblem
+from .objective import Evaluation, expected_relu
 from .ocp_solver import MODES, SolveResult, solve
 from .simulator import paired_differences, run_batch
 
@@ -55,23 +57,27 @@ def _write_json(path: Path, payload: dict) -> None:
 
 # ------------------------------------------------------------------ solve
 
-def _stage_table(config: ExperimentConfig, result: SolveResult) -> tuple[list[str], list[list[str]]]:
-    """Stage-wise planning quantities: nominal state, covariance diagonals,
-    nominal constraint values and their direction variances.
+def _stages(problem: ControlProblem, record: Evaluation):
+    """A solve's forward record stage by stage, k = 0..N: the nominal state,
+    the covariances the solve planned with, P = Q + P_hat (the estimate's
+    spread plus the filter covariance) and P_hat, and the values h and beta
+    of the constraint rows that apply at stage k (nonzero weight), in row
+    order.  P and P_hat are zero in ``nominal``; in ``open_loop`` P_hat is
+    the prediction without measurements and P = P_hat."""
+    pred = record.prediction
+    xs = pred.traj.states
+    P_hat = np.zeros(xs.shape + xs.shape[-1:]) if pred.filter_covs is None else pred.filter_covs
+    P = P_hat if record.spread is None else record.spread + P_hat
+    for k, applies in enumerate(problem.constraints.weights > 0.0):
+        yield xs[k], P[k], P_hat[k], pred.h[k, applies], record.beta[k, applies]
 
-    The columns come from one ``output_feedback`` evaluation of the solved
-    policy, with uncertainty and the filter, in every mode (an
-    ``open_loop`` solve runs no measurement update, and a ``nominal`` solve
-    ignores the uncertainty): P = Q + P_hat, the estimate's spread plus the
-    filter covariance, and P_hat.
-    """
-    problem = config.problem
-    ev = ObjectiveEvaluator(problem, config.sim_config.init_mean, config.sim_config.init_cov)
-    pred = ev.prediction(result.policy.u_nom)
-    P_hat = pred.filter_covs
-    P = ev.evaluate(pred, result.policy.feedback).spread + P_hat
-    used = problem.constraints.weights > 0.0
-    n_h_max = max(used.sum(axis=1))
+
+def _stage_table(problem: ControlProblem, record: Evaluation) -> tuple[list[str], list[list[str]]]:
+    """Stage-wise planning quantities of :func:`_stages`, one row per stage:
+    nominal state, covariance diagonals, nominal constraint values and
+    their direction variances plus eps_sigma^2."""
+    stages = list(_stages(problem, record))
+    n_h_max = max(h.size for *_, h, _ in stages)
 
     names = problem.model.state_names
     header = ["stage"]
@@ -82,23 +88,21 @@ def _stage_table(config: ExperimentConfig, result: SolveResult) -> tuple[list[st
     header += [f"beta_{i}" for i in range(n_h_max)]
 
     rows = []
-    for k, applies in enumerate(used):
-        x = pred.traj.states[k]
-        h = pred.h[k, applies]
-        beta = np.asarray(result.beta[k])
+    for k, (x, P, P_hat, h, beta) in enumerate(stages):
         row = [str(k)]
         row += [_fmt(v) for v in x]
-        row += [_fmt(v) for v in np.diag(P[k])]
-        row += [_fmt(v) for v in np.diag(P_hat[k])]
+        row += [_fmt(v) for v in np.diag(P)]
+        row += [_fmt(v) for v in np.diag(P_hat)]
         row += [_fmt(v) for v in h] + [""] * (n_h_max - h.size)
         row += [_fmt(v) for v in beta] + [""] * (n_h_max - beta.size)
         rows.append(row)
     return header, rows
 
 
-def _solution_payload(mode: str, result: SolveResult) -> dict:
-    beta = {f"stage_{k}": np.asarray(b).tolist() for k, b in enumerate(result.beta[:-1])}
-    beta["terminal"] = np.asarray(result.beta[-1]).tolist()
+def _solution_payload(problem: ControlProblem, mode: str, result: SolveResult) -> dict:
+    betas = [beta.tolist() for *_, beta in _stages(problem, result.record)]
+    beta = {f"stage_{k}": b for k, b in enumerate(betas[:-1])}
+    beta["terminal"] = betas[-1]
     return {
         "controller": mode,
         "status": result.status,
@@ -121,8 +125,8 @@ def cmd_solve(config: ExperimentConfig, controller: str | None, out_dir: Path) -
         options,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / f"solve_{mode}.json", _solution_payload(mode, result))
-    header, rows = _stage_table(config, result)
+    _write_json(out_dir / f"solve_{mode}.json", _solution_payload(config.problem, mode, result))
+    header, rows = _stage_table(config.problem, result.record)
     _write_csv(out_dir / f"solve_{mode}_stages.csv", header, rows)
     print(
         f"solve[{mode}]: status={result.status} iterations={result.iterations} "

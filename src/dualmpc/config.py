@@ -9,8 +9,9 @@ The format is deliberately minimal and diff-friendly::
     process_noise_std = 0.02 0.02 0.02
 
 Sections and keys are validated against a schema, and each value is
-converted by its key's kind as it is read: unknown sections or keys and
-malformed values, in any key, are rejected with the offending line number.
+converted by its key's kind as it is read: unknown sections or keys,
+malformed values, in any key, and [model] keys that the chosen model type
+does not read are rejected with the offending line number.
 Vector values are whitespace-separated numbers; matrices are row-major
 vectors whose shape is inferred from the model dimensions.
 """
@@ -99,17 +100,17 @@ def _mode(key: str, text: str) -> str:
 
 def _modes(key: str, text: str) -> tuple[str, ...]:
     names = _words(key, text)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in MODES:
             raise ValueError(f"unknown controller {name!r}; pick from {sorted(MODES)}")
+        if name in names[:i]:
+            raise ValueError(f"duplicate controller {name!r} in {key}")
     return names
 
 
-# schema: section -> key -> converter of its value
-_SCHEMA = {
-    "model": {
-        "type": _word,
-        "horizon_steps": _int,
+# [model] keys by model type, besides the shared "type" and "horizon_steps"
+_MODEL_KEYS = {
+    "unicycle": {
         "dt_s": _float,
         "rk4_substeps": _int,
         "u_max": _float,
@@ -118,17 +119,16 @@ _SCHEMA = {
         "smoothing_eps": _float,
         "process_noise_std": _vector,
         "measurement_noise_std": _vector,
-        "dynamics_matrix": _vector,
-        "input_matrix": _vector,
-        "process_noise_matrix": _vector,
-        "output_matrix": _vector,
-        "measurement_noise_matrix": _vector,
-        "state_cost_diag": _vector,
-        "control_cost_diag": _vector,
-        "terminal_cost_diag": _vector,
-        "u_lower": _vector,
-        "u_upper": _vector,
     },
+    "linear": dict.fromkeys((
+        "dynamics_matrix", "input_matrix", "process_noise_matrix", "output_matrix", "measurement_noise_matrix",
+        "state_cost_diag", "control_cost_diag", "terminal_cost_diag", "u_lower", "u_upper",
+    ), _vector),
+}
+
+# schema: section -> key -> converter of its value
+_SCHEMA = {
+    "model": {"type": _word, "horizon_steps": _int, **_MODEL_KEYS["unicycle"], **_MODEL_KEYS["linear"]},
     "solver": {
         "mode": _mode,
         "tolerance": _float,
@@ -305,6 +305,9 @@ def load_config(path) -> ExperimentConfig:
     kind = model.values["type"]
     if kind not in _BUILDERS:
         model.fail("type", f"model type must be 'unicycle' or 'linear', got {kind!r}")
+    for key in model.lines:  # in file order
+        if key not in ("type", "horizon_steps") and key not in _MODEL_KEYS[kind]:
+            model.fail(key, f"key {key!r} in [model] does not apply to type = {kind}")
     problem = _BUILDERS[kind](path, model)
 
     solver = sections["solver"]

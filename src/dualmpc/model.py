@@ -3,8 +3,8 @@
 All numerical routines in this package are batch-aware: state, control and
 noise arrays may carry arbitrary leading batch dimensions in front of the
 core vector/matrix axes, and the stage maps are expected to broadcast over
-them.  This keeps finite-difference gradients and Monte-Carlo evaluations
-vectorized.
+them.  This keeps batched objective evaluations (line-search chunks,
+stacked beliefs) and Monte-Carlo evaluations vectorized.
 
 The model contract: the stage maps and their Jacobians are time-invariant
 (no stage index), and the Jacobians and their pullbacks (the second

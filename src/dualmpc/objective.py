@@ -442,21 +442,6 @@ class ObjectiveEvaluator:
         parts = record.parts
         return parts[0] + parts[1] + parts[2] + parts[3], record
 
-    def breakdown_and_beta(self, policy: Policy, record: Evaluation | None = None) -> tuple[ObjectiveBreakdown, list]:
-        """Scalar objective decomposition of a single (unbatched) policy and
-        its direction variances plus eps_sigma^2 (the eliminated slacks),
-        from one forward record: ``record``, the unbatched record of
-        ``policy`` if the caller holds it, else a new one.
-
-        The variances come as a list with one entry per stage 0..N-1 plus
-        the terminal entry, each holding the rows that apply at its stage
-        (nonzero weight), in row order.
-        """
-        if record is None:
-            record = self.evaluate(self.prediction(policy.u_nom), policy.feedback)
-        used = self.problem.constraints.weights > 0.0
-        return ObjectiveBreakdown.assemble(*record.parts), [beta[rows] for beta, rows in zip(record.beta, used)]
-
 
 def total_objective(
     problem: ControlProblem,
@@ -470,4 +455,4 @@ def total_objective(
     """One-call scalar evaluation; see :class:`ObjectiveEvaluator`."""
     mode = "output_feedback" if include_uncertainty else "nominal"
     ev = ObjectiveEvaluator(problem, x0, P_hat_0, eps_sigma=eps_sigma, eps_K=eps_K, mode=mode)
-    return ev.breakdown_and_beta(policy)[0]
+    return ObjectiveBreakdown.assemble(*ev.evaluate(ev.prediction(policy.u_nom), policy.feedback).parts)

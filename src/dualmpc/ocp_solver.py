@@ -21,8 +21,8 @@ the whole pipeline; the gain coordinates start at the metric's floor, the
 steepest-descent scale.  The metric is seeded at the initial point, whose
 control rows ride in one batch with it, and reseeded at the current
 iterate after a failed quasi-Newton search (before the steepest-descent
-retry) and after three skipped updates in a row.  The final objective breakdown reads the last accepted trial's record
-too.
+retry) and after three skipped updates in a row.  The result carries the
+last accepted trial's record, from which its objective breakdown comes.
 
 Only output_feedback runs the Kalman filter: with zero feedback gains the
 objective and its control gradient are the same bits without it (see
@@ -87,9 +87,13 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solve's outcome.  ``record`` is the forward record of ``policy``
+    in the solve's mode, the one the solver scored it with, and
+    ``objective`` is that record's breakdown."""
+
     policy: Policy
     objective: ObjectiveBreakdown
-    beta: list
+    record: Evaluation
     iterations: int
     stationarity: float
     status: str  # converged | max_iter | line_search_failure
@@ -363,7 +367,7 @@ def solve(
     stationarity = _projected_gradient_norm(theta, g, var)
 
     # center is always the current iterate's forward record, which the metric
-    # reseeds and the final breakdown read.  With H positive definite, d is a
+    # reseeds and the result read.  With H positive definite, d is a
     # descent direction whenever the masked gradient is nonzero.
     for it in range(opts.max_iterations):
         if stationarity <= opts.tolerance:
@@ -403,12 +407,10 @@ def solve(
                 curvature_skips = 0
         stationarity = _projected_gradient_norm(theta, g, var)
 
-    policy = var.unpack(theta)
-    breakdown, beta = ev.breakdown_and_beta(policy, center)
     return SolveResult(
-        policy=policy,
-        objective=breakdown,
-        beta=beta,
+        policy=var.unpack(theta),
+        objective=ObjectiveBreakdown.assemble(*center.parts),
+        record=center,
         iterations=iterations,
         stationarity=stationarity,
         status=status,

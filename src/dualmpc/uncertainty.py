@@ -21,8 +21,8 @@ Index conventions (0-based stages, horizon N):
     no new information can arrive before the first control is committed
     (:func:`stage_gains`).
 
-Everything broadcasts over leading batch dimensions so finite-difference
-sweeps and Monte-Carlo checks stay vectorized.
+Everything broadcasts over leading batch dimensions so batched objective
+evaluations and Monte-Carlo checks stay vectorized.
 """
 
 from __future__ import annotations

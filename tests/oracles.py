@@ -11,7 +11,8 @@ the objective evaluated and differentiated through the 2n_x augmented
 covariance of (x - x_nom, xhat - x) instead of the separated n_x form, a
 stand-alone penalty sum, the closed-form
 expectation of a quadratic, a hand-written EKF predict/update pair with
-its SPD solve, and a Monte-Carlo replay of a policy executed as planned,
+its SPD solve, a problem whose output map is frozen at one point (no
+dual effect), and a Monte-Carlo replay of a policy executed as planned,
 on the nonlinear system or on its linearization along the nominal.
 """
 
@@ -501,6 +502,31 @@ def augmented_gradient(ev, pred, feedback: Array) -> tuple[Array, Array]:
         u_bar[k] = z_bar[k, n_x:] + lam @ lin.B[k]
         lam = z_bar[k, :n_x] + lam @ lin.A[k]
     return u_bar, K_bar + 2.0 * ev.eps_K * feedback
+
+
+def passive_problem(problem, x_ref: Array):
+    """``problem`` with its output map frozen at the linearization at
+    ``x_ref``: g(x, v) = g(x_ref, 0) + C (x - x_ref) + D v with
+    (C, D) = g_jac(x_ref, 0) at every stage, so ``g_jac`` is constant and
+    ``g_jac_pullback`` is zero.  Where a plan for it goes does not change
+    what it will measure: it keeps the caution of output feedback and loses
+    the dual (probing) effect."""
+    model = problem.model
+    x_ref, v0 = np.asarray(x_ref, dtype=float), np.zeros(model.n_v)
+    C, D = model.g_jac(x_ref, v0)
+    y_ref = model.g(x_ref, v0)
+
+    def g(x, v):
+        return y_ref + (np.asarray(x, dtype=float) - x_ref) @ C.T + np.asarray(v, dtype=float) @ D.T
+
+    def g_jac(x, v):
+        batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(v)[:-1])
+        return np.broadcast_to(C, batch + C.shape), np.broadcast_to(D, batch + D.shape)
+
+    def g_jac_pullback(x, C_bar, D_bar):
+        return np.zeros(np.broadcast_shapes(np.shape(x)[:-1], np.shape(C_bar)[:-2]) + (model.n_x,))
+
+    return replace(problem, model=replace(model, g=g, g_jac=g_jac, g_jac_pullback=g_jac_pullback))
 
 
 def replay_policy(problem, x0: Array, P0: Array, policy: Policy, samples: int, seed: int,

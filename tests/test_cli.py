@@ -9,10 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dualmpc import cli, objective
 from dualmpc.cli import _fmt, _stage_table, main
 from dualmpc.config import load_config
-from dualmpc.ocp_solver import solve
+from dualmpc.objective import ObjectiveEvaluator
+from dualmpc.ocp_solver import MODES, solve
 from dualmpc.uncertainty import (
+    SingularInnovationError,
     estimate_spread,
     kalman_recursion,
     linearize_trajectory,
@@ -139,23 +142,31 @@ def test_solve_writes_solution_and_stage_table(tmp_path):
             assert float(row[f"P_diag_{['r_x','r_y','theta'][i]}"]) >= 0.0
 
 
-@pytest.mark.parametrize("mode", ["nominal", "output_feedback"])
+@pytest.mark.parametrize("mode", MODES)
 def test_stage_table_matches_public_pipeline_bitwise(tmp_path, mode):
-    """The stage table reuses the evaluator's pipeline; its rows equal,
-    digit for digit, rows built from the four public pipeline functions:
-    P = Q + P_hat with the estimate's spread Q, and P_hat."""
+    """The stage table reads the solve's forward record; its rows equal,
+    digit for digit, rows built from the public pipeline functions with
+    the covariances the solve planned with: in output_feedback P = Q + P_hat
+    with the estimate's spread Q, and P_hat from the Kalman filter; in
+    open_loop P = P_hat, the prediction without measurements; in nominal
+    both zero."""
     config = load_config(_cfg(tmp_path, FAST_UNICYCLE))
     options = dataclasses.replace(config.solver_options, mode=mode)
     x0, P0 = config.sim_config.init_mean, config.sim_config.init_cov
     result = solve(config.problem, x0, P0, options)
-    _, rows = _stage_table(config, result)
+    _, rows = _stage_table(config.problem, result.record)
 
     model, cs = config.problem.model, config.problem.constraints
     traj = nominal_rollout(model, x0, result.policy.u_nom)
     lin = linearize_trajectory(model, traj)
-    _, P_hat, U = kalman_recursion(lin, P0, factors=True)
-    P = estimate_spread(lin, stage_gains(result.policy.feedback)[:-1], U) + P_hat
     N = model.horizon
+    if mode == "output_feedback":
+        _, P_hat, U = kalman_recursion(lin, P0, factors=True)
+        P = estimate_spread(lin, stage_gains(result.policy.feedback)[:-1], U) + P_hat
+    elif mode == "open_loop":
+        P = P_hat = lyapunov(lin.A, lin.G @ lin.G.mT, P0)
+    else:
+        P = P_hat = np.zeros((N + 1, model.n_x, model.n_x))
     used = cs.weights > 0
     n_h_max = max(used.sum(axis=1))
     expected = []
@@ -163,7 +174,7 @@ def test_stage_table_matches_public_pipeline_bitwise(tmp_path, mode):
         x = traj.states[k]
         u = traj.controls[k] if k < N else np.zeros(model.n_u)
         h = cs.values(x, u)[used[k]]
-        beta = np.asarray(result.beta[k])
+        beta = result.record.beta[k, used[k]]
         expected.append(
             [str(k)]
             + [_fmt(v) for v in x]
@@ -175,11 +186,11 @@ def test_stage_table_matches_public_pipeline_bitwise(tmp_path, mode):
     assert rows == expected
 
 
-def test_open_loop_stage_table_reports_the_filtered_estimate(tmp_path):
-    """An open_loop solve runs no measurement update, yet the Phat_diag_*
-    columns of its stage table are, digit for digit, the Kalman filter's
-    estimation-error variances of the solved controls (without the update
-    they would equal the P_diag_* columns)."""
+def test_open_loop_stage_table_reports_the_prediction_without_measurements(tmp_path):
+    """An open_loop solve runs no measurement update, and its stage table
+    shows the covariances it planned with: the Phat_diag_* columns are,
+    digit for digit, the diagonals of lyapunov(A, G G', P0) along the
+    solved controls, and the P_diag_* columns equal them."""
     cfg = _cfg(tmp_path, FAST_UNICYCLE)
     out = tmp_path / "out"
     main(["solve", cfg, "--controller", "open_loop", "--out", str(out)])
@@ -187,12 +198,51 @@ def test_open_loop_stage_table_reports_the_filtered_estimate(tmp_path):
     model, x0, P0 = config.problem.model, config.sim_config.init_mean, config.sim_config.init_cov
     u = np.array(json.loads((out / "solve_open_loop.json").read_text())["u_nom"])
     lin = linearize_trajectory(model, nominal_rollout(model, x0, u))
-    P_hat = kalman_recursion(lin, P0)[1]
-    assert not np.allclose(P_hat[1:], lyapunov(lin.A, lin.G @ lin.G.mT, P0)[1:])
+    P_hat = lyapunov(lin.A, lin.G @ lin.G.mT, P0)
     rows = _read_rows(out / "solve_open_loop_stages.csv")
     assert len(rows) == model.horizon + 1
     for k, row in enumerate(rows):
         assert [row[f"Phat_diag_{n}"] for n in model.state_names] == [_fmt(v) for v in np.diag(P_hat[k])]
+        assert [row[f"P_diag_{n}"] for n in model.state_names] == [row[f"Phat_diag_{n}"] for n in model.state_names]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_solve_command_predicts_nothing_after_the_solver_returns(tmp_path, monkeypatch, mode):
+    """The JSON and the stage table read the solve's own forward record, so
+    a solve command runs the prediction pipeline only inside the solver."""
+    calls = {"solving": 0, "after": 0}
+    stage = ["solving"]
+    prediction, solver = ObjectiveEvaluator.prediction, cli.solve
+
+    def counted(self, u_nom):
+        calls[stage[0]] += 1
+        return prediction(self, u_nom)
+
+    def solve_then_mark(*args, **kwargs):
+        result = solver(*args, **kwargs)
+        stage[0] = "after"
+        return result
+
+    monkeypatch.setattr(ObjectiveEvaluator, "prediction", counted)
+    monkeypatch.setattr(cli, "solve", solve_then_mark)
+    out = tmp_path / "out"
+    assert main(["solve", _cfg(tmp_path, FAST_UNICYCLE), "--controller", mode, "--out", str(out)]) in (0, 3)
+    assert (out / f"solve_{mode}.json").is_file() and (out / f"solve_{mode}_stages.csv").is_file()
+    assert calls["solving"] > 0 and calls["after"] == 0
+
+
+@pytest.mark.parametrize("mode", ["nominal", "open_loop"])
+def test_solve_without_measurements_never_runs_the_kalman_filter(tmp_path, monkeypatch, mode):
+    """A nominal or open_loop solve uses no Kalman filter, so one that
+    raises cannot fail the command after the solve succeeded."""
+
+    def singular(*args, **kwargs):
+        raise SingularInnovationError("the Kalman filter must not run")
+
+    monkeypatch.setattr(objective, "kalman_recursion", singular)
+    out = tmp_path / "out"
+    assert main(["solve", _cfg(tmp_path, LINEAR_LQG), "--controller", mode, "--out", str(out)]) == 0
+    assert (out / f"solve_{mode}.json").is_file() and (out / f"solve_{mode}_stages.csv").is_file()
 
 
 def test_solve_converged_linear_instance_exits_zero(tmp_path):

@@ -140,6 +140,37 @@ def test_bad_controller_list_is_rejected(tmp_path):
         load_config(_write(tmp_path, text))
 
 
+def test_duplicate_controller_is_rejected_at_its_line(tmp_path, capsys):
+    """A controller named twice would run its whole batch twice, the second
+    pass overwriting the first one's files."""
+    text = MINIMAL_UNICYCLE + "controllers = nominal open_loop nominal\n"
+    path = _write(tmp_path, text)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    line = len(text.splitlines())
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}:{line}: duplicate controller 'nominal' in controllers"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("base, key", [
+    (MINIMAL_UNICYCLE, "u_lower = -0.1 -0.1"),
+    (LINEAR, "u_max = 0.01"),
+    (LINEAR, "dt_s = 0.3"),
+])
+def test_model_key_the_type_does_not_read_is_rejected_at_its_line(tmp_path, capsys, base, key):
+    """A [model] key that the chosen type never reads, such as box bounds
+    meant for the other type, is an error at its line, not a setting
+    dropped in silence."""
+    kind = "unicycle" if base is MINIMAL_UNICYCLE else "linear"
+    text = base.replace("horizon_steps", f"{key}\nhorizon_steps")
+    path = _write(tmp_path, text)
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+    name = key.split(" =")[0]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}:3: key '{name}' in [model] does not apply to type = {kind}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_init_dimension_mismatch_is_rejected(tmp_path):
     """A wrong-length init vector is reported at its key and line; with
     both wrong, the first in the file."""

@@ -41,6 +41,7 @@ from oracles import (
     joint_covariance,
     luenberger_covariance,
     open_loop_policy,
+    passive_problem,
     penalty_total,
     replay_policy,
 )
@@ -544,6 +545,31 @@ def test_unicycle_plan_replays_on_its_linearization_to_its_predicted_objective()
     assert abs(np.mean(costs) - predicted) <= 3.0 * np.std(costs, ddof=1) / np.sqrt(costs.size)
 
 
+def test_shipped_plan_gains_from_the_dual_effect():
+    """The dual effect in isolation.  The passive problem freezes the output
+    Jacobians at the shipped initial mean, so its plan cannot steer toward
+    better measurements; both output_feedback plans, at the shipped belief
+    and [solver] budget, are scored by the real evaluator.  The dual plan
+    has the lower objective (measured 2.2982 against 2.8872), and it gets
+    there by moving toward the r_y = 0 axis, where the measurements are
+    sharp: its mean |r_y| over stages 1..N is 0.198 against 1.000, and its
+    mean tr P_hat 0.00261 against 0.00699."""
+    config = load_config(SHIPPED_CONFIG)
+    x0, P0, opts = config.sim_config.init_mean, config.sim_config.init_cov, config.solver_options
+    ev = ObjectiveEvaluator(config.problem, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K)
+    scores = []
+    for problem in (config.problem, passive_problem(config.problem, x0)):
+        policy = solve(problem, x0, P0, opts).policy
+        record = ev.evaluate(ev.prediction(policy.u_nom), policy.feedback)
+        pred = record.prediction
+        scores.append((sum(record.parts), np.mean(np.abs(pred.traj.states[1:, 1])),
+                       np.mean(np.trace(pred.filter_covs[1:], axis1=-2, axis2=-1))))
+    (f_dual, r_y_dual, tr_dual), (f_passive, r_y_passive, tr_passive) = scores
+    assert f_passive - f_dual > 0.3
+    assert r_y_dual < 0.5 * r_y_passive
+    assert tr_dual < 0.5 * tr_passive
+
+
 # ------------------------------------------------- constraint tables as given
 
 def _row_by_row_tables(problem, xs, us):
@@ -570,10 +596,10 @@ def test_packed_tables_match_row_by_row_reference(case):
     the prediction's h and the evaluator's gradient table equal, bit for
     bit, tables built row by row, every row at every stage, unbatched and
     as rows of a 12-row batch; stage N keeps the rows' x columns only.
-    The breakdown lists each stage's direction variances of the rows with
-    nonzero weight, in row order: the unicycle's stage 0 drops row 0, its
-    stage N keeps row 0 alone, and the terminal-only problem's stage 0 has
-    none."""
+    The record's direction variances come in the same rows, and the rows
+    with nonzero weight are the ones that apply: the unicycle's stage 0
+    drops row 0, its stage N keeps row 0 alone, and the terminal-only
+    problem's stage 0 has none."""
     if case.startswith("unicycle"):
         prob, x0 = make_unicycle_problem(standard_unicycle_params()), np.array([0.05, 0.8, np.pi])
         if case == "unicycle_every_row":
@@ -593,12 +619,8 @@ def test_packed_tables_match_row_by_row_reference(case):
             assert np.array_equal(ev._grads, grads)
     fb = 0.1 * rng.normal(size=(N - 1, n_u, n_x))
     record = ev.evaluate(ev.prediction(u[0]), fb)
-    _, betas = ev.breakdown_and_beta(Policy(u_nom=u[0], feedback=fb), record)
-    assert len(betas) == N + 1
-    for k, beta in enumerate(betas):
-        rows = np.flatnonzero(prob.constraints.weights[k] > 0)
-        assert np.array_equal(beta, record.beta[k, rows])
-    sizes = [b.size for b in betas]
+    assert record.beta.shape == record.prediction.h.shape == (N + 1, prob.constraints.matrix.shape[0])
+    sizes = list(np.sum(prob.constraints.weights > 0, axis=1))
     expected = {"unicycle": [4] + [5] * (N - 1) + [1], "unicycle_every_row": [5] * (N + 1), "terminal_only": [0, 1]}
     assert sizes == expected[case]
 
@@ -675,10 +697,10 @@ def test_stage_n_assembly_matches_stage_by_stage_reference(case, mode):
         policy = Policy(u_nom=u, feedback=fb)
         ref_parts, ref_betas = _reference_parts(prob, x0, P0, policy, 1e-3, 1e-4)
         assert_allclose([p[i] for p in parts], ref_parts, rtol=1e-12, atol=0)
-        _, betas = ev.breakdown_and_beta(policy)
-        assert len(betas) == N + 1
-        for beta, ref in zip(betas, ref_betas):
-            assert_allclose(beta, ref, rtol=1e-12, atol=0)
+        beta = ev.evaluate(ev.prediction(u), fb).beta
+        assert len(ref_betas) == N + 1
+        for k, ref in enumerate(ref_betas):
+            assert_allclose(beta[k, prob.constraints.weights[k] > 0], ref, rtol=1e-12, atol=0)
     if case == 1:
         assert np.all(parts[2] > 1e-6)  # the penalty is live
 
@@ -717,11 +739,11 @@ def test_nominal_assembly_has_zero_variance_and_floored_beta(case):
     n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
     fb = 0.2 * np.random.default_rng(44).normal(size=(N - 1, n_u, n_x))
     ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=1e-3, eps_K=1e-4, mode="nominal")
-    bd, betas = ev.breakdown_and_beta(Policy(u_nom=u, feedback=fb))
-    assert bd.variance_cost == 0.0 and bd.regularization == 0.0
-    assert [b.size for b in betas] == list(np.sum(prob.constraints.weights > 0, axis=1))
-    for beta in betas:
-        assert np.all(beta == 1e-3**2)
+    record = ev.evaluate(ev.prediction(u), fb)
+    _, variance_cost, _, regularization = record.parts
+    assert variance_cost == 0.0 and regularization == 0.0
+    assert record.beta.shape == record.prediction.h.shape
+    assert np.all(record.beta == 1e-3**2)
 
 
 

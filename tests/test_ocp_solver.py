@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dualmpc import (
+    ObjectiveBreakdown,
     ObjectiveEvaluator,
     Policy,
     SolveOptions,
@@ -24,7 +25,7 @@ from dualmpc import objective, ocp_solver
 from dualmpc.uncertainty import RolloutError
 from dualmpc.ocp_solver import _FD_STEP, _armijo_search, _gradient, _stencil, _Variables
 
-from conftest import one_stage_terminal_problem, record_fields, standard_unicycle_params
+from conftest import one_stage_terminal_problem, record_fields, same_bits, standard_unicycle_params
 from oracles import open_loop_policy
 
 
@@ -77,9 +78,10 @@ def test_explicit_slack_brute_force_matches_eliminated_formulation():
 
     assert best_beta == pytest.approx(beta_min, rel=1e-12)  # monotone in beta
     assert res.objective.total == pytest.approx(best_val, rel=1e-6)
-    # reported slacks: no stage rows, one terminal entry at H + eps^2
-    assert res.beta[0].shape == (0,)
-    assert res.beta[-1] == pytest.approx([beta_min], rel=1e-12)
+    # the slacks in the result's record: the one row applies at the terminal
+    # stage alone, where its entry sits at H + eps^2
+    assert np.array_equal(prob.constraints.weights > 0, [[False], [True]])
+    assert res.record.beta[-1] == pytest.approx([beta_min], rel=1e-12)
 
 
 # ------------------------------------------------------------------ solve: oracles
@@ -288,28 +290,29 @@ def test_fused_line_search_gradient_equals_fd_gradient(mode, failing_full_step):
 
 @pytest.mark.parametrize("mode", ocp_solver.MODES)
 def test_solve_result_is_the_breakdown_of_the_returned_policy(mode):
-    """The result's objective and slacks come from the last accepted trial's
-    row of its line-search batch; they equal a fresh unbatched evaluation of
-    the returned policy in the solve's mode bit for bit.  An open_loop
-    solve keeps zero gains, so the filtered evaluation of its policy gives
-    the same objective and slacks to rounding."""
+    """The result's record is the last accepted trial's row of its
+    line-search batch; it equals a fresh unbatched evaluation of the
+    returned policy in the solve's mode bit for bit, every array of it,
+    and the result's objective is its breakdown.  An open_loop solve keeps
+    zero gains, so the filtered evaluation of its policy gives the same
+    objective and slacks to rounding."""
     prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
     x0, P0 = np.array([1.0, 0.5, 2.0]), 1e-4 * np.eye(3)
     opts = SolveOptions(mode=mode, max_iterations=20)
     res = solve(prob, x0, P0, opts)
     assert res.iterations > 0
     ev = ObjectiveEvaluator(prob, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K, mode=mode)
-    breakdown, beta = ev.breakdown_and_beta(res.policy)
-    assert res.objective == breakdown
-    assert len(res.beta) == len(beta)
-    assert all(np.array_equal(a, b) for a, b in zip(res.beta, beta))
+    fresh = ev.evaluate(ev.prediction(res.policy.u_nom), res.policy.feedback)
+    got, expected = record_fields(res.record), record_fields(fresh)
+    assert len(got) == len(expected)
+    assert all(same_bits(a, b) for a, b in zip(got, expected))
+    assert res.objective == ObjectiveBreakdown.assemble(*fresh.parts)
     if mode == "open_loop":
         assert np.all(res.policy.feedback == 0.0)
         filtered = ObjectiveEvaluator(prob, x0, P0, eps_sigma=opts.eps_sigma, eps_K=opts.eps_K)
-        breakdown, beta = filtered.breakdown_and_beta(res.policy)
-        assert breakdown.total == pytest.approx(res.objective.total, rel=1e-12, abs=0)
-        for a, b in zip(res.beta, beta, strict=True):
-            assert_allclose(a, b, rtol=1e-12, atol=0)
+        record = filtered.evaluate(filtered.prediction(res.policy.u_nom), res.policy.feedback)
+        assert ObjectiveBreakdown.assemble(*record.parts).total == pytest.approx(res.objective.total, rel=1e-12, abs=0)
+        assert_allclose(record.beta, res.record.beta, rtol=1e-12, atol=0)
 
 
 def test_metric_reseed_after_first_iteration_uses_fd_curvature(monkeypatch):
