@@ -42,6 +42,7 @@ from .simulator import (
 from .uncertainty import (
     AugmentedCovariance,
     NominalTrajectory,
+    NumericalError,
     Policy,
     StageLinearization,
     kalman_recursion,
@@ -64,6 +65,7 @@ __all__ = [
     "MetricsSummary",
     "ModelError",
     "NominalTrajectory",
+    "NumericalError",
     "ObjectiveBreakdown",
     "ObjectiveEvaluator",
     "Policy",

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Array, SystemModel
-from .uncertainty import kalman_recursion, linearize_trajectory, nominal_rollout, symmetrize
+from .uncertainty import NumericalError, kalman_recursion, linearize_trajectory, nominal_rollout, symmetrize
 
 
-class EstimationError(RuntimeError):
-    pass
+class EstimationError(NumericalError):
+    """A non-finite or misshapen belief, or one whose covariance has a
+    significantly negative eigenvalue."""
 
 
 @dataclass(frozen=True)

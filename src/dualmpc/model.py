@@ -10,13 +10,16 @@ The model contract: the stage maps and their Jacobians are time-invariant
 (no stage index), and the Jacobians and their pullbacks (the second
 derivatives the gradient sweep reads) are analytic and required, so a whole
 trajectory linearizes in one call with the stage axis folded into the batch.
-An optional whole-horizon rollout may stand in for the stage loop over f.
-Costs and constraints are data.  Costs are (N+1)-row tables of Hessians,
-gradients and constants, with the terminal cost as stage N at u = 0.
-Constraints are one set of rows affine in (x, u), a (matrix, offset) pair
-that serves every stage, and a per-stage weight table that says which rows
-apply where; under the linearization their values are then exactly
-Gaussian and their gradients one constant table.
+The method linearizes around the noise-free trajectory, so the Jacobians are
+taken at zero noise only; the maps themselves take the noise the simulator
+draws.  An optional whole-horizon rollout may stand in for the stage loop
+over f.  Costs and constraints are data over the stage point z = (x, u).
+Costs are (N+1)-row tables of Hessians, gradients and constants, with the
+terminal cost as stage N at u = 0.  Constraints are one set of rows affine
+in z, a (matrix, offset) pair that serves every stage, and a per-stage
+weight table that says which rows apply where; under the linearization
+their values are then exactly Gaussian and their gradients one constant
+matrix.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ Array = np.ndarray
 # Stage maps: f(x, u, w) -> next state, g(x, v) -> output.
 DynamicsFn = Callable[[Array, Array, Array], Array]
 OutputFn = Callable[[Array, Array], Array]
-# Analytic Jacobian providers, evaluated at the given point; they return
-# float arrays with the point's batch dimensions in front.
-DynamicsJacFn = Callable[[Array, Array, Array], tuple[Array, Array, Array]]
-OutputJacFn = Callable[[Array, Array], tuple[Array, Array]]
+# Analytic Jacobian providers at zero noise: f_jac(x, u) -> (A, B, G) and
+# g_jac(x) -> (C, D), float arrays with the point's batch dimensions in front.
+DynamicsJacFn = Callable[[Array, Array], tuple[Array, Array, Array]]
+OutputJacFn = Callable[[Array], tuple[Array, Array]]
 # Noise-free trajectory: rollout(x0, u (.., N, n_u)) -> states (.., N+1, n_x).
 RolloutFn = Callable[[Array, Array], Array]
 # Jacobian pullbacks at zero noise: f_jac_pullback(x, u, A_bar, B_bar, G_bar)
@@ -80,23 +83,25 @@ class SystemModel:
     same at every stage.
 
     Attributes:
-        n_x, n_u, n_w, n_v, n_y: dimensions.
+        n_x, n_u, n_w, n_v: dimensions (the output's follows from ``g``).
         horizon: number of stages N (at least 1).
         f: stage map ``f(x, u, w)``; with ``w = 0`` it must be
             deterministic and repeatable bit-for-bit.
         g: output map ``g(x, v)``, measured at stages 1..N.
-        f_jac: analytic Jacobians ``(A, B, G)`` of ``f`` at ``(x, u, w)``,
-            with the batch dimensions of ``x`` in front.
-        g_jac: analytic Jacobians ``(C, D)`` of ``g`` at ``(x, v)``, alike.
+        f_jac: ``f_jac(x, u)``, the analytic Jacobians ``(A, B, G)`` of
+            ``f`` at ``(x, u, 0)``, with the batch dimensions of ``x`` in
+            front.
+        g_jac: ``g_jac(x)``, the analytic Jacobians ``(C, D)`` of ``g`` at
+            ``(x, 0)``, alike.
         f_jac_pullback: ``f_jac_pullback(x, u, A_bar, B_bar, G_bar)``, the
             gradient over ``z = (x, u)`` (.., n_x + n_u) of
             ``<A_bar, A> + <B_bar, B> + <G_bar, G>`` at each point, with
-            ``(A, B, G) = f_jac(x, u, 0)``: the second derivatives of ``f``
+            ``(A, B, G) = f_jac(x, u)``: the second derivatives of ``f``
             that the objective's reverse sweep reads.  Constant Jacobians
             give zeros.
         g_jac_pullback: ``g_jac_pullback(x, C_bar, D_bar)``, the gradient
             over ``x`` (.., n_x) of ``<C_bar, C> + <D_bar, D>`` with
-            ``(C, D) = g_jac(x, 0)``.  Both pullbacks broadcast over the
+            ``(C, D) = g_jac(x)``.  Both pullbacks broadcast over the
             leading axes of their arguments, and code that replaces
             ``f_jac`` or ``g_jac`` with ``dataclasses.replace`` must give
             the pullback of the new Jacobians.
@@ -114,7 +119,6 @@ class SystemModel:
     n_u: int
     n_w: int
     n_v: int
-    n_y: int
     horizon: int
     f: DynamicsFn
     g: OutputFn
@@ -131,13 +135,6 @@ class SystemModel:
 
 
 _PSD_TOL = -1e-10
-
-
-def _stack(x: Array, u: Array) -> Array:
-    """The points z = (x, u), with x and u broadcast to one batch shape."""
-    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-    batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
-    return np.concatenate([np.broadcast_to(x, batch + x.shape[-1:]), np.broadcast_to(u, batch + u.shape[-1:])], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -169,13 +166,13 @@ class QuadraticCost:
         for name, table in (("hessians", H), ("gradients", g), ("constants", c)):
             object.__setattr__(self, name, table)
 
-    def value(self, k, x: Array, u: Array) -> Array:
-        """Cost of stage k at (x, u), broadcast over batch dimensions.
+    def value(self, k, z: Array) -> Array:
+        """Cost of stage k at the points z = (x, u) (.., n_z), broadcast over
+        batch dimensions.
 
         ``k`` is a stage index, or an index array or slice that selects
-        several stages along the last batch axis of ``x`` and ``u``.
+        several stages along the last batch axis of ``z``.
         """
-        z = _stack(x, u)
         return (
             0.5 * np.einsum("...i,...ij,...j->...", z, self.hessians[k], z)
             + np.einsum("...i,...i->...", z, self.gradients[k])
@@ -187,9 +184,9 @@ class QuadraticCost:
 class ConstraintSet:
     """Penalized affine inequality constraints plus hard control box bounds.
 
-    One row set ``h(x, u) = matrix (x, u) + offset <= 0`` serves every stage
-    0..N; stage N is evaluated at ``u = 0``, with the rows' ``u``
-    derivatives taken as 0.  The rows are softened with linear violation
+    One row set ``h(z) = matrix z + offset <= 0`` over the stage point
+    ``z = (x, u)`` serves every stage 0..N; stage N is evaluated at
+    ``u = 0``.  The rows are softened with linear violation
     weights from the ``(N+1, n_h)`` table ``weights``: ``weights[k, i]`` is
     row i's weight at stage k, and 0 means the row does not apply there.
     The control box is additionally enforced exactly on the nominal
@@ -232,13 +229,14 @@ class ConstraintSet:
         if np.any(self.u_lower > self.u_upper):
             raise ModelError("control box is empty (lower > upper)")
 
-    def values(self, x: Array, u: Array) -> Array:
-        """The rows ``h(x, u)`` (.., n_h), broadcast over batch dimensions.
+    def values(self, z: Array) -> Array:
+        """The rows ``h(z)`` (.., n_h) at the points z = (x, u) (.., n_z),
+        broadcast over batch dimensions.
 
         Per-point products: a batched z @ matrix.T runs as one BLAS matrix
         product and can differ in the last bit from the same point alone.
         """
-        return np.einsum("ij,...j->...i", self.matrix, _stack(x, u)) + self.offset
+        return np.einsum("ij,...j->...i", self.matrix, z) + self.offset
 
     @classmethod
     def empty(cls, n_x: int, n_u: int, horizon: int, u_lower=None, u_upper=None) -> "ConstraintSet":
@@ -301,7 +299,7 @@ def make_linear_problem(
     n_x = A.shape[0]
     n_u = B.shape[1]
     n_w = G.shape[1]
-    n_y, n_v = C.shape[0], D.shape[1]
+    n_v = D.shape[1]
 
     # Per-point products: a batched x @ A.T runs as one BLAS matrix product
     # and can differ in the last bit from the same point evaluated alone.
@@ -314,7 +312,7 @@ def make_linear_problem(
     def g(x, v):
         return apply(C, x) + apply(D, v)
 
-    def f_jac(x, u, w):
+    def f_jac(x, u):
         batch = np.shape(x)[:-1]
         return (
             np.broadcast_to(A, batch + A.shape),
@@ -322,7 +320,7 @@ def make_linear_problem(
             np.broadcast_to(G, batch + G.shape),
         )
 
-    def g_jac(x, v):
+    def g_jac(x):
         batch = np.shape(x)[:-1]
         return np.broadcast_to(C, batch + C.shape), np.broadcast_to(D, batch + D.shape)
 
@@ -334,7 +332,7 @@ def make_linear_problem(
         return np.zeros(np.shape(x))
 
     model = SystemModel(
-        n_x=n_x, n_u=n_u, n_w=n_w, n_v=n_v, n_y=n_y, horizon=horizon,
+        n_x=n_x, n_u=n_u, n_w=n_w, n_v=n_v, horizon=horizon,
         f=f, g=g, f_jac=f_jac, g_jac=g_jac, f_jac_pullback=f_jac_pullback, g_jac_pullback=g_jac_pullback,
         state_names=tuple(f"x_{i}" for i in range(n_x)),
     )

@@ -125,13 +125,13 @@ def feedback_regularization(feedback: Array, eps_K: float):
     return eps_K * np.sum(feedback**2, axis=(-3, -2, -1))
 
 
-def _stage_points(xs: Array, us: Array) -> tuple[Array, Array]:
-    """The points of stages 0..N from batched states (.., N+1, n_x) and
-    controls (.., N, n_u): both broadcast to one batch shape, with stage N
-    at u = 0."""
+def _stage_points(xs: Array, us: Array) -> Array:
+    """The points z = (x, u) (.., N+1, n_x + n_u) of stages 0..N from
+    batched states (.., N+1, n_x) and controls (.., N, n_u), over their
+    combined batch shape, with stage N at u = 0."""
     batch = np.broadcast_shapes(xs.shape[:-2], us.shape[:-2])
     us = np.concatenate([np.broadcast_to(us, batch + us.shape[-2:]), np.zeros(batch + (1, us.shape[-1]))], axis=-2)
-    return np.broadcast_to(xs, batch + xs.shape[-2:]), us
+    return np.concatenate([np.broadcast_to(xs, batch + xs.shape[-2:]), us], axis=-1)
 
 
 def _trace_sum(hessians: Array, joint: Array) -> Array:
@@ -250,10 +250,12 @@ class ObjectiveEvaluator:
     covariances and feedback regularization, so constraints keep only the
     minimum smoothing eps_sigma.
 
-    All methods broadcast over leading batch dimensions of the nominal
+    :meth:`prediction`, :meth:`evaluate`, :meth:`parts_from_prediction` and
+    :meth:`totals` broadcast over leading batch dimensions of the nominal
     controls and/or feedback gains; a batch of gain perturbations can share
     a single prediction because the linearization, the filter gains and the
-    nominal values do not depend on the feedback.
+    nominal values do not depend on the feedback.  :meth:`gradient` reads
+    one unbatched forward record.
     """
 
     def __init__(
@@ -277,10 +279,6 @@ class ObjectiveEvaluator:
         self.eps_sigma = eps_sigma
         self.eps_K = eps_K if mode != "nominal" else 0.0
         self.mode = mode
-        # The constraint rows' gradients over z = (x, u) at stages 0..N: the
-        # constant matrix, with zero u columns at stage N, where u = 0 is fixed.
-        self._grads = np.repeat(problem.constraints.matrix[None], problem.model.horizon + 1, axis=0)
-        self._grads[-1, :, problem.model.n_x:] = 0.0
 
     def prediction(self, u_nom: Array) -> Prediction:
         problem = self.problem
@@ -290,14 +288,14 @@ class ObjectiveEvaluator:
         if stages != N:
             raise ModelError(f"control sequence has {stages} stages, but the model horizon is {N}")
         traj = nominal_rollout(model, self.x0, u_nom)
-        xs, us = _stage_points(traj.states, traj.controls)
+        z = _stage_points(traj.states, traj.controls)
         # Terminal stage first, then 0..N-1, one add at a time: this order
         # fixes the sum's rounding, which the capped closed-loop solves amplify.
-        stage_costs = problem.cost.value(slice(None), xs, us)
+        stage_costs = problem.cost.value(slice(None), z)
         nominal_cost = stage_costs[..., N]
         for k in range(N):
             nominal_cost = nominal_cost + stage_costs[..., k]
-        h = problem.constraints.values(xs, us)
+        h = problem.constraints.values(z)
         if self.mode == "nominal":
             return Prediction(traj=traj, nominal_cost=nominal_cost, h=h)
         lin = linearize_trajectory(model, traj)
@@ -310,8 +308,10 @@ class ObjectiveEvaluator:
         combined batch shape: the estimate's spread at stages 0..N, the
         direction variances plus eps_sigma^2 and the four objective parts.
         The joint (state, control) covariances are not kept: the sweep
-        reads them through the spread and the gains."""
-        cost = self.problem.cost
+        reads them through the spread and the gains.  At stage N, where
+        K_N = 0, their control blocks are exactly zero, so the constraint
+        rows' control columns add nothing there."""
+        cost, cs = self.problem.cost, self.problem.constraints
         feedback = np.asarray(feedback, dtype=float)
         batch = np.broadcast_shapes(np.shape(pred.nominal_cost), feedback.shape[:-3])
         spread, n_x = None, self.problem.model.n_x
@@ -329,9 +329,9 @@ class ObjectiveEvaluator:
             joint[..., :n_x, n_x:] = KQ.mT
             joint[..., n_x:, n_x:] = KQ @ K.mT
         variance = 0.5 * _trace_sum(cost.hessians, joint)
-        beta = smoothed_variance(constraint_direction_variance(self._grads, joint[..., None, :, :]), self.eps_sigma)
+        beta = smoothed_variance(constraint_direction_variance(cs.matrix, joint[..., None, :, :]), self.eps_sigma)
         hinge, cdf = _hinge(pred.h, np.sqrt(beta))
-        penalty = np.sum(self.problem.constraints.weights * hinge, axis=(-2, -1))
+        penalty = np.sum(cs.weights * hinge, axis=(-2, -1))
         reg = feedback_regularization(feedback, self.eps_K)
         parts = tuple(np.broadcast_arrays(pred.nominal_cost, variance, penalty, reg))
         return Evaluation(prediction=pred, feedback=np.broadcast_to(feedback, batch + feedback.shape[-3:]),
@@ -353,8 +353,8 @@ class ObjectiveEvaluator:
              standard deviation of row i, dJ/dh_ki = w_ki cdf(h_ki / s_ki)
              with the cdf read from the record,
              and the objective reads the joint covariance through
-             M_k = H_k / 2 + sum_i c_ki g_ki g_ki' with the constant row
-             gradients g_ki and c_ki = w_ki pdf(h_ki / s_ki) / (2 s_ki);
+             M_k = H_k / 2 + sum_i c_ki g_i g_i' with the rows g_i of the
+             constraint matrix and c_ki = w_ki pdf(h_ki / s_ki) / (2 s_ki);
              the nominal cost adds H_k z_k + its linear term;
           2. the joint covariance [I; K_k] Q_k [I; K_k]' + [[P_hat_k, 0],
              [0, 0]] and the spread recursion
@@ -389,18 +389,17 @@ class ObjectiveEvaluator:
             LinearizationError: in ``nominal`` mode, ``f_jac`` is non-finite
                 along the trajectory.
         """
-        model, cost, weights = self.problem.model, self.problem.cost, self.problem.constraints.weights
+        model, cost, cs = self.problem.model, self.problem.cost, self.problem.constraints
         N, n_x = model.horizon, model.n_x
         pred, feedback = record.prediction, record.feedback
         xs, us = pred.traj.states, pred.traj.controls
-        z = np.concatenate(_stage_points(xs, us), axis=-1)
         z_bar = (
-            np.einsum("kab,kb->ka", cost.hessians, z)
+            np.einsum("kab,kb->ka", cost.hessians, _stage_points(xs, us))
             + cost.gradients
-            + np.einsum("ki,kia->ka", weights * record.cdf, self._grads)
+            + np.einsum("ki,ia->ka", cs.weights * record.cdf, cs.matrix)
         )
         if pred.lin is None:
-            A, B, _ = model.f_jac(xs[:N], us, np.zeros(model.n_w))
+            A, B, _ = model.f_jac(xs[:N], us)
             if not (np.isfinite(A).all() and np.isfinite(B).all()):
                 raise LinearizationError("linearization produced non-finite entries")
             K_grad = np.zeros(feedback.shape)
@@ -408,8 +407,8 @@ class ObjectiveEvaluator:
             lin, K_grad = pred.lin, 2.0 * self.eps_K * feedback
             A, B = lin.A, lin.B
             std = np.sqrt(record.beta)
-            c = weights * np.exp(-0.5 * (pred.h / std) ** 2) / (2.0 * _SQRT_2PI * std)
-            M = 0.5 * cost.hessians + np.einsum("ki,kia,kib->kab", c, self._grads, self._grads)
+            c = cs.weights * np.exp(-0.5 * (pred.h / std) ** 2) / (2.0 * _SQRT_2PI * std)
+            M = 0.5 * cost.hessians + np.einsum("ki,ia,ib->kab", c, cs.matrix, cs.matrix)
             if self.mode == "output_feedback":
                 K = stage_gains(feedback)
                 T = np.concatenate([np.broadcast_to(np.eye(n_x), (N + 1, n_x, n_x)), K], axis=-2)  # [I; K]

@@ -38,7 +38,8 @@ in 88%, 99% and 95% of them in the in-loop solves of closed-loop runs 0-1.
 The accepted trial is the first passing step of the sequence whatever the
 chunks, because every row of a batch evaluates exactly as it does alone.
 A chunk that fails as a whole is scored trial by trial, up to the first
-trial that passes.
+trial that passes; a trial whose forward pass or reverse sweep fails is
+rejected.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from .model import Array, ControlProblem, ModelError
 from .objective import MODES, Evaluation, ObjectiveBreakdown, ObjectiveEvaluator
-from .uncertainty import LinearizationError, Policy, RolloutError, SingularInnovationError
+from .uncertainty import NumericalError, Policy
 
 _CURVATURE_SKIP_LIMIT = 3
 _BOUND_EPS = 1e-10
@@ -220,36 +221,31 @@ _MAX_BACKTRACKS = 40
 _ARMIJO_C = 1e-4
 _LS_CHUNK = 12
 # Failures of one trial point that must not end the line search.
-_TRIAL_ERRORS = (RolloutError, LinearizationError, SingularInnovationError, ModelError)
+_TRIAL_ERRORS = (NumericalError, ModelError)
 
 
 def _first_passing(ev: ObjectiveEvaluator, var: _Variables, trials: Array, f: float,
-                   decreases: Array) -> tuple[int, float, Evaluation] | None:
-    """The first trial of a chunk that passes the Armijo test, as (index,
-    objective, unbatched forward record), or None.  The chunk is one
-    ``totals`` batch.  If that batch fails, the trials are scored one at a
-    time up to the first that passes, and a trial that fails alone is
+                   decreases: Array) -> tuple[int, float, Array, Evaluation] | None:
+    """The first trial of a chunk that passes the Armijo test and whose
+    reverse sweep succeeds, as (index, objective, gradient, unbatched
+    forward record), or None.  The chunk is one ``totals`` batch.  If that
+    batch fails, the trials are scored one at a time up to the first that
+    passes, and a trial that fails alone, or whose sweep fails, is
     rejected."""
-
-    def passes(total, decrease):
-        return (decrease < 0.0) & (total <= f + _ARMIJO_C * decrease)
-
     try:
-        totals, record = ev.totals(*var.unpack_batch(trials))
+        batch = ev.totals(*var.unpack_batch(trials))
     except _TRIAL_ERRORS:
-        for i, trial in enumerate(trials):
-            try:
-                total, record = ev.totals(*var.unpack_batch(trial[None]))
-            except _TRIAL_ERRORS:
-                continue
-            if passes(total[0], decreases[i]):
-                return i, float(total[0]), record.take(0)
-        return None
-    ok = passes(totals, decreases)
-    if not np.any(ok):
-        return None
-    idx = int(np.argmax(ok))  # first True = largest passing step
-    return idx, float(totals[idx]), record.take(idx)
+        batch = None
+    for i, trial in enumerate(trials):
+        try:
+            totals, record = batch or ev.totals(*var.unpack_batch(trial[None]))
+            row = i if batch else 0
+            if decreases[i] < 0.0 and totals[row] <= f + _ARMIJO_C * decreases[i]:
+                center = record.take(row)
+                return i, float(totals[row]), _gradient(ev, var, center), center
+        except _TRIAL_ERRORS:
+            continue
+    return None
 
 
 def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direction: Array,
@@ -261,16 +257,14 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direct
     one objective call per trial: 12 trials per chunk, after the full step
     alone when ``full_step_first`` is set (see the module docstring for when
     that pays).  The first (largest) passing step is returned, so the result
-    is identical to sequential backtracking whatever the chunks.  A chunk
-    that fails as a whole is re-scored trial by trial up to the first trial
-    that passes, and the trials that fail are rejected (see _first_passing).
+    is identical to sequential backtracking whatever the chunks.  A trial
+    whose forward pass or reverse sweep fails is rejected, and the search
+    goes on (see _first_passing).
 
-    Returns (trial, f_trial, index, accepted): index is the accepted trial's
-    position in the step-size sequence, -1 if none passed (theta and f come
-    back then).  accepted is (g, center) at the accepted trial: its
-    unbatched forward record ``center``, the trial's row of the chunk's
-    record, and g from one reverse sweep of it.  It is None if no trial
-    passed, or if the sweep fails at the accepted trial.
+    Returns (trial, f_trial, index, g, center), or None if no trial passed:
+    index is the accepted trial's position in the step-size sequence,
+    ``center`` its unbatched forward record, the trial's row of the chunk's
+    record, and g the gradient from one reverse sweep of it.
     """
     alphas = _BACKTRACK_FACTOR ** np.arange(_MAX_BACKTRACKS)
     starts = [0, *range(1 if full_step_first else _LS_CHUNK, alphas.size, _LS_CHUNK)]
@@ -282,13 +276,9 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direct
             continue
         passing = _first_passing(ev, var, trials, f, decreases)
         if passing is not None:
-            idx, f_trial, center = passing
-            try:
-                g_trial = _gradient(ev, var, center)
-            except _TRIAL_ERRORS:  # the sweep perturbs the model across a failure boundary
-                return trials[idx], f_trial, start + idx, None
-            return trials[idx], f_trial, start + idx, (g_trial, center)
-    return theta, f, -1, None
+            idx, f_trial, g_trial, center = passing
+            return trials[idx], f_trial, start + idx, g_trial, center
+    return None
 
 
 def _masked_gradient(g: Array, theta: Array, var: _Variables) -> Array:
@@ -343,8 +333,9 @@ def solve(
     feedback gains.  status is 'converged' when the projected-gradient
     infinity norm reaches the tolerance, 'max_iter' when the iteration
     budget runs out, and 'line_search_failure' when no acceptable step
-    exists along either the quasi-Newton or the steepest-descent direction,
-    or when the gradient pass at the accepted step fails.  Every accepted
+    exists along either the quasi-Newton or the steepest-descent direction.
+    A trial point where the forward pass or the gradient sweep fails is a
+    rejected trial.  Every accepted
     step lowers f, so the last accepted iterate is the best one and is what
     comes back in all cases.
     """
@@ -379,15 +370,15 @@ def solve(
         d = -H @ g_masked
         d[g_masked == 0.0] = 0.0
 
-        trial, f_trial, index, accepted = _armijo_search(ev, var, theta, f, g, d, full_step_first)
-        if index < 0:  # quasi-Newton direction failed: reseed, try steepest descent
+        step = _armijo_search(ev, var, theta, f, g, d, full_step_first)
+        if step is None:  # quasi-Newton direction failed: reseed, try steepest descent
             H = _diag_metric(_seed(ev, var, theta, (f, center))[2], gnorm)
-            trial, f_trial, index, accepted = _armijo_search(ev, var, theta, f, g, -g_masked / gnorm)
-        if accepted is None:  # no acceptable step, or no gradient at it
+            step = _armijo_search(ev, var, theta, f, g, -g_masked / gnorm)
+        if step is None:
             status = "line_search_failure"
             break
+        trial, f_trial, index, g_new, center = step
         full_step_first = index == 0
-        g_new, center = accepted
         s, y = trial - theta, g_new - g
         theta, f, g = trial, f_trial, g_new
         gnorm = max(float(np.linalg.norm(g)), 1e-12)

@@ -19,9 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .controllers import RecedingHorizonController
-from .estimation import BeliefState, EstimationError, ekf_step
+from .estimation import BeliefState, ekf_step
 from .model import Array, ControlProblem, ModelError, psd_sqrt
-from .uncertainty import LinearizationError, RolloutError, SingularInnovationError
+from .uncertainty import NumericalError
 
 # Draw slots within a (run, step) key.  The initial-state draw uses step 0.
 SLOT_INIT = 0
@@ -122,23 +122,25 @@ class MetricsSummary:
             raise ValueError("violation frequency must lie in [0, 1]")
 
 
-def _realized_stage_cost(problem: ControlProblem, h: Array, weights: Array, x: Array, u: Array) -> float:
-    """True penalized stage cost: l(x, u) + sum_i w_i max(0, h_i)."""
-    value = float(problem.cost.value(0, x, u))
+def _realized_stage_cost(problem: ControlProblem, h: Array, weights: Array, z: Array) -> float:
+    """True penalized stage cost at z = (x, u): l(z) + sum_i w_i max(0, h_i)."""
+    value = float(problem.cost.value(0, z))
     if h.size:
         value += float(np.sum(weights * np.maximum(h, 0.0)))
     return value
 
 
-def _metric_stage(problem: ControlProblem) -> int:
-    """Stage whose row of the constraint weight table selects the rows of
-    the realized metric: the rows that apply to a free state and a control.
+def _metric_weights(problem: ControlProblem) -> Array:
+    """The constraint weights of the realized metric: the rows that apply
+    to a free state and a control.
 
     Stage 0 of the planning problem may drop state rows (its state is
     given) and stage N has no control, so the generic per-step constraint
-    is the one from stage 1 when the horizon has more than one stage.
+    is the one from stage 1 when N > 1.  At N = 1 each row takes the larger
+    of its stage-0 (control) and stage-1 (state) weights.
     """
-    return min(1, problem.model.horizon - 1)
+    w = problem.constraints.weights
+    return w[1] if problem.model.horizon > 1 else np.maximum(w[0], w[1])
 
 
 def simulate_run(
@@ -156,7 +158,7 @@ def simulate_run(
     """
     model = problem.model
     cs = problem.constraints
-    weights = cs.weights[_metric_stage(problem)]
+    weights = _metric_weights(problem)
     rows = weights > 0.0
     w_h = weights[rows]
     steps = config.steps
@@ -188,15 +190,16 @@ def simulate_run(
             v = noise_stream(config.master_seed, run_index, t, SLOT_MEASUREMENT).standard_normal(model.n_v)
             y = model.g(x_next, v)
             belief = ekf_step(model, belief, u, y)
-        except (EstimationError, RolloutError, SingularInnovationError, LinearizationError, ModelError):
+        except (NumericalError, ModelError):
             diverged = True
             break
 
-        h = cs.values(x, u)[rows]
+        z = np.concatenate([x, u])
+        h = cs.values(z)[rows]
         controls[t] = u
         h_values[t] = h
         violations[t] = bool(np.any(h > 0.0))
-        stage_costs[t] = _realized_stage_cost(problem, h, w_h, x, u)
+        stage_costs[t] = _realized_stage_cost(problem, h, w_h, z)
         statuses.append(diag.status)
         states[t + 1] = x_next
         belief_means[t + 1] = belief.mean

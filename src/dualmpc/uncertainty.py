@@ -21,8 +21,9 @@ Index conventions (0-based stages, horizon N):
     no new information can arrive before the first control is committed
     (:func:`stage_gains`).
 
-Everything broadcasts over leading batch dimensions so batched objective
-evaluations and Monte-Carlo checks stay vectorized.
+Everything but :func:`spread_adjoint` and :func:`kalman_adjoint` (one
+unbatched row) broadcasts over leading batch dimensions so batched
+objective evaluations and Monte-Carlo checks stay vectorized.
 """
 
 from __future__ import annotations
@@ -37,15 +38,20 @@ from .model import Array, SystemModel
 _JITTERS = (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 
-class RolloutError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A contained numerical failure of one prediction or filter step: the
+    solver rejects the trial point and the simulator flags the run."""
+
+
+class RolloutError(NumericalError):
     """Nominal rollout produced non-finite states."""
 
 
-class SingularInnovationError(RuntimeError):
+class SingularInnovationError(NumericalError):
     """Innovation covariance not positive definite even with jitter."""
 
 
-class LinearizationError(RuntimeError):
+class LinearizationError(NumericalError):
     """Trajectory linearization failed or produced non-finite Jacobians."""
 
 
@@ -212,10 +218,8 @@ def linearize_trajectory(model: SystemModel, traj: NominalTrajectory) -> StageLi
     N = traj.horizon
     batch = traj.states.shape[:-2]
     x = traj.states.reshape(-1, N + 1, model.n_x)
-    A, B, G = model.f_jac(
-        x[:, :N].reshape(-1, model.n_x), traj.controls.reshape(-1, model.n_u), np.zeros(model.n_w)
-    )
-    C, D = model.g_jac(x[:, 1:].reshape(-1, model.n_x), np.zeros(model.n_v))
+    A, B, G = model.f_jac(x[:, :N].reshape(-1, model.n_x), traj.controls.reshape(-1, model.n_u))
+    C, D = model.g_jac(x[:, 1:].reshape(-1, model.n_x))
     out = {}
     for name, M in zip("ABGCD", (A, B, G, C, D)):
         if not np.isfinite(M).all():

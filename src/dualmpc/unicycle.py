@@ -171,22 +171,22 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
     # d x+ / d (L_w w)_{1,2} = S h I, times the first two rows of L_w.
     G_position = (S * h) * L_w * np.array([[1.0], [1.0], [0.0]])
 
-    def trig_sums(x, u, w_shaped, powers):
-        """The sums over the stage points of one step of
+    def trig_sums(x, u, powers):
+        """The sums over the stage points of one step at zero noise of
         weight ((s + c) h)^p (cos, sin)(theta_{s,c}), p = 0..powers-1, in
         the order cos, sin, then the next power; the point axis is summed
         in one fixed order."""
-        heading = headings(x, u[..., None, :], w_shaped)[0][..., 0, :, :]
+        heading = headings(x, u[..., None, :], zero_noise)[0][..., 0, :, :]
         trig = [weight * np.stack([np.cos(heading), np.sin(heading)], axis=-3)]
         for _ in range(1, powers):
             trig.append(lever * trig[-1])
         trig = np.concatenate(trig, axis=-3)
         return np.moveaxis(np.add.accumulate(trig.reshape(trig.shape[:-2] + (3 * S,)), axis=-1)[..., -1], -1, 0)
 
-    def f_jac(x, u, w):
+    def f_jac(x, u):
         x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
         # d p+ / d v = sum weight (cos, sin), and d p+ / d r = v sum weight (s + c) h (-sin, cos)
-        cos, sin, cos_r, sin_r = trig_sums(x, u, w @ L_w.T, 2)
+        cos, sin, cos_r, sin_r = trig_sums(x, u, 2)
         v = u[..., 0]
         A = np.broadcast_to(np.eye(3), cos.shape + (3, 3)).copy()
         A[..., 0, 2] = -v * sin  # d p+ / d theta = v sum weight (-sin, cos)
@@ -208,7 +208,7 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
         # -sin and sin into cos; its omega derivative does the same one
         # power of (s + c) h up.
         x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-        cos, sin, cos_1, sin_1, cos_2, sin_2 = trig_sums(x, u, zero_noise, 3)
+        cos, sin, cos_1, sin_1, cos_2, sin_2 = trig_sums(x, u, 3)
         v = u[..., 0]
         b = B_bar[..., 1] + np.add.accumulate(G_bar * L_w[2], axis=-1)[..., -1]
         a_c, a_s = v * A_bar[..., 1, 2] + B_bar[..., 0, 0], B_bar[..., 1, 0] - v * A_bar[..., 0, 2]
@@ -223,23 +223,18 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
         x = np.asarray(x, dtype=float)
         return x + sigma_y(x, eps)[..., None] * (v @ L_v.T)
 
-    eye = np.eye(3)
-
-    def g_jac(x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        C = eye + (v @ L_v.T)[..., :, None] * sigma_y_grad(x, eps)[..., None, :]
+    # At v = 0, C = I and D = sigma_y(r_y) L_v.
+    def g_jac(x):
         D = sigma_y(x, eps)[..., None, None] * L_v
-        return C, D
+        return np.broadcast_to(np.eye(3), D.shape), D
 
     def g_jac_pullback(x, C_bar, D_bar):
-        # At v = 0, C = I and D = sigma_y(r_y) L_v.
         D_bar = np.asarray(D_bar, dtype=float)
         weight_D = np.add.accumulate((D_bar * L_v).reshape(D_bar.shape[:-2] + (-1,)), axis=-1)[..., -1]
         return sigma_y_grad(x, eps) * weight_D[..., None]
 
     model = SystemModel(
-        n_x=3, n_u=2, n_w=3, n_v=3, n_y=3, horizon=N,
+        n_x=3, n_u=2, n_w=3, n_v=3, horizon=N,
         f=f, g=g, f_jac=f_jac, g_jac=g_jac,
         state_names=("r_x", "r_y", "theta"), rollout=rollout,
         f_jac_pullback=f_jac_pullback, g_jac_pullback=g_jac_pullback,

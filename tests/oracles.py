@@ -110,16 +110,16 @@ def _jacobian_pullback(jac: Callable[[Array], tuple], z: Array, bars: tuple[Arra
 
 def fd_pullbacks(model: SystemModel) -> SystemModel:
     """``model`` with its Jacobian pullbacks replaced by central differences
-    of its Jacobian providers (:func:`_jacobian_pullback`), at zero noise,
-    over one stacked axis of points."""
-    n_x, w0, v0 = model.n_x, np.zeros(model.n_w), np.zeros(model.n_v)
+    of its Jacobian providers (:func:`_jacobian_pullback`), over one stacked
+    axis of points."""
+    n_x = model.n_x
 
     def f_jac_pullback(x, u, A_bar, B_bar, G_bar):
-        return _jacobian_pullback(lambda p: model.f_jac(p[..., :n_x], p[..., n_x:], w0),
+        return _jacobian_pullback(lambda p: model.f_jac(p[..., :n_x], p[..., n_x:]),
                                   np.concatenate([x, u], axis=-1), (A_bar, B_bar, G_bar))
 
     def g_jac_pullback(x, C_bar, D_bar):
-        return _jacobian_pullback(lambda p: model.g_jac(p, v0), x, (C_bar, D_bar))
+        return _jacobian_pullback(model.g_jac, x, (C_bar, D_bar))
 
     return replace(model, f_jac_pullback=f_jac_pullback, g_jac_pullback=g_jac_pullback)
 
@@ -507,20 +507,20 @@ def augmented_gradient(ev, pred, feedback: Array) -> tuple[Array, Array]:
 def passive_problem(problem, x_ref: Array):
     """``problem`` with its output map frozen at the linearization at
     ``x_ref``: g(x, v) = g(x_ref, 0) + C (x - x_ref) + D v with
-    (C, D) = g_jac(x_ref, 0) at every stage, so ``g_jac`` is constant and
+    (C, D) = g_jac(x_ref) at every stage, so ``g_jac`` is constant and
     ``g_jac_pullback`` is zero.  Where a plan for it goes does not change
     what it will measure: it keeps the caution of output feedback and loses
     the dual (probing) effect."""
     model = problem.model
     x_ref, v0 = np.asarray(x_ref, dtype=float), np.zeros(model.n_v)
-    C, D = model.g_jac(x_ref, v0)
+    C, D = model.g_jac(x_ref)
     y_ref = model.g(x_ref, v0)
 
     def g(x, v):
         return y_ref + (np.asarray(x, dtype=float) - x_ref) @ C.T + np.asarray(v, dtype=float) @ D.T
 
-    def g_jac(x, v):
-        batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(v)[:-1])
+    def g_jac(x):
+        batch = np.shape(x)[:-1]
         return np.broadcast_to(C, batch + C.shape), np.broadcast_to(D, batch + D.shape)
 
     def g_jac_pullback(x, C_bar, D_bar):
@@ -578,10 +578,10 @@ def replay_policy(problem, x0: Array, P0: Array, policy: Policy, samples: int, s
         else:
             x = model.f(x, u, w)
             y = model.g(x, v)
-            A, _, G = model.f_jac(xhat, u, w0)
+            A, _, G = model.f_jac(xhat, u)
             x_minus = model.f(xhat, u, w0)
             P_minus = A @ P @ A.mT + G @ G.mT
-            C, D = model.g_jac(x_minus, v0)
+            C, D = model.g_jac(x_minus)
             S = C @ P_minus @ C.mT + D @ D.mT
             gain = np.linalg.solve(S, C @ P_minus).mT
             xhat = x_minus + np.einsum("sij,sj->si", gain, y - model.g(x_minus, v0))
@@ -589,9 +589,9 @@ def replay_policy(problem, x0: Array, P0: Array, policy: Policy, samples: int, s
         xs.append(x)
         us.append(u)
     xs = np.stack(xs, axis=1)
-    us = np.stack(us + [np.zeros((samples, model.n_u))], axis=1)
-    hinge = cs.weights * np.maximum(cs.values(xs, us), 0.0)
-    return np.sum(cost.value(slice(None), xs, us), axis=-1) + np.sum(hinge, axis=(-2, -1))
+    z = np.concatenate([xs, np.stack(us + [np.zeros((samples, model.n_u))], axis=1)], axis=-1)
+    hinge = cs.weights * np.maximum(cs.values(z), 0.0)
+    return np.sum(cost.value(slice(None), z), axis=-1) + np.sum(hinge, axis=(-2, -1))
 
 
 def expected_quadratic(hessian: Array, gradient: Array, constant, mean: Array, cov: Array):
@@ -639,7 +639,7 @@ def ekf_predict(model: SystemModel, belief: BeliefState, u: Array, stage: int = 
     u = np.asarray(u, dtype=float)
     w0 = np.zeros(model.n_w)
     mean_next = model.f(belief.mean, u, w0)
-    A, _, G = model.f_jac(belief.mean, u, w0)
+    A, _, G = model.f_jac(belief.mean, u)
     cov_next = A @ belief.cov @ A.T + G @ G.T
     if not (np.all(np.isfinite(mean_next)) and np.all(np.isfinite(cov_next))):
         raise EstimationError(f"EKF prediction diverged at stage {stage}")
@@ -655,7 +655,7 @@ def ekf_update(model: SystemModel, belief: BeliefState, y: Array, stage: int = 0
     """
     y = np.asarray(y, dtype=float)
     v0 = np.zeros(model.n_v)
-    C, D = model.g_jac(belief.mean, v0)
+    C, D = model.g_jac(belief.mean)
     S = C @ belief.cov @ C.T + D @ D.T
     gain_t = chol_solve_spd(S, C @ belief.cov, context=f"EKF innovation covariance at stage {stage}")
     gain = gain_t.T

@@ -173,7 +173,7 @@ def test_stage_table_matches_public_pipeline_bitwise(tmp_path, mode):
     for k in range(N + 1):
         x = traj.states[k]
         u = traj.controls[k] if k < N else np.zeros(model.n_u)
-        h = cs.values(x, u)[used[k]]
+        h = cs.values(np.concatenate([x, u]))[used[k]]
         beta = result.record.beta[k, used[k]]
         expected.append(
             [str(k)]
@@ -474,28 +474,50 @@ def test_config_errors_exit_two(tmp_path):
     assert main(["solve", str(tmp_path / "missing.cfg")]) == 2
 
 
-def test_a_cli_run_imports_no_scipy(tmp_path):
-    """A fresh interpreter that imports the package and runs one shipped
-    ``nominal`` solve through the CLI holds no ``scipy`` module afterwards:
-    the package needs NumPy and the standard library only, and no deferred
-    import moves SciPy's start-up cost into the run."""
+def _fresh_python(*args: str, check: bool = True):
+    """``python *args`` in a fresh interpreter, with this checkout's package
+    first on its import path; the finished process."""
     import os
     import subprocess
     import sys
 
     import dualmpc
 
+    src = str(Path(dualmpc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=check,
+                          timeout=300)
+
+
+def test_a_cli_run_imports_no_scipy(tmp_path):
+    """A fresh interpreter that imports the package and runs one shipped
+    ``nominal`` solve through the CLI holds no ``scipy`` module afterwards:
+    the package needs NumPy and the standard library only, and no deferred
+    import moves SciPy's start-up cost into the run."""
     script = (
         "import json, sys\n"
         "import dualmpc, dualmpc.cli\n"
         "code = dualmpc.cli.main(['solve', sys.argv[1], '--controller', 'nominal', '--out', sys.argv[2]])\n"
         "print(json.dumps([code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))]))\n"
     )
-    src = str(Path(dualmpc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     shipped = Path(__file__).resolve().parents[1] / "configs" / "unicycle.cfg"
-    out = subprocess.run([sys.executable, "-c", script, str(shipped), str(tmp_path)], env=env,
-                         capture_output=True, text=True, check=True, timeout=300)
+    out = _fresh_python("-c", script, str(shipped), str(tmp_path))
     code, scipy_modules = json.loads(out.stdout.strip().splitlines()[-1])
     assert code == 0 and (tmp_path / "solve_nominal.json").is_file()
     assert scipy_modules == []
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """``python -m dualmpc`` is the console script: a ``phi-table`` run
+    exits 0 and writes the bytes that ``cli.main`` writes for the same
+    arguments, and a ``solve`` of a missing config exits 2, the CLI's
+    error code, with the error on stderr."""
+    args = ["phi-table", "--mu-range", "-2", "2", "9", "--sigma-list", "0", "0.5", "1", "--out"]
+    assert main([*args, str(tmp_path / "in_process.csv")]) == 0
+    run = _fresh_python("-m", "dualmpc", *args, str(tmp_path / "module.csv"))
+    assert run.returncode == 0
+    assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+    missing = tmp_path / "missing.cfg"
+    run = _fresh_python("-m", "dualmpc", "solve", str(missing), "--out", str(tmp_path / "out"), check=False)
+    assert run.returncode == 2 and "missing.cfg" in run.stderr
+    assert not (tmp_path / "out").exists()

@@ -131,8 +131,8 @@ def test_ekf_step_matches_two_function_reference(case):
 
 
 def _bad_g_jac(model):
-    def g_jac(x, v):
-        C, D = model.g_jac(x, v)
+    def g_jac(x):
+        C, D = model.g_jac(x)
         return np.full(C.shape, np.nan), D
 
     return replace(model, g_jac=g_jac)

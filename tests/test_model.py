@@ -196,9 +196,9 @@ def test_rk4_jacobians_match_finite_differences():
 @pytest.mark.parametrize("batch", [1, 10, 100, 1000])
 def test_rk4_jacobians_match_three_chain_reference(batch):
     """The unicycle model's closed-form dynamics Jacobians equal the
-    three-chain RK4 formula, with the noise block passed unbatched as L_w,
-    to max|got - ref| <= 1e-14 max(1, max|ref|) per Jacobian; zero-speed
-    rows and a nonzero held noise included.  The two add the same terms in
+    three-chain RK4 formula at zero noise, with the noise block passed
+    unbatched as L_w, to max|got - ref| <= 1e-14 max(1, max|ref|) per
+    Jacobian; zero-speed rows included.  The two add the same terms in
     different orders (and at zero speed give zeros of either sign), so they
     agree to rounding, not bit for bit."""
     params = standard_unicycle_params()
@@ -210,52 +210,48 @@ def test_rk4_jacobians_match_three_chain_reference(batch):
         return A, E[..., :2], L_w
 
     rng = np.random.default_rng(batch)
-    for held_noise in (False, True):
-        x = rng.normal(size=(batch, 3))
-        u = rng.uniform(-2.0, 2.0, size=(batch, 2))
-        u[::3, 0] = 0.0
-        w = rng.normal(size=(batch, 3)) if held_noise else np.zeros(3)
-        expected = rk4_three_chain_jacobians(_unicycle_ode, three_chain_ode_jac, x, u, w @ L_w.T,
-                                             params.dt, params.substeps)
-        for got, ref in zip(model.f_jac(x, u, w), expected, strict=True):
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    x = rng.normal(size=(batch, 3))
+    u = rng.uniform(-2.0, 2.0, size=(batch, 2))
+    u[::3, 0] = 0.0
+    expected = rk4_three_chain_jacobians(_unicycle_ode, three_chain_ode_jac, x, u, np.zeros(3),
+                                         params.dt, params.substeps)
+    for got, ref in zip(model.f_jac(x, u), expected, strict=True):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
 
 def _f_jac_points(shape, rng):
-    """States, controls and held noises of the given batch shape, with
-    headings +-pi and zero speeds among them."""
+    """States and controls of the given batch shape, with headings +-pi
+    and zero speeds among them."""
     x = rng.normal(scale=3.0, size=shape + (3,))
     u = rng.uniform(-2.0, 2.0, size=shape + (2,))
-    w = rng.normal(size=shape + (3,))
     x.reshape(-1, 3)[::4, 2] = np.pi
     x.reshape(-1, 3)[2::4, 2] = -np.pi
     u.reshape(-1, 2)[::3, 0] = 0.0
-    return x, u, w
+    return x, u
 
 
 @pytest.mark.parametrize("substeps", [1, 4])
 @pytest.mark.parametrize("shape", [(), (12,), (2, 5, 10)])
 def test_unicycle_f_jac_matches_finite_differences(substeps, shape):
     """The model's own (A, B, G) against central differences of model.f in
-    x, u and the standardized noise w, with zero and nonzero held noise."""
+    x, u and the standardized noise w, at zero noise."""
     model = make_unicycle_problem(standard_unicycle_params(substeps=substeps)).model
     rng = np.random.default_rng(7 + substeps + len(shape))
-    x, u, w = _f_jac_points(shape, rng)
-    for noise in (np.zeros(shape + (3,)), w):
-        point = (x, u, noise)
-        A, B, G = model.f_jac(*point)
-        if not shape:
-            assert (A.shape, B.shape, G.shape) == ((3, 3), (3, 2), (3, 3))
-        for arg, got in enumerate((A, B, G)):
-            assert got.shape == shape + (3, point[arg].shape[-1])
-            for j in range(point[arg].shape[-1]):
-                step = 1e-6 * (1.0 + np.abs(point[arg][..., j]))
-                plus, minus = [p.copy() for p in point], [p.copy() for p in point]
-                plus[arg][..., j] += step
-                minus[arg][..., j] -= step
-                fd = (model.f(*plus) - model.f(*minus)) / (2.0 * step[..., None])
-                assert_allclose(got[..., j], fd, rtol=0, atol=1e-8)
+    x, u = _f_jac_points(shape, rng)
+    point = (x, u, np.zeros(shape + (3,)))
+    A, B, G = model.f_jac(x, u)
+    if not shape:
+        assert (A.shape, B.shape, G.shape) == ((3, 3), (3, 2), (3, 3))
+    for arg, got in enumerate((A, B, G)):
+        assert got.shape == shape + (3, point[arg].shape[-1])
+        for j in range(point[arg].shape[-1]):
+            step = 1e-6 * (1.0 + np.abs(point[arg][..., j]))
+            plus, minus = [p.copy() for p in point], [p.copy() for p in point]
+            plus[arg][..., j] += step
+            minus[arg][..., j] -= step
+            fd = (model.f(*plus) - model.f(*minus)) / (2.0 * step[..., None])
+            assert_allclose(got[..., j], fd, rtol=0, atol=1e-8)
 
 
 def test_unicycle_f_jac_rows_evaluate_as_alone():
@@ -265,13 +261,11 @@ def test_unicycle_f_jac_rows_evaluate_as_alone():
     model = make_unicycle_problem(standard_unicycle_params()).model
     rng = np.random.default_rng(410)
     for shape in ((410,), (2, 5, 10)):
-        x, u, w = _f_jac_points(shape, rng)
-        for noise in (np.zeros(3), w):
-            batch = model.f_jac(x, u, noise)
-            for i in np.ndindex(shape):
-                alone = model.f_jac(x[i], u[i], noise if noise.ndim == 1 else noise[i])
-                for got, ref in zip(batch, alone, strict=True):
-                    assert same_bits(got[i], ref)
+        x, u = _f_jac_points(shape, rng)
+        batch = model.f_jac(x, u)
+        for i in np.ndindex(shape):
+            for got, ref in zip(batch, model.f_jac(x[i], u[i]), strict=True):
+                assert same_bits(got[i], ref)
 
 
 def _pullback_points(rng, M=60):
@@ -295,12 +289,11 @@ def test_unicycle_jacobian_pullbacks_match_central_differences(substeps):
     for g, at r_y = -0.021, where sigma_y bends on the scale eps = 1e-2."""
     model = make_unicycle_problem(standard_unicycle_params(substeps=substeps)).model
     x, u, (A_bar, B_bar, G_bar, C_bar, D_bar) = _pullback_points(np.random.default_rng(430 + substeps))
-    w0, v0 = np.zeros(3), np.zeros(3)
-    ref = _jacobian_pullback(lambda p: model.f_jac(p[..., :3], p[..., 3:], w0), np.concatenate([x, u], axis=-1),
+    ref = _jacobian_pullback(lambda p: model.f_jac(p[..., :3], p[..., 3:]), np.concatenate([x, u], axis=-1),
                              (A_bar, B_bar, G_bar))
     assert_allclose(model.f_jac_pullback(x, u, A_bar, B_bar, G_bar), ref, rtol=0, atol=1e-9)
     assert np.all(model.f_jac_pullback(x, u, A_bar, B_bar, G_bar)[:, :2] == 0.0)
-    ref = _jacobian_pullback(lambda p: model.g_jac(p, v0), x, (C_bar, D_bar))
+    ref = _jacobian_pullback(model.g_jac, x, (C_bar, D_bar))
     assert_allclose(model.g_jac_pullback(x, C_bar, D_bar), ref, rtol=0, atol=1e-8)
 
 
@@ -354,7 +347,7 @@ def test_quadratic_cost_checks_the_symmetric_part():
     H = np.array([[[2.0, 1.0], [0.0, 2.0]]])
     cost = QuadraticCost(**_cost_tables(H))
     assert np.array_equal(cost.hessians, [[[2.0, 0.5], [0.5, 2.0]]])
-    assert cost.value(0, np.array([1.0]), np.array([-1.0])) == 1.5
+    assert cost.value(0, np.array([1.0, -1.0])) == 1.5
 
 
 @pytest.mark.parametrize("field", ["hessians", "gradients", "constants"])
@@ -391,18 +384,16 @@ def test_quadratic_cost_values_batched():
     g = rng.normal(size=(3, 3))
     g[2] = 0.0
     cost = QuadraticCost(hessians=H, gradients=g, constants=np.array([0.5, -1.0, 0.0]))
-    xs = rng.normal(size=(4, 2))
-    us = rng.normal(size=(4, 1))
-    vals = cost.value(1, xs, us)
+    zs = np.concatenate([rng.normal(size=(4, 2)), rng.normal(size=(4, 1))], axis=-1)
+    vals = cost.value(1, zs)
     for i in range(4):
-        z = np.concatenate([xs[i], us[i]])
-        assert_allclose(vals[i], 0.5 * z @ H[1] @ z + g[1] @ z - 1.0, rtol=1e-12)
-    assert_allclose(cost.value(2, np.array([1.0, 2.0]), np.zeros(1)), 2.5, rtol=1e-12)
+        assert_allclose(vals[i], 0.5 * zs[i] @ H[1] @ zs[i] + g[1] @ zs[i] - 1.0, rtol=1e-12)
+    assert_allclose(cost.value(2, np.array([1.0, 2.0, 0.0])), 2.5, rtol=1e-12)
     # several stages at once, along the last batch axis
-    stages = cost.value(slice(None), xs[:3], us[:3])
+    stages = cost.value(slice(None), zs[:3])
     assert stages.shape == (3,)
     for k in range(3):
-        assert stages[k] == cost.value(k, xs[k], us[k])
+        assert stages[k] == cost.value(k, zs[k])
 
 
 def test_problem_rejects_cost_table_off_the_horizon():
@@ -482,13 +473,12 @@ def test_constraint_box_bounds_must_be_one_dimensional_and_of_one_length(lower, 
 def test_constraint_values_of_a_batch_equal_each_point_alone(unicycle_problem):
     cs = unicycle_problem.constraints
     rng = np.random.default_rng(5)
-    x, u = rng.normal(size=(7, 4, 3)), rng.normal(size=(7, 4, 2))
-    batch = cs.values(x, u)
+    z = np.concatenate([rng.normal(size=(7, 4, 3)), rng.normal(size=(7, 4, 2))], axis=-1)
+    batch = cs.values(z)
     assert batch.shape == (7, 4, 5)
     for i in range(7):
         for j in range(4):
-            assert np.array_equal(batch[i, j], cs.values(x[i, j], u[i, j]))
-    assert np.array_equal(cs.values(x[0, 0], u), np.stack([cs.values(x[0, 0], p) for p in u]))
+            assert np.array_equal(batch[i, j], cs.values(z[i, j]))
 
 
 def test_problem_rejects_weight_table_off_the_horizon():
@@ -521,7 +511,7 @@ def test_problem_rejects_control_box_of_the_wrong_length(lower, upper):
 def test_empty_constraint_set_shapes():
     cs = ConstraintSet.empty(4, 2, 3)
     assert cs.weights.shape == (4, 0)
-    assert cs.values(np.zeros((5, 4)), np.zeros((5, 2))).shape == (5, 0)
+    assert cs.values(np.zeros((5, 6))).shape == (5, 0)
     assert cs.matrix.shape == (0, 6) and cs.offset.shape == (0,)
     assert np.all(np.isinf(cs.u_lower))
 
@@ -539,7 +529,7 @@ def test_linear_problem_dynamics_and_jacobians():
     x, u, w, v = rng.normal(size=3), rng.normal(size=2), rng.normal(size=1), rng.normal(size=2)
     assert_allclose(prob.model.f(x, u, w), A @ x + B @ u + G @ w, rtol=1e-14)
     assert_allclose(prob.model.g(x, v), C @ x + D @ v, rtol=1e-14)
-    Aj, Bj, Gj = prob.model.f_jac(x, u, w)
+    Aj, Bj, Gj = prob.model.f_jac(x, u)
     assert_allclose(Aj, A, atol=0)
     assert_allclose(Bj, B, atol=0)
     assert_allclose(Gj, G, atol=0)
@@ -571,11 +561,10 @@ def test_sigma_y_gradient_matches_fd():
 def test_unicycle_output_jacobians_match_fd(unicycle_problem):
     m = unicycle_problem.model
     rng = np.random.default_rng(8)
-    x = rng.normal(size=3)
-    v = rng.normal(size=3)
-    C, D = m.g_jac(x, v)
-    C_fd = fd_jacobian(lambda p: m.g(p, v), x)
-    D_fd = fd_jacobian(lambda p: m.g(x, p), v)
+    x, v0 = rng.normal(size=3), np.zeros(3)
+    C, D = m.g_jac(x)
+    C_fd = fd_jacobian(lambda p: m.g(p, v0), x)
+    D_fd = fd_jacobian(lambda p: m.g(x, p), v0)
     assert_allclose(C, C_fd, rtol=1e-6, atol=1e-9)
     assert_allclose(D, D_fd, rtol=1e-6, atol=1e-9)
 
@@ -584,17 +573,16 @@ def test_unicycle_constraints_and_jacobians(unicycle_problem):
     cs = unicycle_problem.constraints
     x = np.array([0.4, -1.0, 0.2])
     u = np.array([2.5, -2.5])
-    h = cs.values(x, u)
+    z = np.concatenate([x, u])
+    h = cs.values(z)
     # stage 0: only the control box, split as (u - u_max, -u - u_max)
     assert_allclose(h[cs.weights[0] > 0], [0.5, -4.5, -4.5, 0.5], atol=1e-15)
     assert_allclose(h[cs.weights[1] > 0], [-0.4, 0.5, -4.5, -4.5, 0.5], atol=1e-15)
     # the matrix rows via FD on the stacked (x, u) argument
-    step = 1e-6
-    z = np.concatenate([x, u])
-    J_fd = fd_jacobian(lambda p: cs.values(p[:3], p[3:]), z, step)
+    J_fd = fd_jacobian(cs.values, z, 1e-6)
     assert_allclose(cs.matrix, J_fd, atol=1e-9)
     # terminal stage: only r_x
-    assert_allclose(cs.values(x, np.zeros(2))[cs.weights[-1] > 0], [-0.4], atol=0)
+    assert_allclose(cs.values(np.concatenate([x, np.zeros(2)]))[cs.weights[-1] > 0], [-0.4], atol=0)
 
 
 def test_unicycle_stage_cost(unicycle_problem):
@@ -602,9 +590,9 @@ def test_unicycle_stage_cost(unicycle_problem):
     x = np.array([1.5, -2.0, 0.7])
     u = np.array([1.0, -2.0])
     expected = 1.5 + 1e-6 * (1.0 + 4.0)
-    assert_allclose(cost.value(0, x, u), expected, rtol=1e-12)
+    assert_allclose(cost.value(0, np.concatenate([x, u])), expected, rtol=1e-12)
     N = unicycle_problem.model.horizon
-    assert_allclose(cost.value(N, x, np.zeros(2)), 1.5, rtol=1e-12)
+    assert_allclose(cost.value(N, np.concatenate([x, np.zeros(2)])), 1.5, rtol=1e-12)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -643,8 +631,8 @@ def test_unicycle_dynamics_jacobians_match_fd():
     m = prob.model
     x = np.array([0.5, 1.2, 2.5])
     u = np.array([1.1, 0.4])
-    w = np.array([0.3, -0.1, 0.2])
-    A, B, G = m.f_jac(x, u, w)
+    w = np.zeros(3)
+    A, B, G = m.f_jac(x, u)
     A_fd = fd_jacobian(lambda p: m.f(p, u, w), x)
     B_fd = fd_jacobian(lambda p: m.f(x, p, w), u)
     G_fd = fd_jacobian(lambda p: m.f(x, u, p), w)

@@ -572,30 +572,24 @@ def test_shipped_plan_gains_from_the_dual_effect():
 
 # ------------------------------------------------- constraint tables as given
 
-def _row_by_row_tables(problem, xs, us):
-    """Constraint values and gradients of stages 0..N built one row at a
-    time from ``values``/``matrix``: every row in row order, stage N at
-    u = 0 with zero u columns."""
-    cs, n_x = problem.constraints, problem.model.n_x
+def _row_by_row_values(problem, xs, us):
+    """Constraint values of stages 0..N built one row at a time from
+    ``values``: every row in row order, stage N at u = 0."""
+    cs = problem.constraints
     N, n_u = us.shape
-    n_h = cs.matrix.shape[0]
-    h = np.empty((N + 1, n_h))
-    grads = np.empty((N + 1, n_h, n_x + n_u))
+    h = np.empty((N + 1, cs.matrix.shape[0]))
     for k in range(N + 1):
-        u = us[k] if k < N else np.zeros(n_u)
-        for i in range(n_h):
-            h[k, i] = cs.values(xs[k], u)[i]
-            grads[k, i] = cs.matrix[i]
-    grads[N, :, n_x:] = 0.0
-    return h, grads
+        z = np.concatenate([xs[k], us[k] if k < N else np.zeros(n_u)])
+        for i in range(h.shape[1]):
+            h[k, i] = cs.values(z)[i]
+    return h
 
 
 @pytest.mark.parametrize("case", ["unicycle", "unicycle_every_row", "terminal_only"])
 def test_packed_tables_match_row_by_row_reference(case):
     """The evaluator scores the constraint table as the problem gives it:
-    the prediction's h and the evaluator's gradient table equal, bit for
-    bit, tables built row by row, every row at every stage, unbatched and
-    as rows of a 12-row batch; stage N keeps the rows' x columns only.
+    the prediction's h equals, bit for bit, a table built row by row,
+    every row at every stage, unbatched and as rows of a 12-row batch.
     The record's direction variances come in the same rows, and the rows
     with nonzero weight are the ones that apply: the unicycle's stage 0
     drops row 0, its stage N keeps row 0 alone, and the terminal-only
@@ -603,8 +597,7 @@ def test_packed_tables_match_row_by_row_reference(case):
     if case.startswith("unicycle"):
         prob, x0 = make_unicycle_problem(standard_unicycle_params()), np.array([0.05, 0.8, np.pi])
         if case == "unicycle_every_row":
-            cs = replace(prob.constraints, weights=np.ones(prob.constraints.weights.shape))
-            prob = replace(prob, constraints=cs)
+            prob = _every_row(prob)
     else:
         prob, x0 = one_stage_terminal_problem(), np.array([1.0])
     n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
@@ -614,9 +607,7 @@ def test_packed_tables_match_row_by_row_reference(case):
     batch = ev.prediction(u)
     for i in range(12):
         for pred in (ev.prediction(u[i]), batch.take(i)):
-            h, grads = _row_by_row_tables(prob, pred.traj.states, u[i])
-            assert np.array_equal(pred.h, h)
-            assert np.array_equal(ev._grads, grads)
+            assert np.array_equal(pred.h, _row_by_row_values(prob, pred.traj.states, u[i]))
     fb = 0.1 * rng.normal(size=(N - 1, n_u, n_x))
     record = ev.evaluate(ev.prediction(u[0]), fb)
     assert record.beta.shape == record.prediction.h.shape == (N + 1, prob.constraints.matrix.shape[0])
@@ -652,7 +643,7 @@ def _reference_parts(problem, x0, P0, policy, eps_sigma, eps_K):
         variance += 0.5 * np.trace(H[k] @ joint)
         used = cs.weights[k] > 0
         beta = np.clip(constraint_direction_variance(cs.matrix[used], joint), 0.0, None) + eps2
-        penalty += np.sum(cs.weights[k][used] * expected_relu(cs.values(x, u)[used], np.sqrt(beta)))
+        penalty += np.sum(cs.weights[k][used] * expected_relu(cs.values(z)[used], np.sqrt(beta)))
         betas.append(beta)
     x_N, P_N, u_N = traj.states[N], aug.P[N], np.zeros(model.n_u)
     H_N = H[N, :n_x, :n_x]
@@ -661,15 +652,29 @@ def _reference_parts(problem, x0, P0, policy, eps_sigma, eps_K):
     used = cs.weights[N] > 0
     grads = cs.matrix[used][:, : model.n_x]
     beta = np.clip(constraint_direction_variance(grads, P_N), 0.0, None) + eps2
-    penalty += np.sum(cs.weights[N][used] * expected_relu(cs.values(x_N, u_N)[used], np.sqrt(beta)))
+    penalty += np.sum(cs.weights[N][used] * expected_relu(cs.values(np.concatenate([x_N, u_N]))[used], np.sqrt(beta)))
     betas.append(beta)
     reg = eps_K * np.sum(np.asarray(policy.feedback) ** 2)
     return (nominal, variance, penalty, reg), betas
 
 
+def _every_row(problem):
+    """``problem`` with every constraint row at weight 1 at every stage, so
+    rows that read u apply at stage N, too."""
+    cs = problem.constraints
+    return replace(problem, constraints=replace(cs, weights=np.ones(cs.weights.shape)))
+
+
+def _reads_u_at_stage_n(problem) -> bool:
+    """Whether a row with nonzero u columns has nonzero weight at stage N."""
+    cs, n_x = problem.constraints, problem.model.n_x
+    return bool(np.any(cs.weights[-1][np.any(cs.matrix[:, n_x:] != 0.0, axis=1)] > 0.0))
+
+
 def _assembly_cases():
-    """A linear problem with a nonzero terminal Hessian, and the unicycle
-    near its r_x wall so that stage and terminal penalties are live."""
+    """A linear problem with a nonzero terminal Hessian, the unicycle near
+    its r_x wall so that stage and terminal penalties are live, and that
+    unicycle with every row applying at every stage."""
     rng = np.random.default_rng(41)
     lin_prob = make_linear_problem(
         np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([[0.005], [0.1]]), 0.15 * np.eye(2),
@@ -677,16 +682,19 @@ def _assembly_cases():
         np.array([[2.0, 0.3], [0.3, 1.0]]), horizon=5,
     )
     uni_prob = make_unicycle_problem(standard_unicycle_params(horizon=6))
-    return [
-        (lin_prob, np.array([1.0, -0.5]), 0.2 * np.eye(2), rng.normal(0, 0.5, size=(5, 1))),
-        (uni_prob, np.array([0.05, 0.8, np.pi]), 0.01 * np.eye(3), rng.uniform(-1.5, 1.5, size=(6, 2))),
-    ]
+    lin_case = (lin_prob, np.array([1.0, -0.5]), 0.2 * np.eye(2), rng.normal(0, 0.5, size=(5, 1)))
+    uni_case = (uni_prob, np.array([0.05, 0.8, np.pi]), 0.01 * np.eye(3), rng.uniform(-1.5, 1.5, size=(6, 2)))
+    return [lin_case, uni_case, (_every_row(uni_prob), *uni_case[1:])]
 
 
-@pytest.mark.parametrize("case", [0, 1])
+@pytest.mark.parametrize("case", [0, 1, 2])
 @pytest.mark.parametrize("mode", ["open_loop", "output_feedback"])
 def test_stage_n_assembly_matches_stage_by_stage_reference(case, mode):
+    """The evaluator's parts and direction variances against a stage-by-stage
+    sum whose stage N keeps the x block and the rows' x columns; in case 2
+    rows that read u apply at stage N."""
     prob, x0, P0, u = _assembly_cases()[case]
+    assert _reads_u_at_stage_n(prob) == (case == 2)
     n_x, n_u, N = prob.model.n_x, prob.model.n_u, prob.model.horizon
     rng = np.random.default_rng(43)
     scale = 0.0 if mode == "open_loop" else 0.2
@@ -701,7 +709,7 @@ def test_stage_n_assembly_matches_stage_by_stage_reference(case, mode):
         assert len(ref_betas) == N + 1
         for k, ref in enumerate(ref_betas):
             assert_allclose(beta[k, prob.constraints.weights[k] > 0], ref, rtol=1e-12, atol=0)
-    if case == 1:
+    if case > 0:
         assert np.all(parts[2] > 1e-6)  # the penalty is live
 
 
@@ -727,9 +735,9 @@ def test_nominal_cost_is_terminal_first_sequential_sum(case):
     for i in range(12):
         for pred in (ev.prediction(u[i]), batch.take(i)):
             xs = pred.traj.states
-            expected = cost.value(N, xs[N], np.zeros(n_u))
+            expected = cost.value(N, np.concatenate([xs[N], np.zeros(n_u)]))
             for k in range(N):
-                expected = expected + cost.value(k, xs[k], u[i, k])
+                expected = expected + cost.value(k, np.concatenate([xs[k], u[i, k]]))
             assert pred.nominal_cost == expected
 
 
@@ -828,7 +836,9 @@ def test_objective_is_c1_across_the_old_variance_floor():
 def _separation_cases():
     """(name, problem, x0, P0, u (3, N, n_u), feedback (3, N-1, n_u, n_x)):
     three random linear-Gaussian systems, each also from P_hat_0 = 0, and
-    the shipped-size unicycle (10 stages) along three control rows."""
+    the shipped-size unicycle (10 stages) along three control rows, also
+    with every row applying at every stage (rows that read u at stage N
+    included)."""
     rng = np.random.default_rng(440)
     cases = []
     for i in range(3):
@@ -845,6 +855,7 @@ def _separation_cases():
     uni = make_unicycle_problem(standard_unicycle_params())
     cases.append(("unicycle", uni, np.array([0.05, 0.8, np.pi]), 0.01 * np.eye(3),
                   rng.uniform(-1.5, 1.5, size=(3, 10, 2)), 0.1 * rng.normal(size=(3, 9, 2, 3))))
+    cases.append(("unicycle_every_row", _every_row(uni), *cases[-1][2:]))
     return cases
 
 
@@ -864,7 +875,7 @@ def _assert_relative(got, ref, tol):
 
 
 @pytest.mark.parametrize("mode", ["open_loop", "output_feedback"])
-@pytest.mark.parametrize("case", range(7), ids=[c[0] for c in _separation_cases()])
+@pytest.mark.parametrize("case", range(8), ids=[c[0] for c in _separation_cases()])
 def test_separated_evaluation_matches_augmented_reference(case, mode):
     """With the Kalman gains of the linearization, the separated n_x form
     (the estimate's spread Q plus the filter covariance) gives the joint

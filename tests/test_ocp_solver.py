@@ -271,20 +271,20 @@ def test_fused_line_search_gradient_equals_fd_gradient(mode, failing_full_step):
             with pytest.raises(RolloutError):
                 ev.totals(*var.unpack_batch(var.project(theta + direction)[None]))
         results = [_armijo_search(ev, var, theta, f, g, direction, first) for first in (False, True)]
-        for trial, f_trial, index, accepted in results:
-            assert accepted is not None
+        assert None not in results
+        for trial, f_trial, index, g_trial, accepted in results:
             assert (index > 0) == backtracked
             trial_pol = var.unpack(trial)
             center = ev.totals(trial_pol.u_nom, trial_pol.feedback)[1]
-            for got, expected in zip(record_fields(accepted[1]), record_fields(center), strict=True):
+            for got, expected in zip(record_fields(accepted), record_fields(center), strict=True):
                 assert np.array_equal(got, expected)
-            assert np.array_equal(accepted[0], _gradient(ev, var, center))
-        (trial, f_trial, index, accepted), (trial_1, f_trial_1, index_1, accepted_1) = results
+            assert np.array_equal(g_trial, _gradient(ev, var, center))
+        (trial, f_trial, index, g_trial, accepted), (trial_1, f_trial_1, index_1, g_trial_1, _) = results
         assert np.array_equal(trial, trial_1) and f_trial == f_trial_1 and index == index_1
-        assert np.array_equal(accepted[0], accepted_1[0])
+        assert np.array_equal(g_trial, g_trial_1)
         f_seed, center_seed, _ = ocp_solver._seed(ev, var, trial)
         assert f_seed == f_trial
-        for got, expected in zip(record_fields(center_seed), record_fields(accepted[1]), strict=True):
+        for got, expected in zip(record_fields(center_seed), record_fields(accepted), strict=True):
             assert np.array_equal(got, expected)
 
 
@@ -331,7 +331,7 @@ def test_metric_reseed_after_first_iteration_uses_fd_curvature(monkeypatch):
     def failing_third_search(ev, var, theta, f, g, direction, full_step_first=False):
         events.append(("search", theta.copy(), f))
         if [e[0] for e in events].count("search") == 3:
-            return theta, f, -1, None
+            return None
         return search(ev, var, theta, f, g, direction, full_step_first)
 
     def recorded_seed(curv, gnorm):
@@ -440,7 +440,7 @@ def test_failed_steepest_descent_search_skips_the_metric_reseed(monkeypatch):
 
     def failing_search(ev, var, theta, f, g, direction, full_step_first=False):
         searches.append(theta.copy())
-        return theta, f, -1, None
+        return None
 
     def recorded_seed(curv, gnorm):
         seeds.append(1)
@@ -471,7 +471,7 @@ def test_three_skipped_updates_reseed_the_metric(monkeypatch):
 
     def recorded_search(*args):
         result = search(*args)
-        events.append(("search", result[2] >= 0))
+        events.append(("search", result is not None))
         return result
 
     def recorded_seed(curv, gnorm):
@@ -526,10 +526,10 @@ def test_stencil_rows_run_only_for_metric_seeds(monkeypatch):
     assert sum(w > 12 for w in widths) == len(seeds)
 
 
-def _nan_above_half_problem(jacobian_too=False):
-    """Scalar linear problem whose f (and with ``jacobian_too`` also f_jac)
-    turns NaN for controls above 0.5, inside the box |u| <= 2; from x0 = -3
-    the unconstrained optimum lies beyond 0.5."""
+def _nan_above_half_problem(maps=("f",)):
+    """Scalar linear problem whose ``maps`` (f, f_jac or both) turn NaN for
+    controls above 0.5, inside the box |u| <= 2; from x0 = -3 the
+    unconstrained optimum lies beyond 0.5."""
     prob = make_linear_problem(
         A=[[1.0]], B=[[1.0]], G=[[0.1]], C=[[1.0]], D=[[0.1]],
         Q=[[1.0]], R=[[1e-3]], Q_terminal=[[1.0]], horizon=3,
@@ -540,11 +540,12 @@ def _nan_above_half_problem(jacobian_too=False):
     def f_nan_above(x, u, w):
         return np.where(np.asarray(u)[..., :1] > 0.5, np.nan, f(x, u, w))
 
-    def f_jac_nan_above(x, u, w):
+    def f_jac_nan_above(x, u):
         above = (np.asarray(u)[..., :1] > 0.5)[..., None]
-        return tuple(np.where(above, np.nan, J) for J in f_jac(x, u, w))
+        return tuple(np.where(above, np.nan, J) for J in f_jac(x, u))
 
-    model = replace(prob.model, f=f_nan_above, f_jac=f_jac_nan_above if jacobian_too else f_jac)
+    model = replace(prob.model, f=f_nan_above if "f" in maps else f,
+                    f_jac=f_jac_nan_above if "f_jac" in maps else f_jac)
     return replace(prob, model=model)
 
 
@@ -558,6 +559,24 @@ def test_failing_trial_is_rejected_not_fatal():
         assert res.iterations > 0
         assert np.isfinite(res.objective.total)
         assert np.all(res.policy.u_nom <= 0.5)
+
+
+def test_sweep_failure_at_a_passing_trial_rejects_that_trial():
+    """With f_jac alone NaN above u = 0.5, a nominal forward pass reads f
+    only, so a trial across the threshold passes the Armijo test and fails
+    in the reverse sweep.  That trial is rejected and the search goes on,
+    as open_loop, whose forward pass linearizes, rejects it: both modes
+    take the same 19 steps to the same controls, u_0 just below 0.5, and
+    their objectives differ by open_loop's variance cost alone."""
+    problem = _nan_above_half_problem(maps=("f_jac",))
+    results = [solve(problem, np.array([-3.0]), 0.01 * np.eye(1), SolveOptions(mode=mode, max_iterations=30))
+               for mode in ("nominal", "open_loop")]
+    for res in results:
+        assert (res.status, res.iterations) == ("line_search_failure", 19)
+        assert 0.5 - 1e-9 < res.policy.u_nom[0, 0] <= 0.5
+    nominal, open_loop = results
+    assert np.array_equal(nominal.policy.u_nom, open_loop.policy.u_nom)
+    assert nominal.objective.total == open_loop.objective.nominal_cost == 12.010898156715514
 
 
 @pytest.mark.parametrize("mode, total", [("nominal", 12.010898156715514), ("open_loop", 12.060898156715515)])
@@ -581,7 +600,7 @@ def test_failed_chunk_is_scored_up_to_the_first_passing_trial(monkeypatch, mode,
 
     def checked_search(ev, var, theta, f, g, direction, full_step_first=False):
         result = search(ev, var, theta, f, g, direction, full_step_first)
-        if result[2] >= 0:
+        if result is not None:
             outcome, u_nom = calls[-1]
             assert outcome == "ok"
             assert any(np.array_equal(row, var.unpack(result[0]).u_nom) for row in u_nom)
@@ -596,15 +615,13 @@ def test_failed_chunk_is_scored_up_to_the_first_passing_trial(monkeypatch, mode,
 
 
 def test_stencil_crossing_failure_boundary_ends_solve_not_fatal():
-    """With a larger budget the iterates creep up to u_0 just below 0.5.  In
-    open_loop mode the gradient pass differentiates f_jac at points a step
-    away from the accepted trial; once those cross the threshold, where f_jac
-    is NaN too, the pass fails and the solve stops with the best iterate.
-    nominal mode evaluates f_jac on the trajectory only; there the
-    curvature stencils of the metric reseeds next to the threshold fail,
-    which falls back to a steepest-descent seed, and the solve has to stay
-    finite and inside the good region."""
-    problem = _nan_above_half_problem(jacobian_too=True)
+    """With a larger budget the iterates creep up to u_0 just below 0.5,
+    where f and f_jac are NaN beyond the threshold.  Every trial across it
+    is rejected, the curvature stencils of the metric reseeds next to it
+    fail, which falls back to a steepest-descent seed, and the open_loop
+    solve stops with the best iterate when no trial passes; both modes have
+    to stay finite and inside the good region."""
+    problem = _nan_above_half_problem(maps=("f", "f_jac"))
     for mode in ("nominal", "open_loop"):
         res = solve(problem, np.array([-3.0]), 0.01 * np.eye(1), SolveOptions(mode=mode, max_iterations=30))
         if mode == "open_loop":

@@ -48,7 +48,8 @@ def test_perfbench_pipeline_calls_keep_their_shapes():
     u = np.zeros((N, n_u))
     lin = linearize_trajectory(model, nominal_rollout(model, x0, u))
     gains, covs = kalman_recursion(lin, P0)
-    assert gains.shape == (N, n_x, model.n_y) and covs.shape == (N + 1, n_x, n_x)
+    n_y = model.g(x0, np.zeros(model.n_v)).size
+    assert gains.shape == (N, n_x, n_y) and covs.shape == (N + 1, n_x, n_x)
     feedback = np.zeros((3, N - 1, n_u, n_x))
     sigma = propagate_covariance(lin, Policy(u_nom=u, feedback=feedback), gains, P0).sigma
     assert sigma.shape == (3, N + 1, 2 * n_x, 2 * n_x)

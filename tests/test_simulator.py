@@ -166,14 +166,29 @@ def test_recorded_cost_and_flags_follow_true_state():
     rec = simulate_run(prob, _ScriptedController(u_fix), cfg, 0)
     assert not rec.diverged
     for t in range(cfg.steps):
-        x = rec.states[t]
-        h = prob.constraints.values(x, u_fix)
-        expected = float(prob.cost.value(0, x, u_fix))
+        z = np.concatenate([rec.states[t], u_fix])
+        h = prob.constraints.values(z)
+        expected = float(prob.cost.value(0, z))
         expected += float(np.sum(prob.constraints.weights[1] * np.maximum(h, 0.0)))
         assert rec.stage_costs[t] == pytest.approx(expected, rel=1e-12)
         assert bool(rec.violation_flags[t]) == bool(np.any(h > 0.0))
         assert_allclose(rec.constraint_values[t], h)
     assert rec.total_cost == pytest.approx(float(np.sum(rec.stage_costs)), rel=1e-12)
+
+
+def test_horizon_one_metric_keeps_state_and_control_rows():
+    """At horizon 1 the unicycle's stage 0 drops its r_x row and stage 1 =
+    N its control rows, so the realized metric takes each row's larger
+    weight of the two: a scripted run from behind the r_x wall records the
+    same rows, costs and flags as at horizon 2, and every step is flagged."""
+    cfg = SimConfig(init_mean=[-0.5, 0.5, 0.0], init_cov=1e-6 * np.eye(3), steps=3, runs=1, master_seed=3)
+    recs = [simulate_run(make_unicycle_problem(standard_unicycle_params(horizon=N)),
+                         _ScriptedController([0.5, 0.1]), cfg, 0) for N in (1, 2)]
+    one, two = recs
+    assert one.constraint_values.shape == (3, 5)
+    for field in ("states", "constraint_values", "stage_costs", "violation_flags"):
+        assert np.array_equal(getattr(one, field), getattr(two, field))
+    assert np.all(one.violation_flags) and np.all(one.stage_costs > 100.0)
 
 
 def test_divergence_is_flagged_and_padded_with_nan():
@@ -197,8 +212,8 @@ def _growing_problem_with_bad_jacobian(limit=5.0):
                                np.eye(2), horizon=2)
     good_jac = prob.model.f_jac
 
-    def f_jac(x, u, w):
-        A, B, G = good_jac(x, u, w)
+    def f_jac(x, u):
+        A, B, G = good_jac(x, u)
         if np.any(np.asarray(x)[..., 1] > limit):
             A = np.full(A.shape, np.nan)
         return A, B, G

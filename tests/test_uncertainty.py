@@ -94,16 +94,16 @@ def _overflowing_model(rollout=None):
         with np.errstate(over="ignore"):
             return x * 1e200
 
-    def f_jac(x, u, w):
+    def f_jac(x, u):
         one = np.ones(x.shape + (1,))
         return 1e200 * one, 0.0 * one, 0.0 * one
 
-    def g_jac(x, v):
+    def g_jac(x):
         one = np.ones(x.shape + (1,))
         return one, 0.0 * one
 
     return SystemModel(
-        n_x=1, n_u=1, n_w=1, n_v=1, n_y=1, horizon=3,
+        n_x=1, n_u=1, n_w=1, n_v=1, horizon=3,
         f=f, g=lambda x, v: x, f_jac=f_jac, g_jac=g_jac, state_names=("x",), rollout=rollout,
         f_jac_pullback=lambda x, u, A_bar, B_bar, G_bar: np.zeros(x.shape[:-1] + (2,)),
         g_jac_pullback=lambda x, C_bar, D_bar: np.zeros(x.shape),
@@ -202,10 +202,9 @@ def test_folded_linearization_matches_stage_by_stage_jacobians(unicycle_problem,
         x0 = rng.normal(size=3)
     traj = nominal_rollout(model, x0, rng.uniform(-1, 1, size=(10, model.n_u)))
     lin = linearize_trajectory(model, traj)
-    w0, v0 = np.zeros(model.n_w), np.zeros(model.n_v)
     for k in range(10):
-        A, B, G = model.f_jac(traj.states[k], traj.controls[k], w0)
-        C, D = model.g_jac(traj.states[k + 1], v0)
+        A, B, G = model.f_jac(traj.states[k], traj.controls[k])
+        C, D = model.g_jac(traj.states[k + 1])
         for name, ref in zip("ABGCD", (A, B, G, C, D)):
             assert_allclose(getattr(lin, name)[k], ref, atol=0, rtol=0, err_msg=f"{name}[{k}]")
 
@@ -227,9 +226,9 @@ def _counting_model(model):
     """The model with f_jac recording how many points each call receives."""
     seen = []
 
-    def f_jac(x, u, w):
+    def f_jac(x, u):
         seen.append(int(np.prod(x.shape[:-1])))
-        return model.f_jac(x, u, w)
+        return model.f_jac(x, u)
 
     return replace(model, f_jac=f_jac), seen
 
