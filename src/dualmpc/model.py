@@ -47,7 +47,9 @@ OutputPullbackFn = Callable[[Array, Array, Array], Array]
 
 
 class ModelError(ValueError):
-    """Invalid model input or a map producing non-finite values."""
+    """An invalid model, cost, constraint set or covariance, or an input
+    that does not fit the problem; no solve or run contains it.  Non-finite
+    values met while running raise a NumericalError instead."""
 
 
 def psd_sqrt(M: Array) -> Array:

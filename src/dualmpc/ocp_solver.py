@@ -38,8 +38,12 @@ in 88%, 99% and 95% of them in the in-loop solves of closed-loop runs 0-1.
 The accepted trial is the first passing step of the sequence whatever the
 chunks, because every row of a batch evaluates exactly as it does alone.
 A chunk that fails as a whole is scored trial by trial, up to the first
-trial that passes; a trial whose forward pass or reverse sweep fails is
-rejected.
+trial that passes; a trial whose forward pass or reverse sweep raises a
+NumericalError is rejected.
+
+Status is read once, from the returned iterate: 'converged' if its
+stationarity meets the tolerance, else 'line_search_failure' if the last
+search found no step, else 'max_iter'.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Array, ControlProblem, ModelError
+from .model import Array, ControlProblem
 from .objective import MODES, Evaluation, ObjectiveBreakdown, ObjectiveEvaluator
 from .uncertainty import NumericalError, Policy
 
@@ -186,7 +190,7 @@ def _seed(ev: ObjectiveEvaluator, var: _Variables, theta: Array,
     batch = rows if at is not None else np.concatenate([theta[None], rows])
     try:
         totals, record = ev.totals(*var.unpack_batch(batch))
-    except _TRIAL_ERRORS:
+    except NumericalError:
         totals = np.full(batch.shape[0], np.inf)
         if at is None:
             theta_total, record = ev.totals(*var.unpack_batch(theta[None]))
@@ -220,32 +224,6 @@ _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 40
 _ARMIJO_C = 1e-4
 _LS_CHUNK = 12
-# Failures of one trial point that must not end the line search.
-_TRIAL_ERRORS = (NumericalError, ModelError)
-
-
-def _first_passing(ev: ObjectiveEvaluator, var: _Variables, trials: Array, f: float,
-                   decreases: Array) -> tuple[int, float, Array, Evaluation] | None:
-    """The first trial of a chunk that passes the Armijo test and whose
-    reverse sweep succeeds, as (index, objective, gradient, unbatched
-    forward record), or None.  The chunk is one ``totals`` batch.  If that
-    batch fails, the trials are scored one at a time up to the first that
-    passes, and a trial that fails alone, or whose sweep fails, is
-    rejected."""
-    try:
-        batch = ev.totals(*var.unpack_batch(trials))
-    except _TRIAL_ERRORS:
-        batch = None
-    for i, trial in enumerate(trials):
-        try:
-            totals, record = batch or ev.totals(*var.unpack_batch(trial[None]))
-            row = i if batch else 0
-            if decreases[i] < 0.0 and totals[row] <= f + _ARMIJO_C * decreases[i]:
-                center = record.take(row)
-                return i, float(totals[row]), _gradient(ev, var, center), center
-        except _TRIAL_ERRORS:
-            continue
-    return None
 
 
 def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direction: Array,
@@ -253,13 +231,15 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direct
     """Backtracking Armijo search along the projection arc.
 
     Candidate step sizes form the usual geometric sequence, but they are
-    evaluated in batched chunks (one prediction pass per chunk) instead of
+    evaluated in batched chunks (one ``totals`` batch per chunk) instead of
     one objective call per trial: 12 trials per chunk, after the full step
     alone when ``full_step_first`` is set (see the module docstring for when
     that pays).  The first (largest) passing step is returned, so the result
     is identical to sequential backtracking whatever the chunks.  A trial
-    whose forward pass or reverse sweep fails is rejected, and the search
-    goes on (see _first_passing).
+    that does not decrease the linear model cannot pass and is not scored;
+    if a chunk's batch fails, its trials are scored alone up to the first
+    that passes.  A trial whose forward pass or reverse sweep raises a
+    NumericalError is rejected.
 
     Returns (trial, f_trial, index, g, center), or None if no trial passed:
     index is the accepted trial's position in the step-size sequence,
@@ -269,15 +249,24 @@ def _armijo_search(ev, var: _Variables, theta: Array, f: float, g: Array, direct
     alphas = _BACKTRACK_FACTOR ** np.arange(_MAX_BACKTRACKS)
     starts = [0, *range(1 if full_step_first else _LS_CHUNK, alphas.size, _LS_CHUNK)]
     for start, stop in zip(starts, starts[1:] + [alphas.size]):
-        chunk = alphas[start:stop]
-        trials = var.project(theta[None, :] + chunk[:, None] * direction[None, :])
+        trials = var.project(theta[None, :] + alphas[start:stop, None] * direction[None, :])
         decreases = (trials - theta) @ g
-        if not np.any(decreases < 0.0):
+        descending = np.flatnonzero(decreases < 0.0).tolist()
+        if not descending:
             continue
-        passing = _first_passing(ev, var, trials, f, decreases)
-        if passing is not None:
-            idx, f_trial, g_trial, center = passing
-            return trials[idx], f_trial, start + idx, g_trial, center
+        try:
+            batch = ev.totals(*var.unpack_batch(trials))
+        except NumericalError:
+            batch = None
+        for i in descending:
+            try:
+                totals, record = batch or ev.totals(*var.unpack_batch(trials[i, None]))
+                row = i if batch else 0
+                if totals[row] <= f + _ARMIJO_C * decreases[i]:
+                    center = record.take(row)
+                    return trials[i], float(totals[row]), start + i, _gradient(ev, var, center), center
+            except NumericalError:
+                continue
     return None
 
 
@@ -330,14 +319,15 @@ def solve(
 
     Returns a local solution: nominal controls inside their box (enforced by
     projection at every trial point) and, in output_feedback mode, the
-    feedback gains.  status is 'converged' when the projected-gradient
-    infinity norm reaches the tolerance, 'max_iter' when the iteration
-    budget runs out, and 'line_search_failure' when no acceptable step
-    exists along either the quasi-Newton or the steepest-descent direction.
-    A trial point where the forward pass or the gradient sweep fails is a
-    rejected trial.  Every accepted
-    step lowers f, so the last accepted iterate is the best one and is what
-    comes back in all cases.
+    feedback gains.  Every accepted step lowers f, so the last accepted
+    iterate is the best one and is what comes back in all cases.  The solve
+    stops at the tolerance on the projected-gradient infinity norm (the
+    stationarity), at the iteration budget, or when no step passes along
+    the quasi-Newton and then the steepest-descent direction.  status is
+    read from the returned iterate: 'converged' if its stationarity meets
+    the tolerance, else 'line_search_failure' if the last search found no
+    step, else 'max_iter'.  A trial whose forward pass or gradient sweep
+    raises a NumericalError is rejected; other errors reach the caller.
     """
     opts = options or SolveOptions()
     var = _Variables(problem, opts.mode)
@@ -348,8 +338,8 @@ def solve(
     g = _gradient(ev, var, center)
     full_step_first = False
     curvature_skips = 0
-    status = "max_iter"
     iterations = 0
+    step = None
     gnorm = max(float(np.linalg.norm(g)), 1e-12)
     H = _diag_metric(curv, gnorm)
     # With no usable curvature the seed is just scaled steepest descent; in that
@@ -359,12 +349,11 @@ def solve(
 
     # center is always the current iterate's forward record, which the metric
     # reseeds and the result read.  With H positive definite, d is a
-    # descent direction whenever the masked gradient is nonzero.
-    for it in range(opts.max_iterations):
-        if stationarity <= opts.tolerance:
-            status = "converged"
-            break
-        iterations = it + 1
+    # descent direction whenever the masked gradient is nonzero.  The loop
+    # runs while the status test after it would not read converged (a NaN
+    # stationarity does not).
+    while not stationarity <= opts.tolerance and iterations < opts.max_iterations:
+        iterations += 1
         g_masked = _masked_gradient(g, theta, var)
         gnorm = max(float(np.linalg.norm(g_masked)), 1e-12)
         d = -H @ g_masked
@@ -375,7 +364,6 @@ def solve(
             H = _diag_metric(_seed(ev, var, theta, (f, center))[2], gnorm)
             step = _armijo_search(ev, var, theta, f, g, -g_masked / gnorm)
         if step is None:
-            status = "line_search_failure"
             break
         trial, f_trial, index, g_new, center = step
         full_step_first = index == 0
@@ -398,6 +386,8 @@ def solve(
                 curvature_skips = 0
         stationarity = _projected_gradient_norm(theta, g, var)
 
+    status = ("converged" if stationarity <= opts.tolerance
+              else "line_search_failure" if step is None else "max_iter")
     return SolveResult(
         policy=var.unpack(theta),
         objective=ObjectiveBreakdown.assemble(*center.parts),

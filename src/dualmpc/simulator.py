@@ -20,7 +20,7 @@ import numpy as np
 
 from .controllers import RecedingHorizonController
 from .estimation import BeliefState, ekf_step
-from .model import Array, ControlProblem, ModelError, psd_sqrt
+from .model import Array, ControlProblem, psd_sqrt
 from .uncertainty import NumericalError
 
 # Draw slots within a (run, step) key.  The initial-state draw uses step 0.
@@ -62,6 +62,8 @@ class SimConfig:
             raise ValueError("SimConfig needs steps >= 1, runs >= 1 and master_seed >= 0")
         if self.init_cov.shape != (self.init_mean.size, self.init_mean.size):
             raise ValueError("init_cov shape does not match init_mean")
+        if not np.isfinite(self.init_mean).all():
+            raise ValueError("init_mean must be finite")
         psd_sqrt(self.init_cov)  # raises ModelError unless finite and PSD
 
 
@@ -152,9 +154,9 @@ def simulate_run(
     """Run one seeded closed-loop trajectory.
 
     The controller sees only the EKF belief; the true system evolves with
-    freshly drawn standardized noises.  A diverged state or a failed
-    filter/solve linear algebra step flags the run and stops it early
-    instead of aborting the batch.
+    freshly drawn standardized noises.  A diverged state, or a NumericalError
+    in a control step, the system step or the filter, flags the run and
+    stops it early instead of aborting the batch.
     """
     model = problem.model
     cs = problem.constraints
@@ -190,7 +192,7 @@ def simulate_run(
             v = noise_stream(config.master_seed, run_index, t, SLOT_MEASUREMENT).standard_normal(model.n_v)
             y = model.g(x_next, v)
             belief = ekf_step(model, belief, u, y)
-        except (NumericalError, ModelError):
+        except NumericalError:
             diverged = True
             break
 
@@ -306,8 +308,10 @@ def run_batch(
 
     Each run gets its own controller instance, so warm-start state never
     crosses runs, and every noise draw is keyed by (seed, run, step, slot),
-    so run i's record does not depend on the other runs.
+    so run i's record does not depend on the other runs.  The factory is
+    called once per run.
     """
-    name = controller_name or controller_factory().mode
-    records = [simulate_run(problem, controller_factory(), config, i) for i in range(config.runs)]
+    controllers = [controller_factory() for _ in range(config.runs)]
+    name = controller_name or controllers[0].mode
+    records = [simulate_run(problem, c, config, i) for i, c in enumerate(controllers)]
     return summarize_records(name, config, records), records

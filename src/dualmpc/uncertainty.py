@@ -39,12 +39,13 @@ _JITTERS = (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 
 class NumericalError(RuntimeError):
-    """A contained numerical failure of one prediction or filter step: the
-    solver rejects the trial point and the simulator flags the run."""
+    """A numerical failure of one prediction or filter step, the only error
+    the solver and the simulator contain: the solver rejects the trial point
+    and the simulator flags the run."""
 
 
 class RolloutError(NumericalError):
-    """Nominal rollout produced non-finite states."""
+    """A rollout or model step met or produced non-finite states or controls."""
 
 
 class SingularInnovationError(NumericalError):

@@ -40,6 +40,7 @@ from .model import (
     SystemModel,
     psd_sqrt,
 )
+from .uncertainty import RolloutError
 
 
 def sigma_y(x: Array, eps: float) -> Array:
@@ -140,7 +141,7 @@ def make_unicycle_problem(params: UnicycleParams) -> ControlProblem:
         over the whole horizon."""
         x0, u = np.asarray(x0, dtype=float), np.asarray(u, dtype=float)
         if not (np.isfinite(x0).all() and np.isfinite(u).all()):
-            raise ModelError("unicycle step: non-finite state or control input")
+            raise RolloutError("unicycle step: non-finite state or control input")
         heading, steps = headings(x0, u, w_shaped)
         k = u[..., None, None, :1] * np.stack([np.cos(heading), np.sin(heading)], axis=-1)
         k = k + w_shaped[..., None, None, None, :2]  # position rates at the stage points 1, 2 (= 3) and 4

@@ -29,6 +29,7 @@ from dualmpc.objective import _SQRT_2PI, _trace_sum, constraint_direction_varian
 from dualmpc.uncertainty import (
     LinearizationError,
     Policy,
+    RolloutError,
     StageLinearization,
     _augmented_transitions,
     _noise_factors,
@@ -144,7 +145,7 @@ def rk4_step(
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
-        raise ModelError("rk4_step: non-finite state or control input")
+        raise RolloutError("rk4_step: non-finite state or control input")
     h = dt / substeps
     for _ in range(substeps):
         k1 = ode(x, u, w)

@@ -254,6 +254,19 @@ def test_solve_converged_linear_instance_exits_zero(tmp_path):
     assert code == 0
 
 
+def test_solve_reaching_the_tolerance_on_its_last_allowed_step_exits_zero(tmp_path):
+    """With max_iterations set to the iterations the converged linear solve
+    takes, its last allowed step reaches the tolerance: the solve reports
+    converged and the command exits 0, not 3."""
+    out = tmp_path / "free"
+    assert main(["solve", _cfg(tmp_path, LINEAR_LQG), "--out", str(out)]) == 0
+    free = json.loads((out / "solve_output_feedback.json").read_text())
+    capped_cfg = LINEAR_LQG.replace("max_iterations = 200", f"max_iterations = {free['iterations']}")
+    out = tmp_path / "capped"
+    assert main(["solve", _cfg(tmp_path, capped_cfg, "capped.cfg"), "--out", str(out)]) == 0
+    assert json.loads((out / "solve_output_feedback.json").read_text()) == free
+
+
 def test_solve_open_loop_gains_are_zero(tmp_path):
     cfg = _cfg(tmp_path, LINEAR_LQG)
     out = tmp_path / "out"

@@ -99,20 +99,23 @@ def test_rk4_fixed_point():
 
 
 def test_rk4_rejects_bad_inputs():
+    """A non-finite state or control met while stepping is a numerical
+    failure (RolloutError), which a solve or a run contains; a bad step
+    size or parameter is an invalid model (ModelError)."""
     for step in _rk4_steps(0.3):
         for bad in (np.nan, np.inf):
-            with pytest.raises(ModelError):
+            with pytest.raises(RolloutError):
                 step(np.array([bad, 0, 0]), np.zeros(2))
-            with pytest.raises(ModelError):
+            with pytest.raises(RolloutError):
                 step(np.zeros(3), np.array([0.0, bad]))
     # The unicycle's whole-horizon rollout checks its inputs as f does.
     model = make_unicycle_problem(standard_unicycle_params()).model
     for bad in (np.nan, np.inf):
         u = np.zeros((model.horizon, 2))
-        with pytest.raises(ModelError):
+        with pytest.raises(RolloutError):
             nominal_rollout(model, np.array([0.0, bad, 0.0]), u)
         u[7, 0] = bad
-        with pytest.raises(ModelError):
+        with pytest.raises(RolloutError):
             nominal_rollout(model, np.zeros(3), u)
     with pytest.raises(ModelError):
         rk4_step(_unicycle_ode, np.zeros(3), np.zeros(2), np.zeros(3), dt=0.0)

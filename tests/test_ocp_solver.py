@@ -679,6 +679,22 @@ def test_resolve_from_solution_converges_immediately():
     assert again.objective.total == first.objective.total
 
 
+@pytest.mark.parametrize("mode", ocp_solver.MODES)
+def test_last_allowed_step_to_the_tolerance_reads_converged(mode):
+    """The status is read from the returned iterate: a solve whose budget
+    is exactly the n iterations it needs to reach the tolerance takes the
+    same n steps to the same bits and reports converged, not max_iter."""
+    prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
+    x0, P0 = np.array([1.0, 0.5, np.pi]), 1e-4 * np.eye(3)
+    free = solve(prob, x0, P0, SolveOptions(mode=mode))
+    assert free.converged and free.iterations > 0
+    capped = solve(prob, x0, P0, SolveOptions(mode=mode, max_iterations=free.iterations))
+    assert (capped.status, capped.iterations, capped.stationarity) == ("converged", free.iterations,
+                                                                       free.stationarity)
+    assert same_bits(capped.policy.u_nom, free.policy.u_nom)
+    assert same_bits(capped.policy.feedback, free.policy.feedback)
+
+
 def test_solver_is_deterministic():
     prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
     x0 = np.array([0.8, 0.9, 3.0])

@@ -113,6 +113,15 @@ def test_sim_config_rejects_an_initial_covariance_without_a_square_root(init_cov
         SimConfig(init_mean=np.zeros(2), init_cov=init_cov)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sim_config_rejects_a_non_finite_initial_mean(bad):
+    """A non-finite init_mean would fail run 0's initial belief before the
+    run's failure containment starts, and so abort the batch; the
+    experiment is rejected when it is built, as a bad init_cov is."""
+    with pytest.raises(ValueError, match="init_mean must be finite"):
+        SimConfig(init_mean=[bad, 0.5, 3.0], init_cov=0.01 * np.eye(3))
+
+
 # ------------------------------------------------------------ single-run loop
 
 def test_noiseless_run_keeps_belief_on_true_state():
@@ -242,8 +251,8 @@ def test_bad_linearization_flags_the_run_not_the_batch():
 
 def test_non_finite_control_flags_the_run_not_the_batch():
     """A controller that returns a NaN control makes the unicycle's step
-    raise ModelError: that run is flagged diverged from the step on, and the
-    next run of the batch completes."""
+    raise RolloutError, a NumericalError: that run is flagged diverged from
+    the step on, and the next run of the batch completes."""
     prob = make_unicycle_problem(standard_unicycle_params(horizon=5))
     cfg = SimConfig(init_mean=[1.0, 0.5, np.pi], init_cov=0.01 * np.eye(3), steps=4, runs=2)
     controllers = iter([_ScriptedController([np.nan, 0.0]), _ScriptedController([0.5, 0.0])])
@@ -251,6 +260,23 @@ def test_non_finite_control_flags_the_run_not_the_batch():
     assert summary.diverged_runs == 1
     assert bad.diverged and np.isfinite(bad.states[0]).all() and np.isnan(bad.states[1:]).all()
     assert not good.diverged and np.isfinite(good.states).all()
+
+
+class _InvalidController(_ScriptedController):
+    """A controller whose step meets an invalid problem."""
+
+    def step(self, belief):
+        raise ModelError("injected")
+
+
+def test_invalid_input_reaches_the_caller_instead_of_flagging_the_run():
+    """A ModelError means invalid input, not a numerical failure: a run
+    does not contain it, so it ends the batch instead of being counted as a
+    diverged run."""
+    prob = _drift_problem()
+    cfg = SimConfig(init_mean=[1.0, 0.0], init_cov=0.1 * np.eye(2), steps=3, runs=2)
+    with pytest.raises(ModelError, match="injected"):
+        run_batch(prob, lambda: _InvalidController([0.1]), cfg, "invalid")
 
 
 @pytest.mark.parametrize("error", [RolloutError, SingularInnovationError])
@@ -287,6 +313,23 @@ def test_filter_failure_flags_the_run_not_the_batch(monkeypatch, error):
 
 
 # ----------------------------------------------------------------- batch runs
+
+def test_run_batch_calls_the_factory_once_per_run():
+    """Without a controller name the batch takes the first run's mode, and
+    builds no extra controller for it: an iterator-backed factory hands
+    each run its own controller."""
+    prob = _drift_problem()
+    cfg = SimConfig(init_mean=[1.0, 0.0], init_cov=0.1 * np.eye(2), steps=3, runs=2)
+    controllers, calls = iter([_ScriptedController([0.1]), _ScriptedController([0.2])]), []
+
+    def factory():
+        calls.append(len(calls))
+        return next(controllers)
+
+    summary, (first, second) = run_batch(prob, factory, cfg)
+    assert calls == [0, 1] and summary.controller == "scripted"
+    assert np.all(first.controls == 0.1) and np.all(second.controls == 0.2)
+
 
 def test_run_records_do_not_depend_on_batch_size():
     prob = _drift_problem(noise=0.1)
